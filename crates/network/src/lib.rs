@@ -29,8 +29,9 @@ pub use metrics::NetworkMetrics;
 pub use pool::{max_parallelism, run_scoped, WorkerPool};
 pub use routing::{distance, path_edges, shortest_path};
 pub use runtime::{
-    FaultEvent, FaultKind, FaultScript, LiveConfig, LiveRuntime, LoadObservation, MailboxStats,
-    MigrationOutcome, QueryMetrics, RuntimeMetrics, SourceModel, SyncMailbox, WalConfig,
+    FaultEvent, FaultKind, FaultScript, LiveConfig, LiveRuntime, LoadObservation, MailboxEntry,
+    MailboxStats, MigrationOutcome, QueryMetrics, RuntimeMetrics, SourceModel, SyncMailbox,
+    WalConfig,
 };
 pub use shared::{build_flow_op, op_is_stateful, ops_mergeable, FlowDag, GroupKey};
 pub use sim::{run, try_run, ConfigError, SimConfig, SimOutcome};

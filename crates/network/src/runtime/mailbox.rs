@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+use std::thread::ThreadId;
 
 use dss_xml::Node;
 
@@ -49,9 +50,16 @@ impl Mailbox {
             *self.dropped_by_group.entry(group).or_insert(0) += 1;
             return false;
         }
+        self.force_push(group, origin, item);
+        true
+    }
+
+    /// Enqueues past the capacity check (see [`SyncMailbox`]: blocking
+    /// pushers wait for room first, and the consumer's own pushes are
+    /// exempt), still tracking the high-water mark.
+    fn force_push(&mut self, group: usize, origin: u64, item: Node) {
         self.queue.push_back((group, origin, item));
         self.high_water = self.high_water.max(self.queue.len());
-        true
     }
 
     pub fn pop(&mut self) -> Option<(usize, u64, Node)> {
@@ -84,6 +92,9 @@ pub struct MailboxStats {
     pub dropped_by_group: BTreeMap<usize, u64>,
 }
 
+/// One queued mailbox entry: `(sharing group, origin tag, item)`.
+pub type MailboxEntry = (usize, u64, Node);
+
 /// Thread-safe bounded mailbox for *networked* deployments (`dss serve`).
 ///
 /// Wraps the simulator's [`Mailbox`] in a mutex + condvars so a real
@@ -96,6 +107,13 @@ pub struct MailboxStats {
 /// per-connection backpressure mapped onto the existing bounded-mailbox
 /// accounting (`high_water` is tracked by the same code path; `dropped`
 /// stays zero on the blocking path because nothing is ever discarded).
+///
+/// One thread is exempt from the bound: the mailbox's own consumer (the
+/// thread that last called [`pop_batch`](SyncMailbox::pop_batch)). A
+/// worker feeding a tap group on its own node pushes into the queue only
+/// it drains; blocking there could never be relieved. Its pushes always
+/// go through, overshooting the capacity by at most what one pass of the
+/// worker produces, and still count towards `high_water`.
 #[derive(Debug)]
 pub struct SyncMailbox {
     inner: Mutex<SyncInner>,
@@ -107,6 +125,8 @@ pub struct SyncMailbox {
 struct SyncInner {
     queue: Mailbox,
     closed: bool,
+    /// The thread draining this mailbox, as of its last `pop_batch`.
+    consumer: Option<ThreadId>,
 }
 
 impl SyncMailbox {
@@ -115,6 +135,7 @@ impl SyncMailbox {
             inner: Mutex::new(SyncInner {
                 queue: Mailbox::new(capacity),
                 closed: false,
+                consumer: None,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -125,18 +146,41 @@ impl SyncMailbox {
     /// backpressure). Returns `false` — without enqueuing — once the
     /// mailbox is closed.
     pub fn push(&self, group: usize, origin: u64, item: Node) -> bool {
+        self.push_all(std::iter::once((group, origin, item)))
+    }
+
+    /// Blocking enqueue of several entries, in order, under one lock
+    /// acquisition per wait instead of one per entry: everything that
+    /// fits goes in at once, and a full mailbox parks the caller exactly
+    /// like [`push`](Self::push). Returns `false` once the mailbox is
+    /// closed; entries enqueued before that are still handed out.
+    pub fn push_batch(&self, entries: Vec<MailboxEntry>) -> bool {
+        self.push_all(entries.into_iter())
+    }
+
+    fn push_all(&self, entries: impl Iterator<Item = MailboxEntry>) -> bool {
         let mut inner = self.inner.lock().unwrap();
-        loop {
+        // Resolved lazily: only a pusher that finds the queue full pays
+        // for asking who it is.
+        let mut is_consumer = None;
+        for (group, origin, item) in entries {
+            while !inner.closed
+                && inner.queue.len() >= inner.queue.capacity
+                && !*is_consumer
+                    .get_or_insert_with(|| inner.consumer == Some(std::thread::current().id()))
+            {
+                // Whatever this call already enqueued must be visible to
+                // a consumer parked on an empty queue before we park too.
+                self.not_empty.notify_one();
+                inner = self.not_full.wait(inner).unwrap();
+            }
             if inner.closed {
                 return false;
             }
-            if inner.queue.len() < inner.queue.capacity {
-                assert!(inner.queue.push(group, origin, item));
-                self.not_empty.notify_one();
-                return true;
-            }
-            inner = self.not_full.wait(inner).unwrap();
+            inner.queue.force_push(group, origin, item);
         }
+        self.not_empty.notify_one();
+        !inner.closed
     }
 
     /// Non-blocking enqueue with the simulator's drop-newest semantics:
@@ -158,7 +202,7 @@ impl SyncMailbox {
     /// *and* drained — items enqueued before [`close`](Self::close) are
     /// always handed out, which is what makes a drain-on-shutdown
     /// guarantee possible.
-    pub fn pop(&self) -> Option<(usize, u64, Node)> {
+    pub fn pop(&self) -> Option<MailboxEntry> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if let Some(entry) = inner.queue.pop() {
@@ -167,6 +211,28 @@ impl SyncMailbox {
             }
             if inner.closed {
                 return None;
+            }
+            inner = self.not_empty.wait(inner).unwrap();
+        }
+    }
+
+    /// Blocking batch dequeue: waits for the first entry, then appends to
+    /// `out` whatever else is already queued, up to `max` entries — it
+    /// never waits to fill a batch. Returns `false` only when the mailbox
+    /// is closed *and* drained (same guarantee as [`pop`](Self::pop)).
+    /// The caller becomes the mailbox's consumer (see the type docs).
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<MailboxEntry>) -> bool {
+        let mut inner = self.inner.lock().unwrap();
+        inner.consumer = Some(std::thread::current().id());
+        loop {
+            if inner.queue.len() > 0 {
+                let n = inner.queue.len().min(max);
+                out.extend(inner.queue.queue.drain(..n));
+                self.not_full.notify_all();
+                return true;
+            }
+            if inner.closed {
+                return false;
             }
             inner = self.not_empty.wait(inner).unwrap();
         }
@@ -290,5 +356,124 @@ mod tests {
         assert_eq!(m.pop().map(|(g, _, _)| g), Some(0));
         assert_eq!(m.pop().map(|(g, _, _)| g), Some(1));
         assert!(m.pop().is_none(), "closed and drained");
+    }
+
+    fn entries(range: std::ops::Range<u64>) -> Vec<MailboxEntry> {
+        range
+            .map(|t| ((t % 3) as usize, t, Node::leaf("x", t.to_string())))
+            .collect()
+    }
+
+    fn tags(batch: &[MailboxEntry]) -> Vec<u64> {
+        batch.iter().map(|(_, t, _)| *t).collect()
+    }
+
+    /// `pop_batch` takes what is queued, never more than the cap, and
+    /// order is FIFO across batch boundaries however pushes and pops were
+    /// grouped.
+    #[test]
+    fn batches_are_fifo_and_capped() {
+        let m = SyncMailbox::new(100);
+        assert!(m.push_batch(entries(0..5)));
+        assert!(m.push(9, 5, Node::leaf("x", "5")));
+        assert!(m.push_batch(entries(6..10)));
+        let mut seen = Vec::new();
+        let mut pass = Vec::new();
+        for want in [4, 4, 2] {
+            assert!(m.pop_batch(4, &mut pass));
+            assert_eq!(pass.len(), want, "a pass holds min(queued, cap)");
+            seen.extend(tags(&pass));
+            pass.clear();
+        }
+        assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        assert!(m.is_empty());
+        assert_eq!(m.stats().high_water, 10);
+        // `pop_batch` appends: what the caller left in `out` stays.
+        assert!(m.push_batch(entries(10..12)));
+        pass.push((0, 99, Node::leaf("x", "kept")));
+        assert!(m.pop_batch(4, &mut pass));
+        assert_eq!(tags(&pass), [99, 10, 11]);
+    }
+
+    /// A batch larger than the free room goes in piecewise: the pusher
+    /// parks at capacity and resumes as the consumer drains, nothing is
+    /// dropped or reordered, and the queue never exceeds its bound.
+    #[test]
+    fn push_batch_blocks_at_capacity_and_resumes() {
+        use std::sync::Arc;
+
+        let m = Arc::new(SyncMailbox::new(4));
+        let producer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || m.push_batch(entries(0..50)))
+        };
+        let mut seen = Vec::new();
+        let mut pass = Vec::new();
+        while seen.len() < 50 {
+            assert!(m.pop_batch(3, &mut pass));
+            assert!(pass.len() <= 3);
+            seen.extend(tags(&pass));
+            pass.clear();
+        }
+        assert!(producer.join().unwrap(), "whole batch enqueued");
+        assert_eq!(seen, (0..50).collect::<Vec<_>>());
+        let stats = m.stats();
+        assert!(stats.high_water <= 4, "bound held: {}", stats.high_water);
+        assert_eq!(stats.dropped, 0);
+    }
+
+    /// Closing releases a parked `push_batch` with `false`, and everything
+    /// enqueued before the close is still handed out, in order.
+    #[test]
+    fn close_then_drain_hands_out_everything_enqueued() {
+        use std::sync::Arc;
+
+        let m = Arc::new(SyncMailbox::new(4));
+        let producer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || m.push_batch(entries(0..10)))
+        };
+        while m.len() < 4 {
+            std::thread::yield_now();
+        }
+        m.close();
+        assert!(!producer.join().unwrap(), "cut short by the close");
+        assert!(!m.push_batch(entries(10..11)), "refused after close");
+        let mut pass = Vec::new();
+        assert!(m.pop_batch(3, &mut pass));
+        assert!(m.pop_batch(3, &mut pass));
+        assert_eq!(tags(&pass), [0, 1, 2, 3]);
+        assert!(!m.pop_batch(3, &mut pass), "closed and drained");
+    }
+
+    /// The thread that drains a mailbox never blocks pushing into it (a
+    /// worker feeding a tap group on its own node): it overshoots the
+    /// bound instead, and the overshoot shows in `high_water`. Every other
+    /// thread still parks at capacity.
+    #[test]
+    fn the_consumer_never_blocks_on_its_own_mailbox() {
+        use std::sync::Arc;
+
+        let m = Arc::new(SyncMailbox::new(2));
+        assert!(m.push_batch(entries(0..2)));
+        let mut pass = Vec::new();
+        assert!(m.pop_batch(1, &mut pass)); // this thread is the consumer
+        assert!(m.push_batch(entries(2..7)), "would deadlock if it parked");
+        assert!(m.push(0, 7, Node::leaf("x", "7")));
+        assert_eq!(m.len(), 7);
+        assert_eq!(m.stats().high_water, 7);
+
+        let other = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || m.push(0, 8, Node::leaf("x", "8")))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(m.len(), 7, "a foreign pusher waits for room");
+        while m.len() >= 2 {
+            assert!(m.pop_batch(64, &mut pass));
+        }
+        assert!(other.join().unwrap());
+        assert!(m.pop_batch(64, &mut pass));
+        assert_eq!(tags(&pass), (0..9).collect::<Vec<_>>());
     }
 }

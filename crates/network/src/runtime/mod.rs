@@ -51,7 +51,7 @@ mod metrics;
 mod rebalance;
 
 pub use fault::{FaultEvent, FaultKind, FaultScript};
-pub use mailbox::{MailboxStats, SyncMailbox};
+pub use mailbox::{MailboxEntry, MailboxStats, SyncMailbox};
 pub use metrics::{OpWork, QueryMetrics, RuntimeMetrics};
 pub use rebalance::{LoadObservation, MigrationOutcome};
 

@@ -18,21 +18,40 @@ use crate::crc::crc32;
 use crate::ProtoError;
 
 /// Upper bound on a frame payload (16 MiB). Far above any legitimate
-/// message — item batches are bounded well below this by the sender.
+/// message: the data plane caps an item batch at 64 items
+/// (`dss_server::data::BATCH_CAP`) whether it is live traffic, an
+/// end-of-stream flush or a recovery resend, and control messages carry
+/// one query text or one telemetry snapshot.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+
+/// Bytes of frame header: `len` + `crc`.
+const HEADER_LEN: usize = 8;
 
 /// Writes one frame. The payload is flushed as a single header+body write
 /// so small messages don't straddle TCP segments unnecessarily.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError> {
+    write_frame_with(w, |buf| buf.extend_from_slice(payload))
+}
+
+/// Writes one frame whose payload `fill` appends to the buffer it is
+/// given: the payload is built in place behind a header placeholder and
+/// the header patched afterwards, so a message is encoded straight into
+/// the one buffer that goes to the writer.
+pub fn write_frame_with(
+    w: &mut impl Write,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), ProtoError> {
+    let mut buf = Vec::with_capacity(64);
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+    fill(&mut buf);
+    let (header, payload) = buf.split_at_mut(HEADER_LEN);
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(ProtoError::TooLarge {
             len: payload.len() as u64,
         });
     }
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     w.write_all(&buf).map_err(ProtoError::Io)?;
     w.flush().map_err(ProtoError::Io)
 }
@@ -97,6 +116,23 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn payload_built_in_place_frames_like_a_copied_one() {
+        let (mut copied, mut in_place) = (Vec::new(), Vec::new());
+        write_frame(&mut copied, b"payload").unwrap();
+        write_frame_with(&mut in_place, |buf| {
+            buf.extend_from_slice(b"pay");
+            buf.extend_from_slice(b"load");
+        })
+        .unwrap();
+        assert_eq!(in_place, copied);
+        let mut r = &in_place[..];
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some(&b"payload"[..])
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod frame;
 pub mod wire;
 
 pub use crc::crc32;
-pub use frame::{read_frame, write_frame, MAX_FRAME_LEN};
+pub use frame::{read_frame, write_frame, write_frame_with, MAX_FRAME_LEN};
 
 use wire::{put_bool, put_nodes, put_str, put_u16, put_u32, put_u64, Reader};
 
@@ -321,6 +321,12 @@ impl Message {
     /// Encodes the message payload (unframed).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the message payload (unframed) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello {
                 min_version,
@@ -329,18 +335,18 @@ impl Message {
                 name,
             } => {
                 out.push(TAG_HELLO);
-                put_u16(&mut out, *min_version);
-                put_u16(&mut out, *max_version);
+                put_u16(out, *min_version);
+                put_u16(out, *max_version);
                 out.push(match role {
                     Role::Peer => 0,
                     Role::Client => 1,
                 });
-                put_str(&mut out, name);
+                put_str(out, name);
             }
             Message::HelloAck { version, peer } => {
                 out.push(TAG_HELLO_ACK);
-                put_u16(&mut out, *version);
-                put_str(&mut out, peer);
+                put_u16(out, *version);
+                put_str(out, peer);
             }
             Message::Subscribe {
                 id,
@@ -349,10 +355,10 @@ impl Message {
                 text,
             } => {
                 out.push(TAG_SUBSCRIBE);
-                put_str(&mut out, id);
-                put_str(&mut out, at_peer);
+                put_str(out, id);
+                put_str(out, at_peer);
                 out.push(strategy.to_u8());
-                put_str(&mut out, text);
+                put_str(out, text);
             }
             Message::SubscribeOk {
                 id,
@@ -362,19 +368,19 @@ impl Message {
                 plan,
             } => {
                 out.push(TAG_SUBSCRIBE_OK);
-                put_str(&mut out, id);
-                put_u64(&mut out, *delivery_flow);
-                put_bool(&mut out, *reused);
-                put_u64(&mut out, *cost_bits);
-                put_str(&mut out, plan);
+                put_str(out, id);
+                put_u64(out, *delivery_flow);
+                put_bool(out, *reused);
+                put_u64(out, *cost_bits);
+                put_str(out, plan);
             }
             Message::Unsubscribe { id } => {
                 out.push(TAG_UNSUBSCRIBE);
-                put_str(&mut out, id);
+                put_str(out, id);
             }
             Message::UnsubscribeOk { id } => {
                 out.push(TAG_UNSUBSCRIBE_OK);
-                put_str(&mut out, id);
+                put_str(out, id);
             }
             Message::Deploy {
                 seq,
@@ -384,33 +390,33 @@ impl Message {
                 text,
             } => {
                 out.push(TAG_DEPLOY);
-                put_u64(&mut out, *seq);
-                put_str(&mut out, id);
-                put_str(&mut out, at_peer);
+                put_u64(out, *seq);
+                put_str(out, id);
+                put_str(out, at_peer);
                 out.push(strategy.to_u8());
-                put_str(&mut out, text);
+                put_str(out, text);
             }
             Message::Undeploy { seq, id } => {
                 out.push(TAG_UNDEPLOY);
-                put_u64(&mut out, *seq);
-                put_str(&mut out, id);
+                put_u64(out, *seq);
+                put_str(out, id);
             }
             Message::Ack { seq } => {
                 out.push(TAG_ACK);
-                put_u64(&mut out, *seq);
+                put_u64(out, *seq);
             }
             Message::StartRun { run } => {
                 out.push(TAG_START_RUN);
-                put_u64(&mut out, *run);
+                put_u64(out, *run);
             }
             Message::RunGo { run } => {
                 out.push(TAG_RUN_GO);
-                put_u64(&mut out, *run);
+                put_u64(out, *run);
             }
             Message::RunDone { run, delivered } => {
                 out.push(TAG_RUN_DONE);
-                put_u64(&mut out, *run);
-                put_u64(&mut out, *delivered);
+                put_u64(out, *run);
+                put_u64(out, *delivered);
             }
             Message::StreamItemBatch {
                 run,
@@ -421,12 +427,12 @@ impl Message {
                 items,
             } => {
                 out.push(TAG_STREAM_ITEM_BATCH);
-                put_u64(&mut out, *run);
-                put_u64(&mut out, *flow);
-                put_u32(&mut out, *hop);
-                put_u64(&mut out, *offset);
-                put_bool(&mut out, *eos);
-                put_nodes(&mut out, items);
+                put_u64(out, *run);
+                put_u64(out, *flow);
+                put_u32(out, *hop);
+                put_u64(out, *offset);
+                put_bool(out, *eos);
+                put_nodes(out, items);
             }
             Message::Deliver {
                 run,
@@ -436,21 +442,21 @@ impl Message {
                 items,
             } => {
                 out.push(TAG_DELIVER);
-                put_u64(&mut out, *run);
-                put_str(&mut out, query);
-                put_u64(&mut out, *offset);
-                put_bool(&mut out, *eos);
-                put_nodes(&mut out, items);
+                put_u64(out, *run);
+                put_str(out, query);
+                put_u64(out, *offset);
+                put_bool(out, *eos);
+                put_nodes(out, items);
             }
             Message::MetricsPull => out.push(TAG_METRICS_PULL),
             Message::MetricsSnapshot { json } => {
                 out.push(TAG_METRICS_SNAPSHOT);
-                put_str(&mut out, json);
+                put_str(out, json);
             }
             Message::Fault { context, message } => {
                 out.push(TAG_FAULT);
-                put_str(&mut out, context);
-                put_str(&mut out, message);
+                put_str(out, context);
+                put_str(out, message);
             }
             Message::Shutdown => out.push(TAG_SHUTDOWN),
             Message::Goodbye => out.push(TAG_GOODBYE),
@@ -461,13 +467,12 @@ impl Message {
                 offset,
             } => {
                 out.push(TAG_RESUME_FROM);
-                put_u64(&mut out, *run);
-                put_u64(&mut out, *flow);
-                put_u32(&mut out, *hop);
-                put_u64(&mut out, *offset);
+                put_u64(out, *run);
+                put_u64(out, *flow);
+                put_u32(out, *hop);
+                put_u64(out, *offset);
             }
         }
-        out
     }
 
     /// Decodes one message from a frame payload. The payload must contain
@@ -565,7 +570,7 @@ impl Message {
 
 /// Frames and writes one message.
 pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), ProtoError> {
-    write_frame(w, &msg.encode())
+    write_frame_with(w, |buf| msg.encode_into(buf))
 }
 
 /// Reads and decodes one message; `Ok(None)` on a clean close.

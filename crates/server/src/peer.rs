@@ -17,10 +17,13 @@
 //! `StartRun` is two-phase: every process builds its share of the data
 //! plane ([`Plane`]) and acks before `RunGo` releases the sources, so no
 //! item can reach a process whose groups don't exist yet. Items travel as
-//! `StreamItemBatch` frames along each flow's planned route; a full
-//! mailbox blocks the enqueuing reader thread, which stops reading the
-//! connection, fills the kernel receive window, and stalls the sender —
-//! TCP backpressure mapped onto the bounded-mailbox semantics. The run
+//! `StreamItemBatch` frames along each flow's planned route, batched
+//! naturally: a worker sends per flow whatever one pass over its queued
+//! input produced (see [`crate::data`]), and every later hop forwards the
+//! batch as received. A full mailbox blocks the enqueuing reader thread,
+//! which stops reading the connection, fills the kernel receive window,
+//! and stalls the sender — TCP backpressure mapped onto the
+//! bounded-mailbox semantics. The run
 //! completes when every registered query's delivery flow has reported
 //! end-of-stream to the coordinator.
 
@@ -930,6 +933,7 @@ impl Server {
                 .or_else(|| active.requester.and_then(|id| clients.get(&id).cloned()))
         };
         if let Some(c) = client {
+            self.note_frame(items.len());
             let _ = c.send(&Message::Deliver {
                 run,
                 query: query.clone(),
@@ -1026,6 +1030,7 @@ impl Server {
             if self.is_coordinator() {
                 self.deliver_local(plane.run, query.clone(), offset, items, eos);
             } else {
+                self.note_frame(items.len());
                 let msg = Message::Deliver {
                     run: plane.run,
                     query: query.clone(),
@@ -1065,6 +1070,7 @@ impl Server {
             e.eos |= eos;
             e
         });
+        self.note_frame(items.len());
         let msg = Message::StreamItemBatch {
             run: plane.run,
             flow: flow as u64,
@@ -1084,6 +1090,16 @@ impl Server {
                 plane.note_stale();
             }
         }
+    }
+
+    /// Records how many items one outgoing `StreamItemBatch`/`Deliver`
+    /// frame carries — how well natural batching is working on this peer.
+    fn note_frame(&self, items: usize) {
+        dss_telemetry::histogram_record(
+            "server.frame_items",
+            || vec![("peer", self.my_name.clone())],
+            items as f64,
+        );
     }
 
     /// Sends `msg` to process `i`, redialing once on failure. A cached
@@ -1112,32 +1128,31 @@ impl Server {
     }
 
     /// Replays this process's retained output for wire-crossing
-    /// `(flow, hop)` from `offset` on, as one batch — a restarted
-    /// downstream asked for it via `ResumeFrom`. The entry lock is held
-    /// across the send so live traffic for the same crossing queues
-    /// behind the resend instead of racing it.
+    /// `(flow, hop)` from `offset` on, in batches of at most `BATCH_CAP`
+    /// items like live traffic — a restarted downstream asked for it via
+    /// `ResumeFrom`. The entry lock is held across all the sends so live
+    /// traffic for the same crossing queues behind the resend instead of
+    /// racing it.
     fn resend(self: &Arc<Self>, plane: &Arc<Plane>, flow: FlowId, hop: usize, offset: u64) {
         let Some(entry) = plane.sent_entry(flow, hop) else {
             return;
         };
         let dest = self.map.owner_of(plane.flows[flow].route[hop]);
         let e = entry.lock().unwrap();
-        if offset as usize > e.items.len() {
-            return;
-        }
-        if e.items.len() as u64 == offset && !e.eos {
-            return; // nothing sent yet past the requested point
-        }
-        let msg = Message::StreamItemBatch {
-            run: plane.run,
-            flow: flow as u64,
-            hop: hop as u32,
-            offset,
-            eos: e.eos,
-            items: e.items[offset as usize..].to_vec(),
-        };
-        if let Err(err) = self.send_to(dest, &msg) {
-            eprintln!("dss serve: recovery resend of flow {flow} hop {hop} failed: {err}");
+        for (offset, items, eos) in e.batches_from(offset as usize) {
+            self.note_frame(items.len());
+            let msg = Message::StreamItemBatch {
+                run: plane.run,
+                flow: flow as u64,
+                hop: hop as u32,
+                offset,
+                eos,
+                items: items.to_vec(),
+            };
+            if let Err(err) = self.send_to(dest, &msg) {
+                eprintln!("dss serve: recovery resend of flow {flow} hop {hop} failed: {err}");
+                return;
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! thread on the other end dispatches in arrival order — together that is
 //! the per-flow FIFO the byte-exactness argument rests on.
 
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -20,7 +20,8 @@ use crate::ServerError;
 pub struct Conn {
     /// Remote display name (from its Hello / HelloAck).
     pub name: String,
-    writer: Mutex<BufWriter<TcpStream>>,
+    /// Unbuffered: `write_message` hands over each frame as one buffer.
+    writer: Mutex<TcpStream>,
     stream: TcpStream,
 }
 
@@ -29,7 +30,7 @@ impl Conn {
         let w = stream.try_clone()?;
         Ok(Conn {
             name,
-            writer: Mutex::new(BufWriter::new(w)),
+            writer: Mutex::new(w),
             stream,
         })
     }

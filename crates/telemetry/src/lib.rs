@@ -25,9 +25,14 @@
 //! [`event`] records a leaf child of the currently open span. [`add_field`]
 //! appends a key/value pair to the currently open span — used to record
 //! results (cost, counters) that are only known at the end of a span.
-//! Recording is meant for control threads: the collector is a single
-//! mutex-guarded tree, and instrumented hot loops (the live runtime's
-//! worker pool) deliberately carry no recording calls.
+//! "Currently open" is per thread: each thread nests its own spans on a
+//! thread-local stack, untouched by what other threads record, and only a
+//! finished top-level span (or a top-level event) is moved into the
+//! shared, mutex-guarded collector. So a tree is always the work of one
+//! thread, and concurrent recorders (`dss serve`'s worker, reader and
+//! control threads; sibling tests) contend only when a root closes.
+//! Instrumented hot loops (the live runtime's worker pool) still carry no
+//! recording calls.
 //!
 //! # Metrics
 //!
@@ -301,17 +306,54 @@ pub type Labels = Vec<(&'static str, String)>;
 #[cfg(feature = "runtime")]
 mod imp {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::RefCell;
+    use std::marker::PhantomData;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::thread::ThreadId;
 
     static ENABLED: AtomicBool = AtomicBool::new(false);
     static COLLECTOR: Mutex<Collector> = Mutex::new(Collector::new());
     /// Serializes tests and tools that flip the global flag.
     static SESSION: Mutex<()> = Mutex::new(());
+    /// Bumped by every [`reset`] (under the collector lock). A thread's
+    /// open-span stack belongs to the generation it was filled in; a stack
+    /// or a guard from an older one is stale and never reaches the
+    /// collector.
+    static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        /// This thread's open spans, innermost last. Spans nest per
+        /// thread: whatever other threads record meanwhile can neither
+        /// land inside these nor close them.
+        static OPEN: RefCell<OpenStack> = const {
+            RefCell::new(OpenStack { generation: 0, spans: Vec::new() })
+        };
+    }
+
+    struct OpenStack {
+        generation: u64,
+        spans: Vec<Span>,
+    }
+
+    /// Runs `f` on the calling thread's open spans, first discarding any
+    /// left over from before the last [`reset`].
+    fn with_open<R>(f: impl FnOnce(&mut OpenStack) -> R) -> R {
+        OPEN.with(|open| {
+            let mut open = open.borrow_mut();
+            let now = GENERATION.load(Ordering::SeqCst);
+            if open.generation != now {
+                open.generation = now;
+                open.spans.clear();
+            }
+            f(&mut open)
+        })
+    }
 
     struct Collector {
-        roots: Vec<Span>,
-        open: Vec<Span>,
+        /// Closed top-level spans and events with the thread that recorded
+        /// each, in the order they were closed.
+        roots: Vec<(ThreadId, Span)>,
         metrics: BTreeMap<(String, Vec<(String, String)>), MetricValue>,
     }
 
@@ -319,7 +361,6 @@ mod imp {
         const fn new() -> Collector {
             Collector {
                 roots: Vec::new(),
-                open: Vec::new(),
                 metrics: BTreeMap::new(),
             }
         }
@@ -327,6 +368,15 @@ mod imp {
 
     fn lock() -> MutexGuard<'static, Collector> {
         COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Moves a finished top-level span into the collector, unless a
+    /// [`reset`] has intervened since it was opened.
+    fn push_root(generation: u64, span: Span) {
+        let mut c = lock();
+        if GENERATION.load(Ordering::SeqCst) == generation {
+            c.roots.push((std::thread::current().id(), span));
+        }
     }
 
     /// Is recording currently on? One relaxed atomic load.
@@ -340,85 +390,132 @@ mod imp {
         ENABLED.store(on, Ordering::Relaxed);
     }
 
-    /// Discards all recorded spans and metrics.
+    /// Discards all recorded spans and metrics, and every thread's open
+    /// spans with them: a span open across a reset is dropped when it
+    /// closes.
     pub fn reset() {
         let mut c = lock();
         c.roots.clear();
-        c.open.clear();
         c.metrics.clear();
+        GENERATION.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Closes the span on drop.
+    /// Closes the span on drop. Tied to the thread that opened it.
     #[must_use = "the span closes when the guard drops"]
     pub struct SpanGuard {
-        active: bool,
+        /// Generation of the open span this guard closes (`None`:
+        /// recording was off when it was created).
+        generation: Option<u64>,
+        _this_thread: PhantomData<*const ()>,
     }
 
     impl Drop for SpanGuard {
         fn drop(&mut self) {
-            if !self.active {
+            let Some(generation) = self.generation else {
                 return;
-            }
-            let mut c = lock();
-            if let Some(done) = c.open.pop() {
-                match c.open.last_mut() {
-                    Some(parent) => parent.children.push(done),
-                    None => c.roots.push(done),
+            };
+            let root = with_open(|open| {
+                if open.generation != generation {
+                    return None; // opened before a reset: already discarded
                 }
+                let done = open.spans.pop()?;
+                match open.spans.last_mut() {
+                    Some(parent) => {
+                        parent.children.push(done);
+                        None
+                    }
+                    None => Some(done),
+                }
+            });
+            if let Some(done) = root {
+                push_root(generation, done);
             }
         }
     }
 
-    /// Opens a span. `fields` is only invoked when recording is enabled.
+    fn new_span<F, I>(name: &'static str, fields: F) -> Span
+    where
+        F: FnOnce() -> I,
+        I: IntoIterator<Item = (&'static str, Value)>,
+    {
+        Span {
+            name: name.to_string(),
+            fields: fields()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            children: Vec::new(),
+        }
+    }
+
+    /// Opens a span on the calling thread. `fields` is only invoked when
+    /// recording is enabled.
     #[inline]
     pub fn span<F, I>(name: &'static str, fields: F) -> SpanGuard
     where
         F: FnOnce() -> I,
         I: IntoIterator<Item = (&'static str, Value)>,
     {
-        if !enabled() {
-            return SpanGuard { active: false };
+        SpanGuard {
+            generation: enabled().then(|| open_span(name, fields)),
+            _this_thread: PhantomData,
         }
-        let span = Span {
-            name: name.to_string(),
-            fields: fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            children: Vec::new(),
-        };
-        lock().open.push(span);
-        SpanGuard { active: true }
     }
 
-    /// Records a leaf event under the currently open span (or at the trace
-    /// root). `fields` is only invoked when recording is enabled.
+    /// The recording half of [`span`], out of line so that call sites
+    /// carry only the flag check while recording is off.
+    #[cold]
+    #[inline(never)]
+    fn open_span<F, I>(name: &'static str, fields: F) -> u64
+    where
+        F: FnOnce() -> I,
+        I: IntoIterator<Item = (&'static str, Value)>,
+    {
+        let span = new_span(name, fields);
+        with_open(|open| {
+            open.spans.push(span);
+            open.generation
+        })
+    }
+
+    /// Records a leaf event under the calling thread's innermost open span
+    /// (or at the trace root). `fields` is only invoked when recording is
+    /// enabled.
     #[inline]
     pub fn event<F, I>(name: &'static str, fields: F)
     where
         F: FnOnce() -> I,
         I: IntoIterator<Item = (&'static str, Value)>,
     {
-        if !enabled() {
-            return;
-        }
-        let ev = Span {
-            name: name.to_string(),
-            fields: fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            children: Vec::new(),
-        };
-        let mut c = lock();
-        match c.open.last_mut() {
-            Some(parent) => parent.children.push(ev),
-            None => c.roots.push(ev),
+        if enabled() {
+            record_event(name, fields);
         }
     }
 
-    /// Appends a field to the currently open span. `value` is only invoked
-    /// when recording is enabled and a span is open.
+    /// The recording half of [`event`] (out of line, like [`open_span`]).
+    #[cold]
+    #[inline(never)]
+    fn record_event<F, I>(name: &'static str, fields: F)
+    where
+        F: FnOnce() -> I,
+        I: IntoIterator<Item = (&'static str, Value)>,
+    {
+        let ev = new_span(name, fields);
+        let root = with_open(|open| match open.spans.last_mut() {
+            Some(parent) => {
+                parent.children.push(ev);
+                None
+            }
+            None => Some((open.generation, ev)),
+        });
+        if let Some((generation, ev)) = root {
+            push_root(generation, ev);
+        }
+    }
+
+    /// Appends a field to the calling thread's innermost open span.
+    /// `value` is only invoked when recording is enabled and a span is
+    /// open.
     #[inline]
     pub fn add_field<F>(key: &'static str, value: F)
     where
@@ -427,13 +524,11 @@ mod imp {
         if !enabled() {
             return;
         }
-        let mut c = lock();
-        if c.open.last().is_some() {
-            let v = value();
-            if let Some(top) = c.open.last_mut() {
-                top.fields.push((key.to_string(), v));
+        with_open(|open| {
+            if let Some(top) = open.spans.last_mut() {
+                top.fields.push((key.to_string(), value()));
             }
-        }
+        });
     }
 
     fn metric_key<F>(name: &'static str, labels: F) -> (String, Vec<(String, String)>)
@@ -503,12 +598,22 @@ mod imp {
         }
     }
 
-    /// Structural copy of everything recorded since the last [`reset`].
-    /// Open (unclosed) spans are not included.
+    /// Structural copy of everything recorded since the last [`reset`],
+    /// by every thread. Open (unclosed) spans are not included.
     pub fn snapshot() -> Snapshot {
+        snapshot_of(None)
+    }
+
+    /// [`snapshot`] with the trace narrowed to what `thread` recorded.
+    fn snapshot_of(thread: Option<ThreadId>) -> Snapshot {
         let c = lock();
         Snapshot {
-            spans: c.roots.clone(),
+            spans: c
+                .roots
+                .iter()
+                .filter(|(t, _)| thread.is_none_or(|only| *t == only))
+                .map(|(_, span)| span.clone())
+                .collect(),
             metrics: c
                 .metrics
                 .iter()
@@ -524,8 +629,14 @@ mod imp {
     /// An exclusive recording window: takes a global lock (serializing
     /// concurrent tests), clears prior state, and enables recording.
     /// Dropping the session disables recording and clears again.
+    ///
+    /// The flag is process-wide, so threads outside the session record
+    /// while it is open (sibling tests of one test binary do). The
+    /// session's own snapshots therefore hold only the spans of the thread
+    /// that opened it; the free [`snapshot`] returns every thread's.
     pub struct Session {
         _lock: MutexGuard<'static, ()>,
+        owner: ThreadId,
     }
 
     /// Opens a [`Session`]. Intended for tests and short-lived tools; the
@@ -534,15 +645,18 @@ mod imp {
         let lock = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         reset();
         set_enabled(true);
-        Session { _lock: lock }
+        Session {
+            _lock: lock,
+            owner: std::thread::current().id(),
+        }
     }
 
     impl Session {
         pub fn snapshot(&self) -> Snapshot {
-            snapshot()
+            snapshot_of(Some(self.owner))
         }
         pub fn snapshot_json(&self) -> String {
-            snapshot().to_json()
+            self.snapshot().to_json()
         }
     }
 
@@ -688,6 +802,83 @@ mod tests {
         assert_eq!(outer.children[1].name, "inner");
         assert_eq!(outer.children[1].field("cost"), Some(&Value::from(1.5)));
         assert_eq!(snap.spans[1].name, "root-event");
+    }
+
+    /// Two threads open, fill and close spans in lock step. Each must get
+    /// its own well-formed tree: with one process-wide open-span stack the
+    /// second thread's span nested inside the first's, events landed under
+    /// whichever span was opened last, and each guard closed the other
+    /// thread's span.
+    #[test]
+    fn interleaved_threads_record_separate_trees() {
+        use std::sync::{Arc, Barrier};
+
+        let _s = session();
+        let barrier = Arc::new(Barrier::new(2));
+        let threads: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|who| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let _outer = span("outer", || [("who", Value::from(who))]);
+                    barrier.wait(); // both outer spans are open
+                    event("step", || [("who", Value::from(who))]);
+                    barrier.wait();
+                    {
+                        let _inner = span("inner", || [("who", Value::from(who))]);
+                        barrier.wait(); // both inner spans are open
+                        add_field("done", || Value::from(who));
+                        barrier.wait();
+                    }
+                    barrier.wait(); // both inner spans are closed
+                    event("after", || [("who", Value::from(who))]);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        // The session's own snapshot is this thread's, which recorded
+        // nothing; the process-wide one holds both workers' trees.
+        assert_eq!(_s.snapshot().spans, Vec::new());
+        let snap = snapshot();
+        assert_eq!(snap.spans.len(), 2, "one root per thread: {snap:?}");
+        for who in ["a", "b"] {
+            let me = Some(&Value::from(who));
+            let outer = snap
+                .spans
+                .iter()
+                .find(|s| s.field("who") == me)
+                .unwrap_or_else(|| panic!("no tree for thread {who}: {snap:?}"));
+            assert_eq!(outer.name, "outer");
+            let names: Vec<&str> = outer.children.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(names, ["step", "inner", "after"], "thread {who}");
+            for child in &outer.children {
+                assert_eq!(child.field("who"), me, "stolen child in {who}'s tree");
+            }
+            let inner = &outer.children[1];
+            assert_eq!(inner.field("done"), me, "field on the wrong span");
+            assert!(inner.children.is_empty());
+        }
+    }
+
+    /// A span left open across a `reset` is discarded when it closes, and
+    /// does not swallow what the same thread records afterwards.
+    #[test]
+    fn reset_invalidates_open_spans() {
+        let s = session();
+        let stale = span("stale", Vec::new);
+        reset();
+        {
+            let _fresh = span("fresh", Vec::new);
+            event("inside", Vec::new);
+        }
+        drop(stale);
+        event("root-event", Vec::new);
+        let snap = s.snapshot();
+        let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["fresh", "root-event"]);
+        assert_eq!(snap.spans[0].children.len(), 1);
     }
 
     #[test]

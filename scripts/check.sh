@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every crate's unit and integration tests, not only the root package's:
+# the mailbox, data-plane, telemetry, wire and WAL suites live in crates.
+cargo test -q --workspace
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run

@@ -165,6 +165,62 @@ fn loopback_figure2_is_byte_exact_against_the_simulator() {
         snapshot.contains("runtime.delivered"),
         "live snapshot should account deliveries"
     );
+    assert!(
+        snapshot.contains("server.frame_items"),
+        "live snapshot should report how many items its frames carry"
+    );
+
+    client.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
+/// Regression for the default-mailbox self-deadlock: at the shipped
+/// `--mailbox-capacity` (1024, well below the 2 000-item stream) the
+/// flat-out source fills P0's mailbox, and the node's own worker — the
+/// only thread that drains it — used to block pushing a tap item into that
+/// same full mailbox; the fleet wedged after ten deliveries. The 25
+/// queries of scenario 1 must complete, byte-equal to the simulator.
+#[test]
+fn scenario1_completes_byte_exact_at_the_default_mailbox_capacity() {
+    let scenario = dss_rass::Scenario::scenario1(42);
+    let mut spec = ServeSpec::new("scenario1").unwrap();
+    spec.port_base = pick_port_base(8);
+    let mut sys: StreamGlobe = spec.build_globe();
+    let cluster = LocalCluster::spawn(Path::new(env!("CARGO_BIN_EXE_dss")), &spec, None)
+        .expect("fleet spawns");
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+
+    let mut flows = Vec::new();
+    for q in &scenario.queries {
+        let reg = sys
+            .register_query(q.id.clone(), &q.text, &q.peer, Strategy::StreamSharing)
+            .unwrap_or_else(|e| panic!("oracle registration of {} failed: {e}", q.id));
+        flows.push((q.id.clone(), reg.delivery_flow));
+        client
+            .subscribe(&q.id, &q.text, &q.peer, WireStrategy::StreamSharing)
+            .unwrap_or_else(|e| panic!("subscribing {} failed: {e}", q.id));
+    }
+    assert_eq!(flows.len(), 25);
+    let sim = sys.run_simulation(Default::default());
+
+    // A wedged fleet must fail this test, not eat the suite's timeout.
+    let out = client
+        .run_and_collect(Duration::from_secs(60))
+        .expect("run completes at the default mailbox capacity");
+    let mut total = 0;
+    for (id, flow) in &flows {
+        let want: Vec<String> = sim.flow_outputs[*flow].iter().map(node_to_string).collect();
+        let got: Vec<String> = out
+            .results
+            .get(id)
+            .map(|items| items.iter().map(node_to_string).collect())
+            .unwrap_or_default();
+        assert_eq!(got, want, "{id}: delivered bytes differ from the simulator");
+        total += want.len();
+    }
+    assert!(total > 2_000, "scenario 1 delivers more than it replays");
+    assert_eq!(out.delivered as usize, total, "fleet-wide delivered count");
 
     client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
