@@ -68,7 +68,8 @@ fn main() {
 
     let mut failures = Vec::new();
     for tier in &curve.tiers {
-        if !(tier.flat_ratio <= ratio) {
+        // `le`, not `>` negated: an incomparable (NaN) ratio must fail the bound.
+        if !tier.flat_ratio.le(&ratio) {
             failures.push(format!(
                 "{} subs: flat ratio {:.2} exceeds bound {ratio}",
                 tier.subscriptions, tier.flat_ratio

@@ -167,7 +167,6 @@ fn skewed_photons(n: usize) -> Vec<dss_xml::Node> {
         }],
         background_en: (0.5, 2.0),
         mean_time_increment: 1.0 / FREQ_HZ,
-        ..GeneratorConfig::default()
     })
     .generate_items(n)
 }

@@ -12,10 +12,15 @@
 //! The live counterpart lives in [`runtime`]: a deterministic
 //! discrete-event scheduler with timestamped items, bounded per-peer
 //! mailboxes, link latencies, and scripted fault injection.
+//!
+//! Both — and the TCP data plane of `dss serve` — are drivers of one
+//! sans-IO core, [`peer`]: the sharing groups, their DAG execution and
+//! output collection, and the route step.
 
 pub mod catalog;
 pub mod flow;
 pub mod metrics;
+pub mod peer;
 pub mod pool;
 pub mod routing;
 pub mod runtime;
@@ -26,12 +31,12 @@ pub mod topology;
 pub use catalog::{Catalog, ChainId, LensVerdicts};
 pub use flow::{build_flow_pipeline, Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
+pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};
 pub use pool::{max_parallelism, run_scoped, WorkerPool};
 pub use routing::{distance, path_edges, shortest_path};
 pub use runtime::{
     FaultEvent, FaultKind, FaultScript, LiveConfig, LiveRuntime, LoadObservation, MailboxEntry,
-    MailboxStats, MigrationOutcome, QueryMetrics, RuntimeMetrics, SourceModel, SyncMailbox,
-    WalConfig,
+    MigrationOutcome, QueryMetrics, RuntimeMetrics, SourceModel, SyncMailbox, WalConfig,
 };
 pub use shared::{build_flow_op, op_is_stateful, ops_mergeable, FlowDag, GroupKey};
 pub use sim::{run, try_run, ConfigError, SimConfig, SimOutcome};

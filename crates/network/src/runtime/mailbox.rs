@@ -1,6 +1,6 @@
 //! Bounded per-peer input queues.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::thread::ThreadId;
 
@@ -17,12 +17,9 @@ pub(crate) struct Mailbox {
     capacity: usize,
     /// Highest queue depth ever observed (reported in `RuntimeMetrics`).
     pub high_water: usize,
-    /// Items dropped because the queue was full.
+    /// Items dropped because the queue was full. (The runtime attributes
+    /// each drop to the member flows of the refused group itself.)
     pub dropped: u64,
-    /// Drops attributed to the sharing group whose item was refused — the
-    /// raw material for per-(peer, flow) drop accounting: an aggregate
-    /// per-peer count alone cannot say *which query* lost data.
-    pub dropped_by_group: BTreeMap<usize, u64>,
 }
 
 impl Mailbox {
@@ -32,7 +29,6 @@ impl Mailbox {
             capacity,
             high_water: 0,
             dropped: 0,
-            dropped_by_group: BTreeMap::new(),
         }
     }
 
@@ -42,12 +38,11 @@ impl Mailbox {
     }
 
     /// Enqueues an item for sharing group `group`, stamped with its
-    /// source-emission time. Returns `false` (and counts a drop, both in
-    /// aggregate and against `group`) when the mailbox is full.
+    /// source-emission time. Returns `false` (and counts a drop) when the
+    /// mailbox is full.
     pub fn push(&mut self, group: usize, origin: u64, item: Node) -> bool {
         if self.queue.len() >= self.capacity {
             self.dropped += 1;
-            *self.dropped_by_group.entry(group).or_insert(0) += 1;
             return false;
         }
         self.force_push(group, origin, item);
@@ -79,19 +74,6 @@ impl Mailbox {
     }
 }
 
-/// Accounting snapshot of a mailbox — the numbers `RuntimeMetrics`
-/// reports for simulated peers, surfaced identically for networked ones.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MailboxStats {
-    /// Highest queue depth ever observed.
-    pub high_water: usize,
-    /// Items refused because the queue was full (only possible through
-    /// [`SyncMailbox::try_push`]; the blocking path never drops).
-    pub dropped: u64,
-    /// Drops attributed to the sharing group whose item was refused.
-    pub dropped_by_group: BTreeMap<usize, u64>,
-}
-
 /// One queued mailbox entry: `(sharing group, origin tag, item)`.
 pub type MailboxEntry = (usize, u64, Node);
 
@@ -105,8 +87,8 @@ pub type MailboxEntry = (usize, u64, Node);
 /// Since the pushing thread is a connection's read loop, a full mailbox
 /// stops reads, the kernel's receive window fills, and the sender stalls —
 /// per-connection backpressure mapped onto the existing bounded-mailbox
-/// accounting (`high_water` is tracked by the same code path; `dropped`
-/// stays zero on the blocking path because nothing is ever discarded).
+/// accounting (`high_water` is tracked by the same code path; nothing is
+/// ever discarded).
 ///
 /// One thread is exempt from the bound: the mailbox's own consumer (the
 /// thread that last called [`pop_batch`](SyncMailbox::pop_batch)). A
@@ -183,21 +165,6 @@ impl SyncMailbox {
         !inner.closed
     }
 
-    /// Non-blocking enqueue with the simulator's drop-newest semantics:
-    /// a full mailbox refuses the item and counts the drop against
-    /// `group`, exactly like [`Mailbox::push`].
-    pub fn try_push(&self, group: usize, origin: u64, item: Node) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
-            return false;
-        }
-        let accepted = inner.queue.push(group, origin, item);
-        if accepted {
-            self.not_empty.notify_one();
-        }
-        accepted
-    }
-
     /// Blocking dequeue. Returns `None` only when the mailbox is closed
     /// *and* drained — items enqueued before [`close`](Self::close) are
     /// always handed out, which is what makes a drain-on-shutdown
@@ -255,14 +222,10 @@ impl SyncMailbox {
         self.len() == 0
     }
 
-    /// Accounting snapshot (survives close and drain).
-    pub fn stats(&self) -> MailboxStats {
-        let inner = self.inner.lock().unwrap();
-        MailboxStats {
-            high_water: inner.queue.high_water,
-            dropped: inner.queue.dropped,
-            dropped_by_group: inner.queue.dropped_by_group.clone(),
-        }
+    /// Highest queue depth ever observed (survives close and drain) — the
+    /// number `RuntimeMetrics` reports for simulated peers.
+    pub fn high_water(&self) -> usize {
+        self.inner.lock().unwrap().queue.high_water
     }
 }
 
@@ -287,31 +250,6 @@ mod tests {
         assert_eq!(m.high_water, 2, "high water survives draining");
     }
 
-    /// Drops are attributed to the group whose item was refused, so they
-    /// can be traced back to the flows (and the query) that lost data —
-    /// not just to the peer.
-    #[test]
-    fn drops_are_attributed_per_group() {
-        let mut m = Mailbox::new(1);
-        let item = Node::leaf("x", "1");
-        assert!(m.push(7, 0, item.clone()));
-        for t in 1..=3 {
-            assert!(!m.push(7, t, item.clone()));
-        }
-        assert!(!m.push(9, 4, item.clone()));
-        assert_eq!(m.dropped, 4);
-        assert_eq!(m.dropped_by_group.get(&7), Some(&3));
-        assert_eq!(m.dropped_by_group.get(&9), Some(&1));
-        assert_eq!(
-            m.dropped_by_group.values().sum::<u64>(),
-            m.dropped,
-            "per-group drops must account for every aggregate drop"
-        );
-        // Draining (peer crash) does not disturb drop accounting.
-        m.drain_all();
-        assert_eq!(m.dropped_by_group.get(&7), Some(&3));
-    }
-
     /// A full `SyncMailbox` blocks the pusher until the consumer drains —
     /// the backpressure mapping `dss serve` relies on — and the blocking
     /// path never drops while still tracking the high-water mark.
@@ -334,13 +272,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.pop().map(|(_, t, _)| t), Some(0));
         assert!(producer.join().unwrap(), "unblocked push succeeds");
-        let stats = m.stats();
-        assert_eq!(stats.dropped, 0, "blocking path never drops");
-        assert_eq!(stats.high_water, 2);
-        // try_push keeps the simulator's drop-newest accounting.
-        assert!(!m.try_push(5, 3, item.clone()));
-        assert_eq!(m.stats().dropped, 1);
-        assert_eq!(m.stats().dropped_by_group.get(&5), Some(&1));
+        assert_eq!(m.high_water(), 2);
     }
 
     /// Closing hands out every already-enqueued item before `pop` reports
@@ -387,7 +319,7 @@ mod tests {
         }
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
         assert!(m.is_empty());
-        assert_eq!(m.stats().high_water, 10);
+        assert_eq!(m.high_water(), 10);
         // `pop_batch` appends: what the caller left in `out` stays.
         assert!(m.push_batch(entries(10..12)));
         pass.push((0, 99, Node::leaf("x", "kept")));
@@ -417,9 +349,7 @@ mod tests {
         }
         assert!(producer.join().unwrap(), "whole batch enqueued");
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
-        let stats = m.stats();
-        assert!(stats.high_water <= 4, "bound held: {}", stats.high_water);
-        assert_eq!(stats.dropped, 0);
+        assert!(m.high_water() <= 4, "bound held: {}", m.high_water());
     }
 
     /// Closing releases a parked `push_batch` with `false`, and everything
@@ -461,7 +391,7 @@ mod tests {
         assert!(m.push_batch(entries(2..7)), "would deadlock if it parked");
         assert!(m.push(0, 7, Node::leaf("x", "7")));
         assert_eq!(m.len(), 7);
-        assert_eq!(m.stats().high_water, 7);
+        assert_eq!(m.high_water(), 7);
 
         let other = {
             let m = Arc::clone(&m);

@@ -1,9 +1,11 @@
-//! A deterministic discrete-event live runtime over a deployed network.
+//! A deterministic discrete-event live runtime over a deployed network —
+//! the event-heap driver of [`crate::peer`].
 //!
 //! The batch simulator ([`crate::sim`]) pushes every source item through
 //! the flow graph in one shot — no clock, no queues, no failures. This
-//! module is its live counterpart, modelling what the paper measured on
-//! the blade cluster:
+//! module is its live counterpart. The sharing groups, their DAG
+//! execution, output collection and the route step are the core's; what
+//! this driver adds is what the paper measured on the blade cluster:
 //!
 //! * **Time**: a single `u64` microsecond clock driven by a binary-heap
 //!   event queue. Ties break on a monotone sequence number, so a run is a
@@ -12,14 +14,12 @@
 //! * **Sources**: each registered stream emits its items periodically
 //!   ([`SourceModel::interarrival_us`], derived from the stream's measured
 //!   frequency).
-//! * **Peers**: one bounded mailbox and one server per peer. The flows
-//!   consuming one input stream at a peer are fused into a shared operator
-//!   DAG ([`crate::shared::FlowDag`]); serving an item runs it through the
-//!   whole DAG incrementally (shared prefixes execute once) and occupies
-//!   the server for `per_item_overhead_us` plus the measured operator work
-//!   scaled by the peer's speed (`pindex`) over its capacity. Within one
-//!   timestamp, the DAGs claimed by distinct peers execute in parallel on
-//!   a worker pool; results are applied in claim order, so runs stay
+//! * **Peers**: one bounded mailbox and one server per peer. Serving an
+//!   item runs it through its sharing group's DAG and occupies the server
+//!   for `per_item_overhead_us` plus the measured operator work scaled by
+//!   the peer's speed (`pindex`) over its capacity. Within one timestamp,
+//!   the DAGs claimed by distinct peers execute in parallel on a worker
+//!   pool; results are applied in claim order, so runs stay
 //!   byte-deterministic.
 //! * **Links**: a transmission takes `link_latency_us` plus the item's
 //!   exact serialized bytes over the edge bandwidth; links carry any
@@ -37,13 +37,13 @@
 //! Re-planning after a failure happens *outside* this module (the planner
 //! lives in `dss_core`): the driver pauses at a fault, rewrites the
 //! deployment, and calls [`LiveRuntime::sync_deployment`] to pick up new
-//! flows and retired ones. Windowed operator state of re-planned flows
-//! restarts empty — re-subscription preserves the query, not the state —
-//! *except* for flows the planner marked as loss-free handoffs
-//! ([`Deployment::is_handoff`], set when widening patches a consumer and
-//! delta migration beats a full rebuild): their in-place rebuild carries
-//! the open window state across ([`FlowDag::reregister_migrating_batch`]),
-//! moving O(delta) items instead of restarting the windows.
+//! flows and retired ones ([`SharingGroups::sync`]). Windowed operator
+//! state of re-planned flows restarts empty — re-subscription preserves
+//! the query, not the state — *except* for flows the planner marked as
+//! loss-free handoffs ([`Deployment::is_handoff`], set when widening
+//! patches a consumer and delta migration beats a full rebuild): their
+//! in-place rebuild carries the open window state across, moving O(delta)
+//! items instead of restarting the windows.
 
 pub mod fault;
 mod mailbox;
@@ -51,7 +51,7 @@ mod metrics;
 mod rebalance;
 
 pub use fault::{FaultEvent, FaultKind, FaultScript};
-pub use mailbox::{MailboxEntry, MailboxStats, SyncMailbox};
+pub use mailbox::{MailboxEntry, SyncMailbox};
 pub use metrics::{OpWork, QueryMetrics, RuntimeMetrics};
 pub use rebalance::{LoadObservation, MigrationOutcome};
 
@@ -63,7 +63,8 @@ use dss_wal::{truncate_to_records, WalOptions, WalRecord, WalWriter};
 use dss_xml::writer::serialized_size;
 use dss_xml::Node;
 
-use crate::flow::{Deployment, FlowId, FlowOp};
+use crate::flow::{Deployment, FlowId};
+use crate::peer::{FlowOutputs, FlowView, Group, Next, SharingGroups, Step};
 use crate::pool::{max_parallelism, WorkerPool};
 use crate::shared::{FlowDag, GroupKey};
 use crate::sim::ConfigError;
@@ -299,26 +300,6 @@ impl SeenSet {
     }
 }
 
-/// Runtime view of one deployed flow.
-struct FlowState {
-    active: bool,
-    label: String,
-    node: NodeId,
-    route: Vec<NodeId>,
-    ops: Vec<FlowOp>,
-}
-
-/// One intra-peer sharing group: every active flow consuming `key` at
-/// `node`, fused into a single operator DAG.
-struct Group {
-    node: NodeId,
-    key: GroupKey,
-    dag: FlowDag,
-    /// Active member count — kept outside `dag` because the DAG is checked
-    /// out to a worker while its service runs.
-    sinks: usize,
-}
-
 /// A service claimed during a same-timestamp batch: the group's DAG is
 /// checked out and handed to a worker.
 struct ServiceClaim {
@@ -350,18 +331,13 @@ pub struct LiveRuntime {
     horizon_us: u64,
     heap: BinaryHeap<std::cmp::Reverse<Event>>,
     sources: BTreeMap<String, SourceModel>,
-    flows: Vec<FlowState>,
-    /// Sharing groups, in creation order (deterministic).
-    groups: Vec<Group>,
-    group_of: BTreeMap<(NodeId, GroupKey), usize>,
-    /// Each flow's sharing group (None for flows that joined retired).
-    flow_group: Vec<Option<usize>>,
+    /// Every peer's sharing groups (this driver hosts them all), plus
+    /// the flow routes and the delivery map the route step reads.
+    groups: SharingGroups,
     /// Lazily started worker pool for same-timestamp service batches.
     pool: Option<WorkerPool>,
     /// Peers with a service claimed in the current timestamp batch.
     claimed: Vec<bool>,
-    /// Delivery flow → query id.
-    deliveries: BTreeMap<FlowId, String>,
     mailboxes: Vec<Mailbox>,
     busy_until: Vec<u64>,
     // Load observation window for the re-balancer: per-peer busy service
@@ -453,13 +429,9 @@ impl LiveRuntime {
             horizon_us,
             heap: BinaryHeap::new(),
             sources,
-            flows: Vec::new(),
-            groups: Vec::new(),
-            group_of: BTreeMap::new(),
-            flow_group: Vec::new(),
+            groups: SharingGroups::default(),
             pool: None,
             claimed: vec![false; n_peers],
-            deliveries: BTreeMap::new(),
             mailboxes: (0..n_peers)
                 .map(|_| Mailbox::new(mailbox_capacity))
                 .collect(),
@@ -529,111 +501,60 @@ impl LiveRuntime {
     }
 
     /// Reconciles the runtime with a rewritten deployment (after a
-    /// failover re-plan): new flows join their peer's sharing group,
-    /// retired flows leave it (operators nothing else shares are pruned),
-    /// and flows whose operator list changed in place (stream widening)
-    /// rebuild only the suffix below the first changed operator — the
-    /// windowed state of the unchanged leading prefix survives.
-    ///
-    /// Rebuilt flows the planner marked as loss-free handoffs
-    /// ([`Deployment::is_handoff`]) additionally migrate their open window
-    /// state across the rebuild. Handoffs are applied *per sharing group
-    /// as one batch*: sibling consumers patched by the same widening share
-    /// stateful DAG nodes, whose state only exports once the last sharer
-    /// releases it.
+    /// failover re-plan, a widening or a re-balance): see
+    /// [`SharingGroups::sync`] for what joins, leaves, rebuilds and
+    /// migrates. `deliveries` replaces the delivery-flow → query map.
     pub fn sync_deployment(
         &mut self,
         deployment: &Deployment,
         deliveries: BTreeMap<FlowId, String>,
     ) {
-        // In-place rewrites, collected per sharing group (BTreeMap + id
-        // order: deterministic), split into planned handoffs and plain
-        // rebuilds.
-        let mut handoffs: BTreeMap<usize, Vec<FlowId>> = BTreeMap::new();
-        for (id, flow) in deployment.flows().iter().enumerate() {
-            if id < self.flows.len() {
-                let state = &mut self.flows[id];
-                if flow.retired {
-                    if state.active {
-                        state.active = false;
-                        if let Some(g) = self.flow_group[id] {
-                            self.groups[g].dag.retire(id);
-                            self.groups[g].sinks -= 1;
-                        }
-                    }
-                } else if state.ops != flow.ops {
-                    state.ops = flow.ops.clone();
-                    state.label = flow.label.clone();
-                    if let Some(g) = self.flow_group[id] {
-                        if deployment.is_handoff(id) {
-                            handoffs.entry(g).or_default().push(id);
-                        } else {
-                            self.groups[g].dag.reregister(id, &flow.ops);
-                        }
-                    }
-                }
-            } else {
-                let active = !flow.retired;
-                self.flows.push(FlowState {
-                    active,
-                    label: flow.label.clone(),
-                    node: flow.processing_node,
-                    route: flow.route.clone(),
-                    ops: flow.ops.clone(),
-                });
-                let group = active.then(|| {
-                    let g = self.group_for(flow.processing_node, GroupKey::of(&flow.input));
-                    self.groups[g].dag.register(id, &flow.ops);
-                    self.groups[g].sinks += 1;
-                    g
-                });
-                self.flow_group.push(group);
-                self.emit_next.push(0);
-            }
-        }
-        for (g, ids) in handoffs {
-            let batch: Vec<(FlowId, &[FlowOp])> = ids
-                .iter()
-                .map(|&id| (id, deployment.flow(id).ops.as_slice()))
-                .collect();
-            let report = self.groups[g].dag.reregister_migrating_batch(&batch);
+        for handoff in self.groups.sync(deployment, |_| true) {
+            let report = handoff.report;
             self.widen_delta_items += report.items_moved;
             self.windows_migrated += report.ops_migrated;
             self.windows_dropped += report.ops_dropped;
             dss_telemetry::event("widen_handoff", || {
-                let peer = self.topo.peer(self.groups[g].node).name.as_str();
+                let peer = self.topo.peer(self.group(handoff.group).node).name.as_str();
                 [
                     ("peer", dss_telemetry::Value::from(peer)),
-                    ("flows", (ids.len() as u64).into()),
+                    ("flows", (handoff.flows as u64).into()),
                     ("items_moved", report.items_moved.into()),
                     ("ops_migrated", report.ops_migrated.into()),
                     ("ops_dropped", report.ops_dropped.into()),
                 ]
             });
         }
+        // New groups and flows start with empty WAL-mode state.
+        let (n_groups, n_flows) = {
+            let table = self.groups.table();
+            (table.groups().len(), table.flows().len())
+        };
+        self.history.resize_with(n_groups, Vec::new);
+        self.consumed.resize(n_groups, 0);
+        self.group_seen.resize_with(n_groups, SeenSet::default);
+        self.emit_next.resize(n_flows, 0);
         for q in deliveries.values() {
             self.delivered.entry(q.clone()).or_insert(0);
         }
-        self.deliveries = deliveries;
+        self.groups.set_deliveries(deliveries);
     }
 
-    /// The sharing group for (`node`, `key`), created on first use.
-    fn group_for(&mut self, node: NodeId, key: GroupKey) -> usize {
-        if let Some(&g) = self.group_of.get(&(node, key.clone())) {
-            return g;
-        }
-        let g = self.groups.len();
-        self.groups.push(Group {
-            node,
-            key: key.clone(),
-            dag: FlowDag::new(),
-            sinks: 0,
-        });
-        self.group_of.insert((node, key), g);
-        self.history.push(Vec::new());
-        self.consumed.push(0);
-        self.group_seen.push(SeenSet::default());
-        g
+    fn group(&self, g: usize) -> &Group {
+        &self.groups.table().groups()[g]
+    }
+
+    fn flow(&self, f: FlowId) -> &FlowView {
+        &self.groups.table().flows()[f]
+    }
+
+    /// The groups at `peer` that still have members, in creation order.
+    fn live_groups_at(&self, peer: NodeId) -> Vec<usize> {
+        let groups = self.groups.table().groups().iter().enumerate();
+        groups
+            .filter(|(_, g)| g.node == peer && !g.members.is_empty())
+            .map(|(i, _)| i)
+            .collect()
     }
 
     /// Applies one scripted fault at the current simulation time.
@@ -651,7 +572,7 @@ impl LiveRuntime {
                 } else {
                     drained
                         .into_iter()
-                        .map(|(g, _, _)| self.groups[g].sinks.max(1) as u64)
+                        .map(|(g, _, _)| self.group(g).members.len().max(1) as u64)
                         .sum()
                 };
                 self.items_lost += lost;
@@ -684,12 +605,9 @@ impl LiveRuntime {
                             // semantics — the retained tail is abandoned,
                             // exactly as if it had never been kept.
                             self.wal_fallbacks += 1;
-                            for g in 0..self.groups.len() {
-                                if self.groups[g].node != peer || self.groups[g].sinks == 0 {
-                                    continue;
-                                }
+                            for g in self.live_groups_at(peer) {
                                 let pending = self.history[g].len() as u64 - self.consumed[g];
-                                self.items_lost += pending * self.groups[g].sinks.max(1) as u64;
+                                self.items_lost += pending * self.group(g).members.len() as u64;
                                 self.consumed[g] = self.history[g].len() as u64;
                             }
                             self.trace_line(|topo| {
@@ -835,9 +753,10 @@ impl LiveRuntime {
             queries.insert(q.clone(), m);
         }
         let mut node_ops: Vec<Vec<OpWork>> = vec![Vec::new(); self.topo.peer_count()];
-        for g in &self.groups {
-            for s in g.dag.node_stats() {
-                node_ops[g.node].push(OpWork {
+        for (g, group) in self.groups.table().groups().iter().enumerate() {
+            let dag = self.groups.dag(g);
+            for s in dag.node_stats() {
+                node_ops[group.node].push(OpWork {
                     name: s.stats.name,
                     depth: s.depth,
                     sharers: s.sharers,
@@ -849,9 +768,9 @@ impl LiveRuntime {
             // Work executed by since-pruned nodes (retired flows'
             // exclusive operators) still happened: report it as one
             // zero-sharer aggregate so the books balance after failovers.
-            let r = g.dag.retired_stats();
+            let r = dag.retired_stats();
             if r.items_in > 0 {
-                node_ops[g.node].push(OpWork {
+                node_ops[group.node].push(OpWork {
                     name: r.name,
                     depth: 0,
                     sharers: 0,
@@ -908,11 +827,11 @@ impl LiveRuntime {
     }
 
     fn handle_emit_outputs(&mut self, flow: FlowId, origin: u64, base: u64, items: Vec<Node>) {
-        if !self.flows[flow].active {
+        if !self.flow(flow).active {
             self.items_lost += items.len() as u64;
             return;
         }
-        if !self.topo.peer(self.flows[flow].node).up {
+        if !self.topo.peer(self.flow(flow).node).up {
             // WAL mode: the emitting peer crashed with these outputs still
             // in flight. They were never committed, so recovery replays
             // the input and regenerates them index-identically — dropping
@@ -929,8 +848,8 @@ impl LiveRuntime {
     }
 
     fn handle_arrive(&mut self, flow: FlowId, hop: usize, origin: u64, index: u64, item: Node) {
-        let node = self.flows[flow].route[hop];
-        if !self.flows[flow].active {
+        let node = self.flow(flow).route[hop];
+        if !self.flow(flow).active {
             self.items_lost += 1;
             return;
         }
@@ -956,11 +875,11 @@ impl LiveRuntime {
         let origin = self.now;
         // Hand the item to every sharing group reading this source — one
         // mailbox entry per group serves all its member flows.
-        let readers: Vec<usize> = self
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.sinks > 0 && matches!(&g.key, GroupKey::Source(s) if *s == source))
+        let groups = self.groups.table().groups().iter().enumerate();
+        let readers: Vec<usize> = groups
+            .filter(|(_, g)| {
+                !g.members.is_empty() && matches!(&g.key, GroupKey::Source(s) if *s == source)
+            })
             .map(|(i, _)| i)
             .collect();
         for group in readers {
@@ -985,7 +904,7 @@ impl LiveRuntime {
     /// kicks the server there. `index` is the item's absolute position in
     /// the group's input stream (WAL mode; ignored otherwise).
     fn enqueue(&mut self, group: usize, origin: u64, index: u64, item: Node) {
-        let node = self.groups[group].node;
+        let node = self.group(group).node;
         if self.cfg.wal.is_some() {
             // Exactly-once: recovery replays regenerate inputs the group
             // may already have serviced before the crash.
@@ -1010,35 +929,29 @@ impl LiveRuntime {
             // not backpressure), so fall through to the drop accounting.
         } else if !self.topo.peer(node).up {
             // The entry would have served every member flow.
-            self.items_lost += self.groups[group].sinks.max(1) as u64;
+            self.items_lost += self.group(group).members.len().max(1) as u64;
             return;
         } else if self.mailboxes[node].push(group, origin, item) {
             self.schedule(self.now, EventKind::StartService { node });
             return;
         }
-        {
-            // The refused entry would have served every member flow of the
-            // group: attribute the drop to each of them, so the report can
-            // say which flow (and thus which query/stream) lost data — the
-            // per-peer aggregate alone cannot.
-            for f in 0..self.flows.len() {
-                if self.flow_group[f] == Some(group) && self.flows[f].active {
-                    *self
-                        .dropped_flows
-                        .entry((node, self.flows[f].label.clone()))
-                        .or_insert(0) += 1;
-                    dss_telemetry::counter_add(
-                        "runtime.mailbox.dropped",
-                        || {
-                            vec![
-                                ("peer", self.topo.peer(node).name.clone()),
-                                ("flow", self.flows[f].label.clone()),
-                            ]
-                        },
-                        1,
-                    );
-                }
-            }
+        // The refused entry would have served every member flow of the
+        // group: attribute the drop to each of them, so the report can
+        // say which flow (and thus which query/stream) lost data — the
+        // per-peer aggregate alone cannot.
+        for &f in &self.groups.table().groups()[group].members {
+            let label = &self.groups.table().flows()[f].label;
+            *self.dropped_flows.entry((node, label.clone())).or_insert(0) += 1;
+            dss_telemetry::counter_add(
+                "runtime.mailbox.dropped",
+                || {
+                    vec![
+                        ("peer", self.topo.peer(node).name.clone()),
+                        ("flow", label.clone()),
+                    ]
+                },
+                1,
+            );
         }
     }
 
@@ -1052,12 +965,12 @@ impl LiveRuntime {
             let Some((group, origin, item)) = self.mailboxes[node].pop() else {
                 return;
             };
-            if self.groups[group].sinks == 0 {
+            if self.group(group).members.is_empty() {
                 // Every member retired while the item waited.
                 self.items_lost += 1;
                 continue;
             }
-            let dag = std::mem::take(&mut self.groups[group].dag);
+            let dag = std::mem::take(self.groups.dag_mut(group));
             self.claimed[node] = true;
             claims.push(ServiceClaim {
                 node,
@@ -1076,20 +989,15 @@ impl LiveRuntime {
     fn run_services(&mut self, claims: Vec<ServiceClaim>) -> Vec<ServiceDone> {
         fn run_one(mut c: ServiceClaim) -> ServiceDone {
             let before = c.dag.total_work();
-            let mut outputs: Vec<(FlowId, Vec<Node>)> = Vec::new();
-            c.dag.process_into(&c.item, &mut |f, n| match outputs
-                .binary_search_by_key(&f, |&(id, _)| id)
-            {
-                Ok(i) => outputs[i].1.push(n.clone()),
-                Err(i) => outputs.insert(i, (f, vec![n.clone()])),
-            });
+            let mut outputs = FlowOutputs::default();
+            outputs.feed(&mut c.dag, &c.item);
             let work = c.dag.total_work() - before;
             ServiceDone {
                 node: c.node,
                 group: c.group,
                 origin: c.origin,
                 dag: c.dag,
-                outputs,
+                outputs: outputs.drain().collect(),
                 work,
             }
         }
@@ -1113,7 +1021,7 @@ impl LiveRuntime {
             outputs,
             work,
         } = done;
-        self.groups[group].dag = dag;
+        *self.groups.dag_mut(group) = dag;
         self.claimed[node] = false;
         let peer = self.topo.peer(node);
         let scaled = work * peer.pindex;
@@ -1207,13 +1115,16 @@ impl LiveRuntime {
     /// — at the end of the route — count the delivery. `index` is the
     /// item's absolute position in the flow's output stream (WAL mode).
     fn dispatch_at(&mut self, flow: FlowId, hop: usize, origin: u64, index: u64, item: Node) {
-        let node = self.flows[flow].route[hop];
+        let Step { node, tap, next } = self.groups.table().step(flow, hop);
+        let (forward, query) = match next {
+            Next::Forward { to, hop } => (Some((to, hop)), None),
+            Next::Deliver { query } => (None, Some(query.to_string())),
+            Next::End => (None, None),
+        };
         // Offer the passing item to the taps reading it here: all of them
         // form one sharing group, fed by a single enqueue.
-        if let Some(&g) = self.group_of.get(&(node, GroupKey::Tap(flow))) {
-            if self.groups[g].sinks > 0 {
-                self.enqueue(g, origin, index, item.clone());
-            }
+        if let Some(g) = tap {
+            self.enqueue(g, origin, index, item.clone());
         }
         if !self.topo.peer(node).up {
             // Only reachable in WAL mode (`handle_arrive` short-circuits
@@ -1221,14 +1132,12 @@ impl LiveRuntime {
             // but the down relay itself cannot forward or deliver. At a
             // route terminus with no delivery the taps *were* the only
             // consumers, so nothing downstream is lost.
-            let forwards = hop + 1 < self.flows[flow].route.len();
-            if forwards || self.deliveries.contains_key(&flow) {
+            if forward.is_some() || query.is_some() {
                 self.items_lost += 1;
             }
             return;
         }
-        if hop + 1 < self.flows[flow].route.len() {
-            let next = self.flows[flow].route[hop + 1];
+        if let Some((next, hop)) = forward {
             let edge_id = self
                 .topo
                 .edge_between(node, next)
@@ -1248,13 +1157,13 @@ impl LiveRuntime {
                 self.now + self.cfg.link_latency_us + tx_us,
                 EventKind::Arrive {
                     flow,
-                    hop: hop + 1,
+                    hop,
                     origin,
                     index,
                     item,
                 },
             );
-        } else if let Some(query) = self.deliveries.get(&flow).cloned() {
+        } else if let Some(query) = query {
             if self.cfg.wal.is_some()
                 && !self
                     .delivered_seen
@@ -1346,12 +1255,14 @@ impl LiveRuntime {
     /// Durably snapshots one sharing group: its window state, consumed
     /// input count, and the members' output counters.
     fn wal_checkpoint(&mut self, node: NodeId, group: usize) {
-        let emits: Vec<(u64, u64)> = (0..self.flows.len())
-            .filter(|&f| self.flow_group[f] == Some(group) && self.flows[f].active)
-            .map(|f| (f as u64, self.emit_next[f]))
+        let members = &self.group(group).members;
+        let emits: Vec<(u64, u64)> = members
+            .iter()
+            .map(|&f| (f as u64, self.emit_next[f]))
             .collect();
-        let states = self.groups[group]
-            .dag
+        let states = self
+            .groups
+            .dag(group)
             .snapshot_states()
             .into_iter()
             .map(|(f, s)| (f as u64, s))
@@ -1380,17 +1291,7 @@ impl LiveRuntime {
                 truncate_to_records(&dir, keep).expect("truncate peer WAL");
             }
         }
-        for g in 0..self.groups.len() {
-            if self.groups[g].node != peer || self.groups[g].sinks == 0 {
-                continue;
-            }
-            self.groups[g].dag = FlowDag::new();
-            for f in 0..self.flows.len() {
-                if self.flow_group[f] == Some(g) && self.flows[f].active {
-                    self.groups[g].dag.register(f, &self.flows[f].ops);
-                }
-            }
-        }
+        self.groups.rebuild_node(peer);
     }
 
     /// A peer came back in WAL mode: replay its log, restore the latest
@@ -1418,20 +1319,15 @@ impl LiveRuntime {
             }
         }
         let mut total = 0u64;
-        let group_ids: Vec<usize> = (0..self.groups.len())
-            .filter(|&g| self.groups[g].node == peer && self.groups[g].sinks > 0)
-            .collect();
-        for g in group_ids {
+        for g in self.live_groups_at(peer) {
             let (from, emits, states) =
                 checkpoints
                     .remove(&(g as u64))
                     .unwrap_or((0, Vec::new(), Vec::new()));
             // Output numbering restarts at the checkpointed counters; with
             // no checkpoint the cold replay regenerates from index 0.
-            for f in 0..self.flows.len() {
-                if self.flow_group[f] == Some(g) && self.flows[f].active {
-                    self.emit_next[f] = 0;
-                }
+            for &f in &self.groups.table().groups()[g].members {
+                self.emit_next[f] = 0;
             }
             for (f, next) in emits {
                 self.emit_next[f as usize] = next;
@@ -1439,7 +1335,7 @@ impl LiveRuntime {
             if !states.is_empty() {
                 let pool: Vec<(FlowId, dss_engine::OpState)> =
                     states.into_iter().map(|(f, s)| (f as usize, s)).collect();
-                let report = self.groups[g].dag.adopt_states(pool);
+                let report = self.groups.dag_mut(g).adopt_states(pool);
                 self.windows_migrated += report.ops_migrated;
                 self.windows_dropped += report.ops_dropped;
             }
@@ -1447,20 +1343,11 @@ impl LiveRuntime {
             // work is real (charged to the peer), but happens in recovery
             // rather than through the mailbox: one batch, at `now`.
             let tail: Vec<(u64, Node)> = self.history[g][from as usize..].to_vec();
-            let mut dag = std::mem::take(&mut self.groups[g].dag);
-            let work_before = dag.total_work();
+            let work_before = self.groups.dag(g).total_work();
+            let mut outputs = FlowOutputs::default();
             for (origin, item) in &tail {
-                let mut outputs: Vec<(FlowId, Vec<Node>)> = Vec::new();
-                dag.process_into(item, &mut |f, n| match outputs
-                    .binary_search_by_key(&f, |&(id, _)| id)
-                {
-                    Ok(i) => outputs[i].1.push(n.clone()),
-                    Err(i) => outputs.insert(i, (f, vec![n.clone()])),
-                });
-                for (flow, items) in outputs {
-                    if items.is_empty() {
-                        continue;
-                    }
+                outputs.feed(self.groups.dag_mut(g), item);
+                for (flow, items) in outputs.drain() {
                     let base = self.emit_next[flow];
                     self.emit_next[flow] += items.len() as u64;
                     self.schedule(
@@ -1475,8 +1362,8 @@ impl LiveRuntime {
                 }
                 total += 1;
             }
-            self.node_work[peer] += (dag.total_work() - work_before) * self.topo.peer(peer).pindex;
-            self.groups[g].dag = dag;
+            let work = self.groups.dag(g).total_work() - work_before;
+            self.node_work[peer] += work * self.topo.peer(peer).pindex;
             self.consumed[g] = self.history[g].len() as u64;
             // Seal recovery with a fresh checkpoint: the next crash
             // resumes from here instead of replaying the same tail again.

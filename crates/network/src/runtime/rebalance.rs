@@ -82,16 +82,16 @@ impl LiveRuntime {
     /// planned migration must pass; a crash obviously never waits for it.
     pub fn flows_quiescent(&self, flows: &[FlowId]) -> bool {
         let set: BTreeSet<FlowId> = flows.iter().copied().collect();
-        let groups: BTreeSet<usize> = flows.iter().filter_map(|&f| self.flow_group[f]).collect();
+        let groups: BTreeSet<usize> = flows.iter().filter_map(|&f| self.flow(f).group).collect();
         let parents: BTreeSet<FlowId> = groups
             .iter()
-            .filter_map(|&g| match self.groups[g].key {
+            .filter_map(|&g| match self.group(g).key {
                 GroupKey::Tap(parent) => Some(parent),
                 GroupKey::Source(_) => None,
             })
             .collect();
         for &g in &groups {
-            if self.mailboxes[self.groups[g].node].contains_group(g) {
+            if self.mailboxes[self.group(g).node].contains_group(g) {
                 return false;
             }
         }
@@ -111,10 +111,10 @@ impl LiveRuntime {
     /// prunes their DAG nodes and the state with them).
     pub fn export_flow_states(&self, flows: &[FlowId]) -> Vec<(FlowId, dss_engine::OpState)> {
         let set: BTreeSet<FlowId> = flows.iter().copied().collect();
-        let groups: BTreeSet<usize> = flows.iter().filter_map(|&f| self.flow_group[f]).collect();
+        let groups: BTreeSet<usize> = flows.iter().filter_map(|&f| self.flow(f).group).collect();
         let mut out = Vec::new();
         for &g in &groups {
-            for (f, s) in self.groups[g].dag.snapshot_states() {
+            for (f, s) in self.groups.dag(g).snapshot_states() {
                 if set.contains(&f) {
                     out.push((f, s));
                 }
@@ -147,7 +147,7 @@ impl LiveRuntime {
         for (old, state) in states {
             match map
                 .get(&old)
-                .and_then(|&new| self.flow_group[new].map(|g| (new, g)))
+                .and_then(|&new| self.flow(new).group.map(|g| (new, g)))
             {
                 Some((new, g)) => per_group.entry(g).or_default().push((new, state)),
                 None => outcome.windows_dropped += 1,
@@ -162,9 +162,9 @@ impl LiveRuntime {
             let targets: Vec<FlowId> = map
                 .values()
                 .copied()
-                .filter(|&new| self.flow_group[new] == Some(g))
+                .filter(|&new| self.flow(new).group == Some(g))
                 .collect();
-            let report = self.groups[g].dag.adopt_states_for(&targets, pool);
+            let report = self.groups.dag_mut(g).adopt_states_for(&targets, pool);
             outcome.windows_moved += report.ops_migrated;
             outcome.windows_dropped += report.ops_dropped;
             outcome.items_moved += report.items_moved;

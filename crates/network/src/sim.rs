@@ -1,5 +1,6 @@
-//! The network simulator: pushes real XML items through the deployed
-//! flows and measures actual bytes per connection and work per peer.
+//! The network simulator — the run-to-completion driver of [`crate::peer`]:
+//! pushes real XML items through the deployed flows and measures actual
+//! bytes per connection and work per peer.
 //!
 //! The paper evaluated on a blade cluster; we substitute a discrete
 //! simulator that executes the *same* operator plans over the *same* XML
@@ -10,6 +11,11 @@
 //! every byte a peer sends or receives — this is what makes pure data
 //! shipping show elevated CPU load across all forwarding peers, as in
 //! Figure 6.
+//!
+//! What this driver adds to the core: every sharing group sees its whole
+//! input at once, so groups run level by level (a tap group one level
+//! below its parent's group), the groups of one level in parallel, and
+//! each flow's output is transmitted along its route in one piece.
 
 use std::collections::BTreeMap;
 
@@ -17,12 +23,12 @@ use dss_engine::Emit;
 use dss_xml::writer::serialized_size;
 use dss_xml::Node;
 
-use crate::flow::{build_flow_pipeline, Deployment, FlowId, FlowInput, FlowOp};
+use crate::flow::{build_flow_pipeline, Deployment, FlowInput};
 use crate::metrics::NetworkMetrics;
+use crate::peer::{FlowOutputs, GroupTable, Next};
 use crate::pool::{max_parallelism, run_scoped};
-use crate::routing::path_edges;
-use crate::shared::{FlowDag, GroupKey};
-use crate::topology::{NodeId, Topology};
+use crate::shared::GroupKey;
+use crate::topology::Topology;
 
 /// An invalid simulation or runtime configuration value.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,37 +156,33 @@ pub fn try_run(
     let mut metrics = NetworkMetrics::new(topo, cfg.duration_s);
     let mut flow_outputs: Vec<Vec<Node>> = vec![Vec::new(); deployment.len()];
 
+    let table = GroupTable::build(deployment, |_| true);
     if cfg.shared_ops {
-        run_shared(topo, deployment, sources, &mut metrics, &mut flow_outputs);
+        run_shared(topo, &table, sources, &mut metrics, &mut flow_outputs);
     } else {
         run_unfused(topo, deployment, sources, &mut metrics, &mut flow_outputs);
     }
 
     // Transmit every flow's outputs along its route, charging edges and
     // forwarding work, in flow id order.
-    for (id, flow) in deployment.flows().iter().enumerate() {
-        if flow.retired {
+    for (id, flow) in table.flows().iter().enumerate() {
+        if !flow.active || flow.route.len() < 2 {
             continue;
         }
-        let edges = path_edges(topo, &flow.route);
-        if !edges.is_empty() {
-            let total_bytes: u64 = flow_outputs[id]
-                .iter()
-                .map(|n| serialized_size(n) as u64)
-                .sum();
-            for (hop, &e) in edges.iter().enumerate() {
-                let (sender, receiver) = (flow.route[hop], flow.route[hop + 1]);
-                metrics.record_transmission(e, sender, receiver, total_bytes);
-                let kb = total_bytes as f64 / 1024.0;
-                metrics.record_work(
-                    sender,
-                    kb * cfg.forward_work_per_kb * topo.peer(sender).pindex,
-                );
-                metrics.record_work(
-                    receiver,
-                    kb * cfg.forward_work_per_kb * topo.peer(receiver).pindex,
-                );
-            }
+        let total_bytes: u64 = flow_outputs[id]
+            .iter()
+            .map(|n| serialized_size(n) as u64)
+            .sum();
+        let forward_work = total_bytes as f64 / 1024.0 * cfg.forward_work_per_kb;
+        let mut step = table.step(id, 0);
+        while let Next::Forward { to, hop } = step.next {
+            let edge = topo
+                .edge_between(step.node, to)
+                .expect("deployment validated against topology");
+            metrics.record_transmission(edge, step.node, to, total_bytes);
+            metrics.record_work(step.node, forward_work * topo.peer(step.node).pindex);
+            metrics.record_work(to, forward_work * topo.peer(to).pindex);
+            step = table.step(id, hop);
         }
     }
 
@@ -223,101 +225,64 @@ fn run_unfused(
     }
 }
 
-/// Fused execution: flows group by (tap depth, peer, input stream); each
-/// group runs as one shared [`FlowDag`], and the independent groups of one
-/// depth execute on a scoped worker pool. Results are applied in the
-/// deterministic group order regardless of worker scheduling.
+/// Fused execution: each sharing group runs its DAG over its whole input,
+/// and the independent groups of one level execute on a scoped worker
+/// pool — each worker building the DAG it runs — borrowing the parent
+/// flow's output as their input. Results are applied in `(level, node,
+/// key)` order regardless of worker scheduling.
 fn run_shared(
     topo: &Topology,
-    deployment: &Deployment,
+    table: &GroupTable,
     sources: &BTreeMap<String, Vec<Node>>,
     metrics: &mut NetworkMetrics,
     flow_outputs: &mut [Vec<Node>],
 ) {
-    let flows = deployment.flows();
-    // Tap depth of each flow; `add_flow` guarantees parent ids are smaller.
-    let mut depth = vec![0usize; flows.len()];
-    for (id, f) in flows.iter().enumerate() {
-        if let FlowInput::Tap { parent } = f.input {
-            depth[id] = depth[parent] + 1;
+    // A tap group runs one level below its parent's group, which was
+    // created first (`add_flow` guarantees parent ids are smaller).
+    let mut level = vec![0usize; table.groups().len()];
+    for (g, group) in table.groups().iter().enumerate() {
+        if let GroupKey::Tap(parent) = group.key {
+            level[g] = table.flows()[parent].group.map_or(0, |pg| level[pg] + 1);
         }
     }
-    let mut groups: BTreeMap<(usize, NodeId, GroupKey), Vec<FlowId>> = BTreeMap::new();
-    for (id, f) in flows.iter().enumerate() {
-        if f.retired {
-            continue;
-        }
-        groups
-            .entry((depth[id], f.processing_node, GroupKey::of(&f.input)))
-            .or_default()
-            .push(id);
-    }
-    let mut levels: Vec<Vec<(NodeId, GroupKey, Vec<FlowId>)>> = Vec::new();
-    for ((lvl, node, key), members) in groups {
-        if lvl >= levels.len() {
-            levels.resize_with(lvl + 1, Vec::new);
-        }
-        levels[lvl].push((node, key, members));
-    }
-
-    struct Job<'a> {
-        node: NodeId,
-        members: Vec<(FlowId, &'a [FlowOp])>,
-        inputs: &'a [Node],
-    }
+    let mut order: Vec<usize> = table.ordered().collect();
+    order.sort_by_key(|&g| level[g]);
 
     let threads = max_parallelism();
-    for level in &levels {
+    for groups in order.chunk_by(|&a, &b| level[a] == level[b]) {
         // Resolve inputs on this thread: an unknown source must panic here,
         // not inside a worker.
-        let jobs: Vec<Job> = level
+        let jobs: Vec<(usize, &[Node])> = groups
             .iter()
-            .map(|(node, key, members)| {
-                let inputs: &[Node] = match key {
+            .map(|&g| {
+                let group = &table.groups()[g];
+                let inputs: &[Node] = match &group.key {
                     GroupKey::Source(stream) => sources
                         .get(stream)
                         .unwrap_or_else(|| {
-                            panic!(
-                                "flow {} reads unknown source {stream:?}",
-                                flows[members[0]].label
-                            )
+                            let reader = &table.flows()[group.members[0]].label;
+                            panic!("flow {reader} reads unknown source {stream:?}")
                         })
                         .as_slice(),
                     GroupKey::Tap(parent) => flow_outputs[*parent].as_slice(),
                 };
-                Job {
-                    node: *node,
-                    members: members
-                        .iter()
-                        .map(|&id| (id, flows[id].ops.as_slice()))
-                        .collect(),
-                    inputs,
-                }
+                (g, inputs)
             })
             .collect();
-        let results = run_scoped(jobs, threads, |job| {
-            let mut dag = FlowDag::new();
-            for (id, ops) in &job.members {
-                dag.register(*id, ops);
+        let results = run_scoped(jobs, threads, |(g, inputs)| {
+            let mut dag = table.cold_dag(g);
+            let mut outputs = FlowOutputs::default();
+            for item in inputs {
+                outputs.feed(&mut dag, item);
             }
-            let ids: Vec<FlowId> = job.members.iter().map(|&(id, _)| id).collect();
-            let mut outs: Vec<Vec<Node>> = vec![Vec::new(); ids.len()];
-            for item in job.inputs {
-                dag.process_into(item, &mut |f, n| {
-                    let i = ids.binary_search(&f).expect("sink is a group member");
-                    outs[i].push(n.clone());
-                });
-            }
-            dag.flush_into(&mut |f, n| {
-                let i = ids.binary_search(&f).expect("sink is a group member");
-                outs[i].push(n.clone());
-            });
-            (job.node, dag.total_work(), ids, outs)
+            outputs.flush(&mut dag);
+            (g, dag.total_work(), outputs)
         });
-        for (node, work, ids, outs) in results {
+        for (g, work, mut outputs) in results {
+            let node = table.groups()[g].node;
             metrics.record_work(node, work * topo.peer(node).pindex);
-            for (id, out) in ids.into_iter().zip(outs) {
-                flow_outputs[id] = out;
+            for (flow, items) in outputs.drain() {
+                flow_outputs[flow] = items;
             }
         }
     }

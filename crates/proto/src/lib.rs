@@ -63,7 +63,8 @@ pub enum WireStrategy {
 }
 
 impl WireStrategy {
-    fn to_u8(self) -> u8 {
+    /// The strategy's byte on the wire and in WAL records.
+    pub fn to_u8(self) -> u8 {
         match self {
             WireStrategy::DataShipping => 0,
             WireStrategy::QueryShipping => 1,
@@ -71,7 +72,8 @@ impl WireStrategy {
         }
     }
 
-    fn from_u8(b: u8) -> Result<WireStrategy, DecodeError> {
+    /// The strategy a wire or WAL byte names; unknown bytes are an error.
+    pub fn from_u8(b: u8) -> Result<WireStrategy, DecodeError> {
         match b {
             0 => Ok(WireStrategy::DataShipping),
             1 => Ok(WireStrategy::QueryShipping),

@@ -1,10 +1,13 @@
-//! The per-run data plane of one peer process.
+//! The per-run data plane of one peer process — the threads-and-sockets
+//! driver of [`dss_network::peer`].
 //!
-//! For each run, every process snapshots its replica's deployment and
-//! instantiates, for each *hosted* node, the same sharing groups the batch
-//! simulator forms — `(processing node, GroupKey)`, members in ascending
-//! `FlowId` order, executed by one [`FlowDag`] per group. Each hosted node
-//! gets one bounded [`SyncMailbox`] and one worker thread draining it.
+//! For each run, every process snapshots its replica's deployment into the
+//! core's [`GroupTable`], restricted to the nodes it hosts. The table
+//! (flows, routes, groups, deliveries) is shared read-only by every thread;
+//! each worker builds and owns the DAGs it runs. What this driver adds: one
+//! bounded [`SyncMailbox`] and one worker thread per hosted node, source
+//! replay threads, the per-crossing receive marks ([`Contiguity`]) and —
+//! in durable mode — the sent-log recovery resends are cut from.
 //!
 //! **Natural batching.** Every hop moves what is already queued, never
 //! one item at a time and never waiting to fill a batch. A worker *pass*
@@ -26,7 +29,7 @@
 //! and feeds each group's DAG in that order, a flow's outputs are produced
 //! by one worker thread and appended to the flow's pending batch in
 //! emission order, batches leave in the order they were formed (offsets
-//! are stamped per batch at the origin, `offset + len` contiguous), travel
+//! are stamped per batch by that worker, `offset + len` contiguous), travel
 //! the route over per-connection FIFO links, and are appended to each
 //! consumer mailbox by a single reader thread, all-or-nothing per batch.
 //! How the input happens to be split into passes changes only where the
@@ -44,10 +47,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dss_core::StreamGlobe;
-use dss_network::{Deployment, FlowDag, FlowId, GroupKey, MailboxEntry, NodeId, SyncMailbox};
+use dss_network::{
+    Accepted, Contiguity, FlowDag, FlowId, FlowOutputs, Group, GroupKey, GroupTable, MailboxEntry,
+    NodeId, SyncMailbox,
+};
 use dss_xml::Node;
-
-use crate::spec::NetMap;
 
 /// Mailbox origin-tag for a payload item.
 pub const TAG_ITEM: u64 = 0;
@@ -61,21 +65,6 @@ pub const TAG_EOS: u64 = 1;
 /// most a few percent on top (inside the run-to-run spread) for 15 %. It
 /// also keeps every frame far below `dss_proto::MAX_FRAME_LEN`.
 pub const BATCH_CAP: usize = 64;
-
-/// A flow's output advancing to `route[hop]`: feed the taps there, then
-/// forward to the next hop or deliver. Implemented by the peer server
-/// (which owns the connections); invoked from worker and reader threads.
-pub type Forwarder = Arc<dyn Fn(FlowId, usize, Vec<Node>, bool) + Send + Sync>;
-
-/// Deployment snapshot of one flow, fixed for the run's lifetime.
-#[derive(Debug, Clone)]
-pub struct PlaneFlow {
-    pub route: Vec<NodeId>,
-    /// `Some(query_id)` if this is the query's delivery flow.
-    pub delivery_for: Option<String>,
-    /// Retired flows keep their id slot but never run.
-    pub retired: bool,
-}
 
 struct SourceJob {
     group: usize,
@@ -118,42 +107,18 @@ impl SentEntry {
 /// `(flow, dest hop)`.
 type SentLog = BTreeMap<(FlowId, usize), Arc<Mutex<SentEntry>>>;
 
-/// Receiver-side contiguity mark for one `(flow, dest hop)` input.
-#[derive(Debug, Default, Clone, Copy)]
-struct RecvMark {
-    /// Next offset this receiver will accept.
-    next: u64,
-    /// End-of-stream already processed (duplicate markers are dropped).
-    eos_seen: bool,
-}
-
-/// What a receive filter admitted from one incoming batch.
-pub struct Accepted {
-    /// Offset of the first admitted item.
-    pub offset: u64,
-    /// The admitted (not-yet-seen) tail of the batch.
-    pub items: Vec<Node>,
-    /// `true` if this batch carries the first end-of-stream marker.
-    pub eos: bool,
-}
-
 /// One run's executable state on one process.
 pub struct Plane {
     pub run: u64,
-    pub flows: Vec<PlaneFlow>,
-    /// Hosted groups: `(node, key) -> index`; used to feed taps.
-    group_at: BTreeMap<(NodeId, GroupKey), usize>,
+    /// Every flow's route and delivery, and the groups of the hosted
+    /// nodes: fixed for the run's lifetime, read by every thread.
+    pub groups: GroupTable,
     mailboxes: BTreeMap<NodeId, Arc<SyncMailbox>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     source_jobs: Mutex<Vec<SourceJob>>,
     /// Batches that arrived after teardown began (must all belong to
     /// side-branches that feed no delivery — see `finish_run`).
     pub stale: AtomicU64,
-    /// Next output offset per flow, bumped at the flow's origin. A flow's
-    /// outputs are produced by exactly one worker thread, so the counter
-    /// is only ever advanced sequentially; it exists as an atomic so a
-    /// `&Plane` suffices to stamp offsets.
-    emit_next: Vec<AtomicU64>,
     /// Retain sent batches for crash-recovery resends (WAL mode only).
     durable: bool,
     /// Pause between source items, for runs that must stay observable
@@ -164,81 +129,58 @@ pub struct Plane {
     /// resend *without* coupling unrelated flows.
     sent: Mutex<SentLog>,
     /// Receiver side: contiguous high-water mark per `(flow, dest hop)`.
-    recv: Mutex<BTreeMap<(FlowId, usize), RecvMark>>,
+    recv: Mutex<BTreeMap<(FlowId, usize), Contiguity>>,
 }
 
 impl Plane {
     /// Builds this process's share of the data plane for `run`: the
-    /// sharing groups of every node `map` assigns to process `me`, one
-    /// mailbox + worker per hosted node. Sources don't replay until
-    /// [`start_sources`](Self::start_sources) (the coordinator's `RunGo`),
-    /// by which point every process has acked its plane — so no item can
-    /// arrive anywhere before the receiving group exists.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build(
+    /// sharing groups of every node `hosted` accepts, one mailbox + worker
+    /// per hosted node. A worker hands each batch its flows originate to
+    /// `egress`, stamped with its offset in the flow's output. Sources
+    /// don't replay until [`start_sources`](Self::start_sources) (the
+    /// coordinator's `RunGo`), by which point every process has acked its
+    /// plane — so no item can arrive anywhere before the receiving group
+    /// exists.
+    pub fn build<E>(
         globe: &StreamGlobe,
-        map: &NetMap,
-        me: usize,
+        hosted: impl Fn(NodeId) -> bool,
         run: u64,
         mailbox_capacity: usize,
         durable: bool,
         source_delay: Duration,
-        forward: Forwarder,
-    ) -> Arc<Plane> {
-        let deployment = globe.deployment();
-        let delivery_of: BTreeMap<FlowId, String> = globe
-            .registered_queries()
-            .map(|(q, f)| (f, q.to_string()))
-            .collect();
-        let flows: Vec<PlaneFlow> = deployment
-            .flows()
-            .iter()
-            .enumerate()
-            .map(|(id, f)| PlaneFlow {
-                route: f.route.clone(),
-                delivery_for: delivery_of.get(&id).cloned(),
-                retired: f.retired,
-            })
-            .collect();
+        egress: E,
+    ) -> Arc<Plane>
+    where
+        E: Fn(&Plane, FlowId, u64, Vec<Node>, bool) + Clone + Send + 'static,
+    {
+        let mut table = GroupTable::build(globe.deployment(), hosted);
+        let deliveries = globe.registered_queries();
+        table.set_deliveries(deliveries.map(|(q, f)| (f, q.to_string())).collect());
 
-        let groups = hosted_groups(deployment, |node| map.owner_of(node) == me);
-
-        let mut group_at = BTreeMap::new();
-        let mut per_node: BTreeMap<NodeId, Vec<(usize, FlowDag, Vec<FlowId>)>> = BTreeMap::new();
+        let mut mailboxes = BTreeMap::new();
         let mut source_jobs = Vec::new();
-        for (idx, ((node, key), members)) in groups.into_iter().enumerate() {
-            let dag = group_dag(deployment, &members);
-            if let GroupKey::Source(stream) = &key {
+        for (g, group) in table.groups().iter().enumerate() {
+            if let GroupKey::Source(stream) = &group.key {
                 source_jobs.push(SourceJob {
-                    group: idx,
-                    node,
+                    group: g,
+                    node: group.node,
                     items: globe
                         .source_items(stream)
                         .unwrap_or_else(|| panic!("group reads unknown source {stream:?}"))
                         .to_vec(),
                 });
             }
-            group_at.insert((node, key), idx);
-            per_node.entry(node).or_default().push((idx, dag, members));
+            mailboxes
+                .entry(group.node)
+                .or_insert_with(|| Arc::new(SyncMailbox::new(mailbox_capacity)));
         }
-
-        let mailboxes: BTreeMap<NodeId, Arc<SyncMailbox>> = per_node
-            .keys()
-            .map(|&n| (n, Arc::new(SyncMailbox::new(mailbox_capacity))))
-            .collect();
-
-        let emit_next = (0..deployment.flows().len())
-            .map(|_| AtomicU64::new(0))
-            .collect();
         let plane = Arc::new(Plane {
             run,
-            flows,
-            group_at,
-            mailboxes: mailboxes.clone(),
+            groups: table,
+            mailboxes,
             workers: Mutex::new(Vec::new()),
             source_jobs: Mutex::new(source_jobs),
             stale: AtomicU64::new(0),
-            emit_next,
             durable,
             source_delay,
             sent: Mutex::new(BTreeMap::new()),
@@ -246,16 +188,13 @@ impl Plane {
         });
 
         let mut workers = Vec::new();
-        for (node, dags) in per_node {
-            let mailbox = Arc::clone(&mailboxes[&node]);
-            let worker = NodeWorker {
-                dags,
-                pending: BTreeMap::new(),
-                forward: Arc::clone(&forward),
-            };
+        for (&node, mailbox) in &plane.mailboxes {
+            let mailbox = Arc::clone(mailbox);
             let peer_name = globe.topology().peer(node).name.clone();
+            let (plane, egress) = (Arc::clone(&plane), egress.clone());
             workers.push(std::thread::spawn(move || {
-                node_worker(peer_name, mailbox, worker)
+                let worker = NodeWorker::new(&plane.groups, |n| n == node);
+                node_worker(peer_name, mailbox, worker, &plane, egress)
             }));
         }
         *plane.workers.lock().unwrap() = workers;
@@ -289,12 +228,6 @@ impl Plane {
         }
     }
 
-    /// Stamps `n` new output items of `flow`, returning the offset of the
-    /// first. Called only from the flow's single origin worker thread.
-    pub fn bump_emit(&self, flow: FlowId, n: usize) -> u64 {
-        self.emit_next[flow].fetch_add(n as u64, Ordering::SeqCst)
-    }
-
     /// The sent-log entry for wire-crossing `(flow, dest hop)`, if this
     /// plane retains batches (WAL mode). Lock it across the append *and*
     /// the send so live traffic and recovery resends serialize per flow.
@@ -307,13 +240,9 @@ impl Plane {
         ))
     }
 
-    /// Receive filter for a wire-arrived batch: admits exactly the tail
-    /// past this receiver's contiguous high-water mark. A batch starting
-    /// *beyond* the mark is a gap — dropped entirely, because the only
-    /// way gaps arise is a sender that kept emitting while this process
-    /// was down, and the recovery `ResumeFrom` resend covers that range.
-    /// Returns `None` when nothing in the batch is new.
-    pub fn accept(
+    /// Receive filter for a wire-arrived batch at `(flow, dest hop)`: see
+    /// [`Contiguity::admit`].
+    pub fn admit(
         &self,
         flow: FlowId,
         hop: usize,
@@ -322,56 +251,26 @@ impl Plane {
         eos: bool,
     ) -> Option<Accepted> {
         let mut recv = self.recv.lock().unwrap();
-        let mark = recv.entry((flow, hop)).or_default();
-        if offset > mark.next {
-            return None; // gap: covered later by the recovery resend
-        }
-        let end = offset + items.len() as u64;
-        let fresh_eos = eos && !mark.eos_seen;
-        if end <= mark.next {
-            // Entirely re-seen items; only a first eos marker may remain.
-            if fresh_eos {
-                mark.eos_seen = true;
-                return Some(Accepted {
-                    offset: mark.next,
-                    items: Vec::new(),
-                    eos: true,
-                });
-            }
-            return None;
-        }
-        let skip = (mark.next - offset) as usize;
-        let accepted_offset = mark.next;
-        mark.next = end;
-        if fresh_eos {
-            mark.eos_seen = true;
-        }
-        let mut items = items;
-        items.drain(..skip);
-        Some(Accepted {
-            offset: accepted_offset,
-            items,
-            eos: fresh_eos,
-        })
+        recv.entry((flow, hop))
+            .or_default()
+            .admit(offset, items, eos)
     }
 
-    /// Feeds the tap group `(node, Tap(parent))`, if this process hosts
-    /// one, with a batch of the parent flow's output passing `node` — one
-    /// `push_batch`, so the batch enters the mailbox whole and in order.
+    /// Feeds tap group `group` with a batch of its parent flow's output
+    /// passing its node — one `push_batch`, so the batch enters the
+    /// mailbox whole and in order.
     /// Blocks when the group's mailbox is full — that stall propagates to
     /// the caller (a reader thread stops reading, another node's worker
     /// stops draining its queue), which is exactly the backpressure
-    /// chain. The one caller that never blocks is `node`'s own worker: it
-    /// is the only thread that could make room (see [`SyncMailbox`]).
-    pub fn feed_taps(&self, node: NodeId, parent: FlowId, items: &[Node], eos: bool) {
-        let Some(&g) = self.group_at.get(&(node, GroupKey::Tap(parent))) else {
-            return;
-        };
+    /// chain. The one caller that never blocks is the node's own worker:
+    /// it is the only thread that could make room (see [`SyncMailbox`]).
+    pub fn feed(&self, group: usize, items: &[Node], eos: bool) {
         let mut entries: Vec<MailboxEntry> =
-            items.iter().map(|n| (g, TAG_ITEM, n.clone())).collect();
+            items.iter().map(|n| (group, TAG_ITEM, n.clone())).collect();
         if eos {
-            entries.push((g, TAG_EOS, Node::empty("eos")));
+            entries.push((group, TAG_EOS, Node::empty("eos")));
         }
+        let node = self.groups.groups()[group].node;
         if !self.mailboxes[&node].push_batch(entries) {
             self.note_stale();
         }
@@ -398,12 +297,12 @@ impl Plane {
     /// names the simulated runtime uses.
     pub fn publish_mailbox_metrics(&self, topo: &dss_network::Topology) {
         for (&node, m) in &self.mailboxes {
-            let stats = m.stats();
-            if stats.high_water > 0 {
+            let high_water = m.high_water();
+            if high_water > 0 {
                 dss_telemetry::gauge_set(
                     "runtime.queue_high_water",
                     || vec![("peer", topo.peer(node).name.clone())],
-                    stats.high_water as f64,
+                    high_water as f64,
                 );
             }
         }
@@ -414,92 +313,82 @@ impl Plane {
     }
 }
 
-/// The oracle's grouping, restricted to the nodes `hosted` accepts:
-/// members ascend by FlowId (`flows()` is id-ordered), matching the
-/// registration order `sim::run_shared` uses.
-fn hosted_groups(
-    deployment: &Deployment,
-    hosted: impl Fn(NodeId) -> bool,
-) -> BTreeMap<(NodeId, GroupKey), Vec<FlowId>> {
-    let mut groups: BTreeMap<(NodeId, GroupKey), Vec<FlowId>> = BTreeMap::new();
-    for (id, f) in deployment.flows().iter().enumerate() {
-        if f.retired || !hosted(f.processing_node) {
-            continue;
-        }
-        groups
-            .entry((f.processing_node, GroupKey::of(&f.input)))
-            .or_default()
-            .push(id);
-    }
-    groups
-}
-
-/// The shared operator DAG of one sharing group.
-fn group_dag(deployment: &Deployment, members: &[FlowId]) -> FlowDag {
-    let mut dag = FlowDag::new();
-    for &id in members {
-        dag.register(id, &deployment.flow(id).ops);
-    }
-    dag
-}
-
-/// One hosted node's worker: the node's sharing groups, the outputs of
-/// the pass in progress, and the way out.
+/// One hosted node's worker: the node's DAGs, the outputs of the pass in
+/// progress, and the output offsets of the flows it originates.
 struct NodeWorker {
-    dags: Vec<(usize, FlowDag, Vec<FlowId>)>,
-    /// Outputs not yet forwarded, per flow, in the DAGs' emission order —
-    /// the only order the oracle pins. One map for the worker's lifetime:
-    /// a flushed flow keeps its (empty) slot.
-    pending: BTreeMap<FlowId, Vec<Node>>,
-    forward: Forwarder,
+    /// Indexed by group; `None` for the groups of other nodes.
+    dags: Vec<Option<FlowDag>>,
+    /// Outputs not yet forwarded, in the DAGs' emission order — the only
+    /// order the oracle pins. One collector for the worker's lifetime.
+    outputs: FlowOutputs,
+    /// Next output offset per flow. A flow's outputs are produced by
+    /// exactly one worker, so the counter is its alone.
+    emit_next: Vec<u64>,
 }
 
 impl NodeWorker {
+    /// A worker for the groups of the nodes `mine` accepts, their DAGs
+    /// built cold on the calling thread — the one that will run them.
+    fn new(groups: &GroupTable, mine: impl Fn(NodeId) -> bool) -> NodeWorker {
+        let dag = |(g, group): (usize, &Group)| mine(group.node).then(|| groups.cold_dag(g));
+        NodeWorker {
+            dags: groups.groups().iter().enumerate().map(dag).collect(),
+            outputs: FlowOutputs::default(),
+            emit_next: vec![0; groups.flows().len()],
+        }
+    }
+
     /// Runs one pass: every entry through its group's DAG, in mailbox
-    /// order, then one batch per flow that produced anything. A group's
-    /// end-of-stream marker flushes its DAG and sends everything pending
-    /// first, so the marker rides behind the last item of each member.
-    fn run_pass(&mut self, pass: &mut Vec<MailboxEntry>) {
+    /// order, then one batch per flow that produced anything, each handed
+    /// to `emit` as `(flow, offset, items, eos)`. A group's end-of-stream
+    /// marker flushes its DAG and sends everything pending first, so the
+    /// marker rides behind the last item of each member.
+    fn run_pass(
+        &mut self,
+        groups: &GroupTable,
+        pass: &mut Vec<MailboxEntry>,
+        emit: &mut dyn FnMut(FlowId, u64, Vec<Node>, bool),
+    ) {
         for (group, tag, item) in pass.drain(..) {
-            let (_, dag, members) = self
-                .dags
-                .iter_mut()
-                .find(|(g, _, _)| *g == group)
+            let dag = self.dags[group]
+                .as_mut()
                 .expect("mailbox entry addresses a hosted group");
-            let pending = &mut self.pending;
-            let mut collect = |f: FlowId, n: &Node| pending.entry(f).or_default().push(n.clone());
             if tag == TAG_EOS {
-                dag.flush_into(&mut collect);
-                forward_pending(&mut self.pending, &self.forward);
-                for &f in members.iter() {
-                    (self.forward)(f, 0, Vec::new(), true);
+                self.outputs.flush(dag);
+                self.send_outputs(emit);
+                for &f in &groups.groups()[group].members {
+                    emit(f, self.emit_next[f], Vec::new(), true);
                 }
             } else {
-                dag.process_into(&item, &mut collect);
+                self.outputs.feed(dag, &item);
             }
         }
-        forward_pending(&mut self.pending, &self.forward);
+        self.send_outputs(emit);
     }
-}
 
-/// Forwards every flow's pending outputs from route hop 0, in ascending
-/// flow order, at most [`BATCH_CAP`] items per batch.
-fn forward_pending(pending: &mut BTreeMap<FlowId, Vec<Node>>, forward: &Forwarder) {
-    for (&flow, items) in pending.iter_mut() {
-        let mut items = std::mem::take(items);
-        while items.len() > BATCH_CAP {
-            let rest = items.split_off(BATCH_CAP);
-            forward(flow, 0, std::mem::replace(&mut items, rest), false);
-        }
-        if !items.is_empty() {
-            forward(flow, 0, items, false);
+    /// Sends every flow's pending outputs, in ascending flow order, at
+    /// most [`BATCH_CAP`] items per batch.
+    fn send_outputs(&mut self, emit: &mut dyn FnMut(FlowId, u64, Vec<Node>, bool)) {
+        for (flow, mut items) in self.outputs.drain() {
+            while !items.is_empty() {
+                let rest = items.split_off(items.len().min(BATCH_CAP));
+                let offset = self.emit_next[flow];
+                self.emit_next[flow] += items.len() as u64;
+                emit(flow, offset, std::mem::replace(&mut items, rest), false);
+            }
         }
     }
 }
 
 /// Drains one hosted node's mailbox, a pass at a time, until it is closed
 /// and empty.
-fn node_worker(peer_name: String, mailbox: Arc<SyncMailbox>, mut worker: NodeWorker) {
+fn node_worker(
+    peer_name: String,
+    mailbox: Arc<SyncMailbox>,
+    mut worker: NodeWorker,
+    plane: &Plane,
+    egress: impl Fn(&Plane, FlowId, u64, Vec<Node>, bool),
+) {
     let mut pass = Vec::with_capacity(BATCH_CAP);
     while mailbox.pop_batch(BATCH_CAP, &mut pass) {
         // Same histogram the discrete-event runtime records at dispatch,
@@ -510,7 +399,9 @@ fn node_worker(peer_name: String, mailbox: Arc<SyncMailbox>, mut worker: NodeWor
             || vec![("peer", peer_name.clone())],
             mailbox.len() as f64,
         );
-        worker.run_pass(&mut pass);
+        worker.run_pass(&plane.groups, &mut pass, &mut |flow, offset, items, eos| {
+            egress(plane, flow, offset, items, eos)
+        });
     }
 }
 
@@ -518,6 +409,7 @@ fn node_worker(peer_name: String, mailbox: Arc<SyncMailbox>, mut worker: NodeWor
 mod tests {
     use super::*;
     use dss_core::Strategy;
+    use dss_network::{Deployment, FlowInput, StreamFlow};
     use dss_rass::Scenario;
 
     fn item(i: usize) -> Node {
@@ -528,9 +420,8 @@ mod tests {
         range.map(item).collect()
     }
 
-    /// What a forwarder saw of one flow: every batch's `(offset, length)`
-    /// as the real forwarder stamps it (`Plane::bump_emit`: a running
-    /// count), the concatenated items, and the end-of-stream markers.
+    /// What a worker emitted for one flow: every batch's `(offset,
+    /// length)`, the concatenated items, and the end-of-stream markers.
     #[derive(Default, Debug, PartialEq)]
     struct Seen {
         batches: Vec<(usize, usize)>,
@@ -538,88 +429,33 @@ mod tests {
         eos: usize,
     }
 
-    type Record = Arc<Mutex<BTreeMap<FlowId, Seen>>>;
-
-    fn recording_forwarder() -> (Forwarder, Record) {
-        let record: Record = Arc::default();
-        let sink = Arc::clone(&record);
-        let forward: Forwarder = Arc::new(move |flow, hop, items, eos| {
-            assert_eq!(hop, 0, "a worker forwards from the flow's origin");
-            let mut all = sink.lock().unwrap();
-            let seen = all.entry(flow).or_default();
-            assert_eq!(seen.eos, 0, "flow {flow}: traffic behind end-of-stream");
-            assert!(items.len() <= BATCH_CAP, "flow {flow}: oversized batch");
-            if eos {
-                assert!(items.is_empty(), "markers travel alone");
-                seen.eos += 1;
-            } else {
-                assert!(!items.is_empty(), "flow {flow}: empty batch");
-                seen.batches.push((seen.items.len(), items.len()));
-                seen.items.extend(items);
-            }
-        });
-        (forward, record)
+    /// Records one emitted batch, checking what every batch must satisfy:
+    /// capped, non-empty unless a lone marker, offsets contiguous.
+    fn record(
+        all: &mut BTreeMap<FlowId, Seen>,
+        flow: FlowId,
+        offset: u64,
+        items: Vec<Node>,
+        eos: bool,
+    ) {
+        let seen = all.entry(flow).or_default();
+        assert_eq!(seen.eos, 0, "flow {flow}: traffic behind end-of-stream");
+        assert!(items.len() <= BATCH_CAP, "flow {flow}: oversized batch");
+        assert_eq!(offset as usize, seen.items.len(), "flow {flow}: offset");
+        if eos {
+            assert!(items.is_empty(), "markers travel alone");
+            seen.eos += 1;
+        } else {
+            assert!(!items.is_empty(), "flow {flow}: empty batch");
+            seen.batches.push((seen.items.len(), items.len()));
+            seen.items.extend(items);
+        }
     }
 
-    fn idle_plane() -> Arc<Plane> {
-        let globe = dss_rass::example_network();
-        let map = NetMap::new(globe.topology());
-        Plane::build(
-            &globe,
-            &map,
-            0,
-            1,
-            8,
-            false,
-            Duration::ZERO,
-            Arc::new(|_, _, _, _| {}),
-        )
-    }
-
-    #[test]
-    fn accept_admits_contiguous_batches_and_drops_gaps() {
-        let plane = idle_plane();
-        let a = plane.accept(3, 1, 0, items(0..4), false).unwrap();
-        assert_eq!((a.offset, a.items, a.eos), (0, items(0..4), false));
-        // A batch starting beyond the mark is a gap: dropped whole, and the
-        // mark does not move — the batch that closes the gap is admitted.
-        assert!(plane.accept(3, 1, 6, items(6..9), false).is_none());
-        let a = plane.accept(3, 1, 4, items(4..6), false).unwrap();
-        assert_eq!((a.offset, a.items), (4, items(4..6)));
-        // Marks are per (flow, hop).
-        assert!(plane.accept(3, 2, 4, items(4..6), false).is_none());
-        assert!(plane.accept(4, 1, 0, items(0..1), false).is_some());
-    }
-
-    #[test]
-    fn accept_admits_exactly_the_unseen_tail_of_an_overlap() {
-        let plane = idle_plane();
-        plane.accept(0, 1, 0, items(0..5), false).unwrap();
-        let a = plane.accept(0, 1, 2, items(2..9), false).unwrap();
-        assert_eq!((a.offset, a.items, a.eos), (5, items(5..9), false));
-        // Entirely re-seen: nothing new, nothing admitted.
-        assert!(plane.accept(0, 1, 0, items(0..9), false).is_none());
-        assert!(plane.accept(0, 1, 8, items(8..9), false).is_none());
-    }
-
-    #[test]
-    fn accept_takes_end_of_stream_once() {
-        let plane = idle_plane();
-        // An EOS-only batch on a flow that never carried an item.
-        let a = plane.accept(1, 1, 0, Vec::new(), true).unwrap();
-        assert_eq!((a.offset, a.items.len(), a.eos), (0, 0, true));
-        assert!(plane.accept(1, 1, 0, Vec::new(), true).is_none());
-
-        // Items and marker in one batch; a resend of it is dropped, and a
-        // resend whose items are all seen still delivers a first marker.
-        let a = plane.accept(2, 1, 0, items(0..3), false).unwrap();
-        assert!(!a.eos);
-        let a = plane.accept(2, 1, 0, items(0..3), true).unwrap();
-        assert_eq!((a.offset, a.items.len(), a.eos), (3, 0, true));
-        assert!(plane.accept(2, 1, 0, items(0..3), true).is_none());
-        assert!(plane.accept(2, 1, 3, Vec::new(), true).is_none());
-        // A marker beyond the mark is a gap like any other batch.
-        assert!(plane.accept(5, 1, 2, Vec::new(), true).is_none());
+    /// A worker owning every group of `deployment`, and the table it reads.
+    fn worker_for(deployment: &Deployment) -> (NodeWorker, GroupTable) {
+        let table = GroupTable::build(deployment, |_| true);
+        (NodeWorker::new(&table, |_| true), table)
     }
 
     #[test]
@@ -653,19 +489,32 @@ mod tests {
         assert_eq!(cut(&entry, 0), [(0, 64, false), (64, 64, true)]);
     }
 
-    /// An end-of-stream flush larger than the cap leaves as several
-    /// batches, contiguous and in order, and the marker still goes last.
+    /// Outputs pending at end-of-stream that exceed the cap leave as
+    /// several batches, contiguous and in order, and the marker still goes
+    /// last.
     #[test]
     fn oversized_flush_is_cut_into_capped_batches_before_the_marker() {
-        let (forward, record) = recording_forwarder();
-        let mut worker = NodeWorker {
-            dags: vec![(0, FlowDag::new(), vec![7])],
-            pending: BTreeMap::from([(7, items(0..150))]),
-            forward,
-        };
-        worker.run_pass(&mut vec![(0, TAG_EOS, Node::empty("eos"))]);
-        let record = record.lock().unwrap();
-        let seen = &record[&7];
+        let mut deployment = Deployment::new();
+        let flow = deployment.add_flow(StreamFlow {
+            label: "relay".into(),
+            input: FlowInput::Source { stream: "s".into() },
+            processing_node: 0,
+            ops: Vec::new(),
+            route: vec![0],
+            properties: None,
+            retired: false,
+        });
+        let (mut worker, table) = worker_for(&deployment);
+        let mut pass: Vec<MailboxEntry> = items(0..150)
+            .into_iter()
+            .map(|n| (0, TAG_ITEM, n))
+            .collect();
+        pass.push((0, TAG_EOS, Node::empty("eos")));
+        let mut all = BTreeMap::new();
+        worker.run_pass(&table, &mut pass, &mut |f, at, items, eos| {
+            record(&mut all, f, at, items, eos)
+        });
+        let seen = &all[&flow];
         assert_eq!(seen.batches, [(0, 64), (64, 64), (128, 22)]);
         assert_eq!(seen.items, items(0..150));
         assert_eq!(seen.eos, 1);
@@ -675,7 +524,8 @@ mod tests {
     /// of every node with its full input (source replay, or the parent
     /// flow's reference output), and the reference outputs per flow.
     struct Reference {
-        groups: Vec<(Vec<FlowId>, Vec<Node>)>,
+        /// Indexed by group.
+        inputs: Vec<Vec<Node>>,
         deployment: Deployment,
         outputs: Vec<Vec<Node>>,
     }
@@ -689,18 +539,16 @@ mod tests {
                 .unwrap_or_else(|e| panic!("registering {}: {e}", q.id));
         }
         let outputs = globe.run_simulation(Default::default()).flow_outputs;
-        let groups = hosted_groups(globe.deployment(), |_| true)
-            .into_iter()
-            .map(|((_, key), members)| {
-                let input = match &key {
-                    GroupKey::Source(stream) => globe.source_items(stream).unwrap().to_vec(),
-                    GroupKey::Tap(parent) => outputs[*parent].clone(),
-                };
-                (members, input)
+        let inputs = GroupTable::build(globe.deployment(), |_| true)
+            .groups()
+            .iter()
+            .map(|group| match &group.key {
+                GroupKey::Source(stream) => globe.source_items(stream).unwrap().to_vec(),
+                GroupKey::Tap(parent) => outputs[*parent].clone(),
             })
             .collect();
         Reference {
-            groups,
+            inputs,
             deployment: globe.deployment().clone(),
             outputs,
         }
@@ -711,10 +559,10 @@ mod tests {
     /// interleave and the markers fall at unrelated places.
     fn interleaved_mailbox(reference: &Reference) -> Vec<MailboxEntry> {
         let mut feeds: Vec<_> = reference
-            .groups
+            .inputs
             .iter()
             .enumerate()
-            .map(|(g, (_, input))| {
+            .map(|(g, input)| {
                 let eos = (g, TAG_EOS, Node::empty("eos"));
                 input
                     .iter()
@@ -741,44 +589,29 @@ mod tests {
     fn outputs_do_not_depend_on_how_the_mailbox_splits_into_passes() {
         let reference = scenario1_reference();
         let mailbox = interleaved_mailbox(&reference);
-        assert!(reference.groups.len() >= 2, "needs interleaved groups");
+        assert!(reference.inputs.len() >= 2, "needs interleaved groups");
         let run = |pass_len: &dyn Fn(usize) -> usize| {
-            let (forward, record) = recording_forwarder();
-            let mut worker = NodeWorker {
-                dags: reference
-                    .groups
-                    .iter()
-                    .enumerate()
-                    .map(|(g, (members, _))| {
-                        let dag = group_dag(&reference.deployment, members);
-                        (g, dag, members.clone())
-                    })
-                    .collect(),
-                pending: BTreeMap::new(),
-                forward,
-            };
+            let (mut worker, table) = worker_for(&reference.deployment);
+            let mut all = BTreeMap::new();
             let mut rest = mailbox.clone();
             let mut passes = 0;
             while !rest.is_empty() {
                 let n = pass_len(passes).clamp(1, rest.len());
                 let tail = rest.split_off(n);
-                worker.run_pass(&mut rest);
+                worker.run_pass(&table, &mut rest, &mut |f, at, items, eos| {
+                    record(&mut all, f, at, items, eos)
+                });
                 rest = tail;
                 passes += 1;
             }
-            drop(worker);
-            let flows = Arc::try_unwrap(record).unwrap().into_inner().unwrap();
-            flows
-                .into_iter()
+            all.into_iter()
                 .map(|(f, seen)| (f, (seen.items, seen.eos)))
                 .collect::<BTreeMap<_, _>>()
         };
 
         let one_by_one = run(&|_| 1);
-        let members: Vec<FlowId> = reference
-            .groups
-            .iter()
-            .flat_map(|(m, _)| m.iter().copied())
+        let members: Vec<FlowId> = (0..reference.deployment.len())
+            .filter(|&f| !reference.deployment.flow(f).retired)
             .collect();
         for &f in &members {
             let (got, eos) = &one_by_one[&f];

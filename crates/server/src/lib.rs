@@ -19,7 +19,6 @@ mod wire;
 
 pub use client::{Client, ClientEvent, RunOutput, SubscribeReply};
 pub use cluster::{ClusterOptions, LocalCluster};
-pub use data::{Forwarder, Plane, PlaneFlow};
 pub use peer::{serve, PeerOptions};
 pub use spec::{NetMap, ServeSpec, DEFAULT_PORT_BASE};
 pub use wire::Conn;

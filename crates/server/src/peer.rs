@@ -36,12 +36,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dss_core::StreamGlobe;
-use dss_network::{FlowId, Topology};
+use dss_network::{Contiguity, FlowId, Next, Topology};
 use dss_proto::{negotiate, read_message, Message, Role, WireStrategy, VERSION_MAX, VERSION_MIN};
 use dss_wal::{WalOptions, WalRecord, WalWriter};
 use dss_xml::Node;
 
-use crate::data::{Forwarder, Plane};
+use crate::data::Plane;
 use crate::spec::{NetMap, ServeSpec};
 use crate::wire::{self, Conn};
 use crate::{to_core_strategy, ServerError};
@@ -96,11 +96,11 @@ struct ActiveRun {
     /// Queries whose delivery flow has not reported end-of-stream yet.
     pending: BTreeSet<String>,
     delivered: u64,
-    /// Per query: contiguous delivery high-water mark + eos-seen flag.
-    /// Recovery resends from a restarted delivery peer replay the whole
-    /// sequence; this filter admits exactly the unseen tail, so the
-    /// subscriber observes each result item exactly once.
-    recv: BTreeMap<String, (u64, bool)>,
+    /// Per query: the delivery stream's contiguity mark. Recovery resends
+    /// from a restarted delivery peer replay the whole sequence; the mark
+    /// admits exactly the unseen tail, so the subscriber observes each
+    /// result item exactly once.
+    recv: BTreeMap<String, Contiguity>,
 }
 
 #[derive(Clone, Copy)]
@@ -181,20 +181,38 @@ fn recover_from_wal(dir: &PathBuf, peer: &str) -> Recovered {
     }
 }
 
-fn strategy_from_u8(b: u8) -> WireStrategy {
-    match b {
-        0 => WireStrategy::DataShipping,
-        1 => WireStrategy::QueryShipping,
-        _ => WireStrategy::StreamSharing,
+/// Re-applies the logged control-plane records to a fresh replica, so the
+/// deterministic planner re-derives the exact pre-crash deployment.
+/// Returns how many records could not be re-applied (each is reported).
+fn replay_control(globe: &mut StreamGlobe, records: &[WalRecord]) -> usize {
+    let mut diverged = 0;
+    for record in records {
+        let applied = match record {
+            WalRecord::Deploy {
+                id,
+                at_peer,
+                strategy,
+                text,
+                ..
+            } => WireStrategy::from_u8(*strategy)
+                .map_err(|e| format!("re-registering {id}: {e}"))
+                .and_then(|s| {
+                    globe
+                        .register_query(id.clone(), text, at_peer, to_core_strategy(s))
+                        .map(drop)
+                        .map_err(|e| format!("re-registering {id}: {e}"))
+                }),
+            WalRecord::Undeploy { id, .. } => globe
+                .unregister_query(id)
+                .map_err(|e| format!("unregistering {id}: {e}")),
+            _ => Ok(()),
+        };
+        if let Err(e) = applied {
+            eprintln!("dss serve: WAL REPLAY DIVERGENCE {e}");
+            diverged += 1;
+        }
     }
-}
-
-fn strategy_to_u8(s: WireStrategy) -> u8 {
-    match s {
-        WireStrategy::DataShipping => 0,
-        WireStrategy::QueryShipping => 1,
-        WireStrategy::StreamSharing => 2,
-    }
+    diverged
 }
 
 /// Runs one peer process until a clean shutdown (wire message or signal).
@@ -211,28 +229,7 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
         .as_ref()
         .map(|dir| recover_from_wal(dir, &opts.peer));
     if let Some(rec) = &recovered {
-        for record in &rec.records {
-            match record {
-                WalRecord::Deploy {
-                    id,
-                    at_peer,
-                    strategy,
-                    text,
-                    ..
-                } => {
-                    let strat = to_core_strategy(strategy_from_u8(*strategy));
-                    if let Err(e) = globe.register_query(id.clone(), text, at_peer, strat) {
-                        eprintln!("dss serve: WAL REPLAY DIVERGENCE re-registering {id}: {e}");
-                    }
-                }
-                WalRecord::Undeploy { id, .. } => {
-                    if let Err(e) = globe.unregister_query(id) {
-                        eprintln!("dss serve: WAL REPLAY DIVERGENCE unregistering {id}: {e}");
-                    }
-                }
-                _ => {}
-            }
-        }
+        replay_control(&mut globe, &rec.records);
         if !rec.records.is_empty() {
             eprintln!(
                 "dss serve: {} recovered {} wal records{}",
@@ -311,22 +308,10 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
     // consume, and re-replay hosted sources. Downstream contiguity
     // filters absorb everything they already saw.
     if let Some(run) = recovered.as_ref().and_then(|r| r.active_run) {
-        let plane = {
-            let globe = server.globe.lock().unwrap();
-            Plane::build(
-                &globe,
-                &server.map,
-                server.me,
-                run,
-                server.mailbox_capacity,
-                true,
-                server.source_delay,
-                server.forwarder(),
-            )
-        };
-        *server.plane.lock().unwrap() = Some(plane);
+        let plane = server.build_plane(run);
+        *server.plane.lock().unwrap() = Some(Arc::clone(&plane));
         let srv = Arc::clone(&server);
-        std::thread::spawn(move || srv.rejoin_run(run));
+        std::thread::spawn(move || srv.rejoin_run(&plane));
     }
 
     let mut signal_handled = false;
@@ -531,7 +516,7 @@ impl Server {
                     seq,
                     id,
                     at_peer,
-                    strategy: strategy_to_u8(strategy),
+                    strategy: strategy.to_u8(),
                     text,
                 });
                 let _ = conn.send(&Message::Ack { seq });
@@ -577,8 +562,7 @@ impl Server {
                         // Admit only what this process has not seen: a
                         // restarted upstream replays its whole output and
                         // the contiguity filter keeps delivery exactly-once.
-                        if let Some(a) = p.accept(flow as FlowId, hop as usize, offset, items, eos)
-                        {
+                        if let Some(a) = p.admit(flow as FlowId, hop as usize, offset, items, eos) {
                             self.advance(&p, flow as FlowId, hop as usize, a.offset, a.items, a.eos)
                         }
                     }
@@ -687,7 +671,7 @@ impl Server {
             seq,
             id: id.clone(),
             at_peer: at_peer.clone(),
-            strategy: strategy_to_u8(strategy),
+            strategy: strategy.to_u8(),
             text: text.clone(),
         });
         let reached = self.broadcast(&Message::Deploy {
@@ -760,19 +744,21 @@ impl Server {
         }
     }
 
-    fn forwarder(self: &Arc<Self>) -> Forwarder {
+    /// This process's share of the data plane for `run`, its workers
+    /// feeding what their flows originate into [`Self::advance`] at hop 0.
+    fn build_plane(self: &Arc<Self>, run: u64) -> Arc<Plane> {
         let srv = Arc::clone(self);
-        Arc::new(move |flow, hop, items, eos| {
-            let plane = srv.plane.lock().unwrap().clone();
-            if let Some(p) = plane {
-                // The worker only ever forwards from a flow's origin
-                // (hop 0): stamp the batch with the flow's next output
-                // offset here, once — every later hop carries it along.
-                debug_assert_eq!(hop, 0);
-                let offset = p.bump_emit(flow, items.len());
-                srv.advance(&p, flow, hop, offset, items, eos);
-            }
-        })
+        Plane::build(
+            &self.globe.lock().unwrap(),
+            |node| self.map.owner_of(node) == self.me,
+            run,
+            self.mailbox_capacity,
+            self.is_durable(),
+            self.source_delay,
+            move |plane: &Plane, flow, offset, items, eos| {
+                srv.advance(plane, flow, 0, offset, items, eos)
+            },
+        )
     }
 
     fn on_start_run(self: &Arc<Self>, conn: &Arc<Conn>, ctx: &ConnCtx) {
@@ -793,26 +779,15 @@ impl Server {
             return fault("a run is already in progress".into());
         }
         let run_id = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let (plane, pending) = {
+        let pending: BTreeSet<String> = {
             let globe = self.globe.lock().unwrap();
-            let pending: BTreeSet<String> = globe
-                .registered_queries()
-                .map(|(q, _)| q.to_string())
-                .collect();
-            let plane = Plane::build(
-                &globe,
-                &self.map,
-                self.me,
-                run_id,
-                self.mailbox_capacity,
-                self.is_durable(),
-                self.source_delay,
-                self.forwarder(),
-            );
-            (plane, pending)
+            let queries = globe.registered_queries();
+            queries.map(|(q, _)| q.to_string()).collect()
         };
-        *self.plane.lock().unwrap() = Some(plane);
+        let plane = self.build_plane(run_id);
+        *self.plane.lock().unwrap() = Some(Arc::clone(&plane));
         self.wal_log(&WalRecord::RunStart { run: run_id });
+        let no_queries = pending.is_empty();
         let requester = match ctx {
             ConnCtx::Client(id) => Some(*id),
             ConnCtx::Peer => None,
@@ -839,12 +814,11 @@ impl Server {
         }
         // Phase 2: all planes exist — release the sources.
         self.broadcast(&Message::RunGo { run: run_id });
-        let plane = self.plane.lock().unwrap().clone();
-        if let Some(p) = plane.filter(|p| p.run == run_id) {
-            p.start_sources();
-        }
+        plane.start_sources();
         // A run with zero subscriptions completes immediately.
-        self.check_run_complete();
+        if no_queries {
+            self.finish_run(run_id, requester, 0);
+        }
     }
 
     /// Phase 1 on a non-coordinator: instantiate this process's share of
@@ -856,20 +830,7 @@ impl Server {
         if let Some(p) = self.plane.lock().unwrap().take() {
             p.drain();
         }
-        let plane = {
-            let globe = self.globe.lock().unwrap();
-            Plane::build(
-                &globe,
-                &self.map,
-                self.me,
-                run,
-                self.mailbox_capacity,
-                self.is_durable(),
-                self.source_delay,
-                self.forwarder(),
-            )
-        };
-        *self.plane.lock().unwrap() = Some(plane);
+        *self.plane.lock().unwrap() = Some(self.build_plane(run));
         // Logged before the ack: once the coordinator believes this
         // process joined the run, a crash must not forget it.
         self.wal_log(&WalRecord::RunStart { run });
@@ -891,30 +852,14 @@ impl Server {
         if active.id != run {
             return;
         }
-        // Same contiguity filter the data plane applies per hop: a
-        // restarted delivery peer re-derives and re-sends its whole
-        // output; the subscriber must still see each item exactly once.
-        let (items, offset, eos) = {
-            let mark = active.recv.entry(query.clone()).or_insert((0, false));
-            if offset > mark.0 {
-                return; // gap: the recovery resend covers it
-            }
-            let end = offset + items.len() as u64;
-            let fresh_eos = eos && !mark.1;
-            let admit_at = mark.0;
-            let tail: Vec<Node> = if end > admit_at {
-                let skip = (admit_at - offset) as usize;
-                items.into_iter().skip(skip).collect()
-            } else {
-                Vec::new()
-            };
-            if tail.is_empty() && !fresh_eos {
-                return;
-            }
-            mark.0 = mark.0.max(end);
-            mark.1 |= eos;
-            (tail, admit_at, fresh_eos)
+        // Same contiguity mark the data plane keeps per hop: a restarted
+        // delivery peer re-derives and re-sends its whole output; the
+        // subscriber must still see each item exactly once.
+        let mark = active.recv.entry(query.clone()).or_default();
+        let Some(admitted) = mark.admit(offset, items, eos) else {
+            return;
         };
+        let (offset, items, eos) = (admitted.offset, admitted.items, admitted.eos);
         if !items.is_empty() {
             dss_telemetry::counter_add(
                 "runtime.delivered",
@@ -952,39 +897,45 @@ impl Server {
         }
     }
 
-    fn check_run_complete(self: &Arc<Self>) {
-        let mut guard = self.run.lock().unwrap();
-        if let Some(active) = guard.as_mut() {
-            if active.pending.is_empty() {
-                let (id, requester, delivered) = (active.id, active.requester, active.delivered);
-                drop(guard);
-                self.finish_run(id, requester, delivered);
-            }
-        }
-    }
-
-    /// Every query's delivery flow reached end-of-stream: notify the
-    /// requester, tell the fleet to tear down, tear our share down.
+    /// Every query's delivery flow reached end-of-stream: tell the fleet
+    /// to tear down, tear our share down, then notify the requester — who
+    /// may answer `RunDone` with the next `StartRun` at once, so it must
+    /// not hear it while this run still occupies the coordinator.
     fn finish_run(self: &Arc<Self>, run: u64, requester: Option<u64>, delivered: u64) {
-        if let Some(id) = requester {
-            if let Some(c) = self.clients.lock().unwrap().get(&id).cloned() {
-                let _ = c.send(&Message::RunDone { run, delivered });
-            }
-        }
         self.broadcast(&Message::RunDone { run, delivered });
         // Teardown joins the plane's workers — and this thread may *be*
         // one of them (local delivery chains run on worker threads).
         let srv = Arc::clone(self);
-        std::thread::spawn(move || srv.teardown_plane(run));
+        std::thread::spawn(move || {
+            srv.teardown_plane(run);
+            let requester = requester.and_then(|id| srv.clients.lock().unwrap().get(&id).cloned());
+            if let Some(c) = requester {
+                let _ = c.send(&Message::RunDone { run, delivered });
+            }
+        });
     }
 
-    fn teardown_plane(self: &Arc<Self>, run: u64) {
+    /// Drains the current plane — of `run` only, if given — and flushes
+    /// its mailbox metrics. The slot is cleared only if it still holds the
+    /// drained plane: by then the next run's plane may have replaced it.
+    fn drain_plane(&self, run: Option<u64>) {
         let plane = self.plane.lock().unwrap().clone();
-        if let Some(p) = plane.filter(|p| p.run == run) {
-            p.drain();
-            p.publish_mailbox_metrics(&self.topo);
-            *self.plane.lock().unwrap() = None;
+        let Some(p) = plane.filter(|p| run.is_none_or(|r| p.run == r)) else {
+            return;
+        };
+        p.drain();
+        p.publish_mailbox_metrics(&self.topo);
+        let mut slot = self.plane.lock().unwrap();
+        if slot
+            .as_ref()
+            .is_some_and(|current| Arc::ptr_eq(current, &p))
+        {
+            *slot = None;
         }
+    }
+
+    fn teardown_plane(&self, run: u64) {
+        self.drain_plane(Some(run));
         let mut guard = self.run.lock().unwrap();
         if guard.as_ref().is_some_and(|a| a.id == run) {
             *guard = None;
@@ -999,13 +950,14 @@ impl Server {
     // ---- data plane ------------------------------------------------
 
     /// A batch of `flow`'s output (offsets `offset..`) arriving at
-    /// `route[hop]` (which this process owns): feed the taps there, then
-    /// forward or deliver. The offset is stamped once at the flow's
-    /// origin and rides along unchanged — every hop of a flow sees the
-    /// identical item sequence, so one numbering fits all of them.
+    /// `route[hop]` (which this process owns): take the core's route step
+    /// — feed the taps there, then forward or deliver. The offset is
+    /// stamped once at the flow's origin and rides along unchanged — every
+    /// hop of a flow sees the identical item sequence, so one numbering
+    /// fits all of them.
     fn advance(
         self: &Arc<Self>,
-        plane: &Arc<Plane>,
+        plane: &Plane,
         flow: FlowId,
         hop: usize,
         offset: u64,
@@ -1015,25 +967,28 @@ impl Server {
         if items.is_empty() && !eos {
             return;
         }
-        let pf = &plane.flows[flow];
-        let node = pf.route[hop];
-        debug_assert_eq!(self.map.owner_of(node), self.me);
-        plane.feed_taps(node, flow, &items, eos);
-        if hop + 1 < pf.route.len() {
-            let next_owner = self.map.owner_of(pf.route[hop + 1]);
-            if next_owner == self.me {
-                self.advance(plane, flow, hop + 1, offset, items, eos);
-            } else {
-                self.forward_wire(plane, flow, hop + 1, offset, items, eos, next_owner);
+        let step = plane.groups.step(flow, hop);
+        debug_assert_eq!(self.map.owner_of(step.node), self.me);
+        if let Some(group) = step.tap {
+            plane.feed(group, &items, eos);
+        }
+        match step.next {
+            Next::Forward { to, hop } => {
+                let next_owner = self.map.owner_of(to);
+                if next_owner == self.me {
+                    self.advance(plane, flow, hop, offset, items, eos);
+                } else {
+                    self.forward_wire(plane, flow, hop, offset, items, eos, next_owner);
+                }
             }
-        } else if let Some(query) = &pf.delivery_for {
-            if self.is_coordinator() {
-                self.deliver_local(plane.run, query.clone(), offset, items, eos);
-            } else {
+            Next::Deliver { query } if self.is_coordinator() => {
+                self.deliver_local(plane.run, query.to_string(), offset, items, eos);
+            }
+            Next::Deliver { query } => {
                 self.note_frame(items.len());
                 let msg = Message::Deliver {
                     run: plane.run,
-                    query: query.clone(),
+                    query: query.to_string(),
                     offset,
                     eos,
                     items,
@@ -1042,6 +997,7 @@ impl Server {
                     eprintln!("dss serve: delivery relay failed: {e}");
                 }
             }
+            Next::End => {}
         }
     }
 
@@ -1054,7 +1010,7 @@ impl Server {
     #[allow(clippy::too_many_arguments)]
     fn forward_wire(
         self: &Arc<Self>,
-        plane: &Arc<Plane>,
+        plane: &Plane,
         flow: FlowId,
         hop: usize,
         offset: u64,
@@ -1133,11 +1089,11 @@ impl Server {
     /// `ResumeFrom`. The entry lock is held across all the sends so live
     /// traffic for the same crossing queues behind the resend instead of
     /// racing it.
-    fn resend(self: &Arc<Self>, plane: &Arc<Plane>, flow: FlowId, hop: usize, offset: u64) {
+    fn resend(self: &Arc<Self>, plane: &Plane, flow: FlowId, hop: usize, offset: u64) {
         let Some(entry) = plane.sent_entry(flow, hop) else {
             return;
         };
-        let dest = self.map.owner_of(plane.flows[flow].route[hop]);
+        let dest = self.map.owner_of(plane.groups.flows()[flow].route[hop]);
         let e = entry.lock().unwrap();
         for (offset, items, eos) in e.batches_from(offset as usize) {
             self.note_frame(items.len());
@@ -1161,13 +1117,9 @@ impl Server {
     /// then re-replay hosted sources. This process re-derives its whole
     /// pre-crash output; downstream contiguity filters absorb everything
     /// they already saw, so the net effect is exactly the missing tail.
-    fn rejoin_run(self: &Arc<Self>, run: u64) {
-        let plane = self.plane.lock().unwrap().clone();
-        let Some(p) = plane.filter(|p| p.run == run) else {
-            return;
-        };
-        for (flow, pf) in p.flows.iter().enumerate() {
-            if pf.retired {
+    fn rejoin_run(self: &Arc<Self>, p: &Plane) {
+        for (flow, pf) in p.groups.flows().iter().enumerate() {
+            if !pf.active {
                 continue;
             }
             for hop in 1..pf.route.len() {
@@ -1178,7 +1130,7 @@ impl Server {
                 }
                 let upstream = self.map.owner_of(pf.route[hop - 1]);
                 let msg = Message::ResumeFrom {
-                    run,
+                    run: p.run,
                     flow: flow as u64,
                     hop: hop as u32,
                     offset: 0,
@@ -1226,12 +1178,7 @@ impl Server {
 
     /// Drains any local plane and flushes the final metrics snapshot.
     fn local_shutdown(&self) {
-        let plane = self.plane.lock().unwrap().clone();
-        if let Some(p) = plane {
-            p.drain();
-            p.publish_mailbox_metrics(&self.topo);
-            *self.plane.lock().unwrap() = None;
-        }
+        self.drain_plane(None);
         if let Some(path) = &self.metrics_out {
             let json = dss_telemetry::snapshot_json();
             if let Err(e) = std::fs::write(path, json) {
@@ -1248,5 +1195,44 @@ impl Server {
             self.local_shutdown();
             self.done.store(true, Ordering::SeqCst);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dss_rass::Scenario;
+
+    /// A logged strategy byte no strategy owns must be reported as a
+    /// divergence and skipped — not replayed as some other plan.
+    #[test]
+    fn wal_replay_reports_an_unknown_strategy_byte_instead_of_replanning() {
+        let scenario = Scenario::scenario1(42);
+        let deploy = |seq: u64, strategy: u8| {
+            let q = &scenario.queries[seq as usize];
+            WalRecord::Deploy {
+                seq,
+                id: q.id.clone(),
+                at_peer: q.peer.clone(),
+                strategy,
+                text: q.text.clone(),
+            }
+        };
+        let mut globe = scenario.build_system();
+        let records = [
+            deploy(0, WireStrategy::QueryShipping.to_u8()),
+            deploy(1, 9),
+            deploy(2, WireStrategy::StreamSharing.to_u8()),
+        ];
+        assert_eq!(replay_control(&mut globe, &records), 1);
+        let replayed: Vec<&str> = globe.registered_queries().map(|(q, _)| q).collect();
+        let (first, third) = (&scenario.queries[0].id, &scenario.queries[2].id);
+        assert_eq!(replayed, [first, third], "the bad record alone is skipped");
+
+        // The same log with the byte intact replays without a word.
+        let mut globe = scenario.build_system();
+        let records = [deploy(0, 1), deploy(1, 2), deploy(2, 2)];
+        assert_eq!(replay_control(&mut globe, &records), 0);
+        assert_eq!(globe.registered_queries().count(), 3);
     }
 }

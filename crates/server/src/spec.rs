@@ -128,13 +128,6 @@ impl NetMap {
     pub fn addr(&self, spec: &ServeSpec, i: usize) -> String {
         format!("{}:{}", spec.host, spec.port_base + i as u16)
     }
-
-    /// All peers (super + thin) hosted by process `i`.
-    pub fn hosted_nodes(&self, i: usize) -> Vec<NodeId> {
-        (0..self.owner.len())
-            .filter(|&n| self.owner[n] == i)
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -15,11 +15,14 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run"
 cargo bench --no-run
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> product code size (non-test, non-comment Rust lines per crate)"
+./scripts/loc.sh
 
 echo "==> trace snapshot conforms to schemas/trace.schema.json"
 cargo build --release -q -p dss-bench --bins

@@ -226,6 +226,40 @@ fn scenario1_completes_byte_exact_at_the_default_mailbox_capacity() {
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
 }
 
+/// Regression for two teardown races that lost roughly one warm run in
+/// three to ten: the teardown thread of run *n* cleared the plane slot
+/// without checking it still held run *n*'s plane, so it could wipe run
+/// *n+1*'s freshly built one (whose batches then vanished without a
+/// word); and the requester heard `RunDone` before the coordinator had
+/// released the run, so an immediate `StartRun` faulted. Twelve runs
+/// started back to back on one fleet, each byte-equal to the simulator.
+#[test]
+fn back_to_back_runs_on_a_warm_fleet_each_complete_byte_exact() {
+    let expect = oracle(&SUBS);
+    let total: usize = expect.results.values().map(Vec::len).sum();
+    let (cluster, _spec) = spawn_example_fleet(None);
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+    for &(id, peer) in &SUBS {
+        client
+            .subscribe(id, query_text(id), peer, WireStrategy::StreamSharing)
+            .unwrap_or_else(|e| panic!("subscribing {id} failed: {e}"));
+    }
+    for run in 0..12 {
+        // A lost run must fail this test, not eat the suite's timeout.
+        let out = client
+            .run_and_collect(Duration::from_secs(30))
+            .unwrap_or_else(|e| panic!("run {run} did not complete: {e}"));
+        assert_eq!(out.delivered as usize, total, "run {run}: delivered count");
+        for (id, want) in &expect.results {
+            let got: Vec<String> = out.results[id].iter().map(node_to_string).collect();
+            assert_eq!(&got, want, "run {run}, {id}: bytes differ");
+        }
+    }
+    client.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
 /// Two clients with overlapping queries: the fleet's sharing decisions
 /// (reuse flags, plans, costs) match `register_query` in-process, and both
 /// subscribers receive their own byte-exact results from one run.
