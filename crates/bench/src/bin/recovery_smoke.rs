@@ -10,10 +10,9 @@
 //! * a denser checkpoint cadence pays a *larger* replay extent than a
 //!   sparser one on the same crash point.
 //!
-//! The default matrix tests the degenerate crash points (whole log
-//! survives / whole log lost); `DSS_BENCH_FULL=1` sweeps every record
-//! boundary. The measured matrix is written to `BENCH_recovery.json`
-//! (override with `--out`).
+//! Every record boundary of the victim's log is a crash point. The
+//! measured matrix is written to `BENCH_recovery.json` (override with
+//! `--out`).
 
 use dss_bench::recovery::{gate, matrix_to_json, run_matrix};
 
@@ -26,17 +25,9 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_recovery.json".to_string());
-    let full = std::env::var("DSS_BENCH_FULL").is_ok_and(|v| v == "1");
 
-    println!(
-        "crash recovery smoke: resume-not-replan, exactly-once ({})",
-        if full {
-            "full crash-point sweep"
-        } else {
-            "degenerate crash points"
-        }
-    );
-    let records = run_matrix(full);
+    println!("crash recovery smoke: resume-not-replan, exactly-once at every record boundary");
+    let records = run_matrix();
     for r in &records {
         println!("  {}", r.render());
     }

@@ -16,9 +16,8 @@
 //! delivers — zero lost, zero duplicated, zero replans — and the
 //! *re-delivery extent* (`wal_replayed_items`) is the measured cost:
 //! denser checkpoints must never pay a larger replay than sparser ones
-//! on the same crash. The default matrix keeps CI fast (the degenerate
-//! whole-log / empty-log crash points); `DSS_BENCH_FULL=1` probes the
-//! log length and sweeps every record boundary.
+//! on the same crash. Per cadence the victim's log length is probed and
+//! every record boundary swept — the whole matrix runs in under a second.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -161,34 +160,29 @@ pub struct RecoveryRecord {
     pub run_ms: f64,
 }
 
-/// Crash points measured: the degenerate ends by default (whole log
-/// survives / whole log lost), every record boundary under
-/// `DSS_BENCH_FULL=1` (probed from a lossless crash run).
-pub fn crash_points(full: bool) -> Vec<Option<u64>> {
-    let mut points = vec![None, Some(0)];
-    if full {
-        let (_, dir) = run_once("probe", CADENCES[1], true, None, true);
-        let n = dss_wal::replay(dir.join(VICTIM))
-            .expect("probe log replays clean")
-            .records
-            .len() as u64;
-        let _ = std::fs::remove_dir_all(&dir);
-        points.extend((1..=n).map(Some));
-    }
-    points
+/// Crash points measured at one cadence: the whole log survives (`None`)
+/// and every record boundary of the victim's log, from "all of it lost"
+/// (`Some(0)`) up to its length as probed from a lossless crash run.
+pub fn crash_points(cadence: u64) -> Vec<Option<u64>> {
+    let (_, dir) = run_once("probe", cadence, true, None, true);
+    let n = dss_wal::replay(dir.join(VICTIM))
+        .expect("probe log replays clean")
+        .records
+        .len() as u64;
+    let _ = std::fs::remove_dir_all(&dir);
+    std::iter::once(None).chain((0..=n).map(Some)).collect()
 }
 
 /// The cadence × crash-point matrix, measured against one uncrashed
 /// baseline per cadence.
-pub fn run_matrix(full: bool) -> Vec<RecoveryRecord> {
+pub fn run_matrix() -> Vec<RecoveryRecord> {
     // The baseline deliveries are cadence-independent (no crash ⇒ no
     // replay); one clean run pins the expected bytes.
     let (baseline, _) = run_once("baseline", CADENCES[1], false, None, false);
     assert_eq!(baseline.metrics.items_lost, 0, "baseline lost items");
-    let points = crash_points(full);
     let mut records = Vec::new();
     for &cadence in &CADENCES {
-        for &keep in &points {
+        for keep in crash_points(cadence) {
             let tag = format!(
                 "c{cadence}-k{}",
                 keep.map_or_else(|| "all".to_string(), |k| k.to_string())
@@ -337,16 +331,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matrix_passes_its_own_gate() {
-        let records = run_matrix(false);
-        assert_eq!(records.len(), CADENCES.len() * 2);
+    fn matrix_passes_its_own_gate() {
+        let records = run_matrix();
+        for cadence in CADENCES {
+            // `None`, `Some(0)` and at least one checkpoint boundary.
+            let cells = records.iter().filter(|r| r.checkpoint_every == cadence);
+            assert!(cells.count() >= 3, "cadence {cadence} was not swept");
+        }
         let failures = gate(&records);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]
     fn matrix_json_shape() {
-        let j = matrix_to_json(&run_matrix(false));
+        let j = matrix_to_json(&run_matrix());
         assert!(j.contains("\"bench\":\"crash_recovery\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

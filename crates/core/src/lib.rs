@@ -272,6 +272,41 @@ mod tests {
     }
 
     #[test]
+    fn admission_state_is_a_function_of_the_registration_sequence() {
+        // What control-log replay rests on: admission state is never
+        // journaled, it is re-derived — so feeding the same register /
+        // widen / unregister sequence to a fresh system must land on the
+        // same usage tables and sharing book, to the bit.
+        let replay = || {
+            let mut sys = system_with_photons();
+            sys.set_widening(true);
+            for (id, text, at) in [
+                ("q2", queries::Q2, "P2"),
+                ("q1", queries::Q1, "P1"), // widens q2's stream
+                ("q3", queries::Q3, "P3"),
+                ("q4", queries::Q4, "P4"),
+                ("q1b", queries::Q1, "P2"),
+            ] {
+                sys.register_query(id, text, at, Strategy::StreamSharing)
+                    .unwrap();
+            }
+            sys.unregister_query("q1").unwrap(); // narrows back
+            sys.unregister_query("q3").unwrap();
+            sys.register_query("q3b", queries::Q3, "P1", Strategy::StreamSharing)
+                .unwrap();
+            sys
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (a, b) = (replay(), replay());
+        let (a, b) = (a.state(), b.state());
+        assert!(a.node_used_work.iter().any(|&w| w > 0.0));
+        assert!(!a.share_book.ledger().is_empty());
+        assert_eq!(bits(&a.edge_used_kbps), bits(&b.edge_used_kbps));
+        assert_eq!(bits(&a.node_used_work), bits(&b.node_used_work));
+        assert_eq!(a.share_book.ledger(), b.share_book.ledger());
+    }
+
+    #[test]
     fn widening_lets_q1_reuse_q2_stream() {
         // Reversed registration order: Q2's narrow stream cannot serve Q1,
         // so plain sharing pulls the original stream from SP4. With

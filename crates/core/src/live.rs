@@ -98,16 +98,13 @@ impl StreamGlobe {
             .collect()
     }
 
-    /// Handles a peer crash at planning level: marks the peer down, retires
-    /// every active flow it processed or carried (plus their transitive
-    /// consumers), reverses their charges, and re-registers each affected
-    /// query from its stored text. Because routing now skips the dead
-    /// peer, the re-plans land on surviving streams and routes.
-    pub fn replan_after_peer_failure(&mut self, peer: NodeId, at_us: u64) -> FailoverReport {
-        self.state.topo.set_peer_up(peer, false);
+    /// Per flow id: whether the active flow's dataflow touches `peer` —
+    /// it is processed there, routed through it, or taps (transitively) a
+    /// flow that is.
+    fn flows_touching(&self, peer: NodeId) -> Vec<bool> {
         let n = self.state.deployment.len();
-        // One ascending pass computes the affected closure: tap parents
-        // always have smaller ids than their children.
+        // One ascending pass computes the closure: tap parents always
+        // have smaller ids than their children.
         let mut affected = vec![false; n];
         for id in 0..n {
             let flow = self.state.deployment.flow(id);
@@ -118,6 +115,18 @@ impl StreamGlobe {
                 || flow.route.contains(&peer)
                 || matches!(flow.input, FlowInput::Tap { parent } if affected[parent]);
         }
+        affected
+    }
+
+    /// Handles a peer crash at planning level: marks the peer down, retires
+    /// every active flow it processed or carried (plus their transitive
+    /// consumers), reverses their charges, and re-registers each affected
+    /// query from its stored text. Because routing now skips the dead
+    /// peer, the re-plans land on surviving streams and routes.
+    pub fn replan_after_peer_failure(&mut self, peer: NodeId, at_us: u64) -> FailoverReport {
+        self.state.topo.set_peer_up(peer, false);
+        let affected = self.flows_touching(peer);
+        let n = affected.len();
         // Retire children before parents (descending ids).
         let mut retired_flows: Vec<FlowId> = Vec::new();
         for id in (0..n).rev() {
@@ -166,17 +175,7 @@ impl StreamGlobe {
     /// or a transitive tap consumer of an affected flow), in registration
     /// order.
     fn queries_touching(&self, peer: NodeId) -> Vec<String> {
-        let n = self.state.deployment.len();
-        let mut affected = vec![false; n];
-        for id in 0..n {
-            let flow = self.state.deployment.flow(id);
-            if flow.retired {
-                continue;
-            }
-            affected[id] = flow.processing_node == peer
-                || flow.route.contains(&peer)
-                || matches!(flow.input, FlowInput::Tap { parent } if affected[parent]);
-        }
+        let affected = self.flows_touching(peer);
         self.registrations
             .iter()
             .filter(|r| affected[r.delivery_flow])
@@ -204,55 +203,7 @@ impl StreamGlobe {
         cfg: LiveConfig,
         faults: &FaultScript,
     ) -> Result<LiveOutcome, SystemError> {
-        let durable = cfg.wal.is_some();
-        let mut runtime = LiveRuntime::new(
-            self.state.topo.clone(),
-            &self.state.deployment,
-            self.live_sources(),
-            self.delivery_map(),
-            cfg,
-        )?;
-        let mut failovers = Vec::new();
-        for fault in faults.events() {
-            if fault.at_us >= runtime.horizon_us() {
-                break;
-            }
-            runtime.run_until(fault.at_us);
-            runtime.apply_fault(fault);
-            match fault.kind {
-                FaultKind::PeerCrash(peer) if durable => {
-                    self.state.topo.set_peer_up(peer, false);
-                    for query in self.queries_touching(peer) {
-                        runtime.mark_query_recovering(&query, fault.at_us);
-                    }
-                }
-                FaultKind::PeerCrash(peer) => {
-                    let report = self.replan_after_peer_failure(peer, fault.at_us);
-                    runtime.sync_deployment(&self.state.deployment, self.delivery_map());
-                    for reg in &report.replanned {
-                        runtime.mark_query_recovering(&reg.query_id, fault.at_us);
-                    }
-                    failovers.push(report);
-                }
-                FaultKind::PeerRecover(peer) => self.state.topo.set_peer_up(peer, true),
-                FaultKind::LinkDown(edge) => self.state.topo.set_edge_up(edge, false),
-                FaultKind::LinkUp(edge) => self.state.topo.set_edge_up(edge, true),
-            }
-        }
-        // Drain the remaining horizon before collecting recorded
-        // deliveries — `finish` would otherwise run it after the take.
-        runtime.run_until(runtime.horizon_us());
-        let delivered_items = runtime.take_delivered_items();
-        let latency_samples = runtime.latency_samples();
-        let (metrics, trace) = runtime.finish();
-        Ok(LiveOutcome {
-            metrics,
-            trace,
-            failovers,
-            delivered_items,
-            rebalances: Vec::new(),
-            latency_samples,
-        })
+        self.drive_live(cfg, faults, None)
     }
 
     /// [`Self::run_live`] with the periodic re-balancer enabled: every
@@ -279,7 +230,19 @@ impl StreamGlobe {
             ));
         }
         assert!(policy.every_s > 0.0, "rebalance period must be positive");
-        let tick_us = dss_network::runtime::fault::secs_to_us(policy.every_s);
+        self.drive_live(cfg, faults, Some(policy))
+    }
+
+    /// The one fault-replay loop behind [`Self::run_live`] and
+    /// [`Self::run_live_rebalancing`]: scripted faults in time order,
+    /// interleaved with re-balance ticks when a `policy` is given.
+    fn drive_live(
+        &mut self,
+        cfg: LiveConfig,
+        faults: &FaultScript,
+        policy: Option<&RebalancePolicy>,
+    ) -> Result<LiveOutcome, SystemError> {
+        let durable = cfg.wal.is_some();
         let mut runtime = LiveRuntime::new(
             self.state.topo.clone(),
             &self.state.deployment,
@@ -287,46 +250,52 @@ impl StreamGlobe {
             self.delivery_map(),
             cfg,
         )?;
+        let horizon = runtime.horizon_us();
+        let ticking = policy.map(|p| (p, dss_network::runtime::fault::secs_to_us(p.every_s)));
+        let mut next_tick = ticking.map(|(_, every)| every);
         let mut failovers = Vec::new();
         let mut rebalances = Vec::new();
-        let horizon = runtime.horizon_us();
-        let events = faults.events();
-        let mut fi = 0;
-        let mut next_tick = tick_us;
+        let mut pending = faults
+            .events()
+            .iter()
+            .take_while(|f| f.at_us < horizon)
+            .peekable();
         loop {
-            let fault = events.get(fi).filter(|f| f.at_us < horizon);
-            let tick = (next_tick < horizon).then_some(next_tick);
-            match (fault, tick) {
-                // Fault first on ties: a crash at the tick instant must
-                // re-subscribe before the re-balancer measures the wreck.
-                (Some(f), t) if t.is_none_or(|t| f.at_us <= t) => {
-                    runtime.run_until(f.at_us);
-                    runtime.apply_fault(f);
-                    match f.kind {
-                        FaultKind::PeerCrash(peer) => {
-                            let report = self.replan_after_peer_failure(peer, f.at_us);
-                            runtime.sync_deployment(&self.state.deployment, self.delivery_map());
-                            for reg in &report.replanned {
-                                runtime.mark_query_recovering(&reg.query_id, f.at_us);
-                            }
-                            failovers.push(report);
+            let tick = next_tick.filter(|&t| t < horizon);
+            // Fault first on ties: a crash at the tick instant must
+            // re-subscribe before the re-balancer measures the wreck.
+            if let Some(fault) = pending.next_if(|f| tick.is_none_or(|t| f.at_us <= t)) {
+                runtime.run_until(fault.at_us);
+                runtime.apply_fault(fault);
+                match fault.kind {
+                    FaultKind::PeerCrash(peer) if durable => {
+                        self.state.topo.set_peer_up(peer, false);
+                        for query in self.queries_touching(peer) {
+                            runtime.mark_query_recovering(&query, fault.at_us);
                         }
-                        FaultKind::PeerRecover(peer) => self.state.topo.set_peer_up(peer, true),
-                        FaultKind::LinkDown(edge) => self.state.topo.set_edge_up(edge, false),
-                        FaultKind::LinkUp(edge) => self.state.topo.set_edge_up(edge, true),
                     }
-                    fi += 1;
+                    FaultKind::PeerCrash(peer) => {
+                        let report = self.replan_after_peer_failure(peer, fault.at_us);
+                        runtime.sync_deployment(&self.state.deployment, self.delivery_map());
+                        for reg in &report.replanned {
+                            runtime.mark_query_recovering(&reg.query_id, fault.at_us);
+                        }
+                        failovers.push(report);
+                    }
+                    FaultKind::PeerRecover(peer) => self.state.topo.set_peer_up(peer, true),
+                    FaultKind::LinkDown(edge) => self.state.topo.set_edge_up(edge, false),
+                    FaultKind::LinkUp(edge) => self.state.topo.set_edge_up(edge, true),
                 }
-                (_, Some(t)) => {
-                    runtime.run_until(t);
-                    rebalances.push(self.rebalance_live(&mut runtime, policy));
-                    next_tick += tick_us;
-                }
-                // Only (None, None) reaches here: a pending fault with no
-                // tick always satisfies the first arm's guard.
-                _ => break,
+            } else if let (Some(t), Some((policy, every))) = (tick, ticking) {
+                runtime.run_until(t);
+                rebalances.push(self.rebalance_live(&mut runtime, policy));
+                next_tick = Some(t + every);
+            } else {
+                break;
             }
         }
+        // Drain the remaining horizon before collecting recorded
+        // deliveries — `finish` would otherwise run it after the take.
         runtime.run_until(horizon);
         let delivered_items = runtime.take_delivered_items();
         let latency_samples = runtime.latency_samples();

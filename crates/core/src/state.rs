@@ -23,51 +23,6 @@ pub struct FlowCharge {
     pub node_work: Vec<(NodeId, f64)>,
 }
 
-impl FlowCharge {
-    /// Serializes the charges as a durable [`WalRecord::Charge`]: each
-    /// delta keyed `e<edge id>` / `n<node id>`, the amount as exact
-    /// `f64::to_bits` — so a journaled reversal releases bit-identical
-    /// values to the in-memory path.
-    pub fn to_wal_record(&self, flow: FlowId) -> dss_wal::WalRecord {
-        let mut deltas = Vec::with_capacity(self.edge_kbps.len() + self.node_work.len());
-        for (e, kbps) in &self.edge_kbps {
-            deltas.push((format!("e{e}"), kbps.to_bits()));
-        }
-        for (v, work) in &self.node_work {
-            deltas.push((format!("n{v}"), work.to_bits()));
-        }
-        dss_wal::WalRecord::Charge {
-            flow: flow as u64,
-            deltas,
-        }
-    }
-
-    /// Rebuilds charges from a journaled [`WalRecord::Charge`]. `None` for
-    /// any other record kind or an undecodable delta key. Shared-operator
-    /// book keys (`s…`) riding the same record are skipped here — they are
-    /// replayed by [`NetworkState::replay_admission`], not part of the
-    /// per-flow edge/node deltas.
-    pub fn from_wal_record(record: &dss_wal::WalRecord) -> Option<(FlowId, FlowCharge)> {
-        let dss_wal::WalRecord::Charge { flow, deltas } = record else {
-            return None;
-        };
-        let mut charge = FlowCharge::default();
-        for (key, bits) in deltas {
-            let (kind, id) = key.split_at(1);
-            if kind == "s" {
-                continue;
-            }
-            let id: usize = id.parse().ok()?;
-            match kind {
-                "e" => charge.edge_kbps.push((id, f64::from_bits(*bits))),
-                "n" => charge.node_work.push((id, f64::from_bits(*bits))),
-                _ => return None,
-            }
-        }
-        Some((*flow as usize, charge))
-    }
-}
-
 /// Estimate-level mirror of the runtime's intra-peer operator sharing:
 /// a refcounted prefix trie per (peer, input stream) of the operator
 /// charges installed there. A newly registered flow only pays for the
@@ -114,25 +69,6 @@ struct BookNode {
 struct BookPath {
     group: usize,
     nodes: Vec<usize>,
-    /// Parallel to `nodes`: `true` where this flow's registration created
-    /// the node (and so paid its full charge) rather than merging into an
-    /// existing sharer's. Drives exact journal replay.
-    created: Vec<bool>,
-}
-
-/// How a flow's shared-operator registration is journaled inside its
-/// [`WalRecord::Charge`] (see [`NetworkState::journal_flow_charges`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BookJournal {
-    /// The registration is reconstructible from the flow's deployed
-    /// operator chain: its book path matches the chain's last `ops`
-    /// operators, and `created_work` holds the exact charge of each node
-    /// the registration created, in creation order.
-    Suffix { ops: usize, created_work: Vec<u64> },
-    /// The deployed chain no longer reconstructs the registration (the
-    /// flow was widened in place, replacing its operators); replay keeps
-    /// the book path an earlier record built instead.
-    Opaque,
 }
 
 impl ShareBook {
@@ -174,7 +110,6 @@ impl ShareBook {
         }
         let mut added = 0.0;
         let mut path = Vec::with_capacity(ops.len());
-        let mut created = Vec::with_capacity(ops.len());
         let mut parent: Option<usize> = None;
         for op in ops {
             let siblings = match parent {
@@ -188,7 +123,6 @@ impl ShareBook {
             let idx = match found {
                 Some(c) => {
                     g.nodes[c].as_mut().expect("live book node").sharers += 1;
-                    created.push(false);
                     c
                 }
                 None => {
@@ -209,21 +143,13 @@ impl ShareBook {
                             .children
                             .push(idx),
                     }
-                    created.push(true);
                     idx
                 }
             };
             path.push(idx);
             parent = Some(idx);
         }
-        self.paths.insert(
-            flow,
-            BookPath {
-                group,
-                nodes: path,
-                created,
-            },
-        );
+        self.paths.insert(flow, BookPath { group, nodes: path });
         added
     }
 
@@ -231,9 +157,7 @@ impl ShareBook {
     /// freed by the operators it was the last sharer of. `None` when the
     /// flow never registered shared charges.
     pub fn retire(&mut self, flow: FlowId) -> Option<(NodeId, f64)> {
-        let BookPath {
-            group, nodes: path, ..
-        } = self.paths.remove(&flow)?;
+        let BookPath { group, nodes: path } = self.paths.remove(&flow)?;
         let g = &mut self.groups[group];
         for &idx in &path {
             g.nodes[idx].as_mut().expect("live book node").sharers -= 1;
@@ -276,77 +200,6 @@ impl ShareBook {
                 n.work / n.sharers as f64
             })
             .sum()
-    }
-
-    /// `true` when `flow` has a recorded chain.
-    pub fn contains(&self, flow: FlowId) -> bool {
-        self.paths.contains_key(&flow)
-    }
-
-    /// Number of nodes a [`Self::register`] call with these arguments
-    /// would *create* (rather than merge into existing sharers'), without
-    /// mutating the book. Journal replay probes before re-registering:
-    /// a count differing from the journaled one means the deployed chain
-    /// drifted from the registration (in-place widening) and exact replay
-    /// is impossible for that path.
-    pub fn probe_register(&self, peer: NodeId, key: &GroupKey, ops: &[FlowOp]) -> usize {
-        let Some(&group) = self.group_of.get(&(peer, key.clone())) else {
-            return ops.len();
-        };
-        let g = &self.groups[group];
-        let node = |i: usize| g.nodes[i].as_ref().expect("live book node");
-        let mut parent: Option<usize> = None;
-        for (k, op) in ops.iter().enumerate() {
-            let siblings = match parent {
-                None => &g.roots,
-                Some(p) => &node(p).children,
-            };
-            match siblings
-                .iter()
-                .copied()
-                .find(|&c| ops_mergeable(&node(c).op, op))
-            {
-                Some(c) => parent = Some(c),
-                // Past the first divergence every remaining op creates a
-                // fresh node: new nodes start with no children.
-                None => return ops.len() - k,
-            }
-        }
-        0
-    }
-
-    /// How `flow`'s registration is journaled given the flow's current
-    /// deployed operator chain `ops`. `None` when the flow never
-    /// registered shared charges. The registration is reconstructible
-    /// when its path still matches the *last* `path-len` operators of
-    /// `ops` — install registers the whole chain, and widening only ever
-    /// splices patch operators onto the *front* of a consumer's chain, so
-    /// the suffix survives every in-place rewrite except the widened
-    /// flow's own wholesale replacement (which yields [`BookJournal::Opaque`]).
-    pub fn registration_journal(&self, flow: FlowId, ops: &[FlowOp]) -> Option<BookJournal> {
-        let p = self.paths.get(&flow)?;
-        let g = &self.groups[p.group];
-        let book_node = |i: usize| g.nodes[i].as_ref().expect("live book node");
-        let n = p.nodes.len();
-        let reconstructible = ops.len() >= n
-            && p.nodes
-                .iter()
-                .zip(&ops[ops.len() - n..])
-                .all(|(&i, op)| ops_mergeable(&book_node(i).op, op));
-        if !reconstructible {
-            return Some(BookJournal::Opaque);
-        }
-        let created_work = p
-            .nodes
-            .iter()
-            .zip(&p.created)
-            .filter(|&(_, &c)| c)
-            .map(|(&i, _)| book_node(i).work.to_bits())
-            .collect();
-        Some(BookJournal::Suffix {
-            ops: n,
-            created_work,
-        })
     }
 
     /// Bit-exact observable content, for regression tests: per registered
@@ -395,28 +248,8 @@ pub struct NetworkState {
     pub load_feedback: Vec<f64>,
     /// Refcounted install-time operator charges (intra-peer sharing).
     pub share_book: ShareBook,
-    /// Admission journal: every charge install/update and reversal, as
-    /// durable [`dss_wal::WalRecord`]s, when enabled. A recovered
-    /// coordinator rebuilds its admission state bit-identically by
-    /// [`Self::replay_admission`] over this log instead of re-deriving
-    /// charges from scratch.
-    pub admission_journal: Option<Vec<dss_wal::WalRecord>>,
     /// Cost-model parameters.
     pub params: CostParams,
-}
-
-/// Summary of one [`NetworkState::replay_admission`] pass.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct AdmissionReplay {
-    /// `Charge` records applied (installs and in-place updates).
-    pub charges: usize,
-    /// `Uncharge` records applied.
-    pub uncharges: usize,
-    /// Shared-operator book registrations rebuilt from journal keys.
-    pub book_registered: usize,
-    /// Records whose book keys were opaque or stale: the previously
-    /// replayed path (if any) was kept as-is.
-    pub book_skipped: usize,
 }
 
 impl NetworkState {
@@ -435,21 +268,8 @@ impl NetworkState {
             node_used_work: vec![0.0; nodes],
             load_feedback: vec![0.0; nodes],
             share_book: ShareBook::default(),
-            admission_journal: None,
             params,
         }
-    }
-
-    /// Starts journaling every charge install/update and reversal (see
-    /// [`Self::replay_admission`]). Idempotent; an existing journal is
-    /// kept.
-    pub fn enable_admission_journal(&mut self) {
-        self.admission_journal.get_or_insert_with(Vec::new);
-    }
-
-    /// The admission journal so far (empty when journaling is disabled).
-    pub fn admission_journal(&self) -> &[dss_wal::WalRecord] {
-        self.admission_journal.as_deref().unwrap_or(&[])
     }
 
     /// Relative bandwidth still available on a connection (`a_b(e)`).
@@ -620,193 +440,6 @@ impl NetworkState {
         if let Some((v, freed)) = self.share_book.retire(flow) {
             self.node_used_work[v] -= freed;
         }
-        if let Some(journal) = self.admission_journal.as_mut() {
-            journal.push(dss_wal::WalRecord::Uncharge { flow: flow as u64 });
-        }
-    }
-
-    /// Journals `flow`'s current recorded charges as one durable
-    /// [`WalRecord::Charge`]: the exact edge/node deltas
-    /// ([`FlowCharge::to_wal_record`]) plus, when the flow registered
-    /// shared operator charges, the book keys replay needs — `s#` (the
-    /// path length, a suffix of the deployed chain) and `s<i>` (the exact
-    /// work charged per node this registration created), or `sx` when the
-    /// deployed chain no longer reconstructs the registration (see
-    /// [`ShareBook::registration_journal`]). Call after every site that
-    /// records charges for `flow`; replay applies records with upsert
-    /// semantics, so a later record for the same flow supersedes earlier
-    /// ones. No-op while journaling is disabled.
-    pub fn journal_flow_charges(&mut self, flow: FlowId) {
-        if self.admission_journal.is_none() {
-            return;
-        }
-        let mut record = self.flow_charges[flow].to_wal_record(flow);
-        if let dss_wal::WalRecord::Charge { deltas, .. } = &mut record {
-            match self
-                .share_book
-                .registration_journal(flow, &self.deployment.flow(flow).ops)
-            {
-                Some(BookJournal::Suffix { ops, created_work }) => {
-                    deltas.push(("s#".to_string(), ops as u64));
-                    for (i, bits) in created_work.into_iter().enumerate() {
-                        deltas.push((format!("s{i}"), bits));
-                    }
-                }
-                Some(BookJournal::Opaque) => deltas.push(("sx".to_string(), 1)),
-                None => {}
-            }
-        }
-        self.admission_journal
-            .as_mut()
-            .expect("journal enabled")
-            .push(record);
-    }
-
-    /// Rebuilds the admission state — usage tables, per-flow charges, and
-    /// the shared-operator book — by replaying a journal written through
-    /// [`Self::journal_flow_charges`] / [`Self::uncharge_flow`], instead
-    /// of re-deriving charges from the plans. Exact by construction: the
-    /// journal stored every charged value bit-for-bit, so the rebuilt
-    /// state is bit-identical to the pre-crash one.
-    ///
-    /// Requires `self.deployment` to be restored first (the control log's
-    /// `Deploy` replay): book registrations are rebuilt against each
-    /// flow's deployed operator chain. `Charge` records upsert — an
-    /// existing charge for the flow is reversed before the record's
-    /// deltas apply — so replaying a record twice equals once and
-    /// re-journaled flows (widening updates) settle on their last state.
-    pub fn replay_admission(&mut self, records: &[dss_wal::WalRecord]) -> AdmissionReplay {
-        let mut report = AdmissionReplay::default();
-        for record in records {
-            match record {
-                dss_wal::WalRecord::Charge { deltas, .. } => {
-                    let Some((flow, charge)) = FlowCharge::from_wal_record(record) else {
-                        continue;
-                    };
-                    if self.flow_charges.len() <= flow {
-                        self.flow_charges.resize(flow + 1, FlowCharge::default());
-                    }
-                    let old = std::mem::take(&mut self.flow_charges[flow]);
-                    for (e, kbps) in old.edge_kbps {
-                        self.edge_used_kbps[e] -= kbps;
-                    }
-                    for (v, work) in old.node_work {
-                        self.node_used_work[v] -= work;
-                    }
-                    for &(e, kbps) in &charge.edge_kbps {
-                        self.edge_used_kbps[e] += kbps;
-                    }
-                    for &(v, work) in &charge.node_work {
-                        self.node_used_work[v] += work;
-                    }
-                    self.flow_charges[flow] = charge;
-                    report.charges += 1;
-                    // Book keys. A flow already registered keeps its path
-                    // untouched: between two journal records for the same
-                    // flow only charges moved — register/retire are the
-                    // only book mutations and both journal themselves.
-                    let mut ops_len = None;
-                    let mut opaque = false;
-                    let mut bits = Vec::new();
-                    for (key, value) in deltas {
-                        match key.as_str() {
-                            "s#" => ops_len = Some(*value as usize),
-                            "sx" => opaque = true,
-                            k if k.starts_with('s') => bits.push(*value),
-                            _ => {}
-                        }
-                    }
-                    if self.share_book.contains(flow) {
-                        continue;
-                    }
-                    match ops_len {
-                        Some(n)
-                            if flow < self.deployment.len()
-                                && n <= self.deployment.flow(flow).ops.len() =>
-                        {
-                            let (peer, key, suffix) = {
-                                let f = self.deployment.flow(flow);
-                                (
-                                    f.processing_node,
-                                    GroupKey::of(&f.input),
-                                    f.ops[f.ops.len() - n..].to_vec(),
-                                )
-                            };
-                            // Dry-run first: an in-place widened chain can
-                            // drift from the journaled registration; exact
-                            // replay requires the journaled creation set.
-                            if self.share_book.probe_register(peer, &key, &suffix) != bits.len() {
-                                report.book_skipped += 1;
-                            } else {
-                                let next = std::cell::Cell::new(0usize);
-                                let added =
-                                    self.share_book.register(flow, peer, key, &suffix, |_| {
-                                        let i = next.get();
-                                        next.set(i + 1);
-                                        f64::from_bits(bits[i])
-                                    });
-                                self.node_used_work[peer] += added;
-                                report.book_registered += 1;
-                            }
-                        }
-                        Some(_) => report.book_skipped += 1,
-                        None if opaque => report.book_skipped += 1,
-                        None => {}
-                    }
-                }
-                dss_wal::WalRecord::Uncharge { flow } => {
-                    let flow = *flow as usize;
-                    if flow < self.flow_charges.len() {
-                        let old = std::mem::take(&mut self.flow_charges[flow]);
-                        for (e, kbps) in old.edge_kbps {
-                            self.edge_used_kbps[e] -= kbps;
-                        }
-                        for (v, work) in old.node_work {
-                            self.node_used_work[v] -= work;
-                        }
-                    }
-                    if let Some((v, freed)) = self.share_book.retire(flow) {
-                        self.node_used_work[v] -= freed;
-                    }
-                    report.uncharges += 1;
-                }
-                _ => {}
-            }
-        }
-        report
-    }
-
-    /// The journal entry a durable coordinator appends when `flow`'s
-    /// charges are installed — [`FlowCharge::to_wal_record`] over the
-    /// current recorded charges.
-    pub fn charge_journal_entry(&self, flow: FlowId) -> dss_wal::WalRecord {
-        self.flow_charges[flow].to_wal_record(flow)
-    }
-
-    /// Reverses a journaled charge record against the usage tables —
-    /// the crash-recovery counterpart of [`Self::uncharge_flow`] for a
-    /// coordinator whose in-memory `flow_charges` died with it. Exact by
-    /// construction: the journal stored the charged values bit-for-bit.
-    /// Returns `false` (and changes nothing) for a non-`Charge` record.
-    ///
-    /// Shared-operator book entries are *not* journaled per flow: a
-    /// restarted coordinator rebuilds the book by replaying the control
-    /// log's `Deploy` records through registration, which re-runs
-    /// [`Self::charge_shared_ops_for`].
-    pub fn uncharge_from_journal(&mut self, record: &dss_wal::WalRecord) -> bool {
-        let Some((flow, charge)) = FlowCharge::from_wal_record(record) else {
-            return false;
-        };
-        for (e, kbps) in charge.edge_kbps {
-            self.edge_used_kbps[e] -= kbps;
-        }
-        for (v, work) in charge.node_work {
-            self.node_used_work[v] -= work;
-        }
-        if flow < self.flow_charges.len() {
-            self.flow_charges[flow] = FlowCharge::default();
-        }
-        true
     }
 }
 
@@ -897,42 +530,6 @@ mod tests {
         assert!(st.node_used_work[1].abs() < 1e-12);
     }
 
-    #[test]
-    fn journaled_uncharge_equals_recomputed_uncharge() {
-        let mk = || {
-            let topo = grid_topology(2, 2);
-            let mut st = NetworkState::new(topo, CostParams::default());
-            st.flow_charges.push(FlowCharge::default());
-            let (a, b) = (st.topo.edge(0).a, st.topo.edge(0).b);
-            let est = StreamEstimate {
-                item_size: 777.0,
-                frequency: 3.3,
-            };
-            st.charge_route_for(0, &[a, b], est);
-            st.charge_node_for(0, a, 1.7, 31.0);
-            st
-        };
-        // Round-trip through the record encoding preserves every bit.
-        let st = mk();
-        let record = st.charge_journal_entry(0);
-        let encoded = record.encode();
-        let decoded = dss_wal::WalRecord::decode(&encoded).unwrap();
-        let (flow, charge) = FlowCharge::from_wal_record(&decoded).unwrap();
-        assert_eq!(flow, 0);
-        assert_eq!(charge, st.flow_charges[0]);
-        // Reversing from the journal leaves the same tables as the
-        // in-memory recompute path.
-        let mut from_journal = mk();
-        assert!(from_journal.uncharge_from_journal(&decoded));
-        let mut recomputed = mk();
-        recomputed.uncharge_flow(0);
-        assert_eq!(from_journal.edge_used_kbps, recomputed.edge_used_kbps);
-        assert_eq!(from_journal.node_used_work, recomputed.node_used_work);
-        assert_eq!(from_journal.flow_charges[0], FlowCharge::default());
-        // Non-charge records are rejected untouched.
-        assert!(!from_journal.uncharge_from_journal(&dss_wal::WalRecord::Uncharge { flow: 0 }));
-    }
-
     fn udf(name: &str) -> FlowOp {
         FlowOp::Standard(dss_properties::Operator::Udf {
             name: name.into(),
@@ -940,15 +537,13 @@ mod tests {
         })
     }
 
-    /// A journaling state with a small deployed graph: a source flow
-    /// SP0→SP1 and two tap consumers at SP1 sharing an operator prefix.
-    /// Flow 1 is then retired (the replan pattern), leaving journal
-    /// records of both install and reversal.
-    fn journaled_state() -> NetworkState {
+    /// A small deployed graph: a source flow SP0→SP1 and two tap consumers
+    /// at SP1 sharing an operator prefix. Flow 1 is then retired (the
+    /// replan pattern).
+    fn charged_state() -> NetworkState {
         use dss_network::{FlowInput, StreamFlow};
         let topo = grid_topology(2, 2);
         let mut st = NetworkState::new(topo, CostParams::default());
-        st.enable_admission_journal();
         let est = StreamEstimate {
             item_size: 777.0,
             frequency: 3.3,
@@ -966,7 +561,6 @@ mod tests {
         });
         st.flow_charges.push(FlowCharge::default());
         st.charge_route_for(f0, &[0, 1], est);
-        st.journal_flow_charges(f0);
         let mut tap = |ops: Vec<FlowOp>, route: Vec<NodeId>| {
             let f = st.deployment.add_flow(StreamFlow {
                 label: format!("q{}", st.deployment.len()),
@@ -981,7 +575,6 @@ mod tests {
             let route = st.deployment.flow(f).route.clone();
             st.charge_route_for(f, &route, est);
             st.charge_shared_ops_for(f, 1, GroupKey::Tap(f0), &ops, 5.0);
-            st.journal_flow_charges(f);
             f
         };
         let f1 = tap(vec![udf("a"), udf("b")], vec![1, 3]);
@@ -995,48 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_rebuilds_admission_state_bit_identical() {
-        let st = journaled_state();
-        let mut fresh = NetworkState::new(grid_topology(2, 2), CostParams::default());
-        fresh.deployment = st.deployment.clone();
-        let report = fresh.replay_admission(st.admission_journal());
-        assert_eq!(report.charges, 3);
-        assert_eq!(report.uncharges, 1);
-        assert_eq!(report.book_registered, 2);
-        assert_eq!(report.book_skipped, 0);
-        // The regression bar: bit-identical tables and ShareBook ledger.
-        assert_eq!(bits(&fresh.edge_used_kbps), bits(&st.edge_used_kbps));
-        assert_eq!(bits(&fresh.node_used_work), bits(&st.node_used_work));
-        assert_eq!(fresh.share_book.ledger(), st.share_book.ledger());
-        assert_eq!(fresh.flow_charges, st.flow_charges);
-    }
-
-    #[test]
-    fn replayed_journal_twice_equals_once() {
-        // Charge records upsert and Uncharge is structurally idempotent,
-        // so replaying the whole journal twice lands on the same state.
-        let st = journaled_state();
-        let mk = || {
-            let mut fresh = NetworkState::new(grid_topology(2, 2), CostParams::default());
-            fresh.deployment = st.deployment.clone();
-            fresh
-        };
-        let mut once = mk();
-        once.replay_admission(st.admission_journal());
-        let mut twice = mk();
-        twice.replay_admission(st.admission_journal());
-        twice.replay_admission(st.admission_journal());
-        assert_eq!(bits(&twice.edge_used_kbps), bits(&once.edge_used_kbps));
-        assert_eq!(bits(&twice.node_used_work), bits(&once.node_used_work));
-        assert_eq!(twice.share_book.ledger(), once.share_book.ledger());
-    }
-
-    #[test]
     fn uncharge_twice_equals_once() {
         // Repeated replan cycles must neither double-free nor leak the
         // shared-node install charges (mirror of apply_caps_twice_equals
         // _once): a second reversal of the same flow is a no-op.
-        let mut st = journaled_state();
+        let mut st = charged_state();
         let f2 = 2;
         st.uncharge_flow(f2);
         let edges_once = bits(&st.edge_used_kbps);
@@ -1054,31 +610,6 @@ mod tests {
         st.flow_charges[f2] = FlowCharge::default();
         st.charge_shared_ops_for(f2, 2, GroupKey::Tap(0), &[udf("a")], 5.0);
         assert!(st.shared_attributed_work(f2) > 0.0);
-    }
-
-    #[test]
-    fn widened_flow_journals_opaque_and_replay_keeps_path() {
-        let mut st = journaled_state();
-        let f2 = 2;
-        // Widening replaces the deployed chain in place; the registration
-        // is no longer reconstructible from it.
-        st.deployment.flow_mut(f2).ops = vec![udf("z")];
-        assert_eq!(
-            st.share_book
-                .registration_journal(f2, &st.deployment.flow(f2).ops),
-            Some(BookJournal::Opaque)
-        );
-        st.journal_flow_charges(f2);
-        let mut fresh = NetworkState::new(grid_topology(2, 2), CostParams::default());
-        fresh.deployment = st.deployment.clone();
-        let report = fresh.replay_admission(st.admission_journal());
-        // f2's first record pre-dates the widening: its suffix now drifts
-        // from the journaled creation set, so replay skips the path
-        // rather than guessing — counted, never silent.
-        assert!(report.book_skipped >= 1);
-        assert!(
-            !fresh.share_book.contains(f2) || fresh.share_book.ledger() == st.share_book.ledger()
-        );
     }
 
     #[test]

@@ -163,13 +163,8 @@ impl StreamGlobe {
 
     /// Creates a system with explicit cost parameters.
     pub fn with_params(topo: Topology, params: CostParams) -> StreamGlobe {
-        let mut state = NetworkState::new(topo, params);
-        // Every charge install/update/reversal is journaled so a
-        // recovered coordinator replays its admission state bit-exactly
-        // instead of re-deriving it (see `NetworkState::replay_admission`).
-        state.enable_admission_journal();
         StreamGlobe {
-            state,
+            state: NetworkState::new(topo, params),
             sources: BTreeMap::new(),
             registrations: Vec::new(),
             widening: false,
@@ -269,7 +264,6 @@ impl StreamGlobe {
             .flow_charges
             .push(crate::state::FlowCharge::default());
         self.state.charge_route_for(flow, &route, estimate);
-        self.state.journal_flow_charges(flow);
         self.state.stream_stats.insert(name.clone(), stats);
         self.state.source_flows.insert(name.clone(), flow);
         self.sources.insert(name, SourceInfo { items });
@@ -397,7 +391,6 @@ impl StreamGlobe {
                     }
                     self.state
                         .charge_node_for(*child, node, bload, widened_freq);
-                    self.state.journal_flow_charges(*child);
                 }
                 // Publish the planner's per-child state-handoff choice: the
                 // live runtime rebuilds marked children with delta
@@ -416,7 +409,6 @@ impl StreamGlobe {
                 self.state.flow_estimates[widen.flow] = widen.widened_estimate;
                 self.state
                     .charge_route_for(widen.flow, &route, widen.delta_estimate);
-                self.state.journal_flow_charges(widen.flow);
             }
             let parent = part.tap_flow;
             if !self
@@ -479,7 +471,6 @@ impl StreamGlobe {
                     input_freq,
                 );
             }
-            self.state.journal_flow_charges(flow);
             upstream.push(flow);
         }
         // Post-processing + delivery flow. Multi-input combination would
@@ -508,7 +499,6 @@ impl StreamGlobe {
             &plan.post_ops,
             input_freq,
         );
-        self.state.journal_flow_charges(delivery_flow);
 
         self.registrations.push(Installed {
             query_id: query_id.clone(),
@@ -644,7 +634,6 @@ impl StreamGlobe {
                 .drain(..patch.len());
             self.state
                 .discharge_node_for(child, node, bload, undo.widened_frequency);
-            self.state.journal_flow_charges(child);
             // Dropping the patch restores the child's input byte-identical,
             // so narrowing back is always a loss-free handoff: keep the
             // child's open windows across the rebuild.
@@ -659,7 +648,6 @@ impl StreamGlobe {
         self.state.flow_estimates[undo.flow] = undo.prev_estimate;
         self.state
             .discharge_route_for(undo.flow, &undo.route, undo.delta_estimate);
-        self.state.journal_flow_charges(undo.flow);
     }
 
     fn node_by_name(&self, name: &str) -> Result<NodeId, SystemError> {

@@ -68,7 +68,7 @@ pub struct OpWork {
 
 /// The live runtime's report: per-peer queueing behaviour, per-edge traffic
 /// over time, and per-query delivery quality.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeMetrics {
     /// Simulated horizon in microseconds.
     pub horizon_us: u64,
@@ -99,6 +99,7 @@ pub struct RuntimeMetrics {
     /// rebuild would.
     pub windows_dropped: u64,
     /// WAL mode: records appended across all peer logs (0 otherwise).
+    /// Checkpoints are the only kind, so this equals `wal_checkpoints`.
     pub wal_records: u64,
     /// WAL mode: window-state checkpoints written.
     pub wal_checkpoints: u64,

@@ -73,16 +73,16 @@ use mailbox::Mailbox;
 
 /// Durability parameters for WAL mode ([`LiveConfig::wal`]).
 ///
-/// With a WAL configured, every peer appends a crash-recovery log under
-/// `dir/<peer name>/`: one [`WalRecord::Progress`] per flow emission, a
+/// With a WAL configured, every peer that hosts a sharing group appends a
+/// crash-recovery log under `dir/<peer name>/`: one
 /// [`WalRecord::Checkpoint`] (window-state snapshot + consumed offset +
 /// per-flow emit counters) every `checkpoint_every` serviced items per
-/// sharing group, and [`WalRecord::Delivered`] high-water marks at
-/// delivery peers. A crashed peer then *resumes* instead of re-planning:
-/// recovery replays the WAL, restores the latest surviving checkpoint,
-/// re-feeds only the retained input tail past the checkpointed offset, and
-/// relies on absolute per-flow output indices (deduplicated downstream)
-/// for exactly-once delivery. A corrupt log degrades to the existing
+/// sharing group, and nothing else. A crashed peer then *resumes* instead
+/// of re-planning: recovery replays the WAL, restores the latest surviving
+/// checkpoint, re-feeds only the retained input tail past the checkpointed
+/// offset, and relies on absolute per-flow output indices (deduplicated
+/// downstream) for exactly-once delivery. A corrupt log — or one whose
+/// checkpoints do not fit the deployed groups — degrades to the existing
 /// replan-from-scratch path.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
@@ -228,19 +228,13 @@ enum EventKind {
         index: u64,
         item: Node,
     },
-    /// WAL mode only: a service's outputs have left the peer — log the
-    /// per-flow progress marks and advance the group's consumed counter.
+    /// WAL mode only: a service's outputs have left the peer — advance
+    /// the group's consumed counter (and checkpoint on cadence).
     /// Scheduled at the service's completion time, *after* its
     /// `EmitOutputs`: a crash before this point loses neither more nor
     /// less than what replay regenerates, so recovery never skips an
     /// output that was still in flight.
-    ServiceCommit {
-        node: NodeId,
-        group: usize,
-        /// `(flow, next output index)` for each flow the service produced
-        /// outputs for.
-        progress: Vec<(FlowId, u64)>,
-    },
+    ServiceCommit { node: NodeId, group: usize },
 }
 
 struct Event {
@@ -345,14 +339,9 @@ pub struct LiveRuntime {
     // reads and resets it).
     busy_us: Vec<u64>,
     util_window_start: u64,
-    // Measurements.
-    node_work: Vec<f64>,
-    edge_bytes: Vec<u64>,
-    edge_bytes_buckets: Vec<Vec<u64>>,
-    items_lost: u64,
-    widen_delta_items: u64,
-    windows_migrated: u64,
-    windows_dropped: u64,
+    /// The report, counted in place; [`Self::finish`] fills the fields
+    /// that are derived from other state (queues, queries, DAG stats).
+    metrics: RuntimeMetrics,
     /// Per query: `(delivered_at_us, latency_us)` per delivery, in
     /// delivery order — the raw samples behind the aggregate percentiles,
     /// kept timestamped so callers can window them (e.g. exclude a
@@ -367,19 +356,9 @@ pub struct LiveRuntime {
     /// migration gap, attributed separately from crash recoveries.
     migrating_since: BTreeMap<String, u64>,
     migrations: BTreeMap<String, Vec<u64>>,
-    // Planned-migration accounting (kept apart from the crash/widening
-    // counters so a report can tell scheduled moves from failures).
-    planned_migrations: u64,
-    migration_windows_moved: u64,
-    migration_windows_dropped: u64,
-    migration_items_moved: u64,
-    rebalance_deferred: u64,
     /// Per query: every delivered item with its origin timestamp, in
     /// delivery order (only when `cfg.record_deliveries`).
     delivered_items: BTreeMap<String, Vec<(u64, Node)>>,
-    /// Mailbox drops attributed per (peer, flow label): one count per
-    /// active member flow of the group whose entry was refused.
-    dropped_flows: BTreeMap<(NodeId, String), u64>,
     trace: Vec<String>,
     // WAL mode state (all inert when `cfg.wal` is None).
     /// Lazily opened per-peer log writers; closed (taken) on crash.
@@ -395,12 +374,6 @@ pub struct LiveRuntime {
     emit_next: Vec<u64>,
     /// Per query: exactly-once filter over delivered item indices.
     delivered_seen: BTreeMap<String, SeenSet>,
-    wal_records: u64,
-    wal_checkpoints: u64,
-    wal_replayed_items: u64,
-    wal_deferred: u64,
-    wal_suppressed: u64,
-    wal_fallbacks: u64,
 }
 
 impl LiveRuntime {
@@ -421,6 +394,14 @@ impl LiveRuntime {
         let n_peers = topo.peer_count();
         let n_edges = topo.edge_count();
         let mailbox_capacity = cfg.mailbox_capacity;
+        let metrics = RuntimeMetrics {
+            horizon_us,
+            bucket_us: cfg.bucket_us,
+            node_work: vec![0.0; n_peers],
+            edge_bytes: vec![0; n_edges],
+            edge_bytes_buckets: vec![vec![0; n_buckets]; n_edges],
+            ..RuntimeMetrics::default()
+        };
         let mut rt = LiveRuntime {
             topo,
             cfg,
@@ -438,13 +419,7 @@ impl LiveRuntime {
             busy_until: vec![0; n_peers],
             busy_us: vec![0; n_peers],
             util_window_start: 0,
-            node_work: vec![0.0; n_peers],
-            edge_bytes: vec![0; n_edges],
-            edge_bytes_buckets: vec![vec![0; n_buckets]; n_edges],
-            items_lost: 0,
-            widen_delta_items: 0,
-            windows_migrated: 0,
-            windows_dropped: 0,
+            metrics,
             latencies: BTreeMap::new(),
             delivered: BTreeMap::new(),
             duplicates: BTreeMap::new(),
@@ -453,13 +428,7 @@ impl LiveRuntime {
             recoveries: BTreeMap::new(),
             migrating_since: BTreeMap::new(),
             migrations: BTreeMap::new(),
-            planned_migrations: 0,
-            migration_windows_moved: 0,
-            migration_windows_dropped: 0,
-            migration_items_moved: 0,
-            rebalance_deferred: 0,
             delivered_items: BTreeMap::new(),
-            dropped_flows: BTreeMap::new(),
             trace: Vec::new(),
             wal_writers: (0..n_peers).map(|_| None).collect(),
             history: Vec::new(),
@@ -467,12 +436,6 @@ impl LiveRuntime {
             group_seen: Vec::new(),
             emit_next: Vec::new(),
             delivered_seen: BTreeMap::new(),
-            wal_records: 0,
-            wal_checkpoints: 0,
-            wal_replayed_items: 0,
-            wal_deferred: 0,
-            wal_suppressed: 0,
-            wal_fallbacks: 0,
         };
         rt.sync_deployment(deployment, deliveries);
         // Seed the periodic source emissions (BTreeMap order: stable).
@@ -511,9 +474,9 @@ impl LiveRuntime {
     ) {
         for handoff in self.groups.sync(deployment, |_| true) {
             let report = handoff.report;
-            self.widen_delta_items += report.items_moved;
-            self.windows_migrated += report.ops_migrated;
-            self.windows_dropped += report.ops_dropped;
+            self.metrics.widen_delta_items += report.items_moved;
+            self.metrics.windows_migrated += report.ops_migrated;
+            self.metrics.windows_dropped += report.ops_dropped;
             dss_telemetry::event("widen_handoff", || {
                 let peer = self.topo.peer(self.group(handoff.group).node).name.as_str();
                 [
@@ -575,7 +538,7 @@ impl LiveRuntime {
                         .map(|(g, _, _)| self.group(g).members.len().max(1) as u64)
                         .sum()
                 };
-                self.items_lost += lost;
+                self.metrics.items_lost += lost;
                 self.busy_until[peer] = 0;
                 if self.cfg.wal.is_some() {
                     self.wal_crash(peer);
@@ -595,7 +558,7 @@ impl LiveRuntime {
                 if self.cfg.wal.is_some() {
                     match self.wal_recover(peer) {
                         Ok(replayed) => {
-                            self.wal_replayed_items += replayed;
+                            self.metrics.wal_replayed_items += replayed;
                             self.trace_line(|topo| {
                                 format!("wal recover {} replayed={replayed}", topo.peer(peer).name)
                             });
@@ -604,10 +567,11 @@ impl LiveRuntime {
                             // Unreadable log: degrade to the non-durable
                             // semantics — the retained tail is abandoned,
                             // exactly as if it had never been kept.
-                            self.wal_fallbacks += 1;
+                            self.metrics.wal_fallbacks += 1;
                             for g in self.live_groups_at(peer) {
                                 let pending = self.history[g].len() as u64 - self.consumed[g];
-                                self.items_lost += pending * self.group(g).members.len() as u64;
+                                self.metrics.items_lost +=
+                                    pending * self.group(g).members.len() as u64;
                                 self.consumed[g] = self.history[g].len() as u64;
                             }
                             self.trace_line(|topo| {
@@ -698,11 +662,9 @@ impl LiveRuntime {
                         index,
                         item,
                     } => self.handle_arrive(flow, hop, origin, index, item),
-                    EventKind::ServiceCommit {
-                        node,
-                        group,
-                        progress,
-                    } => self.handle_service_commit(node, group, progress),
+                    EventKind::ServiceCommit { node, group } => {
+                        self.handle_service_commit(node, group)
+                    }
                 }
             }
             // Phases B + C.
@@ -780,33 +742,11 @@ impl LiveRuntime {
                 });
             }
         }
-        let metrics = RuntimeMetrics {
-            horizon_us: self.horizon_us,
-            bucket_us: self.cfg.bucket_us,
-            queue_high_water: self.mailboxes.iter().map(|m| m.high_water).collect(),
-            mailbox_dropped: self.mailboxes.iter().map(|m| m.dropped).collect(),
-            mailbox_dropped_flows: self.dropped_flows,
-            items_lost: self.items_lost,
-            widen_delta_items: self.widen_delta_items,
-            windows_migrated: self.windows_migrated,
-            windows_dropped: self.windows_dropped,
-            wal_records: self.wal_records,
-            wal_checkpoints: self.wal_checkpoints,
-            wal_replayed_items: self.wal_replayed_items,
-            wal_deferred: self.wal_deferred,
-            wal_suppressed: self.wal_suppressed,
-            wal_fallbacks: self.wal_fallbacks,
-            planned_migrations: self.planned_migrations,
-            migration_windows_moved: self.migration_windows_moved,
-            migration_windows_dropped: self.migration_windows_dropped,
-            migration_items_moved: self.migration_items_moved,
-            rebalance_deferred: self.rebalance_deferred,
-            node_work: self.node_work,
-            edge_bytes: self.edge_bytes,
-            edge_bytes_buckets: self.edge_bytes_buckets,
-            queries,
-            node_ops,
-        };
+        let mut metrics = self.metrics;
+        metrics.queue_high_water = self.mailboxes.iter().map(|m| m.high_water).collect();
+        metrics.mailbox_dropped = self.mailboxes.iter().map(|m| m.dropped).collect();
+        metrics.queries = queries;
+        metrics.node_ops = node_ops;
         if dss_telemetry::enabled() {
             metrics.publish(&self.topo);
         }
@@ -828,7 +768,7 @@ impl LiveRuntime {
 
     fn handle_emit_outputs(&mut self, flow: FlowId, origin: u64, base: u64, items: Vec<Node>) {
         if !self.flow(flow).active {
-            self.items_lost += items.len() as u64;
+            self.metrics.items_lost += items.len() as u64;
             return;
         }
         if !self.topo.peer(self.flow(flow).node).up {
@@ -837,7 +777,7 @@ impl LiveRuntime {
             // the input and regenerates them index-identically — dropping
             // them here is silent, not a loss.
             if self.cfg.wal.is_none() {
-                self.items_lost += items.len() as u64;
+                self.metrics.items_lost += items.len() as u64;
             }
             return;
         }
@@ -850,11 +790,11 @@ impl LiveRuntime {
     fn handle_arrive(&mut self, flow: FlowId, hop: usize, origin: u64, index: u64, item: Node) {
         let node = self.flow(flow).route[hop];
         if !self.flow(flow).active {
-            self.items_lost += 1;
+            self.metrics.items_lost += 1;
             return;
         }
         if !self.topo.peer(node).up && self.cfg.wal.is_none() {
-            self.items_lost += 1;
+            self.metrics.items_lost += 1;
             return;
         }
         // WAL mode proceeds even when `node` is down: `dispatch_at` still
@@ -909,14 +849,14 @@ impl LiveRuntime {
             // Exactly-once: recovery replays regenerate inputs the group
             // may already have serviced before the crash.
             if !self.group_seen[group].insert(index) {
-                self.wal_suppressed += 1;
+                self.metrics.wal_suppressed += 1;
                 return;
             }
             if !self.topo.peer(node).up {
                 // The peer is down but durable: retain the item in the
                 // group history — recovery re-services it from there.
                 self.history[group].push((origin, item));
-                self.wal_deferred += 1;
+                self.metrics.wal_deferred += 1;
                 return;
             }
             if self.mailboxes[node].push(group, origin, item.clone()) {
@@ -929,7 +869,7 @@ impl LiveRuntime {
             // not backpressure), so fall through to the drop accounting.
         } else if !self.topo.peer(node).up {
             // The entry would have served every member flow.
-            self.items_lost += self.group(group).members.len().max(1) as u64;
+            self.metrics.items_lost += self.group(group).members.len().max(1) as u64;
             return;
         } else if self.mailboxes[node].push(group, origin, item) {
             self.schedule(self.now, EventKind::StartService { node });
@@ -941,7 +881,11 @@ impl LiveRuntime {
         // per-peer aggregate alone cannot.
         for &f in &self.groups.table().groups()[group].members {
             let label = &self.groups.table().flows()[f].label;
-            *self.dropped_flows.entry((node, label.clone())).or_insert(0) += 1;
+            *self
+                .metrics
+                .mailbox_dropped_flows
+                .entry((node, label.clone()))
+                .or_insert(0) += 1;
             dss_telemetry::counter_add(
                 "runtime.mailbox.dropped",
                 || {
@@ -967,7 +911,7 @@ impl LiveRuntime {
             };
             if self.group(group).members.is_empty() {
                 // Every member retired while the item waited.
-                self.items_lost += 1;
+                self.metrics.items_lost += 1;
                 continue;
             }
             let dag = std::mem::take(self.groups.dag_mut(group));
@@ -1028,7 +972,7 @@ impl LiveRuntime {
         let service_us = (self.cfg.per_item_overhead_us as f64 + scaled / peer.capacity * 1e6)
             .round()
             .max(1.0) as u64;
-        self.node_work[node] += scaled;
+        self.metrics.node_work[node] += scaled;
         self.busy_us[node] += service_us;
         let done_at = self.now + service_us;
         self.busy_until[node] = done_at;
@@ -1047,13 +991,11 @@ impl LiveRuntime {
             self.mailboxes[node].len() as f64,
         );
         let wal = self.cfg.wal.is_some();
-        let mut progress: Vec<(FlowId, u64)> = Vec::new();
         for (flow, items) in outputs {
             if !items.is_empty() {
                 let base = if wal {
                     let base = self.emit_next[flow];
                     self.emit_next[flow] += items.len() as u64;
-                    progress.push((flow, self.emit_next[flow]));
                     base
                 } else {
                     0
@@ -1072,36 +1014,19 @@ impl LiveRuntime {
         if wal {
             // Committed at completion time, *after* the outputs above: a
             // crash between claim and completion then replays the item.
-            self.schedule(
-                done_at,
-                EventKind::ServiceCommit {
-                    node,
-                    group,
-                    progress,
-                },
-            );
+            self.schedule(done_at, EventKind::ServiceCommit { node, group });
         }
         // Look at the mailbox again once this service is over.
         self.schedule(done_at, EventKind::StartService { node });
     }
 
-    /// WAL mode: a service's outputs have left the peer — durably record
-    /// the per-flow progress and the group's consumed count, snapshotting
-    /// window state every `checkpoint_every` items.
-    fn handle_service_commit(&mut self, node: NodeId, group: usize, progress: Vec<(FlowId, u64)>) {
+    /// WAL mode: a service's outputs have left the peer — count its input
+    /// as consumed, snapshotting window state every `checkpoint_every`
+    /// items.
+    fn handle_service_commit(&mut self, node: NodeId, group: usize) {
         if !self.topo.peer(node).up {
             // Crashed before the commit: the item replays at recovery.
             return;
-        }
-        for (flow, offset) in progress {
-            self.wal_append(
-                node,
-                &WalRecord::Progress {
-                    flow: flow as u64,
-                    hop: 0,
-                    offset,
-                },
-            );
         }
         self.consumed[group] += 1;
         let every = self.cfg.wal.as_ref().expect("WAL mode").checkpoint_every;
@@ -1133,7 +1058,7 @@ impl LiveRuntime {
             // route terminus with no delivery the taps *were* the only
             // consumers, so nothing downstream is lost.
             if forward.is_some() || query.is_some() {
-                self.items_lost += 1;
+                self.metrics.items_lost += 1;
             }
             return;
         }
@@ -1144,15 +1069,15 @@ impl LiveRuntime {
                 .expect("deployment validated against topology");
             let edge = self.topo.edge(edge_id);
             if !edge.up {
-                self.items_lost += 1;
+                self.metrics.items_lost += 1;
                 return;
             }
             let bytes = serialized_size(&item) as u64;
             let tx_us = ((bytes as f64) * 8000.0 / edge.bandwidth_kbps).round() as u64;
-            self.edge_bytes[edge_id] += bytes;
+            self.metrics.edge_bytes[edge_id] += bytes;
             let bucket = ((self.now / self.cfg.bucket_us) as usize)
-                .min(self.edge_bytes_buckets[edge_id].len() - 1);
-            self.edge_bytes_buckets[edge_id][bucket] += bytes;
+                .min(self.metrics.edge_bytes_buckets[edge_id].len() - 1);
+            self.metrics.edge_bytes_buckets[edge_id][bucket] += bytes;
             self.schedule(
                 self.now + self.cfg.link_latency_us + tx_us,
                 EventKind::Arrive {
@@ -1173,7 +1098,7 @@ impl LiveRuntime {
             {
                 // A recovery replay re-sent an output that already reached
                 // the subscriber: exactly-once filtering absorbs it.
-                self.wal_suppressed += 1;
+                self.metrics.wal_suppressed += 1;
                 return;
             }
             let latency = self.now - origin;
@@ -1211,16 +1136,6 @@ impl LiveRuntime {
                     .or_default()
                     .push((origin, item));
             }
-            if self.cfg.wal.is_some() {
-                let count = self.delivered[&query];
-                self.wal_append(
-                    node,
-                    &WalRecord::Delivered {
-                        query: query.clone(),
-                        count,
-                    },
-                );
-            }
             self.trace_line(|_| format!("dlv {query} lat={latency}"));
         }
     }
@@ -1235,25 +1150,12 @@ impl LiveRuntime {
             .join(&self.topo.peer(peer).name)
     }
 
-    /// Appends one record to `peer`'s log, opening the writer lazily (a
-    /// fresh segment per open). I/O failure on the durability path is not
-    /// recoverable mid-simulation: it panics rather than silently running
-    /// without the log it promised.
-    fn wal_append(&mut self, peer: NodeId, record: &WalRecord) {
-        let wal = self.cfg.wal.as_ref().expect("WAL mode");
-        let opts = WalOptions {
-            segment_bytes: wal.segment_bytes,
-            fsync_every: wal.fsync_every,
-        };
-        let dir = wal.dir.join(&self.topo.peer(peer).name);
-        let writer = self.wal_writers[peer]
-            .get_or_insert_with(|| WalWriter::open(dir, opts).expect("open peer WAL"));
-        writer.append(record).expect("append to peer WAL");
-        self.wal_records += 1;
-    }
-
-    /// Durably snapshots one sharing group: its window state, consumed
-    /// input count, and the members' output counters.
+    /// Durably snapshots one sharing group — its window state, consumed
+    /// input count, and the members' output counters — as one record of
+    /// `node`'s log, opening the writer lazily (a fresh segment per open).
+    /// I/O failure on the durability path is not recoverable
+    /// mid-simulation: it panics rather than silently running without the
+    /// log it promised.
     fn wal_checkpoint(&mut self, node: NodeId, group: usize) {
         let members = &self.group(group).members;
         let emits: Vec<(u64, u64)> = members
@@ -1273,8 +1175,17 @@ impl LiveRuntime {
             emits,
             states,
         };
-        self.wal_append(node, &record);
-        self.wal_checkpoints += 1;
+        let wal = self.cfg.wal.as_ref().expect("WAL mode");
+        let opts = WalOptions {
+            segment_bytes: wal.segment_bytes,
+            fsync_every: wal.fsync_every,
+        };
+        let dir = wal.dir.join(&self.topo.peer(node).name);
+        let writer = self.wal_writers[node]
+            .get_or_insert_with(|| WalWriter::open(dir, opts).expect("open peer WAL"));
+        writer.append(&record).expect("append to peer WAL");
+        self.metrics.wal_records += 1;
+        self.metrics.wal_checkpoints += 1;
     }
 
     /// A peer crashed in WAL mode: close its log (a restart opens a fresh
@@ -1318,8 +1229,26 @@ impl LiveRuntime {
                 checkpoints.insert(group, (consumed, emits, states));
             }
         }
+        // The CRC vouches for the bytes, not for whose log this is: a
+        // checkpoint that does not fit the group it would restore (a
+        // previous deployment's directory) makes the log unusable.
+        let live = self.live_groups_at(peer);
+        for &g in &live {
+            let Some((consumed, emits, _)) = checkpoints.get(&(g as u64)) else {
+                continue;
+            };
+            let members = &self.group(g).members;
+            if *consumed > self.history[g].len() as u64
+                || !emits.iter().all(|&(f, _)| members.contains(&(f as usize)))
+            {
+                return Err(dss_wal::WalError::Corrupt {
+                    segment: "<dir>".to_string(),
+                    detail: format!("checkpoint of group {g} does not match the deployed group"),
+                });
+            }
+        }
         let mut total = 0u64;
-        for g in self.live_groups_at(peer) {
+        for g in live {
             let (from, emits, states) =
                 checkpoints
                     .remove(&(g as u64))
@@ -1336,8 +1265,8 @@ impl LiveRuntime {
                 let pool: Vec<(FlowId, dss_engine::OpState)> =
                     states.into_iter().map(|(f, s)| (f as usize, s)).collect();
                 let report = self.groups.dag_mut(g).adopt_states(pool);
-                self.windows_migrated += report.ops_migrated;
-                self.windows_dropped += report.ops_dropped;
+                self.metrics.windows_migrated += report.ops_migrated;
+                self.metrics.windows_dropped += report.ops_dropped;
             }
             // Re-service the retained tail through the restored DAG. The
             // work is real (charged to the peer), but happens in recovery
@@ -1363,7 +1292,7 @@ impl LiveRuntime {
                 total += 1;
             }
             let work = self.groups.dag(g).total_work() - work_before;
-            self.node_work[peer] += work * self.topo.peer(peer).pindex;
+            self.metrics.node_work[peer] += work * self.topo.peer(peer).pindex;
             self.consumed[g] = self.history[g].len() as u64;
             // Seal recovery with a fresh checkpoint: the next crash
             // resumes from here instead of replaying the same tail again.
@@ -1710,6 +1639,7 @@ mod tests {
         let dir = wal_test_dir("corrupt");
         let mut wal = WalConfig::new(&dir);
         wal.segment_bytes = 1; // rotate every record: plenty of segments
+        wal.checkpoint_every = 1;
         let (t, d, deliveries) = one_flow_setup();
         let sp0 = t.expect_node("SP0");
         let cfg = LiveConfig {
@@ -1748,6 +1678,65 @@ mod tests {
             q.delivered
         );
         assert_eq!(q.duplicates, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn foreign_checkpoint_falls_back_instead_of_panicking() {
+        // A log directory left behind by another deployment decodes fine
+        // but names flows this group never had, or a consumed offset past
+        // its history. Recovery must refuse it, not index with it.
+        let foreign = [(0, vec![(10_000, 7)]), (1_000_000, vec![(0, 7)])];
+        for (consumed, emits) in foreign {
+            let dir = wal_test_dir("foreign");
+            let mut old = WalWriter::open(dir.join("SP0"), WalOptions::default()).unwrap();
+            let stale = WalRecord::Checkpoint {
+                group: 0,
+                consumed,
+                emits,
+                states: Vec::new(),
+            };
+            old.append(&stale).unwrap();
+            old.sync().unwrap();
+            drop(old);
+            let mut wal = WalConfig::new(&dir);
+            wal.checkpoint_every = 1000; // this run never supersedes it
+            let (m, items, _) = crash_recover_run(Some(wal), true);
+            assert_eq!(m.wal_fallbacks, 1, "foreign log degrades, no panic");
+            assert!(m.items_lost > 0, "fallback abandons the retained tail");
+            let q = &m.queries["q"];
+            assert!(q.delivered > 0 && q.delivered < 25, "{}", q.delivered);
+            assert_eq!(q.duplicates, 0);
+            let last_origin = items.last().expect("deliveries").0;
+            assert!(
+                last_origin > fault::secs_to_us(20.0),
+                "post-recovery traffic is delivered"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn durable_run_logs_only_checkpoints() {
+        // Nothing is logged that recovery does not read: every record of
+        // every peer log is a checkpoint, and peers hosting no sharing
+        // group keep no log at all.
+        let dir = wal_test_dir("only-checkpoints");
+        let (m, _, _) = crash_recover_run(Some(WalConfig::new(&dir)), true);
+        assert!(m.wal_checkpoints > 0);
+        assert_eq!(m.wal_records, m.wal_checkpoints);
+        let mut on_disk = 0;
+        for peer in std::fs::read_dir(&dir).unwrap() {
+            let peer = peer.unwrap();
+            assert_eq!(peer.file_name(), "SP0", "only the group's host logs");
+            let log = dss_wal::replay(peer.path()).unwrap();
+            assert!(log.is_clean());
+            for rec in &log.records {
+                assert!(matches!(rec, WalRecord::Checkpoint { .. }), "{rec:?}");
+            }
+            on_disk += log.records.len() as u64;
+        }
+        assert_eq!(on_disk, m.wal_records);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -169,10 +169,10 @@ impl LiveRuntime {
             outcome.windows_dropped += report.ops_dropped;
             outcome.items_moved += report.items_moved;
         }
-        self.planned_migrations += 1;
-        self.migration_windows_moved += outcome.windows_moved;
-        self.migration_windows_dropped += outcome.windows_dropped;
-        self.migration_items_moved += outcome.items_moved;
+        self.metrics.planned_migrations += 1;
+        self.metrics.migration_windows_moved += outcome.windows_moved;
+        self.metrics.migration_windows_dropped += outcome.windows_dropped;
+        self.metrics.migration_items_moved += outcome.items_moved;
         self.trace_line(|_| {
             format!(
                 "migrate flows={} moved={} dropped={}",
@@ -203,7 +203,7 @@ impl LiveRuntime {
     /// Counts a re-balance cycle that found its victims busy and backed
     /// off to the next tick instead of migrating mid-flight items.
     pub fn note_rebalance_deferred(&mut self) {
-        self.rebalance_deferred += 1;
+        self.metrics.rebalance_deferred += 1;
         self.trace_line(|_| "rebalance deferred".to_string());
     }
 }

@@ -11,23 +11,18 @@
 //! caller must treat as "no usable log" (fall back to replan-from-
 //! scratch). Nothing in this crate panics on hostile bytes.
 //!
-//! Record kinds ([`WalRecord`]) cover the three things a recovering peer
-//! needs so it can *resume* instead of replan:
+//! Record kinds ([`WalRecord`]) are exactly what a recovery path reads:
 //!
 //! * **Checkpoints** — sink-tagged [`OpState`](dss_engine::OpState)
 //!   snapshots of a sharing group's operator DAG plus the input offset
 //!   they are consistent with and the group's per-flow emit counters.
 //!   Restoring the snapshot and re-fetching only the input tail past the
 //!   offset reproduces the exact pre-crash stream, byte for byte.
-//! * **Charge mutations** — install-charge deltas per flow, so charges
-//!   are reversed from the log instead of recomputed.
-//! * **Progress / delivery high-water marks** — per-(flow, hop) forward
-//!   offsets and per-query delivery counts bounding what downstream may
-//!   already have seen.
-//!
-//! Control-plane records (`Deploy`/`Undeploy`/`RunStart`/`RunDone`) let a
-//! restarted `dss serve` process rebuild its deterministic registration
-//! replica and rejoin an in-flight run.
+//! * **Control-plane records** (`Deploy`/`Undeploy`/`RunStart`/`RunDone`)
+//!   — a restarted `dss serve` process replays them through the planner
+//!   to rebuild its deterministic registration replica (admission state
+//!   included: it is a function of the registration sequence) and rejoin
+//!   an in-flight run.
 
 mod log;
 mod record;

@@ -2,16 +2,15 @@
 //! payload of one CRC frame in a segment file (see [`crate::log`]).
 
 use dss_engine::OpState;
-use dss_proto::wire::{put_str, put_u32, put_u64, Reader};
+use dss_proto::wire::{put_str, put_u64, Reader};
 
 use crate::state_codec::{get_op_state, put_op_state};
 use crate::RecordError;
 
 const TAG_CHECKPOINT: u8 = 1;
-const TAG_PROGRESS: u8 = 2;
-const TAG_DELIVERED: u8 = 3;
-const TAG_CHARGE: u8 = 4;
-const TAG_UNCHARGE: u8 = 5;
+// Tags 2–5 (forwarding/delivery marks, admission charges) are retired:
+// nothing ever replayed them. They stay unassigned so a tag keeps one
+// meaning across every log on disk.
 const TAG_DEPLOY: u8 = 6;
 const TAG_UNDEPLOY: u8 = 7;
 const TAG_RUN_START: u8 = 8;
@@ -39,21 +38,6 @@ pub enum WalRecord {
         /// Sink-tagged operator state snapshots.
         states: Vec<(u64, OpState)>,
     },
-    /// Forwarding high-water mark: the next offset this peer will send
-    /// for `(flow, hop)`. Logged *before* the matching send, so on
-    /// replay everything below the highest logged offset is known to
-    /// have left this peer.
-    Progress { flow: u64, hop: u32, offset: u64 },
-    /// Delivery high-water mark for one subscribed query.
-    Delivered { query: String, count: u64 },
-    /// Install-charge deltas applied when a flow was planned: pairs of
-    /// `(charged peer, cost bits)` (`f64::to_bits`, exact).
-    Charge {
-        flow: u64,
-        deltas: Vec<(String, u64)>,
-    },
-    /// The flow's charges were reversed.
-    Uncharge { flow: u64 },
     /// Control-plane replication: one registration, in coordinator
     /// sequence order (mirrors `dss_proto::Message::Deploy`).
     Deploy {
@@ -95,30 +79,6 @@ impl WalRecord {
                     put_u64(&mut out, *sink);
                     put_op_state(&mut out, state);
                 }
-            }
-            WalRecord::Progress { flow, hop, offset } => {
-                out.push(TAG_PROGRESS);
-                put_u64(&mut out, *flow);
-                put_u32(&mut out, *hop);
-                put_u64(&mut out, *offset);
-            }
-            WalRecord::Delivered { query, count } => {
-                out.push(TAG_DELIVERED);
-                put_str(&mut out, query);
-                put_u64(&mut out, *count);
-            }
-            WalRecord::Charge { flow, deltas } => {
-                out.push(TAG_CHARGE);
-                put_u64(&mut out, *flow);
-                put_u64(&mut out, deltas.len() as u64);
-                for (peer, bits) in deltas {
-                    put_str(&mut out, peer);
-                    put_u64(&mut out, *bits);
-                }
-            }
-            WalRecord::Uncharge { flow } => {
-                out.push(TAG_UNCHARGE);
-                put_u64(&mut out, *flow);
             }
             WalRecord::Deploy {
                 seq,
@@ -178,26 +138,6 @@ impl WalRecord {
                     states,
                 }
             }
-            TAG_PROGRESS => WalRecord::Progress {
-                flow: r.u64()?,
-                hop: r.u32()?,
-                offset: r.u64()?,
-            },
-            TAG_DELIVERED => WalRecord::Delivered {
-                query: r.str()?,
-                count: r.u64()?,
-            },
-            TAG_CHARGE => {
-                let flow = r.u64()?;
-                let n = r.u64()?;
-                let mut deltas = Vec::new();
-                for _ in 0..n {
-                    let peer = r.str()?;
-                    deltas.push((peer, r.u64()?));
-                }
-                WalRecord::Charge { flow, deltas }
-            }
-            TAG_UNCHARGE => WalRecord::Uncharge { flow: r.u64()? },
             TAG_DEPLOY => WalRecord::Deploy {
                 seq: r.u64()?,
                 id: r.str()?,
@@ -225,7 +165,7 @@ mod tests {
     use dss_properties::{AggOp, AggregationSpec, ResultFilter, WindowSpec};
     use dss_xml::{Decimal, Path};
 
-    pub(crate) fn sample_records() -> Vec<WalRecord> {
+    fn sample_records() -> Vec<WalRecord> {
         let spec = AggregationSpec {
             op: AggOp::Sum,
             element: "en".parse::<Path>().unwrap(),
@@ -247,10 +187,6 @@ mod tests {
                 strategy: 2,
                 text: "wxquery { ... }".into(),
             },
-            WalRecord::Charge {
-                flow: 7,
-                deltas: vec![("SP2".into(), 42u64), ("SP5".into(), 7u64)],
-            },
             WalRecord::Checkpoint {
                 group: 3,
                 consumed: 11,
@@ -265,16 +201,12 @@ mod tests {
                     },
                 )],
             },
-            WalRecord::Progress {
-                flow: 7,
-                hop: 2,
-                offset: 5,
+            WalRecord::Checkpoint {
+                group: 4,
+                consumed: 0,
+                emits: vec![(8, 0)],
+                states: Vec::new(),
             },
-            WalRecord::Delivered {
-                query: "q1".into(),
-                count: 3,
-            },
-            WalRecord::Uncharge { flow: 7 },
             WalRecord::Undeploy {
                 seq: 2,
                 id: "q1".into(),

@@ -13,18 +13,6 @@ use dss_wal::{replay, truncate_to_records, WalError, WalOptions, WalRecord, WalW
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
-        (0u64..1000, 0u64..1000, 0u32..8).prop_map(|(flow, offset, hop)| WalRecord::Progress {
-            flow,
-            hop,
-            offset
-        }),
-        ("[a-z]{1,8}", 0u64..1000).prop_map(|(query, count)| WalRecord::Delivered { query, count }),
-        (
-            0u64..1000,
-            prop::collection::vec(("[A-Z]{1,4}", 0u64..=u64::MAX), 0..4)
-        )
-            .prop_map(|(flow, deltas)| WalRecord::Charge { flow, deltas }),
-        (0u64..1000).prop_map(|flow| WalRecord::Uncharge { flow }),
         (
             0u64..1000,
             "[a-z]{1,6}",

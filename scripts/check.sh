@@ -48,11 +48,11 @@ echo "==> widening handoff smoke (delta migration moves O(delta), not O(window))
 # not byte-identical to a continuous run of the widened chain.
 ./target/release/widening_smoke
 
-echo "==> crash recovery smoke (resume-not-replan, exactly-once across crash points)"
+echo "==> crash recovery smoke (resume-not-replan, exactly-once at every record boundary)"
 # Crashes + recovers the durable victim across checkpoint cadences and
-# crash points; fails on any lost/duplicated delivery, any degradation
-# to replan-from-scratch, or a denser checkpoint cadence paying a larger
-# replay extent. DSS_BENCH_FULL=1 sweeps every WAL record boundary.
+# every record boundary of its log; fails on any lost/duplicated delivery,
+# any degradation to replan-from-scratch, or a denser checkpoint cadence
+# paying a larger replay extent.
 ./target/release/recovery_smoke
 
 echo "==> flash-crowd rebalance smoke (migrations are loss-free and cut steady p99)"

@@ -11,9 +11,8 @@
 //! deliver byte-for-byte what an uncrashed run delivers: zero dropped,
 //! zero duplicated.
 //!
-//! The full matrix (every boundary) runs under `DSS_BENCH_FULL=1`; the
-//! default keeps CI fast by sampling boundaries, always including the
-//! degenerate ends (0 = the whole log lost, N = nothing lost).
+//! Every record is a checkpoint, so every boundary is a distinct recovery
+//! state: 0 = the whole log lost (cold replay), N = nothing lost.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -127,25 +126,6 @@ fn run(tag: &str, crash: bool, keep: Option<u64>, keep_dir: bool) -> (Run, PathB
     )
 }
 
-/// The crash-point boundaries to test: all of them under
-/// `DSS_BENCH_FULL=1`, otherwise a sample that always includes 0, 1 and
-/// the full log.
-fn boundaries(n: u64) -> Vec<u64> {
-    if std::env::var("DSS_BENCH_FULL").is_ok_and(|v| v == "1") {
-        return (0..=n).collect();
-    }
-    let stride = (n / 8).max(1);
-    let mut b: Vec<u64> = (0..=n).step_by(stride as usize).collect();
-    for edge in [0, 1, n.saturating_sub(1), n] {
-        if !b.contains(&edge) {
-            b.push(edge);
-        }
-    }
-    b.sort_unstable();
-    b.dedup();
-    b
-}
-
 #[test]
 fn every_wal_record_boundary_preserves_exactly_once() {
     // Baseline: the same deployment, never crashed.
@@ -168,7 +148,7 @@ fn every_wal_record_boundary_preserves_exactly_once() {
         "probe recovery must re-service history"
     );
 
-    for i in boundaries(n) {
+    for i in 0..=n {
         let (m, _) = run(&format!("keep-{i}"), true, Some(i), false);
         assert_eq!(
             m.failovers, 0,
