@@ -368,37 +368,37 @@ pub struct Contiguity {
     eos: bool,
 }
 
-/// What [`Contiguity::admit`] let through from one incoming batch.
-#[derive(Debug, PartialEq)]
+/// What [`Contiguity::admit`] lets through from one incoming batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Accepted {
-    /// Offset of the first admitted item.
-    pub offset: u64,
-    /// The admitted (not-yet-seen) tail of the batch.
-    pub items: Vec<Node>,
+    /// How many leading items of the batch were seen before: the admitted
+    /// tail starts that many items in, at offset `offset + skip`.
+    pub skip: usize,
     /// `true` if this batch carries the first end-of-stream marker.
     pub eos: bool,
 }
 
 impl Contiguity {
-    /// Admits exactly the tail of the batch past the contiguous high-water
-    /// mark. A batch starting *beyond* the mark is a gap — dropped whole,
-    /// because the only way gaps arise is a sender that kept emitting
-    /// while this receiver was down, and the recovery resend covers that
-    /// range. Returns `None` when nothing in the batch is new.
-    pub fn admit(&mut self, offset: u64, mut items: Vec<Node>, eos: bool) -> Option<Accepted> {
+    /// Admits exactly the tail of a batch of `len` items at `offset` that
+    /// lies past the contiguous high-water mark, by saying how many items
+    /// to skip — the filter never touches the items, so it works the same
+    /// on trees and on encoded bytes. A batch starting *beyond* the mark
+    /// is a gap — dropped whole, because the only way gaps arise is a
+    /// sender that kept emitting while this receiver was down, and the
+    /// recovery resend covers that range. Returns `None` when nothing in
+    /// the batch is new.
+    pub fn admit(&mut self, offset: u64, len: usize, eos: bool) -> Option<Accepted> {
         if offset > self.next {
             return None;
         }
-        let end = offset.saturating_add(items.len() as u64);
+        let end = offset.saturating_add(len as u64);
         let fresh_eos = eos && !self.eos;
         if end <= self.next && !fresh_eos {
             return None;
         }
         // Entirely re-seen items leave only the first marker to admit.
-        items.drain(..items.len().min((self.next - offset) as usize));
         let accepted = Accepted {
-            offset: self.next,
-            items,
+            skip: len.min((self.next - offset) as usize),
             eos: fresh_eos,
         };
         self.next = self.next.max(end);
@@ -665,56 +665,53 @@ mod tests {
     #[test]
     fn contiguity_admits_contiguous_batches_and_drops_gaps() {
         let mut mark = Contiguity::default();
-        let a = mark.admit(0, items(0..4), false).unwrap();
-        assert_eq!((a.offset, a.items, a.eos), (0, items(0..4), false));
+        let admitted = |skip, eos| Some(Accepted { skip, eos });
+        assert_eq!(mark.admit(0, 4, false), admitted(0, false));
         // A batch starting beyond the mark is a gap: dropped whole, and the
         // mark does not move — the batch that closes the gap is admitted.
-        assert!(mark.admit(6, items(6..9), false).is_none());
-        let a = mark.admit(4, items(4..6), false).unwrap();
-        assert_eq!((a.offset, a.items), (4, items(4..6)));
+        assert_eq!(mark.admit(6, 3, false), None);
+        assert_eq!(mark.admit(4, 2, false), admitted(0, false));
         // Marks are per input: a fresh one starts at zero.
-        assert!(Contiguity::default().admit(4, items(4..6), false).is_none());
-        assert!(Contiguity::default().admit(0, items(0..1), false).is_some());
+        assert_eq!(Contiguity::default().admit(4, 2, false), None);
+        assert!(Contiguity::default().admit(0, 1, false).is_some());
     }
 
     #[test]
     fn contiguity_admits_exactly_the_unseen_tail_of_an_overlap() {
         let mut mark = Contiguity::default();
-        mark.admit(0, items(0..5), false).unwrap();
-        let a = mark.admit(2, items(2..9), false).unwrap();
-        assert_eq!((a.offset, a.items, a.eos), (5, items(5..9), false));
+        mark.admit(0, 5, false).unwrap();
+        // Items 2..9 against a mark of 5: skip three, admit 5..9.
+        let a = mark.admit(2, 7, false).unwrap();
+        assert_eq!((a.skip, a.eos), (3, false));
         // Entirely re-seen: nothing new, nothing admitted.
-        assert!(mark.admit(0, items(0..9), false).is_none());
-        assert!(mark.admit(8, items(8..9), false).is_none());
-        assert!(mark.admit(9, Vec::new(), false).is_none());
+        assert_eq!(mark.admit(0, 9, false), None);
+        assert_eq!(mark.admit(8, 1, false), None);
+        assert_eq!(mark.admit(9, 0, false), None);
     }
 
     #[test]
     fn contiguity_takes_end_of_stream_once() {
+        let admitted = |skip, eos| Some(Accepted { skip, eos });
         // An EOS-only batch on an input that never carried an item.
         let mut mark = Contiguity::default();
-        let a = mark.admit(0, Vec::new(), true).unwrap();
-        assert_eq!((a.offset, a.items.len(), a.eos), (0, 0, true));
-        assert!(mark.admit(0, Vec::new(), true).is_none());
+        assert_eq!(mark.admit(0, 0, true), admitted(0, true));
+        assert_eq!(mark.admit(0, 0, true), None);
 
         // Items and marker in one batch; a resend of it is dropped, and a
         // resend whose items are all seen still delivers a first marker.
         let mut mark = Contiguity::default();
-        let a = mark.admit(0, items(0..3), false).unwrap();
-        assert!(!a.eos);
-        let a = mark.admit(0, items(0..3), true).unwrap();
-        assert_eq!((a.offset, a.items.len(), a.eos), (3, 0, true));
-        assert!(mark.admit(0, items(0..3), true).is_none());
-        assert!(mark.admit(3, Vec::new(), true).is_none());
+        assert_eq!(mark.admit(0, 3, false), admitted(0, false));
+        assert_eq!(mark.admit(0, 3, true), admitted(3, true));
+        assert_eq!(mark.admit(0, 3, true), None);
+        assert_eq!(mark.admit(3, 0, true), None);
         // A marker beyond the mark is a gap like any other batch.
-        assert!(Contiguity::default().admit(2, Vec::new(), true).is_none());
+        assert_eq!(Contiguity::default().admit(2, 0, true), None);
 
         // A restarted sender replays everything with the marker on the
         // last batch: the unseen tail and the marker arrive together, once.
         let mut mark = Contiguity::default();
-        mark.admit(0, items(0..2), false).unwrap();
-        let a = mark.admit(0, items(0..5), true).unwrap();
-        assert_eq!((a.offset, a.items, a.eos), (2, items(2..5), true));
-        assert!(mark.admit(0, items(0..5), true).is_none());
+        mark.admit(0, 2, false).unwrap();
+        assert_eq!(mark.admit(0, 5, true), admitted(2, true));
+        assert_eq!(mark.admit(0, 5, true), None);
     }
 }

@@ -11,6 +11,11 @@
 //! `len` counts payload bytes only; `crc` is the CRC-32 of the payload.
 //! A length prefix above [`MAX_FRAME_LEN`] is rejected *before* any
 //! allocation, so a corrupted or hostile prefix can never balloon memory.
+//!
+//! Both directions work in a caller's buffer: [`write_frame_with`] has the
+//! payload built in place behind the header, and [`read_frame_into`]
+//! reads into a buffer a connection reuses for every frame — a relayed
+//! item batch is copied once, from the one into the other.
 
 use std::io::{self, Read, Write};
 
@@ -56,21 +61,31 @@ pub fn write_frame_with(
     w.flush().map_err(ProtoError::Io)
 }
 
-/// Reads one frame payload.
+/// Reads one frame payload into a fresh buffer — [`read_frame_into`] for
+/// a caller that keeps what it reads.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
 /// frames). End-of-stream *inside* a frame — a torn write — is
 /// [`ProtoError::Truncated`]; a payload whose CRC does not match its
 /// header is [`ProtoError::BadCrc`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut header = [0u8; 8];
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// Reads one frame payload into `payload`, replacing its contents — a
+/// connection's reader reuses one buffer for every frame it receives.
+/// `Ok(false)` is a clean end-of-stream; errors as for [`read_frame`],
+/// after which the buffer's contents are unspecified.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool, ProtoError> {
+    let mut header = [0u8; HEADER_LEN];
     // Distinguish "closed between frames" from "closed mid-header".
     let mut got = 0;
     while got < header.len() {
         match r.read(&mut header[got..]) {
             Ok(0) => {
                 return if got == 0 {
-                    Ok(None)
+                    Ok(false)
                 } else {
                     Err(ProtoError::Truncated)
                 };
@@ -85,22 +100,22 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::TooLarge { len: len as u64 });
     }
-    let mut payload = vec![0u8; len as usize];
-    match r.read_exact(&mut payload) {
+    payload.resize(len as usize, 0);
+    match r.read_exact(payload) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
             return Err(ProtoError::Truncated);
         }
         Err(e) => return Err(ProtoError::Io(e)),
     }
-    let found = crc32(&payload);
+    let found = crc32(payload);
     if found != expected_crc {
         return Err(ProtoError::BadCrc {
             expected: expected_crc,
             found,
         });
     }
-    Ok(Some(payload))
+    Ok(true)
 }
 
 #[cfg(test)]

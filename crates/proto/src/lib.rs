@@ -6,6 +6,13 @@
 //! length-prefixed UTF-8 strings, and a lossless binary [`Node`] encoding
 //! (see [`wire`]).
 //!
+//! Two ways to read a payload. [`Message::decode`] yields an owned
+//! [`Message`], trees and all — what a consumer wants. A relay wants less:
+//! for the two item-carrying messages, [`BatchView::parse`] validates the
+//! payload exactly as `decode` would (it is the parser `decode` runs for
+//! them) but builds nothing, and the items can be forwarded as the bytes
+//! they arrived as (see [`batch`]).
+//!
 //! Versioning: a connection opens with [`Message::Hello`] carrying the
 //! sender's supported `[min_version, max_version]` range; the acceptor
 //! picks the highest mutually supported version ([`negotiate`]) and
@@ -18,12 +25,14 @@ use std::io::{Read, Write};
 
 use dss_xml::Node;
 
+pub mod batch;
 pub mod crc;
 pub mod frame;
 pub mod wire;
 
+pub use batch::{BatchDest, BatchHeader, BatchView, ItemsView};
 pub use crc::crc32;
-pub use frame::{read_frame, write_frame, write_frame_with, MAX_FRAME_LEN};
+pub use frame::{read_frame, read_frame_into, write_frame, write_frame_with, MAX_FRAME_LEN};
 
 use wire::{put_bool, put_nodes, put_str, put_u16, put_u32, put_u64, Reader};
 
@@ -224,8 +233,8 @@ const TAG_ACK: u8 = 9;
 const TAG_START_RUN: u8 = 10;
 const TAG_RUN_GO: u8 = 11;
 const TAG_RUN_DONE: u8 = 12;
-const TAG_STREAM_ITEM_BATCH: u8 = 13;
-const TAG_DELIVER: u8 = 14;
+pub(crate) const TAG_STREAM_ITEM_BATCH: u8 = 13;
+pub(crate) const TAG_DELIVER: u8 = 14;
 const TAG_METRICS_PULL: u8 = 15;
 const TAG_METRICS_SNAPSHOT: u8 = 16;
 const TAG_FAULT: u8 = 17;
@@ -428,12 +437,16 @@ impl Message {
                 eos,
                 items,
             } => {
-                out.push(TAG_STREAM_ITEM_BATCH);
-                put_u64(out, *run);
-                put_u64(out, *flow);
-                put_u32(out, *hop);
-                put_u64(out, *offset);
-                put_bool(out, *eos);
+                BatchHeader {
+                    run: *run,
+                    dest: BatchDest::Hop {
+                        flow: *flow,
+                        hop: *hop,
+                    },
+                    offset: *offset,
+                    eos: *eos,
+                }
+                .encode_into(out);
                 put_nodes(out, items);
             }
             Message::Deliver {
@@ -443,11 +456,13 @@ impl Message {
                 eos,
                 items,
             } => {
-                out.push(TAG_DELIVER);
-                put_u64(out, *run);
-                put_str(out, query);
-                put_u64(out, *offset);
-                put_bool(out, *eos);
+                BatchHeader {
+                    run: *run,
+                    dest: BatchDest::Query(query),
+                    offset: *offset,
+                    eos: *eos,
+                }
+                .encode_into(out);
                 put_nodes(out, items);
             }
             Message::MetricsPull => out.push(TAG_METRICS_PULL),
@@ -534,21 +549,10 @@ impl Message {
                 run: r.u64()?,
                 delivered: r.u64()?,
             },
-            TAG_STREAM_ITEM_BATCH => Message::StreamItemBatch {
-                run: r.u64()?,
-                flow: r.u64()?,
-                hop: r.u32()?,
-                offset: r.u64()?,
-                eos: r.bool()?,
-                items: r.nodes()?,
-            },
-            TAG_DELIVER => Message::Deliver {
-                run: r.u64()?,
-                query: r.str()?,
-                offset: r.u64()?,
-                eos: r.bool()?,
-                items: r.nodes()?,
-            },
+            // The two item-carrying messages have one parser, the view.
+            TAG_STREAM_ITEM_BATCH | TAG_DELIVER => {
+                return Ok(BatchView::parse(payload)?.materialise());
+            }
             TAG_METRICS_PULL => Message::MetricsPull,
             TAG_METRICS_SNAPSHOT => Message::MetricsSnapshot { json: r.str()? },
             TAG_FAULT => Message::Fault {

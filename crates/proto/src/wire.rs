@@ -2,6 +2,8 @@
 //! and a lossless binary [`Node`] encoding. Decoding is defensive — every
 //! malformed input maps to a typed [`DecodeError`], never a panic, and
 //! nesting is capped at the same depth bound the XML parser enforces.
+//! Nodes can be decoded into trees ([`Reader::nodes`]) or merely
+//! validated in place ([`Reader::skip_nodes`]); both are one walk.
 
 use dss_xml::Node;
 
@@ -129,54 +131,103 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub fn str(&mut self) -> Result<String, DecodeError> {
+    /// A length-prefixed UTF-8 string, borrowed from the payload.
+    pub fn str_ref(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u64()? as usize;
         if len > self.buf.len() - self.pos {
             return Err(DecodeError::UnexpectedEnd);
         }
         let bytes = &self.buf[self.pos..self.pos + len];
         self.pos += len;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| DecodeError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    pub fn str(&mut self) -> Result<String, DecodeError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A declared element count. A hostile count cannot exceed what the
+    /// remaining bytes could possibly encode (every node needs >= 3
+    /// bytes), so nothing is ever sized by a count the payload cannot back.
+    fn count(&mut self) -> Result<usize, DecodeError> {
+        let count = self.u64()? as usize;
+        if count > (self.buf.len() - self.pos) / 3 + 1 {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        Ok(count)
     }
 
     pub fn node(&mut self) -> Result<Node, DecodeError> {
         self.node_at(0)
     }
 
-    fn node_at(&mut self, depth: usize) -> Result<Node, DecodeError> {
+    /// The one node parser. What it builds is the caller's choice — a
+    /// [`Node`] tree or nothing — so validating and materialising cannot
+    /// disagree about which bytes are a node.
+    fn node_at<B: Build>(&mut self, depth: usize) -> Result<B, DecodeError> {
         if depth >= MAX_NODE_DEPTH {
             return Err(DecodeError::TooDeep);
         }
-        let name = self.str()?;
-        let mut node = Node::empty(name);
+        let mut node = B::open(self.str_ref()?);
         if self.bool()? {
-            node.set_text(self.str()?);
+            node.text(self.str_ref()?);
         }
-        let count = self.u64()? as usize;
-        // A hostile count cannot exceed what the remaining bytes could
-        // possibly encode (every child needs >= 3 bytes).
-        if count > (self.buf.len() - self.pos) / 3 + 1 {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        for _ in 0..count {
-            node.push_child(self.node_at(depth + 1)?);
+        for _ in 0..self.count()? {
+            node.child(self.node_at(depth + 1)?);
         }
         Ok(node)
     }
 
     pub fn nodes(&mut self) -> Result<Vec<Node>, DecodeError> {
-        let count = self.u64()? as usize;
-        if count > (self.buf.len() - self.pos) / 3 + 1 {
-            return Err(DecodeError::UnexpectedEnd);
-        }
+        let count = self.count()?;
         let mut out = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
             out.push(self.node()?);
         }
         Ok(out)
     }
+
+    /// Validates a node list without building it — [`Reader::nodes`]'s
+    /// walk, the same checks in the same order, hence the same verdict and
+    /// the same error — and returns its boundary index: item `i` occupies
+    /// `index[i]..index[i + 1]` of the payload (so the index has one entry
+    /// more than there are items).
+    pub fn skip_nodes(&mut self) -> Result<Vec<usize>, DecodeError> {
+        let count = self.count()?;
+        let mut index = Vec::with_capacity(count.min(1024) + 1);
+        for _ in 0..count {
+            index.push(self.pos);
+            self.node_at::<()>(0)?;
+        }
+        index.push(self.pos);
+        Ok(index)
+    }
+}
+
+/// What [`Reader::node_at`] makes of the node it walks.
+trait Build {
+    fn open(name: &str) -> Self;
+    fn text(&mut self, text: &str);
+    fn child(&mut self, child: Self);
+}
+
+impl Build for Node {
+    fn open(name: &str) -> Node {
+        Node::empty(name)
+    }
+    fn text(&mut self, text: &str) {
+        self.set_text(text);
+    }
+    fn child(&mut self, child: Node) {
+        self.push_child(child);
+    }
+}
+
+/// Validation only.
+impl Build for () {
+    fn open(_: &str) {}
+    fn text(&mut self, _: &str) {}
+    fn child(&mut self, _: ()) {}
 }
 
 #[cfg(test)]

@@ -4,12 +4,18 @@
 //! torn writes, truncated frames, flipped payload bits, oversized length
 //! prefixes, random garbage — is rejected with a typed error, never a
 //! panic.
+//!
+//! The second half is the hostile-bytes suite for [`BatchView`], the
+//! validating pass a relay forwards on: it must accept and reject exactly
+//! the payloads the tree-building decoder does, with the same error, and
+//! whatever it forwards must decode to the items it claims.
 
 use proptest::prelude::*;
 
+use dss_proto::wire::{put_u64, Reader, MAX_NODE_DEPTH};
 use dss_proto::{
-    read_frame, read_message, write_message, DecodeError, Message, ProtoError, Role, WireStrategy,
-    MAX_FRAME_LEN,
+    read_frame, read_message, write_message, BatchDest, BatchHeader, BatchView, DecodeError,
+    Message, ProtoError, Role, WireStrategy, MAX_FRAME_LEN,
 };
 use dss_xml::Node;
 
@@ -46,6 +52,44 @@ fn arb_strategy() -> impl Strategy<Value = WireStrategy> {
         Just(WireStrategy::DataShipping),
         Just(WireStrategy::QueryShipping),
         Just(WireStrategy::StreamSharing),
+    ]
+}
+
+/// The two item-carrying messages — what [`BatchView`] parses.
+fn arb_batch() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        (
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            0u32..=u32::MAX,
+            0u64..=u64::MAX,
+            any::<bool>(),
+            prop::collection::vec(arb_node(), 0..5)
+        )
+            .prop_map(
+                |(run, flow, hop, offset, eos, items)| Message::StreamItemBatch {
+                    run,
+                    flow,
+                    hop,
+                    offset,
+                    eos,
+                    items,
+                }
+            ),
+        (
+            0u64..=u64::MAX,
+            arb_text(),
+            0u64..=u64::MAX,
+            any::<bool>(),
+            prop::collection::vec(arb_node(), 0..5)
+        )
+            .prop_map(|(run, query, offset, eos, items)| Message::Deliver {
+                run,
+                query,
+                offset,
+                eos,
+                items,
+            }),
     ]
 }
 
@@ -103,38 +147,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (0u64..=u64::MAX).prop_map(|seq| Message::Ack { seq }),
         (0u64..=u64::MAX, 0u64..=u64::MAX)
             .prop_map(|(run, delivered)| Message::RunDone { run, delivered }),
-        (
-            0u64..=u64::MAX,
-            0u64..=u64::MAX,
-            0u32..=u32::MAX,
-            0u64..=u64::MAX,
-            any::<bool>(),
-            prop::collection::vec(arb_node(), 0..5)
-        )
-            .prop_map(
-                |(run, flow, hop, offset, eos, items)| Message::StreamItemBatch {
-                    run,
-                    flow,
-                    hop,
-                    offset,
-                    eos,
-                    items,
-                }
-            ),
-        (
-            0u64..=u64::MAX,
-            arb_text(),
-            0u64..=u64::MAX,
-            any::<bool>(),
-            prop::collection::vec(arb_node(), 0..5)
-        )
-            .prop_map(|(run, query, offset, eos, items)| Message::Deliver {
-                run,
-                query,
-                offset,
-                eos,
-                items,
-            }),
+        arb_batch(),
         (
             0u64..=u64::MAX,
             0u64..=u64::MAX,
@@ -260,6 +273,324 @@ proptest! {
                 prop_assert!(false, "truncation misread as trailing bytes")
             }
             Err(_) => {}
+        }
+    }
+}
+
+// ---- hostile bytes against the view ------------------------------------
+
+/// The tree-building decoder for the two item-carrying tags, as
+/// `Message::decode` was before it ran the view: the reference the view's
+/// verdicts are held to. It builds every tree as it goes, so it shares
+/// the view's field order but none of its no-tree walk.
+fn tree_decode(payload: &[u8]) -> Result<Message, DecodeError> {
+    let mut r = Reader::new(payload);
+    let msg = match r.u8()? {
+        13 => Message::StreamItemBatch {
+            run: r.u64()?,
+            flow: r.u64()?,
+            hop: r.u32()?,
+            offset: r.u64()?,
+            eos: r.bool()?,
+            items: r.nodes()?,
+        },
+        14 => Message::Deliver {
+            run: r.u64()?,
+            query: r.str()?,
+            offset: r.u64()?,
+            eos: r.bool()?,
+            items: r.nodes()?,
+        },
+        tag => return Err(DecodeError::BadTag(tag)),
+    };
+    r.finish()?;
+    Ok(msg)
+}
+
+/// The view, the public decoder and the tree-building reference reach
+/// the same verdict on `payload` — the same message or the same error.
+fn assert_same_verdict(payload: &[u8]) -> Result<Message, DecodeError> {
+    let viewed = BatchView::parse(payload).map(|v| v.materialise());
+    let reference = tree_decode(payload);
+    assert_eq!(viewed, reference, "view vs tree decoder on {payload:02x?}");
+    if BatchView::is_batch(payload) {
+        assert_eq!(
+            Message::decode(payload),
+            reference,
+            "decode on {payload:02x?}"
+        );
+    }
+    reference
+}
+
+/// A `StreamItemBatch` payload whose item list is the given raw bytes.
+fn batch_with_item_list(list: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    BatchHeader {
+        run: 7,
+        dest: BatchDest::Hop { flow: 3, hop: 2 },
+        offset: 40,
+        eos: false,
+    }
+    .encode_into(&mut payload);
+    payload.extend_from_slice(list);
+    payload
+}
+
+/// One encoded node: `name`, optional `text`, a *declared* child count,
+/// then whatever child bytes the caller appends.
+fn raw_node(name: &[u8], text: Option<&[u8]>, declared_children: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u64(&mut out, name.len() as u64);
+    out.extend_from_slice(name);
+    match text {
+        Some(t) => {
+            out.push(1);
+            put_u64(&mut out, t.len() as u64);
+            out.extend_from_slice(t);
+        }
+        None => out.push(0),
+    }
+    put_u64(&mut out, declared_children);
+    out
+}
+
+fn item_list(declared_items: u64, items: &[Vec<u8>]) -> Vec<u8> {
+    let mut list = Vec::new();
+    put_u64(&mut list, declared_items);
+    for item in items {
+        list.extend_from_slice(item);
+    }
+    list
+}
+
+#[test]
+fn view_rejects_a_lying_item_count_like_the_decoder() {
+    let leaf = raw_node(b"e", Some(b"1.5"), 0);
+    let honest = batch_with_item_list(&item_list(2, &[leaf.clone(), leaf.clone()]));
+    assert!(assert_same_verdict(&honest).is_ok());
+    // Fewer declared than present: the rest is trailing bytes.
+    assert_eq!(
+        assert_same_verdict(&batch_with_item_list(&item_list(
+            1,
+            &[leaf.clone(), leaf.clone()]
+        ))),
+        Err(DecodeError::TrailingBytes {
+            remaining: leaf.len()
+        })
+    );
+    // More declared than present, by one or absurdly: the payload ends
+    // first — and an absurd count sizes nothing.
+    for lie in [3, 1 << 40, u64::MAX] {
+        assert_eq!(
+            assert_same_verdict(&batch_with_item_list(&item_list(
+                lie,
+                &[leaf.clone(), leaf.clone()]
+            ))),
+            Err(DecodeError::UnexpectedEnd),
+            "declared {lie}"
+        );
+    }
+}
+
+#[test]
+fn view_rejects_a_lying_child_count_like_the_decoder() {
+    let leaf = raw_node(b"e", None, 0);
+    for lie in [1, 2, 1 << 40, u64::MAX] {
+        let mut parent = raw_node(b"photon", None, lie);
+        if lie == 2 {
+            parent.extend_from_slice(&leaf); // one child short
+        }
+        assert_eq!(
+            assert_same_verdict(&batch_with_item_list(&item_list(1, &[parent]))),
+            Err(DecodeError::UnexpectedEnd),
+            "declared {lie}"
+        );
+    }
+    // Fewer children declared than present: the surplus child is read as
+    // the next item, and then there is nothing left for the count to lie
+    // about — trailing bytes.
+    let mut parent = raw_node(b"photon", None, 0);
+    parent.extend_from_slice(&leaf);
+    assert_eq!(
+        assert_same_verdict(&batch_with_item_list(&item_list(1, &[parent]))),
+        Err(DecodeError::TrailingBytes {
+            remaining: leaf.len()
+        })
+    );
+}
+
+#[test]
+fn view_rejects_nesting_beyond_the_depth_cap_like_the_decoder() {
+    let chain = |depth: usize| {
+        let mut item = Vec::new();
+        for _ in 0..depth - 1 {
+            item.extend_from_slice(&raw_node(b"d", None, 1));
+        }
+        item.extend_from_slice(&raw_node(b"leaf", None, 0));
+        batch_with_item_list(&item_list(1, &[item]))
+    };
+    assert!(assert_same_verdict(&chain(MAX_NODE_DEPTH)).is_ok());
+    assert_eq!(
+        assert_same_verdict(&chain(MAX_NODE_DEPTH + 1)),
+        Err(DecodeError::TooDeep)
+    );
+}
+
+#[test]
+fn view_rejects_an_out_of_range_hop_like_the_decoder() {
+    let mut payload = vec![13];
+    put_u64(&mut payload, 7); // run
+    put_u64(&mut payload, 3); // flow
+    put_u64(&mut payload, u32::MAX as u64 + 1); // hop
+    put_u64(&mut payload, 0); // offset
+    payload.push(0); // eos
+    put_u64(&mut payload, 0); // no items
+    assert_eq!(
+        assert_same_verdict(&payload),
+        Err(DecodeError::VarintOverflow)
+    );
+}
+
+#[test]
+fn view_rejects_invalid_utf8_like_the_decoder() {
+    let bad = [0xC3, 0x28];
+    for item in [raw_node(&bad, None, 0), raw_node(b"e", Some(&bad), 0), {
+        let mut parent = raw_node(b"photon", None, 1);
+        parent.extend_from_slice(&raw_node(b"e", Some(&bad), 0));
+        parent
+    }] {
+        assert_eq!(
+            assert_same_verdict(&batch_with_item_list(&item_list(1, &[item]))),
+            Err(DecodeError::BadUtf8)
+        );
+    }
+    // And in the `Deliver` header's query name.
+    let mut payload = vec![14];
+    put_u64(&mut payload, 7);
+    put_u64(&mut payload, bad.len() as u64);
+    payload.extend_from_slice(&bad);
+    put_u64(&mut payload, 0);
+    payload.push(0);
+    put_u64(&mut payload, 0);
+    assert_eq!(assert_same_verdict(&payload), Err(DecodeError::BadUtf8));
+}
+
+#[test]
+fn view_rejects_bad_bools_and_foreign_tags() {
+    let mut bad_text_flag = raw_node(b"e", None, 0);
+    bad_text_flag[2] = 2; // the has-text byte
+    assert_eq!(
+        assert_same_verdict(&batch_with_item_list(&item_list(1, &[bad_text_flag]))),
+        Err(DecodeError::BadBool(2))
+    );
+    // The view is for the two batch tags only.
+    let shutdown = Message::Shutdown.encode();
+    assert!(!BatchView::is_batch(&shutdown));
+    assert_eq!(
+        BatchView::parse(&shutdown).map(|v| v.materialise()),
+        Err(DecodeError::BadTag(shutdown[0]))
+    );
+    assert!(!BatchView::is_batch(&[]));
+    assert_eq!(
+        BatchView::parse(&[]).map(|v| v.materialise()),
+        Err(DecodeError::UnexpectedEnd)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// What the view materialises is what the decoder decodes, and both
+    /// are the message that was encoded.
+    #[test]
+    fn view_materialises_what_decode_decodes(msg in arb_batch()) {
+        let payload = msg.encode();
+        prop_assert!(BatchView::is_batch(&payload));
+        prop_assert_eq!(assert_same_verdict(&payload), Ok(msg));
+    }
+
+    /// Every truncation point of a batch payload: the same typed error
+    /// from the view as from the decoder.
+    #[test]
+    fn view_agrees_on_every_truncation(msg in arb_batch()) {
+        let payload = msg.encode();
+        for cut in 0..payload.len() {
+            prop_assert!(assert_same_verdict(&payload[..cut]).is_err(), "cut at {}", cut);
+        }
+    }
+
+    /// Every single-bit flip of a batch payload (what a CRC collision or
+    /// a buggy sender could hand the parser): the same verdict from the
+    /// view as from the decoder, whatever it is.
+    #[test]
+    fn view_agrees_on_every_payload_bit_flip(msg in arb_batch()) {
+        let mut payload = msg.encode();
+        for i in 0..payload.len() {
+            for bit in 0..8 {
+                payload[i] ^= 1 << bit;
+                let _ = assert_same_verdict(&payload);
+                payload[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    /// Bytes behind a complete batch are trailing bytes to both.
+    #[test]
+    fn view_agrees_on_trailing_bytes(
+        msg in arb_batch(),
+        extra in prop::collection::vec(0u8..=u8::MAX, 1..8),
+    ) {
+        let mut payload = msg.encode();
+        payload.extend_from_slice(&extra);
+        prop_assert_eq!(
+            assert_same_verdict(&payload),
+            Err(DecodeError::TrailingBytes { remaining: extra.len() })
+        );
+    }
+
+    /// Cutting the view at any item boundary and re-framing it — fresh
+    /// header, the item bytes as received — decodes to exactly the items
+    /// from that boundary on, under the advanced offset.
+    #[test]
+    fn view_sliced_at_any_item_boundary_reframes_to_that_sub_range(
+        msg in arb_batch(),
+        hop in 0u32..=u32::MAX,
+    ) {
+        let payload = msg.encode();
+        let view = BatchView::parse(&payload).unwrap();
+        let items = match &msg {
+            Message::StreamItemBatch { items, .. } | Message::Deliver { items, .. } => items,
+            other => panic!("not a batch: {other:?}"),
+        };
+        prop_assert_eq!(view.items.len(), items.len());
+        // One boundary past the end too: skipping never overruns.
+        for skip in 0..=items.len() + 1 {
+            let mut rest = view.items.clone();
+            rest.skip(skip);
+            let kept = &items[skip.min(items.len())..];
+            prop_assert_eq!(rest.len(), kept.len());
+            prop_assert_eq!(&rest.materialise(), kept);
+            let header = BatchHeader {
+                run: view.header.run,
+                dest: BatchDest::Hop { flow: 9, hop },
+                offset: view.header.offset.wrapping_add(skip as u64),
+                eos: view.header.eos,
+            };
+            let mut reframed = Vec::new();
+            header.encode_into(&mut reframed);
+            rest.encode_into(&mut reframed);
+            prop_assert_eq!(
+                Message::decode(&reframed),
+                Ok(Message::StreamItemBatch {
+                    run: header.run,
+                    flow: 9,
+                    hop,
+                    offset: header.offset,
+                    eos: header.eos,
+                    items: kept.to_vec(),
+                })
+            );
         }
     }
 }

@@ -70,7 +70,10 @@ impl Client {
         let conn = Arc::new(conn);
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let _ = wire::read_loop(reader, move |msg| tx.send(msg).is_ok());
+            // The client is the consumer: every batch it receives becomes trees.
+            let _ = wire::read_loop(reader, move |incoming| {
+                tx.send(incoming.into_message()).is_ok()
+            });
         });
         Ok(Client {
             peer_name: conn.name.clone(),

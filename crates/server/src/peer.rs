@@ -19,8 +19,12 @@
 //! item can reach a process whose groups don't exist yet. Items travel as
 //! `StreamItemBatch` frames along each flow's planned route, batched
 //! naturally: a worker sends per flow whatever one pass over its queued
-//! input produced (see [`crate::data`]), and every later hop forwards the
-//! batch as received. A full mailbox blocks the enqueuing reader thread,
+//! input produced (see [`crate::data`]). Every later hop receives the
+//! batch as a validated view over the frame's bytes and relays those
+//! bytes behind a fresh header — next `hop`, `Deliver` at the end of the
+//! route — never decoding an item it does not itself consume: trees are
+//! built only for a hosted tap ([`Plane::advance`]) and at the client. A
+//! full mailbox blocks the enqueuing reader thread,
 //! which stops reading the connection, fills the kernel receive window,
 //! and stalls the sender — TCP backpressure mapped onto the
 //! bounded-mailbox semantics. The run
@@ -36,14 +40,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dss_core::StreamGlobe;
-use dss_network::{Contiguity, FlowId, Next, Topology};
-use dss_proto::{negotiate, read_message, Message, Role, WireStrategy, VERSION_MAX, VERSION_MIN};
+use dss_network::{Contiguity, FlowId, Topology};
+use dss_proto::{
+    negotiate, read_message, BatchDest, BatchHeader, BatchView, Message, ProtoError, Role,
+    WireStrategy, VERSION_MAX, VERSION_MIN,
+};
 use dss_wal::{WalOptions, WalRecord, WalWriter};
-use dss_xml::Node;
 
-use crate::data::Plane;
+use crate::data::{Exit, Items, Plane};
 use crate::spec::{NetMap, ServeSpec};
-use crate::wire::{self, Conn};
+use crate::wire::{self, Conn, Incoming};
 use crate::{to_core_strategy, ServerError};
 
 /// How long the coordinator waits for the fleet to ack a broadcast.
@@ -483,7 +489,14 @@ impl Server {
 
     // ---- message dispatch ------------------------------------------
 
-    fn handle(self: &Arc<Self>, msg: Message, conn: &Arc<Conn>, ctx: &ConnCtx) -> bool {
+    fn handle(self: &Arc<Self>, incoming: Incoming<'_>, conn: &Arc<Conn>, ctx: &ConnCtx) -> bool {
+        let msg = match incoming {
+            Incoming::Batch(view) => {
+                self.on_batch(view);
+                return true;
+            }
+            Incoming::Message(msg) => msg,
+        };
         match msg {
             Message::Subscribe {
                 id,
@@ -548,35 +561,6 @@ impl Server {
                 let srv = Arc::clone(self);
                 std::thread::spawn(move || srv.teardown_plane(run));
             }
-            Message::StreamItemBatch {
-                run,
-                flow,
-                hop,
-                offset,
-                eos,
-                items,
-            } => {
-                let plane = self.plane.lock().unwrap().clone();
-                match plane {
-                    Some(p) if p.run == run => {
-                        // Admit only what this process has not seen: a
-                        // restarted upstream replays its whole output and
-                        // the contiguity filter keeps delivery exactly-once.
-                        if let Some(a) = p.admit(flow as FlowId, hop as usize, offset, items, eos) {
-                            self.advance(&p, flow as FlowId, hop as usize, a.offset, a.items, a.eos)
-                        }
-                    }
-                    Some(p) => p.note_stale(),
-                    None => {}
-                }
-            }
-            Message::Deliver {
-                run,
-                query,
-                offset,
-                eos,
-                items,
-            } => self.deliver_local(run, query, offset, items, eos),
             Message::ResumeFrom {
                 run,
                 flow,
@@ -618,6 +602,33 @@ impl Server {
             }
         }
         true
+    }
+
+    /// An item batch off the wire, still bytes: a `StreamItemBatch` takes
+    /// its route step here, a `Deliver` goes to its subscriber.
+    fn on_batch(self: &Arc<Self>, view: BatchView<'_>) {
+        let BatchView { header, items } = view;
+        let mut items = Items::View(items);
+        let (flow, hop) = match header.dest {
+            BatchDest::Hop { flow, hop } => (flow as FlowId, hop as usize),
+            BatchDest::Query(query) => {
+                return self.deliver_local(header.run, query, header.offset, items, header.eos)
+            }
+        };
+        let plane = self.plane.lock().unwrap().clone();
+        match plane {
+            Some(p) if p.run == header.run => {
+                // Admit only what this process has not seen: a restarted
+                // upstream replays its whole output and the contiguity
+                // filter keeps delivery exactly-once.
+                let admitted = p.admit(flow, hop, header.offset, &mut items, header.eos);
+                if let Some((offset, eos)) = admitted {
+                    p.advance(flow, hop, offset, items, eos, &self.egress());
+                }
+            }
+            Some(p) => p.note_stale(),
+            None => {}
+        }
     }
 
     // ---- control plane ---------------------------------------------
@@ -744,20 +755,38 @@ impl Server {
         }
     }
 
-    /// This process's share of the data plane for `run`, its workers
-    /// feeding what their flows originate into [`Self::advance`] at hop 0.
-    fn build_plane(self: &Arc<Self>, run: u64) -> Arc<Plane> {
+    /// Where a batch goes when it leaves this process
+    /// ([`Plane::advance`]): over the wire to the next hop's process, or —
+    /// off the end of a delivery flow's route — to the coordinator, which
+    /// hands it to the subscriber.
+    fn egress(self: &Arc<Self>) -> impl Fn(&Plane, Exit<'_>, u64, Items<'_>, bool) + Clone {
         let srv = Arc::clone(self);
+        move |plane: &Plane, exit, offset, items, eos| match exit {
+            Exit::Hop { flow, hop } => srv.forward_wire(plane, flow, hop, offset, items, eos),
+            Exit::Deliver { query } if srv.is_coordinator() => {
+                srv.deliver_local(plane.run, query, offset, items, eos)
+            }
+            Exit::Deliver { .. } => {
+                let header = exit.header(plane.run, offset, eos);
+                srv.note_batch(&items);
+                let to = srv.map.coordinator();
+                if let Err(e) = srv.send_batch_to(to, &header, |buf| items.encode_into(buf)) {
+                    eprintln!("dss serve: delivery relay failed: {e}");
+                }
+            }
+        }
+    }
+
+    /// This process's share of the data plane for `run`.
+    fn build_plane(self: &Arc<Self>, run: u64) -> Arc<Plane> {
         Plane::build(
             &self.globe.lock().unwrap(),
-            |node| self.map.owner_of(node) == self.me,
+            &self.my_name,
             run,
             self.mailbox_capacity,
             self.is_durable(),
             self.source_delay,
-            move |plane: &Plane, flow, offset, items, eos| {
-                srv.advance(plane, flow, 0, offset, items, eos)
-            },
+            self.egress(),
         )
     }
 
@@ -837,12 +866,14 @@ impl Server {
         let _ = conn.send(&Message::Ack { seq: run });
     }
 
+    /// A batch of `query`'s results at the coordinator: admit what the
+    /// query's delivery sequence has not seen, pass it to the subscriber.
     fn deliver_local(
         self: &Arc<Self>,
         run: u64,
-        query: String,
+        query: &str,
         offset: u64,
-        items: Vec<Node>,
+        mut items: Items<'_>,
         eos: bool,
     ) {
         let mut guard = self.run.lock().unwrap();
@@ -855,15 +886,14 @@ impl Server {
         // Same contiguity mark the data plane keeps per hop: a restarted
         // delivery peer re-derives and re-sends its whole output; the
         // subscriber must still see each item exactly once.
-        let mark = active.recv.entry(query.clone()).or_default();
-        let Some(admitted) = mark.admit(offset, items, eos) else {
+        let mark = active.recv.entry(query.to_string()).or_default();
+        let Some((offset, eos)) = items.admit(mark, offset, eos) else {
             return;
         };
-        let (offset, items, eos) = (admitted.offset, admitted.items, admitted.eos);
         if !items.is_empty() {
             dss_telemetry::counter_add(
                 "runtime.delivered",
-                || vec![("query", query.clone())],
+                || vec![("query", query.to_string())],
                 items.len() as u64,
             );
         }
@@ -871,24 +901,19 @@ impl Server {
         // Results go to the subscriber's connection; if it is gone (the
         // CLI subscribes and disconnects), the run requester gets them.
         let client = {
-            let subscriber = self.subs.lock().unwrap().get(&query).copied();
+            let subscriber = self.subs.lock().unwrap().get(query).copied();
             let clients = self.clients.lock().unwrap();
             subscriber
                 .and_then(|id| clients.get(&id).cloned())
                 .or_else(|| active.requester.and_then(|id| clients.get(&id).cloned()))
         };
         if let Some(c) = client {
-            self.note_frame(items.len());
-            let _ = c.send(&Message::Deliver {
-                run,
-                query: query.clone(),
-                offset,
-                eos,
-                items,
-            });
+            self.note_batch(&items);
+            let header = Exit::Deliver { query }.header(run, offset, eos);
+            let _ = c.send_batch(&header, |buf| items.encode_into(buf));
         }
         if eos {
-            active.pending.remove(&query);
+            active.pending.remove(query);
             if active.pending.is_empty() {
                 let (id, requester, delivered) = (active.id, active.requester, active.delivered);
                 drop(guard);
@@ -949,94 +974,36 @@ impl Server {
 
     // ---- data plane ------------------------------------------------
 
-    /// A batch of `flow`'s output (offsets `offset..`) arriving at
-    /// `route[hop]` (which this process owns): take the core's route step
-    /// — feed the taps there, then forward or deliver. The offset is
-    /// stamped once at the flow's origin and rides along unchanged — every
-    /// hop of a flow sees the identical item sequence, so one numbering
-    /// fits all of them.
-    fn advance(
-        self: &Arc<Self>,
-        plane: &Plane,
-        flow: FlowId,
-        hop: usize,
-        offset: u64,
-        items: Vec<Node>,
-        eos: bool,
-    ) {
-        if items.is_empty() && !eos {
-            return;
-        }
-        let step = plane.groups.step(flow, hop);
-        debug_assert_eq!(self.map.owner_of(step.node), self.me);
-        if let Some(group) = step.tap {
-            plane.feed(group, &items, eos);
-        }
-        match step.next {
-            Next::Forward { to, hop } => {
-                let next_owner = self.map.owner_of(to);
-                if next_owner == self.me {
-                    self.advance(plane, flow, hop, offset, items, eos);
-                } else {
-                    self.forward_wire(plane, flow, hop, offset, items, eos, next_owner);
-                }
-            }
-            Next::Deliver { query } if self.is_coordinator() => {
-                self.deliver_local(plane.run, query.to_string(), offset, items, eos);
-            }
-            Next::Deliver { query } => {
-                self.note_frame(items.len());
-                let msg = Message::Deliver {
-                    run: plane.run,
-                    query: query.to_string(),
-                    offset,
-                    eos,
-                    items,
-                };
-                if let Err(e) = self.send_to(self.map.coordinator(), &msg) {
-                    eprintln!("dss serve: delivery relay failed: {e}");
-                }
-            }
-            Next::End => {}
-        }
-    }
-
     /// Sends one batch across the wire to the process owning
     /// `route[hop]`. In durable mode the batch is appended to the
-    /// `(flow, hop)` sent-log first, under the entry lock held across
-    /// the send — a concurrent recovery resend for the same crossing
-    /// takes the same lock, so the receiver's contiguity filter always
-    /// observes resend-then-tail order, never an interleaving.
-    #[allow(clippy::too_many_arguments)]
+    /// `(flow, hop)` sent-log first — encoded, as it crosses — under the
+    /// entry lock held across the send: a concurrent recovery resend for
+    /// the same crossing takes the same lock, so the receiver's
+    /// contiguity filter always observes resend-then-tail order, never an
+    /// interleaving.
     fn forward_wire(
         self: &Arc<Self>,
         plane: &Plane,
         flow: FlowId,
         hop: usize,
         offset: u64,
-        items: Vec<Node>,
+        items: Items<'_>,
         eos: bool,
-        dest: usize,
     ) {
+        let dest = self.map.owner_of(plane.groups.flows()[flow].route[hop]);
+        let header = Exit::Hop { flow, hop }.header(plane.run, offset, eos);
         let retained = plane.sent_entry(flow, hop);
-        let guard = retained.as_ref().map(|entry| {
-            let mut e = entry.lock().unwrap();
-            debug_assert_eq!(offset as usize, e.items.len());
-            e.items.extend(items.iter().cloned());
-            e.eos |= eos;
-            e
-        });
-        self.note_frame(items.len());
-        let msg = Message::StreamItemBatch {
-            run: plane.run,
-            flow: flow as u64,
-            hop: hop as u32,
-            offset,
-            eos,
-            items,
+        let mut entry = retained.as_ref().map(|e| e.lock().unwrap());
+        self.note_batch(&items);
+        let result = match entry.as_mut() {
+            // What is retained is what is sent: encoded once.
+            Some(entry) => {
+                let batch = entry.push(offset, &items, eos);
+                self.send_batch_to(dest, &header, |buf| buf.extend_from_slice(&batch.items))
+            }
+            None => self.send_batch_to(dest, &header, |buf| items.encode_into(buf)),
         };
-        let result = self.send_to(dest, &msg);
-        drop(guard);
+        drop(entry);
         if let Err(e) = result {
             eprintln!("dss serve: batch forward to process {dest} failed: {e}");
             // Durable mode keeps the batch in the sent-log: the receiver
@@ -1046,6 +1013,17 @@ impl Server {
                 plane.note_stale();
             }
         }
+    }
+
+    /// Sends one batch frame to process `i`: `header`, then the item list
+    /// as `items` writes it.
+    fn send_batch_to(
+        self: &Arc<Self>,
+        i: usize,
+        header: &BatchHeader<'_>,
+        items: impl Fn(&mut Vec<u8>),
+    ) -> Result<(), ServerError> {
+        self.send_with(i, |conn| conn.send_batch(header, &items))
     }
 
     /// Records how many items one outgoing `StreamItemBatch`/`Deliver`
@@ -1058,14 +1036,39 @@ impl Server {
         );
     }
 
-    /// Sends `msg` to process `i`, redialing once on failure. A cached
-    /// connection to a peer that was SIGKILLed and restarted is a dead
-    /// socket: drop it (if nobody else already replaced it) and let
-    /// `conn_to` dial fresh — `wire::connect` keeps retrying until the
-    /// restarted process listens again (up to `ACK_TIMEOUT`).
+    /// [`Self::note_frame`] for a live batch, which also counts the items
+    /// that leave as the bytes they arrived as — beside
+    /// `server.items_materialised`, how much of what this peer receives it
+    /// merely passes on.
+    fn note_batch(&self, items: &Items<'_>) {
+        self.note_frame(items.len());
+        if let Items::View(view) = items {
+            dss_telemetry::counter_add(
+                "server.items_relayed",
+                || vec![("peer", self.my_name.clone())],
+                view.len() as u64,
+            );
+        }
+    }
+
+    /// Sends `msg` to process `i`.
     fn send_to(self: &Arc<Self>, i: usize, msg: &Message) -> Result<(), ServerError> {
+        self.send_with(i, |conn| conn.send(msg))
+    }
+
+    /// Runs `send` on the connection to process `i`, redialing once on
+    /// failure. A cached connection to a peer that was SIGKILLed and
+    /// restarted is a dead socket: drop it (if nobody else already
+    /// replaced it) and let `conn_to` dial fresh — `wire::connect` keeps
+    /// retrying until the restarted process listens again (up to
+    /// `ACK_TIMEOUT`).
+    fn send_with(
+        self: &Arc<Self>,
+        i: usize,
+        send: impl Fn(&Conn) -> Result<(), ProtoError>,
+    ) -> Result<(), ServerError> {
         let conn = self.conn_to(i)?;
-        match conn.send(msg) {
+        match send(&conn) {
             Ok(()) => Ok(()),
             Err(first) => {
                 {
@@ -1078,34 +1081,28 @@ impl Server {
                     }
                 }
                 let fresh = self.conn_to(i).map_err(|_| ServerError::Proto(first))?;
-                fresh.send(msg).map_err(ServerError::Proto)
+                send(&fresh).map_err(ServerError::Proto)
             }
         }
     }
 
     /// Replays this process's retained output for wire-crossing
-    /// `(flow, hop)` from `offset` on, in batches of at most `BATCH_CAP`
-    /// items like live traffic — a restarted downstream asked for it via
-    /// `ResumeFrom`. The entry lock is held across all the sends so live
-    /// traffic for the same crossing queues behind the resend instead of
-    /// racing it.
+    /// `(flow, hop)` to a restarted downstream that asked for it via
+    /// `ResumeFrom`: the batches it sent, as it sent them, from the one
+    /// containing `offset` on. The entry lock is held across all the
+    /// sends so live traffic for the same crossing queues behind the
+    /// resend instead of racing it.
     fn resend(self: &Arc<Self>, plane: &Plane, flow: FlowId, hop: usize, offset: u64) {
         let Some(entry) = plane.sent_entry(flow, hop) else {
             return;
         };
         let dest = self.map.owner_of(plane.groups.flows()[flow].route[hop]);
         let e = entry.lock().unwrap();
-        for (offset, items, eos) in e.batches_from(offset as usize) {
-            self.note_frame(items.len());
-            let msg = Message::StreamItemBatch {
-                run: plane.run,
-                flow: flow as u64,
-                hop: hop as u32,
-                offset,
-                eos,
-                items: items.to_vec(),
-            };
-            if let Err(err) = self.send_to(dest, &msg) {
+        for batch in e.batches_from(offset) {
+            self.note_frame(batch.len);
+            let header = Exit::Hop { flow, hop }.header(plane.run, batch.offset, batch.eos);
+            let sent = self.send_batch_to(dest, &header, |buf| buf.extend_from_slice(&batch.items));
+            if let Err(err) = sent {
                 eprintln!("dss serve: recovery resend of flow {flow} hop {hop} failed: {err}");
                 return;
             }

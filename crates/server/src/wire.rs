@@ -4,13 +4,23 @@
 //! order (the writer mutex serializes frames), and the single reader
 //! thread on the other end dispatches in arrival order — together that is
 //! the per-flow FIFO the byte-exactness argument rests on.
+//!
+//! The read loop reads every frame into one buffer it reuses and hands
+//! item batches on as validated [`BatchView`]s over that buffer, not as
+//! trees ([`Incoming`]): whether anything is materialised is up to the
+//! handler. [`Conn::send_batch`] is the matching way out — a header in
+//! front of an item list the caller writes, which for a relayed batch is
+//! a copy of the bytes it received.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dss_proto::{read_message, write_message, Message, ProtoError, Role, VERSION_MAX, VERSION_MIN};
+use dss_proto::{
+    read_frame_into, read_message, write_frame_with, write_message, BatchHeader, BatchView,
+    Message, ProtoError, Role, VERSION_MAX, VERSION_MIN,
+};
 
 use crate::ServerError;
 
@@ -41,30 +51,66 @@ impl Conn {
         write_message(&mut *w, msg)
     }
 
+    /// Sends one framed `StreamItemBatch` or `Deliver`: `header`, then the
+    /// item list (count, then the items) as `items` writes it.
+    pub(crate) fn send_batch(
+        &self,
+        header: &BatchHeader<'_>,
+        items: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ProtoError> {
+        let mut w = self.writer.lock().unwrap();
+        write_frame_with(&mut *w, |buf| {
+            header.encode_into(buf);
+            items(buf);
+        })
+    }
+
     /// Forces the peer's reader out of its blocking read (used on exit).
     pub fn hangup(&self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
-/// Reads messages until close/error, handing each to `handle`; `handle`
+/// One received frame, as [`read_loop`] hands it on.
+pub enum Incoming<'a> {
+    /// A `StreamItemBatch` or `Deliver`: validated, its items still the
+    /// bytes in the connection's read buffer.
+    Batch(BatchView<'a>),
+    /// Any other message, decoded.
+    Message(Message),
+}
+
+impl Incoming<'_> {
+    /// The owned message, materialising a batch — for a receiver that
+    /// consumes every item it is sent (the client).
+    pub fn into_message(self) -> Message {
+        match self {
+            Incoming::Batch(view) => view.materialise(),
+            Incoming::Message(msg) => msg,
+        }
+    }
+}
+
+/// Reads frames until close/error, handing each to `handle`; `handle`
 /// returns `false` to stop. Returns the terminating error, if any. Takes
 /// the `BufReader` (not the raw stream) so bytes buffered during the
 /// handshake are never lost.
 pub fn read_loop(
     mut r: BufReader<TcpStream>,
-    mut handle: impl FnMut(Message) -> bool,
+    mut handle: impl FnMut(Incoming<'_>) -> bool,
 ) -> Result<(), ProtoError> {
-    loop {
-        match read_message(&mut r)? {
-            None => return Ok(()),
-            Some(msg) => {
-                if !handle(msg) {
-                    return Ok(());
-                }
-            }
+    let mut payload = Vec::new();
+    while read_frame_into(&mut r, &mut payload)? {
+        let incoming = if BatchView::is_batch(&payload) {
+            Incoming::Batch(BatchView::parse(&payload)?)
+        } else {
+            Incoming::Message(Message::decode(&payload)?)
+        };
+        if !handle(incoming) {
+            break;
         }
     }
+    Ok(())
 }
 
 /// Dials `addr`, retrying until `timeout` (the fleet boots in parallel, so

@@ -15,6 +15,27 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run"
 cargo bench --no-run
 
+echo "==> frozen benchmark harness builds and passes its golden tests against the workspace"
+# bench/ is frozen for any PR that claims a gain (BENCHMARK.json `paths`)
+# and a workspace of its own, so nothing above compiles it: a break of the
+# public API it uses (Message, Conn, Client, ...) would otherwise surface
+# only in the benchmark pipeline. Same target directory as bench/run.sh.
+# Cargo re-resolves bench/Cargo.lock in place (it predates PR 15's
+# dependency cut); put the committed file back so the gate leaves bench/
+# untouched.
+bench_lock=$(mktemp)
+cp bench/Cargo.lock "$bench_lock"
+bench_ok=0
+{
+    CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+        cargo build --release --manifest-path bench/Cargo.toml &&
+        CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+            cargo test --manifest-path bench/Cargo.toml
+} || bench_ok=$?
+cp "$bench_lock" bench/Cargo.lock
+rm -f "$bench_lock"
+[ "$bench_ok" -eq 0 ] || exit "$bench_ok"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

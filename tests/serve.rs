@@ -12,7 +12,10 @@ use std::path::Path;
 use std::time::Duration;
 
 use data_stream_sharing::core::{Strategy, StreamGlobe};
-use data_stream_sharing::server::{Client, ClientEvent, ClusterOptions, LocalCluster, ServeSpec};
+use data_stream_sharing::network::GroupTable;
+use data_stream_sharing::server::{
+    Client, ClientEvent, ClusterOptions, LocalCluster, NetMap, ServeSpec,
+};
 use data_stream_sharing::xml::writer::node_to_string;
 use dss_proto::WireStrategy;
 use dss_wxquery::queries;
@@ -169,6 +172,10 @@ fn loopback_figure2_is_byte_exact_against_the_simulator() {
         snapshot.contains("server.frame_items"),
         "live snapshot should report how many items its frames carry"
     );
+    assert!(
+        snapshot.contains("server.items_relayed"),
+        "the coordinator passes deliveries on as the bytes it received"
+    );
 
     client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
@@ -221,6 +228,43 @@ fn scenario1_completes_byte_exact_at_the_default_mailbox_capacity() {
     }
     assert!(total > 2_000, "scenario 1 delivers more than it replays");
     assert_eq!(out.delivered as usize, total, "fleet-wide delivered count");
+
+    // A super-peer that hosts no operator only passes bytes on: its live
+    // snapshot counts relayed items and not one materialised; one that
+    // hosts taps fed over the wire counts both.
+    let map = NetMap::new(sys.topology());
+    let hosts_no_group = |i: usize| {
+        let hosted = GroupTable::build(sys.deployment(), |n| map.owner_of(n) == i);
+        hosted.groups().is_empty()
+    };
+    let metrics_of = |i: usize| {
+        let mut probe = Client::connect(&map.addr(&spec, i), "probe", FLEET_TIMEOUT)
+            .unwrap_or_else(|e| panic!("dialing process {i}: {e}"));
+        let snapshot = probe.metrics().expect("metrics pull");
+        probe.goodbye();
+        snapshot
+    };
+    let relays: Vec<usize> = (1..map.process_count())
+        .filter(|&i| hosts_no_group(i))
+        .collect();
+    let relayed: Vec<String> = relays.iter().map(|&i| metrics_of(i)).collect();
+    assert!(
+        relayed.iter().any(|m| m.contains("server.items_relayed")),
+        "scenario 1 routes through a pure-relay super-peer ({relays:?})"
+    );
+    for (i, snapshot) in relays.iter().zip(&relayed) {
+        assert!(
+            !snapshot.contains("server.items_materialised"),
+            "process {i} hosts no operator yet built trees"
+        );
+    }
+    let consumers = (1..map.process_count()).filter(|&i| !hosts_no_group(i));
+    assert!(
+        consumers
+            .map(metrics_of)
+            .any(|m| m.contains("server.items_materialised")),
+        "some tap is fed over the wire"
+    );
 
     client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
