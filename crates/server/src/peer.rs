@@ -12,6 +12,17 @@
 //! planner ⇒ identical deployments and sharing decisions everywhere, so
 //! plans and operator graphs never cross the wire — only the query text.
 //!
+//! ## Connections
+//!
+//! One acceptor thread per process blocks in `accept`
+//! ([`wire::accept_loop`]) and hands each connection to a reader thread
+//! (`Server::inbound`: handshake, then [`wire::read_loop`]). Outbound
+//! connections are dialed on demand by `Server::conn_to` — the
+//! coordinator's at its first broadcast, a peer's when the first batch of
+//! a run has to cross — one per directed pair, redialed once if a send
+//! finds the socket dead. The main thread does no I/O: it waits for a
+//! shutdown path to finish ([`serve`]).
+//!
 //! ## Data plane: batch replay runs
 //!
 //! `StartRun` is two-phase: every process builds its share of the data
@@ -58,6 +69,10 @@ const ACK_TIMEOUT: Duration = Duration::from_secs(30);
 const RUN_DRAIN_TIMEOUT: Duration = Duration::from_secs(300);
 /// `Ack.seq` used for the unsequenced `Shutdown` broadcast.
 const SHUTDOWN_SEQ: u64 = 0;
+/// How often the main thread looks at the SIGINT/SIGTERM latch while it
+/// waits for shutdown (a signal handler may only store a flag, so nothing
+/// can wake the wait for it).
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
 
 /// Configuration of one `dss serve` process.
 #[derive(Debug, Clone)]
@@ -137,7 +152,10 @@ struct Server {
     run: Mutex<Option<ActiveRun>>,
     run_cv: Condvar,
     shutting_down: AtomicBool,
-    done: AtomicBool,
+    /// Set (and `done_cv` notified) when shutdown has completed: `serve`
+    /// waits on it.
+    done: Mutex<bool>,
+    done_cv: Condvar,
     mailbox_capacity: usize,
     metrics_out: Option<PathBuf>,
     /// Control-plane write-ahead log (None = not durable).
@@ -274,7 +292,6 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
     })?;
     let addr = map.addr(&opts.spec, me);
     let listener = TcpListener::bind(&addr).map_err(ServerError::Io)?;
-    listener.set_nonblocking(true).map_err(ServerError::Io)?;
     let n = map.process_count();
     let server = Arc::new(Server {
         spec: opts.spec,
@@ -295,7 +312,8 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
         run: Mutex::new(None),
         run_cv: Condvar::new(),
         shutting_down: AtomicBool::new(false),
-        done: AtomicBool::new(false),
+        done: Mutex::new(false),
+        done_cv: Condvar::new(),
         mailbox_capacity: opts.mailbox_capacity,
         metrics_out: opts.metrics_out,
         wal,
@@ -320,27 +338,27 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
         std::thread::spawn(move || srv.rejoin_run(&plane));
     }
 
+    // The acceptor blocks in `accept` and is never joined: `serve` is only
+    // ever the body of `dss serve`, so returning from it ends the process
+    // and the thread with it.
+    let srv = Arc::clone(&server);
+    std::thread::spawn(move || {
+        wire::accept_loop(listener, move |stream| Arc::clone(&srv).inbound(stream))
+    });
+
+    // This thread does no I/O: it sleeps until a shutdown path reports
+    // completion, waking otherwise only to look at the signal latch.
     let mut signal_handled = false;
-    while !server.done.load(Ordering::SeqCst) {
+    let mut done = server.done.lock().unwrap();
+    while !*done {
         if crate::signal::triggered() && !signal_handled {
             signal_handled = true;
             let srv = Arc::clone(&server);
             std::thread::spawn(move || srv.on_signal());
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let srv = Arc::clone(&server);
-                std::thread::spawn(move || srv.inbound(stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => {
-                eprintln!("dss serve: accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
+        done = server.done_cv.wait_timeout(done, SIGNAL_POLL).unwrap().0;
     }
+    drop(done);
 
     // Kick every blocked reader so their threads unwind.
     for c in server.peer_conns.lock().unwrap().iter().flatten() {
@@ -431,7 +449,14 @@ impl Server {
             return Ok(c);
         }
         let addr = self.map.addr(&self.spec, i);
+        let dialed = Instant::now();
         let (conn, reader) = wire::connect(&addr, Role::Peer, &self.my_name, ACK_TIMEOUT)?;
+        // What a first contact cost, `connect()` call to `HelloAck` read.
+        dss_telemetry::histogram_record(
+            "server.dial_ms",
+            || vec![("peer", self.my_name.clone())],
+            dialed.elapsed().as_secs_f64() * 1e3,
+        );
         let conn = Arc::new(conn);
         {
             let mut guard = self.peer_conns.lock().unwrap();
@@ -590,7 +615,7 @@ impl Server {
                     // A directly-addressed peer drains and stops alone.
                     self.local_shutdown();
                     let _ = conn.send(&Message::Ack { seq: SHUTDOWN_SEQ });
-                    self.done.store(true, Ordering::SeqCst);
+                    self.finish();
                 }
             }
             Message::Goodbye => return false,
@@ -1170,7 +1195,7 @@ impl Server {
         if let Some(conn) = reply {
             let _ = conn.send(&Message::Ack { seq: SHUTDOWN_SEQ });
         }
-        self.done.store(true, Ordering::SeqCst);
+        self.finish();
     }
 
     /// Drains any local plane and flushes the final metrics snapshot.
@@ -1190,8 +1215,14 @@ impl Server {
             self.coordinated_shutdown(None);
         } else {
             self.local_shutdown();
-            self.done.store(true, Ordering::SeqCst);
+            self.finish();
         }
+    }
+
+    /// Shutdown has completed: wake `serve`, which returns.
+    fn finish(&self) {
+        *self.done.lock().unwrap() = true;
+        self.done_cv.notify_all();
     }
 }
 

@@ -1,6 +1,7 @@
 //! Minimal SIGINT/SIGTERM latch, hand-rolled (no libc crate): the handler
-//! only sets an atomic flag; the accept loop polls it and runs the same
-//! drain-and-flush path a wire `Shutdown` takes.
+//! only sets an atomic flag; `serve`'s main thread looks at it between
+//! timed waits for shutdown and runs the same drain-and-flush path a wire
+//! `Shutdown` takes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -36,6 +36,10 @@ cp "$bench_lock" bench/Cargo.lock
 rm -f "$bench_lock"
 [ "$bench_ok" -eq 0 ] || exit "$bench_ok"
 
+echo "==> pairs runner self-test (table arithmetic on canned result lines; runs no benchmark)"
+./scripts/bench_pairs.sh --help > /dev/null
+./scripts/bench_pairs.sh --self-test
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use data_stream_sharing::core::{Strategy, StreamGlobe};
 use data_stream_sharing::network::GroupTable;
@@ -252,6 +252,10 @@ fn scenario1_completes_byte_exact_at_the_default_mailbox_capacity() {
         relayed.iter().any(|m| m.contains("server.items_relayed")),
         "scenario 1 routes through a pure-relay super-peer ({relays:?})"
     );
+    assert!(
+        relayed.iter().any(|m| m.contains("server.dial_ms")),
+        "a relay dialed its next hop and says what the dial cost"
+    );
     for (i, snapshot) in relays.iter().zip(&relayed) {
         assert!(
             !snapshot.contains("server.items_materialised"),
@@ -266,6 +270,72 @@ fn scenario1_completes_byte_exact_at_the_default_mailbox_capacity() {
         "some tap is fed over the wire"
     );
 
+    client.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
+/// Connection set-up is event-driven: every process answers a dial from a
+/// blocking acceptor thread of its own, so the first `subscribe` — seven
+/// cold coordinator → peer dials behind it — returns, and all eight
+/// processes go on answering new connections *while a run is in flight*
+/// (the acceptor shares nothing with the data plane).
+#[test]
+fn every_process_answers_a_dial_while_a_run_is_in_flight() {
+    const SOURCE_DELAY_MS: u64 = 2;
+    let scenario = dss_rass::Scenario::scenario1(42);
+    let paced = Duration::from_millis(SOURCE_DELAY_MS * scenario.streams[0].items.len() as u64);
+    let mut spec = ServeSpec::new("scenario1").unwrap();
+    spec.port_base = pick_port_base(8);
+    let cluster = LocalCluster::spawn_with(
+        Path::new(env!("CARGO_BIN_EXE_dss")),
+        &spec,
+        &ClusterOptions {
+            // Pace the source so the run outlasts the probes by seconds.
+            source_delay_ms: Some(SOURCE_DELAY_MS),
+            ..ClusterOptions::default()
+        },
+    )
+    .expect("fleet spawns");
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+    for q in &scenario.queries {
+        client
+            .subscribe(&q.id, &q.text, &q.peer, WireStrategy::StreamSharing)
+            .unwrap_or_else(|e| panic!("subscribing {} failed: {e}", q.id));
+    }
+    let run_requested = Instant::now();
+    client.start_run().expect("run starts");
+    match client.next_event(RUN_TIMEOUT).expect("first delivery") {
+        ClientEvent::Deliver { .. } => {}
+        ClientEvent::RunDone { .. } => panic!("run finished before any delivery"),
+    }
+
+    let map = NetMap::new(spec.build_globe().topology());
+    assert_eq!(map.process_count(), 8);
+    for i in 0..map.process_count() {
+        let mut probe = Client::connect(&map.addr(&spec, i), "probe", FLEET_TIMEOUT)
+            .unwrap_or_else(|e| panic!("process {i} did not answer a dial mid-run: {e}"));
+        let snapshot = probe
+            .metrics()
+            .unwrap_or_else(|e| panic!("process {i} did not answer a metrics pull mid-run: {e}"));
+        dss_telemetry::json::parse(&snapshot)
+            .unwrap_or_else(|e| panic!("process {i}'s snapshot is not JSON: {e:?}"));
+        probe.goodbye();
+    }
+
+    // The source pauses after every photon it replays, so the run cannot
+    // end sooner than `paced` after it was asked for: probes done by then
+    // were all answered mid-run.
+    assert!(
+        run_requested.elapsed() < paced,
+        "the probes outlasted the paced run"
+    );
+    loop {
+        if let ClientEvent::RunDone { .. } = client.next_event(RUN_TIMEOUT).expect("run completes")
+        {
+            break;
+        }
+    }
     client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
 }
@@ -523,4 +593,55 @@ fn shutdown_mid_run_drains_without_losing_deliveries() {
             .unwrap_or_else(|e| panic!("snapshot {path:?} is not valid JSON: {e:?}"));
     }
     std::fs::remove_dir_all(&metrics_dir).ok();
+}
+
+/// SIGTERM takes the drain-and-flush path a wire `Shutdown` takes: the
+/// handler only sets a latch, which `serve`'s main thread — otherwise
+/// asleep until a shutdown path wakes it — looks at between timed waits.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_a_peer_cleanly_and_flushes_its_metrics() {
+    let metrics =
+        std::env::temp_dir().join(format!("dss-sigterm-test-{}.json", std::process::id()));
+    std::fs::remove_file(&metrics).ok();
+    let mut spec = ServeSpec::new("example").unwrap();
+    spec.port_base = pick_port_base(8);
+    let map = NetMap::new(spec.build_globe().topology());
+    let mut peer = std::process::Command::new(env!("CARGO_BIN_EXE_dss"))
+        .args(["serve", "example", "--peer", "SP1", "--port-base"])
+        .arg(spec.port_base.to_string())
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .stdin(std::process::Stdio::null())
+        .spawn()
+        .expect("peer spawns");
+    // Listening, and idle in its wait, before the signal arrives.
+    let mut probe = Client::connect(&map.addr(&spec, 1), "probe", FLEET_TIMEOUT).expect("dials");
+    probe.metrics().expect("metrics pull");
+    probe.goodbye();
+
+    let sent = std::process::Command::new("kill")
+        .args(["-TERM", &peer.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(sent.success());
+    // A peer that ignores the signal must fail this test, not hang it.
+    let deadline = Instant::now() + FLEET_TIMEOUT;
+    let exit = loop {
+        if let Some(exit) = peer.try_wait().expect("peer is waitable") {
+            break exit;
+        }
+        if Instant::now() >= deadline {
+            peer.kill().ok();
+            panic!("peer still running {FLEET_TIMEOUT:?} after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        exit.success(),
+        "SIGTERM must end in a clean exit, got {exit}"
+    );
+    let text = std::fs::read_to_string(&metrics).expect("final snapshot flushed");
+    dss_telemetry::json::parse(&text).expect("snapshot parses as JSON");
+    std::fs::remove_file(&metrics).ok();
 }
