@@ -136,9 +136,7 @@ pub struct RecoveryRecord {
     pub checkpoint_every: u64,
     /// Crash point: WAL records surviving the crash (`None` = all).
     pub keep: Option<u64>,
-    /// Records the run appended across all peer logs.
-    pub wal_records: u64,
-    /// Window-state checkpoints written.
+    /// Window-state checkpoints written: every record of every peer log.
     pub wal_checkpoints: u64,
     /// Re-delivery extent: input items recovery re-serviced.
     pub replayed_items: u64,
@@ -191,7 +189,6 @@ pub fn run_matrix() -> Vec<RecoveryRecord> {
             records.push(RecoveryRecord {
                 checkpoint_every: cadence,
                 keep,
-                wal_records: r.metrics.wal_records,
                 wal_checkpoints: r.metrics.wal_checkpoints,
                 replayed_items: r.metrics.wal_replayed_items,
                 suppressed: r.metrics.wal_suppressed,
@@ -272,14 +269,13 @@ pub fn gate(records: &[RecoveryRecord]) -> Vec<String> {
 impl RecoveryRecord {
     fn to_json(&self) -> String {
         format!(
-            "{{\"checkpoint_every\":{},\"keep\":{},\"wal_records\":{},\"wal_checkpoints\":{},\
+            "{{\"checkpoint_every\":{},\"keep\":{},\"wal_checkpoints\":{},\
              \"replayed_items\":{},\"suppressed\":{},\"deferred\":{},\"items_lost\":{},\
              \"duplicates\":{},\"wal_fallbacks\":{},\"failovers\":{},\"byte_exact\":{},\
              \"run_ms\":{}}}",
             self.checkpoint_every,
             self.keep
                 .map_or_else(|| "null".to_string(), |k| k.to_string()),
-            self.wal_records,
             self.wal_checkpoints,
             self.replayed_items,
             self.suppressed,

@@ -14,22 +14,13 @@ use crate::select::SelectOp;
 /// configurable extra load — enough to exercise the sharing rules for UDFs.
 #[derive(Debug)]
 pub struct UdfOp {
-    name: String,
     params: Vec<String>,
 }
 
 impl UdfOp {
     /// Creates the UDF operator.
-    pub fn new(name: impl Into<String>, params: Vec<String>) -> UdfOp {
-        UdfOp {
-            name: name.into(),
-            params,
-        }
-    }
-
-    /// The UDF's name.
-    pub fn udf_name(&self) -> &str {
-        &self.name
+    pub fn new(params: Vec<String>) -> UdfOp {
+        UdfOp { params }
     }
 
     /// The UDF's input vector (parameter list).
@@ -66,7 +57,7 @@ pub fn build_operator(op: &Operator) -> Box<dyn StreamOperator + Send> {
         Operator::WindowOutput(spec) => {
             Box::new(crate::window_contents::WindowContentsOp::new(spec.clone()))
         }
-        Operator::Udf { name, params } => Box::new(UdfOp::new(name.clone(), params.clone())),
+        Operator::Udf { params, .. } => Box::new(UdfOp::new(params.clone())),
     }
 }
 

@@ -310,8 +310,7 @@ impl SharingGroups {
         &self.dags[group]
     }
 
-    /// The group's DAG; a driver that runs services elsewhere checks it
-    /// out with `std::mem::take` and puts it back when the service is done.
+    /// The group's DAG, for feeding it in place.
     pub fn dag_mut(&mut self, group: usize) -> &mut FlowDag {
         &mut self.dags[group]
     }

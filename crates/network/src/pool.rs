@@ -1,12 +1,12 @@
-//! Hand-rolled worker pools for parallel peer execution. No external
-//! dependencies: plain `std::thread` + channels.
+//! Scoped worker threads for the batch simulator's level-parallel
+//! sharing groups. No external dependencies: plain `std::thread`.
 //!
-//! Determinism contract: both entry points return results indexed by input
-//! position, so callers observe the same ordering however the OS schedules
-//! the workers. Any worker panic propagates to the caller.
+//! Determinism contract: results come back indexed by input position, so
+//! callers observe the same ordering however the OS schedules the
+//! workers. Any worker panic propagates to the caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 /// Worker-thread budget for this host (at least 1).
@@ -52,107 +52,6 @@ where
         .collect()
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of worker threads fed from a shared queue. Used by the
-/// live runtime, which dispatches many small same-timestamp batches — the
-/// threads outlive each batch, avoiding per-batch spawn cost.
-pub struct WorkerPool {
-    tx: Option<mpsc::Sender<Job>>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers (at least 1).
-    pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..threads)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                thread::spawn(move || loop {
-                    // Lock only around `recv`: jobs run unlocked so workers
-                    // actually proceed in parallel.
-                    let job = match rx.lock().unwrap().recv() {
-                        Ok(job) => job,
-                        Err(_) => break,
-                    };
-                    job();
-                })
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs `f` over `items` on the pool, returning results in input
-    /// order. Blocks until every item completes. Runs inline for ≤1 item.
-    ///
-    /// # Panics
-    /// Panics if a worker died (it panicked in an earlier job).
-    pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let tx = self.tx.as_ref().expect("pool is live");
-        let f = Arc::new(f);
-        let (rtx, rrx) = mpsc::channel::<(usize, R)>();
-        for (i, item) in items.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let rtx = rtx.clone();
-            tx.send(Box::new(move || {
-                let r = f(item);
-                // The receiver only disappears if the dispatching thread
-                // panicked; nothing left to report to then.
-                let _ = rtx.send((i, r));
-            }))
-            .expect("pool workers alive");
-        }
-        drop(rtx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, r) = rrx.recv().expect("worker completed job");
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("all jobs reported"))
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channel ends each worker's recv loop.
-        self.tx.take();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,23 +68,6 @@ mod tests {
         assert_eq!(run_scoped(vec![7usize], 8, |i| i + 1), vec![8]);
         assert_eq!(run_scoped(vec![1, 2, 3], 1, |i| i * 2), vec![2, 4, 6]);
         assert!(run_scoped(Vec::<usize>::new(), 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn pool_results_in_input_order() {
-        let pool = WorkerPool::new(4);
-        for round in 0..3usize {
-            let items: Vec<usize> = (0..50).collect();
-            let out = pool.run(items, move |i| i + round);
-            assert_eq!(out, (0..50).map(|i| i + round).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn pool_single_item_runs_inline() {
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.run(vec![5usize], |i| i * i), vec![25]);
-        assert!(pool.run(Vec::<usize>::new(), |i: usize| i).is_empty());
     }
 
     #[test]

@@ -98,10 +98,8 @@ pub struct RuntimeMetrics {
     /// that state dropped and the affected windows restarted, as a plain
     /// rebuild would.
     pub windows_dropped: u64,
-    /// WAL mode: records appended across all peer logs (0 otherwise).
-    /// Checkpoints are the only kind, so this equals `wal_checkpoints`.
-    pub wal_records: u64,
-    /// WAL mode: window-state checkpoints written.
+    /// WAL mode: window-state checkpoints written — the only record kind,
+    /// so also the number of records across all peer logs (0 otherwise).
     pub wal_checkpoints: u64,
     /// WAL mode: input items re-serviced by crash recovery.
     pub wal_replayed_items: u64,
@@ -213,7 +211,6 @@ impl RuntimeMetrics {
         );
         dss_telemetry::counter_add("runtime.windows_migrated", Vec::new, self.windows_migrated);
         dss_telemetry::counter_add("runtime.windows_dropped", Vec::new, self.windows_dropped);
-        dss_telemetry::counter_add("runtime.wal.records", Vec::new, self.wal_records);
         dss_telemetry::counter_add("runtime.wal.checkpoints", Vec::new, self.wal_checkpoints);
         dss_telemetry::counter_add(
             "runtime.wal.replayed_items",
@@ -307,11 +304,10 @@ impl RuntimeMetrics {
             self.items_lost,
             self.total_dropped(),
         );
-        if self.wal_records > 0 || self.wal_fallbacks > 0 {
+        if self.wal_checkpoints > 0 || self.wal_fallbacks > 0 {
             let _ = writeln!(
                 out,
-                "  wal: {} records ({} checkpoints), {} replayed, {} deferred, {} suppressed, {} fallbacks",
-                self.wal_records,
+                "  wal: {} checkpoints, {} replayed, {} deferred, {} suppressed, {} fallbacks",
                 self.wal_checkpoints,
                 self.wal_replayed_items,
                 self.wal_deferred,

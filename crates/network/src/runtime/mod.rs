@@ -17,10 +17,10 @@
 //! * **Peers**: one bounded mailbox and one server per peer. Serving an
 //!   item runs it through its sharing group's DAG and occupies the server
 //!   for `per_item_overhead_us` plus the measured operator work scaled by
-//!   the peer's speed (`pindex`) over its capacity. Within one timestamp,
-//!   the DAGs claimed by distinct peers execute in parallel on a worker
-//!   pool; results are applied in claim order, so runs stay
-//!   byte-deterministic.
+//!   the peer's speed (`pindex`) over its capacity. The driver is one
+//!   thread, as each modelled peer is one sequential server: a
+//!   timestamp's services start after its events have drained, in claim
+//!   order, each feeding its group's DAG in place.
 //! * **Links**: a transmission takes `link_latency_us` plus the item's
 //!   exact serialized bytes over the edge bandwidth; links carry any
 //!   number of items concurrently (the bandwidth share is charged per
@@ -65,8 +65,7 @@ use dss_xml::Node;
 
 use crate::flow::{Deployment, FlowId};
 use crate::peer::{FlowOutputs, FlowView, Group, Next, SharingGroups, Step};
-use crate::pool::{max_parallelism, WorkerPool};
-use crate::shared::{FlowDag, GroupKey};
+use crate::shared::GroupKey;
 use crate::sim::ConfigError;
 use crate::topology::{NodeId, Topology};
 use mailbox::Mailbox;
@@ -294,26 +293,33 @@ impl SeenSet {
     }
 }
 
-/// A service claimed during a same-timestamp batch: the group's DAG is
-/// checked out and handed to a worker.
-struct ServiceClaim {
-    node: NodeId,
-    group: usize,
-    origin: u64,
-    item: Node,
-    dag: FlowDag,
-}
+/// A mailbox entry an idle peer took while a timestamp's events drained —
+/// `(node, group, origin, item)` — serviced once the drain is over.
+type Claim = (NodeId, usize, u64, Node);
 
-/// A completed service, applied back to the runtime in claim order.
-struct ServiceDone {
-    node: NodeId,
-    group: usize,
-    origin: u64,
-    dag: FlowDag,
-    /// Per-flow outputs, sorted by flow id.
-    outputs: Vec<(FlowId, Vec<Node>)>,
-    /// Work executed, unscaled by the peer's performance index.
-    work: f64,
+/// Everything the runtime keeps per query id.
+#[derive(Default)]
+struct QueryTrack {
+    /// `(delivered_at_us, latency_us)` per delivery, in delivery order —
+    /// the raw samples behind the aggregate percentiles, kept timestamped
+    /// so callers can window them (e.g. exclude a warmup prefix when
+    /// comparing steady-state latency).
+    latencies: Vec<(u64, u64)>,
+    duplicates: u64,
+    last_origin: Option<u64>,
+    /// Set while re-planned after a crash: the next delivery records the
+    /// recovery time.
+    recovering_since: Option<u64>,
+    recoveries: Vec<u64>,
+    /// Set mid-planned-migration: the next delivery records a migration
+    /// gap, attributed separately from crash recoveries.
+    migrating_since: Option<u64>,
+    migrations: Vec<u64>,
+    /// Every delivered item with its origin timestamp, in delivery order
+    /// (only when `cfg.record_deliveries`).
+    items: Vec<(u64, Node)>,
+    /// Exactly-once filter over delivered item indices (WAL mode).
+    seen: SeenSet,
 }
 
 /// The discrete-event scheduler. See the module docs for the model.
@@ -328,10 +334,6 @@ pub struct LiveRuntime {
     /// Every peer's sharing groups (this driver hosts them all), plus
     /// the flow routes and the delivery map the route step reads.
     groups: SharingGroups,
-    /// Lazily started worker pool for same-timestamp service batches.
-    pool: Option<WorkerPool>,
-    /// Peers with a service claimed in the current timestamp batch.
-    claimed: Vec<bool>,
     mailboxes: Vec<Mailbox>,
     busy_until: Vec<u64>,
     // Load observation window for the re-balancer: per-peer busy service
@@ -342,23 +344,8 @@ pub struct LiveRuntime {
     /// The report, counted in place; [`Self::finish`] fills the fields
     /// that are derived from other state (queues, queries, DAG stats).
     metrics: RuntimeMetrics,
-    /// Per query: `(delivered_at_us, latency_us)` per delivery, in
-    /// delivery order — the raw samples behind the aggregate percentiles,
-    /// kept timestamped so callers can window them (e.g. exclude a
-    /// warmup prefix when comparing steady-state latency).
-    latencies: BTreeMap<String, Vec<(u64, u64)>>,
-    delivered: BTreeMap<String, u64>,
-    duplicates: BTreeMap<String, u64>,
-    last_origin: BTreeMap<String, u64>,
-    recovering_since: BTreeMap<String, u64>,
-    recoveries: BTreeMap<String, Vec<u64>>,
-    /// Queries mid-planned-migration: the next delivery records a
-    /// migration gap, attributed separately from crash recoveries.
-    migrating_since: BTreeMap<String, u64>,
-    migrations: BTreeMap<String, Vec<u64>>,
-    /// Per query: every delivered item with its origin timestamp, in
-    /// delivery order (only when `cfg.record_deliveries`).
-    delivered_items: BTreeMap<String, Vec<(u64, Node)>>,
+    /// Every query a delivery map ever named, delivered to or not.
+    queries: BTreeMap<String, QueryTrack>,
     trace: Vec<String>,
     // WAL mode state (all inert when `cfg.wal` is None).
     /// Lazily opened per-peer log writers; closed (taken) on crash.
@@ -372,8 +359,6 @@ pub struct LiveRuntime {
     group_seen: Vec<SeenSet>,
     /// Per flow: next absolute output index to assign.
     emit_next: Vec<u64>,
-    /// Per query: exactly-once filter over delivered item indices.
-    delivered_seen: BTreeMap<String, SeenSet>,
 }
 
 impl LiveRuntime {
@@ -411,8 +396,6 @@ impl LiveRuntime {
             heap: BinaryHeap::new(),
             sources,
             groups: SharingGroups::default(),
-            pool: None,
-            claimed: vec![false; n_peers],
             mailboxes: (0..n_peers)
                 .map(|_| Mailbox::new(mailbox_capacity))
                 .collect(),
@@ -420,22 +403,13 @@ impl LiveRuntime {
             busy_us: vec![0; n_peers],
             util_window_start: 0,
             metrics,
-            latencies: BTreeMap::new(),
-            delivered: BTreeMap::new(),
-            duplicates: BTreeMap::new(),
-            last_origin: BTreeMap::new(),
-            recovering_since: BTreeMap::new(),
-            recoveries: BTreeMap::new(),
-            migrating_since: BTreeMap::new(),
-            migrations: BTreeMap::new(),
-            delivered_items: BTreeMap::new(),
+            queries: BTreeMap::new(),
             trace: Vec::new(),
             wal_writers: (0..n_peers).map(|_| None).collect(),
             history: Vec::new(),
             consumed: Vec::new(),
             group_seen: Vec::new(),
             emit_next: Vec::new(),
-            delivered_seen: BTreeMap::new(),
         };
         rt.sync_deployment(deployment, deliveries);
         // Seed the periodic source emissions (BTreeMap order: stable).
@@ -498,7 +472,7 @@ impl LiveRuntime {
         self.group_seen.resize_with(n_groups, SeenSet::default);
         self.emit_next.resize(n_flows, 0);
         for q in deliveries.values() {
-            self.delivered.entry(q.clone()).or_insert(0);
+            self.queries.entry(q.clone()).or_default();
         }
         self.groups.set_deliveries(deliveries);
     }
@@ -617,18 +591,19 @@ impl LiveRuntime {
     /// Marks `query` as re-planned at time `t`: its next delivery records
     /// the recovery time `delivery - t`.
     pub fn mark_query_recovering(&mut self, query: &str, t_us: u64) {
-        self.recovering_since.insert(query.to_string(), t_us);
+        self.queries
+            .entry(query.to_string())
+            .or_default()
+            .recovering_since = Some(t_us);
     }
 
     /// Runs all events up to and including `t_us` (capped at the horizon).
     ///
-    /// Events sharing a timestamp run as one batch in three phases: (A)
-    /// every event at that time is handled in sequence order, with each
-    /// `StartService` *claiming* at most one mailbox item per idle peer;
-    /// (B) the claimed peers' DAG services execute in parallel on the
-    /// worker pool; (C) results are applied in claim order — so outputs,
-    /// work charges, and follow-up events are identical however the OS
-    /// schedules the workers.
+    /// Every event sharing a timestamp is handled in sequence order, with
+    /// each `StartService` *claiming* at most one mailbox item per idle
+    /// peer; the claimed services then run in claim order. Servicing after
+    /// the drain rather than inside it fixes the sequence numbers of the
+    /// follow-up events, and so the order of everything downstream.
     pub fn run_until(&mut self, t_us: u64) {
         let t = t_us.min(self.horizon_us);
         while let Some(std::cmp::Reverse(head)) = self.heap.peek() {
@@ -637,9 +612,9 @@ impl LiveRuntime {
             }
             let now = head.time;
             self.now = now;
-            // Phase A: drain the timestamp (handlers may add more events
-            // at `now`; they are drained too, in seq order).
-            let mut claims: Vec<ServiceClaim> = Vec::new();
+            // Drain the timestamp (handlers may add more events at `now`;
+            // they are drained too, in seq order).
+            let mut claims: Vec<Claim> = Vec::new();
             loop {
                 match self.heap.peek() {
                     Some(std::cmp::Reverse(ev)) if ev.time == now => {}
@@ -667,9 +642,8 @@ impl LiveRuntime {
                     }
                 }
             }
-            // Phases B + C.
-            for done in self.run_services(claims) {
-                self.apply_service(done);
+            for (node, group, origin, item) in claims {
+                self.service(node, group, origin, &item, false);
             }
         }
         self.now = self.now.max(t);
@@ -679,7 +653,11 @@ impl LiveRuntime {
     /// `LiveConfig::record_deliveries`): every delivered item with its
     /// origin timestamp, in delivery order. Call before [`Self::finish`].
     pub fn take_delivered_items(&mut self) -> BTreeMap<String, Vec<(u64, Node)>> {
-        std::mem::take(&mut self.delivered_items)
+        self.queries
+            .iter_mut()
+            .filter(|(_, t)| !t.items.is_empty())
+            .map(|(q, t)| (q.clone(), std::mem::take(&mut t.items)))
+            .collect()
     }
 
     /// The per-query latency samples so far: `(delivered_at_us,
@@ -690,7 +668,11 @@ impl LiveRuntime {
     /// across runs. Cloned (not drained): [`Self::finish`] still
     /// aggregates the full set.
     pub fn latency_samples(&self) -> BTreeMap<String, Vec<(u64, u64)>> {
-        self.latencies.clone()
+        self.queries
+            .iter()
+            .filter(|(_, t)| !t.latencies.is_empty())
+            .map(|(q, t)| (q.clone(), t.latencies.clone()))
+            .collect()
     }
 
     /// Runs to the horizon and produces the report plus the event trace
@@ -698,21 +680,16 @@ impl LiveRuntime {
     pub fn finish(mut self) -> (RuntimeMetrics, Vec<String>) {
         self.run_until(self.horizon_us);
         let mut queries: BTreeMap<String, QueryMetrics> = BTreeMap::new();
-        for (q, delivered) in &self.delivered {
+        for (q, track) in self.queries {
             let mut m = QueryMetrics {
-                delivered: *delivered,
-                duplicates: self.duplicates.get(q).copied().unwrap_or(0),
-                recoveries_us: self.recoveries.get(q).cloned().unwrap_or_default(),
-                migrations_us: self.migrations.get(q).cloned().unwrap_or_default(),
+                delivered: track.latencies.len() as u64,
+                duplicates: track.duplicates,
+                recoveries_us: track.recoveries,
+                migrations_us: track.migrations,
                 ..QueryMetrics::default()
             };
-            m.set_latencies(
-                self.latencies
-                    .get(q)
-                    .map(|s| s.iter().map(|&(_, l)| l).collect())
-                    .unwrap_or_default(),
-            );
-            queries.insert(q.clone(), m);
+            m.set_latencies(track.latencies.iter().map(|&(_, l)| l).collect());
+            queries.insert(q, m);
         }
         let mut node_ops: Vec<Vec<OpWork>> = vec![Vec::new(); self.topo.peer_count()];
         for (g, group) in self.groups.table().groups().iter().enumerate() {
@@ -899,10 +876,11 @@ impl LiveRuntime {
         }
     }
 
-    /// Phase A of a timestamp batch: an idle, unclaimed peer checks out
-    /// its next live mailbox entry (and the group's DAG) for execution.
-    fn try_claim(&mut self, node: NodeId, claims: &mut Vec<ServiceClaim>) {
-        if !self.topo.peer(node).up || self.now < self.busy_until[node] || self.claimed[node] {
+    /// An idle peer with no service claimed yet at this timestamp takes
+    /// its next live mailbox entry.
+    fn try_claim(&mut self, node: NodeId, claims: &mut Vec<Claim>) {
+        let claimed = claims.iter().any(|&(n, ..)| n == node);
+        if !self.topo.peer(node).up || self.now < self.busy_until[node] || claimed {
             return;
         }
         loop {
@@ -914,102 +892,73 @@ impl LiveRuntime {
                 self.metrics.items_lost += 1;
                 continue;
             }
-            let dag = std::mem::take(self.groups.dag_mut(group));
-            self.claimed[node] = true;
-            claims.push(ServiceClaim {
-                node,
-                group,
-                origin,
-                item,
-                dag,
-            });
+            claims.push((node, group, origin, item));
             return;
         }
     }
 
-    /// Phase B: execute the claimed services — in parallel on the worker
-    /// pool when more than one peer claimed. Results come back in claim
-    /// order whatever the thread interleaving.
-    fn run_services(&mut self, claims: Vec<ServiceClaim>) -> Vec<ServiceDone> {
-        fn run_one(mut c: ServiceClaim) -> ServiceDone {
-            let before = c.dag.total_work();
-            let mut outputs = FlowOutputs::default();
-            outputs.feed(&mut c.dag, &c.item);
-            let work = c.dag.total_work() - before;
-            ServiceDone {
-                node: c.node,
-                group: c.group,
-                origin: c.origin,
-                dag: c.dag,
-                outputs: outputs.drain().collect(),
-                work,
-            }
-        }
-        if claims.len() <= 1 {
-            return claims.into_iter().map(run_one).collect();
-        }
-        let pool = self
-            .pool
-            .get_or_insert_with(|| WorkerPool::new(max_parallelism()));
-        pool.run(claims, run_one)
-    }
-
-    /// Phase C: apply one completed service — return the DAG, charge the
-    /// work, occupy the server, and schedule the per-flow outputs.
-    fn apply_service(&mut self, done: ServiceDone) {
-        let ServiceDone {
-            node,
-            group,
-            origin,
-            dag,
-            outputs,
-            work,
-        } = done;
-        *self.groups.dag_mut(group) = dag;
-        self.claimed[node] = false;
-        let peer = self.topo.peer(node);
-        let scaled = work * peer.pindex;
-        let service_us = (self.cfg.per_item_overhead_us as f64 + scaled / peer.capacity * 1e6)
-            .round()
-            .max(1.0) as u64;
-        self.metrics.node_work[node] += scaled;
-        self.busy_us[node] += service_us;
-        let done_at = self.now + service_us;
-        self.busy_until[node] = done_at;
-        let n_out: usize = outputs.iter().map(|(_, v)| v.len()).sum();
-        self.trace_line(|_| format!("svc n{node} g{group} outs={n_out} busy={service_us}"));
-        // Phase C runs on the control thread in claim order, so recording
-        // here is deterministic (the worker pool in phase B records nothing).
-        dss_telemetry::histogram_record(
-            "runtime.service_us",
-            || vec![("peer", self.topo.peer(node).name.clone())],
-            service_us as f64,
-        );
-        dss_telemetry::histogram_record(
-            "runtime.mailbox.depth",
-            || vec![("peer", self.topo.peer(node).name.clone())],
-            self.mailboxes[node].len() as f64,
-        );
+    /// The one service routine: runs `item` through `group`'s DAG in place
+    /// and schedules what each member flow produced, numbering the outputs
+    /// (WAL mode) from the flow's emit counter — nothing else assigns
+    /// output indices. A mailbox service charges the work to `node`,
+    /// occupies its server for the service time, and has the outputs
+    /// leave — then the commit, then the next look at the mailbox — when
+    /// that time is up. Recovery's `replay` of a retained tail emits at
+    /// `now` and leaves charging and committing the whole tail to its
+    /// caller.
+    fn service(&mut self, node: NodeId, group: usize, origin: u64, item: &Node, replay: bool) {
+        let before = self.groups.dag(group).total_work();
+        let mut fed = FlowOutputs::default();
+        fed.feed(self.groups.dag_mut(group), item);
+        let outputs: Vec<(FlowId, Vec<Node>)> = fed.drain().collect();
+        let done_at = if replay {
+            self.now
+        } else {
+            let work = self.groups.dag(group).total_work() - before;
+            let peer = self.topo.peer(node);
+            let scaled = work * peer.pindex;
+            let service_us = (self.cfg.per_item_overhead_us as f64 + scaled / peer.capacity * 1e6)
+                .round()
+                .max(1.0) as u64;
+            self.metrics.node_work[node] += scaled;
+            self.busy_us[node] += service_us;
+            let done_at = self.now + service_us;
+            self.busy_until[node] = done_at;
+            let n_out: usize = outputs.iter().map(|(_, v)| v.len()).sum();
+            self.trace_line(|_| format!("svc n{node} g{group} outs={n_out} busy={service_us}"));
+            dss_telemetry::histogram_record(
+                "runtime.service_us",
+                || vec![("peer", self.topo.peer(node).name.clone())],
+                service_us as f64,
+            );
+            dss_telemetry::histogram_record(
+                "runtime.mailbox.depth",
+                || vec![("peer", self.topo.peer(node).name.clone())],
+                self.mailboxes[node].len() as f64,
+            );
+            done_at
+        };
         let wal = self.cfg.wal.is_some();
         for (flow, items) in outputs {
-            if !items.is_empty() {
-                let base = if wal {
-                    let base = self.emit_next[flow];
-                    self.emit_next[flow] += items.len() as u64;
-                    base
-                } else {
-                    0
-                };
-                self.schedule(
-                    done_at,
-                    EventKind::EmitOutputs {
-                        flow,
-                        origin,
-                        base,
-                        items,
-                    },
-                );
-            }
+            let base = if wal {
+                let base = self.emit_next[flow];
+                self.emit_next[flow] += items.len() as u64;
+                base
+            } else {
+                0
+            };
+            self.schedule(
+                done_at,
+                EventKind::EmitOutputs {
+                    flow,
+                    origin,
+                    base,
+                    items,
+                },
+            );
+        }
+        if replay {
+            return;
         }
         if wal {
             // Committed at completion time, *after* the outputs above: a
@@ -1089,52 +1038,33 @@ impl LiveRuntime {
                 },
             );
         } else if let Some(query) = query {
-            if self.cfg.wal.is_some()
-                && !self
-                    .delivered_seen
-                    .entry(query.clone())
-                    .or_default()
-                    .insert(index)
-            {
+            let track = self
+                .queries
+                .get_mut(&query)
+                .expect("sync_deployment tracks every query of the delivery map");
+            if self.cfg.wal.is_some() && !track.seen.insert(index) {
                 // A recovery replay re-sent an output that already reached
                 // the subscriber: exactly-once filtering absorbs it.
                 self.metrics.wal_suppressed += 1;
                 return;
             }
             let latency = self.now - origin;
-            *self.delivered.entry(query.clone()).or_insert(0) += 1;
-            self.latencies
-                .entry(query.clone())
-                .or_default()
-                .push((self.now, latency));
-            match self.last_origin.get(&query) {
-                Some(&last) if origin < last => {
-                    *self.duplicates.entry(query.clone()).or_insert(0) += 1;
-                }
-                _ => {
-                    self.last_origin.insert(query.clone(), origin);
-                }
+            track.latencies.push((self.now, latency));
+            match track.last_origin {
+                Some(last) if origin < last => track.duplicates += 1,
+                _ => track.last_origin = Some(origin),
             }
-            if let Some(since) = self.recovering_since.remove(&query) {
-                self.recoveries
-                    .entry(query.clone())
-                    .or_default()
-                    .push(self.now.saturating_sub(since));
+            if let Some(since) = track.recovering_since.take() {
+                track.recoveries.push(self.now.saturating_sub(since));
             }
             // Planned migrations are attributed apart from crash
             // recoveries: a scheduled move's delivery gap is a latency
             // cost of re-balancing, not of a failure.
-            if let Some(since) = self.migrating_since.remove(&query) {
-                self.migrations
-                    .entry(query.clone())
-                    .or_default()
-                    .push(self.now.saturating_sub(since));
+            if let Some(since) = track.migrating_since.take() {
+                track.migrations.push(self.now.saturating_sub(since));
             }
             if self.cfg.record_deliveries {
-                self.delivered_items
-                    .entry(query.clone())
-                    .or_default()
-                    .push((origin, item));
+                track.items.push((origin, item));
             }
             self.trace_line(|_| format!("dlv {query} lat={latency}"));
         }
@@ -1184,7 +1114,6 @@ impl LiveRuntime {
         let writer = self.wal_writers[node]
             .get_or_insert_with(|| WalWriter::open(dir, opts).expect("open peer WAL"));
         writer.append(&record).expect("append to peer WAL");
-        self.metrics.wal_records += 1;
         self.metrics.wal_checkpoints += 1;
     }
 
@@ -1273,24 +1202,10 @@ impl LiveRuntime {
             // rather than through the mailbox: one batch, at `now`.
             let tail: Vec<(u64, Node)> = self.history[g][from as usize..].to_vec();
             let work_before = self.groups.dag(g).total_work();
-            let mut outputs = FlowOutputs::default();
             for (origin, item) in &tail {
-                outputs.feed(self.groups.dag_mut(g), item);
-                for (flow, items) in outputs.drain() {
-                    let base = self.emit_next[flow];
-                    self.emit_next[flow] += items.len() as u64;
-                    self.schedule(
-                        self.now,
-                        EventKind::EmitOutputs {
-                            flow,
-                            origin: *origin,
-                            base,
-                            items,
-                        },
-                    );
-                }
-                total += 1;
+                self.service(peer, g, *origin, item, true);
             }
+            total += tail.len() as u64;
             let work = self.groups.dag(g).total_work() - work_before;
             self.metrics.node_work[peer] += work * self.topo.peer(peer).pindex;
             self.consumed[g] = self.history[g].len() as u64;
@@ -1495,6 +1410,77 @@ mod tests {
     }
 
     #[test]
+    fn same_timestamp_services_start_after_the_drain_in_claim_order() {
+        // Two peers read the one source, so their services coincide; the
+        // flows are declared against node order (SP3 first), so claim order
+        // and node order differ. Items arrive every 10µs against a 50µs
+        // service, so from t=60 each timestamp holds both peers' finished
+        // outputs *and* their next services: the `out` lines of the drain
+        // come first, then the services in claim order. Executing a service
+        // inside the drain would interleave them (`out f0, svc n3, out f1`).
+        let t = grid_topology(2, 2);
+        let (sp0, sp1, sp3) = (
+            t.expect_node("SP0"),
+            t.expect_node("SP1"),
+            t.expect_node("SP3"),
+        );
+        let mut d = Deployment::new();
+        let mut deliveries = BTreeMap::new();
+        for (query, at) in [("qa", sp3), ("qb", sp0)] {
+            let f = d.add_flow(StreamFlow {
+                label: "photons".into(),
+                input: FlowInput::Source {
+                    stream: "photons".into(),
+                },
+                processing_node: at,
+                ops: Vec::new(),
+                route: vec![at, sp1],
+                properties: Some(Properties::single(InputProperties::original("photons"))),
+                retired: false,
+            });
+            deliveries.insert(f, query.to_string());
+        }
+        let cfg = LiveConfig {
+            duration_s: 5.0,
+            trace: true,
+            ..LiveConfig::default()
+        };
+        let rt = LiveRuntime::new(t, &d, sources(3, 100_000.0), deliveries, cfg).unwrap();
+        let (_, trace) = rt.finish();
+        let trace: Vec<&str> = trace.iter().map(|l| l.trim_start()).collect();
+        let expected = [
+            "10 src photons #0",
+            "10 svc n3 g0 outs=1 busy=50",
+            "10 svc n0 g1 outs=1 busy=50",
+            "20 src photons #1",
+            "30 src photons #2",
+            "60 out f0 n=1",
+            "60 out f1 n=1",
+            "60 svc n3 g0 outs=1 busy=50",
+            "60 svc n0 g1 outs=1 busy=50",
+            "110 out f0 n=1",
+            "110 out f1 n=1",
+            "110 svc n3 g0 outs=1 busy=50",
+            "110 svc n0 g1 outs=1 busy=50",
+            "160 out f0 n=1",
+            "160 out f1 n=1",
+            "264 arr f0 hop=1",
+            "264 dlv qa lat=254",
+            "264 arr f1 hop=1",
+            "264 dlv qb lat=254",
+            "314 arr f0 hop=1",
+            "314 dlv qa lat=294",
+            "314 arr f1 hop=1",
+            "314 dlv qb lat=294",
+            "364 arr f0 hop=1",
+            "364 dlv qa lat=334",
+            "364 arr f1 hop=1",
+            "364 dlv qb lat=334",
+        ];
+        assert_eq!(trace, expected);
+    }
+
+    #[test]
     fn tiny_mailbox_drops_bursts() {
         let (t, d, deliveries) = one_flow_setup();
         // 1000 Hz into a 1-item mailbox with 50µs overhead per item is
@@ -1584,7 +1570,7 @@ mod tests {
         assert_eq!(q.delivered, 25, "resume-not-replan drops nothing");
         assert_eq!(q.duplicates, 0, "and duplicates nothing");
         assert_eq!(m.items_lost, 0);
-        assert!(m.wal_records > 0 && m.wal_checkpoints > 0);
+        assert!(m.wal_checkpoints > 0);
         assert!(m.wal_replayed_items > 0, "the crash forces a replay");
         assert!(m.wal_deferred > 0, "downtime emissions are retained");
         assert_eq!(m.wal_fallbacks, 0);
@@ -1724,7 +1710,6 @@ mod tests {
         let dir = wal_test_dir("only-checkpoints");
         let (m, _, _) = crash_recover_run(Some(WalConfig::new(&dir)), true);
         assert!(m.wal_checkpoints > 0);
-        assert_eq!(m.wal_records, m.wal_checkpoints);
         let mut on_disk = 0;
         for peer in std::fs::read_dir(&dir).unwrap() {
             let peer = peer.unwrap();
@@ -1736,7 +1721,7 @@ mod tests {
             }
             on_disk += log.records.len() as u64;
         }
-        assert_eq!(on_disk, m.wal_records);
+        assert_eq!(on_disk, m.wal_checkpoints);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -197,7 +197,10 @@ impl LiveRuntime {
     /// delivery records the migration gap — attributed separately from
     /// crash recoveries ([`super::QueryMetrics::migrations_us`]).
     pub fn mark_query_migrating(&mut self, query: &str, t_us: u64) {
-        self.migrating_since.insert(query.to_string(), t_us);
+        self.queries
+            .entry(query.to_string())
+            .or_default()
+            .migrating_since = Some(t_us);
     }
 
     /// Counts a re-balance cycle that found its victims busy and backed

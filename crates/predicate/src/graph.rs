@@ -192,12 +192,6 @@ impl PredicateGraph {
             .all(|((u, v), b)| u != v || !b.cycle_is_infeasible())
     }
 
-    /// Tightest derived bound `u − v (≤|<) …`, if any. Prefer
-    /// [`closure`](Self::closure) when testing many pairs.
-    pub fn implied_bound(&self, u: &NodeRef, v: &NodeRef) -> Option<Bound> {
-        self.closure().direct_bound(u, v)
-    }
-
     /// `true` if this predicate implies the atom (every satisfying
     /// assignment of `self` satisfies `atom`). An unsatisfiable predicate
     /// implies everything.

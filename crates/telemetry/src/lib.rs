@@ -31,8 +31,7 @@
 //! shared, mutex-guarded collector. So a tree is always the work of one
 //! thread, and concurrent recorders (`dss serve`'s worker, reader and
 //! control threads; sibling tests) contend only when a root closes.
-//! Instrumented hot loops (the live runtime's worker pool) still carry no
-//! recording calls.
+//! The batch simulator's scoped worker closures carry no recording calls.
 //!
 //! # Metrics
 //!

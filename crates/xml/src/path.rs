@@ -128,13 +128,6 @@ impl Path {
         frontier
     }
 
-    /// Appends all nodes reachable through this path to `out` without
-    /// allocating a fresh result vector (the fast path for operators that
-    /// evaluate the same path once per stream item).
-    pub fn evaluate_into<'a>(&self, node: &'a Node, out: &mut Vec<&'a Node>) {
-        self.visit(node, &mut |n| out.push(n));
-    }
-
     /// Calls `f` on every node reachable through this path, depth-first,
     /// without allocating at all — the zero-allocation dual of
     /// [`evaluate`](Path::evaluate) for per-item operator hot paths.

@@ -115,11 +115,6 @@ impl Node {
         self.children.iter().find(|c| c.name == sym)
     }
 
-    /// First child with the given interned name.
-    pub fn child_sym(&self, name: Symbol) -> Option<&Node> {
-        self.children.iter().find(|c| c.name == name)
-    }
-
     /// All children with the given name.
     pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Node> + 'a {
         let sym = Symbol::get(name);

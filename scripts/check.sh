@@ -49,6 +49,17 @@ cargo fmt --check
 echo "==> product code size (non-test, non-comment Rust lines per crate)"
 ./scripts/loc.sh
 
+echo "==> the discrete-event runtime stays single-threaded"
+# It models one sequential server per peer; handing its microsecond
+# services to host threads was measured to cost 2.6-5x wall clock
+# (EXPERIMENTS.md "DES wall clock"). The batch simulator's run_scoped
+# lives in pool.rs and is not covered.
+if grep -nE 'WorkerPool|mpsc|thread::(spawn|scope)' \
+    crates/network/src/runtime/mod.rs crates/network/src/runtime/rebalance.rs; then
+    echo "FAIL: the discrete-event runtime names a threading primitive" >&2
+    exit 1
+fi
+
 echo "==> trace snapshot conforms to schemas/trace.schema.json"
 cargo build --release -q -p dss-bench --bins
 TRACE_TMP=$(mktemp --suffix .trace.json)
