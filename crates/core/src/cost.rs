@@ -203,9 +203,24 @@ pub fn plan_cost(params: &CostParams, edges: &[EdgeUse], nodes: &[NodeUse]) -> f
 /// final addition), so per-candidate breakdowns reported by the tracing
 /// layer sum exactly to the plan's `C(P)`.
 pub fn plan_cost_split(params: &CostParams, edges: &[EdgeUse], nodes: &[NodeUse]) -> (f64, f64) {
-    let traffic: f64 = edges.iter().map(|e| penalized(e.used, e.available)).sum();
-    let load: f64 = nodes.iter().map(|n| penalized(n.used, n.available)).sum();
-    (params.gamma * traffic, (1.0 - params.gamma) * load)
+    (
+        traffic_term(params, edges.iter().copied()),
+        load_term(params, nodes.iter().copied()),
+    )
+}
+
+/// The weighted traffic term `γ·Σ penalized(u_b, a_b)` of `C`, summed in
+/// iteration order — the one place the term is written down, so a caller
+/// that walks a route without collecting it gets the same bits as
+/// [`plan_cost_split`] over the collected slice.
+pub(crate) fn traffic_term(params: &CostParams, edges: impl Iterator<Item = EdgeUse>) -> f64 {
+    params.gamma * edges.map(|e| penalized(e.used, e.available)).sum::<f64>()
+}
+
+/// The weighted load term `(1−γ)·Σ penalized(u_l, a_l)` of `C` (see
+/// [`traffic_term`]).
+pub(crate) fn load_term(params: &CostParams, nodes: impl Iterator<Item = NodeUse>) -> f64 {
+    (1.0 - params.gamma) * nodes.map(|n| penalized(n.used, n.available)).sum::<f64>()
 }
 
 /// Work units/s a peer runs *beyond* its estimated charges, derived from

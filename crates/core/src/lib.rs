@@ -585,6 +585,29 @@ mod tests {
         assert_eq!(plan.parts[0].tap_flow, plan_dfs.parts[0].tap_flow);
     }
 
+    /// Every matched candidate is costed, only a winner is built: on the
+    /// empty network the source plan is re-costed at SP4 and at P0 and never
+    /// beaten; after Q1, Query 2's search improves three times (Q1's stream
+    /// at SP4, SP0, SP5 — the Figure-2 walk `dss explain` prints).
+    #[test]
+    fn search_builds_only_the_parts_that_win() {
+        let mut sys = system_with_photons();
+        let search = |sys: &StreamGlobe, text: &str, v_q: &str, at: &str| {
+            let compiled = dss_wxquery::compile_query(text).unwrap();
+            let (v_q, at) = (
+                sys.topology().expect_node(v_q),
+                sys.topology().expect_node(at),
+            );
+            let (_, stats) =
+                subscribe(sys.state(), &compiled, v_q, at, SearchOrder::Bfs, false).unwrap();
+            (stats.plans_generated, stats.parts_built)
+        };
+        assert_eq!(search(&sys, queries::Q1, "SP1", "P1"), (3, 1));
+        sys.register_query("q1", queries::Q1, "P1", Strategy::StreamSharing)
+            .unwrap();
+        assert_eq!(search(&sys, queries::Q2, "SP7", "P2"), (7, 4));
+    }
+
     #[test]
     fn unregister_retires_flows_and_releases_charges() {
         let mut sys = system_with_photons();

@@ -11,82 +11,152 @@ use dss_network::{shortest_path, FlowId, FlowOp, NodeId};
 use dss_properties::{AggregationSpec, InputProperties, Operator, WindowKind, WindowSpec};
 use dss_wxquery::CompiledQuery;
 
-use crate::cost::{base_load, plan_cost, EdgeUse, NodeUse, StreamEstimate};
+use crate::cost::{
+    base_load, load_term, plan_cost, plan_cost_split, traffic_term, EdgeUse, NodeUse,
+    StreamEstimate,
+};
 use crate::state::NetworkState;
 use crate::stats::StreamStats;
 
-/// Accumulates a candidate plan's resource uses (`u_b` per affected
-/// connection, `u_l` per affected peer) against the current availability,
-/// tracking feasibility — the shared costing core of `generatePlan`, the
-/// widening variant, and the fixed-placement strategies.
+/// `u_b(e)` / `a_b(e)` of shipping `rate_kbps` over the connection `a`–`b`.
+fn edge_use(state: &NetworkState, a: NodeId, b: NodeId, rate_kbps: f64) -> EdgeUse {
+    let e = state
+        .topo
+        .edge_between(a, b)
+        .expect("plans route over existing connections");
+    EdgeUse {
+        used: rate_kbps / state.topo.edge(e).bandwidth_kbps,
+        available: state.available_bandwidth_frac(e),
+    }
+}
+
+/// `u_l(v)` / `a_l(v)` of operators with summed base load `bload_sum` fed
+/// at `input_freq` on peer `v`; `None` when there is nothing to run (a
+/// verbatim forward adds no peer to `V_P`).
+fn node_use(state: &NetworkState, v: NodeId, bload_sum: f64, input_freq: f64) -> Option<NodeUse> {
+    if bload_sum == 0.0 {
+        return None;
+    }
+    Some(NodeUse {
+        used: bload_sum * state.topo.peer(v).pindex * input_freq / state.topo.peer(v).capacity,
+        available: state.available_load_frac(v),
+    })
+}
+
+/// Accumulates a widening plan's resource uses (`u_b` per affected
+/// connection, `u_l` per affected peer — several routes and several peers)
+/// against the current availability, tracking feasibility. Plain reuse
+/// parts touch one route and one peer and are costed by [`cost_part`]
+/// without collecting anything.
 #[derive(Debug, Default)]
-pub struct UseAccumulator {
+struct UseAccumulator {
     edges: Vec<EdgeUse>,
     nodes: Vec<NodeUse>,
-    feasible: bool,
+    infeasible: bool,
 }
 
 impl UseAccumulator {
-    /// Empty, feasible accumulator.
-    pub fn new() -> UseAccumulator {
-        UseAccumulator {
-            edges: Vec::new(),
-            nodes: Vec::new(),
-            feasible: true,
-        }
-    }
-
     /// Charges a stream of `rate_kbps` over every connection of `route`.
-    pub fn add_route(&mut self, state: &NetworkState, route: &[NodeId], rate_kbps: f64) {
+    fn add_route(&mut self, state: &NetworkState, route: &[NodeId], rate_kbps: f64) {
         for w in route.windows(2) {
-            let e = state
-                .topo
-                .edge_between(w[0], w[1])
-                .expect("plans route over existing connections");
-            let used = rate_kbps / state.topo.edge(e).bandwidth_kbps;
-            let available = state.available_bandwidth_frac(e);
-            if used > available {
-                self.feasible = false;
-            }
-            self.edges.push(EdgeUse { used, available });
+            let u = edge_use(state, w[0], w[1], rate_kbps);
+            self.infeasible |= u.used > u.available;
+            self.edges.push(u);
         }
     }
 
     /// Charges operators with summed base load `bload_sum` fed at
     /// `input_freq` to peer `v`.
-    pub fn add_node_ops(
-        &mut self,
-        state: &NetworkState,
-        v: NodeId,
-        bload_sum: f64,
-        input_freq: f64,
-    ) {
-        if bload_sum == 0.0 {
-            return;
+    fn add_node_ops(&mut self, state: &NetworkState, v: NodeId, bload_sum: f64, input_freq: f64) {
+        if let Some(u) = node_use(state, v, bload_sum, input_freq) {
+            self.infeasible |= u.used > u.available;
+            self.nodes.push(u);
         }
-        let used = bload_sum * state.topo.peer(v).pindex * input_freq / state.topo.peer(v).capacity;
-        let available = state.available_load_frac(v);
-        if used > available {
-            self.feasible = false;
+    }
+
+    /// The accumulated uses under the cost function `C`.
+    fn cost(&self, state: &NetworkState) -> PartCost {
+        let (traffic, load) = plan_cost_split(&state.params, &self.edges, &self.nodes);
+        PartCost {
+            cost: traffic + load,
+            traffic,
+            load,
+            feasible: !self.infeasible,
         }
-        self.nodes.push(NodeUse { used, available });
     }
+}
 
-    /// `true` if nothing accumulated so far overloads the network.
-    pub fn feasible(&self) -> bool {
-        self.feasible
+/// The value Algorithm 1 lines 19–22 compare candidate parts by: the cost
+/// function over the part's route and tap peer, split into its two
+/// weighted terms, and whether the part overloads anything. Costing a
+/// candidate allocates nothing; the [`PlanPart`] is built only for a
+/// candidate that wins the comparison.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PartCost {
+    /// `C` of the part: `traffic + load`, exactly.
+    pub(crate) cost: f64,
+    /// The weighted traffic term `γ·Σ penalized(u_b)`.
+    pub(crate) traffic: f64,
+    /// The weighted load term `(1−γ)·Σ penalized(u_l)`.
+    pub(crate) load: f64,
+    /// `true` if the part overloads no connection or peer.
+    pub(crate) feasible: bool,
+}
+
+/// The transport half of a part's cost: the weighted traffic term of
+/// shipping the subscription's stream over one route, and whether every
+/// connection on it has the room. It depends on the route and the
+/// transported rate only — both fixed per tap peer within one input's
+/// search — so the search computes it once per visited peer and shares it
+/// among that peer's candidates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RouteCost {
+    traffic: f64,
+    feasible: bool,
+}
+
+impl RouteCost {
+    /// Costs a stream of `rate_kbps` over every connection of `route`.
+    pub(crate) fn of(state: &NetworkState, route: &[NodeId], rate_kbps: f64) -> RouteCost {
+        let mut feasible = true;
+        let traffic = traffic_term(
+            &state.params,
+            route.windows(2).map(|w| {
+                let u = edge_use(state, w[0], w[1], rate_kbps);
+                if u.used > u.available {
+                    feasible = false;
+                }
+                u
+            }),
+        );
+        RouteCost { traffic, feasible }
     }
+}
 
-    /// Evaluates the cost function `C` over the accumulated uses.
-    pub fn cost(&self, state: &NetworkState) -> f64 {
-        plan_cost(&state.params, &self.edges, &self.nodes)
-    }
-
-    /// The cost split into its weighted traffic and load terms; the sum
-    /// reproduces [`Self::cost`] bit-for-bit (see
-    /// [`crate::cost::plan_cost_split`]).
-    pub fn cost_split(&self, state: &NetworkState) -> (f64, f64) {
-        crate::cost::plan_cost_split(&state.params, &self.edges, &self.nodes)
+/// The costing half of `generatePlan`: `C` of the part that taps
+/// `tap_flow` at `tap_node`, runs operators of summed base load `bload`
+/// there, and ships the result over the route `route` was computed for.
+/// Same operations in the same order as [`plan_cost_split`] over the
+/// collected uses, so the result is bit-identical to it.
+pub(crate) fn cost_part(
+    state: &NetworkState,
+    route: RouteCost,
+    tap_flow: FlowId,
+    tap_node: NodeId,
+    bload: f64,
+) -> PartCost {
+    let node = node_use(
+        state,
+        tap_node,
+        bload,
+        state.flow_estimate(tap_flow).frequency,
+    );
+    let load = load_term(&state.params, node.into_iter());
+    PartCost {
+        cost: route.traffic + load,
+        traffic: route.traffic,
+        load,
+        feasible: route.feasible && !node.is_some_and(|u| u.used > u.available),
     }
 }
 
@@ -322,9 +392,61 @@ pub fn residual_flow_ops(reused: &InputProperties, wanted: &InputProperties) -> 
         .collect()
 }
 
-/// `generatePlan(p_b, v_b, v_q)`: builds (and costs) the plan part that
+impl PlanPart {
+    /// The building half of `generatePlan`: the part that taps `tap_flow`
+    /// at `tap_node`, installs `ops` there and ships the stream estimated
+    /// at `estimate` over `route`, carrying the `cost` it was chosen by.
+    pub(crate) fn build(
+        stream: &str,
+        tap_flow: FlowId,
+        tap_node: NodeId,
+        ops: Vec<FlowOp>,
+        route: Vec<NodeId>,
+        estimate: StreamEstimate,
+        cost: PartCost,
+    ) -> PlanPart {
+        PlanPart {
+            stream: stream.to_string(),
+            tap_flow,
+            tap_node,
+            ops,
+            route,
+            estimate,
+            widen: None,
+            cost: cost.cost,
+            traffic: cost.traffic,
+            load: cost.load,
+            feasible: cost.feasible,
+        }
+    }
+
+    /// Both halves back to back with nothing precomputed: the route's
+    /// additional traffic plus the tap node's additional operator load,
+    /// then the part.
+    pub(crate) fn cost_and_build(
+        state: &NetworkState,
+        stream: &str,
+        tap_flow: FlowId,
+        tap_node: NodeId,
+        ops: Vec<FlowOp>,
+        route: Vec<NodeId>,
+        estimate: StreamEstimate,
+    ) -> PlanPart {
+        let cost = cost_part(
+            state,
+            RouteCost::of(state, &route, estimate.kbps()),
+            tap_flow,
+            tap_node,
+            ops.iter().map(flow_op_base_load).sum(),
+        );
+        PlanPart::build(stream, tap_flow, tap_node, ops, route, estimate, cost)
+    }
+}
+
+/// `generatePlan(p_b, v_b, v_q)`: costs, then builds, the plan part that
 /// reuses `tap_flow`'s stream at `tap_node` to satisfy the subscription
-/// input `wanted`, delivering to `post_node`.
+/// input `wanted`, delivering to `post_node`. The search costs its
+/// candidates through the same `cost_part` and builds only the winners.
 ///
 /// Returns `None` when no route exists.
 pub fn generate_plan_part(
@@ -334,64 +456,25 @@ pub fn generate_plan_part(
     tap_node: NodeId,
     post_node: NodeId,
 ) -> Option<PlanPart> {
-    generate_plan_part_cached(state, wanted, tap_flow, tap_node, post_node, None, None)
-}
-
-/// [`generate_plan_part`] with optional precomputed inputs — the BFS calls
-/// this once per candidate stream, but the subscription's chain estimate is
-/// fixed per search and the route is fixed per tap node, so the search
-/// computes each only once.
-pub fn generate_plan_part_cached(
-    state: &NetworkState,
-    wanted: &InputProperties,
-    tap_flow: FlowId,
-    tap_node: NodeId,
-    post_node: NodeId,
-    wanted_estimate: Option<StreamEstimate>,
-    route_hint: Option<&[NodeId]>,
-) -> Option<PlanPart> {
     let stats = state.stats(wanted.stream())?;
-    let reused_props = state
+    let reused = state
         .deployment
         .flow(tap_flow)
         .properties
         .as_ref()
         .and_then(|p| p.input_for(wanted.stream()))?;
-    let ops = residual_flow_ops(reused_props, wanted);
-    let route = match route_hint {
-        Some(r) => r.to_vec(),
-        None => shortest_path(&state.topo, tap_node, post_node)?,
-    };
+    let route = shortest_path(&state.topo, tap_node, post_node)?;
     // The transported stream is semantically the subscription's stream.
-    let estimate =
-        wanted_estimate.unwrap_or_else(|| crate::cost::estimate_chain(stats, wanted.operators()));
-    // Cost: the route's additional traffic plus the tap node's additional
-    // operator load.
-    let mut uses = UseAccumulator::new();
-    uses.add_route(state, &route, estimate.kbps());
-    let bload: f64 = ops.iter().map(flow_op_base_load).sum();
-    uses.add_node_ops(
+    let estimate = crate::cost::estimate_chain(stats, wanted.operators());
+    Some(PlanPart::cost_and_build(
         state,
-        tap_node,
-        bload,
-        state.flow_estimate(tap_flow).frequency,
-    );
-    let (traffic, load) = uses.cost_split(state);
-    let cost = traffic + load;
-    let feasible = uses.feasible();
-    Some(PlanPart {
-        stream: wanted.stream().to_string(),
+        wanted.stream(),
         tap_flow,
         tap_node,
-        ops,
+        residual_flow_ops(reused, wanted),
         route,
         estimate,
-        widen: None,
-        cost,
-        traffic,
-        load,
-        feasible,
-    })
+    ))
 }
 
 /// `generatePlan` for a *widening* candidate: the stream at `tap_flow` does
@@ -475,7 +558,7 @@ pub fn generate_widening_part(
     let estimate = crate::cost::estimate_chain(stats, wanted.operators());
 
     // ---- cost & feasibility ----------------------------------------------
-    let mut uses = UseAccumulator::new();
+    let mut uses = UseAccumulator::default();
     // Additional widened traffic over the flow's existing route.
     uses.add_route(state, &flow.route, delta_estimate.kbps());
     // Transport of the new stream.
@@ -490,30 +573,25 @@ pub fn generate_widening_part(
     // The new subscription's residual ops at the tap node.
     let bload: f64 = ops.iter().map(flow_op_base_load).sum();
     uses.add_node_ops(state, tap_node, bload, widened_estimate.frequency);
-    let (traffic, load) = uses.cost_split(state);
-    let cost = traffic + load;
-    let feasible = uses.feasible();
-    Some(PlanPart {
-        stream: wanted.stream().to_string(),
+    let mut part = PlanPart::build(
+        wanted.stream(),
         tap_flow,
         tap_node,
         ops,
         route,
         estimate,
-        widen: Some(WidenAction {
-            flow: tap_flow,
-            widened,
-            new_flow_ops,
-            widened_estimate,
-            delta_estimate,
-            child_patches,
-            deltas,
-        }),
-        cost,
-        traffic,
-        load,
-        feasible,
-    })
+        uses.cost(state),
+    );
+    part.widen = Some(WidenAction {
+        flow: tap_flow,
+        widened,
+        new_flow_ops,
+        widened_estimate,
+        delta_estimate,
+        child_patches,
+        deltas,
+    });
+    Some(part)
 }
 
 /// Assembles the full plan from its parts, adding the post-processing and

@@ -16,9 +16,7 @@ use dss_network::{shortest_path, NodeId};
 use dss_wxquery::CompiledQuery;
 
 use crate::cost::StreamEstimate;
-use crate::plan::{
-    assemble_plan, flow_op_base_load, full_chain_ops, Plan, PlanPart, UseAccumulator,
-};
+use crate::plan::{assemble_plan, full_chain_ops, Plan, PlanPart};
 use crate::state::NetworkState;
 use crate::subscribe::{subscribe_with, SearchOrder, SubscribeError};
 
@@ -160,32 +158,15 @@ fn fixed_plan(
                 crate::cost::estimate_chain(stats, wanted.operators()),
             ),
         };
-        // Cost the part exactly like generate_plan_part does.
-        let mut uses = UseAccumulator::new();
-        uses.add_route(state, &route, estimate.kbps());
-        let bload: f64 = ops.iter().map(flow_op_base_load).sum();
-        uses.add_node_ops(
+        parts.push(PlanPart::cost_and_build(
             state,
+            stream,
+            source_flow,
             v_b,
-            bload,
-            state.flow_estimate(source_flow).frequency,
-        );
-        let (traffic, load) = uses.cost_split(state);
-        let cost = traffic + load;
-        let feasible = uses.feasible();
-        parts.push(PlanPart {
-            stream: stream.to_string(),
-            tap_flow: source_flow,
-            tap_node: v_b,
             ops,
             route,
             estimate,
-            widen: None,
-            cost,
-            traffic,
-            load,
-            feasible,
-        });
+        ));
     }
     let plan = assemble_plan(state, query, parts, extra_post_ops, v_q, subscriber);
     if require_feasible && !plan.feasible {

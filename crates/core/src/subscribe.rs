@@ -14,14 +14,16 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dss_network::{FlowId, NodeId};
-use dss_properties::{explain_match_input_properties, match_input_properties, QueryLens};
+use dss_network::{ChainId, FlowId, NodeId};
+use dss_properties::{
+    explain_match_input_properties, match_input_properties, InputProperties, QueryLens,
+};
 use dss_telemetry::Value;
 use dss_wxquery::CompiledQuery;
 
 use crate::plan::{
-    assemble_plan, generate_plan_part, generate_plan_part_cached, generate_widening_part, Plan,
-    PlanPart,
+    assemble_plan, cost_part, flow_op_base_load, generate_plan_part, generate_widening_part,
+    residual_flow_ops, Plan, PlanPart, RouteCost,
 };
 use crate::state::NetworkState;
 
@@ -76,8 +78,14 @@ pub struct SearchStats {
     pub candidates_matched: usize,
     /// Successful matches.
     pub matches: usize,
-    /// Candidate plans generated.
+    /// Candidate plans generated — costed and compared against the best so
+    /// far.
     pub plans_generated: usize,
+    /// [`PlanPart`]s actually built: per input the initial source plan,
+    /// every matched candidate that beat the best so far, and every
+    /// widening candidate (that path builds before it compares). Never
+    /// more than `plans_generated`.
+    pub parts_built: usize,
 }
 
 /// Runs Algorithm 1 for a compiled query to be answered at super-peer
@@ -171,6 +179,29 @@ enum CandidateSource {
     FullScan,
 }
 
+/// Line 14 (MatchProperties) and the operator half of the cost in one
+/// verdict: `Some(bload)` when a stream carrying `candidate` can serve
+/// `wanted`, with `bload` the summed base load of the residual operators it
+/// still needs — all the cost function reads of them; `None` when it
+/// cannot. A pure function of the two property chains.
+fn judge(candidate: &InputProperties, wanted: &InputProperties) -> Option<f64> {
+    match_input_properties(candidate, wanted).then(|| {
+        let ops = residual_flow_ops(candidate, wanted);
+        ops.iter().map(flow_op_base_load).sum()
+    })
+}
+
+/// Lines 19–22's comparison: a candidate replaces `best` when it is
+/// strictly cheaper — or, under admission control, when exactly one of the
+/// two is feasible and it is the candidate.
+fn beats(feasible: bool, cost: f64, best: &PlanPart, require_feasible: bool) -> bool {
+    if require_feasible && feasible != best.feasible {
+        feasible
+    } else {
+        cost < best.cost
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn search(
     state: &NetworkState,
@@ -184,12 +215,17 @@ fn search(
 ) -> Result<(Plan, SearchStats), SubscribeError> {
     let mut stats = SearchStats::default();
     let mut parts: Vec<PlanPart> = Vec::new();
+    let peers = state.topo.peer_count();
     // Memoized shortest routes to v_q, shared across this search's input
     // streams (the route from a tap peer to v_q does not depend on the
     // stream). `None` = not yet computed; `Some(None)` = unreachable.
-    let mut route_memo: Vec<Option<Option<Vec<NodeId>>>> = vec![None; state.topo.peer_count()];
-    // Scratch candidate buffer, reused across peers and inputs.
-    let mut scratch: Vec<FlowId> = Vec::new();
+    let mut route_memo: Vec<Option<Option<Vec<NodeId>>>> = vec![None; peers];
+    // Scratch buffers, reused across peers and inputs: the candidates at
+    // the visited peer, and the graph search's marks and frontier.
+    let mut scratch: Vec<(FlowId, ChainId)> = Vec::new();
+    let mut marked = vec![false; peers];
+    let mut queued = vec![false; peers];
+    let mut frontier: VecDeque<NodeId> = VecDeque::new();
 
     // Line 2: iterate over the properties of all input data streams of q.
     for wanted in query.properties.inputs() {
@@ -213,9 +249,11 @@ fn search(
                 ("v_q", state.topo.peer(v_q).name.as_str().into()),
             ]
         });
+        let built_before = stats.parts_built;
         let mut best = generate_plan_part(state, wanted, source_flow, v_b, v_q)
             .ok_or_else(|| SubscribeError::Unreachable(stream.to_string()))?;
         stats.plans_generated += 1;
+        stats.parts_built += 1;
         dss_telemetry::event("candidate", || {
             [
                 (
@@ -230,8 +268,10 @@ fn search(
                 ("feasible", best.feasible.into()),
             ]
         });
-        // Fixed per search: the subscription's own chain estimate.
+        // Fixed per search: the subscription's own chain estimate — what
+        // every candidate part transports, whatever it taps.
         let wanted_estimate = best.estimate;
+        let rate_kbps = wanted_estimate.kbps();
         // Pre-digested match pre-filters for the indexed lookup. Widening
         // must see some *non-matching* variants too — but only the
         // widenable (selection/projection-only) ones can ever yield a
@@ -245,14 +285,15 @@ fn search(
         // Per-chain lens verdicts, memoized across every peer this input's
         // search visits (a chain flowing past many peers is judged once).
         let mut verdicts = dss_network::LensVerdicts::default();
-        // Full-match results per interned chain: flows with the same chain
-        // id carry byte-identical input properties, so MatchProperties is
-        // a pure function of the chain and need only run once per chain.
-        let mut match_memo: Vec<Option<bool>> = Vec::new();
+        // `judge` per interned chain: flows with the same chain id carry
+        // byte-identical input properties, so the match and the residual
+        // operators' load are pure functions of the chain and need only
+        // run once per chain. Outer `None` = not judged yet.
+        let mut chain_memo: Vec<Option<Option<f64>>> =
+            vec![None; state.deployment.distinct_chains()];
 
-        let mut marked = vec![false; state.topo.peer_count()];
-        let mut queued = vec![false; state.topo.peer_count()];
-        let mut frontier: VecDeque<NodeId> = VecDeque::new();
+        marked.fill(false);
+        queued.fill(false);
         frontier.push_back(v_b);
         queued[v_b] = true;
 
@@ -269,14 +310,17 @@ fn search(
             dss_telemetry::event("visit", || {
                 [("peer", Value::from(state.topo.peer(v).name.as_str()))]
             });
-            // Fixed per tap node (and per v_q, hence memoized across the
-            // whole search): the transport route to v_q.
+            // Fixed per tap node: the transport route to v_q (and per v_q,
+            // hence memoized across the whole search) and, with the
+            // transported rate fixed per input, the route's half of every
+            // candidate's cost at this peer.
             let route_to_vq = route_memo[v]
                 .get_or_insert_with(|| dss_network::shortest_path(&state.topo, v, v_q))
-                .as_deref();
+                .as_deref()
+                .map(|route| (route, RouteCost::of(state, route, rate_kbps)));
             // Lines 9–11: streams available at v that are variants of the
             // input stream.
-            let flow_ids: &[FlowId] = match source {
+            match source {
                 CandidateSource::Indexed => {
                     let lens = lens.as_ref().expect("indexed search builds a lens");
                     state
@@ -285,44 +329,44 @@ fn search(
                     if widening {
                         // Sorted-dedup union: a widenable chain may also be
                         // a lens match (both lists are ascending and short).
-                        scratch.extend_from_slice(state.deployment.widenable_at(v, stream));
+                        scratch.extend(state.deployment.widenable_at(v, stream).iter().map(
+                            |&id| {
+                                let chain = state.deployment.chain_of(id, stream);
+                                (id, chain.expect("indexed flows have an interned chain"))
+                            },
+                        ));
                         scratch.sort_unstable();
                         scratch.dedup();
                     }
-                    &scratch
                 }
                 CandidateSource::FullScan => {
+                    // The reference judges every candidate directly and
+                    // never reads the chain id.
                     scratch.clear();
-                    scratch.extend((0..state.deployment.len()).filter(|&i| {
-                        let f = state.deployment.flow(i);
-                        !f.retired && f.properties.is_some() && f.available_at(v)
-                    }));
-                    &scratch
+                    scratch.extend(
+                        (0..state.deployment.len())
+                            .filter(|&i| {
+                                let f = state.deployment.flow(i);
+                                !f.retired && f.properties.is_some() && f.available_at(v)
+                            })
+                            .map(|i| (i, ChainId::MAX)),
+                    );
                 }
-            };
-            for &flow_id in flow_ids {
+            }
+            for &(flow_id, chain) in &scratch {
                 let flow = state.deployment.flow(flow_id);
                 let Some(candidate) = flow.properties.as_ref().and_then(|p| p.input_for(stream))
                 else {
                     continue;
                 };
                 stats.candidates_matched += 1;
-                // Line 14: MatchProperties (memoized per distinct chain on
-                // the indexed path; the full-scan reference stays direct).
-                let matched = match source {
-                    CandidateSource::Indexed => match state.deployment.chain_of(flow_id, stream) {
-                        Some(cid) => {
-                            if match_memo.len() <= cid {
-                                match_memo.resize(cid + 1, None);
-                            }
-                            *match_memo[cid]
-                                .get_or_insert_with(|| match_input_properties(candidate, wanted))
-                        }
-                        None => match_input_properties(candidate, wanted),
-                    },
-                    CandidateSource::FullScan => match_input_properties(candidate, wanted),
+                let verdict = match source {
+                    CandidateSource::Indexed => {
+                        *chain_memo[chain].get_or_insert_with(|| judge(candidate, wanted))
+                    }
+                    CandidateSource::FullScan => judge(candidate, wanted),
                 };
-                if !matched {
+                let Some(bload) = verdict else {
                     // The losing check is only diagnosed when someone is
                     // recording: the hot path keeps the boolean match.
                     dss_telemetry::event("candidate", || {
@@ -338,10 +382,12 @@ fn search(
                         ]
                     });
                     // Widening extension: a non-matching stream may still be
-                    // usable after loosening its operators in place.
+                    // usable after loosening its operators in place. That
+                    // path builds its part eagerly.
                     if widening {
+                        let route = route_to_vq.map(|(route, _)| route);
                         if let Some(plan) =
-                            generate_widening_part(state, wanted, flow_id, v, v_q, route_to_vq)
+                            generate_widening_part(state, wanted, flow_id, v, v_q, route)
                         {
                             // A widenable stream can be tapped anywhere on
                             // its route, so the route's peers join the
@@ -353,11 +399,8 @@ fn search(
                                 }
                             }
                             stats.plans_generated += 1;
-                            let better = if require_feasible && plan.feasible != best.feasible {
-                                plan.feasible
-                            } else {
-                                plan.cost < best.cost
-                            };
+                            stats.parts_built += 1;
+                            let better = beats(plan.feasible, plan.cost, &best, require_feasible);
                             dss_telemetry::event("candidate", || {
                                 [
                                     ("flow", Value::from(flow.label.as_str())),
@@ -376,7 +419,7 @@ fn search(
                         }
                     }
                     continue;
-                }
+                };
                 stats.matches += 1;
                 // Lines 15–18 extend the frontier with the matched stream's
                 // target node `getTNode(p)`. We additionally enqueue every
@@ -392,39 +435,37 @@ fn search(
                         queued[n] = true;
                     }
                 }
-                // Lines 19–22: generate and compare a plan reusing the
-                // stream at v.
-                let Some(plan) = generate_plan_part_cached(
-                    state,
-                    wanted,
-                    flow_id,
-                    v,
-                    v_q,
-                    Some(wanted_estimate),
-                    route_to_vq,
-                ) else {
+                // Lines 19–22: cost the plan reusing the stream at v and
+                // compare; only a plan that wins is built.
+                let Some((route, route_cost)) = route_to_vq else {
                     continue;
                 };
+                let cost = cost_part(state, route_cost, flow_id, v, bload);
                 stats.plans_generated += 1;
-                let better = if require_feasible && plan.feasible != best.feasible {
-                    plan.feasible
-                } else {
-                    plan.cost < best.cost
-                };
+                let better = beats(cost.feasible, cost.cost, &best, require_feasible);
                 dss_telemetry::event("candidate", || {
                     [
                         ("flow", Value::from(flow.label.as_str())),
                         ("peer", state.topo.peer(v).name.as_str().into()),
                         ("outcome", Value::from("matched")),
-                        ("cost", plan.cost.into()),
-                        ("traffic", plan.traffic.into()),
-                        ("load", plan.load.into()),
-                        ("feasible", plan.feasible.into()),
+                        ("cost", cost.cost.into()),
+                        ("traffic", cost.traffic.into()),
+                        ("load", cost.load.into()),
+                        ("feasible", cost.feasible.into()),
                         ("chosen", better.into()),
                     ]
                 });
                 if better {
-                    best = plan;
+                    best = PlanPart::build(
+                        stream,
+                        flow_id,
+                        v,
+                        residual_flow_ops(candidate, wanted),
+                        route.to_vec(),
+                        wanted_estimate,
+                        cost,
+                    );
+                    stats.parts_built += 1;
                 }
             }
         }
@@ -441,6 +482,7 @@ fn search(
                 ("feasible", best.feasible.into()),
             ]
         });
+        dss_telemetry::add_field("parts_built", || (stats.parts_built - built_before).into());
         parts.push(best);
     }
 

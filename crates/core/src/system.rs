@@ -212,6 +212,14 @@ impl StreamGlobe {
         }
     }
 
+    /// Sets the observed-load feedback overlay for `peer` — what a
+    /// rebalance cycle injects between retiring its victims and
+    /// re-registering them ([`NetworkState::set_load_feedback`]) — so a
+    /// caller can plan against a measured network without running one.
+    pub fn set_load_feedback(&mut self, peer: NodeId, extra_work: f64) {
+        self.state.set_load_feedback(peer, extra_work);
+    }
+
     /// The deployed dataflow graph.
     pub fn deployment(&self) -> &Deployment {
         &self.state.deployment

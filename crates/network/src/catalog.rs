@@ -322,18 +322,20 @@ impl Catalog {
     }
 
     /// Collects into `out` the variants of `stream` at `node` that pass the
-    /// lens's pre-filters, ascending. A flow is emitted only if a full
-    /// `match_input_properties` against the lens's subscription *could*
-    /// succeed; every true match is always emitted. `verdicts` memoizes
-    /// per-chain judgements across the calls of one search and must not be
-    /// reused with a different lens.
+    /// lens's pre-filters, ascending by flow id, each with the interned
+    /// chain id of its input for `stream` (what [`Self::chain_of`] would
+    /// look up — the buckets are keyed by it, so it comes for free). A flow
+    /// is emitted only if a full `match_input_properties` against the
+    /// lens's subscription *could* succeed; every true match is always
+    /// emitted. `verdicts` memoizes per-chain judgements across the calls
+    /// of one search and must not be reused with a different lens.
     pub fn candidates_into(
         &self,
         node: NodeId,
         stream: &str,
         lens: &QueryLens,
         verdicts: &mut LensVerdicts,
-        out: &mut Vec<FlowId>,
+        out: &mut Vec<(FlowId, ChainId)>,
     ) {
         out.clear();
         let Some(idx) = self
@@ -348,23 +350,16 @@ impl Catalog {
             if !sig.is_subset_of(lens.kinds()) {
                 continue;
             }
-            for &sid in &bucket.plain {
+            let mut emit = |sid: ChainId| {
                 if verdicts.allows(lens, summaries, sid) {
-                    out.extend_from_slice(&bucket.groups[&sid]);
+                    out.extend(bucket.groups[&sid].iter().map(|&id| (id, sid)));
                 }
-            }
+            };
+            bucket.plain.iter().copied().for_each(&mut emit);
             if !bucket.by_window.is_empty() {
                 for (lo, hi) in lens.window_ranges() {
-                    for sids in bucket
-                        .by_window
-                        .range(lo.clone()..=hi.clone())
-                        .map(|(_, v)| v)
-                    {
-                        for &sid in sids {
-                            if verdicts.allows(lens, summaries, sid) {
-                                out.extend_from_slice(&bucket.groups[&sid]);
-                            }
-                        }
+                    for (_, sids) in bucket.by_window.range::<WindowKey, _>(lo..=hi) {
+                        sids.iter().copied().for_each(&mut emit);
                     }
                 }
             }

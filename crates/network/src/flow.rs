@@ -254,7 +254,8 @@ impl Deployment {
     }
 
     /// Collects into `out` the variants of `stream` at `node` whose chain
-    /// summaries pass `lens`'s pre-filters, ascending. Guaranteed to
+    /// summaries pass `lens`'s pre-filters, ascending, each paired with
+    /// its interned chain id (see [`Self::chain_of`]). Guaranteed to
     /// contain every flow whose properties `match_input_properties` would
     /// accept for the lens's subscription input; non-matches may be pruned.
     /// `verdicts` memoizes per-chain judgements across the peers of one
@@ -265,7 +266,7 @@ impl Deployment {
         stream: &str,
         lens: &QueryLens,
         verdicts: &mut LensVerdicts,
-        out: &mut Vec<FlowId>,
+        out: &mut Vec<(FlowId, crate::catalog::ChainId)>,
     ) {
         self.catalog
             .candidates_into(node, stream, lens, verdicts, out);
@@ -565,7 +566,11 @@ mod tests {
                     !f.retired && f.properties.is_some() && f.available_at(node)
                 })
                 .collect();
-            assert_eq!(got, scan, "node {node}");
+            let ids: Vec<FlowId> = got.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, scan, "node {node}");
+            for &(id, chain) in &got {
+                assert_eq!(d.chain_of(id, "photons"), Some(chain), "node {node}");
+            }
             assert_eq!(d.variants_at(node, "photons"), scan.as_slice());
         }
     }

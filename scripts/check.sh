@@ -71,7 +71,8 @@ echo "==> telemetry overhead guard (disabled recording must be free)"
 ./scripts/telemetry_overhead.sh
 
 echo "==> registration smoke (indexed plan search stays flat at scale)"
-# 100k subscriptions by default (~1.5 min); override with DSS_SMOKE_SUBS.
+# 100k subscriptions by default (~20 s); override with DSS_SMOKE_SUBS.
+# Rewrites the committed BENCH_subscribe.json with this run's curve.
 # Fails on plan divergence from the full-scan reference or when the last
 # latency decile's p99 exceeds DSS_SMOKE_FLAT_RATIO (default 2.5) times
 # the first decile's.

@@ -153,6 +153,48 @@ fn plan_from_stdin_with_sharing_context() {
     assert!(stdout.contains("reuse flow q1/photons at SP5"));
 }
 
+/// `dss explain` reads the search's trace: Query 2 after Query 1 walks
+/// the Figure-2 candidates (the source stream and Q1's stream at SP4, SP0,
+/// SP5, SP1), improves three times, settles on Q1's stream at SP5, and the
+/// traced part costs sum to the installed plan's `C(P)` exactly.
+#[test]
+fn explain_prints_the_figure_2_candidate_table() {
+    let mut child = dss()
+        .args(["explain", "-", "--at", "P2", "--after", "q1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(dss_wxquery::queries::Q2.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("finishes");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("5 peers visited, 7 candidates"), "{stdout}");
+    let rows = |prefix: &str| {
+        stdout
+            .lines()
+            .filter(|l| l.trim_start().starts_with(prefix))
+            .count()
+    };
+    assert_eq!((rows("initial"), rows("matched")), (1, 6), "{stdout}");
+    assert_eq!(stdout.matches("<- new best").count(), 3, "{stdout}");
+    assert!(stdout.contains("best      q1/photons @ SP5"), "{stdout}");
+    assert!(
+        stdout.contains("matches the installed plan's total cost"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn check_reports_compile_errors() {
     let mut child = dss()

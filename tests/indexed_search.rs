@@ -14,11 +14,13 @@
 
 use proptest::prelude::*;
 
+use data_stream_sharing::core::plan::generate_plan_part;
 use data_stream_sharing::core::{
     subscribe_full_scan, subscribe_with, SearchOrder, SearchStats, Strategy, StreamGlobe,
 };
 use data_stream_sharing::network::grid_topology;
 use dss_rass::{default_photons, QueryTemplateGenerator, TemplateKind};
+use dss_telemetry::Value;
 use dss_wxquery::compile_query;
 use dss_wxquery::testing::arb_query;
 
@@ -92,6 +94,14 @@ fn assert_equivalent(
                     is.plans_generated, fs.plans_generated,
                     "indexed search must generate the same plans ({order:?}, probe {text})"
                 );
+                assert_eq!(
+                    is.parts_built, fs.parts_built,
+                    "indexed search must build the same parts ({order:?}, probe {text})"
+                );
+                assert!(
+                    is.parts_built <= is.plans_generated,
+                    "a part is built only for a generated plan ({order:?}, probe {text}): {is:?}"
+                );
                 assert!(
                     is.candidates_matched <= fs.candidates_matched,
                     "index may only prune candidates: {} > {} ({order:?}, probe {text})",
@@ -125,8 +135,224 @@ fn assert_equivalent(
     bfs_stats
 }
 
+/// What the traced searches of [`costed_equals_built`] exercised so far, so
+/// a deterministic test can pin that each branch of the costing is reached.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Matched candidates that were costed (and compared here).
+    costed: usize,
+    /// Of those, candidates costed infeasible — `used > available`
+    /// somewhere, the `over·e^over` branch.
+    infeasible: usize,
+    /// Of those, verbatim forwards: no residual operator, empty load term.
+    forwards: usize,
+    /// Matched candidates at a peer with no route to `v_q`: never costed,
+    /// no `plans_generated` increment.
+    unrouted: usize,
+}
+
+/// Cost-then-build, checked from the outside: runs one traced indexed
+/// search and, for **every** matched candidate it costed (through the
+/// per-peer route term and the per-chain load memo), builds the same part
+/// eagerly with `generate_plan_part` (nothing precomputed) and compares the
+/// traced `cost`/`traffic`/`load` bit for bit and `feasible` exactly. Also
+/// checks the span's `parts_built` field against the `chosen` events and
+/// the search's own count.
+fn costed_equals_built(
+    system: &StreamGlobe,
+    text: &str,
+    v_q_name: &str,
+    order: SearchOrder,
+    require_feasible: bool,
+    cov: &mut Coverage,
+) {
+    let Ok(compiled) = compile_query(text) else {
+        return;
+    };
+    let state = system.state();
+    let v_q = state.topo.expect_node(v_q_name);
+    let session = dss_telemetry::session();
+    let result = subscribe_with(state, &compiled, v_q, v_q, order, require_feasible, false);
+    let snap = session.snapshot();
+    drop(session);
+
+    let text_of = |span: &dss_telemetry::Span, key: &str| match span.field(key) {
+        Some(Value::Str(s)) => s.clone(),
+        other => panic!("candidate field {key}: {other:?}"),
+    };
+    let (mut costed, mut built_in_spans) = (0, 0);
+    for (span, wanted) in snap
+        .spans_named("subscribe_input")
+        .zip(compiled.properties.inputs())
+    {
+        let mut chosen = 0;
+        for cand in span.children_named("candidate") {
+            if text_of(cand, "outcome") != "matched" {
+                continue;
+            }
+            let label = text_of(cand, "flow");
+            let flow = (0..state.deployment.len())
+                .find(|&i| {
+                    let f = state.deployment.flow(i);
+                    !f.retired && f.properties.is_some() && f.label == label
+                })
+                .expect("a candidate is a live shareable flow");
+            let peer = state.topo.expect_node(&text_of(cand, "peer"));
+            let built = generate_plan_part(state, wanted, flow, peer, v_q)
+                .expect("a costed candidate has a route to v_q");
+            for (key, built) in [
+                ("cost", built.cost),
+                ("traffic", built.traffic),
+                ("load", built.load),
+            ] {
+                let Some(Value::Float(costed)) = cand.field(key) else {
+                    panic!("candidate field {key}: {:?}", cand.field(key));
+                };
+                assert_eq!(
+                    costed.to_bits(),
+                    built.to_bits(),
+                    "{key} of {label} @ {peer}: costed {costed:e} vs built {built:e} \
+                     ({order:?}, probe {text})"
+                );
+            }
+            assert_eq!(
+                cand.field("feasible"),
+                Some(&Value::Bool(built.feasible)),
+                "feasible of {label} @ {peer} ({order:?}, probe {text})"
+            );
+            costed += 1;
+            cov.infeasible += usize::from(!built.feasible);
+            cov.forwards += usize::from(built.ops.is_empty());
+            chosen += usize::from(cand.field("chosen") == Some(&Value::Bool(true)));
+        }
+        // Built: the initial source plan plus every candidate that won. A
+        // search that found no initial plan (unreachable source) stops
+        // before it records either.
+        if span.children_named("best").next().is_some() {
+            assert_eq!(
+                span.field("parts_built"),
+                Some(&Value::from(1 + chosen)),
+                "parts_built of the span ({order:?}, probe {text})"
+            );
+            built_in_spans += 1 + chosen;
+        }
+    }
+    if let Ok((_, stats)) = result {
+        assert_eq!(stats.parts_built, built_in_spans);
+        let inputs = compiled.properties.inputs().len();
+        assert_eq!(stats.plans_generated, inputs + costed);
+        cov.unrouted += stats.matches - costed;
+    }
+    cov.costed += costed;
+}
+
+/// Isolates `peer` by taking all its connections down: flows routed
+/// through it stay deployed (and matched), but it has no route to anyone.
+fn cut_off(system: &mut StreamGlobe, peer: usize) {
+    let edges = system.topology().incident(peer).to_vec();
+    for e in edges {
+        system.topology_mut().set_edge_up(e, false);
+    }
+}
+
+/// The first `n` query texts `build_system` registered for `seed`.
+fn installed_texts(seed: u64, n: usize) -> Vec<String> {
+    let mut tgen = QueryTemplateGenerator::new(seed, "photons");
+    (0..n).map(|_| tgen.next_query()).collect()
+}
+
+/// The costing's branches are all reachable from the proptest's knobs:
+/// tight capacity caps cost candidates infeasible, re-subscribing an
+/// installed query costs verbatim forwards, and a cut-off tap peer leaves
+/// matched candidates uncosted.
+#[test]
+fn costed_equals_built_reaches_every_branch() {
+    let seed = 11;
+    let (mut system, _) = build_system(4, seed, 12, false, 0);
+    let texts = installed_texts(seed, 12);
+    let mut total = Coverage::default();
+    let probe_all = |system: &StreamGlobe, total: &mut Coverage| {
+        for text in &texts {
+            for order in [SearchOrder::Bfs, SearchOrder::Dfs] {
+                let admission = order == SearchOrder::Dfs;
+                costed_equals_built(system, text, "SP9", order, admission, total);
+            }
+        }
+    };
+    probe_all(&system, &mut total);
+    assert!(total.costed > 0 && total.forwards > 0, "{total:?}");
+    assert_eq!((total.infeasible, total.unrouted), (0, 0), "{total:?}");
+    // Every connection and peer far over capacity, two peers hotter still.
+    system.apply_capacity_caps(0.0005, 2.0);
+    for v in [1, 6] {
+        let capacity = system.topology().peer(v).capacity;
+        system.set_load_feedback(v, 0.75 * capacity);
+    }
+    probe_all(&system, &mut total);
+    assert!(total.infeasible > 0, "{total:?}");
+    // A peer in the middle of a deployed stream's route.
+    let flows = system.deployment().flows();
+    let through = flows
+        .iter()
+        .find(|f| !f.retired && f.properties.is_some() && f.route.len() >= 3)
+        .expect("some stream crosses a peer");
+    let mid = through.route[1];
+    cut_off(&mut system, mid);
+    probe_all(&system, &mut total);
+    assert!(total.unrouted > 0, "{total:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(diff_cases()))]
+
+    /// Cost-then-build: over random deployments — capacity caps that push
+    /// `used > available`, observed-load feedback, a cut-off peer on
+    /// deployed routes, retired subscriptions — every matched candidate's
+    /// costed `PartCost` equals the eagerly built `PlanPart`'s fields bit
+    /// for bit, under both frontier orders and with admission control on
+    /// and off; and the indexed search still equals the full scan there.
+    #[test]
+    fn costed_candidates_equal_built_parts(
+        seed in 0u64..1_000_000,
+        dim in 2usize..=4,
+        n_queries in 1usize..14,
+        unregister_every in 0usize..4,
+        caps in prop::option::of((1u32..200, 1u32..400)),
+        feedback in prop::option::of((0usize..16, 1u32..150)),
+        cut in prop::option::of(0usize..16),
+        probe_peer in 0usize..64,
+        require_feasible in any::<bool>(),
+        dfs in any::<bool>(),
+    ) {
+        let (mut system, mut tgen) = build_system(dim, seed, n_queries, false, unregister_every);
+        let peers = dim * dim;
+        if let Some((cpu_permyriad, kbps)) = caps {
+            system.apply_capacity_caps(f64::from(cpu_permyriad) / 10_000.0, f64::from(kbps));
+        }
+        if let Some((v, percent)) = feedback {
+            let v = v % peers;
+            let capacity = system.topology().peer(v).capacity;
+            system.set_load_feedback(v, f64::from(percent) / 100.0 * capacity);
+        }
+        if let Some(v) = cut {
+            cut_off(&mut system, v % peers);
+        }
+        let v_q = format!("SP{}", probe_peer % peers);
+        let order = if dfs { SearchOrder::Dfs } else { SearchOrder::Bfs };
+        // An installed query again (verbatim forwards of its own stream),
+        // then one fresh probe of each template kind.
+        let mut probes = installed_texts(seed, 1);
+        probes.extend([
+            TemplateKind::Selection,
+            TemplateKind::Projection,
+            TemplateKind::Aggregation,
+        ].map(|kind| tgen.next_query_of(kind)));
+        let mut cov = Coverage::default();
+        for text in &probes {
+            costed_equals_built(&system, text, &v_q, order, require_feasible, &mut cov);
+            assert_equivalent(&system, text, &v_q, false);
+        }
+    }
 
     /// Equivalence: for arbitrary deployments (grid size, template mix,
     /// widening on/off, retired subscriptions) and probes drawn from both
@@ -171,7 +397,6 @@ fn traced_counts(
     v_q_name: &str,
     full_scan: bool,
 ) -> Vec<(usize, usize, usize)> {
-    use dss_telemetry::Value;
     let compiled = compile_query(text).expect("probe compiles");
     let v_q = system.topology().expect_node(v_q_name);
     let session = dss_telemetry::session();
