@@ -741,50 +741,63 @@ mod tests {
 
     #[test]
     fn cost_base_loads_match_engine_operators() {
-        use dss_engine::StreamOperator;
+        use dss_network::FlowOp;
         use dss_predicate::PredicateGraph;
-        use dss_properties::{Operator, ProjectionSpec};
+        use dss_properties::{Operator, ProjectionSpec, WindowOutputSpec};
         // The planner's bload table must agree with what the executable
         // operators actually charge, or estimated and simulated load drift.
-        let specs: Vec<dss_properties::Operator> = vec![
-            Operator::Selection(PredicateGraph::new()),
-            Operator::Projection(ProjectionSpec::default()),
-            Operator::Udf {
-                name: "u".into(),
-                params: vec![],
-            },
-        ];
-        for op in &specs {
-            assert_eq!(
-                crate::cost::base_load(op),
-                dss_engine::build_operator(op).base_load(),
-                "bload mismatch for {op}"
-            );
-        }
-        // Flow-level ops.
+        // One value of every variant, in the order of `variant` below: its
+        // match has no wildcard, so a new `FlowOp` or `Operator` variant
+        // does not compile until it is listed here.
+        let variant = |op: &FlowOp| match op {
+            FlowOp::Standard(Operator::Selection(_)) => 0,
+            FlowOp::Standard(Operator::Projection(_)) => 1,
+            FlowOp::Standard(Operator::Udf { .. }) => 2,
+            FlowOp::Standard(Operator::Aggregation(_)) => 3,
+            FlowOp::Standard(Operator::WindowOutput(_)) => 4,
+            FlowOp::ReAggregate { .. } => 5,
+            FlowOp::ReWindow { .. } => 6,
+            FlowOp::Restructure { .. } => 7,
+        };
         let q3 = dss_wxquery::compile_query(dss_wxquery::queries::Q3).unwrap();
         let agg = q3.aggregation.unwrap();
-        assert_eq!(
-            crate::cost::base_load(&Operator::Aggregation(agg.clone())),
-            dss_engine::AggregateOp::new(agg.clone()).base_load()
-        );
         let q4 = dss_wxquery::compile_query(dss_wxquery::queries::Q4).unwrap();
         let agg4 = q4.aggregation.unwrap();
-        assert_eq!(
-            crate::plan::flow_op_base_load(&dss_network::FlowOp::ReAggregate {
+        let contents = |spec: &dss_properties::AggregationSpec| WindowOutputSpec {
+            window: spec.window.clone(),
+            pre_selection: PredicateGraph::new(),
+        };
+        let ops = [
+            FlowOp::Standard(Operator::Selection(PredicateGraph::new())),
+            FlowOp::Standard(Operator::Projection(ProjectionSpec::default())),
+            FlowOp::Standard(Operator::Udf {
+                name: "u".into(),
+                params: vec![],
+            }),
+            FlowOp::Standard(Operator::Aggregation(agg.clone())),
+            FlowOp::Standard(Operator::WindowOutput(contents(&agg))),
+            FlowOp::ReAggregate {
                 reused: agg.clone(),
                 new: agg4.clone(),
-            }),
-            dss_engine::ReAggregateOp::new(agg, agg4).base_load()
-        );
-        assert_eq!(
-            crate::plan::flow_op_base_load(&dss_network::FlowOp::Restructure {
+            },
+            FlowOp::ReWindow {
+                reused: contents(&agg),
+                new: contents(&agg4),
+            },
+            FlowOp::Restructure {
                 template: dss_engine::Template::element("x", vec![]),
                 agg: None,
                 window: false,
-            }),
-            dss_engine::RestructureOp::new(dss_engine::Template::element("x", vec![])).base_load()
-        );
+            },
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!(variant(op), i, "a variant is missing from the list");
+            assert_eq!(
+                crate::plan::flow_op_base_load(op),
+                dss_network::build_flow_op(op).base_load(),
+                "bload mismatch for {op:?}"
+            );
+        }
     }
 
     #[test]

@@ -129,24 +129,8 @@ impl StreamOperator for AggregateOp {
         2.0
     }
 
-    fn export_state(&mut self) -> Option<OpState> {
-        let (open, youngest_start, items_seen) = self.tracker.export_open();
-        if open.is_empty() && youngest_start.is_none() && items_seen == 0 {
-            return None;
-        }
-        Some(OpState::Agg {
-            spec: self.spec.clone(),
-            open,
-            youngest_start,
-            items_seen,
-        })
-    }
-
     fn snapshot_state(&self) -> Option<OpState> {
-        let (open, youngest_start, items_seen) = self.tracker.snapshot_open();
-        if open.is_empty() && youngest_start.is_none() && items_seen == 0 {
-            return None;
-        }
+        let (open, youngest_start, items_seen) = self.tracker.snapshot_open()?;
         Some(OpState::Agg {
             spec: self.spec.clone(),
             open,

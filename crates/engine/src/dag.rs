@@ -195,7 +195,7 @@ impl<K> OpDag<K> {
 
     /// [`Self::reregister`], but carrying open window state across the
     /// rebuild where doing so is exact: stateful operators pruned from the
-    /// old suffix export their state ([`StreamOperator::export_state`]),
+    /// old suffix export their state ([`StreamOperator::snapshot_state`]),
     /// and freshly built operators on the new suffix adopt the snapshots
     /// they can ([`StreamOperator::import_state`]) — moving O(open state)
     /// items instead of losing the windows and replaying O(window extent).
@@ -296,22 +296,7 @@ impl<K> OpDag<K> {
                 .copied()
                 .filter(|s| self.paths[s].contains(&idx))
                 .collect();
-            let node = self.node_mut(idx);
-            let mut taken = None;
-            for (pos, (tag, st)) in pool.iter().enumerate() {
-                if !owners.contains(tag) {
-                    continue;
-                }
-                if let Some(items) = node.op.import_state(st) {
-                    taken = Some((pos, items));
-                    break;
-                }
-            }
-            if let Some((pos, items)) = taken {
-                pool.remove(pos);
-                report.ops_migrated += 1;
-                report.items_moved += items;
-            }
+            self.import_first_fit(idx, &owners, &mut pool, &mut report);
         }
         report.ops_dropped = pool.len() as u64;
         report
@@ -383,22 +368,7 @@ impl<K> OpDag<K> {
                     .copied()
                     .filter(|s| self.paths[s].contains(&idx))
                     .collect();
-                let node = self.node_mut(idx);
-                let mut taken = None;
-                for (pos, (tag, st)) in pool.iter().enumerate() {
-                    if !owners.contains(tag) {
-                        continue;
-                    }
-                    if let Some(items) = node.op.import_state(st) {
-                        taken = Some((pos, items));
-                        break;
-                    }
-                }
-                if let Some((pos, items)) = taken {
-                    pool.remove(pos);
-                    report.ops_migrated += 1;
-                    report.items_moved += items;
-                }
+                self.import_first_fit(idx, &owners, &mut pool, &mut report);
             }
         }
         report.ops_dropped = pool.len() as u64;
@@ -445,26 +415,34 @@ impl<K> OpDag<K> {
                 if !owners.iter().all(|s| targets.contains(s)) {
                     continue;
                 }
-                let node = self.node_mut(idx);
-                let mut taken = None;
-                for (pos, (tag, st)) in pool.iter().enumerate() {
-                    if !owners.contains(tag) {
-                        continue;
-                    }
-                    if let Some(items) = node.op.import_state(st) {
-                        taken = Some((pos, items));
-                        break;
-                    }
-                }
-                if let Some((pos, items)) = taken {
-                    pool.remove(pos);
-                    report.ops_migrated += 1;
-                    report.items_moved += items;
-                }
+                self.import_first_fit(idx, &owners, &mut pool, &mut report);
             }
         }
         report.ops_dropped = pool.len() as u64;
         report
+    }
+
+    /// First-fit import into node `idx`: the first pooled snapshot tagged
+    /// with one of `owners` that the node's operator adopts exactly leaves
+    /// the pool and is counted in `report`.
+    fn import_first_fit(
+        &mut self,
+        idx: usize,
+        owners: &[SinkId],
+        pool: &mut Vec<(SinkId, OpState)>,
+        report: &mut MigrationReport,
+    ) {
+        let op = &mut self.node_mut(idx).op;
+        let hit = pool
+            .iter()
+            .enumerate()
+            .filter(|(_, (tag, _))| owners.contains(tag))
+            .find_map(|(pos, (_, st))| Some((pos, op.import_state(st)?)));
+        if let Some((pos, items)) = hit {
+            pool.remove(pos);
+            report.ops_migrated += 1;
+            report.items_moved += items;
+        }
     }
 
     /// Walks/creates nodes for `ops` below the last node of `path`,
@@ -562,7 +540,7 @@ impl<K> OpDag<K> {
                 "pruned DAG node still referenced"
             );
             if let Some(pool) = exported.as_deref_mut() {
-                if let Some(st) = self.node_mut(idx).op.export_state() {
+                if let Some(st) = self.node(idx).op.snapshot_state() {
                     pool.push(st);
                 }
             }
@@ -1279,6 +1257,89 @@ mod tests {
                 restored.process_into(item, &mut |s, n| got.entry(s).or_default().push(n.clone()));
             }
             restored.flush_into(&mut |s, n| got.entry(s).or_default().push(n.clone()));
+            assert_eq!(got, expect);
+        }
+
+        /// The tile buffers of Φ↺ and ω↺ move like open windows do: both
+        /// chains are rebuilt from their leading operator down, the pruned
+        /// suffixes hold a tracker and an assembler each, and the outputs
+        /// equal an uninterrupted run.
+        #[test]
+        fn tile_state_migrates_with_its_chain() {
+            use crate::{ReAggregateOp, ReWindowOp, WindowContentsOp};
+            use dss_properties::WindowOutputSpec;
+            let contents = |size: &str, step: &str| WindowOutputSpec {
+                window: agg_spec(size, Some(step)).window,
+                pre_selection: PredicateGraph::new(),
+            };
+            let (fine, coarse) = (agg_spec("20", Some("10")), agg_spec("60", Some("40")));
+            let chains = |lead: &'static str| -> Vec<(SinkId, KeyedChain<&'static str>)> {
+                let re_agg = ReAggregateOp::new(fine.clone(), coarse.clone());
+                let windows = WindowContentsOp::new(contents("20", "10"));
+                let re_window = ReWindowOp::new(contents("20", "10"), contents("60", "40"));
+                vec![
+                    (
+                        0,
+                        vec![
+                            op(lead),
+                            agg_op("phi", "20", Some("10")),
+                            ("re-phi", Box::new(re_agg)),
+                        ],
+                    ),
+                    (
+                        1,
+                        vec![
+                            op(lead),
+                            ("omega", Box::new(windows)),
+                            ("re-omega", Box::new(re_window)),
+                        ],
+                    ),
+                ]
+            };
+            let early: Vec<Node> = (0..12).map(|i| photon(i * 7)).collect();
+            let late: Vec<Node> = (12..30).map(|i| photon(i * 7)).collect();
+            let feed = |dag: &mut OpDag<&'static str>, items: &[Node], out: &mut Vec<_>| {
+                for item in items {
+                    dag.process_into(item, &mut |s, n| out.push((s, n.clone())));
+                }
+            };
+
+            let mut cont = OpDag::new();
+            for (sink, chain) in chains("a") {
+                cont.register(sink, chain, eq);
+            }
+            let mut expect = Vec::new();
+            feed(&mut cont, &early, &mut expect);
+            feed(&mut cont, &late, &mut expect);
+            cont.flush_into(&mut |s, n| expect.push((s, n.clone())));
+
+            let mut dag = OpDag::new();
+            for (sink, chain) in chains("a") {
+                dag.register(sink, chain, eq);
+            }
+            let mut got = Vec::new();
+            feed(&mut dag, &early, &mut got);
+            let tiles: Vec<u64> = dag
+                .snapshot_states()
+                .iter()
+                .filter(|(_, st)| matches!(st, OpState::ReAgg { .. } | OpState::ReWindow { .. }))
+                .map(|(_, st)| st.items())
+                .collect();
+            assert!(
+                tiles.len() == 2 && tiles.iter().all(|&n| n > 0),
+                "sanity: both assemblers hold tiles at the cut: {tiles:?}"
+            );
+            let report = dag.reregister_migrating_batch(chains("b"), eq);
+            assert_eq!(report.ops_exported, 4, "Φ, Φ↺, ω and ω↺");
+            assert_eq!(report.ops_migrated, 4);
+            assert_eq!(report.ops_dropped, 0);
+            assert!(
+                report.items_moved > tiles.iter().sum(),
+                "tiles and windows moved"
+            );
+            feed(&mut dag, &late, &mut got);
+            dag.flush_into(&mut |s, n| got.push((s, n.clone())));
+            assert!(got.iter().any(|(s, _)| *s == 0) && got.iter().any(|(s, _)| *s == 1));
             assert_eq!(got, expect);
         }
 

@@ -19,6 +19,7 @@ pub mod op;
 pub mod project;
 pub mod reaggregate;
 pub mod restructure;
+pub mod retile;
 pub mod select;
 pub mod window_contents;
 pub mod window_track;

@@ -41,8 +41,8 @@ use dss_xml::{Decimal, Node};
 use crate::agg_item::AggItem;
 use crate::window_contents::WindowItem;
 
-/// Snapshot of one stateful operator's open window state, as exported by
-/// [`StreamOperator::export_state`](crate::StreamOperator::export_state).
+/// Snapshot of one stateful operator's open window state, as captured by
+/// [`StreamOperator::snapshot_state`](crate::StreamOperator::snapshot_state).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpState {
     /// Open state of an aggregation operator Φ.

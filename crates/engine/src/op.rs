@@ -128,25 +128,17 @@ pub trait StreamOperator: fmt::Debug {
     /// a plain selection.
     fn base_load(&self) -> f64;
 
-    /// Exports the operator's open window state for migration across a
-    /// chain rebuild, leaving the operator empty. `None` (the default) for
-    /// stateless operators and operators with nothing buffered.
-    fn export_state(&mut self) -> Option<OpState> {
-        None
-    }
-
-    /// Non-destructive [`export_state`](StreamOperator::export_state):
-    /// clones the operator's open state for a durability checkpoint,
-    /// leaving the operator untouched. Must return exactly what
-    /// `export_state` would, so a checkpoint restored via
-    /// [`import_state`](StreamOperator::import_state) is bit-identical to
-    /// the state at capture time. `None` (the default) for stateless
+    /// Clones the operator's open window state — for a durability
+    /// checkpoint, or for migration across a chain rebuild — leaving the
+    /// operator untouched. Restored via
+    /// [`import_state`](StreamOperator::import_state) it is bit-identical
+    /// to the state at capture time. `None` (the default) for stateless
     /// operators and operators with nothing buffered.
     fn snapshot_state(&self) -> Option<OpState> {
         None
     }
 
-    /// Adopts state exported by a pruned operator, when doing so is
+    /// Adopts a snapshot of another operator's state, when doing so is
     /// *exact*: afterwards the operator's state must be bit-identical to
     /// what it would hold had it consumed the whole stream itself (see
     /// [`crate::migrate`]). Returns the number of state items adopted, or

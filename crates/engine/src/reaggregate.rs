@@ -1,28 +1,38 @@
 //! The re-aggregation operator: computes a coarse window aggregate from the
 //! shared partial results of a finer one (Figure 5 of the paper).
 //!
-//! Input items are [`AggItem`]s produced by an upstream [`AggregateOp`]
-//! (possibly at another peer) with window spec `(Δ, µ)`. The operator
-//! assembles each new window `[w, w + Δ')` (with `w` on the µ'-grid) from
-//! the non-overlapping tiles `[w + jΔ, w + (j+1)Δ)`, `j = 0 … Δ'/Δ − 1`.
-//! The shareability conditions `Δ' mod Δ = 0`, `Δ mod µ = 0`, and
-//! `µ' mod µ = 0` guarantee these tiles exist in the reused stream (other
-//! incoming partials are simply ignored, as the paper describes).
-//!
-//! Because upstream emits partials in ascending start order and skips empty
-//! windows, a tile is treated as empty once any partial with a later start
-//! has been seen.
+//! Input items are [`AggItem`]s produced by an upstream
+//! [`AggregateOp`](crate::AggregateOp) (possibly at another peer). The
+//! tiling of the new windows from those partials is the
+//! [`TileAssembler`]'s (see [`crate::retile`]); this operator parses the
+//! partials and applies the new spec's result filter to what comes out.
 
-use std::collections::BTreeMap;
-
-use dss_properties::{AggregationSpec, WindowSpec};
+use dss_properties::AggregationSpec;
 use dss_xml::{Decimal, Node};
 
 use crate::agg_item::AggItem;
 use crate::aggregate::filter_accepts;
 use crate::migrate::OpState;
 use crate::op::{Emit, StreamOperator};
-use crate::window_track::grid_floor;
+use crate::retile::{Tile, TileAssembler};
+
+impl Tile for AggItem {
+    fn empty(start: Decimal, size: Decimal) -> AggItem {
+        AggItem::empty(start, size)
+    }
+
+    fn start(&self) -> Decimal {
+        self.start
+    }
+
+    fn merge(&mut self, other: &AggItem) {
+        AggItem::merge(self, other);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
 
 /// Re-aggregation from shared fine partials to a coarser window spec.
 #[derive(Debug)]
@@ -31,13 +41,7 @@ pub struct ReAggregateOp {
     reused: AggregationSpec,
     /// Spec of the aggregate to produce.
     new: AggregationSpec,
-    /// Buffered tiles by start (only starts on the Δ-tiling of some pending
-    /// window are kept).
-    tiles: BTreeMap<Decimal, AggItem>,
-    /// Start of the oldest new window not yet finalized (on the µ'-grid).
-    next_window: Option<Decimal>,
-    /// Highest partial start seen (monotone).
-    max_seen: Option<Decimal>,
+    assembler: TileAssembler<AggItem>,
 }
 
 impl ReAggregateOp {
@@ -47,18 +51,11 @@ impl ReAggregateOp {
     /// Panics if the window specs are not shareable — the planner must only
     /// install re-aggregations that `MatchAggregations` approved.
     pub fn new(reused: AggregationSpec, new: AggregationSpec) -> ReAggregateOp {
-        assert!(
-            new.window.shareable_from(&reused.window),
-            "re-aggregation requires shareable windows ({} from {})",
-            new.window,
-            reused.window,
-        );
+        let assembler = TileAssembler::new(&reused.window, &new.window);
         ReAggregateOp {
             reused,
             new,
-            tiles: BTreeMap::new(),
-            next_window: None,
-            max_seen: None,
+            assembler,
         }
     }
 
@@ -66,60 +63,14 @@ impl ReAggregateOp {
     pub fn spec(&self) -> &AggregationSpec {
         &self.new
     }
+}
 
-    fn delta(&self) -> Decimal {
-        self.reused.window.size()
-    }
-
-    fn delta_new(&self) -> Decimal {
-        self.new.window.size()
-    }
-
-    fn mu_new(&self) -> Decimal {
-        self.new.window.step()
-    }
-
-    /// `true` if `start` is a tile position of the window at `w`.
-    fn is_tile_of(&self, start: Decimal, w: Decimal) -> bool {
-        if start < w || start >= w + self.delta_new() {
-            return false;
-        }
-        WindowSpec::is_multiple_of(start - w, self.delta())
-    }
-
-    /// Finalizes every pending window whose last tile is certainly
-    /// available or empty: all tiles with start < `horizon` are final.
-    fn finalize_ready(&mut self, horizon: Decimal, out: &mut Emit) {
-        let Some(mut w) = self.next_window else {
-            return;
-        };
-        // A window [w, w+Δ') is final once its last tile start (w+Δ'−Δ) is
-        // strictly below the horizon.
-        while w + self.delta_new() - self.delta() < horizon {
-            self.finalize_window(w, out);
-            w = w + self.mu_new();
-            self.next_window = Some(w);
-        }
-        // Garbage-collect tiles no longer needed by any pending window.
-        let keep_from = w;
-        self.tiles.retain(|start, _| *start >= keep_from);
-    }
-
-    fn finalize_window(&mut self, w: Decimal, out: &mut Emit) {
-        let mut merged = AggItem::empty(w, self.delta_new());
-        let mut tile = w;
-        while tile < w + self.delta_new() {
-            if let Some(part) = self.tiles.get(&tile) {
-                merged.merge(part);
-            }
-            tile = tile + self.delta();
-        }
-        if merged.count == 0 {
-            return;
-        }
-        if filter_accepts(self.new.op, &merged, &self.new.result_filter) {
-            out.push(merged.to_node());
-        }
+/// Emits a completed window if it passes the result filter. A free function
+/// so the assembler callbacks can borrow `spec` while the assembler is
+/// borrowed mutably.
+fn emit_merged(spec: &AggregationSpec, merged: AggItem, out: &mut Emit) {
+    if filter_accepts(spec.op, &merged, &spec.result_filter) {
+        out.push(merged.to_node());
     }
 }
 
@@ -129,112 +80,45 @@ impl StreamOperator for ReAggregateOp {
     }
 
     fn process_into(&mut self, item: &Node, out: &mut Emit) {
-        let Ok(partial) = AggItem::from_node(item) else {
-            return;
-        };
-        let s = partial.start;
-        self.max_seen = Some(match self.max_seen {
-            Some(m) if m > s => m,
-            _ => s,
-        });
-        if self.next_window.is_none() {
-            // Oldest new window that can use the first partial as a tile:
-            // w ≤ s ≤ w + Δ' − Δ, so the smallest µ'-grid value
-            // ≥ s − Δ' + Δ. Windows before it have only empty tiles.
-            let lo = s - self.delta_new() + self.delta();
-            let mut w = grid_floor(lo, self.mu_new());
-            if w < lo {
-                w = w + self.mu_new();
-            }
-            // Window starts are clamped to the non-negative grid, matching
-            // the direct aggregation operator.
-            if w < Decimal::ZERO {
-                w = Decimal::ZERO;
-            }
-            self.next_window = Some(w);
-        }
-        // Everything strictly below s is now final.
-        self.finalize_ready(s, out);
-        // Keep the partial if it tiles some pending (or future) window.
-        if let Some(w0) = self.next_window {
-            let mut w = w0;
-            let mut needed = false;
-            while w <= s {
-                if self.is_tile_of(s, w) {
-                    needed = true;
-                    break;
-                }
-                w = w + self.mu_new();
-            }
-            if needed {
-                self.tiles.insert(s, partial);
-            }
+        if let Ok(partial) = AggItem::from_node(item) {
+            let ReAggregateOp { new, assembler, .. } = self;
+            assembler.observe(partial, |merged| emit_merged(new, merged, out));
         }
     }
 
     fn flush_into(&mut self, out: &mut Emit) {
-        if let Some(max) = self.max_seen {
-            // All tiles are final now; finalize every window that could be
-            // non-empty (w ≤ max_seen). The horizon overshoots by design —
-            // empty windows are filtered at emission.
-            self.finalize_ready(max + self.delta_new() + self.delta(), out);
-        }
+        let ReAggregateOp { new, assembler, .. } = self;
+        assembler.flush(|merged| emit_merged(new, merged, out));
     }
 
     fn base_load(&self) -> f64 {
         0.5
     }
 
-    fn export_state(&mut self) -> Option<OpState> {
-        if self.tiles.is_empty() && self.next_window.is_none() && self.max_seen.is_none() {
-            return None;
-        }
-        Some(OpState::ReAgg {
-            reused: self.reused.clone(),
-            new: self.new.clone(),
-            tiles: std::mem::take(&mut self.tiles).into_iter().collect(),
-            next_window: self.next_window.take(),
-            max_seen: self.max_seen.take(),
-        })
-    }
-
     fn snapshot_state(&self) -> Option<OpState> {
-        if self.tiles.is_empty() && self.next_window.is_none() && self.max_seen.is_none() {
-            return None;
-        }
+        let (tiles, next_window, max_seen) = self.assembler.snapshot()?;
         Some(OpState::ReAgg {
             reused: self.reused.clone(),
             new: self.new.clone(),
-            tiles: self.tiles.iter().map(|(s, t)| (*s, t.clone())).collect(),
-            next_window: self.next_window,
-            max_seen: self.max_seen,
+            tiles,
+            next_window,
+            max_seen,
         })
     }
 
     fn import_state(&mut self, state: &OpState) -> Option<u64> {
-        let OpState::ReAgg {
-            reused,
-            new,
-            tiles,
-            next_window,
-            max_seen,
-        } = state
-        else {
-            return None;
-        };
-        // Tile retention and finalization both follow the produced spec's
-        // grid, so only an identical re-aggregation adopts exactly.
-        if *reused != self.reused || *new != self.new {
-            return None;
+        match state {
+            OpState::ReAgg {
+                reused,
+                new,
+                tiles,
+                next_window,
+                max_seen,
+            } if *reused == self.reused && *new == self.new => {
+                Some(self.assembler.adopt(tiles, *next_window, *max_seen))
+            }
+            _ => None,
         }
-        debug_assert!(
-            self.tiles.is_empty() && self.next_window.is_none() && self.max_seen.is_none(),
-            "state adopted into a non-fresh re-aggregation operator"
-        );
-        self.tiles = tiles.iter().cloned().collect();
-        self.next_window = *next_window;
-        self.max_seen = *max_seen;
-        Some(self.tiles.len() as u64)
     }
 }
 
@@ -244,7 +128,7 @@ mod tests {
     use crate::aggregate::AggregateOp;
     use crate::op::StreamOperatorExt;
     use dss_predicate::{CompOp, PredicateGraph};
-    use dss_properties::{AggOp, ResultFilter};
+    use dss_properties::{AggOp, ResultFilter, WindowSpec};
     use dss_xml::Path;
 
     fn p(s: &str) -> Path {

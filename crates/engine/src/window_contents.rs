@@ -5,18 +5,17 @@
 //! contents of data windows, the average size of a data window needs to be
 //! determined"). Window contents compose exactly like distributive
 //! aggregates: a coarse window's contents are the concatenation of its
-//! non-overlapping tiles, so the same three shareability conditions apply
-//! and a [`ReWindowOp`] can assemble coarser windows from a shared
-//! finer-windowed stream.
+//! non-overlapping tiles, so a [`ReWindowOp`] assembles coarser windows
+//! from a shared finer-windowed stream with the same
+//! [`TileAssembler`](crate::retile) as re-aggregation.
 
-use std::collections::BTreeMap;
-
-use dss_properties::{WindowOutputSpec, WindowSpec};
+use dss_properties::WindowOutputSpec;
 use dss_xml::{Decimal, Node, XmlError};
 
 use crate::migrate::OpState;
 use crate::op::{Emit, StreamOperator};
-use crate::window_track::{grid_floor, WindowTracker};
+use crate::retile::{Tile, TileAssembler};
+use crate::window_track::WindowTracker;
 
 /// One window's contents, as shipped between peers:
 ///
@@ -169,24 +168,8 @@ impl StreamOperator for WindowContentsOp {
         1.5
     }
 
-    fn export_state(&mut self) -> Option<OpState> {
-        let (open, youngest_start, items_seen) = self.tracker.export_open();
-        if open.is_empty() && youngest_start.is_none() && items_seen == 0 {
-            return None;
-        }
-        Some(OpState::Window {
-            spec: self.spec.clone(),
-            open,
-            youngest_start,
-            items_seen,
-        })
-    }
-
     fn snapshot_state(&self) -> Option<OpState> {
-        let (open, youngest_start, items_seen) = self.tracker.snapshot_open();
-        if open.is_empty() && youngest_start.is_none() && items_seen == 0 {
-            return None;
-        }
+        let (open, youngest_start, items_seen) = self.tracker.snapshot_open()?;
         Some(OpState::Window {
             spec: self.spec.clone(),
             open,
@@ -210,18 +193,32 @@ impl StreamOperator for WindowContentsOp {
     }
 }
 
+impl Tile for WindowItem {
+    fn empty(start: Decimal, size: Decimal) -> WindowItem {
+        WindowItem::empty(start, size)
+    }
+
+    fn start(&self) -> Decimal {
+        self.start
+    }
+
+    fn merge(&mut self, other: &WindowItem) {
+        WindowItem::merge(self, other);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+}
+
 /// Re-windowing: assembles coarser window contents from a shared
-/// finer-windowed stream, mirroring [`crate::reaggregate::ReAggregateOp`].
+/// finer-windowed stream, mirroring [`crate::reaggregate::ReAggregateOp`]
+/// over the same [`TileAssembler`].
 #[derive(Debug)]
 pub struct ReWindowOp {
     reused: WindowOutputSpec,
     new: WindowOutputSpec,
-    /// Buffered tiles by start.
-    tiles: BTreeMap<Decimal, WindowItem>,
-    /// Start of the oldest new window not yet finalized (µ'-grid).
-    next_window: Option<Decimal>,
-    /// Highest tile start seen (monotone).
-    max_seen: Option<Decimal>,
+    assembler: TileAssembler<WindowItem>,
 }
 
 impl ReWindowOp {
@@ -230,64 +227,11 @@ impl ReWindowOp {
     /// # Panics
     /// Panics if the windows are not shareable.
     pub fn new(reused: WindowOutputSpec, new: WindowOutputSpec) -> ReWindowOp {
-        assert!(
-            new.window.shareable_from(&reused.window),
-            "re-windowing requires shareable windows ({} from {})",
-            new.window,
-            reused.window,
-        );
+        let assembler = TileAssembler::new(&reused.window, &new.window);
         ReWindowOp {
             reused,
             new,
-            tiles: BTreeMap::new(),
-            next_window: None,
-            max_seen: None,
-        }
-    }
-
-    fn delta(&self) -> Decimal {
-        self.reused.window.size()
-    }
-
-    fn delta_new(&self) -> Decimal {
-        self.new.window.size()
-    }
-
-    fn mu_new(&self) -> Decimal {
-        self.new.window.step()
-    }
-
-    fn is_tile_of(&self, start: Decimal, w: Decimal) -> bool {
-        if start < w || start >= w + self.delta_new() {
-            return false;
-        }
-        WindowSpec::is_multiple_of(start - w, self.delta())
-    }
-
-    fn finalize_ready(&mut self, horizon: Decimal, out: &mut Emit) {
-        let Some(mut w) = self.next_window else {
-            return;
-        };
-        while w + self.delta_new() - self.delta() < horizon {
-            self.finalize_window(w, out);
-            w = w + self.mu_new();
-            self.next_window = Some(w);
-        }
-        let keep_from = w;
-        self.tiles.retain(|start, _| *start >= keep_from);
-    }
-
-    fn finalize_window(&mut self, w: Decimal, out: &mut Emit) {
-        let mut merged = WindowItem::empty(w, self.delta_new());
-        let mut tile = w;
-        while tile < w + self.delta_new() {
-            if let Some(part) = self.tiles.get(&tile) {
-                merged.merge(part);
-            }
-            tile = tile + self.delta();
-        }
-        if !merged.items.is_empty() {
-            out.push(merged.into_node());
+            assembler,
         }
     }
 }
@@ -298,98 +242,44 @@ impl StreamOperator for ReWindowOp {
     }
 
     fn process_into(&mut self, item: &Node, out: &mut Emit) {
-        let Ok(tile) = WindowItem::from_node(item) else {
-            return;
-        };
-        let s = tile.start;
-        self.max_seen = Some(match self.max_seen {
-            Some(m) if m > s => m,
-            _ => s,
-        });
-        if self.next_window.is_none() {
-            let lo = s - self.delta_new() + self.delta();
-            let mut w = grid_floor(lo, self.mu_new());
-            if w < lo {
-                w = w + self.mu_new();
-            }
-            if w < Decimal::ZERO {
-                w = Decimal::ZERO;
-            }
-            self.next_window = Some(w);
-        }
-        self.finalize_ready(s, out);
-        if let Some(w0) = self.next_window {
-            let mut w = w0;
-            while w <= s {
-                if self.is_tile_of(s, w) {
-                    self.tiles.insert(s, tile);
-                    break;
-                }
-                w = w + self.mu_new();
-            }
+        if let Ok(tile) = WindowItem::from_node(item) {
+            self.assembler
+                .observe(tile, |merged| out.push(merged.into_node()));
         }
     }
 
     fn flush_into(&mut self, out: &mut Emit) {
-        if let Some(max) = self.max_seen {
-            self.finalize_ready(max + self.delta_new() + self.delta(), out);
-        }
+        self.assembler.flush(|merged| out.push(merged.into_node()));
     }
 
     fn base_load(&self) -> f64 {
         0.7
     }
 
-    fn export_state(&mut self) -> Option<OpState> {
-        if self.tiles.is_empty() && self.next_window.is_none() && self.max_seen.is_none() {
-            return None;
-        }
-        Some(OpState::ReWindow {
-            reused: self.reused.clone(),
-            new: self.new.clone(),
-            tiles: std::mem::take(&mut self.tiles).into_iter().collect(),
-            next_window: self.next_window.take(),
-            max_seen: self.max_seen.take(),
-        })
-    }
-
     fn snapshot_state(&self) -> Option<OpState> {
-        if self.tiles.is_empty() && self.next_window.is_none() && self.max_seen.is_none() {
-            return None;
-        }
+        let (tiles, next_window, max_seen) = self.assembler.snapshot()?;
         Some(OpState::ReWindow {
             reused: self.reused.clone(),
             new: self.new.clone(),
-            tiles: self.tiles.iter().map(|(s, t)| (*s, t.clone())).collect(),
-            next_window: self.next_window,
-            max_seen: self.max_seen,
+            tiles,
+            next_window,
+            max_seen,
         })
     }
 
     fn import_state(&mut self, state: &OpState) -> Option<u64> {
-        let OpState::ReWindow {
-            reused,
-            new,
-            tiles,
-            next_window,
-            max_seen,
-        } = state
-        else {
-            return None;
-        };
-        // Tile retention and finalization both follow the produced spec's
-        // grid, so only an identical re-windowing adopts exactly.
-        if *reused != self.reused || *new != self.new {
-            return None;
+        match state {
+            OpState::ReWindow {
+                reused,
+                new,
+                tiles,
+                next_window,
+                max_seen,
+            } if *reused == self.reused && *new == self.new => {
+                Some(self.assembler.adopt(tiles, *next_window, *max_seen))
+            }
+            _ => None,
         }
-        debug_assert!(
-            self.tiles.is_empty() && self.next_window.is_none() && self.max_seen.is_none(),
-            "state adopted into a non-fresh re-windowing operator"
-        );
-        self.tiles = tiles.iter().cloned().collect();
-        self.next_window = *next_window;
-        self.max_seen = *max_seen;
-        Some(self.tiles.len() as u64)
     }
 }
 
@@ -398,6 +288,7 @@ mod tests {
     use super::*;
     use crate::op::StreamOperatorExt;
     use dss_predicate::PredicateGraph;
+    use dss_properties::WindowSpec;
     use dss_xml::Path;
 
     fn d(s: &str) -> Decimal {

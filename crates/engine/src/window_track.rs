@@ -23,6 +23,11 @@ pub fn grid_floor(v: Decimal, step: Decimal) -> Decimal {
     Decimal::new(q * su, scale)
 }
 
+/// A tracker's open windows `(start, accumulator)` with the youngest opened
+/// start and the arrival index: what [`OpState::Agg`](crate::OpState::Agg)
+/// and [`OpState::Window`](crate::OpState::Window) carry.
+pub type OpenState<T> = (Vec<(Decimal, T)>, Option<Decimal>, u64);
+
 /// Sliding-window state over an ordered stream.
 #[derive(Debug)]
 pub struct WindowTracker<T> {
@@ -108,26 +113,18 @@ impl<T: Default> WindowTracker<T> {
         }
     }
 
-    /// Exports the tracker's open state for migration: open windows in
-    /// ascending start order, the youngest opened start, and the arrival
-    /// index. The tracker is left empty.
-    pub fn export_open(&mut self) -> (Vec<(Decimal, T)>, Option<Decimal>, u64) {
-        let open = self.active.drain(..).collect();
-        (open, self.youngest_start.take(), self.items_seen)
-    }
-
-    /// Non-destructive [`export_open`](WindowTracker::export_open): clones
-    /// the open state for a durability checkpoint, leaving the tracker
-    /// untouched.
-    pub fn snapshot_open(&self) -> (Vec<(Decimal, T)>, Option<Decimal>, u64)
+    /// The tracker's open state for a checkpoint or a migration: open
+    /// windows in ascending start order, the youngest opened start, and the
+    /// arrival index. `None` when the tracker has seen nothing.
+    pub fn snapshot_open(&self) -> Option<OpenState<T>>
     where
         T: Clone,
     {
-        (
-            self.active.iter().cloned().collect(),
-            self.youngest_start,
-            self.items_seen,
-        )
+        if self.active.is_empty() && self.youngest_start.is_none() && self.items_seen == 0 {
+            return None;
+        }
+        let open = self.active.iter().cloned().collect();
+        Some((open, self.youngest_start, self.items_seen))
     }
 
     /// Adopts open state exported from a tracker with window spec `from`,
@@ -202,30 +199,28 @@ impl<T: Default> WindowTracker<T> {
     }
 
     /// Opens every grid window overlapping reference value `v` that is not
-    /// open yet: starts in `(v − Δ, v]` on the non-negative µ-grid.
+    /// open yet: starts in `(v − Δ, v]` on the non-negative µ-grid. Grid
+    /// starts a gap in the data skipped are jumped over, not visited.
     fn open_overlapping(&mut self, v: Decimal) {
         let size = self.window.size();
         let step = self.window.step();
+        let mut start = self.youngest_start.map_or(Decimal::ZERO, |y| y + step);
+        if v < start {
+            return; // most items: still before the next grid start
+        }
         let highest = grid_floor(v, step);
-        let mut start = match self.youngest_start {
-            Some(y) => y + step,
-            None => {
-                let mut s = highest;
-                while s > Decimal::ZERO && v < (s - step) + size && s - step <= v {
-                    s = s - step;
-                }
-                s
-            }
-        };
+        // Behind a gap, jump to the first grid start above `v − Δ`. A step
+        // may exceed the size, and then no start is: the youngest start
+        // still advances.
+        if start + size <= v {
+            start = (grid_floor(v - size, step) + step).min(highest);
+        }
         while start <= highest {
             if v < start + size {
                 self.active.push_back((start, T::default()));
             }
             self.youngest_start = Some(start);
             start = start + step;
-        }
-        if self.youngest_start.is_none() {
-            self.youngest_start = Some(highest);
         }
     }
 }

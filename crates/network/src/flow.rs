@@ -13,10 +13,11 @@
 
 use std::ops::{Deref, DerefMut};
 
-use dss_engine::{build_operator, Pipeline, ReAggregateOp, ReWindowOp, RestructureOp, Template};
+use dss_engine::{Pipeline, Template};
 use dss_properties::{AggOp, AggregationSpec, Operator, Properties, QueryLens, WindowOutputSpec};
 
 use crate::catalog::{Catalog, LensVerdicts};
+use crate::shared::build_flow_op;
 use crate::topology::{NodeId, Topology};
 
 /// Flow identifier (dense index into the deployment).
@@ -61,27 +62,7 @@ pub enum FlowOp {
 pub fn build_flow_pipeline(ops: &[FlowOp]) -> Pipeline {
     let mut p = Pipeline::new();
     for op in ops {
-        match op {
-            FlowOp::Standard(o) => p.push(build_operator(o)),
-            FlowOp::ReAggregate { reused, new } => {
-                p.push(Box::new(ReAggregateOp::new(reused.clone(), new.clone())));
-            }
-            FlowOp::ReWindow { reused, new } => {
-                p.push(Box::new(ReWindowOp::new(reused.clone(), new.clone())));
-            }
-            FlowOp::Restructure {
-                template,
-                agg,
-                window,
-            } => {
-                let op = match (agg, window) {
-                    (Some(a), _) => RestructureOp::for_aggregate(template.clone(), *a),
-                    (None, true) => RestructureOp::for_window(template.clone()),
-                    (None, false) => RestructureOp::new(template.clone()),
-                };
-                p.push(Box::new(op));
-            }
-        }
+        p.push(build_flow_op(op));
     }
     p
 }

@@ -13,7 +13,7 @@ use dss_engine::{AggItem, OpState, WindowItem};
 use dss_predicate::{Bound, CompOp, NodeRef, PredicateGraph};
 use dss_properties::{AggOp, AggregationSpec, ResultFilter, WindowOutputSpec, WindowSpec};
 use dss_proto::wire::{put_bool, put_nodes, put_str, put_u32, put_u64, Reader};
-use dss_xml::{Decimal, Node, Path};
+use dss_xml::{Decimal, Path};
 
 use crate::RecordError;
 
@@ -262,6 +262,29 @@ pub fn get_window_item(r: &mut Reader<'_>) -> Result<WindowItem, RecordError> {
     })
 }
 
+/// A `(window start, value)` list — a tracker's open windows, an
+/// assembler's buffered tiles — as a count and the pairs in order.
+fn put_keyed<T>(out: &mut Vec<u8>, list: &[(Decimal, T)], put: impl Fn(&mut Vec<u8>, &T)) {
+    put_u64(out, list.len() as u64);
+    for (start, value) in list {
+        put_decimal(out, *start);
+        put(out, value);
+    }
+}
+
+fn get_keyed<T>(
+    r: &mut Reader<'_>,
+    get: impl Fn(&mut Reader<'_>) -> Result<T, RecordError>,
+) -> Result<Vec<(Decimal, T)>, RecordError> {
+    let n = r.u64()?;
+    let mut list = Vec::new();
+    for _ in 0..n {
+        let start = get_decimal(r)?;
+        list.push((start, get(r)?));
+    }
+    Ok(list)
+}
+
 pub fn put_op_state(out: &mut Vec<u8>, state: &OpState) {
     match state {
         OpState::Agg {
@@ -272,11 +295,7 @@ pub fn put_op_state(out: &mut Vec<u8>, state: &OpState) {
         } => {
             out.push(STATE_AGG);
             put_agg_spec(out, spec);
-            put_u64(out, open.len() as u64);
-            for (start, item) in open {
-                put_decimal(out, *start);
-                put_agg_item(out, item);
-            }
+            put_keyed(out, open, put_agg_item);
             put_opt_decimal(out, *youngest_start);
             put_u64(out, *items_seen);
         }
@@ -288,11 +307,7 @@ pub fn put_op_state(out: &mut Vec<u8>, state: &OpState) {
         } => {
             out.push(STATE_WINDOW);
             put_window_output_spec(out, spec);
-            put_u64(out, open.len() as u64);
-            for (start, items) in open {
-                put_decimal(out, *start);
-                put_nodes(out, items);
-            }
+            put_keyed(out, open, |out, items| put_nodes(out, items));
             put_opt_decimal(out, *youngest_start);
             put_u64(out, *items_seen);
         }
@@ -306,11 +321,7 @@ pub fn put_op_state(out: &mut Vec<u8>, state: &OpState) {
             out.push(STATE_REAGG);
             put_agg_spec(out, reused);
             put_agg_spec(out, new);
-            put_u64(out, tiles.len() as u64);
-            for (start, tile) in tiles {
-                put_decimal(out, *start);
-                put_agg_item(out, tile);
-            }
+            put_keyed(out, tiles, put_agg_item);
             put_opt_decimal(out, *next_window);
             put_opt_decimal(out, *max_seen);
         }
@@ -324,11 +335,7 @@ pub fn put_op_state(out: &mut Vec<u8>, state: &OpState) {
             out.push(STATE_REWINDOW);
             put_window_output_spec(out, reused);
             put_window_output_spec(out, new);
-            put_u64(out, tiles.len() as u64);
-            for (start, tile) in tiles {
-                put_decimal(out, *start);
-                put_window_item(out, tile);
-            }
+            put_keyed(out, tiles, put_window_item);
             put_opt_decimal(out, *next_window);
             put_opt_decimal(out, *max_seen);
         }
@@ -336,78 +343,42 @@ pub fn put_op_state(out: &mut Vec<u8>, state: &OpState) {
 }
 
 pub fn get_op_state(r: &mut Reader<'_>) -> Result<OpState, RecordError> {
-    match r.u8()? {
-        STATE_AGG => {
-            let spec = get_agg_spec(r)?;
-            let n = r.u64()?;
-            let mut open = Vec::new();
-            for _ in 0..n {
-                let start = get_decimal(r)?;
-                open.push((start, get_agg_item(r)?));
-            }
-            Ok(OpState::Agg {
-                spec,
-                open,
-                youngest_start: get_opt_decimal(r)?,
-                items_seen: r.u64()?,
-            })
-        }
-        STATE_WINDOW => {
-            let spec = get_window_output_spec(r)?;
-            let n = r.u64()?;
-            let mut open: Vec<(Decimal, Vec<Node>)> = Vec::new();
-            for _ in 0..n {
-                let start = get_decimal(r)?;
-                open.push((start, r.nodes()?));
-            }
-            Ok(OpState::Window {
-                spec,
-                open,
-                youngest_start: get_opt_decimal(r)?,
-                items_seen: r.u64()?,
-            })
-        }
-        STATE_REAGG => {
-            let reused = get_agg_spec(r)?;
-            let new = get_agg_spec(r)?;
-            let n = r.u64()?;
-            let mut tiles = Vec::new();
-            for _ in 0..n {
-                let start = get_decimal(r)?;
-                tiles.push((start, get_agg_item(r)?));
-            }
-            Ok(OpState::ReAgg {
-                reused,
-                new,
-                tiles,
-                next_window: get_opt_decimal(r)?,
-                max_seen: get_opt_decimal(r)?,
-            })
-        }
-        STATE_REWINDOW => {
-            let reused = get_window_output_spec(r)?;
-            let new = get_window_output_spec(r)?;
-            let n = r.u64()?;
-            let mut tiles = Vec::new();
-            for _ in 0..n {
-                let start = get_decimal(r)?;
-                tiles.push((start, get_window_item(r)?));
-            }
-            Ok(OpState::ReWindow {
-                reused,
-                new,
-                tiles,
-                next_window: get_opt_decimal(r)?,
-                max_seen: get_opt_decimal(r)?,
-            })
-        }
-        _ => Err(RecordError::Invalid("op-state tag")),
-    }
+    // Struct fields are evaluated in the order written: the wire order.
+    Ok(match r.u8()? {
+        STATE_AGG => OpState::Agg {
+            spec: get_agg_spec(r)?,
+            open: get_keyed(r, get_agg_item)?,
+            youngest_start: get_opt_decimal(r)?,
+            items_seen: r.u64()?,
+        },
+        STATE_WINDOW => OpState::Window {
+            spec: get_window_output_spec(r)?,
+            open: get_keyed(r, |r| Ok(r.nodes()?))?,
+            youngest_start: get_opt_decimal(r)?,
+            items_seen: r.u64()?,
+        },
+        STATE_REAGG => OpState::ReAgg {
+            reused: get_agg_spec(r)?,
+            new: get_agg_spec(r)?,
+            tiles: get_keyed(r, get_agg_item)?,
+            next_window: get_opt_decimal(r)?,
+            max_seen: get_opt_decimal(r)?,
+        },
+        STATE_REWINDOW => OpState::ReWindow {
+            reused: get_window_output_spec(r)?,
+            new: get_window_output_spec(r)?,
+            tiles: get_keyed(r, get_window_item)?,
+            next_window: get_opt_decimal(r)?,
+            max_seen: get_opt_decimal(r)?,
+        },
+        _ => return Err(RecordError::Invalid("op-state tag")),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dss_xml::Node;
 
     fn d(s: &str) -> Decimal {
         s.parse().unwrap()

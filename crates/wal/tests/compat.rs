@@ -6,8 +6,14 @@
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 
+use dss_engine::{AggItem, OpState, WindowItem};
+use dss_predicate::{Bound, CompOp, NodeRef, PredicateGraph};
+use dss_properties::{AggOp, AggregationSpec, ResultFilter, WindowOutputSpec, WindowSpec};
+use dss_proto::wire::Reader;
 use dss_proto::write_frame;
+use dss_wal::state_codec::{get_op_state, put_op_state};
 use dss_wal::{replay, RecordError, WalError, WalRecord, SEGMENT_PREFIX, SEGMENT_SUFFIX};
+use dss_xml::{Decimal, Node};
 
 /// `wal-000001.seg` exactly as the last commit that still knew tags 2–5
 /// wrote it through `WalWriter`: Deploy, RunStart, RunDone, Undeploy.
@@ -107,5 +113,138 @@ fn retired_record_is_torn_tail_in_final_segment_and_corrupt_before_it() {
         write_segment(&dir, 2, &[live.encode()]);
         assert!(matches!(replay(&dir), Err(WalError::Corrupt { .. })));
         fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// One value of each `OpState` kind, with every optional field and list
+/// populated at least once across the four.
+fn golden_states() -> [OpState; 4] {
+    let d = |s: &str| s.parse::<Decimal>().unwrap();
+    let p = |s: &str| s.parse::<dss_xml::Path>().unwrap();
+    let mut region = PredicateGraph::new();
+    region.add_edge(
+        NodeRef::Var(p("coord/cel/ra")),
+        NodeRef::Zero,
+        Bound {
+            weight: d("138.0"),
+            strict: false,
+        },
+    );
+    let agg = |size: &str, step: &str, conditions| AggregationSpec {
+        op: AggOp::Avg,
+        element: p("en"),
+        window: WindowSpec::diff(p("det_time"), d(size), Some(d(step))).unwrap(),
+        pre_selection: region.clone(),
+        result_filter: ResultFilter { conditions },
+    };
+    let contents = |size: &str, step: &str| WindowOutputSpec {
+        window: WindowSpec::diff(p("det_time"), d(size), Some(d(step))).unwrap(),
+        pre_selection: region.clone(),
+    };
+    let mut acc = AggItem::empty(d("10"), d("20"));
+    acc.add_value(d("1.5"));
+    acc.add_value(d("2.25"));
+    let photon = Node::elem(
+        "photon",
+        vec![Node::leaf("det_time", "41.5"), Node::leaf("en", "1.5")],
+    );
+    [
+        OpState::Agg {
+            spec: agg("20", "10", vec![]),
+            open: vec![
+                (d("10"), acc.clone()),
+                (d("20"), AggItem::empty(d("0"), d("0"))),
+            ],
+            youngest_start: Some(d("20")),
+            items_seen: 17,
+        },
+        OpState::Window {
+            spec: WindowOutputSpec {
+                window: WindowSpec::count(d("4"), Some(d("2"))).unwrap(),
+                pre_selection: PredicateGraph::new(),
+            },
+            open: vec![
+                (d("0"), vec![photon.clone(), photon.clone()]),
+                (d("2"), vec![]),
+            ],
+            youngest_start: None,
+            items_seen: 3,
+        },
+        OpState::ReAgg {
+            reused: agg("20", "10", vec![]),
+            new: agg("60", "40", vec![(CompOp::Ge, d("1.3"))]),
+            tiles: vec![(d("40"), acc)],
+            next_window: Some(d("40")),
+            max_seen: Some(d("50")),
+        },
+        OpState::ReWindow {
+            reused: contents("20", "10"),
+            new: contents("60", "40"),
+            tiles: vec![(
+                d("40"),
+                WindowItem {
+                    start: d("40"),
+                    size: d("20"),
+                    items: vec![photon],
+                },
+            )],
+            next_window: Some(d("0")),
+            max_seen: None,
+        },
+    ]
+}
+
+/// `put_op_state` of [`golden_states`], as the last commit with one
+/// hand-written list loop per `OpState` arm encoded them.
+const GOLDEN_OP_STATES: [&[u8]; 4] = [
+    &[
+        0x01, 0x04, 0x01, 0x02, 0x65, 0x6e, 0x01, 0x01, 0x08, 0x64, 0x65, 0x74, 0x5f, 0x74, 0x69,
+        0x6d, 0x65, 0x14, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x01, 0x01, 0x03, 0x05, 0x63, 0x6f, 0x6f,
+        0x72, 0x64, 0x03, 0x63, 0x65, 0x6c, 0x02, 0x72, 0x61, 0x00, 0x8a, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x0a, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x14, 0x00, 0x00, 0x02, 0x01, 0xf7, 0x02,
+        0x00, 0x02, 0x01, 0x0f, 0x00, 0x01, 0x01, 0xe1, 0x01, 0x00, 0x02, 0x14, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x14, 0x00, 0x00, 0x11,
+    ],
+    &[
+        0x02, 0x00, 0x04, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x06,
+        0x70, 0x68, 0x6f, 0x74, 0x6f, 0x6e, 0x00, 0x02, 0x08, 0x64, 0x65, 0x74, 0x5f, 0x74, 0x69,
+        0x6d, 0x65, 0x01, 0x04, 0x34, 0x31, 0x2e, 0x35, 0x00, 0x02, 0x65, 0x6e, 0x01, 0x03, 0x31,
+        0x2e, 0x35, 0x00, 0x06, 0x70, 0x68, 0x6f, 0x74, 0x6f, 0x6e, 0x00, 0x02, 0x08, 0x64, 0x65,
+        0x74, 0x5f, 0x74, 0x69, 0x6d, 0x65, 0x01, 0x04, 0x34, 0x31, 0x2e, 0x35, 0x00, 0x02, 0x65,
+        0x6e, 0x01, 0x03, 0x31, 0x2e, 0x35, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x03,
+    ],
+    &[
+        0x03, 0x04, 0x01, 0x02, 0x65, 0x6e, 0x01, 0x01, 0x08, 0x64, 0x65, 0x74, 0x5f, 0x74, 0x69,
+        0x6d, 0x65, 0x14, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x01, 0x01, 0x03, 0x05, 0x63, 0x6f, 0x6f,
+        0x72, 0x64, 0x03, 0x63, 0x65, 0x6c, 0x02, 0x72, 0x61, 0x00, 0x8a, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x04, 0x01, 0x02, 0x65, 0x6e, 0x01, 0x01, 0x08, 0x64, 0x65, 0x74, 0x5f, 0x74, 0x69,
+        0x6d, 0x65, 0x3c, 0x00, 0x00, 0x28, 0x00, 0x00, 0x01, 0x01, 0x03, 0x05, 0x63, 0x6f, 0x6f,
+        0x72, 0x64, 0x03, 0x63, 0x65, 0x6c, 0x02, 0x72, 0x61, 0x00, 0x8a, 0x01, 0x00, 0x00, 0x00,
+        0x01, 0x04, 0x0d, 0x00, 0x01, 0x01, 0x28, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x14, 0x00, 0x00,
+        0x02, 0x01, 0xf7, 0x02, 0x00, 0x02, 0x01, 0x0f, 0x00, 0x01, 0x01, 0xe1, 0x01, 0x00, 0x02,
+        0x01, 0x28, 0x00, 0x00, 0x01, 0x32, 0x00, 0x00,
+    ],
+    &[
+        0x04, 0x01, 0x01, 0x08, 0x64, 0x65, 0x74, 0x5f, 0x74, 0x69, 0x6d, 0x65, 0x14, 0x00, 0x00,
+        0x0a, 0x00, 0x00, 0x01, 0x01, 0x03, 0x05, 0x63, 0x6f, 0x6f, 0x72, 0x64, 0x03, 0x63, 0x65,
+        0x6c, 0x02, 0x72, 0x61, 0x00, 0x8a, 0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0x08, 0x64, 0x65,
+        0x74, 0x5f, 0x74, 0x69, 0x6d, 0x65, 0x3c, 0x00, 0x00, 0x28, 0x00, 0x00, 0x01, 0x01, 0x03,
+        0x05, 0x63, 0x6f, 0x6f, 0x72, 0x64, 0x03, 0x63, 0x65, 0x6c, 0x02, 0x72, 0x61, 0x00, 0x8a,
+        0x01, 0x00, 0x00, 0x00, 0x01, 0x28, 0x00, 0x00, 0x28, 0x00, 0x00, 0x14, 0x00, 0x00, 0x01,
+        0x06, 0x70, 0x68, 0x6f, 0x74, 0x6f, 0x6e, 0x00, 0x02, 0x08, 0x64, 0x65, 0x74, 0x5f, 0x74,
+        0x69, 0x6d, 0x65, 0x01, 0x04, 0x34, 0x31, 0x2e, 0x35, 0x00, 0x02, 0x65, 0x6e, 0x01, 0x03,
+        0x31, 0x2e, 0x35, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+    ],
+];
+
+#[test]
+fn op_state_bytes_are_pinned_to_the_parent_encoder() {
+    for (state, golden) in golden_states().iter().zip(GOLDEN_OP_STATES) {
+        let mut bytes = Vec::new();
+        put_op_state(&mut bytes, state);
+        assert_eq!(bytes, golden, "encoding of {state:?} moved");
+        let mut r = Reader::new(golden);
+        assert_eq!(get_op_state(&mut r).as_ref(), Ok(state));
+        r.finish().expect("golden bytes are consumed exactly");
     }
 }

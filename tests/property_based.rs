@@ -559,6 +559,105 @@ proptest! {
         prop_assert_eq!(direct, shared);
     }
 
+    /// A snapshot is the whole state: for all four windowed operators and
+    /// any shareable window pair, replacing each operator at any cut by a
+    /// fresh one that imported its snapshot changes neither the outputs
+    /// nor the state the run ends in.
+    #[test]
+    fn snapshot_handoff_equivalence(
+        mu in 1u32..5,
+        size_factor in 1u32..4,
+        new_size_factor in 1u32..4,
+        new_step_factor in 1u32..5,
+        values in prop::collection::vec((0u32..300, 1u32..60), 10..80),
+        gap in 0u32..20_000,
+        cut in 0usize..80,
+    ) {
+        use data_stream_sharing::engine::{
+            OpState, ReWindowOp, StreamOperator, WindowContentsOp,
+        };
+        use data_stream_sharing::properties::WindowOutputSpec;
+        let mu = Decimal::from_int(mu as i64);
+        let size = mu * size_factor as i64;
+        let window = |size, step| WindowSpec::diff("t".parse().unwrap(), size, Some(step)).unwrap();
+        let (fine, coarse) = (
+            window(size, mu),
+            window(size * new_size_factor as i64, mu * new_step_factor as i64),
+        );
+        prop_assume!(coarse.shareable_from(&fine));
+        let agg = |window: &WindowSpec| AggregationSpec {
+            op: AggOp::Sum,
+            element: "v".parse::<Path>().unwrap(),
+            window: window.clone(),
+            pre_selection: PredicateGraph::new(),
+            result_filter: ResultFilter::none(),
+        };
+        let contents = |window: &WindowSpec| WindowOutputSpec {
+            window: window.clone(),
+            pre_selection: PredicateGraph::new(),
+        };
+        // Sorted reference values, the later half moved behind a gap.
+        let mut ts: Vec<u32> = values.iter().map(|(t, _)| *t).collect();
+        ts.sort_unstable();
+        let half = ts.len() / 2;
+        let items: Vec<Node> = ts
+            .iter()
+            .zip(&values)
+            .enumerate()
+            .map(|(i, (t, (_, v)))| Node::elem("i", vec![
+                Node::leaf("t", (t + if i < half { 0 } else { gap }).to_string()),
+                Node::leaf("v", v.to_string()),
+            ]))
+            .collect();
+        let cut = cut % items.len();
+
+        fn hand_over<O: StreamOperator>(old: O, mut fresh: O) -> O {
+            if let Some(state) = old.snapshot_state() {
+                assert!(fresh.import_state(&state).is_some());
+            }
+            fresh
+        }
+        // Runs `fine → coarse`, handing both over before each item index
+        // in `cuts` (the input's length: before the flush). Returns both
+        // output streams and both states before the flush.
+        fn run<F: StreamOperator, C: StreamOperator>(
+            make: &dyn Fn() -> (F, C),
+            items: &[Node],
+            cuts: &[usize],
+        ) -> ([Vec<Node>; 2], [Option<OpState>; 2]) {
+            let (mut fine, mut coarse) = make();
+            let mut out = [Vec::new(), Vec::new()];
+            for i in 0..=items.len() {
+                if cuts.contains(&i) {
+                    let fresh = make();
+                    (fine, coarse) = (hand_over(fine, fresh.0), hand_over(coarse, fresh.1));
+                }
+                for tile in items.get(i).map_or(vec![], |item| fine.process_collect(item)) {
+                    out[1].extend(coarse.process_collect(&tile));
+                    out[0].push(tile);
+                }
+            }
+            let states = [fine.snapshot_state(), coarse.snapshot_state()];
+            for tile in fine.flush_collect() {
+                out[1].extend(coarse.process_collect(&tile));
+                out[0].push(tile);
+            }
+            out[1].extend(coarse.flush_collect());
+            (out, states)
+        }
+        let cuts = [cut, items.len()];
+        let aggregates = || (
+            AggregateOp::new(agg(&fine)),
+            ReAggregateOp::new(agg(&fine), agg(&coarse)),
+        );
+        prop_assert_eq!(run(&aggregates, &items, &cuts), run(&aggregates, &items, &[]));
+        let windows = || (
+            WindowContentsOp::new(contents(&fine)),
+            ReWindowOp::new(contents(&fine), contents(&coarse)),
+        );
+        prop_assert_eq!(run(&windows, &items, &cuts), run(&windows, &items, &[]));
+    }
+
     /// Merging any split of a value sequence equals aggregating it whole.
     #[test]
     fn agg_item_merge_associative(values in prop::collection::vec(-500i64..500, 1..40), split in 0usize..40) {
