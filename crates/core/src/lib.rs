@@ -123,6 +123,27 @@ mod tests {
     }
 
     #[test]
+    fn empty_stream_registers_and_carries_nothing() {
+        // An empty sample is an input, not a bug: the stream registers
+        // with zero-traffic statistics, queries plan over it under every
+        // strategy, and a run delivers nothing.
+        let mut sys = StreamGlobe::new(example_topology());
+        sys.register_stream("photons", "P0", Vec::new(), 100.0)
+            .unwrap();
+        assert_eq!(sys.state().stream_stats["photons"].item_size, 0.0);
+        for (i, strategy) in Strategy::ALL.into_iter().enumerate() {
+            let query = [queries::Q1, queries::Q3][i % 2];
+            let reg = sys
+                .register_query(format!("q{i}"), query, "P1", strategy)
+                .unwrap();
+            assert!(reg.plan.total_cost.is_finite());
+        }
+        let out = sys.run_simulation(Default::default());
+        assert!(out.flow_outputs.iter().all(Vec::is_empty));
+        assert_eq!(out.metrics.total_edge_bytes(), 0);
+    }
+
+    #[test]
     fn q1_stream_sharing_pushes_into_network() {
         let mut sys = system_with_photons();
         let reg = sys

@@ -83,7 +83,7 @@ impl StreamGlobe {
     fn live_sources(&self) -> BTreeMap<String, SourceModel> {
         self.sources
             .iter()
-            .map(|(name, info)| {
+            .map(|(name, items)| {
                 let freq = self
                     .state
                     .stream_stats
@@ -92,7 +92,7 @@ impl StreamGlobe {
                     .unwrap_or(1.0);
                 (
                     name.clone(),
-                    SourceModel::from_frequency(info.items.clone(), freq),
+                    SourceModel::from_frequency(items.clone(), freq),
                 )
             })
             .collect()

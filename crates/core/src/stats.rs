@@ -57,17 +57,16 @@ pub const MIN_SELECTIVITY: f64 = 0.001;
 
 impl StreamStats {
     /// Builds statistics from a sample of stream items and the stream's
-    /// item frequency (items per second).
+    /// item frequency (items per second). An empty sample is a stream that
+    /// carries nothing: zero item size and no observed paths, so every
+    /// traffic estimate derived from it is zero.
     ///
     /// # Panics
-    /// Panics if the sample is empty or the frequency is not positive.
+    /// Panics if the frequency is not positive.
     pub fn from_sample(sample: &[Node], frequency: f64) -> StreamStats {
-        assert!(
-            !sample.is_empty(),
-            "stream statistics need a non-empty sample"
-        );
         assert!(frequency > 0.0, "stream frequency must be positive");
-        let n = sample.len() as f64;
+        // Averages over no items are zero, not NaN.
+        let n = sample.len().max(1) as f64;
         let mut counts: BTreeMap<Path, (u64, u64, usize)> = BTreeMap::new(); // occurrences, bytes, name len
         let mut values: BTreeMap<Path, Vec<Decimal>> = BTreeMap::new();
         let mut total_size = 0u64;
@@ -103,7 +102,7 @@ impl StreamStats {
         StreamStats {
             item_size: total_size as f64 / n,
             frequency,
-            item_name_len: sample[0].name().len(),
+            item_name_len: sample.first().map_or(0, |item| item.name().len()),
             paths,
             ranges,
             increments,
@@ -449,9 +448,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-empty sample")]
-    fn empty_sample_rejected() {
-        StreamStats::from_sample(&[], 1.0);
+    fn empty_sample_is_a_stream_that_carries_nothing() {
+        let s = StreamStats::from_sample(&[], 1.0);
+        assert_eq!((s.item_size, s.item_name_len), (0.0, 0));
+        assert!(s.paths.is_empty() && s.ranges.is_empty() && s.increments.is_empty());
+        // Estimates over it fall back instead of dividing by zero.
+        let g = PredicateGraph::from_atoms(&[Atom::var_const(p("en"), CompOp::Ge, d("1.3"))]);
+        assert_eq!(s.selectivity(&g), DEFAULT_SELECTIVITY);
+        assert_eq!(s.avg_increment(&p("det_time")), 1.0);
     }
 
     /// A stream whose leaves carry no numeric values builds an empty

@@ -88,12 +88,6 @@ pub struct Registration {
     pub reused_derived_stream: bool,
 }
 
-/// One registered source stream.
-#[derive(Debug, Clone)]
-pub(crate) struct SourceInfo {
-    pub(crate) items: Vec<Node>,
-}
-
 /// What it takes to narrow one widened flow back when the query that
 /// widened it unregisters: the flow's pre-widening shape, the restore
 /// patches spliced into its consumers, and the exact charges to reverse.
@@ -140,7 +134,9 @@ pub(crate) struct Installed {
 #[derive(Debug)]
 pub struct StreamGlobe {
     pub(crate) state: NetworkState,
-    pub(crate) sources: BTreeMap<String, SourceInfo>,
+    /// Every registered source stream's items, in the shape the
+    /// simulator borrows them.
+    pub(crate) sources: BTreeMap<String, Vec<Node>>,
     pub(crate) registrations: Vec<Installed>,
     /// Stream widening (the paper's ongoing-work extension) enabled?
     widening: bool,
@@ -274,7 +270,7 @@ impl StreamGlobe {
         self.state.charge_route_for(flow, &route, estimate);
         self.state.stream_stats.insert(name.clone(), stats);
         self.state.source_flows.insert(name.clone(), flow);
-        self.sources.insert(name, SourceInfo { items });
+        self.sources.insert(name, items);
         Ok(())
     }
 
@@ -527,12 +523,7 @@ impl StreamGlobe {
 
     /// Runs the simulator over all registered streams and flows.
     pub fn run_simulation(&self, cfg: SimConfig) -> SimOutcome {
-        let sources: BTreeMap<String, Vec<Node>> = self
-            .sources
-            .iter()
-            .map(|(k, v)| (k.clone(), v.items.clone()))
-            .collect();
-        sim::run(&self.state.topo, &self.state.deployment, &sources, cfg)
+        sim::run(&self.state.topo, &self.state.deployment, &self.sources, cfg)
     }
 
     /// Number of currently registered queries.
@@ -544,7 +535,7 @@ impl StreamGlobe {
     /// deployments replay these from each hosting process's local replica
     /// instead of shipping them over the control plane.
     pub fn source_items(&self, name: &str) -> Option<&[Node]> {
-        self.sources.get(name).map(|s| s.items.as_slice())
+        self.sources.get(name).map(Vec::as_slice)
     }
 
     /// Names of all registered source streams, in registration-name order.

@@ -35,8 +35,7 @@ impl StreamOperator for UdfOp {
     }
 
     fn process_into(&mut self, item: &Node, out: &mut Emit) {
-        // Identity transform: the sink owns its items, so the passed-through
-        // item is cloned out of the caller's borrow.
+        // Identity transform: the sink gets a pointer to the same tree.
         out.push(item.clone());
     }
 

@@ -9,6 +9,14 @@
 //! performs no per-item buffer allocation at all. [`Pipeline`] owns two
 //! scratch [`Emit`] buffers and ping-pongs stage outputs between them; the
 //! last stage writes directly into the caller's sink.
+//!
+//! Items are immutable shared trees ([`dss_xml::Node`]): a clone is a
+//! pointer copy and mutation is copy-on-write. An operator takes `&Node`
+//! and pushes `Node`s, and what it pushes may *be* what it took — σ hands
+//! on the item it was given, Π's kept subtrees, ρ's `{ $p/π }` copies and
+//! ω's window buffers point into it — so one item fanned out to many sinks
+//! is stored once. Only what an operator computes (an aggregate value, a
+//! pruned spine, a constructed element) is allocated.
 
 use std::fmt;
 

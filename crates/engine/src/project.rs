@@ -42,7 +42,8 @@ impl ProjectOp {
 fn project_with_stack(spec: &ProjectionSpec, item: &Node, stack: &mut Vec<Symbol>) -> Node {
     fn prune(spec: &ProjectionSpec, node: &Node, stack: &mut Vec<Symbol>) -> Option<Node> {
         // A node is kept entirely if some output path covers it
-        // (the output path is a prefix of the node's path).
+        // (the output path is a prefix of the node's path): the result
+        // points at the item's own subtree.
         if spec.output.iter().any(|out| stack.starts_with(out.steps())) {
             return Some(node.clone());
         }
@@ -51,16 +52,13 @@ fn project_with_stack(spec: &ProjectionSpec, item: &Node, stack: &mut Vec<Symbol
         if !spec.output.iter().any(|out| out.steps().starts_with(stack)) {
             return None;
         }
-        let mut kept = Node::empty(node.symbol());
+        let mut kept = Vec::new();
         for child in node.children() {
             stack.push(child.symbol());
-            let pruned = prune(spec, child, stack);
+            kept.extend(prune(spec, child, stack));
             stack.pop();
-            if let Some(c) = pruned {
-                kept.push_child(c);
-            }
         }
-        Some(kept)
+        Some(Node::elem(node.symbol(), kept))
     }
     debug_assert!(stack.is_empty());
     prune(spec, item, stack).unwrap_or_else(|| Node::empty(item.symbol()))

@@ -103,34 +103,28 @@ impl RestructureOp {
     ) -> Option<Node> {
         match template {
             Template::Element { tag, children } => {
-                let mut node = Node::empty(*tag);
+                let mut kids = Vec::new();
                 let mut text = String::new();
                 for child in children {
                     match child {
                         Template::Subtree(path) => {
-                            // The constructed node owns its children, so the
-                            // matched subtrees are copied out of the item.
-                            path.visit(item, &mut |n| node.push_child(n.clone()));
+                            // The matched subtrees stay the item's: the
+                            // constructed node holds pointers to them.
+                            path.visit(item, &mut |n| kids.push(n.clone()));
                         }
                         Template::AggValue => {
                             text.push_str(agg_value?);
                         }
                         Template::WindowContents => {
-                            for n in window_items? {
-                                node.push_child(n.clone());
-                            }
+                            kids.extend_from_slice(window_items?);
                         }
                         Template::Text(t) => text.push_str(t),
                         elem @ Template::Element { .. } => {
-                            node.push_child(Self::instantiate(
-                                elem,
-                                item,
-                                agg_value,
-                                window_items,
-                            )?);
+                            kids.push(Self::instantiate(elem, item, agg_value, window_items)?);
                         }
                     }
                 }
+                let mut node = Node::elem(*tag, kids);
                 if !text.is_empty() {
                     // Text coexists with children (it renders first) —
                     // `<x>label { $p/en }</x>` keeps its label.

@@ -30,8 +30,8 @@ impl StreamOperator for SelectOp {
 
     fn process_into(&mut self, item: &Node, out: &mut Emit) {
         if self.predicate.evaluate(item) {
-            // The sink owns what it receives, so a passing item is cloned
-            // out of the caller's borrow; dropped items cost nothing.
+            // A passing item is handed on as a pointer to the same tree;
+            // dropped items cost nothing.
             out.push(item.clone());
         }
     }

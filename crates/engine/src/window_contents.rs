@@ -46,8 +46,8 @@ impl WindowItem {
     }
 
     /// Appends an adjacent tile's contents (ascending-order composition).
-    /// Clones are required: the tile stays buffered for the other windows
-    /// it still tiles.
+    /// The tile stays buffered for the other windows it still tiles, so
+    /// its items are shared (a pointer copy each), not moved.
     pub fn merge(&mut self, other: &WindowItem) {
         self.items.extend(other.items.iter().cloned());
     }
@@ -152,8 +152,7 @@ impl StreamOperator for WindowContentsOp {
         let WindowContentsOp { spec, tracker } = self;
         tracker.observe(
             item,
-            // The window accumulator owns its contents, so each covered
-            // window stores its own clone of the item.
+            // Every covered window holds a pointer to the one item.
             |acc, _| acc.push(item.clone()),
             |start, items| emit_contents(spec, start, items, out),
         );

@@ -28,7 +28,7 @@ use crate::metrics::NetworkMetrics;
 use crate::peer::{FlowOutputs, GroupTable, Next};
 use crate::pool::{max_parallelism, run_scoped};
 use crate::shared::GroupKey;
-use crate::topology::Topology;
+use crate::topology::{NodeId, Topology};
 
 /// An invalid simulation or runtime configuration value.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,12 +155,24 @@ pub fn try_run(
     deployment.validate(topo);
     let mut metrics = NetworkMetrics::new(topo, cfg.duration_s);
     let mut flow_outputs: Vec<Vec<Node>> = vec![Vec::new(); deployment.len()];
+    // What each flow puts on its route, sized where the output was made.
+    let mut flow_bytes = vec![0u64; deployment.len()];
 
     let table = GroupTable::build(deployment, |_| true);
     if cfg.shared_ops {
-        run_shared(topo, &table, sources, &mut metrics, &mut flow_outputs);
+        run_shared(
+            topo,
+            &table,
+            sources,
+            &mut metrics,
+            &mut flow_outputs,
+            &mut flow_bytes,
+        );
     } else {
         run_unfused(topo, deployment, sources, &mut metrics, &mut flow_outputs);
+        for (id, flow) in deployment.flows().iter().enumerate() {
+            flow_bytes[id] = route_bytes(&flow.route, &flow_outputs[id]);
+        }
     }
 
     // Transmit every flow's outputs along its route, charging edges and
@@ -169,10 +181,7 @@ pub fn try_run(
         if !flow.active || flow.route.len() < 2 {
             continue;
         }
-        let total_bytes: u64 = flow_outputs[id]
-            .iter()
-            .map(|n| serialized_size(n) as u64)
-            .sum();
+        let total_bytes = flow_bytes[id];
         let forward_work = total_bytes as f64 / 1024.0 * cfg.forward_work_per_kb;
         let mut step = table.step(id, 0);
         while let Next::Forward { to, hop } = step.next {
@@ -192,6 +201,15 @@ pub fn try_run(
         metrics,
         flow_outputs,
     })
+}
+
+/// Serialized size of what a flow sends along `route`: all of `items` if
+/// there is a second hop to send them to, nothing otherwise.
+fn route_bytes(route: &[NodeId], items: &[Node]) -> u64 {
+    if route.len() < 2 {
+        return 0;
+    }
+    items.iter().map(|n| serialized_size(n) as u64).sum()
 }
 
 /// Unfused execution: every flow runs its own pipeline, in id order.
@@ -228,14 +246,17 @@ fn run_unfused(
 /// Fused execution: each sharing group runs its DAG over its whole input,
 /// and the independent groups of one level execute on a scoped worker
 /// pool — each worker building the DAG it runs — borrowing the parent
-/// flow's output as their input. Results are applied in `(level, node,
-/// key)` order regardless of worker scheduling.
+/// flow's output as their input. A worker also sizes what it produced
+/// (`flow_bytes`), so the walk over every output element is spread over
+/// the pool instead of left to the caller's transmit loop. Results are
+/// applied in `(level, node, key)` order regardless of worker scheduling.
 fn run_shared(
     topo: &Topology,
     table: &GroupTable,
     sources: &BTreeMap<String, Vec<Node>>,
     metrics: &mut NetworkMetrics,
     flow_outputs: &mut [Vec<Node>],
+    flow_bytes: &mut [u64],
 ) {
     // A tap group runs one level below its parent's group, which was
     // created first (`add_flow` guarantees parent ids are smaller).
@@ -276,13 +297,21 @@ fn run_shared(
                 outputs.feed(&mut dag, item);
             }
             outputs.flush(&mut dag);
-            (g, dag.total_work(), outputs)
+            let sized: Vec<_> = outputs
+                .drain()
+                .map(|(flow, items)| {
+                    let bytes = route_bytes(&table.flows()[flow].route, &items);
+                    (flow, items, bytes)
+                })
+                .collect();
+            (g, dag.total_work(), sized)
         });
-        for (g, work, mut outputs) in results {
+        for (g, work, sized) in results {
             let node = table.groups()[g].node;
             metrics.record_work(node, work * topo.peer(node).pindex);
-            for (flow, items) in outputs.drain() {
+            for (flow, items, bytes) in sized {
                 flow_outputs[flow] = items;
+                flow_bytes[flow] = bytes;
             }
         }
     }

@@ -168,14 +168,18 @@ impl<'a> Reader<'a> {
         if depth >= MAX_NODE_DEPTH {
             return Err(DecodeError::TooDeep);
         }
-        let mut node = B::open(self.str_ref()?);
-        if self.bool()? {
-            node.text(self.str_ref()?);
+        let name = self.str_ref()?;
+        let text = if self.bool()? {
+            Some(self.str_ref()?)
+        } else {
+            None
+        };
+        let count = self.count()?;
+        let mut children = B::children(count);
+        for _ in 0..count {
+            B::push(&mut children, self.node_at(depth + 1)?);
         }
-        for _ in 0..self.count()? {
-            node.child(self.node_at(depth + 1)?);
-        }
-        Ok(node)
+        Ok(B::close(name, text, children))
     }
 
     pub fn nodes(&mut self) -> Result<Vec<Node>, DecodeError> {
@@ -204,30 +208,42 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// What [`Reader::node_at`] makes of the node it walks.
-trait Build {
-    fn open(name: &str) -> Self;
-    fn text(&mut self, text: &str);
-    fn child(&mut self, child: Self);
+/// What [`Reader::node_at`] makes of the node it walks: a node is closed
+/// over its finished child list, so a shared tree wraps that list once.
+trait Build: Sized {
+    type Children;
+    /// Room for `count` children — a count [`Reader::count`] has bounded
+    /// by the bytes that remain.
+    fn children(count: usize) -> Self::Children;
+    fn push(children: &mut Self::Children, child: Self);
+    fn close(name: &str, text: Option<&str>, children: Self::Children) -> Self;
 }
 
 impl Build for Node {
-    fn open(name: &str) -> Node {
-        Node::empty(name)
+    type Children = Vec<Node>;
+    fn children(count: usize) -> Vec<Node> {
+        Vec::with_capacity(count.min(1024))
     }
-    fn text(&mut self, text: &str) {
-        self.set_text(text);
+    fn push(children: &mut Vec<Node>, child: Node) {
+        children.push(child);
     }
-    fn child(&mut self, child: Node) {
-        self.push_child(child);
+    fn close(name: &str, text: Option<&str>, children: Vec<Node>) -> Node {
+        let mut node = Node::elem(name, children);
+        if let Some(text) = text {
+            // On a node without text this copies the borrowed payload
+            // bytes straight into the shared string.
+            node.append_text(text);
+        }
+        node
     }
 }
 
 /// Validation only.
 impl Build for () {
-    fn open(_: &str) {}
-    fn text(&mut self, _: &str) {}
-    fn child(&mut self, _: ()) {}
+    type Children = ();
+    fn children(_: usize) {}
+    fn push(_: &mut (), _: ()) {}
+    fn close(_: &str, _: Option<&str>, _: ()) {}
 }
 
 #[cfg(test)]

@@ -5,6 +5,19 @@
 //! a photon's `ra`) or child elements. Attributes encountered during parsing
 //! are converted into leading child elements ("attributes in XML data can
 //! always be converted into corresponding elements").
+//!
+//! # Sharing
+//!
+//! A [`Node`] is an immutable, structurally shared tree: its text and its
+//! child list sit behind reference counts, so `clone` copies the name and
+//! two pointers however large the subtree, and an item that flows past many
+//! subscribers is held once. Mutation is copy-on-write — the first change
+//! through a shared pointer copies that one level (the grandchildren stay
+//! shared) and no other holder ever observes it.
+
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::decimal::Decimal;
 use crate::error::XmlError;
@@ -21,11 +34,17 @@ pub const MAX_DEPTH: usize = 512;
 /// child elements; both are populated only for elements whose attributes
 /// were converted into leading children, or for constructed results mixing
 /// a label with copied subtrees. Text always renders before the children.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality and hashing are by content: an absent child list and an empty
+/// one are the same node, and which nodes share storage never shows.
+#[derive(Clone)]
 pub struct Node {
     name: Symbol,
-    text: Option<String>,
-    children: Vec<Node>,
+    text: Option<Arc<str>>,
+    /// `None` for a leaf, so a leaf costs no child allocation. `Arc`, not
+    /// `Rc`: simulator workers and the server's reader and worker threads
+    /// hold the same items.
+    children: Option<Arc<Vec<Node>>>,
 }
 
 impl Node {
@@ -34,7 +53,7 @@ impl Node {
         Node {
             name: name.into(),
             text: None,
-            children: Vec::new(),
+            children: None,
         }
     }
 
@@ -42,8 +61,8 @@ impl Node {
     pub fn leaf(name: impl Into<Symbol>, text: impl Into<String>) -> Node {
         Node {
             name: name.into(),
-            text: Some(text.into()),
-            children: Vec::new(),
+            text: Some(Arc::from(text.into())),
+            children: None,
         }
     }
 
@@ -57,7 +76,7 @@ impl Node {
         Node {
             name: name.into(),
             text: None,
-            children,
+            children: (!children.is_empty()).then(|| Arc::new(children)),
         }
     }
 
@@ -79,51 +98,53 @@ impl Node {
 
     /// Child elements.
     pub fn children(&self) -> &[Node] {
-        &self.children
+        self.children.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Mutable access to children (used by the restructuring operator).
+    /// Copies the child list first if another node shares it.
     pub fn children_mut(&mut self) -> &mut Vec<Node> {
-        &mut self.children
+        Arc::make_mut(self.children.get_or_insert_with(Default::default))
     }
 
     /// Appends a child. Existing text content is kept (it renders before
     /// the children) — needed so attribute-derived children and a text
     /// value can coexist on one element.
     pub fn push_child(&mut self, child: Node) {
-        self.children.push(child);
+        self.children_mut().push(child);
     }
 
     /// Sets the text content (rendered before any children).
     pub fn set_text(&mut self, text: impl Into<String>) {
-        self.text = Some(text.into());
+        self.text = Some(Arc::from(text.into()));
     }
 
-    /// Appends to the text content in place (concatenating split text runs
-    /// without rebuilding the node).
+    /// Appends to the text content (concatenating split text runs without
+    /// rebuilding the node). On a node without text this is the one way to
+    /// set it from a borrowed `&str` with a single allocation.
     pub fn append_text(&mut self, more: &str) {
-        match &mut self.text {
-            Some(t) => t.push_str(more),
-            None => self.text = Some(more.to_string()),
-        }
+        self.text = Some(match &self.text {
+            Some(t) => [t.as_ref(), more].concat().into(),
+            None => more.into(),
+        });
     }
 
     /// First child with the given name. Uses a non-interning lookup, so
     /// probing for names that exist nowhere does not grow the name table.
     pub fn child(&self, name: &str) -> Option<&Node> {
         let sym = Symbol::get(name)?;
-        self.children.iter().find(|c| c.name == sym)
+        self.children().iter().find(|c| c.name == sym)
     }
 
     /// All children with the given name.
     pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Node> + 'a {
         let sym = Symbol::get(name);
-        self.children.iter().filter(move |c| Some(c.name) == sym)
+        self.children().iter().filter(move |c| Some(c.name) == sym)
     }
 
     /// `true` if the node has neither text nor children.
     pub fn is_empty(&self) -> bool {
-        self.text.is_none() && self.children.is_empty()
+        self.text.is_none() && self.children().is_empty()
     }
 
     /// Leaf text parsed as a decimal.
@@ -139,12 +160,16 @@ impl Node {
 
     /// Total number of elements in the subtree (including `self`).
     pub fn element_count(&self) -> usize {
-        1 + self.children.iter().map(Node::element_count).sum::<usize>()
+        1 + self
+            .children()
+            .iter()
+            .map(Node::element_count)
+            .sum::<usize>()
     }
 
     /// Depth of the subtree (a leaf has depth 1).
     pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(Node::depth).max().unwrap_or(0)
+        1 + self.children().iter().map(Node::depth).max().unwrap_or(0)
     }
 
     /// Builds a tree from a stream of events that must describe exactly one
@@ -212,8 +237,8 @@ impl Node {
                     }
                     // Attach attribute-derived children in front.
                     if !current_attrs.is_empty() {
-                        current_attrs.append(&mut current.children);
-                        current.children = current_attrs;
+                        current_attrs.append(current.children_mut());
+                        *current.children_mut() = current_attrs;
                     }
                     match stack.pop() {
                         Some((mut parent, parent_attrs)) => {
@@ -225,12 +250,9 @@ impl Node {
                     }
                 }
                 XmlEvent::Text(t) => {
-                    if current.children.is_empty() {
+                    if current.children().is_empty() {
                         // Concatenate split text runs (e.g. around a CDATA).
-                        match &mut current.text {
-                            Some(existing) => existing.push_str(&t),
-                            None => current.text = Some(t),
-                        }
+                        current.append_text(&t);
                     }
                     // Text after child elements would be mixed content;
                     // dropped by the element-only model.
@@ -247,6 +269,42 @@ impl Node {
             None => Ok(node),
             Some(_) => Err(XmlError::TrailingContent),
         }
+    }
+}
+
+/// Same rendering as the derived impl of the owned representation this
+/// replaced: sharing is not part of a node's value.
+impl fmt::Debug for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("name", &self.name)
+            .field("text", &self.text())
+            .field("children", &self.children())
+            .finish()
+    }
+}
+
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        // Shared storage is the common case between an item and what σ
+        // or Π made of it; it settles a subtree without walking it.
+        let shared = match (&self.children, &other.children) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        self.name == other.name
+            && self.text() == other.text()
+            && (shared || self.children() == other.children())
+    }
+}
+
+impl Eq for Node {}
+
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name.hash(state);
+        self.text().hash(state);
+        self.children().hash(state);
     }
 }
 
@@ -412,5 +470,160 @@ mod tests {
     fn empty_element_round_trip() {
         assert_eq!(Node::parse("<photons/>").unwrap(), Node::empty("photons"));
         assert!(Node::parse("<photons></photons>").unwrap().is_empty());
+    }
+
+    #[test]
+    fn equality_and_hash_are_by_content() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let hash = |n: &Node| {
+            let mut h = DefaultHasher::new();
+            n.hash(&mut h);
+            h.finish()
+        };
+        // An absent and an empty child list are the same node …
+        let (empty, elem) = (Node::empty("x"), Node::elem("x", vec![]));
+        assert_eq!(empty, elem);
+        assert_eq!(hash(&empty), hash(&elem));
+        // … also once `children_mut` was taken and left empty.
+        let mut touched = Node::leaf("x", "1");
+        touched.children_mut();
+        assert_eq!(touched, Node::leaf("x", "1"));
+        assert_eq!(hash(&touched), hash(&Node::leaf("x", "1")));
+        // Equal content in separate storage is equal; so is shared storage.
+        let p = sample_photon();
+        assert_eq!(p, sample_photon());
+        assert_eq!(hash(&p), hash(&sample_photon()));
+        assert_eq!(p, p.clone());
+        assert_ne!(Node::leaf("x", ""), Node::empty("x"));
+    }
+
+    #[test]
+    fn clone_shares_storage_and_nodes_stay_small() {
+        const _: fn() = || {
+            fn shared_between_threads<T: Send + Sync>() {}
+            shared_between_threads::<Node>();
+        };
+        // 56 bytes as an owned `String` + `Vec`.
+        assert!(std::mem::size_of::<Node>() <= 32);
+        let p = sample_photon();
+        let q = p.clone();
+        assert_eq!(p.children().as_ptr(), q.children().as_ptr());
+        assert_eq!(
+            p.child("en").unwrap().text().unwrap().as_ptr(),
+            q.child("en").unwrap().text().unwrap().as_ptr()
+        );
+    }
+
+    #[test]
+    fn deep_shared_tree_drops_on_a_second_thread() {
+        let mut chain = Node::leaf("d", "bottom");
+        for _ in 1..MAX_DEPTH {
+            chain = Node::elem("d", vec![chain]);
+        }
+        assert_eq!(chain.depth(), MAX_DEPTH);
+        let shared = chain.clone();
+        // The spawned thread holds the last reference, so the whole chain
+        // unwinds on its (default-sized) stack.
+        let dropper = std::thread::spawn(move || drop(chain));
+        drop(shared);
+        dropper
+            .join()
+            .expect("dropping a MAX_DEPTH chain overflowed");
+    }
+
+    mod copy_on_write {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One edit at the node a path of child indices leads to.
+        #[derive(Debug, Clone)]
+        struct Edit {
+            path: Vec<usize>,
+            kind: usize,
+            text: String,
+        }
+
+        fn arb_tree() -> impl Strategy<Value = Node> {
+            let leaf = ("[a-c]", prop::option::of("[a-z]{0,3}")).prop_map(|(name, text)| {
+                let mut n = Node::empty(name);
+                if let Some(t) = text {
+                    n.set_text(t);
+                }
+                n
+            });
+            leaf.prop_recursive(4, 32, 4, |inner| {
+                ("[a-c]", prop::collection::vec(inner, 0..4))
+                    .prop_map(|(name, children)| Node::elem(name, children))
+            })
+        }
+
+        fn arb_edits() -> impl Strategy<Value = Vec<Edit>> {
+            let edit = (
+                prop::collection::vec(0usize..4, 0..5),
+                0usize..6,
+                "[a-z]{0,3}",
+            )
+                .prop_map(|(path, kind, text)| Edit { path, kind, text });
+            prop::collection::vec(edit, 1..6)
+        }
+
+        /// The same tree in storage of its own.
+        fn unshared(n: &Node) -> Node {
+            let mut copy = Node::elem(n.symbol(), n.children().iter().map(unshared).collect());
+            if let Some(t) = n.text() {
+                copy.set_text(t);
+            }
+            copy
+        }
+
+        fn apply(root: &mut Node, edit: &Edit) {
+            let mut node = root;
+            for &step in &edit.path {
+                let len = node.children().len();
+                if len == 0 {
+                    break;
+                }
+                node = &mut node.children_mut()[step % len];
+            }
+            match edit.kind {
+                0 => node.push_child(Node::leaf("new", edit.text.as_str())),
+                1 => node.set_text(edit.text.as_str()),
+                2 => node.append_text(&edit.text),
+                3 => node.children_mut().clear(),
+                4 => {
+                    node.children_mut().pop();
+                }
+                _ => {
+                    node.children_mut();
+                }
+            }
+        }
+
+        proptest! {
+            /// Editing a clone at any depth changes neither the original
+            /// nor what the edit means, and the other way round.
+            #[test]
+            fn edits_never_show_through_a_clone(
+                tree in arb_tree(),
+                edits in arb_edits(),
+                more in arb_edits(),
+            ) {
+                let mut original = tree;
+                let witness = unshared(&original);
+                let mut clone = original.clone();
+                let mut model = unshared(&original);
+                for edit in &edits {
+                    apply(&mut clone, edit);
+                    apply(&mut model, edit);
+                }
+                prop_assert_eq!(&original, &witness);
+                prop_assert_eq!(&clone, &model);
+                let witness = unshared(&clone);
+                for edit in &more {
+                    apply(&mut original, edit);
+                }
+                prop_assert_eq!(&clone, &witness);
+            }
+        }
     }
 }
