@@ -606,10 +606,11 @@ mod tests {
         assert_eq!(plan.parts[0].tap_flow, plan_dfs.parts[0].tap_flow);
     }
 
-    /// Every matched candidate is costed, only a winner is built: on the
+    /// Every matched candidate is costed, only the winner is built: on the
     /// empty network the source plan is re-costed at SP4 and at P0 and never
     /// beaten; after Q1, Query 2's search improves three times (Q1's stream
-    /// at SP4, SP0, SP5 — the Figure-2 walk `dss explain` prints).
+    /// at SP4, SP0, SP5 — the Figure-2 walk `dss explain` prints) and
+    /// builds the last of them.
     #[test]
     fn search_builds_only_the_parts_that_win() {
         let mut sys = system_with_photons();
@@ -626,7 +627,57 @@ mod tests {
         assert_eq!(search(&sys, queries::Q1, "SP1", "P1"), (3, 1));
         sys.register_query("q1", queries::Q1, "P1", Strategy::StreamSharing)
             .unwrap();
-        assert_eq!(search(&sys, queries::Q2, "SP7", "P2"), (7, 4));
+        assert_eq!(search(&sys, queries::Q2, "SP7", "P2"), (7, 2));
+    }
+
+    /// What a search finds out about a subscription chain stays with the
+    /// catalog: planning an installed query again judges nothing, a clone
+    /// of the state judges for itself — and a search that fails on its
+    /// second input has handed the first input's verdicts back already.
+    #[test]
+    fn verdicts_outlive_the_search_and_a_failed_second_input() {
+        use dss_properties::{InputProperties, Properties};
+        let mut sys = system_with_photons();
+        sys.register_stream("spectra", "P4", photons(50), 10.0)
+            .unwrap();
+        for (id, text, at) in [("q1", queries::Q1, "P1"), ("q2", queries::Q2, "P2")] {
+            sys.register_query(id, text, at, Strategy::StreamSharing)
+                .unwrap();
+        }
+        let v_q = sys.topology().expect_node("SP3");
+        let plan = |state: &NetworkState, query: &dss_wxquery::CompiledQuery| {
+            subscribe(state, query, v_q, v_q, SearchOrder::Bfs, false)
+                .map(|(plan, stats)| (format!("{plan:?}"), stats.judged))
+        };
+        let q1 = dss_wxquery::compile_query(queries::Q1).unwrap();
+        let (fresh_plan, fresh_judged) = plan(&sys.state().clone(), &q1).unwrap();
+        assert!(fresh_judged > 0);
+        assert_eq!(plan(sys.state(), &q1).unwrap().1, fresh_judged);
+        assert_eq!(plan(sys.state(), &q1).unwrap(), (fresh_plan, 0));
+
+        // Q2's chain has been interned since q2 was installed and has not
+        // been searched for since. Searched first as the first of two
+        // inputs, the second of which fails:
+        let q2 = dss_wxquery::compile_query(queries::Q2).unwrap();
+        let spectra_source = sys.topology().expect_node("SP6");
+        for e in sys.topology().incident(spectra_source).to_vec() {
+            sys.topology_mut().set_edge_up(e, false);
+        }
+        for (second, error) in [
+            ("nowhere", SubscribeError::UnknownStream("nowhere".into())),
+            ("spectra", SubscribeError::Unreachable("spectra".into())),
+        ] {
+            let mut two = q2.clone();
+            two.properties = Properties::new(vec![
+                q2.properties.inputs()[0].clone(),
+                InputProperties::original(second),
+            ])
+            .unwrap();
+            assert_eq!(plan(sys.state(), &two), Err(error));
+        }
+        let (fresh_plan, fresh_judged) = plan(&sys.state().clone(), &q2).unwrap();
+        assert!(fresh_judged > 0);
+        assert_eq!(plan(sys.state(), &q2).unwrap(), (fresh_plan, 0));
     }
 
     #[test]

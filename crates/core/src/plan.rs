@@ -7,7 +7,7 @@
 //! stream to the subscriber's super-peer — plus the post-processing
 //! (restructuring) step executed there.
 
-use dss_network::{shortest_path, FlowId, FlowOp, NodeId};
+use dss_network::{FlowId, FlowOp, NodeId};
 use dss_properties::{AggregationSpec, InputProperties, Operator, WindowKind, WindowSpec};
 use dss_wxquery::CompiledQuery;
 
@@ -420,6 +420,16 @@ impl PlanPart {
         }
     }
 
+    /// The cost the part carries, as the search compares it.
+    pub(crate) fn part_cost(&self) -> PartCost {
+        PartCost {
+            cost: self.cost,
+            traffic: self.traffic,
+            load: self.load,
+            feasible: self.feasible,
+        }
+    }
+
     /// Both halves back to back with nothing precomputed: the route's
     /// additional traffic plus the tap node's additional operator load,
     /// then the part.
@@ -463,7 +473,7 @@ pub fn generate_plan_part(
         .properties
         .as_ref()
         .and_then(|p| p.input_for(wanted.stream()))?;
-    let route = shortest_path(&state.topo, tap_node, post_node)?;
+    let route = state.topo.route(tap_node, post_node)?.to_vec();
     // The transported stream is semantically the subscription's stream.
     let estimate = crate::cost::estimate_chain(stats, wanted.operators());
     Some(PlanPart::cost_and_build(
@@ -490,17 +500,12 @@ pub fn generate_plan_part(
 /// stream's additional rate over the flow's existing route, the prepended
 /// restore-operators at every existing consumer, and the usual transport of
 /// the new subscription's stream from the tap to `post_node`.
-///
-/// `route_hint` optionally passes the precomputed shortest route from
-/// `tap_node` to `post_node` (fixed per visited peer, so the search computes
-/// it once per node instead of once per candidate).
 pub fn generate_widening_part(
     state: &NetworkState,
     wanted: &InputProperties,
     tap_flow: FlowId,
     tap_node: NodeId,
     post_node: NodeId,
-    route_hint: Option<&[NodeId]>,
 ) -> Option<PlanPart> {
     let stats = state.stats(wanted.stream())?;
     let flow = state.deployment.flow(tap_flow);
@@ -551,10 +556,7 @@ pub fn generate_widening_part(
 
     // The new subscription taps the widened stream.
     let ops = residual_flow_ops(&widened, wanted);
-    let route = match route_hint {
-        Some(r) => r.to_vec(),
-        None => shortest_path(&state.topo, tap_node, post_node)?,
-    };
+    let route = state.topo.route(tap_node, post_node)?.to_vec();
     let estimate = crate::cost::estimate_chain(stats, wanted.operators());
 
     // ---- cost & feasibility ----------------------------------------------
@@ -643,8 +645,11 @@ pub fn assemble_plan(
     let deliver_route = if subscriber == post_node {
         vec![post_node]
     } else {
-        shortest_path(&state.topo, post_node, subscriber)
+        state
+            .topo
+            .route(post_node, subscriber)
             .expect("subscriber reachable from its super-peer")
+            .to_vec()
     };
     for w in deliver_route.windows(2) {
         let e = state.topo.edge_between(w[0], w[1]).expect("existing edges");

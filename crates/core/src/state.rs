@@ -37,7 +37,7 @@ pub struct FlowCharge {
 /// compose. A node's stored `work` is the estimate at creation time;
 /// later sharers joining at a different estimated input frequency add
 /// nothing (the instance already runs), which keeps release exact.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ShareBook {
     groups: Vec<BookGroup>,
     group_of: BTreeMap<(NodeId, GroupKey), usize>,
@@ -48,7 +48,7 @@ pub struct ShareBook {
 /// and each path node's `(work bits, sharer count)` in path order.
 pub type LedgerEntry = (FlowId, NodeId, Vec<(u64, usize)>);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BookGroup {
     peer: NodeId,
     roots: Vec<usize>,
@@ -56,7 +56,7 @@ struct BookGroup {
     nodes: Vec<Option<BookNode>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BookNode {
     op: FlowOp,
     /// Estimated work/s charged when this node was created.
@@ -65,7 +65,7 @@ struct BookNode {
     children: Vec<usize>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BookPath {
     group: usize,
     nodes: Vec<usize>,
@@ -224,8 +224,10 @@ impl ShareBook {
     }
 }
 
-/// Mutable network state shared by planning and installation.
-#[derive(Debug)]
+/// Mutable network state shared by planning and installation. A clone
+/// plans exactly as the original does, from nothing remembered: the
+/// topology's routes and the catalog's verdict rows start empty in it.
+#[derive(Debug, Clone)]
 pub struct NetworkState {
     pub topo: Topology,
     pub deployment: Deployment,

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use dss_network::{shortest_path, NodeId};
+use dss_network::NodeId;
 use dss_wxquery::CompiledQuery;
 
 use crate::cost::StreamEstimate;
@@ -139,8 +139,11 @@ fn fixed_plan(
             .ok_or_else(|| SubscribeError::UnknownStream(stream.to_string()))?;
         // The stream exists but no live route reaches it: that is
         // `Unreachable`, not `UnknownStream`.
-        let route = shortest_path(&state.topo, v_b, v_q)
-            .ok_or_else(|| SubscribeError::Unreachable(stream.to_string()))?;
+        let route = state
+            .topo
+            .route(v_b, v_q)
+            .ok_or_else(|| SubscribeError::Unreachable(stream.to_string()))?
+            .to_vec();
         let (ops, estimate) = match placement {
             Placement::AtSubscriber => {
                 // Ship the raw stream; evaluate in post-processing.

@@ -23,7 +23,7 @@ use dss_wxquery::CompiledQuery;
 
 use crate::plan::{
     assemble_plan, cost_part, flow_op_base_load, generate_plan_part, generate_widening_part,
-    residual_flow_ops, Plan, PlanPart, RouteCost,
+    residual_flow_ops, PartCost, Plan, PlanPart, RouteCost,
 };
 use crate::state::NetworkState;
 
@@ -82,10 +82,17 @@ pub struct SearchStats {
     /// far.
     pub plans_generated: usize,
     /// [`PlanPart`]s actually built: per input the initial source plan,
-    /// every matched candidate that beat the best so far, and every
+    /// the matched candidate that won in the end (if one did), and every
     /// widening candidate (that path builds before it compares). Never
     /// more than `plans_generated`.
     pub parts_built: usize,
+    /// Calls to `judge` (MatchProperties plus the residual operators'
+    /// load) actually executed: one per candidate chain whose verdict no
+    /// earlier search for the same subscription chain left with the
+    /// catalog — and one per candidate in the full-scan reference, which
+    /// remembers nothing. The one count that depends on what was planned
+    /// before.
+    pub judged: usize,
 }
 
 /// Runs Algorithm 1 for a compiled query to be answered at super-peer
@@ -194,11 +201,11 @@ fn judge(candidate: &InputProperties, wanted: &InputProperties) -> Option<f64> {
 /// Lines 19–22's comparison: a candidate replaces `best` when it is
 /// strictly cheaper — or, under admission control, when exactly one of the
 /// two is feasible and it is the candidate.
-fn beats(feasible: bool, cost: f64, best: &PlanPart, require_feasible: bool) -> bool {
-    if require_feasible && feasible != best.feasible {
-        feasible
+fn beats(candidate: PartCost, best: PartCost, require_feasible: bool) -> bool {
+    if require_feasible && candidate.feasible != best.feasible {
+        candidate.feasible
     } else {
-        cost < best.cost
+        candidate.cost < best.cost
     }
 }
 
@@ -216,13 +223,11 @@ fn search(
     let mut stats = SearchStats::default();
     let mut parts: Vec<PlanPart> = Vec::new();
     let peers = state.topo.peer_count();
-    // Memoized shortest routes to v_q, shared across this search's input
-    // streams (the route from a tap peer to v_q does not depend on the
-    // stream). `None` = not yet computed; `Some(None)` = unreachable.
-    let mut route_memo: Vec<Option<Option<Vec<NodeId>>>> = vec![None; peers];
     // Scratch buffers, reused across peers and inputs: the candidates at
-    // the visited peer, and the graph search's marks and frontier.
+    // the visited peer, which chains this input's search has looked up,
+    // and the graph search's marks and frontier.
     let mut scratch: Vec<(FlowId, ChainId)> = Vec::new();
+    let mut consulted: Vec<bool> = Vec::new();
     let mut marked = vec![false; peers];
     let mut queued = vec![false; peers];
     let mut frontier: VecDeque<NodeId> = VecDeque::new();
@@ -249,7 +254,7 @@ fn search(
                 ("v_q", state.topo.peer(v_q).name.as_str().into()),
             ]
         });
-        let built_before = stats.parts_built;
+        let (built_before, judged_before) = (stats.parts_built, stats.judged);
         let mut best = generate_plan_part(state, wanted, source_flow, v_b, v_q)
             .ok_or_else(|| SubscribeError::Unreachable(stream.to_string()))?;
         stats.plans_generated += 1;
@@ -268,6 +273,12 @@ fn search(
                 ("feasible", best.feasible.into()),
             ]
         });
+        // What there is to beat, and the matched candidate that set it, if
+        // one did: lines 19–22 keep one number per candidate, so the
+        // leader is remembered as what it takes to build it and built
+        // once, after the loop.
+        let mut best_cost = best.part_cost();
+        let mut leader: Option<(FlowId, NodeId)> = None;
         // Fixed per search: the subscription's own chain estimate — what
         // every candidate part transports, whatever it taps.
         let wanted_estimate = best.estimate;
@@ -287,10 +298,17 @@ fn search(
         let mut verdicts = dss_network::LensVerdicts::default();
         // `judge` per interned chain: flows with the same chain id carry
         // byte-identical input properties, so the match and the residual
-        // operators' load are pure functions of the chain and need only
-        // run once per chain. Outer `None` = not judged yet.
-        let mut chain_memo: Vec<Option<Option<f64>>> =
-            vec![None; state.deployment.distinct_chains()];
+        // operators' load are pure functions of the two chains and need
+        // only run once per pair — ever: the catalog keeps the row between
+        // searches. Outer `None` = not judged yet. The reference search
+        // remembers nothing and borrows nothing.
+        let mut chain_memo = match source {
+            CandidateSource::Indexed => Some(state.deployment.verdicts_for(wanted)),
+            CandidateSource::FullScan => None,
+        };
+        let mut remembered = 0;
+        consulted.clear();
+        consulted.resize(state.deployment.distinct_chains(), false);
 
         marked.fill(false);
         queued.fill(false);
@@ -310,14 +328,13 @@ fn search(
             dss_telemetry::event("visit", || {
                 [("peer", Value::from(state.topo.peer(v).name.as_str()))]
             });
-            // Fixed per tap node: the transport route to v_q (and per v_q,
-            // hence memoized across the whole search) and, with the
-            // transported rate fixed per input, the route's half of every
-            // candidate's cost at this peer.
-            let route_to_vq = route_memo[v]
-                .get_or_insert_with(|| dss_network::shortest_path(&state.topo, v, v_q))
-                .as_deref()
-                .map(|route| (route, RouteCost::of(state, route, rate_kbps)));
+            // Fixed per tap node: with the transported rate fixed per
+            // input, the route's half of every candidate's cost at this
+            // peer (the topology remembers the route itself).
+            let route_to_vq = state
+                .topo
+                .route(v, v_q)
+                .map(|route| RouteCost::of(state, &route, rate_kbps));
             // Lines 9–11: streams available at v that are variants of the
             // input stream.
             match source {
@@ -360,11 +377,24 @@ fn search(
                     continue;
                 };
                 stats.candidates_matched += 1;
-                let verdict = match source {
-                    CandidateSource::Indexed => {
-                        *chain_memo[chain].get_or_insert_with(|| judge(candidate, wanted))
+                let verdict = match &mut chain_memo {
+                    Some(memo) => {
+                        let first_look = !std::mem::replace(&mut consulted[chain], true);
+                        match memo[chain] {
+                            Some(known) => {
+                                remembered += usize::from(first_look);
+                                known
+                            }
+                            None => {
+                                stats.judged += 1;
+                                *memo[chain].insert(judge(candidate, wanted))
+                            }
+                        }
                     }
-                    CandidateSource::FullScan => judge(candidate, wanted),
+                    None => {
+                        stats.judged += 1;
+                        judge(candidate, wanted)
+                    }
                 };
                 let Some(bload) = verdict else {
                     // The losing check is only diagnosed when someone is
@@ -385,10 +415,7 @@ fn search(
                     // usable after loosening its operators in place. That
                     // path builds its part eagerly.
                     if widening {
-                        let route = route_to_vq.map(|(route, _)| route);
-                        if let Some(plan) =
-                            generate_widening_part(state, wanted, flow_id, v, v_q, route)
-                        {
+                        if let Some(plan) = generate_widening_part(state, wanted, flow_id, v, v_q) {
                             // A widenable stream can be tapped anywhere on
                             // its route, so the route's peers join the
                             // frontier just like a matched stream's.
@@ -400,7 +427,7 @@ fn search(
                             }
                             stats.plans_generated += 1;
                             stats.parts_built += 1;
-                            let better = beats(plan.feasible, plan.cost, &best, require_feasible);
+                            let better = beats(plan.part_cost(), best_cost, require_feasible);
                             dss_telemetry::event("candidate", || {
                                 [
                                     ("flow", Value::from(flow.label.as_str())),
@@ -414,6 +441,8 @@ fn search(
                                 ]
                             });
                             if better {
+                                best_cost = plan.part_cost();
+                                leader = None;
                                 best = plan;
                             }
                         }
@@ -436,13 +465,13 @@ fn search(
                     }
                 }
                 // Lines 19–22: cost the plan reusing the stream at v and
-                // compare; only a plan that wins is built.
-                let Some((route, route_cost)) = route_to_vq else {
+                // compare.
+                let Some(route_cost) = route_to_vq else {
                     continue;
                 };
                 let cost = cost_part(state, route_cost, flow_id, v, bload);
                 stats.plans_generated += 1;
-                let better = beats(cost.feasible, cost.cost, &best, require_feasible);
+                let better = beats(cost, best_cost, require_feasible);
                 dss_telemetry::event("candidate", || {
                     [
                         ("flow", Value::from(flow.label.as_str())),
@@ -456,18 +485,25 @@ fn search(
                     ]
                 });
                 if better {
-                    best = PlanPart::build(
-                        stream,
-                        flow_id,
-                        v,
-                        residual_flow_ops(candidate, wanted),
-                        route.to_vec(),
-                        wanted_estimate,
-                        cost,
-                    );
-                    stats.parts_built += 1;
+                    best_cost = cost;
+                    leader = Some((flow_id, v));
                 }
             }
+        }
+        if let Some((flow_id, v)) = leader {
+            let flow = state.deployment.flow(flow_id);
+            let candidate = flow.properties.as_ref().and_then(|p| p.input_for(stream));
+            let route = state.topo.route(v, v_q);
+            best = PlanPart::build(
+                stream,
+                flow_id,
+                v,
+                residual_flow_ops(candidate.expect("the leader was judged"), wanted),
+                route.expect("the leader was costed over a route").to_vec(),
+                wanted_estimate,
+                best_cost,
+            );
+            stats.parts_built += 1;
         }
         dss_telemetry::event("best", || {
             [
@@ -483,6 +519,10 @@ fn search(
             ]
         });
         dss_telemetry::add_field("parts_built", || (stats.parts_built - built_before).into());
+        let judged = stats.judged - judged_before;
+        dss_telemetry::add_field("judged", || judged.into());
+        dss_telemetry::counter_add("core.verdicts.judged", Vec::new, judged as u64);
+        dss_telemetry::counter_add("core.verdicts.remembered", Vec::new, remembered as u64);
         parts.push(best);
     }
 

@@ -37,10 +37,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-use dss_properties::{ChainSummary, QueryLens, Signature, WindowKey};
+use dss_properties::{ChainSummary, InputProperties, QueryLens, Signature, WindowKey};
 
 use crate::flow::{FlowId, StreamFlow};
+use crate::memo::Memo;
 use crate::topology::NodeId;
 
 /// Index of an interned operator chain in the catalog's chain table.
@@ -64,24 +66,66 @@ fn remove_sorted(ids: &mut Vec<usize>, id: usize) {
     }
 }
 
-/// Interner for operator chains. Chains are keyed by the canonical
-/// `Debug` form of the flow's full `InputProperties` (plain data, so the
-/// rendering is faithful) — *not* by the coarser [`ChainSummary`] — so
-/// two flows share an id only when their properties are identical. The
-/// table only ever grows, bounded by the number of distinct operator
-/// chains ever deployed — not by flow count.
+/// Interner for operator chains. Chains are keyed by the flow's full
+/// `InputProperties` — *not* by the coarser [`ChainSummary`] — so two
+/// flows share an id exactly when their properties are equal. The table
+/// only ever grows, bounded by the number of distinct operator chains ever
+/// deployed — not by flow count.
 #[derive(Clone, Default)]
 struct ChainInterner {
     summaries: Vec<ChainSummary>,
-    ids: HashMap<String, ChainId>,
+    ids: HashMap<InputProperties, ChainId>,
 }
 
 impl ChainInterner {
-    fn intern(&mut self, key: String, summary: &ChainSummary) -> ChainId {
-        *self.ids.entry(key).or_insert_with(|| {
-            self.summaries.push(summary.clone());
-            self.summaries.len() - 1
-        })
+    fn intern(&mut self, chain: &InputProperties, summary: &ChainSummary) -> ChainId {
+        if let Some(&id) = self.ids.get(chain) {
+            return id;
+        }
+        self.summaries.push(summary.clone());
+        self.ids.insert(chain.clone(), self.summaries.len() - 1);
+        self.summaries.len() - 1
+    }
+}
+
+/// One subscription chain's `judge` verdicts, a slot per candidate chain
+/// (see [`VerdictLoan`]).
+type VerdictRow = Vec<Option<Option<f64>>>;
+
+/// A subscription chain's verdict row, on loan to one input's search
+/// ([`Catalog::verdicts_for`]): per candidate [`ChainId`] interned so far,
+/// `Some(Some(load))` when a stream carrying that chain can serve the
+/// subscription with residual operators of summed base load `load`,
+/// `Some(None)` when it cannot, `None` while no search for this
+/// subscription chain has judged the pair. Dropping the loan hands the row
+/// back with whatever this search added — however the search ends.
+pub struct VerdictLoan<'a> {
+    catalog: &'a Catalog,
+    /// `None`: the subscription's chain is not interned (yet), so the row
+    /// is this search's alone.
+    wanted: Option<ChainId>,
+    row: VerdictRow,
+}
+
+impl Deref for VerdictLoan<'_> {
+    type Target = [Option<Option<f64>>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.row
+    }
+}
+
+impl DerefMut for VerdictLoan<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.row
+    }
+}
+
+impl Drop for VerdictLoan<'_> {
+    fn drop(&mut self) {
+        if let Some(wanted) = self.wanted {
+            self.catalog.verdicts.lock()[wanted] = std::mem::take(&mut self.row);
+        }
     }
 }
 
@@ -195,6 +239,12 @@ pub struct Catalog {
     streams: HashMap<String, Vec<StreamIndex>>,
     members: HashMap<FlowId, Membership>,
     interner: ChainInterner,
+    /// Per interned chain, as a *subscription's* chain: its verdict row,
+    /// empty until a search for it ends. Chain ids only grow and a verdict
+    /// is a pure function of the two chains, so a row never goes stale —
+    /// nothing here is ever invalidated. At most `distinct_chains()²`
+    /// slots: a chain no flow carries has no id and so no row.
+    verdicts: Memo<Vec<VerdictRow>>,
 }
 
 impl Catalog {
@@ -224,7 +274,7 @@ impl Catalog {
                 stream: input.stream().to_string(),
                 signature: summary.signature().clone(),
                 window_key: summary.window_key(),
-                summary: self.interner.intern(format!("{input:?}"), &summary),
+                summary: self.interner.intern(input, &summary),
             });
         }
         for &node in &nodes {
@@ -369,6 +419,31 @@ impl Catalog {
         out.sort_unstable();
     }
 
+    /// Lends out what earlier searches remembered about the subscription
+    /// chain `wanted` (see [`VerdictLoan`]). Two concurrent searches for
+    /// one chain each get a valid row — the second an empty one — and the
+    /// last to end is the one kept.
+    pub fn verdicts_for(&self, wanted: &InputProperties) -> VerdictLoan<'_> {
+        let wanted = self.interner.ids.get(wanted).copied();
+        let chains = self.interner.summaries.len();
+        let mut row = match wanted {
+            Some(id) => {
+                let mut rows = self.verdicts.lock();
+                if rows.len() <= id {
+                    rows.resize_with(id + 1, Vec::new);
+                }
+                std::mem::take(&mut rows[id])
+            }
+            None => Vec::new(),
+        };
+        row.resize(chains, None);
+        VerdictLoan {
+            catalog: self,
+            wanted,
+            row,
+        }
+    }
+
     /// Number of indexed (shareable) flows.
     pub fn indexed_len(&self) -> usize {
         self.members.len()
@@ -403,5 +478,107 @@ impl fmt::Debug for Catalog {
             .field("streams", &self.streams.len())
             .field("distinct_chains", &self.interner.summaries.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flow::FlowInput;
+    use dss_properties::{Operator, Properties};
+
+    /// The chain of a subscription nobody else has: one UDF named `name`.
+    fn chain(name: &str) -> InputProperties {
+        let udf = Operator::Udf {
+            name: name.into(),
+            params: Vec::new(),
+        };
+        InputProperties::new("photons", vec![udf]).expect("a UDF chain is valid")
+    }
+
+    fn flow_carrying(chain: &InputProperties) -> StreamFlow {
+        StreamFlow {
+            label: "f".into(),
+            input: FlowInput::Source {
+                stream: "photons".into(),
+            },
+            processing_node: 0,
+            ops: Vec::new(),
+            route: vec![0],
+            properties: Some(Properties::single(chain.clone())),
+            retired: false,
+        }
+    }
+
+    /// What a search does with its loan: judges the chains it has no
+    /// verdict for yet. Returns how many it had to judge.
+    fn judge_all(loan: &mut VerdictLoan<'_>) -> usize {
+        let unknown = loan.iter().filter(|slot| slot.is_none()).count();
+        for (id, slot) in loan.iter_mut().enumerate() {
+            slot.get_or_insert(Some(id as f64));
+        }
+        unknown
+    }
+
+    #[test]
+    fn a_row_is_lent_grown_and_handed_back() {
+        let mut catalog = Catalog::default();
+        let (a, b) = (chain("a"), chain("b"));
+        catalog.insert(0, &flow_carrying(&a));
+        {
+            let mut loan = catalog.verdicts_for(&a);
+            assert_eq!(loan.len(), 1, "a slot per chain interned so far");
+            assert_eq!(judge_all(&mut loan), 1);
+        }
+        // Chain ids only grow: what was judged stays, the new chain's slot
+        // arrives unjudged.
+        catalog.insert(1, &flow_carrying(&b));
+        {
+            let mut loan = catalog.verdicts_for(&a);
+            assert_eq!(&loan[..], &[Some(Some(0.0)), None]);
+            assert_eq!(judge_all(&mut loan), 1);
+        }
+        assert_eq!(judge_all(&mut catalog.verdicts_for(&a)), 0);
+        // Rows are per subscription chain…
+        assert_eq!(judge_all(&mut catalog.verdicts_for(&b)), 2);
+        // …survive retirement (the interner never forgets a chain)…
+        catalog.remove(0);
+        assert_eq!(judge_all(&mut catalog.verdicts_for(&a)), 0);
+        // …and are not copied: a clone judges for itself.
+        assert_eq!(judge_all(&mut catalog.clone().verdicts_for(&a)), 2);
+    }
+
+    #[test]
+    fn one_off_subscriptions_leave_no_more_rows_than_chains() {
+        let mut catalog = Catalog::default();
+        for i in 0..1_000 {
+            // Registration: search (the chain is not interned yet, so the
+            // row is the search's own and is dropped with it), then install.
+            let wanted = chain(&format!("u{i}"));
+            assert_eq!(judge_all(&mut catalog.verdicts_for(&wanted)), i);
+            catalog.insert(i, &flow_carrying(&wanted));
+        }
+        assert_eq!(catalog.distinct_chains(), 1_000);
+        let rows = catalog.verdicts.lock();
+        assert!(rows.len() <= 1_000, "{} rows", rows.len());
+        assert!(rows.iter().all(Vec::is_empty), "nothing was searched twice");
+    }
+
+    #[test]
+    fn an_abandoned_search_keeps_what_it_learned() {
+        let mut catalog = Catalog::default();
+        let (a, b) = (chain("a"), chain("b"));
+        catalog.insert(0, &flow_carrying(&a));
+        catalog.insert(1, &flow_carrying(&b));
+        // A search that ends early (its caller returns `Err` for a later
+        // input) drops its loan like any other.
+        let abandoned = || -> Result<(), ()> {
+            let mut loan = catalog.verdicts_for(&a);
+            loan[1] = Some(None);
+            Err(())
+        };
+        assert!(abandoned().is_err());
+        assert_eq!(&catalog.verdicts_for(&a)[..], &[None, Some(None)]);
+        assert_eq!(&catalog.verdicts_for(&b)[..], &[None, None]);
     }
 }

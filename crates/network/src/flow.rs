@@ -14,9 +14,11 @@
 use std::ops::{Deref, DerefMut};
 
 use dss_engine::{Pipeline, Template};
-use dss_properties::{AggOp, AggregationSpec, Operator, Properties, QueryLens, WindowOutputSpec};
+use dss_properties::{
+    AggOp, AggregationSpec, InputProperties, Operator, Properties, QueryLens, WindowOutputSpec,
+};
 
-use crate::catalog::{Catalog, LensVerdicts};
+use crate::catalog::{Catalog, LensVerdicts, VerdictLoan};
 use crate::shared::build_flow_op;
 use crate::topology::{NodeId, Topology};
 
@@ -251,6 +253,12 @@ impl Deployment {
     ) {
         self.catalog
             .candidates_into(node, stream, lens, verdicts, out);
+    }
+
+    /// What earlier plan searches remembered about the subscription chain
+    /// `wanted`, on loan until dropped (see [`Catalog::verdicts_for`]).
+    pub fn verdicts_for(&self, wanted: &InputProperties) -> VerdictLoan<'_> {
+        self.catalog.verdicts_for(wanted)
     }
 
     /// Shareable flows at `node` carrying `stream` through a *widenable*

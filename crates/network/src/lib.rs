@@ -19,6 +19,7 @@
 
 pub mod catalog;
 pub mod flow;
+mod memo;
 pub mod metrics;
 pub mod peer;
 pub mod pool;
@@ -28,7 +29,7 @@ pub mod shared;
 pub mod sim;
 pub mod topology;
 
-pub use catalog::{Catalog, ChainId, LensVerdicts};
+pub use catalog::{Catalog, ChainId, LensVerdicts, VerdictLoan};
 pub use flow::{build_flow_pipeline, Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
 pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};

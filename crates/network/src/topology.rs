@@ -6,8 +6,12 @@
 //! a performance index `pindex(v)`; network connections have a maximum
 //! bandwidth `b(e)`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
+
+use crate::memo::Memo;
+use crate::routing::shortest_path;
 
 /// Peer identifier (dense index into the topology).
 pub type NodeId = usize;
@@ -62,13 +66,34 @@ pub struct Peer {
     pub up: bool,
 }
 
+/// Answered route queries by `(from, to)`; `None` = unreachable.
+type RouteTable = HashMap<(NodeId, NodeId), Option<Arc<[NodeId]>>>;
+
 /// An undirected super-peer network topology.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Topology {
     peers: Vec<Peer>,
     by_name: BTreeMap<String, NodeId>,
     edges: Vec<Edge>,
     adj: Vec<Vec<EdgeId>>,
+    /// Every [`Self::route`] answered since the topology last changed.
+    /// Every `&mut self` accessor empties it: while such a borrow lasts
+    /// nobody can ask for a route, so no entry outlives the graph it was
+    /// computed on.
+    routes: Memo<RouteTable>,
+}
+
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The graph only: remembered routes are derived from it, and what
+        // has been asked so far must not show in anything printed.
+        f.debug_struct("Topology")
+            .field("peers", &self.peers)
+            .field("by_name", &self.by_name)
+            .field("edges", &self.edges)
+            .field("adj", &self.adj)
+            .finish()
+    }
 }
 
 /// Default super-peer capacity (work units per second).
@@ -97,6 +122,8 @@ impl Topology {
             !self.by_name.contains_key(&name),
             "duplicate peer name {name:?}"
         );
+        self.routes.get_mut().clear();
+
         let id = self.peers.len();
         self.by_name.insert(name.clone(), id);
         self.peers.push(Peer {
@@ -129,6 +156,8 @@ impl Topology {
             self.peers[a].name,
             self.peers[b].name
         );
+        self.routes.get_mut().clear();
+
         let id = self.edges.len();
         self.edges.push(Edge {
             a,
@@ -169,6 +198,8 @@ impl Topology {
     /// Mutable peer metadata (used by the admission-control experiment to
     /// cap capacities).
     pub fn peer_mut(&mut self, id: NodeId) -> &mut Peer {
+        self.routes.get_mut().clear();
+
         &mut self.peers[id]
     }
 
@@ -184,6 +215,8 @@ impl Topology {
 
     /// Mutable edge metadata.
     pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
+        self.routes.get_mut().clear();
+
         &mut self.edges[id]
     }
 
@@ -220,12 +253,27 @@ impl Topology {
     /// Marks a peer as up (alive) or down (crashed). Routing skips down
     /// peers; the live runtime loses traffic addressed to them.
     pub fn set_peer_up(&mut self, id: NodeId, up: bool) {
+        self.routes.get_mut().clear();
+
         self.peers[id].up = up;
     }
 
     /// Marks a connection as up or down.
     pub fn set_edge_up(&mut self, id: EdgeId, up: bool) {
+        self.routes.get_mut().clear();
         self.edges[id].up = up;
+    }
+
+    /// [`shortest_path`] from `from` to `to`, remembered until the topology
+    /// next changes: the same search with the same tie-breaking, run once
+    /// per pair. What every planner path routes by.
+    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Arc<[NodeId]>> {
+        if let Some(known) = self.routes.lock().get(&(from, to)) {
+            return known.clone();
+        }
+        let route = shortest_path(self, from, to).map(Arc::from);
+        self.routes.lock().insert((from, to), route.clone());
+        route
     }
 
     /// Ids of all super-peers.
@@ -427,10 +475,81 @@ mod tests {
             .edge_between(t.expect_node("N0_SP3"), t.expect_node("N1_SP3"))
             .is_none());
         // Cross-subnet routing goes through the gateways.
-        let path =
-            crate::routing::shortest_path(&t, t.expect_node("N0_SP3"), t.expect_node("N1_SP3"))
-                .unwrap();
+        let path = shortest_path(&t, t.expect_node("N0_SP3"), t.expect_node("N1_SP3")).unwrap();
         assert!(path.contains(&g0) && path.contains(&g1));
+    }
+
+    /// `route` with everything asked so far still remembered must equal a
+    /// search of the graph as it is now, for every pair.
+    fn assert_routes_current(t: &Topology, after: &str) {
+        for a in 0..t.peer_count() {
+            for b in 0..t.peer_count() {
+                assert_eq!(
+                    t.route(a, b).as_deref(),
+                    shortest_path(t, a, b).as_deref(),
+                    "route {a} -> {b} after {after}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn routes_are_forgotten_by_every_mutable_accessor() {
+        let mut t = example_topology();
+        let (sp4, sp0, sp5, p1) = (
+            t.expect_node("SP4"),
+            t.expect_node("SP0"),
+            t.expect_node("SP5"),
+            t.expect_node("P1"),
+        );
+        // Every check asks for every pair, so every later step starts
+        // from a full memo.
+        assert_routes_current(&t, "construction");
+        let via_sp5 = t.route(sp4, p1).expect("connected");
+        assert!(via_sp5.contains(&sp5));
+
+        let e = t.edge_between(sp0, sp5).unwrap();
+        t.set_edge_up(e, false);
+        assert_routes_current(&t, "set_edge_up(false)");
+        let detour = t.route(sp4, p1).expect("still connected");
+        assert_ne!(detour, via_sp5, "the route around the down link differs");
+        t.set_edge_up(e, true);
+        assert_routes_current(&t, "set_edge_up(true)");
+        assert_eq!(t.route(sp4, p1), Some(via_sp5.clone()), "and comes back");
+
+        t.set_peer_up(sp5, false);
+        assert_routes_current(&t, "set_peer_up(false)");
+        assert_eq!(t.route(sp4, sp5), None);
+        t.set_peer_up(sp5, true);
+        assert_routes_current(&t, "set_peer_up(true)");
+
+        t.edge_mut(e).up = false;
+        assert_routes_current(&t, "edge_mut");
+        t.edge_mut(e).up = true;
+        assert_routes_current(&t, "edge_mut, back");
+        t.peer_mut(sp0).up = false;
+        assert_routes_current(&t, "peer_mut");
+        t.peer_mut(sp0).up = true;
+        assert_routes_current(&t, "peer_mut, back");
+
+        let lonely = t.add_peer_with("SPX", PeerKind::SuperPeer, 1.0, 1.0);
+        assert_routes_current(&t, "add_peer_with");
+        assert_eq!(t.route(sp4, lonely), None);
+        t.connect_with(lonely, sp4, 1.0);
+        assert_routes_current(&t, "connect_with");
+        assert_eq!(t.route(sp4, lonely).as_deref(), Some(&[sp4, lonely][..]));
+    }
+
+    #[test]
+    fn a_clone_remembers_nothing_and_prints_the_same() {
+        let t = grid_topology(3, 3);
+        let before = format!("{t:?}");
+        assert_routes_current(&t, "construction");
+        assert_eq!(format!("{t:?}"), before, "remembered routes never print");
+        let copy = t.clone();
+        assert!(copy.routes.lock().is_empty());
+        assert_eq!(t.routes.lock().len(), 81);
+        assert_eq!(format!("{copy:?}"), before);
     }
 
     #[test]

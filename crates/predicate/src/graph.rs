@@ -31,7 +31,7 @@ impl fmt::Display for NodeRef {
 
 /// A conjunctive predicate in graph form. Edges carry the tightest bound
 /// asserted between their endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PredicateGraph {
     /// Tightest direct bound per ordered node pair.
     edges: BTreeMap<(NodeRef, NodeRef), Bound>,

@@ -56,7 +56,7 @@ impl fmt::Display for AggOp {
 /// Projection conditions: which elements the produced stream *returns*
 /// (marked with bullets in the paper's Figure 3) and which elements the
 /// query *references* at all (marked or unmarked).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ProjectionSpec {
     /// Elements present in the result stream (`getOutElems`).
     pub output: BTreeSet<Path>,
@@ -116,7 +116,7 @@ impl fmt::Display for ProjectionSpec {
 
 /// A filter applied to an aggregation *result* (`where $a ≥ 1.3` in
 /// Query 4): a conjunction of atomic comparisons against constants.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ResultFilter {
     /// `(θ, c)` pairs, each asserting `$a θ c`.
     pub conditions: Vec<(CompOp, Decimal)>,
@@ -198,7 +198,7 @@ impl fmt::Display for ResultFilter {
 }
 
 /// Conditions of a window-based aggregation operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggregationSpec {
     /// The aggregation operator Φ.
     pub op: AggOp,
@@ -228,7 +228,7 @@ impl fmt::Display for AggregationSpec {
 /// Conditions of a window-contents operator: the query returns the raw
 /// contents of each data window (the cost model's third result class,
 /// "queries returning the contents of data windows").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WindowOutputSpec {
     /// The data window.
     pub window: WindowSpec,
@@ -245,7 +245,7 @@ impl fmt::Display for WindowOutputSpec {
 }
 
 /// An operator entry in a properties structure, with its conditions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Operator {
     /// Selection σ with a predicate graph.
     Selection(PredicateGraph),

@@ -46,7 +46,7 @@ impl std::error::Error for PropertiesError {}
 
 /// Properties of one input data stream: how the represented stream was
 /// derived from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InputProperties {
     stream: String,
     operators: Vec<Operator>,

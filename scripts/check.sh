@@ -73,6 +73,16 @@ if grep -nE 'WorkerPool|mpsc|thread::(spawn|scope)' \
     exit 1
 fi
 
+echo "==> the planner routes through Topology::route"
+# Routes are remembered per topology and forgotten when it changes
+# (DESIGN.md "Catalog indexes & plan-search complexity"); a planner path
+# that searched the graph itself would pay the BFS on every registration
+# again.
+if grep -rn 'shortest_path(' crates/core/src; then
+    echo "FAIL: dss_core calls shortest_path directly; use Topology::route" >&2
+    exit 1
+fi
+
 echo "==> trace snapshot conforms to schemas/trace.schema.json"
 cargo build --release -q -p dss-bench --bins
 TRACE_TMP=$(mktemp --suffix .trace.json)
@@ -84,7 +94,7 @@ echo "==> telemetry overhead guard (disabled recording must be free)"
 ./scripts/telemetry_overhead.sh
 
 echo "==> registration smoke (indexed plan search stays flat at scale)"
-# 100k subscriptions by default (~20 s); override with DSS_SMOKE_SUBS.
+# 100k subscriptions by default (~10 s); override with DSS_SMOKE_SUBS.
 # Rewrites the committed BENCH_subscribe.json with this run's curve.
 # Fails on plan divergence from the full-scan reference or when the last
 # latency decile's p99 exceeds DSS_SMOKE_FLAT_RATIO (default 2.5) times

@@ -156,8 +156,8 @@ struct Coverage {
 /// per-peer route term and the per-chain load memo), builds the same part
 /// eagerly with `generate_plan_part` (nothing precomputed) and compares the
 /// traced `cost`/`traffic`/`load` bit for bit and `feasible` exactly. Also
-/// checks the span's `parts_built` field against the `chosen` events and
-/// the search's own count.
+/// checks the span's `parts_built` field — the initial part, plus one more
+/// if any candidate was `chosen` — against the search's own count.
 fn costed_equals_built(
     system: &StreamGlobe,
     text: &str,
@@ -225,16 +225,18 @@ fn costed_equals_built(
             cov.forwards += usize::from(built.ops.is_empty());
             chosen += usize::from(cand.field("chosen") == Some(&Value::Bool(true)));
         }
-        // Built: the initial source plan plus every candidate that won. A
-        // search that found no initial plan (unreachable source) stops
-        // before it records either.
+        // Built: the initial source plan, plus the candidate that led when
+        // the search ended if any ever did (without widening nothing but a
+        // later candidate takes the lead from one). A search that found no
+        // initial plan (unreachable source) stops before it records either.
         if span.children_named("best").next().is_some() {
+            let built = 1 + usize::from(chosen > 0);
             assert_eq!(
                 span.field("parts_built"),
-                Some(&Value::from(1 + chosen)),
+                Some(&Value::from(built)),
                 "parts_built of the span ({order:?}, probe {text})"
             );
-            built_in_spans += 1 + chosen;
+            built_in_spans += built;
         }
     }
     if let Ok((_, stats)) = result {
@@ -246,12 +248,61 @@ fn costed_equals_built(
     cov.costed += costed;
 }
 
-/// Isolates `peer` by taking all its connections down: flows routed
-/// through it stay deployed (and matched), but it has no route to anyone.
-fn cut_off(system: &mut StreamGlobe, peer: usize) {
+/// Takes every connection of `peer` down or up. A peer with all its
+/// connections down is cut off: flows routed through it stay deployed (and
+/// matched), but it has no route to anyone.
+fn set_links(system: &mut StreamGlobe, peer: usize, up: bool) {
     let edges = system.topology().incident(peer).to_vec();
     for e in edges {
-        system.topology_mut().set_edge_up(e, false);
+        system.topology_mut().set_edge_up(e, up);
+    }
+}
+
+/// Plans `text` on the live system — whose topology and catalog remember
+/// the routes and `judge` verdicts of everything planned on it so far — and
+/// on a clone of its state, which remembers nothing, under both frontier
+/// orders with admission control off and on. The two must agree on the
+/// plan to the byte and on every count except `judged`, of which the live
+/// system may only need fewer.
+fn assert_remembered_equals_fresh(
+    system: &StreamGlobe,
+    text: &str,
+    v_q_name: &str,
+    widening: bool,
+) {
+    let Ok(compiled) = compile_query(text) else {
+        return;
+    };
+    let v_q = system.topology().expect_node(v_q_name);
+    let fresh = system.state().clone();
+    for order in [SearchOrder::Bfs, SearchOrder::Dfs] {
+        for admission in [false, true] {
+            let how = format!("{order:?}, admission {admission}, probe {text} at {v_q_name}");
+            let warm = subscribe_with(
+                system.state(),
+                &compiled,
+                v_q,
+                v_q,
+                order,
+                admission,
+                widening,
+            );
+            let cold = subscribe_with(&fresh, &compiled, v_q, v_q, order, admission, widening);
+            match (warm, cold) {
+                (Ok((wp, ws)), Ok((cp, cs))) => {
+                    assert_eq!(format!("{wp:?}"), format!("{cp:?}"), "plans ({how})");
+                    assert!(ws.judged <= cs.judged, "{ws:?} vs {cs:?} ({how})");
+                    let judged = cs.judged;
+                    assert_eq!(SearchStats { judged, ..ws }, cs, "counts ({how})");
+                }
+                (Err(w), Err(c)) => assert_eq!(w, c, "errors ({how})"),
+                (w, c) => panic!(
+                    "remembering changed the outcome ({how}): {:?} vs {:?}",
+                    w.map(|(_, s)| s),
+                    c.map(|(_, s)| s)
+                ),
+            }
+        }
     }
 }
 
@@ -297,7 +348,7 @@ fn costed_equals_built_reaches_every_branch() {
         .find(|f| !f.retired && f.properties.is_some() && f.route.len() >= 3)
         .expect("some stream crosses a peer");
     let mid = through.route[1];
-    cut_off(&mut system, mid);
+    set_links(&mut system, mid, false);
     probe_all(&system, &mut total);
     assert!(total.unrouted > 0, "{total:?}");
 }
@@ -335,7 +386,7 @@ proptest! {
             system.set_load_feedback(v, f64::from(percent) / 100.0 * capacity);
         }
         if let Some(v) = cut {
-            cut_off(&mut system, v % peers);
+            set_links(&mut system, v % peers, false);
         }
         let v_q = format!("SP{}", probe_peer % peers);
         let order = if dfs { SearchOrder::Dfs } else { SearchOrder::Bfs };
@@ -351,6 +402,53 @@ proptest! {
         for text in &probes {
             costed_equals_built(&system, text, &v_q, order, require_feasible, &mut cov);
             assert_equivalent(&system, text, &v_q, false);
+        }
+    }
+
+    /// Remembered ≡ fresh: one system lives through a random interleaving
+    /// of registrations (widening installs included), unregistrations and
+    /// peers cut off and reconnected, and after every step plans the same
+    /// probes again — the installed queries, whose chains have verdict
+    /// rows, and a fresh one. A row or route that outlived what it was
+    /// derived from would make the live system plan differently from its
+    /// own clone.
+    #[test]
+    fn remembered_equals_fresh(
+        seed in 0u64..1_000_000,
+        dim in 2usize..=4,
+        widening in any::<bool>(),
+        caps in prop::option::of((1u32..200, 1u32..400)),
+        steps in prop::collection::vec((0u8..5, 0usize..64), 1..10),
+    ) {
+        let (mut system, mut tgen) = build_system(dim, seed, 3, widening, 0);
+        let peers = dim * dim;
+        let mut installed = installed_texts(seed, 3);
+        let mut next_id = installed.len();
+        for (i, &(action, pick)) in steps.iter().enumerate() {
+            match action {
+                0 | 1 => {
+                    let text = tgen.next_query();
+                    let peer = format!("SP{}", pick % peers);
+                    let id = format!("q{next_id}");
+                    next_id += 1;
+                    if system.register_query(id, &text, &peer, Strategy::StreamSharing).is_ok() {
+                        installed.push(text);
+                    }
+                }
+                2 => {
+                    let _ = system.unregister_query(&format!("q{}", pick % next_id));
+                }
+                3 => set_links(&mut system, pick % peers, false),
+                _ => set_links(&mut system, pick % peers, true),
+            }
+            if let (Some((cpu_permyriad, kbps)), true) = (caps, i == steps.len() / 2) {
+                system.apply_capacity_caps(f64::from(cpu_permyriad) / 10_000.0, f64::from(kbps));
+            }
+            let v_q = format!("SP{}", (pick / 5) % peers);
+            let fresh_probe = tgen.next_query();
+            for text in installed.iter().rev().take(3).chain([&fresh_probe]) {
+                assert_remembered_equals_fresh(&system, text, &v_q, widening);
+            }
         }
     }
 
