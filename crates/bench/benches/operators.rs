@@ -1,7 +1,7 @@
 //! Per-operator throughput: selection, projection, aggregation, and
 //! restructuring over photon items.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use dss_engine::{
     build_pipeline, Emit, ProjectOp, RestructureOp, SelectOp, StreamOperator, Template,
 };
@@ -28,16 +28,33 @@ fn items() -> Vec<Node> {
     default_photons(17, 10_000)
 }
 
-fn bench_select(c: &mut Criterion) {
-    let items = items();
-    let mut g = c.benchmark_group("operators/select");
-    g.throughput(Throughput::Elements(items.len() as u64));
-    g.bench_function("vela-region", |b| {
+/// Scenario 2's selection template: a region plus an energy cut — five
+/// bounds over three variables.
+fn scenario_selection() -> PredicateGraph {
+    let d = |s: &str| s.parse::<Decimal>().unwrap();
+    PredicateGraph::from_atoms(&[
+        Atom::var_const(p("coord/cel/ra"), CompOp::Ge, d("120.0")),
+        Atom::var_const(p("coord/cel/ra"), CompOp::Le, d("138.0")),
+        Atom::var_const(p("coord/cel/dec"), CompOp::Ge, d("-49.0")),
+        Atom::var_const(p("coord/cel/dec"), CompOp::Le, d("-40.0")),
+        Atom::var_const(p("en"), CompOp::Ge, d("1.3")),
+    ])
+}
+
+/// Times `items` through `op`. The operator is built by the caller, once:
+/// σ and Π compile their specification at construction, and what a
+/// super-peer pays per item is the evaluation.
+fn bench_items(
+    g: &mut BenchmarkGroup<'_>,
+    name: &str,
+    op: &mut dyn StreamOperator,
+    items: &[Node],
+) {
+    g.bench_function(name, |b| {
+        let mut out = Emit::new();
         b.iter(|| {
-            let mut op = SelectOp::new(vela_selection());
-            let mut out = Emit::new();
             let mut n = 0usize;
-            for i in &items {
+            for i in items {
                 op.process_into(i, &mut out);
                 n += out.len();
                 out.clear();
@@ -45,56 +62,62 @@ fn bench_select(c: &mut Criterion) {
             n
         })
     });
+}
+
+fn bench_select(c: &mut Criterion) {
+    let items = items();
+    let mut g = c.benchmark_group("operators/select");
+    g.throughput(Throughput::Elements(items.len() as u64));
+    for (name, predicate) in [
+        ("vela-region", vela_selection()),
+        ("scenario-region-and-en", scenario_selection()),
+    ] {
+        bench_items(&mut g, name, &mut SelectOp::new(predicate), &items);
+    }
     g.finish();
 }
 
 fn bench_project(c: &mut Criterion) {
     let items = items();
-    let spec = ProjectionSpec::returning([p("coord/cel/ra"), p("coord/cel/dec"), p("en")]);
     let mut g = c.benchmark_group("operators/project");
     g.throughput(Throughput::Elements(items.len() as u64));
-    g.bench_function("three-paths", |b| {
-        b.iter(|| {
-            let mut op = ProjectOp::new(spec.clone());
-            let mut out = Emit::new();
-            let mut n = 0usize;
-            for i in &items {
-                op.process_into(i, &mut out);
-                n += out.len();
-                out.clear();
-            }
-            n
-        })
-    });
+    for (name, paths) in [
+        ("three-paths", vec!["coord/cel/ra", "coord/cel/dec", "en"]),
+        (
+            "five-leaves",
+            vec!["coord/cel/ra", "coord/cel/dec", "phc", "en", "det_time"],
+        ),
+        ("one-subtree", vec!["coord", "en", "det_time"]),
+    ] {
+        let spec = ProjectionSpec::returning(paths.into_iter().map(p));
+        bench_items(&mut g, name, &mut ProjectOp::new(spec), &items);
+    }
     g.finish();
 }
 
 fn bench_restructure(c: &mut Criterion) {
     let items = items();
-    let template = Template::element(
-        "vela",
-        vec![
-            Template::Subtree(p("coord/cel/ra")),
-            Template::Subtree(p("coord/cel/dec")),
-            Template::Subtree(p("en")),
-            Template::Subtree(p("det_time")),
-        ],
-    );
+    let subtrees = |paths: &[&str]| paths.iter().map(|s| Template::Subtree(p(s))).collect();
     let mut g = c.benchmark_group("operators/restructure");
     g.throughput(Throughput::Elements(items.len() as u64));
-    g.bench_function("q1-template", |b| {
-        b.iter(|| {
-            let mut op = RestructureOp::new(template.clone());
-            let mut out = Emit::new();
-            let mut n = 0usize;
-            for i in &items {
-                op.process_into(i, &mut out);
-                n += out.len();
-                out.clear();
-            }
-            n
-        })
-    });
+    for (name, template) in [
+        (
+            "q1-template",
+            Template::element(
+                "vela",
+                subtrees(&["coord/cel/ra", "coord/cel/dec", "en", "det_time"]),
+            ),
+        ),
+        (
+            "scenario-hit",
+            Template::element(
+                "hit",
+                subtrees(&["coord/cel/ra", "coord/cel/dec", "phc", "en", "det_time"]),
+            ),
+        ),
+    ] {
+        bench_items(&mut g, name, &mut RestructureOp::new(template), &items);
+    }
     g.finish();
 }
 

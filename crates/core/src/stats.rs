@@ -255,7 +255,7 @@ fn collect(
             .or_insert((0, 0, child.name().len()));
         entry.0 += 1;
         entry.1 += serialized_size(child) as u64;
-        if let Ok(v) = child.decimal_value() {
+        if let Some(v) = child.decimal() {
             values.entry(child_path.clone()).or_default().push(v);
         }
         collect(child, &child_path, counts, values);

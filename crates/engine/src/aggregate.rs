@@ -105,7 +105,7 @@ impl StreamOperator for AggregateOp {
         // fold them into the windows containing the item's reference value.
         values.clear();
         spec.element.visit(item, &mut |n| {
-            if let Ok(v) = n.decimal_value() {
+            if let Some(v) = n.decimal() {
                 values.push(v);
             }
         });

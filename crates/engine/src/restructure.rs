@@ -103,7 +103,14 @@ impl RestructureOp {
     ) -> Option<Node> {
         match template {
             Template::Element { tag, children } => {
-                let mut kids = Vec::new();
+                // One node per node-valued template child is the common
+                // item (a path matching once, a nested constructor);
+                // window contents and repeated matches grow the list.
+                let nodes = children
+                    .iter()
+                    .filter(|c| !matches!(c, Template::AggValue | Template::Text(_)))
+                    .count();
+                let mut kids = Vec::with_capacity(nodes);
                 let mut text = String::new();
                 for child in children {
                     match child {

@@ -1,25 +1,27 @@
 //! The selection operator σ.
 
-use dss_predicate::PredicateGraph;
-use dss_xml::Node;
+use dss_predicate::{CompiledPredicate, PredicateGraph};
+use dss_xml::{Decimal, Node};
 
 use crate::op::{Emit, StreamOperator};
 
 /// Selection: passes items satisfying a conjunctive predicate.
 #[derive(Debug)]
 pub struct SelectOp {
-    predicate: PredicateGraph,
+    /// The predicate regrouped by variable, once, at construction: an item
+    /// has each variable read and parsed once however many bounds name it.
+    predicate: CompiledPredicate,
+    /// The item's resolved variables, for the predicate's var–var edges.
+    values: Vec<Decimal>,
 }
 
 impl SelectOp {
     /// Creates a selection from a predicate graph.
     pub fn new(predicate: PredicateGraph) -> SelectOp {
-        SelectOp { predicate }
-    }
-
-    /// The predicate.
-    pub fn predicate(&self) -> &PredicateGraph {
-        &self.predicate
+        SelectOp {
+            predicate: predicate.compile(),
+            values: Vec::new(),
+        }
     }
 }
 
@@ -29,7 +31,7 @@ impl StreamOperator for SelectOp {
     }
 
     fn process_into(&mut self, item: &Node, out: &mut Emit) {
-        if self.predicate.evaluate(item) {
+        if self.predicate.evaluate(item, &mut self.values) {
             // A passing item is handed on as a pointer to the same tree;
             // dropped items cost nothing.
             out.push(item.clone());
@@ -46,7 +48,7 @@ mod tests {
     use super::*;
     use crate::op::StreamOperatorExt;
     use dss_predicate::{Atom, CompOp};
-    use dss_xml::{Decimal, Path};
+    use dss_xml::Path;
 
     fn p(s: &str) -> Path {
         s.parse().unwrap()

@@ -67,7 +67,7 @@ impl<T: Default> WindowTracker<T> {
                     .window
                     .reference()
                     .expect("diff windows carry a reference");
-                r.decimal_value(item).ok()
+                r.decimal(item)
             }
         }
     }

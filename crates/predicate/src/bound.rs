@@ -85,18 +85,21 @@ impl Bound {
     /// shared sign).
     pub fn satisfied_by(self, lhs: Decimal, rhs: Decimal) -> bool {
         match rhs.checked_add(self.weight) {
-            Some(bound) => {
-                if self.strict {
-                    lhs < bound
-                } else {
-                    lhs <= bound
-                }
-            }
+            Some(bound) => within(lhs, bound, self.strict),
             // Additive overflow needs both operands on the same sign:
             // positive ⇒ the bound exceeds any lhs (satisfied), negative ⇒
             // it undercuts any lhs (violated).
             None => rhs.signum() > 0,
         }
+    }
+}
+
+/// `low (≤|<) high`.
+pub(crate) fn within(low: Decimal, high: Decimal, strict: bool) -> bool {
+    if strict {
+        low < high
+    } else {
+        low <= high
     }
 }
 

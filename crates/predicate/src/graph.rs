@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dss_xml::{Decimal, Node, Path};
+use dss_xml::{Node, Path};
 
 use crate::atom::{Atom, CompOp, Term};
 use crate::bound::Bound;
@@ -283,27 +283,12 @@ impl PredicateGraph {
         out.minimize()
     }
 
-    /// Evaluates the predicate against a stream item: every edge constraint
-    /// must hold, with missing/non-numeric elements failing closed.
+    /// Evaluates the predicate against one stream item: every edge
+    /// constraint must hold, with missing/non-numeric elements failing
+    /// closed. Compiles per call — an operator that sees a stream keeps the
+    /// [`compile`](PredicateGraph::compile)d form.
     pub fn evaluate(&self, item: &Node) -> bool {
-        self.edges.iter().all(|((u, v), b)| {
-            let lv = match self.node_value(u, item) {
-                Some(x) => x,
-                None => return false,
-            };
-            let rv = match self.node_value(v, item) {
-                Some(x) => x,
-                None => return false,
-            };
-            b.satisfied_by(lv, rv)
-        })
-    }
-
-    fn node_value(&self, n: &NodeRef, item: &Node) -> Option<Decimal> {
-        match n {
-            NodeRef::Zero => Some(Decimal::ZERO),
-            NodeRef::Var(p) => p.decimal_value(item).ok(),
-        }
+        self.compile().evaluate(item, &mut Vec::new())
     }
 
     /// Reconstructs a human-readable conjunction of atoms from the edges.
@@ -355,6 +340,7 @@ impl fmt::Display for PredicateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dss_xml::Decimal;
 
     fn p(s: &str) -> Path {
         s.parse().unwrap()

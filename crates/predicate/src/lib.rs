@@ -28,10 +28,12 @@
 
 pub mod atom;
 pub mod bound;
+pub mod compiled;
 pub mod graph;
 pub mod matching;
 
 pub use atom::{Atom, CompOp, Term};
 pub use bound::Bound;
+pub use compiled::CompiledPredicate;
 pub use graph::{NodeRef, PredicateGraph};
 pub use matching::{match_predicates, match_predicates_edgewise};

@@ -94,9 +94,19 @@ impl Decimal {
             self.scale = 0;
             return;
         }
-        while self.scale > 0 && self.units % 10 == 0 {
-            self.units /= 10;
-            self.scale -= 1;
+        // `i128 % 10` is a library call; values that fit 64 bits (every
+        // parsed stream value of up to 18 digits) strip their zeros there.
+        if let Ok(mut units) = i64::try_from(self.units) {
+            while self.scale > 0 && units % 10 == 0 {
+                units /= 10;
+                self.scale -= 1;
+            }
+            self.units = i128::from(units);
+        } else {
+            while self.scale > 0 && self.units % 10 == 0 {
+                self.units /= 10;
+                self.scale -= 1;
+            }
         }
     }
 
@@ -149,6 +159,14 @@ impl Decimal {
 
     /// Checked addition; `None` on overflow.
     pub fn checked_add(self, rhs: Decimal) -> Option<Decimal> {
+        // Zero is canonical (scale 0), so the other operand is the sum as
+        // it stands — the first value folded into a window, `0 + c` bounds.
+        if self.units == 0 {
+            return Some(rhs);
+        }
+        if rhs.units == 0 {
+            return Some(self);
+        }
         let scale = self.scale.max(rhs.scale);
         let a = self
             .units
@@ -221,7 +239,16 @@ impl PartialOrd for Decimal {
 
 impl Ord for Decimal {
     fn cmp(&self, other: &Decimal) -> Ordering {
+        if self.scale == other.scale {
+            return self.units.cmp(&other.units);
+        }
         let scale = self.scale.max(other.scale);
+        // Units that fit 64 bits times at most 10¹⁸ stay inside `i128`.
+        if let (Ok(a), Ok(b)) = (i64::try_from(self.units), i64::try_from(other.units)) {
+            let a = i128::from(a) * POW10[(scale - self.scale) as usize];
+            let b = i128::from(b) * POW10[(scale - other.scale) as usize];
+            return a.cmp(&b);
+        }
         // At most one side actually rescales (the other multiplies by 1),
         // so an overflowing side is decided by its sign alone.
         let a = self.units.checked_mul(POW10[(scale - self.scale) as usize]);
@@ -262,51 +289,90 @@ impl fmt::Display for Decimal {
     }
 }
 
-impl FromStr for Decimal {
-    type Err = XmlError;
+impl Decimal {
+    /// [`FromStr`] without the error value: `None` for anything that is not
+    /// a decimal, at no allocation — what per-item reads call, since they
+    /// skip unreadable values instead of reporting them.
+    pub(crate) fn parse(s: &str) -> Option<Decimal> {
+        Decimal::parse_narrow(s.as_bytes()).or_else(|| Decimal::parse_general(s))
+    }
 
-    fn from_str(s: &str) -> Result<Decimal, XmlError> {
-        let err = || XmlError::ValueParse {
-            value: s.to_string(),
-            wanted: "decimal",
+    /// An optional sign, at most 18 digits and at most one point, read in
+    /// one pass in 64-bit arithmetic: 18 digits cannot overflow an `i64`,
+    /// exceed [`MAX_INPUT_UNITS`] or carry more than [`MAX_SCALE`] places.
+    /// `None` means "not that shape" — padding, longer digit strings and
+    /// garbage are all left for [`parse_general`](Self::parse_general) to
+    /// accept or reject.
+    fn parse_narrow(bytes: &[u8]) -> Option<Decimal> {
+        let (neg, body) = match bytes.split_first()? {
+            (b'-', rest) => (true, rest),
+            (b'+', rest) => (false, rest),
+            _ => (false, bytes),
         };
-        let t = s.trim();
-        if t.is_empty() {
-            return Err(err());
+        let mut units: i64 = 0;
+        let mut digits = 0u32;
+        let mut scale = None;
+        for &b in body {
+            match b {
+                b'0'..=b'9' if digits < 18 => {
+                    units = units * 10 + i64::from(b - b'0');
+                    digits += 1;
+                    scale = scale.map(|s| s + 1);
+                }
+                b'.' if scale.is_none() => scale = Some(0u32),
+                _ => return None,
+            }
         }
+        if digits == 0 {
+            return None;
+        }
+        Some(Decimal::new(
+            i128::from(if neg { -units } else { units }),
+            scale.unwrap_or(0),
+        ))
+    }
+
+    /// The arbiter of what parses: surrounding whitespace, a sign, digits
+    /// with at most one point and [`MAX_SCALE`] places, at most
+    /// [`MAX_INPUT_UNITS`] in magnitude.
+    fn parse_general(s: &str) -> Option<Decimal> {
+        let t = s.trim();
         let (neg, t) = match t.strip_prefix('-') {
             Some(rest) => (true, rest),
             None => (false, t.strip_prefix('+').unwrap_or(t)),
         };
-        let (int_part, frac_part) = match t.split_once('.') {
-            Some((i, fr)) => (i, fr),
-            None => (t, ""),
-        };
+        let (int_part, frac_part) = t.split_once('.').unwrap_or((t, ""));
         if int_part.is_empty() && frac_part.is_empty() {
-            return Err(err());
-        }
-        if !int_part.chars().all(|c| c.is_ascii_digit())
-            || !frac_part.chars().all(|c| c.is_ascii_digit())
-        {
-            return Err(err());
+            return None;
         }
         if frac_part.len() as u32 > MAX_SCALE {
-            return Err(err());
+            return None;
         }
         let mut units: i128 = 0;
-        for c in int_part.chars().chain(frac_part.chars()) {
-            units = units.checked_mul(10).ok_or_else(err)?;
-            units = units
-                .checked_add((c as u8 - b'0') as i128)
-                .ok_or_else(err)?;
+        for b in int_part.bytes().chain(frac_part.bytes()) {
+            if !b.is_ascii_digit() {
+                return None;
+            }
+            units = units.checked_mul(10)?.checked_add(i128::from(b - b'0'))?;
         }
         if units > MAX_INPUT_UNITS {
-            return Err(err());
+            return None;
         }
-        if neg {
-            units = -units;
-        }
-        Ok(Decimal::new(units, frac_part.len() as u32))
+        Some(Decimal::new(
+            if neg { -units } else { units },
+            frac_part.len() as u32,
+        ))
+    }
+}
+
+impl FromStr for Decimal {
+    type Err = XmlError;
+
+    fn from_str(s: &str) -> Result<Decimal, XmlError> {
+        Decimal::parse(s).ok_or_else(|| XmlError::ValueParse {
+            value: s.to_string(),
+            wanted: "decimal",
+        })
     }
 }
 
@@ -431,6 +497,271 @@ mod tests {
         assert!(big.checked_add(big).is_none() || big.checked_add(big).is_some());
         let huge = Decimal::new(i128::MAX, 0);
         assert!(huge.checked_add(Decimal::ONE).is_none());
+    }
+
+    /// Canonical form: zero has scale 0 and a fraction ends in a non-zero
+    /// digit, so equal values have equal fields.
+    fn assert_canonical(v: Decimal) {
+        assert!(v.scale <= MAX_SCALE, "{v:?}");
+        assert!(v.units != 0 || v.scale == 0, "{v:?}");
+        assert!(v.scale == 0 || v.units % 10 != 0, "{v:?}");
+    }
+
+    /// Plain `i128` arithmetic on `(units, scale)` pairs, for operands
+    /// small enough (|units| ≤ 2⁶⁷) that no rescaling by 10¹⁸ overflows.
+    mod reference {
+        use super::{Ordering, MAX_INPUT_UNITS, MAX_SCALE, POW10};
+
+        pub fn canonical(mut units: i128, mut scale: u32) -> (i128, u32) {
+            if units == 0 {
+                return (0, 0);
+            }
+            while scale > 0 && units % 10 == 0 {
+                units /= 10;
+                scale -= 1;
+            }
+            (units, scale)
+        }
+
+        fn aligned(a: (i128, u32), b: (i128, u32)) -> (i128, i128, u32) {
+            let scale = a.1.max(b.1);
+            (
+                a.0 * POW10[(scale - a.1) as usize],
+                b.0 * POW10[(scale - b.1) as usize],
+                scale,
+            )
+        }
+
+        pub fn cmp(a: (i128, u32), b: (i128, u32)) -> Ordering {
+            let (a, b, _) = aligned(a, b);
+            a.cmp(&b)
+        }
+
+        pub fn add(a: (i128, u32), b: (i128, u32)) -> (i128, u32) {
+            let (a, b, scale) = aligned(a, b);
+            canonical(a + b, scale)
+        }
+
+        /// The parser as it stood before the 64-bit pass was put in front
+        /// of it: what decides which strings are decimals.
+        pub fn parse(s: &str) -> Option<(i128, u32)> {
+            let t = s.trim();
+            if t.is_empty() {
+                return None;
+            }
+            let (neg, t) = match t.strip_prefix('-') {
+                Some(rest) => (true, rest),
+                None => (false, t.strip_prefix('+').unwrap_or(t)),
+            };
+            let (int_part, frac_part) = match t.split_once('.') {
+                Some((i, fr)) => (i, fr),
+                None => (t, ""),
+            };
+            if int_part.is_empty() && frac_part.is_empty() {
+                return None;
+            }
+            if !int_part.chars().all(|c| c.is_ascii_digit())
+                || !frac_part.chars().all(|c| c.is_ascii_digit())
+            {
+                return None;
+            }
+            if frac_part.len() as u32 > MAX_SCALE {
+                return None;
+            }
+            let mut units: i128 = 0;
+            for c in int_part.chars().chain(frac_part.chars()) {
+                units = units.checked_mul(10)?;
+                units = units.checked_add((c as u8 - b'0') as i128)?;
+            }
+            if units > MAX_INPUT_UNITS {
+                return None;
+            }
+            Some(canonical(
+                if neg { -units } else { units },
+                frac_part.len() as u32,
+            ))
+        }
+    }
+
+    fn assert_parses_like_reference(s: &str) {
+        let got = Decimal::parse(s);
+        assert_eq!(
+            got.map(|v| (v.units, v.scale)),
+            reference::parse(s),
+            "parsing {s:?}"
+        );
+        assert_eq!(s.parse::<Decimal>().ok(), got, "from_str of {s:?}");
+        if let Some(v) = got {
+            assert_canonical(v);
+        }
+    }
+
+    #[test]
+    fn narrow_parse_agrees_with_the_general_parser_at_its_edges() {
+        for s in [
+            "",
+            " ",
+            ".",
+            "+",
+            "-",
+            "+.",
+            "-.",
+            "--5",
+            "+-5",
+            "-+5",
+            "1.",
+            ".5",
+            "-.5",
+            "+.5",
+            "1.2.3",
+            "1..2",
+            "1e5",
+            "0x10",
+            "١٢", // digits, but not ASCII
+            "1\u{a0}",
+            " 42 ",
+            "\t-1.50\n",
+            "+ 1",
+            "0",
+            "-0",
+            "+0",
+            "-0.0",
+            "0.000",
+            "1.300",
+            "-49.0",
+            // 18 digits: the longest the 64-bit pass takes.
+            "999999999999999999",
+            "-999999999999999999",
+            "99999999999999999.9",
+            ".000000000000000001",
+            ".999999999999999999",
+            "100000000000000000",
+            // 19 and more: the general parser's.
+            "1000000000000000000",
+            "9999999999999999999",
+            "0.000000000000000001",
+            "1.000000000000000000",
+            "0.0000000000000000001",
+            // Leading zeros past 18 digits keep a small value small.
+            "0000000000000000000001.50",
+            "-00000000000000000000000000000000000000007",
+            // MAX_INPUT_UNITS and its neighbours, with and without places.
+            "10000000000000000000",
+            "10000000000000000001",
+            "-10000000000000000000",
+            "-10000000000000000001",
+            "10.000000000000000000",
+            "10.000000000000000001",
+            "99999999999999999999999999999999999999",
+            "999999999999999999999999999999999999999999",
+        ] {
+            assert_parses_like_reference(s);
+        }
+        assert!(Decimal::parse_narrow(b"999999999999999999").is_some());
+        assert!(Decimal::parse_narrow(b"1000000000000000000").is_none());
+        assert!(Decimal::parse_narrow(b" 1").is_none());
+    }
+
+    #[test]
+    fn arithmetic_agrees_with_plain_i128_for_narrow_and_wide_operands() {
+        let narrow_edge = i128::from(i64::MAX);
+        let units = [
+            0,
+            1,
+            -1,
+            7,
+            1500,
+            -120_000,
+            123_456_789,
+            narrow_edge - 1,
+            narrow_edge,
+            narrow_edge + 1,
+            narrow_edge + 2,
+            -narrow_edge,
+            -narrow_edge - 1, // i64::MIN
+            -narrow_edge - 2,
+            MAX_INPUT_UNITS,
+            (1 << 67) + 3,
+            -(1 << 67) - 3,
+        ];
+        // Every scale, so every scale difference 0..=18 meets every pair.
+        let values: Vec<(i128, u32)> = units
+            .iter()
+            .flat_map(|&u| (0..=MAX_SCALE).map(move |s| (u, s)))
+            .collect();
+        for &(ua, sa) in &values {
+            let a = Decimal::new(ua, sa);
+            assert_canonical(a);
+            assert_eq!((a.units, a.scale), reference::canonical(ua, sa));
+            assert_canonical(-a);
+            for &(ub, sb) in &values {
+                let b = Decimal::new(ub, sb);
+                let order = reference::cmp((ua, sa), (ub, sb));
+                assert_eq!(a.cmp(&b), order, "{a:?} cmp {b:?}");
+                // Equal values have equal fields, and only they.
+                assert_eq!(a == b, order == Ordering::Equal, "{a:?} == {b:?}");
+                let sum = a.checked_add(b).expect("operands chosen not to overflow");
+                assert_canonical(sum);
+                assert_eq!(
+                    (sum.units, sum.scale),
+                    reference::add((ua, sa), (ub, sb)),
+                    "{a:?} + {b:?}"
+                );
+            }
+        }
+    }
+
+    mod generated {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn parse_agrees_with_reference_on_number_like_strings(
+                s in "[ ]{0,1}[-+]{0,2}[0-9]{0,22}[.]{0,2}[0-9]{0,21}[ ]{0,1}",
+            ) {
+                assert_parses_like_reference(&s);
+            }
+
+            #[test]
+            fn parse_agrees_with_reference_on_short_numbers(
+                s in "[-+]{0,1}[0-9]{0,9}[.]{0,1}[0-9]{0,9}",
+            ) {
+                assert_parses_like_reference(&s);
+            }
+
+            #[test]
+            fn parse_agrees_with_reference_on_noise(s in "[-0-9.+ a]{0,8}") {
+                assert_parses_like_reference(&s);
+            }
+
+            #[test]
+            fn constructors_keep_the_canonical_form(
+                wide in any::<bool>(),
+                raw in i64::MIN..=i64::MAX,
+                shift in 0u32..4,
+                scale in 0u32..=MAX_SCALE,
+                k in -1000i64..=1000,
+            ) {
+                // Small values with trailing zeros, or values pushed past
+                // the 64-bit edge.
+                let units = i128::from(if wide { raw } else { raw % 100_000 })
+                    * POW10[shift as usize];
+                let v = Decimal::new(units, scale);
+                assert_canonical(v);
+                prop_assert_eq!((v.units, v.scale), reference::canonical(units, scale));
+                assert_canonical(-v);
+                assert_canonical(v * k);
+                assert_canonical(Decimal::from_int(k));
+                assert_canonical(Decimal::ulp(scale));
+                assert_canonical(Decimal::from_f64_rounded(k as f64 / 8.0, scale));
+                // Display prints every value; the parser takes it back
+                // unless it exceeds the input bound.
+                if units.abs() <= MAX_INPUT_UNITS {
+                    prop_assert_eq!(Decimal::parse(&v.to_string()), Some(v));
+                }
+            }
+        }
     }
 
     #[test]

@@ -167,7 +167,15 @@ impl Path {
         rec(&self.steps, node)
     }
 
-    /// Decimal value of the first reachable node.
+    /// Decimal value of the first reachable node; `None` when there is no
+    /// such node or it holds no decimal (the first node decides — later
+    /// siblings are not tried). Allocation-free, hit or miss.
+    pub fn decimal(&self, node: &Node) -> Option<Decimal> {
+        self.first(node)?.decimal()
+    }
+
+    /// Decimal value of the first reachable node, for callers that report
+    /// the failure.
     pub fn decimal_value(&self, node: &Node) -> Result<Decimal, XmlError> {
         match self.first(node) {
             Some(n) => n.decimal_value(),
@@ -321,6 +329,12 @@ mod tests {
             "-46.2".parse::<Decimal>().unwrap()
         );
         assert!(p("missing").decimal_value(&ph).is_err());
+        assert_eq!(
+            p("coord/cel/dec").decimal(&ph),
+            p("coord/cel/dec").decimal_value(&ph).ok()
+        );
+        assert_eq!(p("missing").decimal(&ph), None);
+        assert_eq!(p("coord").decimal(&ph), None);
     }
 
     #[test]

@@ -147,7 +147,15 @@ impl Node {
         self.text.is_none() && self.children().is_empty()
     }
 
-    /// Leaf text parsed as a decimal.
+    /// Leaf text parsed as a decimal; `None` without text or when the text
+    /// is not a decimal. The per-item read: unlike
+    /// [`decimal_value`](Node::decimal_value) a miss builds no error, so
+    /// operators that skip unreadable values pay nothing for them.
+    pub fn decimal(&self) -> Option<Decimal> {
+        Decimal::parse(self.text.as_deref()?)
+    }
+
+    /// Leaf text parsed as a decimal, for callers that report the failure.
     pub fn decimal_value(&self) -> Result<Decimal, XmlError> {
         match &self.text {
             Some(t) => t.parse(),
@@ -361,6 +369,13 @@ mod tests {
             "1.4".parse::<Decimal>().unwrap()
         );
         assert!(p.child("coord").unwrap().decimal_value().is_err());
+        // The `Option` read agrees, hit and miss.
+        assert_eq!(
+            p.child("en").unwrap().decimal(),
+            p.child("en").unwrap().decimal_value().ok()
+        );
+        assert_eq!(p.child("coord").unwrap().decimal(), None);
+        assert_eq!(Node::leaf("en", "").decimal(), None);
     }
 
     #[test]

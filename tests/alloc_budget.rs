@@ -42,10 +42,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations per output element one warm scenario-2 simulation may make.
-/// The owned tree this replaced needed 1.97 (a `String` and a `Vec` per
-/// element, once per copy).
-const BUDGET_PER_ELEMENT: f64 = 0.5;
+/// Allocations per output element one warm scenario-2 simulation may make
+/// (0.28 measured: what Π, ρ and Φ build, sized once). The owned tree this
+/// replaced needed 1.97 (a `String` and a `Vec` per element, once per copy).
+const BUDGET_PER_ELEMENT: f64 = 0.35;
 
 #[test]
 fn scenario2_simulation_stays_within_its_allocation_budget() {
