@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dss_core::{Strategy, StreamGlobe};
@@ -61,8 +62,15 @@ fn build() -> StreamGlobe {
     sys
 }
 
+/// A fresh directory per call: the module's tests run whole matrices side
+/// by side in one process, and two runs must never share a log.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dss-recovery-bench-{}-{tag}", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "dss-recovery-bench-{}-{call}-{tag}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

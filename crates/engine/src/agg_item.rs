@@ -154,19 +154,30 @@ impl AggItem {
 
     /// Serializes the partial as an XML stream item.
     pub fn to_node(&self) -> Node {
-        let mut children = vec![
+        let [start, size, count] = [
             Node::decimal_leaf("start", self.start),
             Node::decimal_leaf("size", self.size),
-            Node::leaf("count", self.count.to_string()),
+            Node::display_leaf("count", self.count),
         ];
-        if let Some(s) = self.sum {
-            children.push(Node::decimal_leaf("sum", s));
+        if let (Some(sum), Some(min), Some(max)) = (self.sum, self.min, self.max) {
+            // Every partial a value was folded into: one block, filled in
+            // place.
+            return Node::new(
+                "agg",
+                None,
+                [
+                    start,
+                    size,
+                    count,
+                    Node::decimal_leaf("sum", sum),
+                    Node::decimal_leaf("min", min),
+                    Node::decimal_leaf("max", max),
+                ],
+            );
         }
-        if let Some(m) = self.min {
-            children.push(Node::decimal_leaf("min", m));
-        }
-        if let Some(m) = self.max {
-            children.push(Node::decimal_leaf("max", m));
+        let mut children = vec![start, size, count];
+        for (name, value) in [("sum", self.sum), ("min", self.min), ("max", self.max)] {
+            children.extend(value.map(|v| Node::decimal_leaf(name, v)));
         }
         Node::elem("agg", children)
     }

@@ -975,10 +975,7 @@ mod tests {
         fn photon(t: u32) -> Node {
             Node::elem(
                 "photon",
-                vec![
-                    Node::leaf("t", t.to_string()),
-                    Node::leaf("en", "1.0".to_string()),
-                ],
+                vec![Node::leaf("t", t.to_string()), Node::leaf("en", "1.0")],
             )
         }
 

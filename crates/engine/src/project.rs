@@ -43,21 +43,22 @@ impl Keep {
     }
 
     /// Prunes `node` to what the trie keeps. Children stay in document
-    /// order; a kept subtree is a pointer to the item's own.
-    fn prune(&self, node: &Node) -> Node {
+    /// order; a kept subtree is a pointer to the item's own. `kept` is
+    /// scratch: each pruned element's children gather at its end and move
+    /// from there into the element's block, so it ends as it began.
+    fn prune(&self, node: &Node, kept: &mut Vec<Node>) -> Node {
         let Keep::Structure(wanted) = self else {
             return node.clone();
         };
-        // One node per wanted name is the common item; repeated siblings
-        // grow the list.
-        let mut kept = Vec::with_capacity(wanted.len().min(node.children().len()));
+        let first = kept.len();
         for child in node.children() {
             let name = child.symbol();
             if let Some((_, keep)) = wanted.iter().find(|(n, _)| *n == name) {
-                kept.push(keep.prune(child));
+                let pruned = keep.prune(child, kept);
+                kept.push(pruned);
             }
         }
-        Node::elem(node.symbol(), kept)
+        Node::new(node.symbol(), None, kept.drain(first..))
     }
 }
 
@@ -67,6 +68,8 @@ impl Keep {
 #[derive(Debug)]
 pub struct ProjectOp {
     keep: Keep,
+    /// [`Keep::prune`]'s scratch, reused from item to item.
+    kept: Vec<Node>,
 }
 
 impl ProjectOp {
@@ -74,13 +77,14 @@ impl ProjectOp {
     pub fn new(spec: ProjectionSpec) -> ProjectOp {
         ProjectOp {
             keep: Keep::compile(&spec.output),
+            kept: Vec::new(),
         }
     }
 
     /// Projects a single node tree (standalone helper: compiles `spec` for
     /// the one item).
     pub fn project(spec: &ProjectionSpec, item: &Node) -> Node {
-        Keep::compile(&spec.output).prune(item)
+        Keep::compile(&spec.output).prune(item, &mut Vec::new())
     }
 }
 
@@ -90,7 +94,7 @@ impl StreamOperator for ProjectOp {
     }
 
     fn process_into(&mut self, item: &Node, out: &mut Emit) {
-        out.push(self.keep.prune(item));
+        out.push(self.keep.prune(item, &mut self.kept));
     }
 
     fn base_load(&self) -> f64 {
@@ -268,7 +272,7 @@ mod tests {
                 // `compile` takes any order, not only the set's.
                 let keep = Keep::compile(&paths);
                 assert_eq!(
-                    node_to_string(&keep.prune(&item)),
+                    node_to_string(&keep.prune(&item, &mut Vec::new())),
                     "<photon><coord><cel><ra>130.7</ra><dec>-46.2</dec></cel>\
                      <det><dx>12</dx><dy>34</dy></det></coord></photon>"
                 );

@@ -61,24 +61,29 @@ enum InputKind {
 pub struct RestructureOp {
     template: Template,
     input: InputKind,
+    /// Scratch reused from item to item, see [`Build`].
+    build: Build,
+}
+
+/// What the constructors being instantiated gather: the children and the
+/// text of every open constructor, innermost last. A finished element takes
+/// its tail of each, so both end as they began.
+#[derive(Debug, Default)]
+struct Build {
+    kids: Vec<Node>,
+    text: String,
 }
 
 impl RestructureOp {
     /// Restructurer over plain stream items.
     pub fn new(template: Template) -> RestructureOp {
-        RestructureOp {
-            template,
-            input: InputKind::Items,
-        }
+        RestructureOp::with_input(template, InputKind::Items)
     }
 
     /// Restructurer over window-contents items: `{ $w }` splices each
     /// window's contained items into the constructed element.
     pub fn for_window(template: Template) -> RestructureOp {
-        RestructureOp {
-            template,
-            input: InputKind::Window,
-        }
+        RestructureOp::with_input(template, InputKind::Window)
     }
 
     /// Restructurer over aggregate partials: `{ $a }` renders the final
@@ -86,16 +91,24 @@ impl RestructureOp {
     /// "the final aggregate value is computed at the super-peer at which
     /// the subscription is registered").
     pub fn for_aggregate(template: Template, op: AggOp) -> RestructureOp {
-        RestructureOp {
-            template,
-            input: InputKind::Aggregate(op),
-        }
+        RestructureOp::with_input(template, InputKind::Aggregate(op))
     }
 
+    fn with_input(template: Template, input: InputKind) -> RestructureOp {
+        RestructureOp {
+            template,
+            input,
+            build: Build::default(),
+        }
+    }
+}
+
+impl Build {
     /// Instantiates `template` against an item, an optional aggregate
     /// value, and optional window contents. Returns `None` when a required
     /// aggregate value is undefined.
     fn instantiate(
+        &mut self,
         template: &Template,
         item: &Node,
         agg_value: Option<&str>,
@@ -103,49 +116,56 @@ impl RestructureOp {
     ) -> Option<Node> {
         match template {
             Template::Element { tag, children } => {
-                // One node per node-valued template child is the common
-                // item (a path matching once, a nested constructor);
-                // window contents and repeated matches grow the list.
-                let nodes = children
-                    .iter()
-                    .filter(|c| !matches!(c, Template::AggValue | Template::Text(_)))
-                    .count();
-                let mut kids = Vec::with_capacity(nodes);
-                let mut text = String::new();
-                for child in children {
-                    match child {
-                        Template::Subtree(path) => {
-                            // The matched subtrees stay the item's: the
-                            // constructed node holds pointers to them.
-                            path.visit(item, &mut |n| kids.push(n.clone()));
-                        }
-                        Template::AggValue => {
-                            text.push_str(agg_value?);
-                        }
-                        Template::WindowContents => {
-                            kids.extend_from_slice(window_items?);
-                        }
-                        Template::Text(t) => text.push_str(t),
-                        elem @ Template::Element { .. } => {
-                            kids.push(Self::instantiate(elem, item, agg_value, window_items)?);
-                        }
-                    }
-                }
-                let mut node = Node::elem(*tag, kids);
-                if !text.is_empty() {
+                let (first_kid, first_char) = (self.kids.len(), self.text.len());
+                let filled = self.fill(children, item, agg_value, window_items);
+                let node = filled.map(|()| {
                     // Text coexists with children (it renders first) —
                     // `<x>label { $p/en }</x>` keeps its label.
-                    node.set_text(text);
-                }
-                Some(node)
+                    let text = &self.text[first_char..];
+                    Node::new(
+                        *tag,
+                        (!text.is_empty()).then_some(text),
+                        self.kids.drain(first_kid..),
+                    )
+                });
+                self.kids.truncate(first_kid);
+                self.text.truncate(first_char);
+                node
             }
             Template::Subtree(path) => path.first(item).cloned(),
             Template::AggValue => agg_value.map(|v| Node::leaf("value", v)),
             Template::WindowContents => {
-                window_items.map(|items| Node::elem("window", items.to_vec()))
+                window_items.map(|items| Node::new("window", None, items.iter().cloned()))
             }
-            Template::Text(t) => Some(Node::leaf("text", t.clone())),
+            Template::Text(t) => Some(Node::leaf("text", t)),
         }
+    }
+
+    /// Gathers an element constructor's children and text.
+    fn fill(
+        &mut self,
+        children: &[Template],
+        item: &Node,
+        agg_value: Option<&str>,
+        window_items: Option<&[Node]>,
+    ) -> Option<()> {
+        for child in children {
+            match child {
+                Template::Subtree(path) => {
+                    // The matched subtrees stay the item's: the constructed
+                    // node holds pointers to them.
+                    path.visit(item, &mut |n| self.kids.push(n.clone()));
+                }
+                Template::AggValue => self.text.push_str(agg_value?),
+                Template::WindowContents => self.kids.extend_from_slice(window_items?),
+                Template::Text(t) => self.text.push_str(t),
+                elem @ Template::Element { .. } => {
+                    let node = self.instantiate(elem, item, agg_value, window_items)?;
+                    self.kids.push(node);
+                }
+            }
+        }
+        Some(())
     }
 }
 
@@ -175,12 +195,13 @@ impl StreamOperator for RestructureOp {
             }
             InputKind::Items => {}
         }
-        if let Some(n) = Self::instantiate(
+        let node = self.build.instantiate(
             &self.template,
             item,
             agg_value.as_deref(),
             window_items.as_deref(),
-        ) {
+        );
+        if let Some(n) = node {
             out.push(n);
         }
     }

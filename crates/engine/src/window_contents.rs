@@ -54,23 +54,27 @@ impl WindowItem {
 
     /// Serializes the window as a stream item.
     pub fn to_node(&self) -> Node {
-        WindowItem {
-            start: self.start,
-            size: self.size,
-            items: self.items.clone(),
-        }
-        .into_node()
+        WindowItem::node(self.start, self.size, self.items.iter().cloned())
     }
 
     /// Serializes the window, consuming it — the contained items move into
     /// the produced node instead of being cloned.
     pub fn into_node(self) -> Node {
-        Node::elem(
+        WindowItem::node(self.start, self.size, self.items)
+    }
+
+    fn node<I>(start: Decimal, size: Decimal, items: I) -> Node
+    where
+        I: IntoIterator<Item = Node>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        Node::new(
             "window",
-            vec![
-                Node::decimal_leaf("start", self.start),
-                Node::decimal_leaf("size", self.size),
-                Node::elem("items", self.items),
+            None,
+            [
+                Node::decimal_leaf("start", start),
+                Node::decimal_leaf("size", size),
+                Node::new("items", None, items),
             ],
         )
     }

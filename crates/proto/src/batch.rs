@@ -119,10 +119,9 @@ impl<'a> ItemsView<'a> {
 
     /// Builds the items' trees.
     pub fn materialise(&self) -> Vec<Node> {
-        let mut r = Reader::new(self.bytes());
-        (0..self.len())
-            .map(|_| r.node().expect("the view validated these bytes"))
-            .collect()
+        Reader::new(self.bytes())
+            .items(self.len())
+            .expect("the view validated these bytes")
     }
 }
 

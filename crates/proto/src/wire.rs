@@ -158,13 +158,14 @@ impl<'a> Reader<'a> {
     }
 
     pub fn node(&mut self) -> Result<Node, DecodeError> {
-        self.node_at(0)
+        self.node_at(0, &mut Vec::new())
     }
 
     /// The one node parser. What it builds is the caller's choice — a
     /// [`Node`] tree or nothing — so validating and materialising cannot
-    /// disagree about which bytes are a node.
-    fn node_at<B: Build>(&mut self, depth: usize) -> Result<B, DecodeError> {
+    /// disagree about which bytes are a node. Finished children wait on
+    /// `stack` until their parent closes over them.
+    fn node_at<B: Build>(&mut self, depth: usize, stack: &mut B::Stack) -> Result<B, DecodeError> {
         if depth >= MAX_NODE_DEPTH {
             return Err(DecodeError::TooDeep);
         }
@@ -175,18 +176,25 @@ impl<'a> Reader<'a> {
             None
         };
         let count = self.count()?;
-        let mut children = B::children(count);
         for _ in 0..count {
-            B::push(&mut children, self.node_at(depth + 1)?);
+            let child = self.node_at(depth + 1, stack)?;
+            B::push(stack, child);
         }
-        Ok(B::close(name, text, children))
+        Ok(B::close(stack, name, text, count))
     }
 
     pub fn nodes(&mut self) -> Result<Vec<Node>, DecodeError> {
         let count = self.count()?;
+        self.items(count)
+    }
+
+    /// `count` nodes back to back (a node list without its count), built
+    /// over one scratch stack.
+    pub fn items(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
         let mut out = Vec::with_capacity(count.min(1024));
+        let mut stack = Vec::new();
         for _ in 0..count {
-            out.push(self.node()?);
+            out.push(self.node_at(0, &mut stack)?);
         }
         Ok(out)
     }
@@ -201,7 +209,7 @@ impl<'a> Reader<'a> {
         let mut index = Vec::with_capacity(count.min(1024) + 1);
         for _ in 0..count {
             index.push(self.pos);
-            self.node_at::<()>(0)?;
+            self.node_at::<()>(0, &mut ())?;
         }
         index.push(self.pos);
         Ok(index)
@@ -209,41 +217,32 @@ impl<'a> Reader<'a> {
 }
 
 /// What [`Reader::node_at`] makes of the node it walks: a node is closed
-/// over its finished child list, so a shared tree wraps that list once.
+/// over its finished children, so a tree moves them into its block once.
 trait Build: Sized {
-    type Children;
-    /// Room for `count` children — a count [`Reader::count`] has bounded
-    /// by the bytes that remain.
-    fn children(count: usize) -> Self::Children;
-    fn push(children: &mut Self::Children, child: Self);
-    fn close(name: &str, text: Option<&str>, children: Self::Children) -> Self;
+    /// Where finished children wait for their parent. It grows with the
+    /// nodes actually decoded, never with a declared count.
+    type Stack;
+    fn push(stack: &mut Self::Stack, child: Self);
+    /// The node over the last `count` children pushed.
+    fn close(stack: &mut Self::Stack, name: &str, text: Option<&str>, count: usize) -> Self;
 }
 
 impl Build for Node {
-    type Children = Vec<Node>;
-    fn children(count: usize) -> Vec<Node> {
-        Vec::with_capacity(count.min(1024))
+    type Stack = Vec<Node>;
+    fn push(stack: &mut Vec<Node>, child: Node) {
+        stack.push(child);
     }
-    fn push(children: &mut Vec<Node>, child: Node) {
-        children.push(child);
-    }
-    fn close(name: &str, text: Option<&str>, children: Vec<Node>) -> Node {
-        let mut node = Node::elem(name, children);
-        if let Some(text) = text {
-            // On a node without text this copies the borrowed payload
-            // bytes straight into the shared string.
-            node.append_text(text);
-        }
-        node
+    fn close(stack: &mut Vec<Node>, name: &str, text: Option<&str>, count: usize) -> Node {
+        // The payload's text is copied straight into the node.
+        Node::new(name, text, stack.drain(stack.len() - count..))
     }
 }
 
 /// Validation only.
 impl Build for () {
-    type Children = ();
-    fn children(_: usize) {}
+    type Stack = ();
     fn push(_: &mut (), _: ()) {}
-    fn close(_: &str, _: Option<&str>, _: ()) {}
+    fn close(_: &mut (), _: &str, _: Option<&str>, _: usize) {}
 }
 
 #[cfg(test)]

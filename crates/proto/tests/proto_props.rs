@@ -17,6 +17,8 @@ use dss_proto::{
     read_frame, read_message, write_message, BatchDest, BatchHeader, BatchView, DecodeError,
     Message, ProtoError, Role, WireStrategy, MAX_FRAME_LEN,
 };
+use dss_xml::text::escape_text;
+use dss_xml::writer::{node_to_string, serialized_size};
 use dss_xml::Node;
 
 fn arb_text() -> impl Strategy<Value = String> {
@@ -25,6 +27,8 @@ fn arb_text() -> impl Strategy<Value = String> {
         "[a-z]{1,12}".prop_map(|s| s),
         Just("wxquery — unicode ✓ \u{1F300}".to_string()),
         Just("a\0b\nc".to_string()),
+        // Escapes, on either side of the 22 bytes a node keeps inline.
+        "[a-z<&>]{20,24}".prop_map(|s| s),
     ]
 }
 
@@ -508,6 +512,33 @@ proptest! {
         let payload = msg.encode();
         prop_assert!(BatchView::is_batch(&payload));
         prop_assert_eq!(assert_same_verdict(&payload), Ok(msg));
+    }
+
+    /// A decoded node knows its serialized size from the moment it is
+    /// built, at every level, whichever decoder built it.
+    #[test]
+    fn decoded_nodes_carry_their_serialized_size(msg in arb_batch()) {
+        fn walk(n: &Node) -> usize {
+            if n.is_empty() {
+                return n.name().len() + 3;
+            }
+            let text = n.text().map_or(0, |t| escape_text(t).len());
+            2 * n.name().len() + 5 + text + n.children().iter().map(walk).sum::<usize>()
+        }
+        fn check(n: &Node) -> Result<(), TestCaseError> {
+            prop_assert_eq!(serialized_size(n), node_to_string(n).len());
+            prop_assert_eq!(serialized_size(n), walk(n));
+            n.children().iter().try_for_each(check)
+        }
+        let payload = msg.encode();
+        let decoded = match Message::decode(&payload).unwrap() {
+            Message::StreamItemBatch { items, .. } | Message::Deliver { items, .. } => items,
+            other => panic!("not a batch: {other:?}"),
+        };
+        let viewed = BatchView::parse(&payload).unwrap().items.materialise();
+        for item in decoded.iter().chain(&viewed) {
+            check(item)?;
+        }
     }
 
     /// Every truncation point of a batch payload: the same typed error

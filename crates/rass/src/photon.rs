@@ -28,25 +28,29 @@ pub struct Photon {
 impl Photon {
     /// Serializes the photon to its stream-item XML form.
     pub fn to_node(&self) -> Node {
-        Node::elem(
+        Node::new(
             "photon",
-            vec![
-                Node::leaf("phc", self.phc.to_string()),
-                Node::elem(
+            None,
+            [
+                Node::display_leaf("phc", self.phc),
+                Node::new(
                     "coord",
-                    vec![
-                        Node::elem(
+                    None,
+                    [
+                        Node::new(
                             "cel",
-                            vec![
+                            None,
+                            [
                                 Node::decimal_leaf("ra", self.ra),
                                 Node::decimal_leaf("dec", self.dec),
                             ],
                         ),
-                        Node::elem(
+                        Node::new(
                             "det",
-                            vec![
-                                Node::leaf("dx", self.dx.to_string()),
-                                Node::leaf("dy", self.dy.to_string()),
+                            None,
+                            [
+                                Node::display_leaf("dx", self.dx),
+                                Node::display_leaf("dy", self.dy),
                             ],
                         ),
                     ],
@@ -118,8 +122,8 @@ mod tests {
     #[test]
     fn from_node_rejects_malformed() {
         assert!(Photon::from_node(&Node::empty("photon")).is_err());
-        let mut n = sample().to_node();
-        n.children_mut().retain(|c| c.name() != "en");
-        assert!(Photon::from_node(&n).is_err());
+        let n = sample().to_node();
+        let kept = n.children().iter().filter(|c| c.name() != "en").cloned();
+        assert!(Photon::from_node(&Node::new("photon", None, kept.collect::<Vec<_>>())).is_err());
     }
 }

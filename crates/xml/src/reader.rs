@@ -11,7 +11,7 @@ use crate::error::XmlError;
 use crate::event::XmlEvent;
 use crate::name::Symbol;
 use crate::tokenizer::Tokenizer;
-use crate::tree::Node;
+use crate::tree::{Node, TreeBuilder, MAX_DEPTH};
 
 /// Event reader enforcing well-formedness (balanced tags, single root).
 #[derive(Debug)]
@@ -122,9 +122,9 @@ impl XmlReader {
 pub struct StreamReader {
     tok: Tokenizer,
     root: Option<Symbol>,
-    /// Item parse state carried across calls when the tokenizer ran dry
-    /// mid-item.
-    partial: Option<Partial>,
+    /// The item being read. Open across calls when the tokenizer ran dry
+    /// mid-item; its buffers are reused from item to item.
+    item: TreeBuilder,
     /// Error discovered by `root_name` look-ahead, surfaced by the next
     /// `next_item` call instead of being swallowed.
     deferred: Option<XmlError>,
@@ -139,7 +139,8 @@ impl StreamReader {
         StreamReader {
             tok: Tokenizer::new(),
             root: None,
-            partial: None,
+            // The stream root is one level of the document's nesting.
+            item: TreeBuilder::new(MAX_DEPTH - 1),
             deferred: None,
             closed: false,
             items_read: 0,
@@ -195,163 +196,64 @@ impl StreamReader {
         if self.closed {
             return Ok(None);
         }
-        if let Some(partial) = self.partial.take() {
-            match self.resume_item(partial.stack, partial.current, partial.current_attrs)? {
-                Some(item) => {
-                    self.items_read += 1;
-                    return Ok(Some(item));
-                }
-                None => return Ok(None),
-            }
-        }
-        if self.root.is_none() {
-            match self.tok.next_event()? {
-                Some(XmlEvent::StartElement { name, .. }) => self.root = Some(name),
-                Some(other) => {
-                    return Err(XmlError::Syntax {
-                        message: format!("expected stream root, found {other:?}"),
-                        offset: 0,
-                    })
-                }
-                None => return Ok(None),
-            }
-        }
-        // We are at depth 1 (inside the root). The next start tag opens an
-        // item; buffer events until that item's subtree is complete. If the
-        // tokenizer runs dry mid-item, stash the partial state.
-        //
-        // To keep this simple and allocation-friendly we rely on the
-        // tokenizer's internal buffering: we only *consume* events once the
-        // full item is available. That requires look-ahead, which the
-        // tokenizer does not provide — so instead we buffer the partial
-        // item's events locally across calls.
-        loop {
-            let Some(ev) = self.tok.next_event()? else {
-                return Ok(None);
-            };
-            match ev {
-                XmlEvent::StartElement { name, attributes } => {
-                    match self.read_item_rest(name, attributes)? {
-                        Some(item) => {
-                            self.items_read += 1;
-                            return Ok(Some(item));
-                        }
-                        None => return Ok(None),
-                    }
-                }
-                XmlEvent::EndElement { name } => {
-                    if Some(name) == self.root {
-                        self.closed = true;
-                        return Ok(None);
-                    }
-                    return Err(XmlError::UnexpectedEndTag {
-                        name: name.as_str().to_string(),
-                    });
-                }
-                XmlEvent::Text(_) => {
-                    // Loose text between items: tolerated and skipped.
-                }
-            }
-        }
-    }
-
-    /// Reads the rest of one item subtree whose start tag was consumed.
-    ///
-    /// Unlike `Node::from_events_after_start` this copes with the tokenizer
-    /// running dry mid-item: progress is stashed in `self.partial` and
-    /// resumed by the next `next_item` call.
-    fn read_item_rest(
-        &mut self,
-        name: Symbol,
-        attributes: Vec<(Symbol, String)>,
-    ) -> Result<Option<Node>, XmlError> {
-        let current = Node::empty(name);
-        let attrs = attributes
-            .into_iter()
-            .map(|(k, v)| Node::leaf(k, v))
-            .collect();
-        self.resume_item(Vec::new(), current, attrs)
-    }
-
-    /// Continues parsing an item from saved state. Returns `Ok(None)` (and
-    /// re-stashes state) if the tokenizer runs dry. Attribute-derived
-    /// children are held aside per frame and prepended at element
-    /// completion, so a text value on an attributed element is kept.
-    fn resume_item(
-        &mut self,
-        mut stack: Vec<(Node, Vec<Node>)>,
-        mut current: Node,
-        mut current_attrs: Vec<Node>,
-    ) -> Result<Option<Node>, XmlError> {
-        loop {
-            match self.tok.next_event()? {
-                None => {
-                    // Ran dry mid-item: remember progress for the next call.
-                    self.partial = Some(Partial {
-                        stack,
-                        current,
-                        current_attrs,
-                    });
-                    return Ok(None);
-                }
-                Some(XmlEvent::StartElement { name, attributes }) => {
-                    if stack.len() + 2 >= crate::tree::MAX_DEPTH {
+        if !self.item.is_open() {
+            if self.root.is_none() {
+                match self.tok.next_event()? {
+                    Some(XmlEvent::StartElement { name, .. }) => self.root = Some(name),
+                    Some(other) => {
                         return Err(XmlError::Syntax {
-                            message: format!(
-                                "element nesting deeper than {}",
-                                crate::tree::MAX_DEPTH
-                            ),
+                            message: format!("expected stream root, found {other:?}"),
                             offset: 0,
-                        });
+                        })
                     }
-                    let attrs = attributes
-                        .into_iter()
-                        .map(|(k, v)| Node::leaf(k, v))
-                        .collect();
-                    stack.push((
-                        std::mem::replace(&mut current, Node::empty(name)),
-                        std::mem::replace(&mut current_attrs, attrs),
-                    ));
+                    None => return Ok(None),
                 }
-                Some(XmlEvent::EndElement { name }) => {
-                    if name != current.symbol() {
-                        return Err(XmlError::MismatchedTag {
-                            expected: current.name().to_string(),
-                            found: name.as_str().to_string(),
-                        });
+            }
+            // Inside the root: the next start tag opens an item.
+            loop {
+                let Some(ev) = self.tok.next_event()? else {
+                    return Ok(None);
+                };
+                match ev {
+                    XmlEvent::StartElement { name, attributes } => {
+                        self.item.start(name, attributes)?;
+                        break;
                     }
-                    if !current_attrs.is_empty() {
-                        current_attrs.append(current.children_mut());
-                        *current.children_mut() = std::mem::take(&mut current_attrs);
-                    }
-                    match stack.pop() {
-                        Some((mut parent, parent_attrs)) => {
-                            parent.push_child(current);
-                            current = parent;
-                            current_attrs = parent_attrs;
+                    XmlEvent::EndElement { name } => {
+                        if Some(name) == self.root {
+                            self.closed = true;
+                            return Ok(None);
                         }
-                        None => return Ok(Some(current)),
+                        return Err(XmlError::UnexpectedEndTag {
+                            name: name.as_str().to_string(),
+                        });
                     }
-                }
-                Some(XmlEvent::Text(t)) => {
-                    // Mixed content after child elements is dropped by the
-                    // element-only model; split text runs are concatenated
-                    // in place.
-                    if current.children().is_empty() {
-                        current.append_text(&t);
+                    XmlEvent::Text(_) => {
+                        // Loose text between items: tolerated and skipped.
                     }
                 }
             }
         }
+        let item = self.read_item_rest();
+        if item.is_err() {
+            self.item.clear();
+        }
+        if let Ok(Some(_)) = item {
+            self.items_read += 1;
+        }
+        item
     }
-}
 
-/// Partially-parsed item state carried across `next_item` calls.
-#[derive(Debug)]
-struct Partial {
-    stack: Vec<(Node, Vec<Node>)>,
-    current: Node,
-    current_attrs: Vec<Node>,
+    /// Reads the open item on to its end tag, or until the tokenizer runs
+    /// dry (`Ok(None)`: the item stays open for the next call).
+    fn read_item_rest(&mut self) -> Result<Option<Node>, XmlError> {
+        while let Some(ev) = self.tok.next_event()? {
+            if let Some(item) = self.item.event(ev)? {
+                return Ok(Some(item));
+            }
+        }
+        Ok(None)
+    }
 }
 
 impl Default for StreamReader {

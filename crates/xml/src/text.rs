@@ -61,15 +61,18 @@ pub fn escape_text_into(s: &str, out: &mut String) {
     }
 }
 
-/// Number of bytes `s` occupies once escaped, without allocating.
+/// Number of bytes `s` occupies once escaped, without allocating. Counted
+/// over bytes: no byte of a multi-byte UTF-8 character is ASCII, so only
+/// the three escaped characters grow.
 pub fn escaped_len(s: &str) -> usize {
-    s.chars()
-        .map(|c| match c {
-            '&' => 5,
-            '<' | '>' => 4,
-            _ => c.len_utf8(),
-        })
-        .sum()
+    s.len()
+        + s.bytes()
+            .map(|b| match b {
+                b'&' => 4,
+                b'<' | b'>' => 3,
+                _ => 0,
+            })
+            .sum::<usize>()
 }
 
 /// Resolves a single entity body (the part between `&` and `;`).

@@ -6,28 +6,41 @@
 //! are converted into leading child elements ("attributes in XML data can
 //! always be converted into corresponding elements").
 //!
-//! # Sharing
+//! # Storage
 //!
-//! A [`Node`] is an immutable, structurally shared tree: its text and its
-//! child list sit behind reference counts, so `clone` copies the name and
-//! two pointers however large the subtree, and an item that flows past many
-//! subscribers is held once. Mutation is copy-on-write — the first change
-//! through a shared pointer copies that one level (the grandchildren stay
-//! shared) and no other holder ever observes it.
+//! A [`Node`] is built once and then only read. Short text (up to 22 bytes:
+//! every number a photon carries) lives inside the node; longer text is a
+//! shared `Arc<str>`. An element's children live in one reference-counted
+//! block reached through one thin pointer, so `clone` copies 40 bytes and
+//! bumps at most two counts however large the subtree, and an item that
+//! flows past many subscribers is held once. Each node also records its
+//! exact serialized size when it is built, so byte accounting reads a field
+//! instead of walking the tree.
+//!
+//! Mutation is copy-on-write: the first change through a shared block
+//! copies that one level (the grandchildren stay shared) and no other holder
+//! ever observes it.
+
+mod store;
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use crate::decimal::Decimal;
 use crate::error::XmlError;
 use crate::event::XmlEvent;
 use crate::name::Symbol;
+use crate::writer;
+use store::{Block, Text};
 
 /// Maximum element nesting depth accepted by the parsers. Bounds both the
 /// build recursion and the eventual `Drop` recursion, so untrusted deeply
 /// nested documents error out instead of overflowing the stack.
 pub const MAX_DEPTH: usize = 512;
+
+/// The stored size of a node whose size is not known: its subtree does not
+/// fit a `u32`, or it was edited in place through [`Node::children_mut`].
+const UNKNOWN_SIZE: u32 = u32::MAX;
 
 /// An XML element: a name plus text and/or children. In the paper's
 /// element-only data model an element has either a text value (a leaf) or
@@ -35,49 +48,100 @@ pub const MAX_DEPTH: usize = 512;
 /// were converted into leading children, or for constructed results mixing
 /// a label with copied subtrees. Text always renders before the children.
 ///
-/// Equality and hashing are by content: an absent child list and an empty
-/// one are the same node, and which nodes share storage never shows.
+/// Equality and hashing are by content: where text is stored and which
+/// nodes share storage never shows.
 #[derive(Clone)]
 pub struct Node {
     name: Symbol,
-    text: Option<Arc<str>>,
-    /// `None` for a leaf, so a leaf costs no child allocation. `Arc`, not
-    /// `Rc`: simulator workers and the server's reader and worker threads
-    /// hold the same items.
-    children: Option<Arc<Vec<Node>>>,
+    /// [`writer::serialized_size`] of this subtree, fixed when the node was
+    /// built, or [`UNKNOWN_SIZE`].
+    size: u32,
+    text: Text,
+    /// `None` for an element without children, so a leaf costs no child
+    /// allocation.
+    children: Option<Block>,
 }
 
 impl Node {
     /// An empty element `<name/>`.
     pub fn empty(name: impl Into<Symbol>) -> Node {
-        Node {
-            name: name.into(),
-            text: None,
-            children: None,
-        }
+        Node::from_parts(name.into(), Text::None, None)
     }
 
     /// A leaf element with text content.
-    pub fn leaf(name: impl Into<Symbol>, text: impl Into<String>) -> Node {
-        Node {
-            name: name.into(),
-            text: Some(Arc::from(text.into())),
-            children: None,
-        }
+    pub fn leaf(name: impl Into<Symbol>, text: impl AsRef<str>) -> Node {
+        Node::from_parts(name.into(), Text::new(text.as_ref()), None)
     }
 
     /// A leaf element holding a decimal value.
     pub fn decimal_leaf(name: impl Into<Symbol>, value: Decimal) -> Node {
-        Node::leaf(name, value.to_string())
+        Node::display_leaf(name, value)
+    }
+
+    /// A leaf element holding `value` as [`Display`](fmt::Display) renders
+    /// it, formatted straight into the node.
+    pub fn display_leaf(name: impl Into<Symbol>, value: impl fmt::Display) -> Node {
+        Node::from_parts(name.into(), Text::display(value), None)
     }
 
     /// An inner element with children.
     pub fn elem(name: impl Into<Symbol>, children: Vec<Node>) -> Node {
-        Node {
-            name: name.into(),
-            text: None,
-            children: (!children.is_empty()).then(|| Arc::new(children)),
-        }
+        Node::new(name, None, children)
+    }
+
+    /// An element with optional text and the children `children` yields,
+    /// moved into the node's block as they come: an array, a `drain` of a
+    /// reused buffer or cloned slice elements cost no list of their own.
+    pub fn new<I>(name: impl Into<Symbol>, text: Option<&str>, children: I) -> Node
+    where
+        I: IntoIterator<Item = Node>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let children = children.into_iter();
+        Node::from_parts(
+            name.into(),
+            text.map_or(Text::None, Text::new),
+            Block::build(children.len(), children),
+        )
+    }
+
+    fn from_parts(name: Symbol, text: Text, children: Option<Block>) -> Node {
+        let mut node = Node {
+            name,
+            size: UNKNOWN_SIZE,
+            text,
+            children,
+        };
+        node.size = node.measure();
+        node
+    }
+
+    /// The serialized size from the name, the text and the children's
+    /// stored sizes.
+    fn measure(&self) -> u32 {
+        let children = match &self.children {
+            None => None,
+            Some(block) => {
+                let mut total = 0u64;
+                for child in block.as_slice() {
+                    if child.size == UNKNOWN_SIZE {
+                        return UNKNOWN_SIZE;
+                    }
+                    total += u64::from(child.size);
+                }
+                Some(total)
+            }
+        };
+        let size = writer::element_size(self.name(), self.text(), children);
+        u32::try_from(size)
+            .ok()
+            .filter(|&s| s != UNKNOWN_SIZE)
+            .unwrap_or(UNKNOWN_SIZE)
+    }
+
+    /// The serialized size recorded when the node was built, if known.
+    pub(crate) fn stored_size(&self) -> Option<usize> {
+        (self.size != UNKNOWN_SIZE).then_some(self.size as usize)
     }
 
     /// Element name.
@@ -93,40 +157,61 @@ impl Node {
 
     /// Text content, if this is a non-empty leaf.
     pub fn text(&self) -> Option<&str> {
-        self.text.as_deref()
+        self.text.as_str()
     }
 
     /// Child elements.
     pub fn children(&self) -> &[Node] {
-        self.children.as_deref().map_or(&[], Vec::as_slice)
+        self.children.as_ref().map_or(&[], Block::as_slice)
     }
 
-    /// Mutable access to children (used by the restructuring operator).
-    /// Copies the child list first if another node shares it.
-    pub fn children_mut(&mut self) -> &mut Vec<Node> {
-        Arc::make_mut(self.children.get_or_insert_with(Default::default))
+    /// Children, writable in place. Copies the child block first if
+    /// another node shares it. Once the slice is handed out the stored size
+    /// no longer holds, so [`writer::serialized_size`] walks this node from
+    /// then on. [`push_child`](Node::push_child) and
+    /// [`truncate_children`](Node::truncate_children) change the count.
+    pub fn children_mut(&mut self) -> &mut [Node] {
+        self.size = UNKNOWN_SIZE;
+        match &mut self.children {
+            Some(block) => block.make_mut(),
+            None => &mut [],
+        }
     }
 
     /// Appends a child. Existing text content is kept (it renders before
     /// the children) — needed so attribute-derived children and a text
-    /// value can coexist on one element.
+    /// value can coexist on one element. Rebuilds the child block: build
+    /// lists with [`Node::new`] rather than child by child.
     pub fn push_child(&mut self, child: Node) {
-        self.children_mut().push(child);
+        let kids = self.children();
+        let block = Block::build(
+            kids.len() + 1,
+            kids.iter().cloned().chain(std::iter::once(child)),
+        );
+        self.children = block;
+        self.size = self.measure();
+    }
+
+    /// Keeps the first `len` children (all of them if there are fewer).
+    pub fn truncate_children(&mut self, len: usize) {
+        let kids = self.children();
+        if len < kids.len() {
+            self.children = Block::build(len, kids[..len].iter().cloned());
+            self.size = self.measure();
+        }
     }
 
     /// Sets the text content (rendered before any children).
-    pub fn set_text(&mut self, text: impl Into<String>) {
-        self.text = Some(Arc::from(text.into()));
+    pub fn set_text(&mut self, text: impl AsRef<str>) {
+        self.text = Text::new(text.as_ref());
+        self.size = self.measure();
     }
 
     /// Appends to the text content (concatenating split text runs without
-    /// rebuilding the node). On a node without text this is the one way to
-    /// set it from a borrowed `&str` with a single allocation.
+    /// rebuilding the node).
     pub fn append_text(&mut self, more: &str) {
-        self.text = Some(match &self.text {
-            Some(t) => [t.as_ref(), more].concat().into(),
-            None => more.into(),
-        });
+        self.text.append(more);
+        self.size = self.measure();
     }
 
     /// First child with the given name. Uses a non-interning lookup, so
@@ -144,7 +229,7 @@ impl Node {
 
     /// `true` if the node has neither text nor children.
     pub fn is_empty(&self) -> bool {
-        self.text.is_none() && self.children().is_empty()
+        self.text().is_none() && self.children.is_none()
     }
 
     /// Leaf text parsed as a decimal; `None` without text or when the text
@@ -152,12 +237,12 @@ impl Node {
     /// [`decimal_value`](Node::decimal_value) a miss builds no error, so
     /// operators that skip unreadable values pay nothing for them.
     pub fn decimal(&self) -> Option<Decimal> {
-        Decimal::parse(self.text.as_deref()?)
+        Decimal::parse(self.text()?)
     }
 
     /// Leaf text parsed as a decimal, for callers that report the failure.
     pub fn decimal_value(&self) -> Result<Decimal, XmlError> {
-        match &self.text {
+        match self.text() {
             Some(t) => t.parse(),
             None => Err(XmlError::ValueParse {
                 value: format!("<{}>", self.name),
@@ -214,57 +299,11 @@ impl Node {
     where
         F: FnMut() -> Result<Option<XmlEvent>, XmlError>,
     {
-        // Per frame: the node under construction plus its pending
-        // attribute-derived children (prepended at completion so a text
-        // value arriving first is not mistaken for mixed content).
-        let mut stack: Vec<(Node, Vec<Node>)> = Vec::new();
-        let attr_children = |attrs: Vec<(Symbol, String)>| {
-            attrs.into_iter().map(|(k, v)| Node::leaf(k, v)).collect()
-        };
-        let mut current = Node::empty(name);
-        let mut current_attrs: Vec<Node> = attr_children(attributes);
+        let mut builder = TreeBuilder::new(MAX_DEPTH);
+        builder.start(name, attributes)?;
         loop {
-            match next()?.ok_or(XmlError::UnexpectedEof)? {
-                XmlEvent::StartElement { name, attributes } => {
-                    if stack.len() + 1 >= MAX_DEPTH {
-                        return Err(XmlError::Syntax {
-                            message: format!("element nesting deeper than {MAX_DEPTH}"),
-                            offset: 0,
-                        });
-                    }
-                    stack.push((current, current_attrs));
-                    current = Node::empty(name);
-                    current_attrs = attr_children(attributes);
-                }
-                XmlEvent::EndElement { name } => {
-                    if name != current.name {
-                        return Err(XmlError::MismatchedTag {
-                            expected: current.name.as_str().to_string(),
-                            found: name.as_str().to_string(),
-                        });
-                    }
-                    // Attach attribute-derived children in front.
-                    if !current_attrs.is_empty() {
-                        current_attrs.append(current.children_mut());
-                        *current.children_mut() = current_attrs;
-                    }
-                    match stack.pop() {
-                        Some((mut parent, parent_attrs)) => {
-                            parent.push_child(current);
-                            current = parent;
-                            current_attrs = parent_attrs;
-                        }
-                        None => return Ok(current),
-                    }
-                }
-                XmlEvent::Text(t) => {
-                    if current.children().is_empty() {
-                        // Concatenate split text runs (e.g. around a CDATA).
-                        current.append_text(&t);
-                    }
-                    // Text after child elements would be mixed content;
-                    // dropped by the element-only model.
-                }
+            if let Some(node) = builder.event(next()?.ok_or(XmlError::UnexpectedEof)?)? {
+                return Ok(node);
             }
         }
     }
@@ -280,8 +319,121 @@ impl Node {
     }
 }
 
+/// Builds trees from parser events. The children of every open element
+/// wait in one buffer, so an element's block is made once, at its end tag,
+/// and the buffer is reused from item to item.
+#[derive(Debug)]
+pub(crate) struct TreeBuilder {
+    open: Vec<Open>,
+    children: Vec<Node>,
+    /// Elements that may be open at once.
+    max_open: usize,
+}
+
+#[derive(Debug)]
+struct Open {
+    name: Symbol,
+    text: Option<String>,
+    /// Where this element's children start in [`TreeBuilder::children`].
+    first: usize,
+    /// A child element has closed inside: text from now on would be mixed
+    /// content, which the element-only model drops.
+    has_elements: bool,
+}
+
+impl TreeBuilder {
+    pub(crate) fn new(max_open: usize) -> TreeBuilder {
+        TreeBuilder {
+            open: Vec::new(),
+            children: Vec::new(),
+            max_open,
+        }
+    }
+
+    /// `true` while an element is open.
+    pub(crate) fn is_open(&self) -> bool {
+        !self.open.is_empty()
+    }
+
+    /// Forgets a half-built tree.
+    pub(crate) fn clear(&mut self) {
+        self.open.clear();
+        self.children.clear();
+    }
+
+    /// A start tag. Its attributes become its leading children, so a text
+    /// value arriving after them is still the element's text.
+    pub(crate) fn start(
+        &mut self,
+        name: Symbol,
+        attributes: Vec<(Symbol, String)>,
+    ) -> Result<(), XmlError> {
+        if self.open.len() >= self.max_open {
+            return Err(XmlError::Syntax {
+                message: format!("element nesting deeper than {MAX_DEPTH}"),
+                offset: 0,
+            });
+        }
+        self.open.push(Open {
+            name,
+            text: None,
+            first: self.children.len(),
+            has_elements: false,
+        });
+        self.children
+            .extend(attributes.into_iter().map(|(k, v)| Node::leaf(k, v)));
+        Ok(())
+    }
+
+    /// One event inside the tree; the finished tree once its outermost
+    /// element closes.
+    pub(crate) fn event(&mut self, event: XmlEvent) -> Result<Option<Node>, XmlError> {
+        match event {
+            XmlEvent::StartElement { name, attributes } => self.start(name, attributes)?,
+            XmlEvent::EndElement { name } => return self.end(name),
+            XmlEvent::Text(t) => {
+                if let Some(open) = self.open.last_mut().filter(|o| !o.has_elements) {
+                    // Concatenate split text runs (e.g. around a CDATA).
+                    match &mut open.text {
+                        Some(text) => text.push_str(&t),
+                        None => open.text = Some(t),
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    fn end(&mut self, name: Symbol) -> Result<Option<Node>, XmlError> {
+        let Some(open) = self.open.pop_if(|o| o.name == name) else {
+            return Err(match self.open.last() {
+                Some(open) => XmlError::MismatchedTag {
+                    expected: open.name.as_str().to_string(),
+                    found: name.as_str().to_string(),
+                },
+                None => XmlError::UnexpectedEndTag {
+                    name: name.as_str().to_string(),
+                },
+            });
+        };
+        let node = Node::new(
+            open.name,
+            open.text.as_deref(),
+            self.children.drain(open.first..),
+        );
+        match self.open.last_mut() {
+            Some(parent) => {
+                parent.has_elements = true;
+                self.children.push(node);
+                Ok(None)
+            }
+            None => Ok(Some(node)),
+        }
+    }
+}
+
 /// Same rendering as the derived impl of the owned representation this
-/// replaced: sharing is not part of a node's value.
+/// replaced: storage is not part of a node's value.
 impl fmt::Debug for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Node")
@@ -295,12 +447,16 @@ impl fmt::Debug for Node {
 impl PartialEq for Node {
     fn eq(&self, other: &Node) -> bool {
         // Shared storage is the common case between an item and what σ
-        // or Π made of it; it settles a subtree without walking it.
+        // or Π made of it; it settles a subtree without walking it. Known
+        // sizes that differ settle it the other way.
         let shared = match (&self.children, &other.children) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => Block::ptr_eq(a, b),
             _ => false,
         };
+        let sized_apart =
+            self.size != other.size && self.size != UNKNOWN_SIZE && other.size != UNKNOWN_SIZE;
         self.name == other.name
+            && !sized_apart
             && self.text() == other.text()
             && (shared || self.children() == other.children())
     }
@@ -315,7 +471,6 @@ impl Hash for Node {
         self.children().hash(state);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,15 +673,20 @@ mod tests {
             fn shared_between_threads<T: Send + Sync>() {}
             shared_between_threads::<Node>();
         };
-        // 56 bytes as an owned `String` + `Vec`.
-        assert!(std::mem::size_of::<Node>() <= 32);
-        let p = sample_photon();
+        // 56 bytes as an owned `String` + `Vec`; the 22 bytes of inline
+        // text, the stored size and the thin block pointer fit in 40.
+        assert!(std::mem::size_of::<Node>() <= 40);
+        let mut p = sample_photon();
+        p.push_child(Node::leaf("note", "a text too long to be inline"));
         let q = p.clone();
         assert_eq!(p.children().as_ptr(), q.children().as_ptr());
+        // Long text is shared; short text is copied with the node.
         assert_eq!(
-            p.child("en").unwrap().text().unwrap().as_ptr(),
-            q.child("en").unwrap().text().unwrap().as_ptr()
+            p.child("note").unwrap().text().unwrap().as_ptr(),
+            q.child("note").unwrap().text().unwrap().as_ptr()
         );
+        let (short, copy) = (p.child("en").unwrap(), p.child("en").unwrap().clone());
+        assert_eq!(short.text(), copy.text());
     }
 
     #[test]
@@ -604,10 +764,8 @@ mod tests {
                 0 => node.push_child(Node::leaf("new", edit.text.as_str())),
                 1 => node.set_text(edit.text.as_str()),
                 2 => node.append_text(&edit.text),
-                3 => node.children_mut().clear(),
-                4 => {
-                    node.children_mut().pop();
-                }
+                3 => node.truncate_children(0),
+                4 => node.truncate_children(node.children().len().saturating_sub(1)),
                 _ => {
                     node.children_mut();
                 }
@@ -639,6 +797,200 @@ mod tests {
                 }
                 prop_assert_eq!(&clone, &witness);
             }
+        }
+    }
+
+    mod stored_size {
+        use super::*;
+        use crate::reader::StreamReader;
+        use crate::writer::{node_to_string, serialized_size};
+        use proptest::prelude::*;
+        use std::hash::{DefaultHasher, Hash, Hasher};
+
+        /// `serialized_size` as it was before nodes stored their size: a
+        /// walk over the whole subtree.
+        fn reference_size(n: &Node) -> usize {
+            if n.is_empty() {
+                return n.name().len() + 3;
+            }
+            let escaped: usize = n.text().map_or(0, |t| {
+                t.chars()
+                    .map(|c| match c {
+                        '&' => 5,
+                        '<' | '>' => 4,
+                        _ => c.len_utf8(),
+                    })
+                    .sum()
+            });
+            2 * n.name().len()
+                + 5
+                + escaped
+                + n.children().iter().map(reference_size).sum::<usize>()
+        }
+
+        /// The reported size is the serialized length at every node, and
+        /// so is every size a node stored.
+        fn check(n: &Node) -> Result<(), TestCaseError> {
+            let len = node_to_string(n).len();
+            prop_assert_eq!(serialized_size(n), len);
+            prop_assert_eq!(reference_size(n), len);
+            if let Some(stored) = n.stored_size() {
+                prop_assert_eq!(stored, len);
+            }
+            for child in n.children() {
+                check(child)?;
+            }
+            Ok(())
+        }
+
+        fn hash(n: &Node) -> u64 {
+            let mut h = DefaultHasher::new();
+            n.hash(&mut h);
+            h.finish()
+        }
+
+        /// Text over escapes and one-, two- and three-byte characters,
+        /// often longer than the inline room.
+        const TEXT: &str = "[a-z<&>é€]{0,16}";
+
+        /// Trees built through every constructor and every mutation.
+        fn arb_built() -> impl Strategy<Value = Node> {
+            let leaf =
+                (0usize..5, "[a-c]", TEXT, TEXT).prop_map(|(how, name, text, more)| match how {
+                    0 => Node::leaf(name, &text),
+                    1 => {
+                        let mut n = Node::empty(name);
+                        n.set_text(&text);
+                        n
+                    }
+                    2 => {
+                        let mut n = Node::leaf(name, &text);
+                        n.append_text(&more);
+                        n
+                    }
+                    3 => Node::display_leaf(name, text.len() * 1_000_003),
+                    _ => Node::empty(name),
+                });
+            leaf.prop_recursive(4, 32, 4, |inner| {
+                (
+                    0usize..4,
+                    "[a-c]",
+                    prop::collection::vec(inner, 0..4),
+                    prop::option::of(TEXT),
+                )
+                    .prop_map(|(how, name, kids, text)| match how {
+                        0 => Node::elem(name, kids),
+                        1 => {
+                            let mut n = Node::new(name, text.as_deref(), Vec::new());
+                            for kid in kids {
+                                n.push_child(kid);
+                            }
+                            n
+                        }
+                        2 => {
+                            let mut n = Node::new(name, text.as_deref(), kids);
+                            if let Some(first) = n.children_mut().first_mut() {
+                                first.append_text("<&>");
+                                first.children_mut();
+                            }
+                            n
+                        }
+                        _ => {
+                            let mut n = Node::new(name, None, kids);
+                            n.truncate_children(2);
+                            if let Some(t) = text {
+                                n.set_text(t);
+                            }
+                            n
+                        }
+                    })
+            })
+        }
+
+        /// The same tree built afresh from its content.
+        fn rebuilt(n: &Node) -> Node {
+            Node::new(n.symbol(), n.text(), n.children().iter().map(rebuilt))
+        }
+
+        proptest! {
+            #[test]
+            fn stored_sizes_are_serialized_lengths(tree in arb_built()) {
+                check(&tree)?;
+                let doc = node_to_string(&tree);
+                check(&Node::parse(&doc).unwrap())?;
+                // The stream reader, fed in pieces that split the text.
+                let stream = format!("<s>{doc}{doc}</s>");
+                let mut reader = StreamReader::new();
+                let mut items = Vec::new();
+                for piece in stream.as_bytes().chunks(7) {
+                    reader.feed(piece);
+                    while let Some(item) = reader.next_item().unwrap() {
+                        items.push(item);
+                    }
+                }
+                prop_assert_eq!(items.len(), 2);
+                for item in &items {
+                    check(item)?;
+                    prop_assert_eq!(item, &Node::parse(&doc).unwrap());
+                }
+            }
+
+            #[test]
+            fn where_a_node_is_stored_never_shows(tree in arb_built()) {
+                let fresh = rebuilt(&tree);
+                prop_assert_eq!(&fresh, &tree);
+                prop_assert_eq!(hash(&fresh), hash(&tree));
+                prop_assert_eq!(format!("{fresh:?}"), format!("{tree:?}"));
+                prop_assert_eq!(fresh.stored_size(), Some(node_to_string(&tree).len()));
+            }
+        }
+
+        #[test]
+        fn text_on_either_side_of_the_inline_room() {
+            let mut texts: Vec<String> = (20..=24).map(|n| "7".repeat(n)).collect();
+            // Multi-byte characters across the 22-byte cut.
+            texts.push(format!("{}é", "a".repeat(21)));
+            texts.push(format!("{}€", "a".repeat(19)));
+            texts.push(format!("{}€", "a".repeat(20)));
+            texts.push("€".repeat(8));
+            // Escapes that grow the serialized text past 22 bytes.
+            texts.push("<&>".repeat(7));
+            texts.push(format!("{}<", "a".repeat(22)));
+            for text in &texts {
+                let whole = Node::leaf("t", text);
+                assert_eq!(whole.text(), Some(text.as_str()));
+                assert_eq!(
+                    whole.stored_size(),
+                    Some(node_to_string(&whole).len()),
+                    "{text:?}"
+                );
+                // Every split of the text into two runs.
+                for (cut, _) in text.char_indices().chain([(text.len(), ' ')]) {
+                    let mut pieces = Node::leaf("t", &text[..cut]);
+                    pieces.append_text(&text[cut..]);
+                    let mut set = Node::empty("t");
+                    set.set_text(text);
+                    for n in [&pieces, &set] {
+                        assert_eq!(n, &whole, "{text:?} cut at {cut}");
+                        assert_eq!(hash(n), hash(&whole));
+                        assert_eq!(format!("{n:?}"), format!("{whole:?}"));
+                        assert_eq!(n.stored_size(), whole.stored_size());
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn edits_in_place_are_measured_by_the_walk() {
+            let mut p = sample_photon();
+            let before = serialized_size(&p);
+            p.children_mut()[0].set_text("a much longer photon counter");
+            assert_eq!(p.stored_size(), None);
+            assert_eq!(serialized_size(&p), node_to_string(&p).len());
+            assert!(serialized_size(&p) > before);
+            // The next measured change settles the size again.
+            p.set_text("x");
+            assert_eq!(p.stored_size(), Some(node_to_string(&p).len()));
         }
     }
 }

@@ -40,20 +40,32 @@ pub fn node_to_string(node: &Node) -> String {
     out
 }
 
-/// Exact number of bytes [`node_to_string`] would produce, without
-/// allocating.
+/// Exact number of bytes [`node_to_string`] would produce. A node records
+/// it when it is built, so this reads a field; only a subtree too large for
+/// the field, or one edited in place, is walked.
 pub fn serialized_size(node: &Node) -> usize {
-    if node.is_empty() {
-        return node.name().len() + 3; // <name/>
+    node.stored_size().unwrap_or_else(|| {
+        let children = (!node.children().is_empty()).then(|| {
+            node.children()
+                .iter()
+                .map(|c| serialized_size(c) as u64)
+                .sum()
+        });
+        element_size(node.name(), node.text(), children) as usize
+    })
+}
+
+/// Bytes of one element whose children (`None`: it has none) take
+/// `children` bytes: `<name/>` when it has neither text nor children,
+/// `<name>text…</name>` otherwise.
+pub(crate) fn element_size(name: &str, text: Option<&str>, children: Option<u64>) -> u64 {
+    let name = name.len() as u64;
+    match (text, children) {
+        (None, None) => name + 3,
+        (text, children) => {
+            2 * name + 5 + text.map_or(0, |t| text::escaped_len(t) as u64) + children.unwrap_or(0)
+        }
     }
-    let mut size = 2 * node.name().len() + 5; // <name></name>
-    if let Some(t) = node.text() {
-        size += text::escaped_len(t);
-    }
-    for child in node.children() {
-        size += serialized_size(child);
-    }
-    size
 }
 
 /// Pretty-prints a node with two-space indentation (for human inspection in
