@@ -26,6 +26,14 @@
 //! its own `Pipeline`: per-node short-circuiting on empty output, and
 //! flushes that cascade upstream-drained items through downstream
 //! operators before those drain their own state.
+//!
+//! There is one traversal, `run_node`, and it runs each node over a whole
+//! input slice before its children: [`OpDag::process_slice`] hands it a
+//! stream at once, [`OpDag::process_into`] a slice of one item. A sink
+//! receives its node's output buffer once per slice ([`SinkBatch`]), and
+//! may move the items out when it is the buffer's last reader. Operators
+//! share no state, so a sink sees the same items in the same order
+//! however the input is cut.
 
 use std::collections::BTreeMap;
 
@@ -41,6 +49,35 @@ pub type SinkId = usize;
 /// One keyed operator chain, as passed to [`OpDag::register`] and the
 /// re-registration entry points.
 pub type KeyedChain<K> = Vec<(K, Box<dyn StreamOperator + Send>)>;
+
+/// One node's output as [`OpDag::process_slice`] hands it to a sink.
+#[derive(Debug)]
+pub enum SinkBatch<'a> {
+    /// Other sinks or child nodes read these items too.
+    Shared(&'a [Node]),
+    /// The sink is the buffer's last reader: it may move the items out
+    /// instead of cloning them.
+    Movable(&'a mut Emit),
+}
+
+impl SinkBatch<'_> {
+    /// The items, whoever owns them.
+    pub fn as_slice(&self) -> &[Node] {
+        match self {
+            SinkBatch::Shared(items) => items,
+            SinkBatch::Movable(buf) => buf.as_slice(),
+        }
+    }
+}
+
+/// A batch callback that reports each item of a batch to `out`.
+fn per_item(out: &mut dyn FnMut(SinkId, &Node)) -> impl FnMut(SinkId, SinkBatch<'_>) + '_ {
+    move |sink, batch| {
+        for item in batch.as_slice() {
+            out(sink, item);
+        }
+    }
+}
 
 /// Snapshot of one DAG node's identity and counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -562,51 +599,25 @@ impl<K> OpDag<K> {
     /// reported through `out`; a sink's call sequence is byte-identical to
     /// what its chain would emit as a standalone pipeline.
     pub fn process_into(&mut self, item: &Node, out: &mut dyn FnMut(SinkId, &Node)) {
+        self.process_slice(std::slice::from_ref(item), &mut per_item(out));
+    }
+
+    /// Pushes `items` through the DAG, each node over its whole input at
+    /// once: a node's output is handed to each of its sinks as one batch,
+    /// then runs through its children. Per sink, the items and their order
+    /// are those of [`Self::process_into`] called item by item, and so are
+    /// the node counters.
+    pub fn process_slice(&mut self, items: &[Node], out: &mut dyn FnMut(SinkId, SinkBatch<'_>)) {
+        if items.is_empty() {
+            return;
+        }
         for i in 0..self.root_sinks.len() {
-            out(self.root_sinks[i], item);
+            out(self.root_sinks[i], SinkBatch::Shared(items));
         }
         for i in 0..self.roots.len() {
             let r = self.roots[i];
-            self.run_node(r, std::slice::from_ref(item), 0, out);
+            self.run_node(r, items, 0, false, out);
         }
-    }
-
-    fn run_node(
-        &mut self,
-        idx: usize,
-        inputs: &[Node],
-        depth: usize,
-        out: &mut dyn FnMut(SinkId, &Node),
-    ) {
-        if depth == self.scratch.len() {
-            self.scratch.push(Emit::new());
-        }
-        let mut buf = std::mem::take(&mut self.scratch[depth]);
-        debug_assert!(buf.is_empty());
-        {
-            let node = self.node_mut(idx);
-            for item in inputs {
-                node.stats.items_in += 1;
-                node.stats.work += node.load;
-                node.op.process_into(item, &mut buf);
-            }
-            node.stats.items_out += buf.len() as u64;
-        }
-        // Short-circuit on empty output, exactly like a pipeline stage.
-        if !buf.is_empty() {
-            for si in 0..self.node(idx).sinks.len() {
-                let sink = self.node(idx).sinks[si];
-                for item in buf.as_slice() {
-                    out(sink, item);
-                }
-            }
-            for ci in 0..self.node(idx).children.len() {
-                let c = self.node(idx).children[ci];
-                self.run_node(c, buf.as_slice(), depth + 1, out);
-            }
-        }
-        buf.clear();
-        self.scratch[depth] = buf;
     }
 
     /// End-of-stream flush: carried upstream items run through each node
@@ -615,43 +626,57 @@ impl<K> OpDag<K> {
     pub fn flush_into(&mut self, out: &mut dyn FnMut(SinkId, &Node)) {
         for i in 0..self.roots.len() {
             let r = self.roots[i];
-            self.flush_node(r, &[], 0, out);
+            self.run_node(r, &[], 0, true, &mut per_item(out));
         }
     }
 
-    fn flush_node(
+    /// Runs node `idx` over `inputs` (draining its own state after them
+    /// when `flush`), hands the output to its sinks and then to its
+    /// children, depth-first.
+    fn run_node(
         &mut self,
         idx: usize,
-        carried: &[Node],
+        inputs: &[Node],
         depth: usize,
-        out: &mut dyn FnMut(SinkId, &Node),
+        flush: bool,
+        out: &mut dyn FnMut(SinkId, SinkBatch<'_>),
     ) {
         if depth == self.scratch.len() {
             self.scratch.push(Emit::new());
         }
         let mut buf = std::mem::take(&mut self.scratch[depth]);
         debug_assert!(buf.is_empty());
-        {
-            let node = self.node_mut(idx);
-            for item in carried {
-                node.stats.items_in += 1;
-                node.stats.work += node.load;
-                node.op.process_into(item, &mut buf);
-            }
+        let node = self.node_mut(idx);
+        for item in inputs {
+            node.stats.items_in += 1;
+            node.stats.work += node.load;
+            node.op.process_into(item, &mut buf);
+        }
+        if flush {
             node.op.flush_into(&mut buf);
-            node.stats.items_out += buf.len() as u64;
         }
-        for si in 0..self.node(idx).sinks.len() {
-            let sink = self.node(idx).sinks[si];
-            for item in buf.as_slice() {
-                out(sink, item);
+        node.stats.items_out += buf.len() as u64;
+        let (sinks, children) = (node.sinks.len(), node.children.len());
+        if !buf.is_empty() {
+            for si in 0..sinks {
+                let sink = self.node(idx).sinks[si];
+                // Children read the buffer after the sinks: without any,
+                // the last sink is its last reader and may take the items.
+                if si + 1 == sinks && children == 0 {
+                    out(sink, SinkBatch::Movable(&mut buf));
+                } else {
+                    out(sink, SinkBatch::Shared(buf.as_slice()));
+                }
             }
         }
-        // No short-circuit here: children may hold buffered state of their
-        // own that must drain even when this node flushed nothing.
-        for ci in 0..self.node(idx).children.len() {
-            let c = self.node(idx).children[ci];
-            self.flush_node(c, buf.as_slice(), depth + 1, out);
+        // Short-circuit on empty output, exactly like a pipeline stage —
+        // except in a flush, where children may hold buffered state of
+        // their own that must drain even when this node flushed nothing.
+        if !buf.is_empty() || flush {
+            for ci in 0..children {
+                let c = self.node(idx).children[ci];
+                self.run_node(c, buf.as_slice(), depth + 1, flush, out);
+            }
         }
         buf.clear();
         self.scratch[depth] = buf;

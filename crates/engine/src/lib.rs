@@ -27,7 +27,7 @@ pub mod window_track;
 pub use agg_item::AggItem;
 pub use aggregate::AggregateOp;
 pub use build::{build_operator, build_pipeline, UdfOp};
-pub use dag::{DagNodeStats, OpDag, SinkId};
+pub use dag::{DagNodeStats, OpDag, SinkBatch, SinkId};
 pub use migrate::{MigrationReport, OpState};
 pub use op::{Emit, OpStats, Pipeline, StreamOperator, StreamOperatorExt};
 pub use project::ProjectOp;

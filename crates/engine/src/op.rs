@@ -17,6 +17,11 @@
 //! ω's window buffers point into it — so one item fanned out to many sinks
 //! is stored once. Only what an operator computes (an aggregate value, a
 //! pruned spine, a constructed element) is allocated.
+//!
+//! An [`OpDag`](crate::OpDag) runs each operator over a whole slice of
+//! items into one such buffer and hands it to each sink once
+//! ([`SinkBatch`](crate::SinkBatch)); the buffer's last reader takes the
+//! items instead of copying the pointers and dropping the originals.
 
 use std::fmt;
 

@@ -33,7 +33,7 @@ pub use catalog::{Catalog, ChainId, LensVerdicts, VerdictLoan};
 pub use flow::{build_flow_pipeline, Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
 pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};
-pub use pool::{max_parallelism, run_scoped};
+pub use pool::{max_parallelism, run_forest};
 pub use routing::{distance, path_edges, shortest_path};
 pub use runtime::{
     FaultEvent, FaultKind, FaultScript, LiveConfig, LiveRuntime, LoadObservation, MailboxEntry,

@@ -6,7 +6,7 @@
 //! results travel hop by hop along the planned route, feeding every tap
 //! they pass. This module is that notion, once, with no threads, sockets,
 //! clock or log in it. Three drivers run it: the batch simulator
-//! ([`crate::sim`], run-to-completion levels), the discrete-event runtime
+//! ([`crate::sim`], each group over its whole input), the discrete-event runtime
 //! ([`crate::runtime`], event heap + virtual clock + faults + WAL) and the
 //! TCP data plane of `dss serve` (threads + sockets + retention).
 //!
@@ -16,7 +16,8 @@
 //!   [`FlowDag`] is built from it ([`GroupTable::cold_dag`]) by whoever
 //!   runs it. [`SharingGroups`] is the table plus every group's DAG,
 //!   following those changes, for a driver that re-plans mid-run.
-//! * [`FlowOutputs`] — the per-flow output collector of a DAG pass.
+//! * [`FlowOutputs`] — the per-flow output collector of a DAG pass, fed
+//!   an item or a whole slice at a time.
 //! * [`GroupTable::step`] — the route step: the tap group at `route[hop]`
 //!   and where the batch goes next.
 //! * [`Contiguity`] — the exactly-once mark of an in-order link (serve).
@@ -26,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use dss_engine::MigrationReport;
+use dss_engine::{MigrationReport, SinkBatch};
 use dss_xml::Node;
 
 use crate::flow::{Deployment, FlowId, FlowOp};
@@ -325,7 +326,9 @@ pub struct FlowOutputs {
 }
 
 impl FlowOutputs {
-    fn push(&mut self, flow: FlowId, item: &Node) {
+    /// Appends a batch to `flow`'s slot, moving the items when the batch
+    /// lets it.
+    fn push(&mut self, flow: FlowId, batch: SinkBatch<'_>) {
         let i = match self.slots.binary_search_by_key(&flow, |&(id, _)| id) {
             Ok(i) => i,
             Err(i) => {
@@ -333,17 +336,28 @@ impl FlowOutputs {
                 i
             }
         };
-        self.slots[i].1.push(item.clone());
+        let slot = &mut self.slots[i].1;
+        match batch {
+            SinkBatch::Shared(items) => slot.extend_from_slice(items),
+            SinkBatch::Movable(buf) if slot.is_empty() => *slot = buf.take(),
+            SinkBatch::Movable(buf) => slot.extend(buf.drain()),
+        }
     }
 
     /// Runs `item` through `dag`, appending what each flow emits.
     pub fn feed(&mut self, dag: &mut FlowDag, item: &Node) {
-        dag.process_into(item, &mut |f, n| self.push(f, n));
+        self.feed_slice(dag, std::slice::from_ref(item));
+    }
+
+    /// Runs `items` through `dag`, each node over the whole slice,
+    /// appending what each flow emits.
+    pub fn feed_slice(&mut self, dag: &mut FlowDag, items: &[Node]) {
+        dag.process_slice(items, &mut |f, batch| self.push(f, batch));
     }
 
     /// End-of-stream: appends what `dag`'s open windows still hold.
     pub fn flush(&mut self, dag: &mut FlowDag) {
-        dag.flush_into(&mut |f, n| self.push(f, n));
+        dag.flush_into(&mut |f, n| self.push(f, SinkBatch::Shared(std::slice::from_ref(n))));
     }
 
     /// Hands out every flow's collected items, ascending by flow id,

@@ -16,7 +16,8 @@
 //! instance even if everything else matches.
 
 use dss_engine::{
-    build_operator, DagNodeStats, OpDag, ReAggregateOp, ReWindowOp, RestructureOp, StreamOperator,
+    build_operator, DagNodeStats, OpDag, ReAggregateOp, ReWindowOp, RestructureOp, SinkBatch,
+    StreamOperator,
 };
 use dss_properties::Operator;
 use dss_xml::Node;
@@ -236,6 +237,13 @@ impl FlowDag {
     /// (flow, output item) pair in deterministic DFS order.
     pub fn process_into(&mut self, item: &Node, out: &mut dyn FnMut(FlowId, &Node)) {
         self.dag.process_into(item, out);
+    }
+
+    /// Runs `items` through the DAG, each node over the whole slice; `out`
+    /// receives each node's output once per flow ending there
+    /// ([`OpDag::process_slice`]).
+    pub fn process_slice(&mut self, items: &[Node], out: &mut dyn FnMut(FlowId, SinkBatch<'_>)) {
+        self.dag.process_slice(items, out);
     }
 
     /// End-of-stream flush of all buffered window state.

@@ -12,10 +12,13 @@
 //! shipping show elevated CPU load across all forwarding peers, as in
 //! Figure 6.
 //!
-//! What this driver adds to the core: every sharing group sees its whole
-//! input at once, so groups run level by level (a tap group one level
-//! below its parent's group), the groups of one level in parallel, and
-//! each flow's output is transmitted along its route in one piece.
+//! What this driver adds to the core: every sharing group runs its DAG
+//! over its whole input at once, each node over the whole slice. The
+//! groups form a forest — a tap group reads the output of a flow of its
+//! parent group — and run on a few worker threads, each as soon as its
+//! parent has finished ([`crate::pool::run_forest`]). Results are applied
+//! in a fixed order, so the schedule cannot change a number, and each
+//! flow's output is transmitted along its route in one piece.
 
 use std::collections::BTreeMap;
 
@@ -23,10 +26,10 @@ use dss_engine::Emit;
 use dss_xml::writer::serialized_size;
 use dss_xml::Node;
 
-use crate::flow::{build_flow_pipeline, Deployment, FlowInput};
+use crate::flow::{build_flow_pipeline, Deployment, FlowId, FlowInput};
 use crate::metrics::NetworkMetrics;
 use crate::peer::{FlowOutputs, GroupTable, Next};
-use crate::pool::{max_parallelism, run_scoped};
+use crate::pool::{max_parallelism, run_forest};
 use crate::shared::GroupKey;
 use crate::topology::{NodeId, Topology};
 
@@ -143,9 +146,21 @@ pub fn run(
 /// parent's full output (tapping never costs extra transmission — the
 /// parent stream already flows past the tap). With `cfg.shared_ops`, the
 /// flows consuming one input stream at one peer are fused into a shared
-/// operator DAG and independent DAGs of one tap depth run in parallel;
-/// per-flow outputs are identical to unfused execution either way.
+/// operator DAG and each DAG runs as soon as the one it taps has finished,
+/// in parallel with the others; per-flow outputs are identical to unfused
+/// execution either way.
 pub fn try_run(
+    topo: &Topology,
+    deployment: &Deployment,
+    sources: &BTreeMap<String, Vec<Node>>,
+    cfg: SimConfig,
+) -> Result<SimOutcome, ConfigError> {
+    run_on(max_parallelism(), topo, deployment, sources, cfg)
+}
+
+/// [`try_run`] with the sharing groups on `threads` workers.
+fn run_on(
+    threads: usize,
     topo: &Topology,
     deployment: &Deployment,
     sources: &BTreeMap<String, Vec<Node>>,
@@ -161,6 +176,7 @@ pub fn try_run(
     let table = GroupTable::build(deployment, |_| true);
     if cfg.shared_ops {
         run_shared(
+            threads,
             topo,
             &table,
             sources,
@@ -243,15 +259,36 @@ fn run_unfused(
     }
 }
 
-/// Fused execution: each sharing group runs its DAG over its whole input,
-/// and the independent groups of one level execute on a scoped worker
-/// pool — each worker building the DAG it runs — borrowing the parent
-/// flow's output as their input. A worker also sizes what it produced
-/// (`flow_bytes`): a field read per output item, but made while the items
-/// are in that worker's cache — the same pass left to the caller's
+/// A sharing group to run, with its stream if it reads a source.
+type GroupJob<'a> = (usize, &'a [Node]);
+
+/// What one sharing group's run produced: its DAG's work and, ascending by
+/// flow, each member's output with the bytes it puts on its route.
+struct GroupRun {
+    work: f64,
+    outputs: Vec<(FlowId, Vec<Node>, u64)>,
+}
+
+impl GroupRun {
+    /// What `flow` emitted: nothing if it is not among the outputs.
+    fn output(&self, flow: FlowId) -> &[Node] {
+        self.outputs
+            .binary_search_by_key(&flow, |(f, ..)| *f)
+            .map_or(&[], |i| &self.outputs[i].1)
+    }
+}
+
+/// Fused execution: each sharing group runs its DAG over its whole input
+/// at once, on `threads` workers ([`run_forest`]). A source group starts
+/// at once; a tap group as soon as the group of the flow it taps has
+/// finished, reading that flow's output where the parent's run left it
+/// (a parent flow with no group is retired: its tap reads nothing). The
+/// worker builds the DAG it runs and sizes what it produced (`flow_bytes`)
+/// while the items are in its cache — the same pass left to the caller's
 /// transmit loop measured ≈ 5 % slower. Results are applied in `(level,
-/// node, key)` order regardless of worker scheduling.
+/// node, key)` order whatever the schedule, so no float sum moves.
 fn run_shared(
+    threads: usize,
     topo: &Topology,
     table: &GroupTable,
     sources: &BTreeMap<String, Vec<Node>>,
@@ -259,8 +296,45 @@ fn run_shared(
     flow_outputs: &mut [Vec<Node>],
     flow_bytes: &mut [u64],
 ) {
-    // A tap group runs one level below its parent's group, which was
-    // created first (`add_flow` guarantees parent ids are smaller).
+    // A tap group's parent group was created first (`add_flow` guarantees
+    // parent ids are smaller), so it has the smaller index. Sources are
+    // resolved on this thread: an unknown one must panic here, not inside
+    // a worker.
+    let jobs: Vec<(Option<usize>, GroupJob)> = (table.groups().iter().enumerate())
+        .map(|(g, group)| match &group.key {
+            GroupKey::Source(stream) => {
+                let items = sources.get(stream).unwrap_or_else(|| {
+                    let reader = &table.flows()[group.members[0]].label;
+                    panic!("flow {reader} reads unknown source {stream:?}")
+                });
+                (None, (g, items.as_slice()))
+            }
+            GroupKey::Tap(parent) => (table.flows()[*parent].group, (g, &[][..])),
+        })
+        .collect();
+    let mut runs = run_forest(jobs, threads, |(g, source), parent: Option<&GroupRun>| {
+        let inputs = match (&table.groups()[g].key, parent) {
+            (GroupKey::Tap(flow), Some(parent)) => parent.output(*flow),
+            _ => source,
+        };
+        let mut dag = table.cold_dag(g);
+        let mut outputs = FlowOutputs::default();
+        outputs.feed_slice(&mut dag, inputs);
+        outputs.flush(&mut dag);
+        let outputs = outputs
+            .drain()
+            .map(|(flow, items)| {
+                let bytes = route_bytes(&table.flows()[flow].route, &items);
+                (flow, items, bytes)
+            })
+            .collect();
+        GroupRun {
+            work: dag.total_work(),
+            outputs,
+        }
+    });
+
+    // A tap group is one level below its parent's group.
     let mut level = vec![0usize; table.groups().len()];
     for (g, group) in table.groups().iter().enumerate() {
         if let GroupKey::Tap(parent) = group.key {
@@ -269,51 +343,12 @@ fn run_shared(
     }
     let mut order: Vec<usize> = table.ordered().collect();
     order.sort_by_key(|&g| level[g]);
-
-    let threads = max_parallelism();
-    for groups in order.chunk_by(|&a, &b| level[a] == level[b]) {
-        // Resolve inputs on this thread: an unknown source must panic here,
-        // not inside a worker.
-        let jobs: Vec<(usize, &[Node])> = groups
-            .iter()
-            .map(|&g| {
-                let group = &table.groups()[g];
-                let inputs: &[Node] = match &group.key {
-                    GroupKey::Source(stream) => sources
-                        .get(stream)
-                        .unwrap_or_else(|| {
-                            let reader = &table.flows()[group.members[0]].label;
-                            panic!("flow {reader} reads unknown source {stream:?}")
-                        })
-                        .as_slice(),
-                    GroupKey::Tap(parent) => flow_outputs[*parent].as_slice(),
-                };
-                (g, inputs)
-            })
-            .collect();
-        let results = run_scoped(jobs, threads, |(g, inputs)| {
-            let mut dag = table.cold_dag(g);
-            let mut outputs = FlowOutputs::default();
-            for item in inputs {
-                outputs.feed(&mut dag, item);
-            }
-            outputs.flush(&mut dag);
-            let sized: Vec<_> = outputs
-                .drain()
-                .map(|(flow, items)| {
-                    let bytes = route_bytes(&table.flows()[flow].route, &items);
-                    (flow, items, bytes)
-                })
-                .collect();
-            (g, dag.total_work(), sized)
-        });
-        for (g, work, sized) in results {
-            let node = table.groups()[g].node;
-            metrics.record_work(node, work * topo.peer(node).pindex);
-            for (flow, items, bytes) in sized {
-                flow_outputs[flow] = items;
-                flow_bytes[flow] = bytes;
-            }
+    for g in order {
+        let node = table.groups()[g].node;
+        metrics.record_work(node, runs[g].work * topo.peer(node).pindex);
+        for (flow, items, bytes) in runs[g].outputs.drain(..) {
+            flow_outputs[flow] = items;
+            flow_bytes[flow] = bytes;
         }
     }
 }
@@ -322,10 +357,14 @@ fn run_shared(
 mod tests {
     use super::*;
     use crate::flow::{FlowOp, StreamFlow};
-    use crate::topology::grid_topology;
+    use crate::routing::shortest_path;
+    use crate::topology::{example_topology, grid_topology};
     use dss_predicate::{Atom, CompOp, PredicateGraph};
-    use dss_properties::{InputProperties, Operator, Properties};
+    use dss_properties::{
+        AggOp, AggregationSpec, InputProperties, Operator, Properties, ResultFilter, WindowSpec,
+    };
     use dss_xml::{Decimal, Path};
+    use proptest::prelude::TestRng;
 
     fn items(n: usize) -> Vec<Node> {
         (0..n)
@@ -623,5 +662,172 @@ mod tests {
             .metrics
             .node_work[sp0];
         assert!((slow - 4.0 * fast).abs() < 1e-9);
+    }
+
+    /// Sum of `en` over windows of `size` items, or of `size` det_time
+    /// units when `by_time`.
+    fn sum_over(size: i64, by_time: bool) -> FlowOp {
+        let size = Decimal::from_int(size);
+        let window = if by_time {
+            WindowSpec::diff("det_time".parse().unwrap(), size, None)
+        } else {
+            WindowSpec::count(size, None)
+        };
+        FlowOp::Standard(Operator::Aggregation(AggregationSpec {
+            op: AggOp::Sum,
+            element: "en".parse().unwrap(),
+            window: window.unwrap(),
+            pre_selection: PredicateGraph::new(),
+            result_filter: ResultFilter::none(),
+        }))
+    }
+
+    /// A deployment shaped like the paper's scenarios: each source stream
+    /// enters at its peer and `queries` subscriptions follow, each tapping
+    /// a random earlier flow at a random node of its route — the raw
+    /// stream or another query's — running a short random chain there and
+    /// routed to a random peer. Taps of taps make the groups a forest
+    /// several levels deep.
+    fn scenario_like(
+        topo: &Topology,
+        entries: &[(&str, &str)],
+        queries: usize,
+        rng: &mut TestRng,
+    ) -> Deployment {
+        let mut d = Deployment::new();
+        let peers = topo.peer_count();
+        for &(stream, peer) in entries {
+            let at = topo.expect_node(peer);
+            let to = rng.usize_below(peers);
+            d.add_flow(StreamFlow {
+                label: stream.into(),
+                input: FlowInput::Source {
+                    stream: stream.into(),
+                },
+                processing_node: at,
+                ops: Vec::new(),
+                route: shortest_path(topo, at, to).unwrap(),
+                properties: None,
+                retired: false,
+            });
+        }
+        for q in 0..queries {
+            let parent = rng.usize_below(d.len());
+            let route = &d.flow(parent).route;
+            let at = route[rng.usize_below(route.len())];
+            let ops = (0..rng.usize_below(3))
+                .map(|_| match rng.usize_below(5) {
+                    0 => selection_ge("1.3"),
+                    1 => selection_ge("1.6"),
+                    2 => sum_over(4, false),
+                    3 => sum_over(6, true),
+                    _ => FlowOp::Standard(Operator::Udf {
+                        name: "calib".into(),
+                        params: Vec::new(),
+                    }),
+                })
+                .collect();
+            let to = rng.usize_below(peers);
+            d.add_flow(StreamFlow {
+                label: format!("q{q}"),
+                input: FlowInput::Tap { parent },
+                processing_node: at,
+                ops,
+                route: shortest_path(topo, at, to).unwrap(),
+                properties: None,
+                retired: false,
+            });
+        }
+        d
+    }
+
+    /// The schedule cannot change a number: scenario-1- and scenario-2-
+    /// shaped mixes on one worker and on four give the same flow outputs
+    /// and bit-identical metrics.
+    #[test]
+    fn worker_count_changes_no_output_and_no_metric() {
+        let scenarios = [
+            (example_topology(), vec![("photons", "P0")], 25),
+            (
+                grid_topology(4, 4),
+                vec![("photons_a", "SP0"), ("photons_b", "SP15")],
+                100,
+            ),
+        ];
+        let mut rng = TestRng::from_seed(0x51);
+        for (topo, entries, queries) in &scenarios {
+            let sources: BTreeMap<String, Vec<Node>> = entries
+                .iter()
+                .map(|&(stream, _)| (stream.to_string(), items(300)))
+                .collect();
+            for _ in 0..4 {
+                let d = scenario_like(topo, entries, *queries, &mut rng);
+                let cfg = SimConfig::default();
+                let one = run_on(1, topo, &d, &sources, cfg).unwrap();
+                let four = run_on(4, topo, &d, &sources, cfg).unwrap();
+                assert_eq!(one.flow_outputs, four.flow_outputs);
+                assert!(one.flow_outputs.iter().any(|out| !out.is_empty()));
+                let (a, b) = (&one.metrics, &four.metrics);
+                assert_eq!(a.edge_bytes, b.edge_bytes);
+                assert_eq!(a.node_bytes_in, b.node_bytes_in);
+                assert_eq!(a.node_bytes_out, b.node_bytes_out);
+                let bits = |m: &NetworkMetrics| -> Vec<u64> {
+                    m.node_work.iter().map(|w| w.to_bits()).collect()
+                };
+                assert_eq!(bits(a), bits(b));
+            }
+        }
+    }
+
+    /// A tap on a retired flow has a group of its own but no parent group:
+    /// it reads nothing, on any number of workers.
+    #[test]
+    fn tap_of_a_flow_without_a_group_reads_nothing() {
+        let t = grid_topology(2, 2);
+        let (sp0, sp1) = (t.expect_node("SP0"), t.expect_node("SP1"));
+        let mut d = Deployment::new();
+        let src = d.add_flow(StreamFlow {
+            label: "photons".into(),
+            input: FlowInput::Source {
+                stream: "photons".into(),
+            },
+            processing_node: sp0,
+            ops: Vec::new(),
+            route: vec![sp0, sp1],
+            properties: None,
+            retired: false,
+        });
+        let gone = d.add_flow(StreamFlow {
+            label: "gone".into(),
+            input: FlowInput::Tap { parent: src },
+            processing_node: sp1,
+            ops: vec![selection_ge("1.5")],
+            route: vec![sp1],
+            properties: None,
+            retired: false,
+        });
+        d.retire(gone);
+        let orphan = d.add_flow(StreamFlow {
+            label: "orphan".into(),
+            input: FlowInput::Tap { parent: gone },
+            processing_node: sp1,
+            ops: Vec::new(),
+            route: vec![sp1, sp0],
+            properties: None,
+            retired: false,
+        });
+        let mut sources = BTreeMap::new();
+        sources.insert("photons".to_string(), items(10));
+        for threads in [1, 4] {
+            let out = run_on(threads, &t, &d, &sources, SimConfig::default()).unwrap();
+            assert_eq!(out.flow_outputs[src].len(), 10);
+            assert!(out.flow_outputs[gone].is_empty() && out.flow_outputs[orphan].is_empty());
+            let sent = route_bytes(&[sp0, sp1], &out.flow_outputs[src]);
+            assert_eq!(
+                out.metrics.total_edge_bytes(),
+                sent,
+                "the orphan sends nothing"
+            );
+        }
     }
 }

@@ -62,14 +62,24 @@ echo "==> product code size equals the committed LOC.txt (non-test, non-comment 
 # own diff; after a change that moves it: ./scripts/loc.sh > LOC.txt
 ./scripts/loc.sh | diff -u LOC.txt -
 
-echo "==> the discrete-event runtime stays single-threaded"
-# It models one sequential server per peer; handing its microsecond
-# services to host threads was measured to cost 2.6-5x wall clock
-# (EXPERIMENTS.md "DES wall clock"). The batch simulator's run_scoped
-# lives in pool.rs and is not covered.
-if grep -nE 'WorkerPool|mpsc|thread::(spawn|scope)' \
-    crates/network/src/runtime/mod.rs crates/network/src/runtime/rebalance.rs; then
-    echo "FAIL: the discrete-event runtime names a threading primitive" >&2
+echo "==> dss-network starts threads in pool.rs only"
+# The batch simulator's workers (pool.rs's forest scheduler) are the only
+# threads the crate starts. The discrete-event runtime models one
+# sequential server per peer: handing its microsecond services to host
+# threads was measured to cost 2.6-5x wall clock (EXPERIMENTS.md "DES wall
+# clock"). Code from the first #[cfg(test)] of a file on is test code and
+# may spawn (the mailbox tests do); the blocking mailbox that dss serve's
+# worker threads wait on (runtime/mailbox.rs) is the one other file that
+# may hold a Condvar.
+threads_outside_pool=$(
+    find crates/network/src -name '*.rs' ! -name pool.rs | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            /WorkerPool|mpsc|thread::(spawn|scope)|Condvar/ { print f ":" FNR ": " $0 }' "$f"
+    done | grep -vE '^crates/network/src/runtime/mailbox\.rs:[0-9]+: .*Condvar' || true
+)
+if [ -n "$threads_outside_pool" ]; then
+    echo "$threads_outside_pool"
+    echo "FAIL: a dss-network module other than pool.rs names a threading primitive" >&2
     exit 1
 fi
 

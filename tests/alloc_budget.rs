@@ -49,9 +49,10 @@ static ALLOCATOR: Counting = Counting;
 /// `String` and a `Vec` per element, once per copy).
 const BUDGET_PER_ELEMENT: f64 = 0.2;
 
-/// Bytes one warm scenario-2 simulation may allocate (26.0 MB measured: a
-/// node is 40 bytes, but a leaf no longer has a heap string; 23.6 MB with
-/// 32-byte nodes and a string per leaf).
+/// Bytes one warm scenario-2 simulation may allocate (24.4 MB measured: a
+/// node is 40 bytes, but a leaf has no heap string, and a flow's output
+/// arrives as whole buffers; 26.0 MB when it grew one push at a time,
+/// 23.6 MB with 32-byte nodes and a string per leaf).
 const BUDGET_MB: f64 = 30.0;
 
 #[test]

@@ -8,14 +8,15 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use data_stream_sharing::engine::{DagNodeStats, Template};
 use data_stream_sharing::network::{
-    grid_topology, run, Deployment, FlowId, FlowInput, FlowOp, LiveConfig, LiveRuntime,
-    RuntimeMetrics, SimConfig, SourceModel, StreamFlow,
+    grid_topology, run, Deployment, FlowDag, FlowId, FlowInput, FlowOp, FlowOutputs, LiveConfig,
+    LiveRuntime, RuntimeMetrics, SimConfig, SourceModel, StreamFlow,
 };
 use data_stream_sharing::predicate::{Atom, CompOp, PredicateGraph};
 use data_stream_sharing::properties::{
-    AggOp, AggregationSpec, InputProperties, Operator, Properties, ResultFilter, WindowOutputSpec,
-    WindowSpec,
+    AggOp, AggregationSpec, InputProperties, Operator, ProjectionSpec, Properties, ResultFilter,
+    WindowOutputSpec, WindowSpec,
 };
 use data_stream_sharing::xml::{Decimal, Node, Path};
 
@@ -174,6 +175,174 @@ proptest! {
         for (f, u) in fused.metrics.node_work.iter().zip(&unfused.metrics.node_work) {
             prop_assert!(f <= &(u + eps), "fused {f} > unfused {u}");
         }
+    }
+}
+
+// ---------- whole slices -------------------------------------------------
+
+fn diff_window(size: i64, step: i64) -> WindowSpec {
+    WindowSpec::diff(
+        "det_time".parse().unwrap(),
+        Decimal::from_int(size),
+        Some(Decimal::from_int(step)),
+    )
+    .unwrap()
+}
+
+fn sum_spec(window: WindowSpec) -> AggregationSpec {
+    AggregationSpec {
+        op: AggOp::Sum,
+        element: "en".parse().unwrap(),
+        window,
+        pre_selection: PredicateGraph::new(),
+        result_filter: ResultFilter::none(),
+    }
+}
+
+fn contents_spec(window: WindowSpec) -> WindowOutputSpec {
+    WindowOutputSpec {
+        window,
+        pre_selection: PredicateGraph::new(),
+    }
+}
+
+fn restructure(agg: Option<AggOp>, window: bool) -> FlowOp {
+    let inner = match (agg, window) {
+        (Some(_), _) => Template::AggValue,
+        (None, true) => Template::WindowContents,
+        (None, false) => Template::Subtree("en".parse().unwrap()),
+    };
+    FlowOp::Restructure {
+        template: Template::element("r", vec![inner]),
+        agg,
+        window,
+    }
+}
+
+/// Well-typed chains over every operator kind: a stateless prefix drawn
+/// from σ, Π and a UDF (so chains share it), then nothing, ρ, or a
+/// windowed tail — Φ or ω over small windows that close every few items,
+/// each optionally re-tiled into coarser windows (Φ↺, ω↺) and
+/// restructured (ρ).
+fn arb_typed_chain() -> impl Strategy<Value = Vec<FlowOp>> {
+    let prefix_op = (0usize..4).prop_map(|i| match i {
+        0 => selection_ge("1.3"),
+        1 => selection_ge("1.6"),
+        2 => udf("calib"),
+        _ => FlowOp::Standard(Operator::Projection(ProjectionSpec::returning([
+            "en".parse().unwrap(),
+            "det_time".parse().unwrap(),
+        ]))),
+    });
+    let tail = (0usize..4, any::<bool>(), any::<bool>()).prop_map(|(kind, retile, post)| {
+        let (fine, coarse) = (diff_window(4, 2), diff_window(12, 8));
+        let mut ops = Vec::new();
+        match kind {
+            0 => {}
+            1 => ops.push(restructure(None, false)),
+            2 => {
+                ops.push(FlowOp::Standard(Operator::Aggregation(sum_spec(
+                    fine.clone(),
+                ))));
+                if retile {
+                    ops.push(FlowOp::ReAggregate {
+                        reused: sum_spec(fine),
+                        new: sum_spec(coarse),
+                    });
+                }
+                if post {
+                    ops.push(restructure(Some(AggOp::Sum), false));
+                }
+            }
+            _ => {
+                ops.push(FlowOp::Standard(Operator::WindowOutput(contents_spec(
+                    fine.clone(),
+                ))));
+                if retile {
+                    ops.push(FlowOp::ReWindow {
+                        reused: contents_spec(fine),
+                        new: contents_spec(coarse),
+                    });
+                }
+                if post {
+                    ops.push(restructure(None, true));
+                }
+            }
+        }
+        ops
+    });
+    (prop::collection::vec(prefix_op, 0..3), tail).prop_map(|(mut prefix, tail)| {
+        prefix.extend(tail);
+        prefix
+    })
+}
+
+/// Per flow, what a DAG of `chains` emits, and its node counters with the
+/// work as bits.
+type SliceRun = (BTreeMap<FlowId, Vec<Node>>, Vec<(u64, u64, u64)>);
+
+fn counters(dag: &FlowDag) -> Vec<(u64, u64, u64)> {
+    let stats = dag.node_stats();
+    let bits = |s: &DagNodeStats| (s.stats.items_in, s.stats.items_out, s.stats.work.to_bits());
+    stats.iter().map(bits).collect()
+}
+
+fn flow_dag(chains: &[Vec<FlowOp>]) -> FlowDag {
+    let mut dag = FlowDag::new();
+    for (flow, ops) in chains.iter().enumerate() {
+        dag.register(flow, ops);
+    }
+    dag
+}
+
+/// Runs `chains` as one DAG over `stream` cut into slices of the lengths
+/// `cuts` repeats, collected as the batch simulator does — taking the
+/// buffers it may move — then flushes it.
+fn run_in_slices(chains: &[Vec<FlowOp>], stream: &[Node], cuts: &[usize]) -> SliceRun {
+    let mut dag = flow_dag(chains);
+    let mut outputs = FlowOutputs::default();
+    let mut rest = stream;
+    for &cut in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (slice, tail) = rest.split_at(cut.min(rest.len()));
+        outputs.feed_slice(&mut dag, slice);
+        rest = tail;
+    }
+    outputs.flush(&mut dag);
+    (outputs.drain().collect(), counters(&dag))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Running each DAG node over a whole slice is invisible: per flow the
+    /// same items in the same order, and the same node counters to the
+    /// bit, as feeding the stream one item at a time — whether the slice
+    /// is the whole stream or the stream is cut at random.
+    #[test]
+    fn a_slice_equals_its_items_one_at_a_time(
+        chains in prop::collection::vec(arb_typed_chain(), 1..7),
+        n in 0usize..80,
+        cuts in prop::collection::vec(1usize..12, 1..6),
+    ) {
+        let stream = items(n);
+        let mut one_by_one = flow_dag(&chains);
+        let mut want: BTreeMap<FlowId, Vec<Node>> = BTreeMap::new();
+        let mut keep = |f, n: &Node| want.entry(f).or_default().push(n.clone());
+        for item in &stream {
+            one_by_one.process_into(item, &mut keep);
+        }
+        one_by_one.flush_into(&mut keep);
+        let want_stats = counters(&one_by_one);
+
+        let whole = run_in_slices(&chains, &stream, &[n.max(1)]);
+        prop_assert_eq!(&whole.0, &want, "whole slice, chains {:?}", chains);
+        prop_assert_eq!(&whole.1, &want_stats);
+        let cut = run_in_slices(&chains, &stream, &cuts);
+        prop_assert_eq!(&cut.0, &want, "cuts {:?}, chains {:?}", cuts, chains);
+        prop_assert_eq!(&cut.1, &want_stats);
     }
 }
 
