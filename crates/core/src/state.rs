@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use dss_network::{ops_mergeable, Deployment, EdgeId, FlowId, FlowOp, GroupKey, NodeId, Topology};
+use dss_network::{Deployment, EdgeId, FlowId, FlowOp, GroupKey, NodeId, Topology};
 
 use crate::cost::{CostParams, StreamEstimate};
 use crate::stats::StreamStats;
@@ -74,8 +74,8 @@ struct BookPath {
 impl ShareBook {
     /// Records `flow`'s operator chain at `peer` for input `key` and
     /// returns the newly charged work/s: `unit_work` summed over exactly
-    /// the operators no existing sharer already runs (per
-    /// [`ops_mergeable`]).
+    /// the operators no existing sharer already runs (an equal [`FlowOp`],
+    /// as in [`dss_network::FlowDag`]).
     ///
     /// # Panics
     /// Panics if `flow` already has a recorded chain.
@@ -119,7 +119,7 @@ impl ShareBook {
             let found = siblings
                 .iter()
                 .copied()
-                .find(|&c| ops_mergeable(&node(&g.nodes, c).op, op));
+                .find(|&c| node(&g.nodes, c).op == *op);
             let idx = match found {
                 Some(c) => {
                     g.nodes[c].as_mut().expect("live book node").sharers += 1;

@@ -39,7 +39,7 @@ pub use runtime::{
     FaultEvent, FaultKind, FaultScript, LiveConfig, LiveRuntime, LoadObservation, MailboxEntry,
     MigrationOutcome, QueryMetrics, RuntimeMetrics, SourceModel, SyncMailbox, WalConfig,
 };
-pub use shared::{build_flow_op, op_is_stateful, ops_mergeable, FlowDag, GroupKey};
+pub use shared::{build_flow_op, op_is_stateful, FlowDag, GroupKey};
 pub use sim::{run, try_run, ConfigError, SimConfig, SimOutcome};
 pub use topology::{
     example_topology, grid_topology, hierarchical_topology, Edge, EdgeId, NodeId, Peer, PeerKind,

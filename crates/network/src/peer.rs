@@ -21,9 +21,9 @@
 //! * [`GroupTable::step`] — the route step: the tap group at `route[hop]`
 //!   and where the batch goes next.
 //! * [`Contiguity`] — the exactly-once mark of an in-order link (serve).
-//!   The discrete-event runtime keeps its own `SeenSet`: its links reorder
-//!   single items, so it must accept indices ahead of the mark, where this
-//!   filter drops a gap for the resend that covers it.
+//!   The discrete-event runtime's links are in order too, but its mark
+//!   accepts an index past a gap: there a gap is an item lost for good,
+//!   where under serve it is covered by a resend, so this filter drops it.
 
 use std::collections::BTreeMap;
 

@@ -24,7 +24,9 @@
 //! * **Links**: a transmission takes `link_latency_us` plus the item's
 //!   exact serialized bytes over the edge bandwidth; links carry any
 //!   number of items concurrently (the bandwidth share is charged per
-//!   item, not queued).
+//!   item, not queued). A link is FIFO per flow, as TCP is under
+//!   `dss serve`: an item never arrives before the previous item of its
+//!   flow at the same hop. Different flows still overtake each other.
 //! * **Faults** ([`fault`]): scripted peer crashes/recoveries and link
 //!   drops. A crash loses the peer's queued items; traffic addressed to
 //!   dead peers, down links, or retired flows is counted in
@@ -56,7 +58,7 @@ pub use metrics::{OpWork, QueryMetrics, RuntimeMetrics};
 pub use rebalance::{LoadObservation, MigrationOutcome};
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::path::PathBuf;
 
 use dss_wal::{truncate_to_records, WalOptions, WalRecord, WalWriter};
@@ -261,36 +263,17 @@ impl Ord for Event {
     }
 }
 
-/// Exactly-once filter over absolute item indices (WAL mode). Links
-/// charge transmission per item, so a small item can overtake a large one
-/// emitted earlier — a plain high-water mark would miscount reordered
-/// arrivals as duplicates. This tracks the contiguous prefix plus the
-/// out-of-order residue, staying O(in-flight reordering window).
-#[derive(Debug, Default)]
-struct SeenSet {
-    /// Everything below this index has been accepted.
-    next: u64,
-    /// Accepted indices at or above `next` (arrived out of order).
-    ahead: BTreeSet<u64>,
-}
-
-impl SeenSet {
-    /// Accepts `index` exactly once: `true` the first time, `false` for
-    /// any replayed duplicate.
-    fn insert(&mut self, index: u64) -> bool {
-        if index < self.next {
-            return false;
-        }
-        if index == self.next {
-            self.next += 1;
-            while self.ahead.remove(&self.next) {
-                self.next += 1;
-            }
-            true
-        } else {
-            self.ahead.insert(index)
-        }
+/// Exactly-once admission of an absolute item index against `mark`, the
+/// index after the last one accepted (WAL mode). Links are FIFO per flow,
+/// so only a recovery replay arrives below the mark: it is suppressed. An
+/// index past the mark is accepted — the items in between were lost on a
+/// down link or relay, and nothing will resend them.
+fn admit(mark: &mut u64, index: u64) -> bool {
+    if index < *mark {
+        return false;
     }
+    *mark = index + 1;
+    true
 }
 
 /// A mailbox entry an idle peer took while a timestamp's events drained —
@@ -318,8 +301,8 @@ struct QueryTrack {
     /// Every delivered item with its origin timestamp, in delivery order
     /// (only when `cfg.record_deliveries`).
     items: Vec<(u64, Node)>,
-    /// Exactly-once filter over delivered item indices (WAL mode).
-    seen: SeenSet,
+    /// Exactly-once mark over delivered item indices (WAL mode, [`admit`]).
+    mark: u64,
 }
 
 /// The discrete-event scheduler. See the module docs for the model.
@@ -355,10 +338,13 @@ pub struct LiveRuntime {
     history: Vec<Vec<(u64, Node)>>,
     /// Per group: committed input count ([`EventKind::ServiceCommit`]).
     consumed: Vec<u64>,
-    /// Per group: exactly-once filter over input item indices.
-    group_seen: Vec<SeenSet>,
+    /// Per group: exactly-once mark over input item indices ([`admit`]).
+    group_mark: Vec<u64>,
     /// Per flow: next absolute output index to assign.
     emit_next: Vec<u64>,
+    /// Per flow, per hop: when the flow's last item arrives there — the
+    /// earliest the next one may (FIFO links).
+    last_arrival: Vec<Vec<u64>>,
 }
 
 impl LiveRuntime {
@@ -408,8 +394,9 @@ impl LiveRuntime {
             wal_writers: (0..n_peers).map(|_| None).collect(),
             history: Vec::new(),
             consumed: Vec::new(),
-            group_seen: Vec::new(),
+            group_mark: Vec::new(),
             emit_next: Vec::new(),
+            last_arrival: Vec::new(),
         };
         rt.sync_deployment(deployment, deliveries);
         // Seed the periodic source emissions (BTreeMap order: stable).
@@ -462,15 +449,16 @@ impl LiveRuntime {
                 ]
             });
         }
-        // New groups and flows start with empty WAL-mode state.
+        // New groups and flows start with empty WAL-mode and link state.
         let (n_groups, n_flows) = {
             let table = self.groups.table();
             (table.groups().len(), table.flows().len())
         };
         self.history.resize_with(n_groups, Vec::new);
         self.consumed.resize(n_groups, 0);
-        self.group_seen.resize_with(n_groups, SeenSet::default);
+        self.group_mark.resize(n_groups, 0);
         self.emit_next.resize(n_flows, 0);
+        self.last_arrival.resize_with(n_flows, Vec::new);
         for q in deliveries.values() {
             self.queries.entry(q.clone()).or_default();
         }
@@ -825,7 +813,7 @@ impl LiveRuntime {
         if self.cfg.wal.is_some() {
             // Exactly-once: recovery replays regenerate inputs the group
             // may already have serviced before the crash.
-            if !self.group_seen[group].insert(index) {
+            if !admit(&mut self.group_mark[group], index) {
                 self.metrics.wal_suppressed += 1;
                 return;
             }
@@ -1027,8 +1015,16 @@ impl LiveRuntime {
             let bucket = ((self.now / self.cfg.bucket_us) as usize)
                 .min(self.metrics.edge_bytes_buckets[edge_id].len() - 1);
             self.metrics.edge_bytes_buckets[edge_id][bucket] += bytes;
+            // FIFO per flow: not before the flow's previous item at `hop`;
+            // a tie keeps its order through the heap's sequence number.
+            let last = &mut self.last_arrival[flow];
+            if last.len() <= hop {
+                last.resize(hop + 1, 0);
+            }
+            let at = (self.now + self.cfg.link_latency_us + tx_us).max(last[hop]);
+            last[hop] = at;
             self.schedule(
-                self.now + self.cfg.link_latency_us + tx_us,
+                at,
                 EventKind::Arrive {
                     flow,
                     hop,
@@ -1042,7 +1038,7 @@ impl LiveRuntime {
                 .queries
                 .get_mut(&query)
                 .expect("sync_deployment tracks every query of the delivery map");
-            if self.cfg.wal.is_some() && !track.seen.insert(index) {
+            if self.cfg.wal.is_some() && !admit(&mut track.mark, index) {
                 // A recovery replay re-sent an output that already reached
                 // the subscriber: exactly-once filtering absorbs it.
                 self.metrics.wal_suppressed += 1;
@@ -1481,6 +1477,72 @@ mod tests {
     }
 
     #[test]
+    fn outputs_of_one_flow_arrive_in_emission_order() {
+        // ω over a sliding diff window: the last item closes every open
+        // window in one service, the fullest first. Over a slow link each
+        // smaller window would overtake the larger ones emitted before it
+        // unless the link is FIFO per flow.
+        use crate::flow::FlowOp;
+        use dss_predicate::PredicateGraph;
+        use dss_properties::{Operator, WindowOutputSpec, WindowSpec};
+        let mut t = Topology::new();
+        let (a, b) = (t.add_super_peer("A"), t.add_super_peer("B"));
+        t.connect_with(a, b, 80.0); // 100 µs per byte
+        let window = WindowSpec::diff(
+            "det_time".parse().unwrap(),
+            "5".parse().unwrap(),
+            Some("1".parse().unwrap()),
+        )
+        .unwrap();
+        let ops = vec![FlowOp::Standard(Operator::WindowOutput(WindowOutputSpec {
+            window,
+            pre_selection: PredicateGraph::new(),
+        }))];
+        let mut d = Deployment::new();
+        let f = d.add_flow(StreamFlow {
+            label: "windows".into(),
+            input: FlowInput::Source {
+                stream: "photons".into(),
+            },
+            processing_node: a,
+            ops: ops.clone(),
+            route: vec![a, b],
+            properties: Some(Properties::single(InputProperties::original("photons"))),
+            retired: false,
+        });
+        let mut photons = items(5);
+        photons.push(Node::elem(
+            "photon",
+            vec![Node::leaf("en", "1.0"), Node::leaf("det_time", "100")],
+        ));
+        // The flow's output stream, in emission order: its chain run directly.
+        let mut dag = crate::shared::FlowDag::new();
+        dag.register(f, &ops);
+        let mut emitted = Vec::new();
+        for p in &photons {
+            dag.process_into(p, &mut |_, out| emitted.push(out.clone()));
+        }
+        let sizes: Vec<usize> = emitted.iter().map(serialized_size).collect();
+        assert!(
+            sizes.windows(2).any(|w| w[1] < w[0]),
+            "some output is smaller than the one before it: {sizes:?}"
+        );
+        let cfg = LiveConfig {
+            duration_s: 30.0,
+            record_deliveries: true,
+            ..LiveConfig::default()
+        };
+        let source = SourceModel::from_frequency(photons, 1.0);
+        let sources = BTreeMap::from([("photons".to_string(), source)]);
+        let deliveries = BTreeMap::from([(f, "q".to_string())]);
+        let mut rt = LiveRuntime::new(t, &d, sources, deliveries, cfg).unwrap();
+        rt.run_until(rt.horizon_us());
+        let delivered = rt.take_delivered_items().remove("q").unwrap_or_default();
+        let delivered: Vec<Node> = delivered.into_iter().map(|(_, item)| item).collect();
+        assert_eq!(delivered, emitted);
+    }
+
+    #[test]
     fn tiny_mailbox_drops_bursts() {
         let (t, d, deliveries) = one_flow_setup();
         // 1000 Hz into a 1-item mailbox with 50µs overhead per item is
@@ -1528,7 +1590,7 @@ mod tests {
 
     /// 25 items at 1 Hz over 60s; the processing peer SP0 crashes at 10s
     /// and recovers at 20s. Returns the final metrics, the delivered items
-    /// sorted by origin, and the event trace.
+    /// in delivery order, and the event trace.
     fn crash_recover_run(
         wal: Option<WalConfig>,
         crash: bool,
@@ -1556,8 +1618,7 @@ mod tests {
             });
         }
         rt.run_until(rt.horizon_us());
-        let mut items = rt.take_delivered_items().remove("q").unwrap_or_default();
-        items.sort_by_key(|(o, _)| *o);
+        let items = rt.take_delivered_items().remove("q").unwrap_or_default();
         let (m, trace) = rt.finish();
         (m, items, trace)
     }

@@ -24,7 +24,7 @@
 //!    snapshots onto the successor flows and adopts them into the freshly
 //!    built (cold) DAGs — the windows move instead of restarting.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use super::{EventKind, LiveRuntime};
 use crate::flow::FlowId;
@@ -81,9 +81,8 @@ impl LiveRuntime {
     /// service kicks are ignored — they carry no items. This is the gate a
     /// planned migration must pass; a crash obviously never waits for it.
     pub fn flows_quiescent(&self, flows: &[FlowId]) -> bool {
-        let set: BTreeSet<FlowId> = flows.iter().copied().collect();
-        let groups: BTreeSet<usize> = flows.iter().filter_map(|&f| self.flow(f).group).collect();
-        let parents: BTreeSet<FlowId> = groups
+        let groups = self.groups_of(flows);
+        let parents: Vec<FlowId> = groups
             .iter()
             .filter_map(|&g| match self.group(g).key {
                 GroupKey::Tap(parent) => Some(parent),
@@ -99,7 +98,7 @@ impl LiveRuntime {
             .iter()
             .all(|std::cmp::Reverse(ev)| match &ev.kind {
                 EventKind::EmitOutputs { flow, .. } | EventKind::Arrive { flow, .. } => {
-                    !set.contains(flow) && !parents.contains(flow)
+                    !flows.contains(flow) && !parents.contains(flow)
                 }
                 EventKind::ServiceCommit { group, .. } => !groups.contains(group),
                 EventKind::SourceEmit { .. } | EventKind::StartService { .. } => true,
@@ -110,17 +109,23 @@ impl LiveRuntime {
     /// keyed by flow id — taken *before* the planner retires them (which
     /// prunes their DAG nodes and the state with them).
     pub fn export_flow_states(&self, flows: &[FlowId]) -> Vec<(FlowId, dss_engine::OpState)> {
-        let set: BTreeSet<FlowId> = flows.iter().copied().collect();
-        let groups: BTreeSet<usize> = flows.iter().filter_map(|&f| self.flow(f).group).collect();
         let mut out = Vec::new();
-        for &g in &groups {
+        for g in self.groups_of(flows) {
             for (f, s) in self.groups.dag(g).snapshot_states() {
-                if set.contains(&f) {
+                if flows.contains(&f) {
                     out.push((f, s));
                 }
             }
         }
         out
+    }
+
+    /// The sharing groups `flows` joined, ascending and without repeats.
+    fn groups_of(&self, flows: &[FlowId]) -> Vec<usize> {
+        let mut groups: Vec<usize> = flows.iter().filter_map(|&f| self.flow(f).group).collect();
+        groups.sort_unstable();
+        groups.dedup();
+        groups
     }
 
     /// Completes a planned migration after [`Self::sync_deployment`]

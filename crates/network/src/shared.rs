@@ -8,12 +8,12 @@
 //! factored into a trie whose nodes each execute once per input item,
 //! however many flows ride them — see [`dss_engine::OpDag`].
 //!
-//! Merging follows the paper's `MatchAggregations` discipline, implemented
-//! by [`ops_mergeable`]: stateless operators merge on structural equality,
-//! while windowed/stateful operators (aggregation, window output,
-//! re-aggregation, re-windowing) additionally require *identical window
-//! specifications* — two aggregates over different windows never share an
-//! instance even if everything else matches.
+//! Two operators share one executing instance iff their [`FlowOp`]s are
+//! equal. For windowed/stateful operators (aggregation, window output,
+//! re-aggregation, re-windowing) equality includes the window
+//! specification, which is the paper's `MatchAggregations` discipline: a
+//! shared instance has exactly one window sequence, so two aggregates
+//! over different windows never share one even if everything else matches.
 
 use dss_engine::{
     build_operator, DagNodeStats, OpDag, ReAggregateOp, ReWindowOp, RestructureOp, SinkBatch,
@@ -76,46 +76,6 @@ pub fn op_is_stateful(op: &FlowOp) -> bool {
     )
 }
 
-/// May two operator descriptions share one executing instance?
-///
-/// Stateless operators share when structurally equal. Stateful (windowed)
-/// operators apply the paper's `MatchAggregations` rule: their window
-/// specifications must be *identical* — matching spec fields alone is not
-/// enough, because a shared instance has exactly one window sequence.
-pub fn ops_mergeable(a: &FlowOp, b: &FlowOp) -> bool {
-    use FlowOp::*;
-    use Operator as O;
-    match (a, b) {
-        (Standard(O::Aggregation(x)), Standard(O::Aggregation(y))) => {
-            x.window == y.window && x == y
-        }
-        (Standard(O::WindowOutput(x)), Standard(O::WindowOutput(y))) => {
-            x.window == y.window && x == y
-        }
-        (
-            ReAggregate {
-                reused: xr,
-                new: xn,
-            },
-            ReAggregate {
-                reused: yr,
-                new: yn,
-            },
-        ) => xn.window == yn.window && (xr, xn) == (yr, yn),
-        (
-            ReWindow {
-                reused: xr,
-                new: xn,
-            },
-            ReWindow {
-                reused: yr,
-                new: yn,
-            },
-        ) => xn.window == yn.window && (xr, xn) == (yr, yn),
-        _ => a == b,
-    }
-}
-
 /// One peer's fused operator DAG for one input stream: the flows of a
 /// sharing group, keyed by [`FlowId`] sinks.
 #[derive(Debug, Default)]
@@ -131,15 +91,14 @@ impl FlowDag {
 
     /// Registers `flow`'s operator chain, merging shared prefixes.
     pub fn register(&mut self, flow: FlowId, ops: &[FlowOp]) {
-        self.dag
-            .register(flow, Self::instantiate(ops), ops_mergeable);
+        self.dag.register(flow, Self::instantiate(ops), FlowOp::eq);
     }
 
     /// Replaces `flow`'s chain, rebuilding only the suffix below the first
     /// changed operator: kept prefix nodes retain their window state.
     pub fn reregister(&mut self, flow: FlowId, ops: &[FlowOp]) {
         self.dag
-            .reregister(flow, Self::instantiate(ops), ops_mergeable);
+            .reregister(flow, Self::instantiate(ops), FlowOp::eq);
     }
 
     /// [`Self::reregister`], but migrating open window state across the
@@ -153,7 +112,7 @@ impl FlowDag {
         ops: &[FlowOp],
     ) -> dss_engine::MigrationReport {
         self.dag
-            .reregister_migrating(flow, Self::instantiate(ops), ops_mergeable)
+            .reregister_migrating(flow, Self::instantiate(ops), FlowOp::eq)
     }
 
     /// [`Self::reregister_migrating`] over several flows as one atomic
@@ -169,7 +128,7 @@ impl FlowDag {
                 .iter()
                 .map(|(flow, ops)| (*flow, Self::instantiate(ops)))
                 .collect(),
-            ops_mergeable,
+            FlowOp::eq,
         )
     }
 
@@ -300,15 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn stateless_merge_is_equality() {
-        assert!(ops_mergeable(&select("1.0"), &select("1.0")));
-        assert!(!ops_mergeable(&select("1.0"), &select("2.0")));
-    }
-
-    #[test]
     fn windowed_merge_requires_identical_window() {
-        assert!(ops_mergeable(&agg("10"), &agg("10")));
-        assert!(!ops_mergeable(&agg("10"), &agg("20")));
+        let mut dag = FlowDag::new();
+        dag.register(0, &[agg("10")]);
+        dag.register(1, &[agg("10")]);
+        dag.register(2, &[agg("20")]);
+        let sharers: Vec<usize> = dag.node_stats().iter().map(|s| s.sharers).collect();
+        assert_eq!(sharers, vec![2, 1], "one Φ per distinct window");
         assert!(op_is_stateful(&agg("10")));
         assert!(!op_is_stateful(&select("1.0")));
     }

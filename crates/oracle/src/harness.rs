@@ -601,17 +601,13 @@ pub fn check_live_resumed(case: &Case) -> Result<(), String> {
         let empty = Vec::new();
         for (i, reg) in regs.iter().enumerate() {
             let q = &sliced.queries[i];
-            // Recovery replays can deliver a burst out of arrival order;
-            // origin order is the stream order the oracle sees.
-            let mut delivered: Vec<(u64, String)> = outcome
+            let got: Vec<String> = outcome
                 .delivered_items
                 .get(&reg.query_id)
                 .unwrap_or(&empty)
                 .iter()
-                .map(|(o, node)| (*o, node_to_string(node)))
+                .map(|(_, node)| node_to_string(node))
                 .collect();
-            delivered.sort_by_key(|(o, _)| *o);
-            let got: Vec<String> = delivered.into_iter().map(|(_, s)| s).collect();
             let expect = serialize(&oracle_run(q, items)?.closed);
             if got != expect {
                 return Err(format!(

@@ -14,14 +14,9 @@ cargo test -q --workspace
 
 echo "==> differential harness at CI's budget (256 cases, pinned default seed)"
 # The workspace run above samples 64 cases per property; CI samples 256,
-# and the two have disagreed before. The skip list is the to-do: three
-# live-runtime properties fail at 256 until the discrete-event links are
-# FIFO per flow (ROADMAP item 0a). Nothing else may be skipped.
+# and the two have disagreed before. Nothing is skipped.
 DSS_DIFF_CASES=256 DSS_PROPTEST_SEED=0x0123456789ABCDEF \
-    cargo test --release -q --test differential -- \
-    --skip live_runtime_planned_migration_matches_oracle \
-    --skip live_runtime_widening_matches_oracle \
-    --skip live_runtime_with_faults_matches_oracle
+    cargo test --release -q --test differential
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Mutation smoke-check for the differential harness.
 #
-# Deliberately breaks the identical-window rule in
-# `dss_network::shared::ops_mergeable` — the mutant merges two
-# aggregation instances whose windows differ, as long as everything else
-# matches — and asserts that the differential suite *fails*. If the
-# mutant survives, the harness has lost its teeth and this script exits
+# Deliberately breaks the identical-window rule of operator sharing: the
+# mutant has `dss_network::FlowDag` merge operators through a rule that
+# ignores an aggregation's window — two aggregation instances whose
+# windows differ share one instance as long as everything else matches —
+# and asserts that the differential suite *fails*. If the mutant
+# survives, the harness has lost its teeth and this script exits
 # non-zero. The original file is always restored.
 #
 # Usage: scripts/mutation_smoke.sh
@@ -16,9 +17,6 @@ cd "$(dirname "$0")/.."
 FILE=crates/network/src/shared.rs
 ORIG="$FILE.mutation-smoke.orig"
 
-PATTERN='x\.window == y\.window \&\& x == y'
-MUTANT='x.op == y.op \&\& x.element == y.element \&\& x.pre_selection == y.pre_selection \&\& x.result_filter == y.result_filter'
-
 cp "$FILE" "$ORIG"
 restore() {
     mv "$ORIG" "$FILE"
@@ -28,12 +26,27 @@ restore() {
 }
 trap restore EXIT
 
-# Mutate only the first occurrence: the Aggregation arm.
-sed -i "0,/$PATTERN/s//$MUTANT/" "$FILE"
+# Every FlowDag merge goes through `FlowOp::eq`; route them all through the
+# window-blind rule instead.
+sed -i 's/FlowOp::eq\b/window_blind_eq/g' "$FILE"
 if cmp -s "$FILE" "$ORIG"; then
-    echo "mutation_smoke: FAILED to apply the mutation (pattern not found)" >&2
+    echo "mutation_smoke: FAILED to apply the mutation (FlowOp::eq not found)" >&2
     exit 2
 fi
+cat >> "$FILE" <<'EOF'
+
+fn window_blind_eq(a: &FlowOp, b: &FlowOp) -> bool {
+    match (a, b) {
+        (FlowOp::Standard(Operator::Aggregation(x)), FlowOp::Standard(Operator::Aggregation(y))) => {
+            x.op == y.op
+                && x.element == y.element
+                && x.pre_selection == y.pre_selection
+                && x.result_filter == y.result_filter
+        }
+        _ => a == b,
+    }
+}
+EOF
 echo "mutation_smoke: applied window-merge mutant to $FILE"
 
 # The harness's own unit tests would catch this too, but the point is the
@@ -43,6 +56,11 @@ if cargo test -q --test differential fused_aggregates_with_different_windows_sta
     echo "mutation_smoke: MUTANT SURVIVED — the differential harness did not catch it" >&2
     tail -20 /tmp/mutation_smoke.log >&2
     exit 1
+fi
+if grep -q 'error\[E' /tmp/mutation_smoke.log; then
+    echo "mutation_smoke: the mutant does not compile" >&2
+    grep -m 5 -A 5 'error\[E' /tmp/mutation_smoke.log >&2
+    exit 2
 fi
 echo "mutation_smoke: mutant caught by the differential harness:"
 grep -m 3 -E 'counterexample|panicked' /tmp/mutation_smoke.log || tail -5 /tmp/mutation_smoke.log

@@ -109,10 +109,9 @@ proptest! {
 }
 
 /// The harness must catch a seeded bug: this is exercised out-of-band by
-/// `scripts/mutation_smoke.sh`, which breaks the window-equality rule in
-/// `dss_network::shared::ops_mergeable` and expects
-/// `network_deployments_match_oracle` to fail with a shrunk
-/// counterexample.
+/// `scripts/mutation_smoke.sh`, which has `dss_network::FlowDag` merge
+/// aggregations whose windows differ and expects the differential check
+/// to fail with a shrunk counterexample.
 #[test]
 fn fixed_corpus_passes_all_equivalences() {
     use dss_rass::{GeneratorConfig, PhotonGenerator};
@@ -142,9 +141,9 @@ fn fixed_corpus_passes_all_equivalences() {
 /// Deterministic target for `scripts/mutation_smoke.sh`: two
 /// subscriptions identical except for window size. Under operator fusion
 /// their chains land in one sharing group, but the aggregation instances
-/// must stay separate — `ops_mergeable`'s identical-window rule. Breaking
-/// that rule merges them onto one window sequence and this diff fails
-/// with a shrunk counterexample.
+/// must stay separate — operators merge only when equal, window included.
+/// Breaking that rule merges them onto one window sequence and this diff
+/// fails with a shrunk counterexample.
 #[test]
 fn fused_aggregates_with_different_windows_stay_separate() {
     use dss_rass::{GeneratorConfig, PhotonGenerator};
