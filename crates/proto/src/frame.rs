@@ -12,10 +12,11 @@
 //! A length prefix above [`MAX_FRAME_LEN`] is rejected *before* any
 //! allocation, so a corrupted or hostile prefix can never balloon memory.
 //!
-//! Both directions work in a caller's buffer: [`write_frame_with`] has the
-//! payload built in place behind the header, and [`read_frame_into`]
-//! reads into a buffer a connection reuses for every frame — a relayed
-//! item batch is copied once, from the one into the other.
+//! Both directions work in a caller's buffer: [`write_frame_in`] has the
+//! payload built in place behind the header, in a buffer a connection
+//! reuses for every frame it sends, and [`read_frame_into`] reads into one
+//! it reuses for every frame it receives — a relayed item batch is copied
+//! once, from the one into the other.
 
 use std::io::{self, Read, Write};
 
@@ -46,9 +47,20 @@ pub fn write_frame_with(
     w: &mut impl Write,
     fill: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), ProtoError> {
-    let mut buf = Vec::with_capacity(64);
+    write_frame_in(w, &mut Vec::with_capacity(64), fill)
+}
+
+/// [`write_frame_with`] in a buffer the caller keeps: `buf`'s contents are
+/// replaced by the frame, which stays there after it is written — a
+/// connection's writer reuses one buffer for every frame it sends.
+pub fn write_frame_in(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), ProtoError> {
+    buf.clear();
     buf.extend_from_slice(&[0; HEADER_LEN]);
-    fill(&mut buf);
+    fill(buf);
     let (header, payload) = buf.split_at_mut(HEADER_LEN);
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(ProtoError::TooLarge {
@@ -57,7 +69,7 @@ pub fn write_frame_with(
     }
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&buf).map_err(ProtoError::Io)?;
+    w.write_all(buf).map_err(ProtoError::Io)?;
     w.flush().map_err(ProtoError::Io)
 }
 

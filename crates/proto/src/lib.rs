@@ -32,7 +32,9 @@ pub mod wire;
 
 pub use batch::{BatchDest, BatchHeader, BatchView, ItemsView};
 pub use crc::crc32;
-pub use frame::{read_frame, read_frame_into, write_frame, write_frame_with, MAX_FRAME_LEN};
+pub use frame::{
+    read_frame, read_frame_into, write_frame, write_frame_in, write_frame_with, MAX_FRAME_LEN,
+};
 
 use wire::{put_bool, put_nodes, put_str, put_u16, put_u32, put_u64, Reader};
 

@@ -3,9 +3,11 @@
 //! malformed input maps to a typed [`DecodeError`], never a panic, and
 //! nesting is capped at the same depth bound the XML parser enforces.
 //! Nodes can be decoded into trees ([`Reader::nodes`]) or merely
-//! validated in place ([`Reader::skip_nodes`]); both are one walk.
+//! validated in place ([`Reader::skip_nodes`]); both are one walk. A tree
+//! built over bytes the validating walk accepted does not check them again
+//! ([`crate::ItemsView::materialise`]).
 
-use dss_xml::Node;
+use dss_xml::{Node, Symbol};
 
 use crate::DecodeError;
 
@@ -98,7 +100,19 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        // Nearly every length and count fits one byte.
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.u64_multi_byte(),
+        }
+    }
+
+    fn u64_multi_byte(&mut self) -> Result<u64, DecodeError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;
@@ -133,13 +147,27 @@ impl<'a> Reader<'a> {
 
     /// A length-prefixed UTF-8 string, borrowed from the payload.
     pub fn str_ref(&mut self) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    /// A length-prefixed string's bytes, unchecked.
+    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u64()? as usize;
         if len > self.buf.len() - self.pos {
             return Err(DecodeError::UnexpectedEnd);
         }
         let bytes = &self.buf[self.pos..self.pos + len];
         self.pos += len;
-        std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
+        Ok(bytes)
+    }
+
+    /// A string of a node: its bytes, checked for UTF-8 if `UTF8`.
+    fn node_str<const UTF8: bool>(&mut self) -> Result<&'a [u8], DecodeError> {
+        let bytes = self.bytes()?;
+        if UTF8 && std::str::from_utf8(bytes).is_err() {
+            return Err(DecodeError::BadUtf8);
+        }
+        Ok(bytes)
     }
 
     pub fn str(&mut self) -> Result<String, DecodeError> {
@@ -158,26 +186,34 @@ impl<'a> Reader<'a> {
     }
 
     pub fn node(&mut self) -> Result<Node, DecodeError> {
-        self.node_at(0, &mut Vec::new())
+        self.node_at::<Node, true>(0, &mut Tree::default())
     }
 
     /// The one node parser. What it builds is the caller's choice — a
     /// [`Node`] tree or nothing — so validating and materialising cannot
     /// disagree about which bytes are a node. Finished children wait on
     /// `stack` until their parent closes over them.
-    fn node_at<B: Build>(&mut self, depth: usize, stack: &mut B::Stack) -> Result<B, DecodeError> {
+    ///
+    /// Strings are checked for UTF-8 if `UTF8`. A [`Tree`] takes what it
+    /// is handed for UTF-8, so the one tree walk with `UTF8` false is
+    /// [`Reader::trusted_items`]'s, over bytes a checked walk has accepted.
+    fn node_at<B: Build<'a>, const UTF8: bool>(
+        &mut self,
+        depth: usize,
+        stack: &mut B::Stack,
+    ) -> Result<B, DecodeError> {
         if depth >= MAX_NODE_DEPTH {
             return Err(DecodeError::TooDeep);
         }
-        let name = self.str_ref()?;
+        let name = self.node_str::<UTF8>()?;
         let text = if self.bool()? {
-            Some(self.str_ref()?)
+            Some(self.node_str::<UTF8>()?)
         } else {
             None
         };
         let count = self.count()?;
         for _ in 0..count {
-            let child = self.node_at(depth + 1, stack)?;
+            let child = self.node_at::<B, UTF8>(depth + 1, stack)?;
             B::push(stack, child);
         }
         Ok(B::close(stack, name, text, count))
@@ -191,10 +227,24 @@ impl<'a> Reader<'a> {
     /// `count` nodes back to back (a node list without its count), built
     /// over one scratch stack.
     pub fn items(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
+        self.build_items::<true>(count)
+    }
+
+    /// [`Reader::items`] without the UTF-8 checks.
+    ///
+    /// # Safety
+    ///
+    /// Every string in the next `count` nodes is valid UTF-8: the bytes
+    /// are ones [`Reader::skip_nodes`] accepted.
+    pub(crate) unsafe fn trusted_items(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
+        self.build_items::<false>(count)
+    }
+
+    fn build_items<const UTF8: bool>(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
         let mut out = Vec::with_capacity(count.min(1024));
-        let mut stack = Vec::new();
+        let mut tree = Tree::default();
         for _ in 0..count {
-            out.push(self.node_at(0, &mut stack)?);
+            out.push(self.node_at::<Node, UTF8>(0, &mut tree)?);
         }
         Ok(out)
     }
@@ -204,12 +254,24 @@ impl<'a> Reader<'a> {
     /// the same error — and returns its boundary index: item `i` occupies
     /// `index[i]..index[i + 1]` of the payload (so the index has one entry
     /// more than there are items).
+    ///
+    /// One pass over the rest of the payload comes first: if it is all
+    /// ASCII, no string in it can be invalid UTF-8, and the walk does not
+    /// check them one by one.
     pub fn skip_nodes(&mut self) -> Result<Vec<usize>, DecodeError> {
         let count = self.count()?;
+        if self.buf[self.pos..].is_ascii() {
+            self.index_items::<false>(count)
+        } else {
+            self.index_items::<true>(count)
+        }
+    }
+
+    fn index_items<const UTF8: bool>(&mut self, count: usize) -> Result<Vec<usize>, DecodeError> {
         let mut index = Vec::with_capacity(count.min(1024) + 1);
         for _ in 0..count {
             index.push(self.pos);
-            self.node_at::<()>(0, &mut ())?;
+            self.node_at::<(), UTF8>(0, &mut ())?;
         }
         index.push(self.pos);
         Ok(index)
@@ -218,31 +280,75 @@ impl<'a> Reader<'a> {
 
 /// What [`Reader::node_at`] makes of the node it walks: a node is closed
 /// over its finished children, so a tree moves them into its block once.
-trait Build: Sized {
+trait Build<'a>: Sized {
     /// Where finished children wait for their parent. It grows with the
     /// nodes actually decoded, never with a declared count.
     type Stack;
     fn push(stack: &mut Self::Stack, child: Self);
     /// The node over the last `count` children pushed.
-    fn close(stack: &mut Self::Stack, name: &str, text: Option<&str>, count: usize) -> Self;
+    fn close(stack: &mut Self::Stack, name: &'a [u8], text: Option<&'a [u8]>, count: usize)
+        -> Self;
 }
 
-impl Build for Node {
-    type Stack = Vec<Node>;
-    fn push(stack: &mut Vec<Node>, child: Node) {
-        stack.push(child);
+/// A tree build's scratch: the finished children, and the element names
+/// resolved so far.
+#[derive(Default)]
+struct Tree<'a> {
+    children: Vec<Node>,
+    names: Names<'a>,
+}
+
+impl<'a> Build<'a> for Node {
+    type Stack = Tree<'a>;
+    fn push(tree: &mut Tree<'a>, child: Node) {
+        tree.children.push(child);
     }
-    fn close(stack: &mut Vec<Node>, name: &str, text: Option<&str>, count: usize) -> Node {
+    fn close(tree: &mut Tree<'a>, name: &'a [u8], text: Option<&'a [u8]>, count: usize) -> Node {
+        use std::str::from_utf8_unchecked;
+        // SAFETY: `node_at` hands a tree only strings that are UTF-8 —
+        // checked by this walk, or by the one `trusted_items`'s caller
+        // vouches for.
+        let (name, text) = unsafe {
+            (
+                from_utf8_unchecked(name),
+                text.map(|t| from_utf8_unchecked(t)),
+            )
+        };
+        let children = tree.children.drain(tree.children.len() - count..);
         // The payload's text is copied straight into the node.
-        Node::new(name, text, stack.drain(stack.len() - count..))
+        Node::new(tree.names.symbol(name), text, children)
     }
 }
 
 /// Validation only.
-impl Build for () {
+impl Build<'_> for () {
     type Stack = ();
     fn push(_: &mut (), _: ()) {}
-    fn close(_: &mut (), _: &str, _: Option<&str>, _: usize) {}
+    fn close(_: &mut (), _: &[u8], _: Option<&[u8]>, _: usize) {}
+}
+
+/// How many distinct names a build remembers ([`Names`]). A photon has 11.
+const NAME_CACHE: usize = 32;
+
+/// Element names resolved so far in one build, by their bytes. A batch
+/// repeats a handful of names, so each distinct one is interned once per
+/// build rather than once per node. The cache stops growing at
+/// [`NAME_CACHE`] entries: a list of ever new names costs a bounded scan
+/// plus the per-node intern, never a scan that grows with the list.
+#[derive(Default)]
+struct Names<'a>(Vec<(&'a str, Symbol)>);
+
+impl<'a> Names<'a> {
+    fn symbol(&mut self, name: &'a str) -> Symbol {
+        if let Some(&(_, sym)) = self.0.iter().find(|(known, _)| *known == name) {
+            return sym;
+        }
+        let sym = Symbol::intern(name);
+        if self.0.len() < NAME_CACHE {
+            self.0.push((name, sym));
+        }
+        sym
+    }
 }
 
 #[cfg(test)]

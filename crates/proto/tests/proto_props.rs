@@ -7,12 +7,12 @@
 //!
 //! The second half is the hostile-bytes suite for [`BatchView`], the
 //! validating pass a relay forwards on: it must accept and reject exactly
-//! the payloads the tree-building decoder does, with the same error, and
-//! whatever it forwards must decode to the items it claims.
+//! the payloads an independent reference decoder does, with the same
+//! error, and whatever it forwards must decode to the items it claims.
 
 use proptest::prelude::*;
 
-use dss_proto::wire::{put_u64, Reader, MAX_NODE_DEPTH};
+use dss_proto::wire::{put_u64, MAX_NODE_DEPTH};
 use dss_proto::{
     read_frame, read_message, write_message, BatchDest, BatchHeader, BatchView, DecodeError,
     Message, ProtoError, Role, WireStrategy, MAX_FRAME_LEN,
@@ -26,14 +26,24 @@ fn arb_text() -> impl Strategy<Value = String> {
         Just(String::new()),
         "[a-z]{1,12}".prop_map(|s| s),
         Just("wxquery — unicode ✓ \u{1F300}".to_string()),
+        "[a-zé✓\u{1F300}]{1,12}".prop_map(|s| s),
         Just("a\0b\nc".to_string()),
         // Escapes, on either side of the 22 bytes a node keeps inline.
         "[a-z<&>]{20,24}".prop_map(|s| s),
     ]
 }
 
+/// Element names, ASCII or not: an item list with one non-ASCII byte
+/// anywhere is checked string by string, an all-ASCII one is not.
+fn arb_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-z]{1,6}".prop_map(|s| s),
+        "[a-zé✓α-ω]{1,6}".prop_map(|s| s),
+    ]
+}
+
 fn arb_node() -> impl Strategy<Value = Node> {
-    let leaf = ("[a-z]{1,6}", prop::option::of(arb_text())).prop_map(|(name, text)| {
+    let leaf = (arb_name(), prop::option::of(arb_text())).prop_map(|(name, text)| {
         let mut n = Node::empty(name);
         if let Some(t) = text {
             n.set_text(t);
@@ -41,7 +51,7 @@ fn arb_node() -> impl Strategy<Value = Node> {
         n
     });
     leaf.prop_recursive(4, 24, 4, |inner| {
-        ("[a-z]{1,6}", prop::collection::vec(inner, 0..4)).prop_map(|(name, children)| {
+        (arb_name(), prop::collection::vec(inner, 0..4)).prop_map(|(name, children)| {
             let mut n = Node::empty(name);
             for c in children {
                 n.push_child(c);
@@ -283,40 +293,130 @@ proptest! {
 
 // ---- hostile bytes against the view ------------------------------------
 
-/// The tree-building decoder for the two item-carrying tags, as
-/// `Message::decode` was before it ran the view: the reference the view's
-/// verdicts are held to. It builds every tree as it goes, so it shares
-/// the view's field order but none of its no-tree walk.
-fn tree_decode(payload: &[u8]) -> Result<Message, DecodeError> {
-    let mut r = Reader::new(payload);
-    let msg = match r.u8()? {
-        13 => Message::StreamItemBatch {
-            run: r.u64()?,
-            flow: r.u64()?,
-            hop: r.u32()?,
-            offset: r.u64()?,
-            eos: r.bool()?,
-            items: r.nodes()?,
-        },
-        14 => Message::Deliver {
-            run: r.u64()?,
-            query: r.str()?,
-            offset: r.u64()?,
-            eos: r.bool()?,
-            items: r.nodes()?,
-        },
-        tag => return Err(DecodeError::BadTag(tag)),
-    };
-    r.finish()?;
-    Ok(msg)
+/// A decoder for the two item-carrying tags written from the format alone:
+/// the reference the view's and `Message::decode`'s verdicts are held to.
+/// It reads a byte at a time, checks every string as UTF-8 where it
+/// stands, interns every name and builds every tree as it goes — no code
+/// of `dss_proto::wire` and none of its shortcuts (one-byte varints, the
+/// list-wide ASCII pass, the per-build name cache, the unchecked
+/// materialise).
+struct Reference<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-/// The view, the public decoder and the tree-building reference reach
-/// the same verdict on `payload` — the same message or the same error.
+impl Reference<'_> {
+    fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
+        let mut r = Reference {
+            buf: payload,
+            pos: 0,
+        };
+        let msg = match r.byte()? {
+            13 => Message::StreamItemBatch {
+                run: r.varint()?,
+                flow: r.varint()?,
+                hop: u32::try_from(r.varint()?).map_err(|_| DecodeError::VarintOverflow)?,
+                offset: r.varint()?,
+                eos: r.flag()?,
+                items: r.items()?,
+            },
+            14 => Message::Deliver {
+                run: r.varint()?,
+                query: r.string()?,
+                offset: r.varint()?,
+                eos: r.flag()?,
+                items: r.items()?,
+            },
+            tag => return Err(DecodeError::BadTag(tag)),
+        };
+        match r.buf.len() - r.pos {
+            0 => Ok(msg),
+            remaining => Err(DecodeError::TrailingBytes { remaining }),
+        }
+    }
+
+    fn byte(&mut self) -> Result<u8, DecodeError> {
+        let b = *self.buf.get(self.pos).ok_or(DecodeError::UnexpectedEnd)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// LEB128: seven bits a byte, low first; the tenth byte may carry one.
+    fn varint(&mut self) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.byte()?;
+            let bits = u64::from(b & 0x7F);
+            if i == 9 && bits > 1 {
+                return Err(DecodeError::VarintOverflow);
+            }
+            v |= bits << (7 * i);
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(DecodeError::VarintOverflow)
+    }
+
+    fn flag(&mut self) -> Result<bool, DecodeError> {
+        match self.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(DecodeError::BadBool(b)),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, DecodeError> {
+        let len = self.varint()?;
+        let left = (self.buf.len() - self.pos) as u64;
+        if len > left {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        let bytes = &self.buf[self.pos..self.pos + len as usize];
+        self.pos += len as usize;
+        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    /// A declared count, which the bytes left must be able to back: every
+    /// node takes at least three.
+    fn count(&mut self) -> Result<u64, DecodeError> {
+        let count = self.varint()?;
+        let left = (self.buf.len() - self.pos) as u64;
+        if count > left / 3 + 1 {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        Ok(count)
+    }
+
+    fn items(&mut self) -> Result<Vec<Node>, DecodeError> {
+        let count = self.count()?;
+        (0..count).map(|_| self.node(0)).collect()
+    }
+
+    fn node(&mut self, depth: usize) -> Result<Node, DecodeError> {
+        if depth >= MAX_NODE_DEPTH {
+            return Err(DecodeError::TooDeep);
+        }
+        let name = self.string()?;
+        let text = if self.flag()? {
+            Some(self.string()?)
+        } else {
+            None
+        };
+        let count = self.count()?;
+        let children = (0..count)
+            .map(|_| self.node(depth + 1))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Node::new(name.as_str(), text.as_deref(), children))
+    }
+}
+
+/// The view, the public decoder and the reference reach the same verdict
+/// on `payload` — the same message or the same error.
 fn assert_same_verdict(payload: &[u8]) -> Result<Message, DecodeError> {
     let viewed = BatchView::parse(payload).map(|v| v.materialise());
-    let reference = tree_decode(payload);
-    assert_eq!(viewed, reference, "view vs tree decoder on {payload:02x?}");
+    let reference = Reference::decode(payload);
+    assert_eq!(viewed, reference, "view vs reference on {payload:02x?}");
     if BatchView::is_batch(payload) {
         assert_eq!(
             Message::decode(payload),
@@ -478,6 +578,65 @@ fn view_rejects_invalid_utf8_like_the_decoder() {
     payload.push(0);
     put_u64(&mut payload, 0);
     assert_eq!(assert_same_verdict(&payload), Err(DecodeError::BadUtf8));
+}
+
+/// A photon-like item of ASCII names and texts, unless `bad_name` or
+/// `bad_text` replaces its third child's name or text.
+fn photon(bad_name: Option<&[u8]>, bad_text: Option<&[u8]>) -> Vec<u8> {
+    let mut item = raw_node(b"photon", None, 3);
+    item.extend_from_slice(&raw_node(b"en", Some(b"2.5"), 0));
+    item.extend_from_slice(&raw_node(b"det_time", Some(b"17"), 0));
+    item.extend_from_slice(&raw_node(
+        bad_name.unwrap_or(b"phc"),
+        Some(bad_text.unwrap_or(b"4")),
+        0,
+    ));
+    item
+}
+
+/// One invalid byte in an otherwise all-ASCII list: the list is no longer
+/// ASCII, so the view checks its strings one by one and fails on that one.
+#[test]
+fn view_rejects_invalid_utf8_inside_an_ascii_batch_like_the_decoder() {
+    let good = photon(None, None);
+    let honest = batch_with_item_list(&item_list(3, &[good.clone(), good.clone(), good.clone()]));
+    assert!(assert_same_verdict(&honest).is_ok());
+    // A stray continuation byte, and an overlong encoding of '/'.
+    for bad in [&[b'p', 0x80, b'c'][..], &[0xC0, 0xAF][..]] {
+        for item in [photon(Some(bad), None), photon(None, Some(bad))] {
+            let list = item_list(3, &[good.clone(), item, good.clone()]);
+            assert_eq!(
+                assert_same_verdict(&batch_with_item_list(&list)),
+                Err(DecodeError::BadUtf8),
+                "{bad:02x?}"
+            );
+        }
+    }
+}
+
+/// More distinct names in one batch than a build remembers, each coming
+/// back after the others: every item decodes to the reference's tree.
+#[test]
+fn a_batch_of_many_distinct_names_decodes_like_the_reference() {
+    let names: Vec<String> = (0..200).map(|i| format!("n{i}")).collect();
+    let mut items = Vec::new();
+    for round in 0..3 {
+        for (i, name) in names.iter().enumerate() {
+            let sibling = &names[(i * 7 + round) % names.len()];
+            items.push(Node::elem(
+                name.as_str(),
+                vec![Node::leaf(sibling.as_str(), "1"), Node::empty("photon")],
+            ));
+        }
+    }
+    let msg = Message::Deliver {
+        run: 1,
+        query: "q".into(),
+        offset: 0,
+        eos: true,
+        items,
+    };
+    assert_eq!(assert_same_verdict(&msg.encode()), Ok(msg));
 }
 
 #[test]

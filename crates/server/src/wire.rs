@@ -14,16 +14,18 @@
 //! trees ([`Incoming`]): whether anything is materialised is up to the
 //! handler. [`Conn::send_batch`] is the matching way out — a header in
 //! front of an item list the caller writes, which for a relayed batch is
-//! a copy of the bytes it received.
+//! a copy of the bytes it received — built in a buffer the connection
+//! reuses too. Neither buffer keeps more than [`FRAME_BUF_KEEP`] bytes of
+//! capacity past the frame that needed it.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dss_proto::{
-    read_frame_into, read_message, write_frame_with, write_message, BatchHeader, BatchView,
-    Message, ProtoError, Role, VERSION_MAX, VERSION_MIN,
+    read_frame_into, read_message, write_frame_in, BatchHeader, BatchView, Message, ProtoError,
+    Role, VERSION_MAX, VERSION_MIN,
 };
 
 use crate::ServerError;
@@ -34,9 +36,31 @@ use crate::ServerError;
 pub struct Conn {
     /// Remote display name (from its Hello / HelloAck).
     pub name: String,
-    /// Unbuffered: `write_message` hands over each frame as one buffer.
-    writer: Mutex<TcpStream>,
+    writer: Mutex<Writer>,
     stream: TcpStream,
+}
+
+/// The write half, unbuffered: each frame is built whole in `frame` and
+/// handed over as one write. The buffer is reused for every frame the
+/// connection sends, under the lock that orders them.
+#[derive(Debug)]
+struct Writer {
+    stream: TcpStream,
+    frame: Vec<u8>,
+}
+
+/// Capacity a connection's reused frame buffers keep between frames. A
+/// data-plane batch (at most 64 items, a few KiB) fits many times over;
+/// after a larger frame the capacity is given back, so one 16 MiB frame
+/// does not pin 16 MiB for the connection's life.
+const FRAME_BUF_KEEP: usize = 64 * 1024;
+
+/// Gives back the capacity a frame above [`FRAME_BUF_KEEP`] left behind.
+fn trim(buf: &mut Vec<u8>) {
+    if buf.capacity() > FRAME_BUF_KEEP {
+        buf.clear();
+        buf.shrink_to(FRAME_BUF_KEEP);
+    }
 }
 
 impl Conn {
@@ -44,15 +68,17 @@ impl Conn {
         let w = stream.try_clone()?;
         Ok(Conn {
             name,
-            writer: Mutex::new(w),
+            writer: Mutex::new(Writer {
+                stream: w,
+                frame: Vec::new(),
+            }),
             stream,
         })
     }
 
     /// Sends one framed message (serialized with concurrent senders).
     pub fn send(&self, msg: &Message) -> Result<(), ProtoError> {
-        let mut w = self.writer.lock().unwrap();
-        write_message(&mut *w, msg)
+        self.send_frame(|buf| msg.encode_into(buf))
     }
 
     /// Sends one framed `StreamItemBatch` or `Deliver`: `header`, then the
@@ -62,11 +88,23 @@ impl Conn {
         header: &BatchHeader<'_>,
         items: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), ProtoError> {
-        let mut w = self.writer.lock().unwrap();
-        write_frame_with(&mut *w, |buf| {
+        self.send_frame(|buf| {
             header.encode_into(buf);
             items(buf);
         })
+    }
+
+    /// Sends the frame whose payload `fill` writes, built in the reused
+    /// buffer.
+    fn send_frame(&self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ProtoError> {
+        let mut w = self
+            .writer
+            .lock()
+            .expect("a sender panicked while holding the writer");
+        let Writer { stream, frame } = &mut *w;
+        let sent = write_frame_in(stream, frame, fill);
+        trim(frame);
+        sent
     }
 
     /// Forces the peer's reader out of its blocking read (used on exit).
@@ -101,18 +139,27 @@ impl Incoming<'_> {
 /// handshake are never lost.
 pub fn read_loop(
     mut r: BufReader<TcpStream>,
+    handle: impl FnMut(Incoming<'_>) -> bool,
+) -> Result<(), ProtoError> {
+    read_frames(&mut r, &mut Vec::new(), handle)
+}
+
+/// [`read_loop`] over any reader, every frame read into `payload`.
+fn read_frames(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
     mut handle: impl FnMut(Incoming<'_>) -> bool,
 ) -> Result<(), ProtoError> {
-    let mut payload = Vec::new();
-    while read_frame_into(&mut r, &mut payload)? {
-        let incoming = if BatchView::is_batch(&payload) {
-            Incoming::Batch(BatchView::parse(&payload)?)
+    while read_frame_into(r, payload)? {
+        let incoming = if BatchView::is_batch(payload) {
+            Incoming::Batch(BatchView::parse(payload)?)
         } else {
-            Incoming::Message(Message::decode(&payload)?)
+            Incoming::Message(Message::decode(payload)?)
         };
         if !handle(incoming) {
             break;
         }
+        trim(payload);
     }
     Ok(())
 }
@@ -239,6 +286,56 @@ mod tests {
         assert!(
             took < Duration::from_millis(200),
             "25 sequential dials took {took:?}"
+        );
+    }
+
+    /// One large frame, then small ones: neither reused buffer, the
+    /// writer's nor the reader's, keeps the large frame's capacity.
+    #[test]
+    fn frame_buffers_give_back_a_large_frames_capacity() {
+        let big = Message::MetricsSnapshot {
+            json: "x".repeat(4 * FRAME_BUF_KEEP),
+        };
+        let small = Message::Ack { seq: 1 };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let drain = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut wire = Vec::new();
+            stream.read_to_end(&mut wire).unwrap();
+            wire
+        });
+        let conn = Conn::new(TcpStream::connect(addr).unwrap(), String::new()).unwrap();
+        let kept = |conn: &Conn| conn.writer.lock().unwrap().frame.capacity();
+        conn.send(&big).unwrap();
+        assert!(
+            kept(&conn) <= FRAME_BUF_KEEP,
+            "after the large frame: {}",
+            kept(&conn)
+        );
+        for _ in 0..3 {
+            conn.send(&small).unwrap();
+            assert!(
+                kept(&conn) <= FRAME_BUF_KEEP,
+                "after a small one: {}",
+                kept(&conn)
+            );
+        }
+        drop(conn);
+        let wire = drain.join().unwrap();
+
+        let mut payload = Vec::new();
+        let mut got = Vec::new();
+        read_frames(&mut &wire[..], &mut payload, |incoming| {
+            got.push(incoming.into_message());
+            true
+        })
+        .unwrap();
+        assert_eq!(got, [big, small.clone(), small.clone(), small]);
+        assert!(
+            payload.capacity() <= FRAME_BUF_KEEP,
+            "reader kept {}",
+            payload.capacity()
         );
     }
 

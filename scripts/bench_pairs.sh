@@ -17,7 +17,12 @@
 #       Checks the table arithmetic on canned result lines; runs nothing.
 #
 # DIR is a checkout with tracked files only (`git clone`, `git archive`):
-# the benchmark builds what it measures. Cells are median [q1, q3]; ratio
+# the benchmark builds what it measures. To tell a code-layout shift from
+# an effect (EXPERIMENTS.md E11), run a pair with both sides built with
+# `codegen-units = 1`: set CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1 in this
+# script's environment. Cargo reads it in both checkouts' builds and
+# rebuilds them (the setting is part of every build's fingerprint); no
+# checkout is edited. Cells are median [q1, q3]; ratio
 # is change / parent; wins counts the pairs where the change is better
 # (ties count for neither side); "beyond IQR" says whether the medians
 # differ by more than the parent's own q3 - q1. A gain is claimed only at
