@@ -1,10 +1,10 @@
-//! Allocation churn on the per-item hot path: a σ→Π→ρ chain driven through
-//! the sink API with one reused output buffer, plus the same chain through
-//! the allocating compatibility wrappers — the spread between the two is
-//! what buffer reuse buys.
+//! Allocation churn on the per-item hot path: a σ→Π→ρ chain run as a
+//! one-sink `OpDag` (one reused buffer per stage), plus the same operators
+//! through the allocating compatibility wrappers — the spread between the
+//! two is what buffer reuse buys.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dss_engine::{build_pipeline, Emit, Pipeline, RestructureOp, StreamOperator, Template};
+use dss_engine::{build_operator, OpDag, RestructureOp, StreamOperator, Template};
 use dss_predicate::{Atom, CompOp, PredicateGraph};
 use dss_properties::{Operator, ProjectionSpec};
 use dss_rass::default_photons;
@@ -42,36 +42,34 @@ fn restructurer() -> RestructureOp {
     ))
 }
 
-fn run_sink(pipe: &mut Pipeline, post: &mut RestructureOp, items: &[Node]) -> usize {
-    let mut stage = Emit::new();
-    let mut sink = Emit::new();
-    let mut n = 0usize;
-    for item in items {
-        pipe.process_into(item, &mut stage);
-        for mid in &stage {
-            post.process_into(mid, &mut sink);
-        }
-        n += sink.len();
-        stage.clear();
-        sink.clear();
-    }
-    pipe.flush_into(&mut stage);
-    for mid in &stage {
-        post.process_into(mid, &mut sink);
-    }
-    n + sink.len()
+/// σ → Π → ρ as executable operators.
+fn ops() -> Vec<Box<dyn StreamOperator + Send>> {
+    let mut ops: Vec<_> = chain().iter().map(build_operator).collect();
+    ops.push(Box::new(restructurer()));
+    ops
 }
 
-fn run_collect(pipe: &mut Pipeline, post: &mut RestructureOp, items: &[Node]) -> usize {
-    use dss_engine::StreamOperatorExt;
+fn run_dag(items: &[Node]) -> usize {
+    let mut dag = OpDag::chain(ops());
     let mut n = 0usize;
     for item in items {
-        for mid in pipe.process(item) {
-            n += post.process_collect(&mid).len();
-        }
+        dag.process_into(item, &mut |_, _| n += 1);
     }
-    for mid in pipe.flush() {
-        n += post.process_collect(&mid).len();
+    dag.flush_into(&mut |_, _| n += 1);
+    n
+}
+
+/// σ, Π and ρ hold no window state: there is nothing to flush.
+fn run_collect(items: &[Node]) -> usize {
+    use dss_engine::StreamOperatorExt;
+    let mut ops = ops();
+    let mut n = 0usize;
+    for item in items {
+        let mut stage = vec![item.clone()];
+        for op in &mut ops {
+            stage = stage.iter().flat_map(|it| op.process_collect(it)).collect();
+        }
+        n += stage.len();
     }
     n
 }
@@ -80,20 +78,8 @@ fn bench_node_churn(c: &mut Criterion) {
     let items = default_photons(23, 10_000);
     let mut g = c.benchmark_group("node-churn/select-project-restructure");
     g.throughput(Throughput::Elements(items.len() as u64));
-    g.bench_function("sink-reused-buffers", |b| {
-        b.iter(|| {
-            let mut pipe = build_pipeline(&chain());
-            let mut post = restructurer();
-            run_sink(&mut pipe, &mut post, &items)
-        })
-    });
-    g.bench_function("collect-per-item", |b| {
-        b.iter(|| {
-            let mut pipe = build_pipeline(&chain());
-            let mut post = restructurer();
-            run_collect(&mut pipe, &mut post, &items)
-        })
-    });
+    g.bench_function("sink-reused-buffers", |b| b.iter(|| run_dag(&items)));
+    g.bench_function("collect-per-item", |b| b.iter(|| run_collect(&items)));
     g.finish();
 }
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use dss_engine::{
-    build_pipeline, Emit, ProjectOp, RestructureOp, SelectOp, StreamOperator, Template,
+    build_operator, Emit, OpDag, ProjectOp, RestructureOp, SelectOp, StreamOperator, Template,
 };
 use dss_predicate::{Atom, CompOp, PredicateGraph};
 use dss_properties::{Operator, ProjectionSpec};
@@ -130,16 +130,13 @@ fn bench_full_query_chains(c: &mut Criterion) {
         let chain: Vec<Operator> = compiled.operator_chain().to_vec();
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut pipe = build_pipeline(&chain);
-                let mut sink = Emit::new();
+                let mut dag = OpDag::chain(chain.iter().map(build_operator));
                 let mut out = 0usize;
                 for item in &items {
-                    pipe.process_into(item, &mut sink);
-                    out += sink.len();
-                    sink.clear();
+                    dag.process_into(item, &mut |_, _| out += 1);
                 }
-                pipe.flush_into(&mut sink);
-                out + sink.len()
+                dag.flush_into(&mut |_, _| out += 1);
+                out
             })
         });
     }

@@ -1,11 +1,11 @@
-//! Builds executable pipelines from the operator chains recorded in
+//! Builds executable operators from the operator chains recorded in
 //! properties.
 
 use dss_properties::Operator;
 use dss_xml::Node;
 
 use crate::aggregate::AggregateOp;
-use crate::op::{Emit, Pipeline, StreamOperator};
+use crate::op::{Emit, StreamOperator};
 use crate::project::ProjectOp;
 use crate::select::SelectOp;
 
@@ -45,9 +45,9 @@ impl StreamOperator for UdfOp {
 }
 
 /// Instantiates one executable operator from its properties description.
-/// The returned operator is `Send` so shared-DAG executors can run it on a
-/// worker thread; it coerces to a plain `Box<dyn StreamOperator>` wherever
-/// one is expected.
+/// The returned operator is `Send` so DAG executors can run it on a worker
+/// thread; a chain of them runs as
+/// `OpDag::chain(ops.iter().map(build_operator))`.
 pub fn build_operator(op: &Operator) -> Box<dyn StreamOperator + Send> {
     match op {
         Operator::Selection(g) => Box::new(SelectOp::new(g.clone())),
@@ -60,18 +60,10 @@ pub fn build_operator(op: &Operator) -> Box<dyn StreamOperator + Send> {
     }
 }
 
-/// Builds a pipeline executing an operator chain in order.
-pub fn build_pipeline(ops: &[Operator]) -> Pipeline {
-    let mut p = Pipeline::new();
-    for op in ops {
-        p.push(build_operator(op));
-    }
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OpDag;
     use dss_predicate::{Atom, CompOp, PredicateGraph};
     use dss_properties::{AggOp, AggregationSpec, ProjectionSpec, ResultFilter, WindowSpec};
     use dss_xml::{Decimal, Path};
@@ -84,6 +76,19 @@ mod tests {
         s.parse().unwrap()
     }
 
+    fn chain(ops: &[Operator]) -> OpDag<()> {
+        OpDag::chain(ops.iter().map(build_operator))
+    }
+
+    /// What the chain emits for `items`, leaving its windows open.
+    fn run(dag: &mut OpDag<()>, items: &[Node]) -> Vec<Node> {
+        let mut out = Vec::new();
+        for item in items {
+            dag.process_into(item, &mut |_, n| out.push(n.clone()));
+        }
+        out
+    }
+
     #[test]
     fn builds_select_project_chain() {
         let ops = vec![
@@ -94,20 +99,20 @@ mod tests {
             )])),
             Operator::Projection(ProjectionSpec::returning([p("en")])),
         ];
-        let mut pipe = build_pipeline(&ops);
-        assert_eq!(pipe.len(), 2);
+        let mut dag = chain(&ops);
+        assert_eq!(dag.node_count(), 2);
         let hot = Node::elem(
             "photon",
             vec![Node::leaf("en", "1.5"), Node::leaf("det_time", "1")],
         );
-        let out = pipe.process(&hot);
+        let out = run(&mut dag, &[hot]);
         assert_eq!(out.len(), 1);
         assert_eq!(
             dss_xml::writer::node_to_string(&out[0]),
             "<photon><en>1.5</en></photon>"
         );
         let cold = Node::elem("photon", vec![Node::leaf("en", "1.0")]);
-        assert!(pipe.process(&cold).is_empty());
+        assert!(run(&mut dag, &[cold]).is_empty());
     }
 
     #[test]
@@ -119,30 +124,33 @@ mod tests {
             pre_selection: PredicateGraph::new(),
             result_filter: ResultFilter::none(),
         };
-        let mut pipe = build_pipeline(&[Operator::Aggregation(spec)]);
-        for t in 0..25 {
-            let item = Node::elem(
-                "photon",
-                vec![
-                    Node::leaf("det_time", t.to_string()),
-                    Node::leaf("en", "1.0"),
-                ],
-            );
-            pipe.process(&item);
-        }
-        let out = pipe.flush();
-        assert_eq!(out.len(), 1); // [20,30) partial; earlier two emitted during run
-        assert_eq!(pipe.stats()[0].items_out, 3);
+        let mut dag = chain(&[Operator::Aggregation(spec)]);
+        let items: Vec<Node> = (0..25)
+            .map(|t| {
+                Node::elem(
+                    "photon",
+                    vec![
+                        Node::leaf("det_time", t.to_string()),
+                        Node::leaf("en", "1.0"),
+                    ],
+                )
+            })
+            .collect();
+        assert_eq!(run(&mut dag, &items).len(), 2);
+        let mut flushed = 0;
+        dag.flush_into(&mut |_, _| flushed += 1);
+        assert_eq!(flushed, 1); // the [20,30) partial
+        assert_eq!(dag.node_stats()[0].stats.items_out, 3);
     }
 
     #[test]
     fn udf_is_identity_with_load() {
-        let mut pipe = build_pipeline(&[Operator::Udf {
+        let mut dag = chain(&[Operator::Udf {
             name: "deskew".into(),
             params: vec!["7".into()],
         }]);
         let item = Node::leaf("x", "1");
-        assert_eq!(pipe.process(&item), vec![item.clone()]);
-        assert_eq!(pipe.base_load(), 3.0);
+        assert_eq!(run(&mut dag, std::slice::from_ref(&item)), vec![item]);
+        assert_eq!(dag.total_work(), 3.0);
     }
 }

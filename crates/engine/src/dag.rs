@@ -1,15 +1,15 @@
 //! A prefix-sharing operator DAG: many operator chains fused into one
-//! executable trie.
+//! executable trie. It is the one way an operator chain runs: a lone
+//! chain is a one-sink DAG ([`OpDag::chain`]).
 //!
 //! Several continuous queries consuming the same input stream at one peer
 //! frequently start with the *same* leading operators (the common
-//! selection/projection prefix of a query template). Executing each
-//! chain as its own [`Pipeline`](crate::Pipeline) re-runs that prefix once
-//! per chain and per item. An [`OpDag`] instead merges equal prefixes into
-//! single trie nodes: each input item runs through every shared node
-//! exactly once, and a fan-out routes node outputs to the per-chain
-//! *sinks* — so per-item work grows with the number of *distinct*
-//! operators, not the number of chains.
+//! selection/projection prefix of a query template). Executing each chain
+//! on its own re-runs that prefix once per chain and per item. An
+//! [`OpDag`] instead merges equal prefixes into single trie nodes: each
+//! input item runs through every shared node exactly once, and a fan-out
+//! routes node outputs to the per-chain *sinks* — so per-item work grows
+//! with the number of *distinct* operators, not the number of chains.
 //!
 //! Merging is controlled by a caller-supplied `mergeable` predicate over
 //! the caller's operator keys (`K`), because only the caller knows when
@@ -22,10 +22,11 @@
 //! alive — including their buffered window state — and rebuilding only the
 //! suffix below the first changed operator.
 //!
-//! Output semantics are item-for-item identical to running each chain as
-//! its own `Pipeline`: per-node short-circuiting on empty output, and
-//! flushes that cascade upstream-drained items through downstream
-//! operators before those drain their own state.
+//! What a sink receives is its chain's output, whatever else is
+//! registered: each operator consumes its predecessor's output in order,
+//! an operator whose predecessor emitted nothing is not consulted, and at
+//! end of stream each operator first processes what upstream flushed and
+//! then drains its own state.
 //!
 //! There is one traversal, `run_node`, and it runs each node over a whole
 //! input slice before its children: [`OpDag::process_slice`] hands it a
@@ -40,7 +41,7 @@ use std::collections::BTreeMap;
 use dss_xml::Node;
 
 use crate::migrate::{MigrationReport, OpState};
-use crate::op::{Emit, OpStats, StreamOperator};
+use crate::op::{Emit, StreamOperator};
 
 /// Identifies one registered chain's output (the caller's routing handle —
 /// a flow id, typically).
@@ -79,6 +80,30 @@ fn per_item(out: &mut dyn FnMut(SinkId, &Node)) -> impl FnMut(SinkId, SinkBatch<
     }
 }
 
+/// Execution counters of one DAG node.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OpStats {
+    /// Operator name.
+    pub name: &'static str,
+    /// Items fed into the operator.
+    pub items_in: u64,
+    /// Items the operator emitted.
+    pub items_out: u64,
+    /// Accumulated work: `items_in × base_load`.
+    pub work: f64,
+}
+
+impl OpStats {
+    /// Folds another operator's counters into this one, keeping `self`'s
+    /// name. Used to aggregate the counters of pruned DAG nodes, whose
+    /// per-node identity is gone but whose executed work still happened.
+    pub fn absorb(&mut self, other: &OpStats) {
+        self.items_in += other.items_in;
+        self.items_out += other.items_out;
+        self.work += other.work;
+    }
+}
+
 /// Snapshot of one DAG node's identity and counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DagNodeStats {
@@ -86,7 +111,7 @@ pub struct DagNodeStats {
     pub depth: usize,
     /// Number of registered chains currently sharing this node.
     pub sharers: usize,
-    /// Execution counters, same meaning as a pipeline stage's.
+    /// Execution counters.
     pub stats: OpStats,
 }
 
@@ -137,6 +162,17 @@ impl<K> Default for OpDag<K> {
                 ..OpStats::default()
             },
         }
+    }
+}
+
+impl OpDag<()> {
+    /// A lone chain: `ops` in order, registered as sink 0, whose output is
+    /// what the last operator emits (the input itself when `ops` is empty).
+    pub fn chain(ops: impl IntoIterator<Item = Box<dyn StreamOperator + Send>>) -> OpDag<()> {
+        let mut dag = OpDag::new();
+        let keyed = ops.into_iter().map(|op| ((), op)).collect();
+        dag.register(0, keyed, |_, _| false);
+        dag
     }
 }
 
@@ -597,7 +633,7 @@ impl<K> OpDag<K> {
 
     /// Pushes one item through the DAG. Every (sink, output item) pair is
     /// reported through `out`; a sink's call sequence is byte-identical to
-    /// what its chain would emit as a standalone pipeline.
+    /// what its chain would emit alone.
     pub fn process_into(&mut self, item: &Node, out: &mut dyn FnMut(SinkId, &Node)) {
         self.process_slice(std::slice::from_ref(item), &mut per_item(out));
     }
@@ -621,8 +657,7 @@ impl<K> OpDag<K> {
     }
 
     /// End-of-stream flush: carried upstream items run through each node
-    /// *before* the node drains its own buffered state, matching
-    /// `Pipeline::flush_into` ordering per chain.
+    /// *before* the node drains its own buffered state.
     pub fn flush_into(&mut self, out: &mut dyn FnMut(SinkId, &Node)) {
         for i in 0..self.roots.len() {
             let r = self.roots[i];
@@ -669,9 +704,9 @@ impl<K> OpDag<K> {
                 }
             }
         }
-        // Short-circuit on empty output, exactly like a pipeline stage —
-        // except in a flush, where children may hold buffered state of
-        // their own that must drain even when this node flushed nothing.
+        // Short-circuit on empty output — except in a flush, where children
+        // may hold buffered state of their own that must drain even when
+        // this node flushed nothing.
         if !buf.is_empty() || flush {
             for ci in 0..children {
                 let c = self.node(idx).children[ci];
@@ -734,10 +769,21 @@ impl<K> OpDag<K> {
     }
 }
 
+/// Runs `ops` as one chain over `items`, end-of-stream flush included.
+#[cfg(test)]
+pub(crate) fn run_chain(ops: Vec<Box<dyn StreamOperator + Send>>, items: &[Node]) -> Vec<Node> {
+    let mut dag = OpDag::chain(ops);
+    let mut out = Vec::new();
+    dag.process_slice(items, &mut |_, batch| {
+        out.extend_from_slice(batch.as_slice())
+    });
+    dag.flush_into(&mut |_, n| out.push(n.clone()));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Pipeline;
 
     /// Emits each input `n` times — stateless test operator.
     #[derive(Debug)]
@@ -795,7 +841,7 @@ mod tests {
         a == b
     }
 
-    fn collect(dag: &mut OpDag<&'static str>, items: &[Node]) -> BTreeMap<SinkId, Vec<Node>> {
+    fn collect<K>(dag: &mut OpDag<K>, items: &[Node]) -> BTreeMap<SinkId, Vec<Node>> {
         let mut out: BTreeMap<SinkId, Vec<Node>> = BTreeMap::new();
         for item in items {
             dag.process_into(item, &mut |s, n| out.entry(s).or_default().push(n.clone()));
@@ -826,8 +872,24 @@ mod tests {
         assert_eq!(dag.node_stats()[0].stats.items_in, 4);
     }
 
+    /// What a chain emits, computed the plainest way: each operator over
+    /// the whole output of the one before it, then its own flush.
+    fn stage_at_a_time(keys: &[&'static str], input: &[Node]) -> Vec<Node> {
+        let mut items = input.to_vec();
+        for &k in keys {
+            let mut op = op(k).1;
+            let mut next = Emit::new();
+            for item in &items {
+                op.process_into(item, &mut next);
+            }
+            op.flush_into(&mut next);
+            items = next.into_vec();
+        }
+        items
+    }
+
     #[test]
-    fn matches_standalone_pipelines() {
+    fn every_sink_gets_its_chain_run_stage_at_a_time() {
         let chains: Vec<Vec<&'static str>> = vec![
             vec![],
             vec!["dup"],
@@ -843,23 +905,85 @@ mod tests {
         }
         let fused = collect(&mut dag, &input);
         for (sink, keys) in chains.iter().enumerate() {
-            let mut p = Pipeline::new();
-            for &k in keys {
-                p.push(op(k).1);
-            }
-            let mut expect = Vec::new();
-            let mut sinkbuf = Emit::new();
-            for item in &input {
-                p.process_into(item, &mut sinkbuf);
-            }
-            p.flush_into(&mut sinkbuf);
-            expect.extend(sinkbuf.into_vec());
+            let expect = stage_at_a_time(keys, &input);
+            let got = |out: &BTreeMap<SinkId, Vec<Node>>, sink| out.get(&sink).cloned();
             assert_eq!(
-                fused.get(&sink).cloned().unwrap_or_default(),
+                got(&fused, sink).unwrap_or_default(),
                 expect,
-                "chain {keys:?} diverged from its standalone pipeline"
+                "chain {keys:?} diverged inside the fused DAG"
+            );
+            let mut alone = OpDag::chain(chain(keys).into_iter().map(|(_, op)| op));
+            assert_eq!(
+                got(&collect(&mut alone, &input), 0).unwrap_or_default(),
+                expect,
+                "chain {keys:?} diverged on its own"
             );
         }
+    }
+
+    /// Panics if it ever runs: an operator whose predecessor emitted
+    /// nothing must not be consulted.
+    #[derive(Debug)]
+    struct Bomb;
+
+    impl StreamOperator for Bomb {
+        fn name(&self) -> &'static str {
+            "bomb"
+        }
+        fn process_into(&mut self, _item: &Node, _out: &mut Emit) {
+            panic!("downstream stage must not run on empty input");
+        }
+        fn base_load(&self) -> f64 {
+            1.0
+        }
+    }
+
+    fn lone(ops: [Box<dyn StreamOperator + Send>; 2]) -> OpDag<()> {
+        OpDag::chain(ops)
+    }
+
+    #[test]
+    fn lone_empty_chain_is_the_identity() {
+        let mut dag = OpDag::chain(Vec::new());
+        let input = items(3);
+        assert_eq!(collect(&mut dag, &input)[&0], input);
+        assert_eq!(dag.node_count(), 0);
+    }
+
+    #[test]
+    fn lone_chain_counts_each_stage() {
+        let mut dag = lone([Box::new(Echo(2)), Box::new(Echo(3))]);
+        assert_eq!(collect(&mut dag, &items(1))[&0].len(), 6);
+        let stats: Vec<(u64, u64)> = (dag.node_stats().iter())
+            .map(|n| (n.stats.items_in, n.stats.items_out))
+            .collect();
+        assert_eq!(stats, vec![(1, 2), (2, 6)]);
+        assert!(
+            dag.scratch.iter().all(Emit::is_empty),
+            "buffers empty between calls"
+        );
+    }
+
+    #[test]
+    fn lone_chain_flush_cascades_downstream() {
+        let mut dag = lone([Box::new(Hold::default()), Box::new(Echo(2))]);
+        let mut n = 0;
+        for item in items(2) {
+            dag.process_into(&item, &mut |_, _| n += 1);
+        }
+        assert_eq!(n, 0, "hold buffers everything until flush");
+        dag.flush_into(&mut |_, _| n += 1);
+        assert_eq!(n, 4, "2 held items × echo 2");
+        // The echo saw the flushed items as ordinary input.
+        assert_eq!(dag.node_stats()[1].stats.items_in, 2);
+        assert_eq!(dag.total_work(), 2.0 * 2.0 + 2.0 * 1.0);
+    }
+
+    #[test]
+    fn lone_chain_short_circuits_on_empty_output() {
+        let mut dag = lone([Box::new(Echo(0)), Box::new(Bomb)]);
+        assert!(collect(&mut dag, &items(3)).is_empty());
+        assert_eq!(dag.node_stats()[1].stats.items_in, 0);
     }
 
     #[test]

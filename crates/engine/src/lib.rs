@@ -6,8 +6,9 @@
 //! (Figure 5 of the paper), and the restructuring post-processing step that
 //! materializes each query's `return` clause.
 //!
-//! Operators implement [`op::StreamOperator`] and compose into
-//! [`op::Pipeline`]s, which also account for the per-operator work that
+//! Operators implement [`op::StreamOperator`] and run in an [`OpDag`] —
+//! many chains sharing their common prefixes, or one chain alone
+//! ([`OpDag::chain`]) — which also accounts for the per-operator work that
 //! feeds the cost model's peer-load estimates.
 
 pub mod agg_item;
@@ -26,10 +27,10 @@ pub mod window_track;
 
 pub use agg_item::AggItem;
 pub use aggregate::AggregateOp;
-pub use build::{build_operator, build_pipeline, UdfOp};
-pub use dag::{DagNodeStats, OpDag, SinkBatch, SinkId};
+pub use build::{build_operator, UdfOp};
+pub use dag::{DagNodeStats, OpDag, OpStats, SinkBatch, SinkId};
 pub use migrate::{MigrationReport, OpState};
-pub use op::{Emit, OpStats, Pipeline, StreamOperator, StreamOperatorExt};
+pub use op::{Emit, StreamOperator, StreamOperatorExt};
 pub use project::ProjectOp;
 pub use reaggregate::ReAggregateOp;
 pub use restructure::{RestructureOp, Template};

@@ -126,6 +126,7 @@ impl StreamOperator for ReAggregateOp {
 mod tests {
     use super::*;
     use crate::aggregate::AggregateOp;
+    use crate::dag::run_chain;
     use crate::op::StreamOperatorExt;
     use dss_predicate::{CompOp, PredicateGraph};
     use dss_properties::{AggOp, ResultFilter, WindowSpec};
@@ -169,25 +170,17 @@ mod tests {
         coarse: AggregationSpec,
         items: &[(f64, f64)],
     ) -> (Vec<AggItem>, Vec<AggItem>) {
-        let mut fine_op = AggregateOp::new(fine.clone());
-        let mut re_op = ReAggregateOp::new(fine, coarse.clone());
-        let mut direct_op = AggregateOp::new(coarse);
-
-        let mut shared = Vec::new();
-        let mut direct = Vec::new();
-        for (t, en) in items {
-            let item = photon(&format!("{t}"), &format!("{en}"));
-            for partial in fine_op.process_collect(&item) {
-                shared.extend(re_op.process_collect(&partial));
-            }
-            direct.extend(direct_op.process_collect(&item));
-        }
-        for partial in fine_op.flush_collect() {
-            shared.extend(re_op.process_collect(&partial));
-        }
-        shared.extend(re_op.flush_collect());
-        direct.extend(direct_op.flush_collect());
-
+        let items: Vec<Node> = (items.iter())
+            .map(|(t, en)| photon(&format!("{t}"), &format!("{en}")))
+            .collect();
+        let shared = run_chain(
+            vec![
+                Box::new(AggregateOp::new(fine.clone())),
+                Box::new(ReAggregateOp::new(fine, coarse.clone())),
+            ],
+            &items,
+        );
+        let direct = run_chain(vec![Box::new(AggregateOp::new(coarse))], &items);
         let parse = |v: Vec<Node>| v.iter().map(|n| AggItem::from_node(n).unwrap()).collect();
         (parse(shared), parse(direct))
     }

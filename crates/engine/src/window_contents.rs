@@ -289,6 +289,7 @@ impl StreamOperator for ReWindowOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::run_chain;
     use crate::op::StreamOperatorExt;
     use dss_predicate::PredicateGraph;
     use dss_properties::WindowSpec;
@@ -375,18 +376,13 @@ mod tests {
         items: &[Node],
     ) -> (Vec<WindowItem>, Vec<WindowItem>) {
         let direct = run_contents(coarse.clone(), items);
-        let mut fine_op = WindowContentsOp::new(fine.clone());
-        let mut re_op = ReWindowOp::new(fine, coarse);
-        let mut shared = Vec::new();
-        for i in items {
-            for tile in fine_op.process_collect(i) {
-                shared.extend(re_op.process_collect(&tile));
-            }
-        }
-        for tile in fine_op.flush_collect() {
-            shared.extend(re_op.process_collect(&tile));
-        }
-        shared.extend(re_op.flush_collect());
+        let shared = run_chain(
+            vec![
+                Box::new(WindowContentsOp::new(fine.clone())),
+                Box::new(ReWindowOp::new(fine, coarse)),
+            ],
+            items,
+        );
         (
             shared
                 .iter()

@@ -2,7 +2,7 @@
 //!
 //! Every data stream flowing in the network — an original source stream, a
 //! transformed stream produced for some subscription, or a final
-//! post-processing delivery — is a [`StreamFlow`]: a pipeline of operators
+//! post-processing delivery — is a [`StreamFlow`]: a chain of operators
 //! installed at one peer, consuming either a raw source or a *tap* on
 //! another flow, and routed along a path to its target peer.
 //!
@@ -13,13 +13,12 @@
 
 use std::ops::{Deref, DerefMut};
 
-use dss_engine::{Pipeline, Template};
+use dss_engine::Template;
 use dss_properties::{
     AggOp, AggregationSpec, InputProperties, Operator, Properties, QueryLens, WindowOutputSpec,
 };
 
 use crate::catalog::{Catalog, LensVerdicts, VerdictLoan};
-use crate::shared::build_flow_op;
 use crate::topology::{NodeId, Topology};
 
 /// Flow identifier (dense index into the deployment).
@@ -60,15 +59,6 @@ pub enum FlowOp {
     },
 }
 
-/// Builds the executable pipeline for a flow's operator list.
-pub fn build_flow_pipeline(ops: &[FlowOp]) -> Pipeline {
-    let mut p = Pipeline::new();
-    for op in ops {
-        p.push(build_flow_op(op));
-    }
-    p
-}
-
 /// One deployed stream in the network.
 #[derive(Debug, Clone)]
 pub struct StreamFlow {
@@ -76,7 +66,7 @@ pub struct StreamFlow {
     pub label: String,
     /// Input source.
     pub input: FlowInput,
-    /// Peer where the pipeline executes.
+    /// Peer where the operators execute.
     pub processing_node: NodeId,
     /// Operators installed at the processing node.
     pub ops: Vec<FlowOp>,

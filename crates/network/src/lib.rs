@@ -30,7 +30,7 @@ pub mod sim;
 pub mod topology;
 
 pub use catalog::{Catalog, ChainId, LensVerdicts, VerdictLoan};
-pub use flow::{build_flow_pipeline, Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
+pub use flow::{Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
 pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};
 pub use pool::{max_parallelism, run_forest};

@@ -22,15 +22,14 @@
 
 use std::collections::BTreeMap;
 
-use dss_engine::Emit;
 use dss_xml::writer::serialized_size;
 use dss_xml::Node;
 
-use crate::flow::{build_flow_pipeline, Deployment, FlowId, FlowInput};
+use crate::flow::{Deployment, FlowId, FlowInput};
 use crate::metrics::NetworkMetrics;
 use crate::peer::{FlowOutputs, GroupTable, Next};
 use crate::pool::{max_parallelism, run_forest};
-use crate::shared::GroupKey;
+use crate::shared::{FlowDag, GroupKey};
 use crate::topology::{NodeId, Topology};
 
 /// An invalid simulation or runtime configuration value.
@@ -80,9 +79,9 @@ pub struct SimConfig {
     pub forward_work_per_kb: f64,
     /// Fuse the flows sharing an input stream at a peer into one operator
     /// DAG (shared prefixes execute once) and run independent peers'
-    /// DAGs in parallel. `false` runs each flow as its own pipeline — per-
-    /// flow outputs are byte-identical either way, only the work accounting
-    /// of shared prefixes differs.
+    /// DAGs in parallel. `false` runs each flow alone, as a one-flow DAG —
+    /// per-flow outputs are byte-identical either way, only the work
+    /// accounting of shared prefixes differs.
     pub shared_ops: bool,
 }
 
@@ -228,7 +227,16 @@ fn route_bytes(route: &[NodeId], items: &[Node]) -> u64 {
     items.iter().map(|n| serialized_size(n) as u64).sum()
 }
 
-/// Unfused execution: every flow runs its own pipeline, in id order.
+/// Runs `dag` over its whole input, then flushes it.
+fn run_dag(dag: &mut FlowDag, inputs: &[Node]) -> FlowOutputs {
+    let mut outputs = FlowOutputs::default();
+    outputs.feed_slice(dag, inputs);
+    outputs.flush(dag);
+    outputs
+}
+
+/// Unfused execution: every flow runs alone, as a one-flow DAG, in id
+/// order.
 fn run_unfused(
     topo: &Topology,
     deployment: &Deployment,
@@ -247,15 +255,12 @@ fn run_unfused(
                 .as_slice(),
             FlowInput::Tap { parent } => flow_outputs[*parent].as_slice(),
         };
-        let mut pipeline = build_flow_pipeline(&flow.ops);
-        let mut sink = Emit::new();
-        for item in inputs {
-            pipeline.process_into(item, &mut sink);
-        }
-        pipeline.flush_into(&mut sink);
+        let mut dag = FlowDag::new();
+        dag.register(id, &flow.ops);
+        let output = run_dag(&mut dag, inputs).drain().next();
         let pindex = topo.peer(flow.processing_node).pindex;
-        metrics.record_work(flow.processing_node, pipeline.total_work() * pindex);
-        flow_outputs[id] = sink.into_vec();
+        metrics.record_work(flow.processing_node, dag.total_work() * pindex);
+        flow_outputs[id] = output.map_or_else(Vec::new, |(_, items)| items);
     }
 }
 
@@ -318,10 +323,7 @@ fn run_shared(
             _ => source,
         };
         let mut dag = table.cold_dag(g);
-        let mut outputs = FlowOutputs::default();
-        outputs.feed_slice(&mut dag, inputs);
-        outputs.flush(&mut dag);
-        let outputs = outputs
+        let outputs = run_dag(&mut dag, inputs)
             .drain()
             .map(|(flow, items)| {
                 let bytes = route_bytes(&table.flows()[flow].route, &items);

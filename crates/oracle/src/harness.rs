@@ -5,7 +5,8 @@
 //! flat subscriptions ([`dss_wxquery::testing::QuerySpec`]). The checks
 //! assert, byte-exact after canonical serialization:
 //!
-//! - [`check_pipeline`] (equivalence 1) — the engine's operator pipeline
+//! - [`check_pipeline`] (equivalence 1) — each compiled query run alone
+//!   through the engine's operators ([`dss_wxquery::CompiledQuery::executable`])
 //!   ≡ the naive [`Oracle`], split into streamed and flushed results;
 //! - [`check_network`] (equivalences 2 and 3) — the planned deployment
 //!   delivers the oracle's results under **every** planning strategy
@@ -41,7 +42,6 @@ use proptest::prelude::*;
 use proptest::strategy::one_of;
 
 use dss_core::{RebalancePolicy, Registration, Strategy as PlanStrategy, StreamGlobe};
-use dss_engine::StreamOperatorExt;
 use dss_network::{grid_topology, FaultScript, LiveConfig, SimConfig, WalConfig};
 use dss_rass::{GeneratorConfig, PhotonGenerator};
 use dss_wxquery::compile_query;
@@ -184,7 +184,7 @@ pub fn arb_case() -> BoxedStrategy<Case> {
 }
 
 // ---------------------------------------------------------------------
-// Equivalence 1: engine pipeline ≡ oracle
+// Equivalence 1: engine operator chain ≡ oracle
 // ---------------------------------------------------------------------
 
 fn serialize(items: &[Node]) -> Vec<String> {
@@ -197,26 +197,17 @@ fn oracle_run(q: &QuerySpec, items: &[Node]) -> Result<OracleResult, String> {
         .map(|oracle| oracle.run(items))
 }
 
-/// Runs one compiled query through the engine's operator pipeline plus
+/// Runs one compiled query through the engine's operators plus
 /// restructuring, returning (streamed, flushed) serialized results.
 fn engine_pipeline(q: &QuerySpec, items: &[Node]) -> Result<(Vec<String>, Vec<String>), String> {
     let compiled = compile_query(&q.to_text()).map_err(|e| format!("engine compile: {e}"))?;
-    let mut pipeline = dss_engine::build_pipeline(compiled.operator_chain());
-    let mut post = compiled.restructure_op();
+    let mut query = compiled.executable();
     let mut streamed = Vec::new();
     for item in items {
-        for t in pipeline.process(item) {
-            for out in post.process_collect(&t) {
-                streamed.push(node_to_string(&out));
-            }
-        }
+        query.process_into(item, &mut |_, out| streamed.push(node_to_string(out)));
     }
     let mut flushed = Vec::new();
-    for t in pipeline.flush() {
-        for out in post.process_collect(&t) {
-            flushed.push(node_to_string(&out));
-        }
-    }
+    query.flush_into(&mut |_, out| flushed.push(node_to_string(out)));
     Ok((streamed, flushed))
 }
 

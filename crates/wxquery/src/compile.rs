@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use dss_engine::Template;
+use dss_engine::{build_operator, OpDag, StreamOperator, Template};
 use dss_predicate::{Atom, PredicateGraph};
 use dss_properties::{
     AggregationSpec, InputProperties, Operator, ProjectionSpec, Properties, ResultFilter,
@@ -68,6 +68,18 @@ impl CompiledQuery {
     /// The single input's operator chain.
     pub fn operator_chain(&self) -> &[Operator] {
         self.properties.inputs()[0].operators()
+    }
+
+    /// The whole subscription as one runnable chain: the operator chain,
+    /// then the restructuring of the `return` clause.
+    pub fn executable(&self) -> OpDag<()> {
+        let post: Box<dyn StreamOperator + Send> = Box::new(self.restructure_op());
+        OpDag::chain(
+            self.operator_chain()
+                .iter()
+                .map(build_operator)
+                .chain([post]),
+        )
     }
 }
 

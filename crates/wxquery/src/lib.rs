@@ -395,22 +395,15 @@ mod tests {
 
     #[test]
     fn window_contents_queries_execute_end_to_end() {
-        use dss_engine::StreamOperatorExt;
         let q = r#"<r>{ for $w in stream("s")/root/item |t diff 10|
                        return <wnd>{ $w }</wnd> }</r>"#;
-        let compiled = compile_query(q).unwrap();
-        let mut pipe = dss_engine::build_pipeline(compiled.operator_chain());
-        let mut post = compiled.restructure_op();
+        let mut query = compile_query(q).unwrap().executable();
         let mut results = Vec::new();
         for t in [1, 5, 12, 25] {
             let item = dss_xml::Node::elem("item", vec![dss_xml::Node::leaf("t", t.to_string())]);
-            for w in pipe.process(&item) {
-                results.extend(post.process_collect(&w));
-            }
+            query.process_into(&item, &mut |_, w| results.push(w.clone()));
         }
-        for w in pipe.flush() {
-            results.extend(post.process_collect(&w));
-        }
+        query.flush_into(&mut |_, w| results.push(w.clone()));
         assert_eq!(results.len(), 3); // windows [0,10), [10,20), [20,30)
         assert_eq!(results[0].name(), "wnd");
         assert_eq!(results[0].children().len(), 2); // items at t=1, t=5

@@ -7,14 +7,17 @@
 //! 1. directly from the raw photon stream, and
 //! 2. by re-aggregating Query 3's shared partial results,
 //!
-//! and verifies both produce identical values while the shared variant
-//! reads far fewer (and far smaller) items.
+//! as chains of one operator DAG, and verifies both produce identical
+//! values while the shared variant reads far fewer (and far smaller) items.
 //!
 //! Run with: `cargo run --example window_sharing`
 
-use data_stream_sharing::engine::{AggItem, AggregateOp, ReAggregateOp, StreamOperatorExt};
+use data_stream_sharing::engine::{
+    AggItem, AggregateOp, OpDag, ReAggregateOp, SelectOp, SinkId, StreamOperator,
+};
 use data_stream_sharing::wxquery::{compile_query, queries};
 use data_stream_sharing::xml::writer::serialized_size;
+use data_stream_sharing::xml::Node;
 use dss_rass::{GeneratorConfig, PhotonGenerator};
 
 fn main() {
@@ -41,33 +44,40 @@ fn main() {
     let photons = PhotonGenerator::new(cfg).generate_items(5_000);
     let raw_bytes: usize = photons.iter().map(serialized_size).sum();
 
-    // Selection shared by both queries (the Vela region).
-    let select = |item: &dss_xml::Node| q3_agg.pre_selection.evaluate(item);
-
-    // Path 1: Q4 directly over the raw stream.
-    let mut direct_op = AggregateOp::new(q4_agg.clone());
-    let mut direct = Vec::new();
-    for item in photons.iter().filter(|i| select(i)) {
-        direct.extend(direct_op.process_collect(item));
-    }
-    direct.extend(direct_op.flush_collect());
-
-    // Path 2: Q3's aggregate, then re-aggregation to Q4's windows.
-    let mut q3_op = AggregateOp::new(q3_agg.clone());
-    let mut re_op = ReAggregateOp::new(q3_agg.clone(), q4_agg.clone());
-    let mut q3_partials = Vec::new();
-    let mut shared = Vec::new();
-    for item in photons.iter().filter(|i| select(i)) {
-        for partial in q3_op.process_collect(item) {
-            q3_partials.push(partial.clone());
-            shared.extend(re_op.process_collect(&partial));
-        }
-    }
-    for partial in q3_op.flush_collect() {
-        q3_partials.push(partial.clone());
-        shared.extend(re_op.process_collect(&partial));
-    }
-    shared.extend(re_op.flush_collect());
+    // One peer's operator DAG with three chains behind σ (the Vela region,
+    // shared by both queries): Q4 directly over the raw stream, Q3's fine
+    // partials, and Q4 re-aggregated from those partials. Equal leading
+    // operators merge, so σ runs once for all three and Q3's Φ once for
+    // the last two.
+    type Op = Box<dyn StreamOperator + Send>;
+    const DIRECT: SinkId = 0;
+    const Q3: SinkId = 1;
+    const SHARED: SinkId = 2;
+    let select = || {
+        (
+            "σ",
+            Box::new(SelectOp::new(q3_agg.pre_selection.clone())) as Op,
+        )
+    };
+    let q3_op = || ("Φ q3", Box::new(AggregateOp::new(q3_agg.clone())) as Op);
+    let q4_op = Box::new(AggregateOp::new(q4_agg.clone())) as Op;
+    let re_op = Box::new(ReAggregateOp::new(q3_agg.clone(), q4_agg.clone())) as Op;
+    let same = |a: &&str, b: &&str| a == b;
+    let mut dag = OpDag::new();
+    dag.register(DIRECT, vec![select(), ("Φ q4", q4_op)], same);
+    dag.register(Q3, vec![select(), q3_op()], same);
+    dag.register(SHARED, vec![select(), q3_op(), ("Φ↺ q4", re_op)], same);
+    let mut out: [Vec<Node>; 3] = Default::default();
+    dag.process_slice(&photons, &mut |sink, batch| {
+        out[sink].extend_from_slice(batch.as_slice())
+    });
+    dag.flush_into(&mut |sink, n| out[sink].push(n.clone()));
+    let [direct, q3_partials, shared] = out;
+    println!(
+        "one peer's DAG: {} chains of 7 operators on {} operator instances",
+        dag.sink_count(),
+        dag.node_count()
+    );
 
     assert_eq!(
         direct, shared,

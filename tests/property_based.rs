@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use data_stream_sharing::engine::{AggItem, AggregateOp, ReAggregateOp, StreamOperatorExt};
+use data_stream_sharing::engine::{
+    AggItem, AggregateOp, OpDag, ReAggregateOp, StreamOperator, StreamOperatorExt,
+};
 use data_stream_sharing::predicate::{match_predicates, Atom, Bound, CompOp, PredicateGraph};
 use data_stream_sharing::properties::{AggOp, AggregationSpec, ResultFilter, WindowSpec};
 use data_stream_sharing::xml::writer::{node_to_string, pretty, serialized_size};
@@ -445,6 +447,18 @@ mod wxquery_roundtrip {
 
 // ---------- window sharing ----------------------------------------------
 
+/// Runs `ops` as one chain over the whole stream, end-of-stream flush
+/// included.
+fn run_chain(ops: Vec<Box<dyn StreamOperator + Send>>, items: &[Node]) -> Vec<Node> {
+    let mut dag = OpDag::chain(ops);
+    let mut out = Vec::new();
+    for item in items {
+        dag.process_into(item, &mut |_, n| out.push(n.clone()));
+    }
+    dag.flush_into(&mut |_, n| out.push(n.clone()));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -489,22 +503,14 @@ proptest! {
             ]))
             .collect();
 
-        let mut direct_op = AggregateOp::new(coarse.clone());
-        let mut fine_op = AggregateOp::new(fine.clone());
-        let mut re_op = ReAggregateOp::new(fine, coarse);
-        let mut direct = Vec::new();
-        let mut shared = Vec::new();
-        for item in &items {
-            direct.extend(direct_op.process_collect(item));
-            for partial in fine_op.process_collect(item) {
-                shared.extend(re_op.process_collect(&partial));
-            }
-        }
-        direct.extend(direct_op.flush_collect());
-        for partial in fine_op.flush_collect() {
-            shared.extend(re_op.process_collect(&partial));
-        }
-        shared.extend(re_op.flush_collect());
+        let direct = run_chain(vec![Box::new(AggregateOp::new(coarse.clone()))], &items);
+        let shared = run_chain(
+            vec![
+                Box::new(AggregateOp::new(fine.clone())),
+                Box::new(ReAggregateOp::new(fine, coarse)),
+            ],
+            &items,
+        );
         prop_assert_eq!(direct, shared);
     }
 
@@ -540,22 +546,14 @@ proptest! {
             .iter()
             .map(|t| Node::elem("i", vec![Node::leaf("t", t.to_string())]))
             .collect();
-        let mut direct_op = WindowContentsOp::new(coarse.clone());
-        let mut fine_op = WindowContentsOp::new(fine.clone());
-        let mut re_op = ReWindowOp::new(fine, coarse);
-        let mut direct = Vec::new();
-        let mut shared = Vec::new();
-        for item in &items {
-            direct.extend(direct_op.process_collect(item));
-            for tile in fine_op.process_collect(item) {
-                shared.extend(re_op.process_collect(&tile));
-            }
-        }
-        direct.extend(direct_op.flush_collect());
-        for tile in fine_op.flush_collect() {
-            shared.extend(re_op.process_collect(&tile));
-        }
-        shared.extend(re_op.flush_collect());
+        let direct = run_chain(vec![Box::new(WindowContentsOp::new(coarse.clone()))], &items);
+        let shared = run_chain(
+            vec![
+                Box::new(WindowContentsOp::new(fine.clone())),
+                Box::new(ReWindowOp::new(fine, coarse)),
+            ],
+            &items,
+        );
         prop_assert_eq!(direct, shared);
     }
 
@@ -573,9 +571,7 @@ proptest! {
         gap in 0u32..20_000,
         cut in 0usize..80,
     ) {
-        use data_stream_sharing::engine::{
-            OpState, ReWindowOp, StreamOperator, WindowContentsOp,
-        };
+        use data_stream_sharing::engine::{OpState, ReWindowOp, WindowContentsOp};
         use data_stream_sharing::properties::WindowOutputSpec;
         let mu = Decimal::from_int(mu as i64);
         let size = mu * size_factor as i64;

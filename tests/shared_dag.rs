@@ -442,7 +442,7 @@ fn widening_rebuild_keeps_upstream_window_state() {
 /// stateful prefix instance alive.
 #[test]
 fn flow_dag_widening_is_byte_exact() {
-    use data_stream_sharing::network::{build_flow_pipeline, FlowDag};
+    use data_stream_sharing::network::FlowDag;
 
     let mut dag = FlowDag::new();
     dag.register(0, &[count_agg(4)]);
@@ -458,11 +458,12 @@ fn flow_dag_widening_is_byte_exact() {
         dag.process_into(item, &mut |_, n| got.push(n.clone()));
     }
 
-    // Reference: the widened pipeline over the whole stream in one piece.
-    let mut reference = build_flow_pipeline(&[count_agg(4), udf("post")]);
+    // Reference: the widened chain over the whole stream in one piece.
+    let mut reference = FlowDag::new();
+    reference.register(0, &[count_agg(4), udf("post")]);
     let mut expected: Vec<Node> = Vec::new();
     for item in &stream {
-        expected.extend(reference.process(item));
+        reference.process_into(item, &mut |_, n| expected.push(n.clone()));
     }
     assert!(!expected.is_empty());
     assert_eq!(

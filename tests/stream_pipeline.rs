@@ -4,8 +4,6 @@
 //! exercising the full substrate stack the way the network simulator's
 //! peers would.
 
-use data_stream_sharing::engine::build_pipeline;
-use data_stream_sharing::engine::StreamOperatorExt;
 use data_stream_sharing::wxquery::{compile_query, queries};
 use data_stream_sharing::xml::reader::StreamReader;
 use data_stream_sharing::xml::writer::{node_to_string, stream_close, stream_open};
@@ -33,31 +31,18 @@ fn as_wire_bytes(items: &[Node]) -> Vec<u8> {
 /// Parses the wire bytes in `chunk`-sized pieces and runs each item through
 /// the query's operator chain plus restructuring.
 fn run_over_wire(query_text: &str, wire: &[u8], chunk: usize) -> Vec<String> {
-    let compiled = compile_query(query_text).expect("query compiles");
-    let mut pipeline = build_pipeline(compiled.operator_chain());
-    let mut restructure = compiled.restructure_op();
+    let mut query = compile_query(query_text)
+        .expect("query compiles")
+        .executable();
     let mut reader = StreamReader::new();
     let mut results = Vec::new();
-    let push = |item: &Node, results: &mut Vec<String>, pipeline: &mut _, restructure: &mut _| {
-        let pipeline: &mut dss_engine::Pipeline = pipeline;
-        let restructure: &mut dss_engine::RestructureOp = restructure;
-        for transformed in pipeline.process(item) {
-            for out in restructure.process_collect(&transformed) {
-                results.push(node_to_string(&out));
-            }
-        }
-    };
     for piece in wire.chunks(chunk) {
         reader.feed(piece);
         while let Some(item) = reader.next_item().expect("well-formed stream") {
-            push(&item, &mut results, &mut pipeline, &mut restructure);
+            query.process_into(&item, &mut |_, out| results.push(node_to_string(out)));
         }
     }
-    for leftover in pipeline.flush() {
-        for out in restructure.process_collect(&leftover) {
-            results.push(node_to_string(&out));
-        }
-    }
+    query.flush_into(&mut |_, out| results.push(node_to_string(out)));
     results
 }
 
@@ -67,16 +52,10 @@ fn q1_over_the_wire_matches_in_memory() {
     let wire = as_wire_bytes(&items);
 
     // In-memory reference run.
-    let compiled = compile_query(queries::Q1).unwrap();
-    let mut pipeline = build_pipeline(compiled.operator_chain());
-    let mut restructure = compiled.restructure_op();
+    let mut query = compile_query(queries::Q1).unwrap().executable();
     let mut expected = Vec::new();
     for item in &items {
-        for t in pipeline.process(item) {
-            for out in restructure.process_collect(&t) {
-                expected.push(node_to_string(&out));
-            }
-        }
+        query.process_into(item, &mut |_, out| expected.push(node_to_string(out)));
     }
 
     for chunk in [7usize, 64, 1024, wire.len()] {
