@@ -1,10 +1,10 @@
 //! Allocation churn on the per-item hot path: a σ→Π→ρ chain run as a
 //! one-sink `OpDag` (one reused buffer per stage), plus the same operators
-//! through the allocating compatibility wrappers — the spread between the
-//! two is what buffer reuse buys.
+//! into a fresh `Vec` per item and stage — the spread between the two is
+//! what buffer reuse buys.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dss_engine::{build_operator, OpDag, RestructureOp, StreamOperator, Template};
+use dss_engine::{build_operator, Emit, OpDag, RestructureOp, StreamOperator, Template};
 use dss_predicate::{Atom, CompOp, PredicateGraph};
 use dss_properties::{Operator, ProjectionSpec};
 use dss_rass::default_photons;
@@ -61,13 +61,18 @@ fn run_dag(items: &[Node]) -> usize {
 
 /// σ, Π and ρ hold no window state: there is nothing to flush.
 fn run_collect(items: &[Node]) -> usize {
-    use dss_engine::StreamOperatorExt;
     let mut ops = ops();
     let mut n = 0usize;
     for item in items {
         let mut stage = vec![item.clone()];
         for op in &mut ops {
-            stage = stage.iter().flat_map(|it| op.process_collect(it)).collect();
+            stage = (stage.iter())
+                .flat_map(|it| {
+                    let mut out = Emit::new();
+                    op.process_into(it, &mut out);
+                    out.into_vec()
+                })
+                .collect();
         }
         n += stage.len();
     }

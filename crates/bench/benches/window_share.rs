@@ -3,7 +3,7 @@
 //! aggregate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dss_engine::{AggregateOp, Emit, ReAggregateOp, StreamOperator, StreamOperatorExt};
+use dss_engine::{AggregateOp, Emit, ReAggregateOp, StreamOperator};
 use dss_predicate::PredicateGraph;
 use dss_properties::{AggOp, AggregationSpec, ResultFilter, WindowSpec};
 use dss_rass::{GeneratorConfig, PhotonGenerator};
@@ -40,11 +40,12 @@ fn bench_direct_vs_shared(c: &mut Criterion) {
     let fine = spec(20, 10);
     let coarse = spec(60, 40);
     let mut fine_op = AggregateOp::new(fine.clone());
-    let mut partials: Vec<Node> = Vec::new();
+    let mut partials = Emit::new();
     for item in &items {
-        partials.extend(fine_op.process_collect(item));
+        fine_op.process_into(item, &mut partials);
     }
-    partials.extend(fine_op.flush_collect());
+    fine_op.flush_into(&mut partials);
+    let partials = partials.into_vec();
 
     let mut g = c.benchmark_group("window/coarse-aggregate");
     g.throughput(Throughput::Elements(items.len() as u64));

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use dss_engine::{PrefixTrie, TrieNode};
 use dss_network::{Deployment, EdgeId, FlowId, FlowOp, GroupKey, NodeId, Topology};
 
 use crate::cost::{CostParams, StreamEstimate};
@@ -23,12 +24,14 @@ pub struct FlowCharge {
     pub node_work: Vec<(NodeId, f64)>,
 }
 
-/// Estimate-level mirror of the runtime's intra-peer operator sharing:
-/// a refcounted prefix trie per (peer, input stream) of the operator
-/// charges installed there. A newly registered flow only pays for the
-/// operators no earlier flow already runs — shared-prefix work is charged
-/// once and split across sharers, keeping the planner's `u_l(v)` (and so
-/// `a_l(v)`) consistent with what the fused executor actually does.
+/// Estimate-level twin of the runtime's intra-peer operator sharing: per
+/// (peer, input stream), a [`PrefixTrie`] — the structure
+/// `dss_network::FlowDag` executes in — whose node payloads are the work
+/// charged when each node was created. A newly registered flow only pays
+/// for the operators no earlier flow already runs — shared-prefix work is
+/// charged once and split across sharers, keeping the planner's `u_l(v)`
+/// (and so `a_l(v)`) consistent with what the fused executor actually
+/// does.
 ///
 /// Scope: only the install-time operator charges of new flows route
 /// through the book. Widening patch charges (and their narrow-back
@@ -39,36 +42,21 @@ pub struct FlowCharge {
 /// nothing (the instance already runs), which keeps release exact.
 #[derive(Debug, Clone, Default)]
 pub struct ShareBook {
-    groups: Vec<BookGroup>,
-    group_of: BTreeMap<(NodeId, GroupKey), usize>,
-    paths: BTreeMap<FlowId, BookPath>,
+    tries: BTreeMap<(NodeId, GroupKey), PrefixTrie<Charge>>,
+    /// The trie each recorded flow is charged in.
+    flows: BTreeMap<FlowId, (NodeId, GroupKey)>,
 }
 
 /// One row of [`ShareBook::ledger`]: a flow, the peer it is charged on,
 /// and each path node's `(work bits, sharer count)` in path order.
 pub type LedgerEntry = (FlowId, NodeId, Vec<(u64, usize)>);
 
+/// A book node's payload: the operator it stands for and its charge.
 #[derive(Debug, Clone)]
-struct BookGroup {
-    peer: NodeId,
-    roots: Vec<usize>,
-    /// Arena; pruned slots stay `None` (installs are rare — no free list).
-    nodes: Vec<Option<BookNode>>,
-}
-
-#[derive(Debug, Clone)]
-struct BookNode {
+struct Charge {
     op: FlowOp,
     /// Estimated work/s charged when this node was created.
     work: f64,
-    sharers: usize,
-    children: Vec<usize>,
-}
-
-#[derive(Debug, Clone)]
-struct BookPath {
-    group: usize,
-    nodes: Vec<usize>,
 }
 
 impl ShareBook {
@@ -88,68 +76,21 @@ impl ShareBook {
         unit_work: impl Fn(&FlowOp) -> f64,
     ) -> f64 {
         assert!(
-            !self.paths.contains_key(&flow),
+            !self.flows.contains_key(&flow),
             "flow {flow} has shared op charges recorded twice"
         );
-        let group = match self.group_of.get(&(peer, key.clone())) {
-            Some(&g) => g,
-            None => {
-                let g = self.groups.len();
-                self.groups.push(BookGroup {
-                    peer,
-                    roots: Vec::new(),
-                    nodes: Vec::new(),
-                });
-                self.group_of.insert((peer, key), g);
-                g
+        let mut added = 0.0;
+        let charge = |op: &FlowOp| {
+            let work = unit_work(op);
+            added += work;
+            Charge {
+                op: op.clone(),
+                work,
             }
         };
-        let g = &mut self.groups[group];
-        fn node(nodes: &[Option<BookNode>], i: usize) -> &BookNode {
-            nodes[i].as_ref().expect("live book node")
-        }
-        let mut added = 0.0;
-        let mut path = Vec::with_capacity(ops.len());
-        let mut parent: Option<usize> = None;
-        for op in ops {
-            let siblings = match parent {
-                None => &g.roots,
-                Some(p) => &node(&g.nodes, p).children,
-            };
-            let found = siblings
-                .iter()
-                .copied()
-                .find(|&c| node(&g.nodes, c).op == *op);
-            let idx = match found {
-                Some(c) => {
-                    g.nodes[c].as_mut().expect("live book node").sharers += 1;
-                    c
-                }
-                None => {
-                    let w = unit_work(op);
-                    added += w;
-                    let idx = g.nodes.len();
-                    g.nodes.push(Some(BookNode {
-                        op: op.clone(),
-                        work: w,
-                        sharers: 1,
-                        children: Vec::new(),
-                    }));
-                    match parent {
-                        None => g.roots.push(idx),
-                        Some(p) => g.nodes[p]
-                            .as_mut()
-                            .expect("live book node")
-                            .children
-                            .push(idx),
-                    }
-                    idx
-                }
-            };
-            path.push(idx);
-            parent = Some(idx);
-        }
-        self.paths.insert(flow, BookPath { group, nodes: path });
+        let trie = self.tries.entry((peer, key.clone())).or_default();
+        trie.insert(flow, ops, |c, op| c.op == **op, charge);
+        self.flows.insert(flow, (peer, key));
         added
     }
 
@@ -157,48 +98,30 @@ impl ShareBook {
     /// freed by the operators it was the last sharer of. `None` when the
     /// flow never registered shared charges.
     pub fn retire(&mut self, flow: FlowId) -> Option<(NodeId, f64)> {
-        let BookPath { group, nodes: path } = self.paths.remove(&flow)?;
-        let g = &mut self.groups[group];
-        for &idx in &path {
-            g.nodes[idx].as_mut().expect("live book node").sharers -= 1;
-        }
+        let group = self.flows.remove(&flow)?;
+        let trie = self.tries.get_mut(&group).expect("a recorded flow's trie");
         let mut freed = 0.0;
-        for i in (0..path.len()).rev() {
-            let idx = path[i];
-            let n = g.nodes[idx].as_ref().expect("live book node");
-            if n.sharers > 0 {
-                break;
-            }
-            freed += n.work;
-            match i.checked_sub(1) {
-                None => g.roots.retain(|&r| r != idx),
-                Some(pi) => {
-                    let p = path[pi];
-                    g.nodes[p]
-                        .as_mut()
-                        .expect("live book node")
-                        .children
-                        .retain(|&c| c != idx);
-                }
-            }
-            g.nodes[idx] = None;
+        trie.remove(flow, |c| freed += c.work);
+        if trie.is_empty() {
+            self.tries.remove(&group);
         }
-        Some((g.peer, freed))
+        Some((group.0, freed))
+    }
+
+    /// `flow`'s path nodes, root first; none when the flow is not recorded.
+    fn path(&self, flow: FlowId) -> impl Iterator<Item = &TrieNode<Charge>> {
+        let trie = self.flows.get(&flow).map(|group| &self.tries[group]);
+        trie.into_iter().flat_map(move |t| {
+            let path = t.path(flow).expect("a recorded flow's path");
+            path.iter().map(move |&i| t.node(i))
+        })
     }
 
     /// `flow`'s fair share of the work it rides: each node's charge
     /// divided by its current sharer count.
     pub fn attributed_work(&self, flow: FlowId) -> f64 {
-        let Some(p) = self.paths.get(&flow) else {
-            return 0.0;
-        };
-        let g = &self.groups[p.group];
-        p.nodes
-            .iter()
-            .map(|&i| {
-                let n = g.nodes[i].as_ref().expect("live book node");
-                n.work / n.sharers as f64
-            })
+        (self.path(flow))
+            .map(|n| n.value.work / n.sharers() as f64)
             .sum()
     }
 
@@ -206,19 +129,12 @@ impl ShareBook {
     /// flow, the peer and each path node's `(work bits, sharer count)` in
     /// path order. Two books with equal ledgers charge identically.
     pub fn ledger(&self) -> Vec<LedgerEntry> {
-        self.paths
-            .iter()
-            .map(|(&flow, p)| {
-                let g = &self.groups[p.group];
-                let nodes = p
-                    .nodes
-                    .iter()
-                    .map(|&i| {
-                        let n = g.nodes[i].as_ref().expect("live book node");
-                        (n.work.to_bits(), n.sharers)
-                    })
-                    .collect();
-                (flow, g.peer, nodes)
+        (self.flows.iter())
+            .map(|(&flow, (peer, _))| {
+                let nodes = self
+                    .path(flow)
+                    .map(|n| (n.value.work.to_bits(), n.sharers()));
+                (flow, *peer, nodes.collect())
             })
             .collect()
     }
@@ -612,6 +528,65 @@ mod tests {
         st.flow_charges[f2] = FlowCharge::default();
         st.charge_shared_ops_for(f2, 2, GroupKey::Tap(0), &[udf("a")], 5.0);
         assert!(st.shared_attributed_work(f2) > 0.0);
+    }
+
+    /// The book's live nodes for one (peer, input) as `(depth, sharers)`
+    /// in DFS pre-order, and the arena slots its trie holds.
+    fn book_shape(book: &ShareBook, group: &(NodeId, GroupKey)) -> (Vec<(usize, usize)>, usize) {
+        let Some(trie) = book.tries.get(group) else {
+            return (Vec::new(), 0);
+        };
+        let nodes = (trie.preorder().into_iter()).map(|(i, depth)| (depth, trie.node(i).sharers()));
+        (nodes.collect(), trie.slots())
+    }
+
+    mod mirrors_the_dag {
+        use super::*;
+        use dss_network::FlowDag;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Random register/retire sequences on one (peer, input): the
+            /// book holds the trie the executor runs — the same nodes at
+            /// the same depths with the same sharer counts as
+            /// `FlowDag::node_stats` — never grows its arena past the peak
+            /// live-node count, and is empty once every flow has retired.
+            #[test]
+            fn book_and_dag_agree_under_churn(
+                steps in prop::collection::vec(
+                    (0usize..6, prop::collection::vec(0usize..3, 0..4)),
+                    1..40,
+                ),
+            ) {
+                let ops = [udf("a"), udf("b"), udf("c")];
+                let group = (1, GroupKey::Tap(0));
+                let mut st = NetworkState::new(grid_topology(2, 2), CostParams::default());
+                st.flow_charges.resize(6, FlowCharge::default());
+                let mut dag = FlowDag::new();
+                let mut peak = 0;
+                // Each step toggles a flow; a last pass retires the rest.
+                let steps = steps.into_iter().map(|(f, chain)| (f, Some(chain)));
+                for (flow, chain) in steps.chain((0..6).map(|f| (f, None))) {
+                    if dag.contains(flow) {
+                        dag.retire(flow);
+                        st.uncharge_flow(flow);
+                    } else if let Some(chain) = chain {
+                        let chain: Vec<FlowOp> = chain.iter().map(|&i| ops[i].clone()).collect();
+                        dag.register(flow, &chain);
+                        st.charge_shared_ops_for(flow, group.0, group.1.clone(), &chain, 5.0);
+                    }
+                    let live: Vec<(usize, usize)> =
+                        dag.node_stats().iter().map(|n| (n.depth, n.sharers)).collect();
+                    let (book, slots) = book_shape(&st.share_book, &group);
+                    prop_assert_eq!(&book, &live);
+                    peak = peak.max(book.len());
+                    prop_assert!(slots <= peak, "{} arena slots, peak {} live nodes", slots, peak);
+                }
+                prop_assert!(dag.is_empty() && dag.node_stats().is_empty());
+                prop_assert!(st.share_book.tries.is_empty() && st.share_book.flows.is_empty());
+                prop_assert!(st.node_used_work[group.0].abs() < 1e-9);
+            }
+        }
     }
 
     #[test]

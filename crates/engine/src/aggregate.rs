@@ -163,7 +163,7 @@ impl StreamOperator for AggregateOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::StreamOperatorExt;
+    use crate::dag::run_chain;
     use dss_predicate::{CompOp, PredicateGraph};
     use dss_properties::WindowSpec;
     use dss_xml::Path;
@@ -208,13 +208,15 @@ mod tests {
         }
     }
 
-    fn run(op: &mut AggregateOp, items: &[(&str, &str)]) -> Vec<AggItem> {
-        let mut out = Vec::new();
-        for (t, en) in items {
-            out.extend(op.process_collect(&photon(t, en)));
-        }
-        out.extend(op.flush_collect());
-        out.iter().map(|n| AggItem::from_node(n).unwrap()).collect()
+    fn run(op: AggregateOp, items: &[(&str, &str)]) -> Vec<AggItem> {
+        let items: Vec<Node> = items.iter().map(|(t, en)| photon(t, en)).collect();
+        aggs(op, &items)
+    }
+
+    fn aggs(op: AggregateOp, items: &[Node]) -> Vec<AggItem> {
+        (run_chain(vec![Box::new(op)], items).iter())
+            .map(|n| AggItem::from_node(n).unwrap())
+            .collect()
     }
 
     #[test]
@@ -230,9 +232,9 @@ mod tests {
     #[test]
     fn tumbling_diff_window_sums() {
         // Window |det_time diff 10|: [0,10), [10,20), …
-        let mut op = AggregateOp::new(diff_spec(AggOp::Sum, "10", None, ResultFilter::none()));
+        let op = AggregateOp::new(diff_spec(AggOp::Sum, "10", None, ResultFilter::none()));
         let out = run(
-            &mut op,
+            op,
             &[
                 ("1", "1.0"),
                 ("5", "2.0"),
@@ -253,16 +255,13 @@ mod tests {
     #[test]
     fn sliding_diff_window_overlaps() {
         // |diff 20 step 10| (Query 3's window): starts 0, 10, 20, …
-        let mut op = AggregateOp::new(diff_spec(
+        let op = AggregateOp::new(diff_spec(
             AggOp::Count,
             "20",
             Some("10"),
             ResultFilter::none(),
         ));
-        let out = run(
-            &mut op,
-            &[("5", "1"), ("15", "1"), ("25", "1"), ("35", "1")],
-        );
+        let out = run(op, &[("5", "1"), ("15", "1"), ("25", "1"), ("35", "1")]);
         // Windows: [0,20)→2, [10,30)→2, [20,40)→2, [30,50)→1.
         let starts: Vec<Decimal> = out.iter().map(|a| a.start).collect();
         assert_eq!(starts, vec![d("0"), d("10"), d("20"), d("30")]);
@@ -275,13 +274,13 @@ mod tests {
         // First item at t = 35 with |diff 20 step 10|: the first windows
         // containing it are [20,40) and [30,50) — grid-aligned, not
         // data-aligned.
-        let mut op = AggregateOp::new(diff_spec(
+        let op = AggregateOp::new(diff_spec(
             AggOp::Count,
             "20",
             Some("10"),
             ResultFilter::none(),
         ));
-        let out = run(&mut op, &[("35", "1"), ("36", "1")]);
+        let out = run(op, &[("35", "1"), ("36", "1")]);
         let starts: Vec<Decimal> = out.iter().map(|a| a.start).collect();
         assert_eq!(starts, vec![d("20"), d("30")]);
         assert_eq!(out[0].count, 2);
@@ -289,8 +288,8 @@ mod tests {
 
     #[test]
     fn empty_windows_not_emitted_across_gaps() {
-        let mut op = AggregateOp::new(diff_spec(AggOp::Sum, "10", None, ResultFilter::none()));
-        let out = run(&mut op, &[("5", "1.0"), ("95", "2.0")]);
+        let op = AggregateOp::new(diff_spec(AggOp::Sum, "10", None, ResultFilter::none()));
+        let out = run(op, &[("5", "1.0"), ("95", "2.0")]);
         let starts: Vec<Decimal> = out.iter().map(|a| a.start).collect();
         assert_eq!(starts, vec![d("0"), d("90")]);
     }
@@ -298,14 +297,14 @@ mod tests {
     #[test]
     fn count_window_tumbling() {
         // |count 3|: windows over item indices [0,3), [3,6), …
-        let mut op = AggregateOp::new(count_spec(AggOp::Sum, "3", None));
+        let op = AggregateOp::new(count_spec(AggOp::Sum, "3", None));
         let items: Vec<(String, String)> =
             (0..7).map(|i| (i.to_string(), "1.0".to_string())).collect();
         let refs: Vec<(&str, &str)> = items
             .iter()
             .map(|(a, b)| (a.as_str(), b.as_str()))
             .collect();
-        let out = run(&mut op, &refs);
+        let out = run(op, &refs);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].count, 3);
         assert_eq!(out[1].count, 3);
@@ -316,7 +315,7 @@ mod tests {
     fn count_window_sliding() {
         // |count 20 step 10| from the paper's window example: the window
         // always contains 20 items, updated every 10.
-        let mut op = AggregateOp::new(count_spec(AggOp::Count, "20", Some("10")));
+        let op = AggregateOp::new(count_spec(AggOp::Count, "20", Some("10")));
         let items: Vec<(String, String)> = (0..40)
             .map(|i| (i.to_string(), "1.0".to_string()))
             .collect();
@@ -324,7 +323,7 @@ mod tests {
             .iter()
             .map(|(a, b)| (a.as_str(), b.as_str()))
             .collect();
-        let out = run(&mut op, &refs);
+        let out = run(op, &refs);
         // Complete windows at starts 0 and 10 and 20 (closed by items 20–39)
         // plus flush of [30,50) partial.
         let starts: Vec<Decimal> = out.iter().map(|a| a.start).collect();
@@ -336,8 +335,8 @@ mod tests {
 
     #[test]
     fn avg_carried_as_sum_and_count() {
-        let mut op = AggregateOp::new(diff_spec(AggOp::Avg, "10", None, ResultFilter::none()));
-        let out = run(&mut op, &[("1", "1.0"), ("2", "2.0")]);
+        let op = AggregateOp::new(diff_spec(AggOp::Avg, "10", None, ResultFilter::none()));
+        let out = run(op, &[("1", "1.0"), ("2", "2.0")]);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sum, Some(d("3")));
         assert_eq!(out[0].count, 2);
@@ -348,9 +347,9 @@ mod tests {
     fn result_filter_drops_windows() {
         // Query 4 style: avg(en) >= 1.3.
         let filter = ResultFilter::single(CompOp::Ge, d("1.3"));
-        let mut op = AggregateOp::new(diff_spec(AggOp::Avg, "10", None, filter));
+        let op = AggregateOp::new(diff_spec(AggOp::Avg, "10", None, filter));
         let out = run(
-            &mut op,
+            op,
             &[
                 ("1", "1.0"),
                 ("2", "1.2"),
@@ -367,40 +366,34 @@ mod tests {
 
     #[test]
     fn min_max_windows() {
-        let mut op = AggregateOp::new(diff_spec(AggOp::Min, "10", None, ResultFilter::none()));
-        let out = run(&mut op, &[("1", "3.0"), ("2", "1.5"), ("3", "2.0")]);
+        let op = AggregateOp::new(diff_spec(AggOp::Min, "10", None, ResultFilter::none()));
+        let out = run(op, &[("1", "3.0"), ("2", "1.5"), ("3", "2.0")]);
         assert_eq!(out[0].min, Some(d("1.5")));
         assert_eq!(out[0].max, Some(d("3")));
     }
 
     #[test]
     fn items_without_reference_value_are_skipped() {
-        let mut op = AggregateOp::new(diff_spec(AggOp::Sum, "10", None, ResultFilter::none()));
-        let mut out = Vec::new();
-        out.extend(op.process_collect(&Node::elem("photon", vec![Node::leaf("en", "1.0")])));
-        out.extend(op.process_collect(&photon("5", "2.0")));
-        out.extend(op.flush_collect());
-        let items: Vec<AggItem> = out.iter().map(|n| AggItem::from_node(n).unwrap()).collect();
+        let op = AggregateOp::new(diff_spec(AggOp::Sum, "10", None, ResultFilter::none()));
+        let unreferenced = Node::elem("photon", vec![Node::leaf("en", "1.0")]);
+        let items = aggs(op, &[unreferenced, photon("5", "2.0")]);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].sum, Some(d("2")));
     }
 
     #[test]
     fn items_without_aggregated_element_do_not_count() {
-        let mut op = AggregateOp::new(diff_spec(AggOp::Count, "10", None, ResultFilter::none()));
-        let mut out = Vec::new();
-        out.extend(op.process_collect(&Node::elem("photon", vec![Node::leaf("det_time", "1")])));
-        out.extend(op.process_collect(&photon("2", "1.0")));
-        out.extend(op.flush_collect());
-        let items: Vec<AggItem> = out.iter().map(|n| AggItem::from_node(n).unwrap()).collect();
+        let op = AggregateOp::new(diff_spec(AggOp::Count, "10", None, ResultFilter::none()));
+        let unaggregated = Node::elem("photon", vec![Node::leaf("det_time", "1")]);
+        let items = aggs(op, &[unaggregated, photon("2", "1.0")]);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].count, 1);
     }
 
     #[test]
     fn fractional_diff_windows() {
-        let mut op = AggregateOp::new(diff_spec(AggOp::Sum, "0.5", None, ResultFilter::none()));
-        let out = run(&mut op, &[("0.1", "1.0"), ("0.4", "1.0"), ("0.6", "1.0")]);
+        let op = AggregateOp::new(diff_spec(AggOp::Sum, "0.5", None, ResultFilter::none()));
+        let out = run(op, &[("0.1", "1.0"), ("0.4", "1.0"), ("0.6", "1.0")]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].start, d("0"));
         assert_eq!(out[0].sum, Some(d("2")));

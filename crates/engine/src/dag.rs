@@ -9,13 +9,17 @@
 //! [`OpDag`] instead merges equal prefixes into single trie nodes: each
 //! input item runs through every shared node exactly once, and a fan-out
 //! routes node outputs to the per-chain *sinks* — so per-item work grows
-//! with the number of *distinct* operators, not the number of chains.
+//! with the number of *distinct* operators, not the number of chains. The
+//! nodes live in a [`PrefixTrie`], the structure the planner's sharing
+//! book charges through too; each node's payload is its operator and its
+//! counters.
 //!
-//! Merging is controlled by a caller-supplied `mergeable` predicate over
-//! the caller's operator keys (`K`), because only the caller knows when
-//! two operator descriptions may share one instance (stateless operators:
-//! structural equality; windowed operators: only when their window specs
-//! match — the paper's `MatchAggregations` rule).
+//! Two operators share a node when a `mergeable` predicate over the
+//! caller's operator keys (`K`) accepts them. Every product caller that
+//! shares passes `==`: a `FlowOp` key includes its window spec, so equal
+//! keys are the paper's `MatchAggregations` rule. The predicate stays a
+//! parameter only for the benchmark's unfused ablation, which refuses every
+//! merge ([`OpDag::chain`] has a single sink and nothing to merge).
 //!
 //! Chains register and retire dynamically. [`OpDag::reregister`] replaces
 //! a sink's chain while keeping the nodes of the unchanged leading prefix
@@ -36,16 +40,11 @@
 //! share no state, so a sink sees the same items in the same order
 //! however the input is cut.
 
-use std::collections::BTreeMap;
-
 use dss_xml::Node;
 
 use crate::migrate::{MigrationReport, OpState};
 use crate::op::{Emit, StreamOperator};
-
-/// Identifies one registered chain's output (the caller's routing handle —
-/// a flow id, typically).
-pub type SinkId = usize;
+use crate::trie::{PrefixTrie, SinkId};
 
 /// One keyed operator chain, as passed to [`OpDag::register`] and the
 /// re-registration entry points.
@@ -115,32 +114,34 @@ pub struct DagNodeStats {
     pub stats: OpStats,
 }
 
+/// A trie node's payload: the operator and its counters.
 #[derive(Debug)]
 struct DagNode<K> {
     key: K,
     op: Box<dyn StreamOperator + Send>,
     /// Cached `op.base_load()`.
     load: f64,
-    /// Registered chains whose path passes through this node.
-    sharers: usize,
-    children: Vec<usize>,
-    /// Chains terminating here: their output is this node's output.
-    sinks: Vec<SinkId>,
     stats: OpStats,
+}
+
+impl<K> DagNode<K> {
+    fn new((key, op): (K, Box<dyn StreamOperator + Send>)) -> DagNode<K> {
+        DagNode {
+            load: op.base_load(),
+            stats: OpStats {
+                name: op.name(),
+                ..OpStats::default()
+            },
+            key,
+            op,
+        }
+    }
 }
 
 /// The prefix-sharing operator trie. See the module docs.
 #[derive(Debug)]
 pub struct OpDag<K> {
-    /// Arena; freed slots are `None` and recycled via `free`.
-    nodes: Vec<Option<DagNode<K>>>,
-    free: Vec<usize>,
-    /// Top-level nodes (consume the input stream directly).
-    roots: Vec<usize>,
-    /// Sinks of empty chains: they receive every input item verbatim.
-    root_sinks: Vec<SinkId>,
-    /// Each sink's node path from root to terminal (empty for root sinks).
-    paths: BTreeMap<SinkId, Vec<usize>>,
+    trie: PrefixTrie<DagNode<K>>,
     /// Per-depth scratch output buffers, reused across items.
     scratch: Vec<Emit>,
     /// Aggregated counters of pruned nodes: their work was executed, so it
@@ -151,11 +152,7 @@ pub struct OpDag<K> {
 impl<K> Default for OpDag<K> {
     fn default() -> OpDag<K> {
         OpDag {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            roots: Vec::new(),
-            root_sinks: Vec::new(),
-            paths: BTreeMap::new(),
+            trie: PrefixTrie::default(),
             scratch: Vec::new(),
             retired: OpStats {
                 name: "retired",
@@ -182,48 +179,18 @@ impl<K> OpDag<K> {
         OpDag::default()
     }
 
-    fn node(&self, idx: usize) -> &DagNode<K> {
-        self.nodes[idx].as_ref().expect("live DAG node")
-    }
-
-    fn node_mut(&mut self, idx: usize) -> &mut DagNode<K> {
-        self.nodes[idx].as_mut().expect("live DAG node")
-    }
-
-    fn alloc(&mut self, node: DagNode<K>) -> usize {
-        match self.free.pop() {
-            Some(idx) => {
-                self.nodes[idx] = Some(node);
-                idx
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
-            }
-        }
-    }
-
     /// Registers a chain under `sink`, merging its leading operators into
     /// existing nodes wherever `mergeable` allows. The boxed operators of
     /// merged prefix ops are dropped unused.
     ///
     /// # Panics
     /// Panics if `sink` is already registered.
-    pub fn register<F>(
-        &mut self,
-        sink: SinkId,
-        ops: Vec<(K, Box<dyn StreamOperator + Send>)>,
-        mergeable: F,
-    ) where
+    pub fn register<F>(&mut self, sink: SinkId, ops: KeyedChain<K>, mergeable: F)
+    where
         F: Fn(&K, &K) -> bool,
     {
-        assert!(
-            !self.paths.contains_key(&sink),
-            "sink {sink} registered twice"
-        );
-        let mut path = Vec::with_capacity(ops.len());
-        self.extend_path(&mut path, ops.into_iter(), &mergeable, None);
-        self.set_terminal(sink, &path);
+        let matches = |n: &DagNode<K>, (k, _): &(K, _)| mergeable(&n.key, k);
+        self.trie.insert(sink, ops, matches, DagNode::new);
     }
 
     /// Drops `sink`'s chain, pruning nodes it was the last sharer of.
@@ -231,76 +198,48 @@ impl<K> OpDag<K> {
     /// # Panics
     /// Panics if `sink` is not registered.
     pub fn retire(&mut self, sink: SinkId) {
-        let path = self.paths.remove(&sink).expect("sink not registered");
-        self.clear_terminal(sink, &path);
-        self.release_suffix(&path, 0, None);
+        let retired = &mut self.retired;
+        let known = self.trie.remove(sink, |n| retired.absorb(&n.stats));
+        assert!(known, "sink not registered");
     }
 
     /// Replaces `sink`'s chain: the longest leading run of operators that
     /// `mergeable` matches against the old path keeps its existing nodes
     /// (and their state); only the diverging suffix is released and
     /// rebuilt. Registers from scratch when `sink` is unknown.
-    pub fn reregister<F>(
-        &mut self,
-        sink: SinkId,
-        ops: Vec<(K, Box<dyn StreamOperator + Send>)>,
-        mergeable: F,
-    ) where
-        F: Fn(&K, &K) -> bool,
-    {
-        let Some(old_path) = self.paths.remove(&sink) else {
-            self.register(sink, ops, mergeable);
-            return;
-        };
-        self.clear_terminal(sink, &old_path);
-        let mut keep = 0;
-        while keep < old_path.len()
-            && keep < ops.len()
-            && mergeable(&self.node(old_path[keep]).key, &ops[keep].0)
-        {
-            keep += 1;
-        }
-        self.release_suffix(&old_path, keep, None);
-        let mut path = old_path[..keep].to_vec();
-        self.extend_path(&mut path, ops.into_iter().skip(keep), &mergeable, None);
-        self.set_terminal(sink, &path);
-    }
-
-    /// [`Self::reregister`], but carrying open window state across the
-    /// rebuild where doing so is exact: stateful operators pruned from the
-    /// old suffix export their state ([`StreamOperator::snapshot_state`]),
-    /// and freshly built operators on the new suffix adopt the snapshots
-    /// they can ([`StreamOperator::import_state`]) — moving O(open state)
-    /// items instead of losing the windows and replaying O(window extent).
-    ///
-    /// State is only ever imported into nodes *created by this call*
-    /// (merging into an existing shared node would inject foreign history
-    /// into its other sharers' output). Snapshots nothing adopts are
-    /// dropped, exactly as a plain [`Self::reregister`] would.
-    pub fn reregister_migrating<F>(
-        &mut self,
-        sink: SinkId,
-        ops: Vec<(K, Box<dyn StreamOperator + Send>)>,
-        mergeable: F,
-    ) -> MigrationReport
+    pub fn reregister<F>(&mut self, sink: SinkId, ops: KeyedChain<K>, mergeable: F)
     where
         F: Fn(&K, &K) -> bool,
     {
-        self.reregister_migrating_batch(vec![(sink, ops)], mergeable)
+        match self.release_diverging(sink, &ops, &mergeable, None) {
+            Some(kept) => self.rebuild(sink, kept, ops, &mergeable, None),
+            None => self.register(sink, ops, mergeable),
+        }
     }
 
-    /// [`Self::reregister_migrating`] over several sinks as one atomic
-    /// handoff: every old suffix is released (exporting state) *before* any
-    /// new chain is built. This is what makes migration work for sinks that
-    /// share stateful nodes — released one at a time, a shared node is
-    /// still referenced by the not-yet-rebuilt sinks when the first one
-    /// lets go, so its state would neither export nor survive.
+    /// [`Self::reregister`] over several sinks as one atomic handoff,
+    /// carrying open window state across the rebuild where doing so is
+    /// exact: stateful operators pruned from an old suffix export their
+    /// state ([`StreamOperator::snapshot_state`]), and freshly built
+    /// operators on the new suffixes adopt the snapshots they can
+    /// ([`StreamOperator::import_state`]) — moving O(open state) items
+    /// instead of losing the windows and replaying O(window extent).
     ///
-    /// Exported snapshots are tagged with the releasing sink, and a fresh
-    /// node only adopts snapshots from sinks whose new path runs through
-    /// it. Two sinks with *equal specs but different upstream chains* can
-    /// therefore never exchange state, while a node the rebuilt sinks merge
-    /// back into adopts the one shared snapshot they previously co-owned.
+    /// Every old suffix is released *before* any new chain is built. This
+    /// is what makes migration work for sinks that share stateful nodes —
+    /// released one at a time, a shared node is still referenced by the
+    /// not-yet-rebuilt sinks when the first one lets go, so its state would
+    /// neither export nor survive.
+    ///
+    /// State is only ever imported into nodes *created by this call*
+    /// (merging into an existing shared node would inject foreign history
+    /// into its other sharers' output). Exported snapshots are tagged with
+    /// the releasing sink, and a fresh node only adopts snapshots from sinks
+    /// whose new path runs through it. Two sinks with *equal specs but
+    /// different upstream chains* can therefore never exchange state, while
+    /// a node the rebuilt sinks merge back into adopts the one shared
+    /// snapshot they previously co-owned. Snapshots nothing adopts are
+    /// dropped, exactly as a plain [`Self::reregister`] would.
     pub fn reregister_migrating_batch<F>(
         &mut self,
         batch: Vec<(SinkId, KeyedChain<K>)>,
@@ -314,65 +253,80 @@ impl<K> OpDag<K> {
         // Phase 1: detach every sink and release its diverging suffix,
         // pooling whatever state the pruned operators export.
         for (sink, ops) in batch {
-            let Some(old_path) = self.paths.remove(&sink) else {
-                // Unknown sink: plain registration, never a migration
-                // target (its fresh nodes stay off the import list, though
-                // another batch member may still merge into them).
-                staged.push((sink, Vec::new(), ops, 0, false));
-                continue;
-            };
-            self.clear_terminal(sink, &old_path);
-            let mut keep = 0;
-            while keep < old_path.len()
-                && keep < ops.len()
-                && mergeable(&self.node(old_path[keep]).key, &ops[keep].0)
-            {
-                keep += 1;
-            }
             let mut exported = Vec::new();
-            self.release_suffix(&old_path, keep, Some(&mut exported));
+            let kept = self.release_diverging(sink, &ops, &mergeable, Some(&mut exported));
             // Pruning collects bottom-up; match snapshots to the new path
             // top-down so chains with repeated specs pair up in stream
             // order.
-            exported.reverse();
-            pool.extend(exported.into_iter().map(|st| (sink, st)));
-            staged.push((sink, old_path[..keep].to_vec(), ops, keep, true));
+            pool.extend(exported.into_iter().rev().map(|st| (sink, st)));
+            staged.push((sink, kept, ops));
         }
-        // Phase 2: rebuild every chain, recording freshly created nodes.
+        // Phase 2: rebuild every chain, recording freshly created nodes. An
+        // unknown sink is a plain registration, never a migration target
+        // (its fresh nodes stay off the import list, though another batch
+        // member may still merge into them).
         let mut fresh = Vec::new();
-        let mut migrating_sinks = Vec::new();
-        for (sink, mut path, ops, keep, migrates) in staged {
-            self.extend_path(
-                &mut path,
-                ops.into_iter().skip(keep),
-                &mergeable,
-                migrates.then_some(&mut fresh),
-            );
-            self.set_terminal(sink, &path);
-            if migrates {
-                migrating_sinks.push(sink);
+        let mut migrating = Vec::new();
+        for (sink, kept, ops) in staged {
+            if kept.is_some() {
+                migrating.push(sink);
             }
+            let record = kept.is_some().then_some(&mut fresh);
+            self.rebuild(sink, kept.unwrap_or_default(), ops, &mergeable, record);
         }
         // Phase 3: first-fit import, gated on path ownership.
-        let mut report = MigrationReport {
-            ops_exported: pool.len() as u64,
-            ..MigrationReport::default()
-        };
-        for idx in fresh {
+        let nodes = fresh.into_iter().map(|idx| {
             debug_assert_eq!(
-                self.node(idx).stats.items_in,
+                self.trie.node(idx).value.stats.items_in,
                 0,
                 "state imported into a node that already processed items"
             );
-            let owners: Vec<SinkId> = migrating_sinks
-                .iter()
-                .copied()
-                .filter(|s| self.paths[s].contains(&idx))
-                .collect();
-            self.import_first_fit(idx, &owners, &mut pool, &mut report);
-        }
-        report.ops_dropped = pool.len() as u64;
-        report
+            (idx, self.owners(idx, &migrating))
+        });
+        let nodes = nodes.collect();
+        self.import_first_fit(nodes, pool)
+    }
+
+    /// Detaches `sink` and releases its path below the longest prefix that
+    /// `ops` still matches; pruned operators export their open window
+    /// state into `exported` when given (bottom-up order). Returns the kept
+    /// prefix, or `None` when `sink` is not registered.
+    fn release_diverging(
+        &mut self,
+        sink: SinkId,
+        ops: &[(K, Box<dyn StreamOperator + Send>)],
+        mergeable: &impl Fn(&K, &K) -> bool,
+        mut exported: Option<&mut Vec<OpState>>,
+    ) -> Option<Vec<usize>> {
+        let mut path = self.trie.detach(sink)?;
+        let matches = |n: &DagNode<K>, (k, _): &(K, _)| mergeable(&n.key, k);
+        let keep = self.trie.common_prefix(&path, ops, matches);
+        let retired = &mut self.retired;
+        self.trie.release(&path, keep, |n| {
+            if let Some(pool) = exported.as_deref_mut() {
+                pool.extend(n.op.snapshot_state());
+            }
+            retired.absorb(&n.stats);
+        });
+        path.truncate(keep);
+        Some(path)
+    }
+
+    /// Extends the kept prefix `path` with the rest of `ops` and registers
+    /// `sink` at its end; created nodes are appended to `fresh` when given.
+    fn rebuild(
+        &mut self,
+        sink: SinkId,
+        mut path: Vec<usize>,
+        ops: KeyedChain<K>,
+        mergeable: &impl Fn(&K, &K) -> bool,
+        fresh: Option<&mut Vec<usize>>,
+    ) {
+        let rest = ops.into_iter().skip(path.len());
+        let matches = |n: &DagNode<K>, (k, _): &(K, _)| mergeable(&n.key, k);
+        self.trie
+            .extend(&mut path, rest, matches, DagNode::new, fresh);
+        self.trie.attach(sink, path);
     }
 
     /// Captures a durability checkpoint of every stateful node's open
@@ -380,18 +334,18 @@ impl<K> OpDag<K> {
     /// ([`StreamOperator::snapshot_state`]). Each live node is snapshotted
     /// once — shared prefixes included — and tagged with the smallest sink
     /// whose path runs through it, in deterministic sink order, so
-    /// [`Self::adopt_states`] on an identically rebuilt DAG pairs every
-    /// snapshot back to its node.
+    /// [`Self::adopt_states_for`] with every sink as a target pairs every
+    /// snapshot back to its node on an identically rebuilt DAG.
     pub fn snapshot_states(&self) -> Vec<(SinkId, OpState)> {
         let mut seen: Vec<usize> = Vec::new();
         let mut out = Vec::new();
-        for (&sink, path) in &self.paths {
+        for (sink, path) in self.trie.paths() {
             for &idx in path {
                 if seen.contains(&idx) {
                     continue;
                 }
                 seen.push(idx);
-                if let Some(st) = self.node(idx).op.snapshot_state() {
+                if let Some(st) = self.trie.node(idx).value.op.snapshot_state() {
                     out.push((sink, st));
                 }
             }
@@ -399,236 +353,79 @@ impl<K> OpDag<K> {
         out
     }
 
-    /// True iff no live node has processed any input yet — the
-    /// precondition for [`Self::adopt_states`]. A freshly rebuilt DAG is
-    /// cold; one that merged a chain into an already-running shared prefix
-    /// is not, and migrated state must not be imported into it.
-    pub fn is_cold(&self) -> bool {
-        self.nodes
-            .iter()
-            .flatten()
-            .all(|node| node.stats.items_in == 0)
-    }
-
-    /// Restores a [`Self::snapshot_states`] checkpoint into a freshly
-    /// rebuilt DAG: first-fit import gated on path ownership, exactly as a
-    /// migrating re-registration's phase 3 — a node only adopts snapshots
-    /// tagged with a sink whose current path runs through it, and a
-    /// snapshot nothing adopts is dropped (the caller falls back to cold
-    /// replay for that operator). Must be called before the DAG has
-    /// processed any input.
-    pub fn adopt_states(&mut self, mut pool: Vec<(SinkId, OpState)>) -> MigrationReport {
-        let mut report = MigrationReport {
-            ops_exported: pool.len() as u64,
-            ..MigrationReport::default()
-        };
+    /// Restores snapshots into the freshly registered `targets` of a
+    /// possibly *warm* DAG: first-fit import gated on path ownership, as in
+    /// a migrating re-registration, scoped to the target sinks' paths, so
+    /// migrated chains can land in a shared group that is already
+    /// processing other sinks' items. A node imports only when it has
+    /// processed no input yet **and** every sink whose path runs through it
+    /// is itself a target — adopted window state must never become visible
+    /// to a sink that already consumed items (its outputs would diverge
+    /// from the items it actually saw). Snapshots nothing adopts are
+    /// dropped; those windows restart empty. On a freshly rebuilt DAG with
+    /// every sink a target, this restores a [`Self::snapshot_states`]
+    /// checkpoint.
+    pub fn adopt_states_for(
+        &mut self,
+        targets: &[SinkId],
+        pool: Vec<(SinkId, OpState)>,
+    ) -> MigrationReport {
+        let sinks: Vec<SinkId> = self.trie.paths().map(|(s, _)| s).collect();
         let mut seen: Vec<usize> = Vec::new();
-        let sinks: Vec<SinkId> = self.paths.keys().copied().collect();
-        let paths: Vec<Vec<usize>> = self.paths.values().cloned().collect();
-        for path in &paths {
-            for &idx in path {
+        let mut nodes = Vec::new();
+        for &t in targets {
+            for &idx in self.trie.path(t).unwrap_or_default() {
                 if seen.contains(&idx) {
                     continue;
                 }
                 seen.push(idx);
-                debug_assert_eq!(
-                    self.node(idx).stats.items_in,
-                    0,
-                    "state adopted into a node that already processed items"
-                );
-                let owners: Vec<SinkId> = sinks
-                    .iter()
-                    .copied()
-                    .filter(|s| self.paths[s].contains(&idx))
-                    .collect();
-                self.import_first_fit(idx, &owners, &mut pool, &mut report);
+                if self.trie.node(idx).value.stats.items_in != 0 {
+                    continue;
+                }
+                let owners = self.owners(idx, &sinks);
+                if owners.iter().all(|s| targets.contains(s)) {
+                    nodes.push((idx, owners));
+                }
             }
         }
-        report.ops_dropped = pool.len() as u64;
-        report
+        self.import_first_fit(nodes, pool)
     }
 
-    /// Restores snapshots into the freshly registered `targets` of a
-    /// possibly *warm* DAG: like [`Self::adopt_states`], but scoped to the
-    /// target sinks' paths, so migrated chains can land in a shared group
-    /// that is already processing other sinks' items. A node imports only
-    /// when it has processed no input yet **and** every sink whose path
-    /// runs through it is itself a target — adopted window state must never
-    /// become visible to a sink that already consumed items (its outputs
-    /// would diverge from the items it actually saw). Snapshots nothing
-    /// adopts are dropped; those windows restart empty.
-    pub fn adopt_states_for(
+    /// The sinks among `sinks` whose path runs through node `idx`.
+    fn owners(&self, idx: usize, sinks: &[SinkId]) -> Vec<SinkId> {
+        (sinks.iter().copied())
+            .filter(|&s| self.trie.path(s).is_some_and(|p| p.contains(&idx)))
+            .collect()
+    }
+
+    /// First-fit import into each `(node, owners)` in turn: the first
+    /// pooled snapshot tagged with one of the owners that the node's
+    /// operator adopts exactly leaves the pool and is counted in the
+    /// report. What nothing adopts is dropped.
+    fn import_first_fit(
         &mut self,
-        targets: &[SinkId],
+        nodes: Vec<(usize, Vec<SinkId>)>,
         mut pool: Vec<(SinkId, OpState)>,
     ) -> MigrationReport {
         let mut report = MigrationReport {
             ops_exported: pool.len() as u64,
             ..MigrationReport::default()
         };
-        let mut seen: Vec<usize> = Vec::new();
-        let sinks: Vec<SinkId> = self.paths.keys().copied().collect();
-        for t in targets {
-            let Some(path) = self.paths.get(t).cloned() else {
-                continue;
-            };
-            for idx in path {
-                if seen.contains(&idx) {
-                    continue;
-                }
-                seen.push(idx);
-                if self.node(idx).stats.items_in != 0 {
-                    continue;
-                }
-                let owners: Vec<SinkId> = sinks
-                    .iter()
-                    .copied()
-                    .filter(|s| self.paths[s].contains(&idx))
-                    .collect();
-                if !owners.iter().all(|s| targets.contains(s)) {
-                    continue;
-                }
-                self.import_first_fit(idx, &owners, &mut pool, &mut report);
+        for (idx, owners) in nodes {
+            let op = &mut self.trie.node_mut(idx).value.op;
+            let hit = pool
+                .iter()
+                .enumerate()
+                .filter(|(_, (tag, _))| owners.contains(tag))
+                .find_map(|(pos, (_, st))| Some((pos, op.import_state(st)?)));
+            if let Some((pos, items)) = hit {
+                pool.remove(pos);
+                report.ops_migrated += 1;
+                report.items_moved += items;
             }
         }
         report.ops_dropped = pool.len() as u64;
         report
-    }
-
-    /// First-fit import into node `idx`: the first pooled snapshot tagged
-    /// with one of `owners` that the node's operator adopts exactly leaves
-    /// the pool and is counted in `report`.
-    fn import_first_fit(
-        &mut self,
-        idx: usize,
-        owners: &[SinkId],
-        pool: &mut Vec<(SinkId, OpState)>,
-        report: &mut MigrationReport,
-    ) {
-        let op = &mut self.node_mut(idx).op;
-        let hit = pool
-            .iter()
-            .enumerate()
-            .filter(|(_, (tag, _))| owners.contains(tag))
-            .find_map(|(pos, (_, st))| Some((pos, op.import_state(st)?)));
-        if let Some((pos, items)) = hit {
-            pool.remove(pos);
-            report.ops_migrated += 1;
-            report.items_moved += items;
-        }
-    }
-
-    /// Walks/creates nodes for `ops` below the last node of `path`,
-    /// appending the visited node indices to `path`. Indices of nodes
-    /// *created* (not merged into) are also appended to `fresh` when given
-    /// — only those may adopt migrated state.
-    fn extend_path<F>(
-        &mut self,
-        path: &mut Vec<usize>,
-        ops: impl Iterator<Item = (K, Box<dyn StreamOperator + Send>)>,
-        mergeable: &F,
-        mut fresh: Option<&mut Vec<usize>>,
-    ) where
-        F: Fn(&K, &K) -> bool,
-    {
-        let mut parent = path.last().copied();
-        for (key, op) in ops {
-            let siblings = match parent {
-                None => &self.roots,
-                Some(p) => &self.node(p).children,
-            };
-            let found = siblings
-                .iter()
-                .copied()
-                .find(|&c| mergeable(&self.node(c).key, &key));
-            let idx = match found {
-                Some(c) => {
-                    self.node_mut(c).sharers += 1;
-                    c
-                }
-                None => {
-                    let idx = self.alloc(DagNode {
-                        load: op.base_load(),
-                        stats: OpStats {
-                            name: op.name(),
-                            ..OpStats::default()
-                        },
-                        key,
-                        op,
-                        sharers: 1,
-                        children: Vec::new(),
-                        sinks: Vec::new(),
-                    });
-                    match parent {
-                        None => self.roots.push(idx),
-                        Some(p) => self.node_mut(p).children.push(idx),
-                    }
-                    if let Some(fresh) = fresh.as_deref_mut() {
-                        fresh.push(idx);
-                    }
-                    idx
-                }
-            };
-            path.push(idx);
-            parent = Some(idx);
-        }
-    }
-
-    fn set_terminal(&mut self, sink: SinkId, path: &[usize]) {
-        match path.last() {
-            None => self.root_sinks.push(sink),
-            Some(&t) => self.node_mut(t).sinks.push(sink),
-        }
-        self.paths.insert(sink, path.to_vec());
-    }
-
-    fn clear_terminal(&mut self, sink: SinkId, path: &[usize]) {
-        match path.last() {
-            None => self.root_sinks.retain(|&s| s != sink),
-            Some(&t) => self.node_mut(t).sinks.retain(|&s| s != sink),
-        }
-    }
-
-    /// Decrements sharer counts on `path[from..]` and prunes the nodes
-    /// that dropped to zero, bottom-up. Sharer counts never increase with
-    /// depth, so pruning stops at the first still-shared node. When
-    /// `exported` is given, pruned operators export their open window
-    /// state into it (bottom-up order) instead of dropping it.
-    fn release_suffix(
-        &mut self,
-        path: &[usize],
-        from: usize,
-        mut exported: Option<&mut Vec<OpState>>,
-    ) {
-        for &idx in &path[from..] {
-            self.node_mut(idx).sharers -= 1;
-        }
-        for i in (from..path.len()).rev() {
-            let idx = path[i];
-            if self.node(idx).sharers > 0 {
-                break;
-            }
-            debug_assert!(
-                self.node(idx).children.is_empty() && self.node(idx).sinks.is_empty(),
-                "pruned DAG node still referenced"
-            );
-            if let Some(pool) = exported.as_deref_mut() {
-                if let Some(st) = self.node(idx).op.snapshot_state() {
-                    pool.push(st);
-                }
-            }
-            match i.checked_sub(1) {
-                None => self.roots.retain(|&r| r != idx),
-                Some(pi) => {
-                    let p = path[pi];
-                    self.node_mut(p).children.retain(|&c| c != idx);
-                }
-            }
-            let stats = self.node(idx).stats.clone();
-            self.retired.absorb(&stats);
-            self.nodes[idx] = None;
-            self.free.push(idx);
-        }
     }
 
     /// Pushes one item through the DAG. Every (sink, output item) pair is
@@ -647,11 +444,11 @@ impl<K> OpDag<K> {
         if items.is_empty() {
             return;
         }
-        for i in 0..self.root_sinks.len() {
-            out(self.root_sinks[i], SinkBatch::Shared(items));
+        for i in 0..self.trie.root_sinks.len() {
+            out(self.trie.root_sinks[i], SinkBatch::Shared(items));
         }
-        for i in 0..self.roots.len() {
-            let r = self.roots[i];
+        for i in 0..self.trie.roots.len() {
+            let r = self.trie.roots[i];
             self.run_node(r, items, 0, false, out);
         }
     }
@@ -659,8 +456,8 @@ impl<K> OpDag<K> {
     /// End-of-stream flush: carried upstream items run through each node
     /// *before* the node drains its own buffered state.
     pub fn flush_into(&mut self, out: &mut dyn FnMut(SinkId, &Node)) {
-        for i in 0..self.roots.len() {
-            let r = self.roots[i];
+        for i in 0..self.trie.roots.len() {
+            let r = self.trie.roots[i];
             self.run_node(r, &[], 0, true, &mut per_item(out));
         }
     }
@@ -681,20 +478,21 @@ impl<K> OpDag<K> {
         }
         let mut buf = std::mem::take(&mut self.scratch[depth]);
         debug_assert!(buf.is_empty());
-        let node = self.node_mut(idx);
+        let node = self.trie.node_mut(idx);
+        let n = &mut node.value;
         for item in inputs {
-            node.stats.items_in += 1;
-            node.stats.work += node.load;
-            node.op.process_into(item, &mut buf);
+            n.stats.items_in += 1;
+            n.stats.work += n.load;
+            n.op.process_into(item, &mut buf);
         }
         if flush {
-            node.op.flush_into(&mut buf);
+            n.op.flush_into(&mut buf);
         }
-        node.stats.items_out += buf.len() as u64;
+        n.stats.items_out += buf.len() as u64;
         let (sinks, children) = (node.sinks.len(), node.children.len());
         if !buf.is_empty() {
             for si in 0..sinks {
-                let sink = self.node(idx).sinks[si];
+                let sink = self.trie.node(idx).sinks[si];
                 // Children read the buffer after the sinks: without any,
                 // the last sink is its last reader and may take the items.
                 if si + 1 == sinks && children == 0 {
@@ -709,7 +507,7 @@ impl<K> OpDag<K> {
         // this node flushed nothing.
         if !buf.is_empty() || flush {
             for ci in 0..children {
-                let c = self.node(idx).children[ci];
+                let c = self.trie.node(idx).children[ci];
                 self.run_node(c, buf.as_slice(), depth + 1, flush, out);
             }
         }
@@ -719,28 +517,28 @@ impl<K> OpDag<K> {
 
     /// Number of registered sinks.
     pub fn sink_count(&self) -> usize {
-        self.paths.len()
+        self.trie.sink_count()
     }
 
     /// `true` when no chain is registered.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.trie.is_empty()
     }
 
     /// `true` when `sink` has a registered chain.
     pub fn contains(&self, sink: SinkId) -> bool {
-        self.paths.contains_key(&sink)
+        self.trie.path(sink).is_some()
     }
 
     /// Number of live operator nodes (shared prefixes count once).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.trie.node_count()
     }
 
     /// Total accumulated work across live nodes — each shared node's work
     /// counted once, however many sinks ride it.
     pub fn total_work(&self) -> f64 {
-        self.nodes.iter().flatten().map(|n| n.stats.work).sum()
+        self.trie.values().map(|n| n.stats.work).sum()
     }
 
     /// Aggregated counters of every node pruned so far (named "retired").
@@ -752,20 +550,15 @@ impl<K> OpDag<K> {
 
     /// Per-node counters in deterministic DFS (pre-)order.
     pub fn node_stats(&self) -> Vec<DagNodeStats> {
-        let mut acc = Vec::with_capacity(self.node_count());
-        let mut stack: Vec<(usize, usize)> = self.roots.iter().rev().map(|&r| (r, 0)).collect();
-        while let Some((idx, depth)) = stack.pop() {
-            let n = self.node(idx);
-            acc.push(DagNodeStats {
+        let stats = self.trie.preorder().into_iter().map(|(idx, depth)| {
+            let node = self.trie.node(idx);
+            DagNodeStats {
                 depth,
-                sharers: n.sharers,
-                stats: n.stats.clone(),
-            });
-            for &c in n.children.iter().rev() {
-                stack.push((c, depth + 1));
+                sharers: node.sharers(),
+                stats: node.value.stats.clone(),
             }
-        }
-        acc
+        });
+        stats.collect()
     }
 }
 
@@ -784,6 +577,7 @@ pub(crate) fn run_chain(ops: Vec<Box<dyn StreamOperator + Send>>, items: &[Node]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// Emits each input `n` times — stateless test operator.
     #[derive(Debug)]
@@ -1136,6 +930,14 @@ mod tests {
             out
         }
 
+        /// Sink 0 alone, re-registered as a migrating batch of one.
+        fn migrate_one(
+            dag: &mut OpDag<&'static str>,
+            chain: KeyedChain<&'static str>,
+        ) -> MigrationReport {
+            dag.reregister_migrating_batch(vec![(0, chain)], eq)
+        }
+
         /// A widening child patch: the leading operator changes (keep = 0)
         /// but the windowed suffix keeps its exact spec, so its open
         /// windows migrate and the output equals an uninterrupted run.
@@ -1156,8 +958,7 @@ mod tests {
             let mut got = drain(&mut dag, &early);
             // Leading operator changes (a → b): keep = 0, whole chain
             // rebuilt — but the Φ state is carried across.
-            let report =
-                dag.reregister_migrating(0, vec![op("b"), agg_op("phi", "20", Some("10"))], eq);
+            let report = migrate_one(&mut dag, vec![op("b"), agg_op("phi", "20", Some("10"))]);
             assert_eq!(report.ops_exported, 1);
             assert_eq!(report.ops_migrated, 1);
             assert_eq!(report.ops_dropped, 0);
@@ -1204,7 +1005,7 @@ mod tests {
             for item in &early {
                 dag.process_into(item, &mut |_, _| {});
             }
-            let report = dag.reregister_migrating(0, vec![agg_op("phi20", "20", Some("20"))], eq);
+            let report = migrate_one(&mut dag, vec![agg_op("phi20", "20", Some("20"))]);
             assert_eq!(report.ops_migrated, 1);
             let mut got = drain(&mut dag, &late);
             dag.flush_into(&mut |_, n| got.push(n.clone()));
@@ -1233,7 +1034,7 @@ mod tests {
                 dag.process_into(item, &mut |_, _| {});
             }
             // Size coarsening is off the exact lattice: state must drop.
-            let report = dag.reregister_migrating(0, vec![agg_op("phi40", "40", Some("10"))], eq);
+            let report = migrate_one(&mut dag, vec![agg_op("phi40", "40", Some("10"))]);
             assert_eq!(report.ops_exported, 1);
             assert_eq!(report.ops_migrated, 0);
             assert_eq!(report.ops_dropped, 1);
@@ -1251,8 +1052,7 @@ mod tests {
             // Sink 0 moves under the "b" prefix. The Φ there already has
             // sharers *and* processed items, so the exported state must
             // not be injected into it.
-            let report =
-                dag.reregister_migrating(0, vec![op("b"), agg_op("phi", "20", Some("10"))], eq);
+            let report = migrate_one(&mut dag, vec![op("b"), agg_op("phi", "20", Some("10"))]);
             assert_eq!(report.ops_exported, 1);
             assert_eq!(report.ops_migrated, 0, "merged node must not adopt");
             assert_eq!(report.ops_dropped, 1);
@@ -1394,7 +1194,7 @@ mod tests {
             // still matches (checked via a clone of the snapshot below).
             let mut restored = OpDag::new();
             build(&mut restored);
-            let report = restored.adopt_states(snap);
+            let report = restored.adopt_states_for(&[0, 1, 2], snap);
             assert_eq!(report.ops_exported, 2);
             assert_eq!(report.ops_migrated, 2);
             assert_eq!(report.ops_dropped, 0);

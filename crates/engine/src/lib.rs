@@ -22,18 +22,20 @@ pub mod reaggregate;
 pub mod restructure;
 pub mod retile;
 pub mod select;
+pub mod trie;
 pub mod window_contents;
 pub mod window_track;
 
 pub use agg_item::AggItem;
 pub use aggregate::AggregateOp;
 pub use build::{build_operator, UdfOp};
-pub use dag::{DagNodeStats, OpDag, OpStats, SinkBatch, SinkId};
+pub use dag::{DagNodeStats, OpDag, OpStats, SinkBatch};
 pub use migrate::{MigrationReport, OpState};
-pub use op::{Emit, StreamOperator, StreamOperatorExt};
+pub use op::{Emit, StreamOperator};
 pub use project::ProjectOp;
 pub use reaggregate::ReAggregateOp;
 pub use restructure::{RestructureOp, Template};
 pub use select::SelectOp;
+pub use trie::{PrefixTrie, SinkId, TrieNode};
 pub use window_contents::{ReWindowOp, WindowContentsOp, WindowItem};
 pub use window_track::WindowTracker;

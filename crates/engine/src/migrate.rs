@@ -109,7 +109,7 @@ impl OpState {
 }
 
 /// Outcome counters of one migrating re-registration
-/// ([`OpDag::reregister_migrating`](crate::OpDag::reregister_migrating)).
+/// ([`OpDag::reregister_migrating_batch`](crate::OpDag::reregister_migrating_batch)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Stateful operators pruned from the old path that exported state.

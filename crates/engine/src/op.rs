@@ -140,60 +140,3 @@ pub trait StreamOperator: fmt::Debug {
         None
     }
 }
-
-/// Vec-returning conveniences over the sink API, for tests and one-shot
-/// callers that do not care about buffer reuse.
-pub trait StreamOperatorExt: StreamOperator {
-    /// [`process_into`](StreamOperator::process_into) collected into a fresh
-    /// `Vec` (allocates — not for hot paths).
-    fn process_collect(&mut self, item: &Node) -> Vec<Node> {
-        let mut out = Emit::new();
-        self.process_into(item, &mut out);
-        out.into_vec()
-    }
-
-    /// [`flush_into`](StreamOperator::flush_into) collected into a fresh
-    /// `Vec` (allocates — not for hot paths).
-    fn flush_collect(&mut self) -> Vec<Node> {
-        let mut out = Emit::new();
-        self.flush_into(&mut out);
-        out.into_vec()
-    }
-}
-
-impl<T: StreamOperator + ?Sized> StreamOperatorExt for T {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dss_xml::Node;
-
-    /// Buffers items, emitting them all on flush.
-    #[derive(Debug, Default)]
-    struct Hold(Vec<Node>);
-
-    impl StreamOperator for Hold {
-        fn name(&self) -> &'static str {
-            "hold"
-        }
-        fn process_into(&mut self, item: &Node, _out: &mut Emit) {
-            self.0.push(item.clone());
-        }
-        fn flush_into(&mut self, out: &mut Emit) {
-            for item in self.0.drain(..) {
-                out.push(item);
-            }
-        }
-        fn base_load(&self) -> f64 {
-            2.0
-        }
-    }
-
-    #[test]
-    fn operator_ext_collects() {
-        let mut op = Hold::default();
-        let item = Node::leaf("x", "1");
-        assert!(op.process_collect(&item).is_empty());
-        assert_eq!(op.flush_collect(), vec![item]);
-    }
-}

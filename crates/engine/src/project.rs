@@ -105,7 +105,7 @@ impl StreamOperator for ProjectOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::StreamOperatorExt;
+    use crate::dag::run_chain;
     use dss_xml::{writer::node_to_string, Path};
 
     fn p(s: &str) -> Path {
@@ -124,8 +124,7 @@ mod tests {
     #[test]
     fn keeps_only_output_paths() {
         let spec = ProjectionSpec::returning([p("coord/cel/ra"), p("en")]);
-        let mut op = ProjectOp::new(spec);
-        let out = op.process_collect(&photon());
+        let out = run_chain(vec![Box::new(ProjectOp::new(spec))], &[photon()]);
         assert_eq!(out.len(), 1);
         assert_eq!(
             node_to_string(&out[0]),
@@ -256,9 +255,9 @@ mod tests {
                 let want = reference(&spec, &tree);
                 prop_assert_eq!(&ProjectOp::project(&spec, &tree), &want, "{}", spec);
                 // The operator, twice: it keeps nothing between items.
-                let mut op = ProjectOp::new(spec.clone());
-                prop_assert_eq!(op.process_collect(&tree), vec![want.clone()]);
-                prop_assert_eq!(op.process_collect(&tree), vec![want]);
+                let op = ProjectOp::new(spec.clone());
+                let twice = [tree.clone(), tree];
+                prop_assert_eq!(run_chain(vec![Box::new(op)], &twice), vec![want.clone(), want]);
             }
         }
 

@@ -127,7 +127,6 @@ mod tests {
     use super::*;
     use crate::aggregate::AggregateOp;
     use crate::dag::run_chain;
-    use crate::op::StreamOperatorExt;
     use dss_predicate::{CompOp, PredicateGraph};
     use dss_properties::{AggOp, ResultFilter, WindowSpec};
     use dss_xml::Path;
@@ -290,8 +289,7 @@ mod tests {
     fn non_agg_items_ignored() {
         let fine = diff_spec(AggOp::Sum, "10", None, ResultFilter::none());
         let coarse = diff_spec(AggOp::Sum, "20", None, ResultFilter::none());
-        let mut op = ReAggregateOp::new(fine, coarse);
-        assert!(op.process_collect(&photon("1", "1.0")).is_empty());
-        assert!(op.flush_collect().is_empty());
+        let op = ReAggregateOp::new(fine, coarse);
+        assert!(run_chain(vec![Box::new(op)], &[photon("1", "1.0")]).is_empty());
     }
 }

@@ -214,7 +214,7 @@ impl StreamOperator for RestructureOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::StreamOperatorExt;
+    use crate::dag::run_chain;
     use dss_xml::writer::node_to_string;
     use dss_xml::Decimal;
 
@@ -244,8 +244,7 @@ mod tests {
                 Template::Subtree(p("det_time")),
             ],
         );
-        let mut op = RestructureOp::new(template);
-        let out = op.process_collect(&photon());
+        let out = run_chain(vec![Box::new(RestructureOp::new(template))], &[photon()]);
         assert_eq!(out.len(), 1);
         assert_eq!(
             node_to_string(&out[0]),
@@ -259,11 +258,11 @@ mod tests {
     #[test]
     fn q3_return_clause_over_aggregate() {
         let template = Template::element("avg_en", vec![Template::AggValue]);
-        let mut op = RestructureOp::for_aggregate(template, AggOp::Avg);
+        let op = RestructureOp::for_aggregate(template, AggOp::Avg);
         let mut partial = AggItem::empty(Decimal::ZERO, Decimal::from_int(20));
         partial.add_value("1.2".parse().unwrap());
         partial.add_value("1.8".parse().unwrap());
-        let out = op.process_collect(&partial.to_node());
+        let out = run_chain(vec![Box::new(op)], &[partial.to_node()]);
         assert_eq!(out.len(), 1);
         assert_eq!(node_to_string(&out[0]), "<avg_en>1.5</avg_en>");
     }
@@ -271,8 +270,8 @@ mod tests {
     #[test]
     fn aggregate_restructure_skips_non_agg_items() {
         let template = Template::element("avg_en", vec![Template::AggValue]);
-        let mut op = RestructureOp::for_aggregate(template, AggOp::Avg);
-        assert!(op.process_collect(&photon()).is_empty());
+        let op = RestructureOp::for_aggregate(template, AggOp::Avg);
+        assert!(run_chain(vec![Box::new(op)], &[photon()]).is_empty());
     }
 
     #[test]
@@ -284,8 +283,7 @@ mod tests {
                 Template::element("energy", vec![Template::Subtree(p("en"))]),
             ],
         );
-        let mut op = RestructureOp::new(template);
-        let out = op.process_collect(&photon());
+        let out = run_chain(vec![Box::new(RestructureOp::new(template))], &[photon()]);
         assert_eq!(
             node_to_string(&out[0]),
             "<report><position><ra>130.7</ra></position><energy><en>1.4</en></energy></report>"
@@ -298,28 +296,21 @@ mod tests {
             "r",
             vec![Template::Subtree(p("nope")), Template::Subtree(p("en"))],
         );
-        let mut op = RestructureOp::new(template);
-        let out = op.process_collect(&photon());
+        let out = run_chain(vec![Box::new(RestructureOp::new(template))], &[photon()]);
         assert_eq!(node_to_string(&out[0]), "<r><en>1.4</en></r>");
     }
 
     #[test]
     fn literal_text_content() {
         let template = Template::element("label", vec![Template::Text("vela region".into())]);
-        let mut op = RestructureOp::new(template);
-        assert_eq!(
-            node_to_string(&op.process_collect(&photon())[0]),
-            "<label>vela region</label>"
-        );
+        let out = run_chain(vec![Box::new(RestructureOp::new(template))], &[photon()]);
+        assert_eq!(node_to_string(&out[0]), "<label>vela region</label>");
     }
 
     #[test]
     fn empty_element_constructor() {
         let template = Template::element("marker", vec![]);
-        let mut op = RestructureOp::new(template);
-        assert_eq!(
-            node_to_string(&op.process_collect(&photon())[0]),
-            "<marker/>"
-        );
+        let out = run_chain(vec![Box::new(RestructureOp::new(template))], &[photon()]);
+        assert_eq!(node_to_string(&out[0]), "<marker/>");
     }
 }

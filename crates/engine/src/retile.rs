@@ -206,10 +206,9 @@ mod tests {
     use dss_properties::{AggOp, AggregationSpec, ResultFilter, WindowOutputSpec, WindowSpec};
     use dss_xml::{Decimal, Node, Path};
 
-    use crate::op::StreamOperatorExt;
     use crate::{
-        AggItem, AggregateOp, OpState, ReAggregateOp, ReWindowOp, StreamOperator, WindowContentsOp,
-        WindowItem,
+        AggItem, AggregateOp, Emit, OpState, ReAggregateOp, ReWindowOp, StreamOperator,
+        WindowContentsOp, WindowItem,
     };
 
     fn window(size: i64, step: i64) -> WindowSpec {
@@ -272,10 +271,11 @@ mod tests {
             format!("{who} state {all:?}")
         };
         let mut log = Vec::new();
-        let mut downstream = |tiles: Vec<Node>, coarse: &mut dyn StreamOperator| {
-            for tile in tiles {
-                log.push(emitted("fine", &tile));
-                let out = coarse.process_collect(&tile);
+        let mut downstream = |tiles: Emit, coarse: &mut dyn StreamOperator| {
+            for tile in tiles.as_slice() {
+                log.push(emitted("fine", tile));
+                let mut out = Emit::new();
+                coarse.process_into(tile, &mut out);
                 log.extend(out.iter().map(|n| emitted("coarse", n)));
             }
         };
@@ -284,14 +284,20 @@ mod tests {
                 Node::leaf("t", t.to_string()),
                 Node::leaf("v", (t % gap).to_string()),
             ];
-            downstream(fine.process_collect(&Node::elem("i", leaves)), &mut coarse);
+            let mut tiles = Emit::new();
+            fine.process_into(&Node::elem("i", leaves), &mut tiles);
+            downstream(tiles, &mut coarse);
         }
         let states = [
             marks("fine", fine.snapshot_state()),
             marks("coarse", coarse.snapshot_state()),
         ];
-        downstream(fine.flush_collect(), &mut coarse);
-        log.extend(coarse.flush_collect().iter().map(|n| emitted("coarse", n)));
+        let mut tiles = Emit::new();
+        fine.flush_into(&mut tiles);
+        downstream(tiles, &mut coarse);
+        let mut out = Emit::new();
+        coarse.flush_into(&mut out);
+        log.extend(out.iter().map(|n| emitted("coarse", n)));
         log.extend(states);
         log
     }

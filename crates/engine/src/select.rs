@@ -46,7 +46,7 @@ impl StreamOperator for SelectOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::StreamOperatorExt;
+    use crate::dag::run_chain;
     use dss_predicate::{Atom, CompOp};
     use dss_xml::Path;
 
@@ -65,17 +65,16 @@ mod tests {
     #[test]
     fn filters_items() {
         let g = PredicateGraph::from_atoms(&[Atom::var_const(p("en"), CompOp::Ge, d("1.3"))]);
-        let mut op = SelectOp::new(g);
-        assert_eq!(op.process_collect(&item("1.5")).len(), 1);
-        assert_eq!(op.process_collect(&item("1.3")).len(), 1);
-        assert!(op.process_collect(&item("1.2")).is_empty());
-        assert!(op.process_collect(&Node::empty("photon")).is_empty());
-        assert!(op.flush_collect().is_empty());
+        let run = |item: Node| run_chain(vec![Box::new(SelectOp::new(g.clone()))], &[item]);
+        assert_eq!(run(item("1.5")).len(), 1);
+        assert_eq!(run(item("1.3")).len(), 1);
+        assert!(run(item("1.2")).is_empty());
+        assert!(run(Node::empty("photon")).is_empty());
     }
 
     #[test]
     fn trivial_predicate_passes_all() {
-        let mut op = SelectOp::new(PredicateGraph::new());
-        assert_eq!(op.process_collect(&item("0")).len(), 1);
+        let op = SelectOp::new(PredicateGraph::new());
+        assert_eq!(run_chain(vec![Box::new(op)], &[item("0")]).len(), 1);
     }
 }

@@ -290,7 +290,6 @@ impl StreamOperator for ReWindowOp {
 mod tests {
     use super::*;
     use crate::dag::run_chain;
-    use crate::op::StreamOperatorExt;
     use dss_predicate::PredicateGraph;
     use dss_properties::WindowSpec;
     use dss_xml::Path;
@@ -317,13 +316,7 @@ mod tests {
     }
 
     fn run_contents(spec: WindowOutputSpec, items: &[Node]) -> Vec<WindowItem> {
-        let mut op = WindowContentsOp::new(spec);
-        let mut out = Vec::new();
-        for i in items {
-            out.extend(op.process_collect(i));
-        }
-        out.extend(op.flush_collect());
-        out.iter()
+        (run_chain(vec![Box::new(WindowContentsOp::new(spec))], items).iter())
             .map(|n| WindowItem::from_node(n).unwrap())
             .collect()
     }
@@ -418,8 +411,7 @@ mod tests {
 
     #[test]
     fn rewindow_ignores_non_window_items() {
-        let mut op = ReWindowOp::new(spec("10", None), spec("20", None));
-        assert!(op.process_collect(&item(1, 1)).is_empty());
-        assert!(op.flush_collect().is_empty());
+        let op = ReWindowOp::new(spec("10", None), spec("20", None));
+        assert!(run_chain(vec![Box::new(op)], &[item(1, 1)]).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! they were given, and editing a result never reaches back into it.
 
 use dss_engine::{
-    ProjectOp, RestructureOp, SelectOp, StreamOperatorExt, Template, WindowContentsOp,
+    OpDag, ProjectOp, RestructureOp, SelectOp, StreamOperator, Template, WindowContentsOp,
 };
 use dss_predicate::{Atom, CompOp, PredicateGraph};
 use dss_properties::{ProjectionSpec, WindowOutputSpec, WindowSpec};
@@ -24,6 +24,17 @@ fn photon() -> Node {
     .unwrap()
 }
 
+/// `op` alone over `items`, end-of-stream flush included.
+fn run(op: impl StreamOperator + Send + 'static, items: &[Node]) -> Vec<Node> {
+    let mut dag = OpDag::chain([Box::new(op) as Box<dyn StreamOperator + Send>]);
+    let mut out = Vec::new();
+    for item in items {
+        dag.process_into(item, &mut |_, n| out.push(n.clone()));
+    }
+    dag.flush_into(&mut |_, n| out.push(n.clone()));
+    out
+}
+
 /// Rewrites every text in the tree, copy-on-write all the way down.
 fn scribble(node: &mut Node) {
     node.set_text("scribbled");
@@ -36,8 +47,10 @@ fn scribble(node: &mut Node) {
 fn selection_hands_on_the_item_it_was_given() {
     let item = photon();
     let atoms = [Atom::var_const(p("en"), CompOp::Ge, d("1.3"))];
-    let mut op = SelectOp::new(PredicateGraph::from_atoms(&atoms));
-    let out = op.process_collect(&item);
+    let out = run(
+        SelectOp::new(PredicateGraph::from_atoms(&atoms)),
+        std::slice::from_ref(&item),
+    );
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].children().as_ptr(), item.children().as_ptr());
 }
@@ -45,8 +58,8 @@ fn selection_hands_on_the_item_it_was_given() {
 #[test]
 fn projection_keeps_subtrees_by_pointer() {
     let item = photon();
-    let mut op = ProjectOp::new(ProjectionSpec::returning([p("coord"), p("en")]));
-    let out = op.process_collect(&item);
+    let spec = ProjectionSpec::returning([p("coord"), p("en")]);
+    let out = run(ProjectOp::new(spec), std::slice::from_ref(&item));
     let (kept, whole) = (out[0].child("coord").unwrap(), item.child("coord").unwrap());
     assert_eq!(kept.children().as_ptr(), whole.children().as_ptr());
     // The pruned spine is the projection's own.
@@ -61,7 +74,7 @@ fn editing_a_restructured_result_leaves_the_item_alone() {
         "vela",
         vec![Template::Subtree(p("coord")), Template::Subtree(p("en"))],
     );
-    let mut out = RestructureOp::new(template).process_collect(&item);
+    let mut out = run(RestructureOp::new(template), std::slice::from_ref(&item));
     let (copied, whole) = (out[0].child("coord").unwrap(), item.child("coord").unwrap());
     assert_eq!(copied.children().as_ptr(), whole.children().as_ptr());
     scribble(&mut out[0]);
@@ -74,11 +87,9 @@ fn editing_a_window_leaves_its_items_alone() {
         window: WindowSpec::diff(p("det_time"), d("20"), Some(d("10"))).unwrap(),
         pre_selection: PredicateGraph::new(),
     };
-    let mut op = WindowContentsOp::new(spec);
     let item = photon();
-    assert!(op.process_collect(&item).is_empty());
-    // Two overlapping windows hold the one item.
-    let mut windows = op.flush_collect();
+    // Two overlapping windows hold the one item; both close at the flush.
+    let mut windows = run(WindowContentsOp::new(spec), std::slice::from_ref(&item));
     assert_eq!(windows.len(), 2);
     let held = |w: &Node| w.child("items").unwrap().children()[0].clone();
     assert_eq!(

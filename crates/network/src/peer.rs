@@ -640,7 +640,8 @@ mod tests {
 
         // A crash forgets the operator state, not the membership.
         groups.rebuild_node(1);
-        assert!(groups.dag(g).is_cold());
+        let stats = groups.dag(g).node_stats();
+        assert!(stats.iter().all(|n| n.stats.items_in == 0));
         assert!(groups.dag(g).contains(a) && !groups.dag(g).contains(b));
     }
 

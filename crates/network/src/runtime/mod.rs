@@ -1189,7 +1189,9 @@ impl LiveRuntime {
             if !states.is_empty() {
                 let pool: Vec<(FlowId, dss_engine::OpState)> =
                     states.into_iter().map(|(f, s)| (f as usize, s)).collect();
-                let report = self.groups.dag_mut(g).adopt_states(pool);
+                // The group's DAG was rebuilt cold: every member adopts.
+                let members = self.groups.table().groups()[g].members.clone();
+                let report = self.groups.dag_mut(g).adopt_states_for(&members, pool);
                 self.metrics.windows_migrated += report.ops_migrated;
                 self.metrics.windows_dropped += report.ops_dropped;
             }

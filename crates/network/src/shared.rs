@@ -101,24 +101,14 @@ impl FlowDag {
             .reregister(flow, Self::instantiate(ops), FlowOp::eq);
     }
 
-    /// [`Self::reregister`], but migrating open window state across the
-    /// rebuild where the old and new specs make it exact (identical specs,
-    /// or widening the step along the lattice): the planned loss-free
-    /// handoff behind widening, moving O(open state) items instead of
-    /// replaying O(window extent).
-    pub fn reregister_migrating(
-        &mut self,
-        flow: FlowId,
-        ops: &[FlowOp],
-    ) -> dss_engine::MigrationReport {
-        self.dag
-            .reregister_migrating(flow, Self::instantiate(ops), FlowOp::eq)
-    }
-
-    /// [`Self::reregister_migrating`] over several flows as one atomic
-    /// handoff — required when the rebuilt flows share stateful nodes
-    /// (e.g. sibling consumers patched by the same widening), whose state
-    /// only exports once the last sharer releases it.
+    /// [`Self::reregister`] over several flows as one atomic handoff, but
+    /// migrating open window state across the rebuild where the old and
+    /// new specs make it exact (identical specs, or widening the step along
+    /// the lattice): the planned loss-free handoff behind widening, moving
+    /// O(open state) items instead of replaying O(window extent). Flows
+    /// that share stateful nodes (sibling consumers patched by the same
+    /// widening) must be rebuilt in one batch: a shared node's state only
+    /// exports once its last sharer releases it.
     pub fn reregister_migrating_batch(
         &mut self,
         batch: &[(FlowId, &[FlowOp])],
@@ -143,32 +133,18 @@ impl FlowDag {
         self.dag.snapshot_states()
     }
 
-    /// Restores a [`Self::snapshot_states`] checkpoint into a freshly
-    /// rebuilt DAG ([`OpDag::adopt_states`]); snapshots nothing adopts are
-    /// dropped and the caller falls back to cold replay for them.
-    pub fn adopt_states(
-        &mut self,
-        pool: Vec<(FlowId, dss_engine::OpState)>,
-    ) -> dss_engine::MigrationReport {
-        self.dag.adopt_states(pool)
-    }
-
     /// Restores snapshots into the freshly registered `targets` of a
     /// possibly warm DAG ([`OpDag::adopt_states_for`]): the migration path
     /// for successors that joined a shared group already processing other
-    /// flows' items.
+    /// flows' items and, with every flow a target, the restore of a
+    /// [`Self::snapshot_states`] checkpoint into a freshly rebuilt DAG.
+    /// Snapshots nothing adopts are dropped.
     pub fn adopt_states_for(
         &mut self,
         targets: &[FlowId],
         pool: Vec<(FlowId, dss_engine::OpState)>,
     ) -> dss_engine::MigrationReport {
         self.dag.adopt_states_for(targets, pool)
-    }
-
-    /// True iff no node of the DAG has processed input yet — the
-    /// precondition for [`Self::adopt_states`] ([`OpDag::is_cold`]).
-    pub fn is_cold(&self) -> bool {
-        self.dag.is_cold()
     }
 
     fn instantiate(ops: &[FlowOp]) -> Vec<(FlowOp, Box<dyn StreamOperator + Send>)> {

@@ -412,15 +412,17 @@ mod tests {
 
     #[test]
     fn compiled_query_restructures_items() {
-        use dss_engine::StreamOperatorExt;
+        use dss_engine::{OpDag, StreamOperator};
         let q1 = compile_query(queries::Q1).unwrap();
-        let mut op = q1.restructure_op();
+        let op: Box<dyn StreamOperator + Send> = Box::new(q1.restructure_op());
+        let mut dag = OpDag::chain([op]);
         let photon = dss_xml::Node::parse(
             "<photon><phc>5</phc><coord><cel><ra>130.0</ra><dec>-45.0</dec></cel></coord>\
              <en>1.5</en><det_time>10</det_time></photon>",
         )
         .unwrap();
-        let out = op.process_collect(&photon);
+        let mut out = Vec::new();
+        dag.process_into(&photon, &mut |_, n| out.push(n.clone()));
         assert_eq!(
             dss_xml::writer::node_to_string(&out[0]),
             "<vela><ra>130.0</ra><dec>-45.0</dec><phc>5</phc><en>1.5</en>\

@@ -88,6 +88,16 @@ if grep -rn 'shortest_path(' crates/core/src; then
     exit 1
 fi
 
+echo "==> sharer counts are released in the prefix trie only"
+# OpDag and the planner's ShareBook keep their nodes in one refcounted
+# dss_engine::trie::PrefixTrie (DESIGN.md "Intra-peer sharing"); another
+# file that decrements a sharer count would be a second copy of the
+# trie's pruning rule, free to drift from the first.
+if grep -rn --include='*.rs' 'sharers -= 1' crates/*/src src | grep -v '^crates/engine/src/trie\.rs:'; then
+    echo "FAIL: only crates/engine/src/trie.rs may decrement a sharer count" >&2
+    exit 1
+fi
+
 echo "==> trace snapshot conforms to schemas/trace.schema.json"
 cargo build --release -q -p dss-bench --bins
 TRACE_TMP=$(mktemp --suffix .trace.json)

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use data_stream_sharing::engine::{
-    AggItem, AggregateOp, OpDag, ReAggregateOp, StreamOperator, StreamOperatorExt,
+    AggItem, AggregateOp, Emit, OpDag, ReAggregateOp, StreamOperator,
 };
 use data_stream_sharing::predicate::{match_predicates, Atom, Bound, CompOp, PredicateGraph};
 use data_stream_sharing::properties::{AggOp, AggregationSpec, ResultFilter, WindowSpec};
@@ -622,24 +622,27 @@ proptest! {
             cuts: &[usize],
         ) -> ([Vec<Node>; 2], [Option<OpState>; 2]) {
             let (mut fine, mut coarse) = make();
-            let mut out = [Vec::new(), Vec::new()];
+            let (mut out, mut states) = ([Emit::new(), Emit::new()], [None, None]);
             for i in 0..=items.len() {
                 if cuts.contains(&i) {
                     let fresh = make();
                     (fine, coarse) = (hand_over(fine, fresh.0), hand_over(coarse, fresh.1));
                 }
-                for tile in items.get(i).map_or(vec![], |item| fine.process_collect(item)) {
-                    out[1].extend(coarse.process_collect(&tile));
-                    out[0].push(tile);
+                let [tiles, done] = &mut out;
+                let seen = tiles.len();
+                match items.get(i) {
+                    Some(item) => fine.process_into(item, tiles),
+                    None => {
+                        states = [fine.snapshot_state(), coarse.snapshot_state()];
+                        fine.flush_into(tiles);
+                    }
+                }
+                for tile in &tiles[seen..] {
+                    coarse.process_into(tile, done);
                 }
             }
-            let states = [fine.snapshot_state(), coarse.snapshot_state()];
-            for tile in fine.flush_collect() {
-                out[1].extend(coarse.process_collect(&tile));
-                out[0].push(tile);
-            }
-            out[1].extend(coarse.flush_collect());
-            (out, states)
+            coarse.flush_into(&mut out[1]);
+            (out.map(Emit::into_vec), states)
         }
         let cuts = [cut, items.len()];
         let aggregates = || (

@@ -552,7 +552,7 @@ proptest! {
         for item in &stream[..split] {
             dag.process_into(item, &mut |_, _| {}); // fine-step outputs: not comparable
         }
-        let report = dag.reregister_migrating(0, &new_chain);
+        let report = dag.reregister_migrating_batch(&[(0, new_chain.as_slice())]);
         prop_assert_eq!(
             report.ops_dropped, 0,
             "compatible window pair must be adopted: {:?}", report
