@@ -120,24 +120,6 @@ impl NetworkMetrics {
             }
         }
     }
-
-    /// Merges another run's metrics into this one (same topology).
-    pub fn merge(&mut self, other: &NetworkMetrics) {
-        assert_eq!(self.edge_bytes.len(), other.edge_bytes.len());
-        assert_eq!(self.node_work.len(), other.node_work.len());
-        for (a, b) in self.edge_bytes.iter_mut().zip(&other.edge_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.node_work.iter_mut().zip(&other.node_work) {
-            *a += b;
-        }
-        for (a, b) in self.node_bytes_in.iter_mut().zip(&other.node_bytes_in) {
-            *a += b;
-        }
-        for (a, b) in self.node_bytes_out.iter_mut().zip(&other.node_bytes_out) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,17 +146,15 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_merge() {
+    fn totals() {
         let t = grid_topology(2, 2);
-        let mut a = NetworkMetrics::new(&t, 10.0);
-        let mut b = NetworkMetrics::new(&t, 10.0);
-        a.record_transmission(0, 0, 1, 100);
-        b.record_transmission(0, 0, 1, 200);
-        b.record_work(2, 7.0);
-        a.merge(&b);
-        assert_eq!(a.edge_bytes[0], 300);
-        assert_eq!(a.total_edge_bytes(), 300);
-        assert_eq!(a.node_work[2], 7.0);
-        assert_eq!(a.total_work(), 7.0);
+        let mut m = NetworkMetrics::new(&t, 10.0);
+        m.record_transmission(0, 0, 1, 100);
+        m.record_transmission(0, 0, 1, 200);
+        m.record_work(2, 7.0);
+        assert_eq!(m.edge_bytes[0], 300);
+        assert_eq!(m.total_edge_bytes(), 300);
+        assert_eq!(m.node_work[2], 7.0);
+        assert_eq!(m.total_work(), 7.0);
     }
 }

@@ -16,12 +16,12 @@
 //!   frequency).
 //! * **Peers**: one bounded mailbox and one server per peer. Serving an
 //!   item runs it through its sharing group's DAG and occupies the server
-//!   for `per_item_overhead_us` plus the measured operator work scaled by
+//!   for `PER_ITEM_OVERHEAD_US` plus the measured operator work scaled by
 //!   the peer's speed (`pindex`) over its capacity. The driver is one
 //!   thread, as each modelled peer is one sequential server: a
 //!   timestamp's services start after its events have drained, in claim
 //!   order, each feeding its group's DAG in place.
-//! * **Links**: a transmission takes `link_latency_us` plus the item's
+//! * **Links**: a transmission takes `LINK_LATENCY_US` plus the item's
 //!   exact serialized bytes over the edge bandwidth; links carry any
 //!   number of items concurrently (the bandwidth share is charged per
 //!   item, not queued). A link is FIFO per flow, as TCP is under
@@ -72,6 +72,17 @@ use crate::sim::ConfigError;
 use crate::topology::{NodeId, Topology};
 use mailbox::Mailbox;
 
+/// Fixed per-hop link latency, microseconds.
+const LINK_LATENCY_US: u64 = 200;
+/// Fixed per-item service overhead (scheduling, parsing, framing) on top
+/// of the measured operator work, microseconds.
+const PER_ITEM_OVERHEAD_US: u64 = 50;
+/// Width of the per-edge traffic time buckets
+/// ([`RuntimeMetrics::bucket_us`]), microseconds.
+const BUCKET_US: u64 = 1_000_000;
+/// Fsync batching of a peer's WAL ([`WalOptions::fsync_every`]).
+const WAL_FSYNC_EVERY: u64 = 16;
+
 /// Durability parameters for WAL mode ([`LiveConfig::wal`]).
 ///
 /// With a WAL configured, every peer that hosts a sharing group appends a
@@ -92,8 +103,6 @@ pub struct WalConfig {
     /// Checkpoint cadence: one window-state checkpoint per sharing group
     /// every this many serviced items. Must be at least 1.
     pub checkpoint_every: u64,
-    /// Fsync batching handed to [`WalOptions::fsync_every`].
-    pub fsync_every: u64,
     /// Segment rotation threshold handed to [`WalOptions::segment_bytes`].
     pub segment_bytes: u64,
     /// Crash-point injection: when set, a peer crash truncates that peer's
@@ -104,13 +113,12 @@ pub struct WalConfig {
 }
 
 impl WalConfig {
-    /// Defaults: checkpoint every 4 items, fsync every 16 appends, 4 MiB
-    /// segments, no crash-point truncation.
+    /// Defaults: checkpoint every 4 items, 4 MiB segments, no crash-point
+    /// truncation.
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
             checkpoint_every: 4,
-            fsync_every: 16,
             segment_bytes: 4 << 20,
             crash_keep_records: None,
         }
@@ -124,13 +132,6 @@ pub struct LiveConfig {
     pub duration_s: f64,
     /// Bounded mailbox capacity per peer (items). Must be at least 1.
     pub mailbox_capacity: usize,
-    /// Fixed per-hop link latency in microseconds.
-    pub link_latency_us: u64,
-    /// Fixed per-item service overhead in microseconds (scheduling,
-    /// parsing, framing) on top of measured operator work.
-    pub per_item_overhead_us: u64,
-    /// Width of the per-edge traffic time buckets in microseconds.
-    pub bucket_us: u64,
     /// Record a textual event trace (determinism fingerprinting).
     pub trace: bool,
     /// Keep every delivered item (with its origin timestamp) per query,
@@ -148,9 +149,6 @@ impl Default for LiveConfig {
         LiveConfig {
             duration_s: 10.0,
             mailbox_capacity: 256,
-            link_latency_us: 200,
-            per_item_overhead_us: 50,
-            bucket_us: 1_000_000,
             trace: false,
             record_deliveries: false,
             wal: None,
@@ -166,9 +164,6 @@ impl LiveConfig {
         }
         if self.mailbox_capacity == 0 {
             return Err(ConfigError::ZeroMailboxCapacity);
-        }
-        if self.bucket_us == 0 {
-            return Err(ConfigError::ZeroBucket);
         }
         if let Some(wal) = &self.wal {
             if wal.checkpoint_every == 0 {
@@ -361,13 +356,13 @@ impl LiveRuntime {
         cfg.validate()?;
         deployment.validate(&topo);
         let horizon_us = fault::secs_to_us(cfg.duration_s);
-        let n_buckets = (horizon_us / cfg.bucket_us + 1) as usize;
+        let n_buckets = (horizon_us / BUCKET_US + 1) as usize;
         let n_peers = topo.peer_count();
         let n_edges = topo.edge_count();
         let mailbox_capacity = cfg.mailbox_capacity;
         let metrics = RuntimeMetrics {
             horizon_us,
-            bucket_us: cfg.bucket_us,
+            bucket_us: BUCKET_US,
             node_work: vec![0.0; n_peers],
             edge_bytes: vec![0; n_edges],
             edge_bytes_buckets: vec![vec![0; n_buckets]; n_edges],
@@ -905,7 +900,7 @@ impl LiveRuntime {
             let work = self.groups.dag(group).total_work() - before;
             let peer = self.topo.peer(node);
             let scaled = work * peer.pindex;
-            let service_us = (self.cfg.per_item_overhead_us as f64 + scaled / peer.capacity * 1e6)
+            let service_us = (PER_ITEM_OVERHEAD_US as f64 + scaled / peer.capacity * 1e6)
                 .round()
                 .max(1.0) as u64;
             self.metrics.node_work[node] += scaled;
@@ -1012,7 +1007,7 @@ impl LiveRuntime {
             let bytes = serialized_size(&item) as u64;
             let tx_us = ((bytes as f64) * 8000.0 / edge.bandwidth_kbps).round() as u64;
             self.metrics.edge_bytes[edge_id] += bytes;
-            let bucket = ((self.now / self.cfg.bucket_us) as usize)
+            let bucket = ((self.now / BUCKET_US) as usize)
                 .min(self.metrics.edge_bytes_buckets[edge_id].len() - 1);
             self.metrics.edge_bytes_buckets[edge_id][bucket] += bytes;
             // FIFO per flow: not before the flow's previous item at `hop`;
@@ -1021,7 +1016,7 @@ impl LiveRuntime {
             if last.len() <= hop {
                 last.resize(hop + 1, 0);
             }
-            let at = (self.now + self.cfg.link_latency_us + tx_us).max(last[hop]);
+            let at = (self.now + LINK_LATENCY_US + tx_us).max(last[hop]);
             last[hop] = at;
             self.schedule(
                 at,
@@ -1104,7 +1099,7 @@ impl LiveRuntime {
         let wal = self.cfg.wal.as_ref().expect("WAL mode");
         let opts = WalOptions {
             segment_bytes: wal.segment_bytes,
-            fsync_every: wal.fsync_every,
+            fsync_every: WAL_FSYNC_EVERY,
         };
         let dir = wal.dir.join(&self.topo.peer(node).name);
         let writer = self.wal_writers[node]
@@ -1279,11 +1274,6 @@ mod tests {
             ..LiveConfig::default()
         };
         assert_eq!(bad.validate(), Err(ConfigError::ZeroMailboxCapacity));
-        let bad = LiveConfig {
-            bucket_us: 0,
-            ..LiveConfig::default()
-        };
-        assert_eq!(bad.validate(), Err(ConfigError::ZeroBucket));
         let mut wal = WalConfig::new("/tmp/unused");
         wal.checkpoint_every = 0;
         let bad = LiveConfig {
@@ -1547,17 +1537,16 @@ mod tests {
     #[test]
     fn tiny_mailbox_drops_bursts() {
         let (t, d, deliveries) = one_flow_setup();
-        // 1000 Hz into a 1-item mailbox with 50µs overhead per item is
-        // sustainable, but the shared clock granularity makes bursts; use
-        // an extreme rate to force drops.
+        // 50 kHz is one item per 20 µs, faster than SP0 can serve one
+        // (`PER_ITEM_OVERHEAD_US` alone is 50 µs): a 1-item mailbox must
+        // drop.
         let cfg = LiveConfig {
             duration_s: 5.0,
             mailbox_capacity: 1,
-            per_item_overhead_us: 5_000,
             ..LiveConfig::default()
         };
         let sp0 = t.expect_node("SP0");
-        let rt = LiveRuntime::new(t, &d, sources(200, 1000.0), deliveries, cfg).unwrap();
+        let rt = LiveRuntime::new(t, &d, sources(200, 50_000.0), deliveries, cfg).unwrap();
         let (m, _) = rt.finish();
         assert!(m.total_dropped() > 0, "overloaded mailbox must drop");
         assert!(m.queries["q"].delivered > 0);

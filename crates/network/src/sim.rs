@@ -41,8 +41,6 @@ pub enum ConfigError {
     NegativeForwardWork(f64),
     /// Mailboxes need room for at least one item.
     ZeroMailboxCapacity,
-    /// Metric time buckets must be non-empty intervals.
-    ZeroBucket,
     /// WAL checkpoints need a cadence of at least one item.
     ZeroCheckpointCadence,
 }
@@ -57,7 +55,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "forward_work_per_kb must be non-negative, got {w}")
             }
             ConfigError::ZeroMailboxCapacity => write!(f, "mailbox_capacity must be at least 1"),
-            ConfigError::ZeroBucket => write!(f, "bucket_us must be at least 1"),
             ConfigError::ZeroCheckpointCadence => {
                 write!(f, "wal.checkpoint_every must be at least 1")
             }
@@ -96,17 +93,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Builds a validated configuration (with operator sharing enabled).
-    pub fn new(duration_s: f64, forward_work_per_kb: f64) -> Result<SimConfig, ConfigError> {
-        let cfg = SimConfig {
-            duration_s,
-            forward_work_per_kb,
-            shared_ops: true,
-        };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
     /// Checks the documented invariants, returning the first violation.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !self.duration_s.is_finite() || self.duration_s <= 0.0 {
@@ -522,20 +508,28 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(SimConfig::new(60.0, 1.0).is_ok());
+        let validate = |duration_s, forward_work_per_kb| {
+            let cfg = SimConfig {
+                duration_s,
+                forward_work_per_kb,
+                ..SimConfig::default()
+            };
+            cfg.validate()
+        };
+        assert!(validate(60.0, 1.0).is_ok());
         assert!(matches!(
-            SimConfig::new(0.0, 1.0),
+            validate(0.0, 1.0),
             Err(ConfigError::NonPositiveDuration(_))
         ));
         assert!(matches!(
-            SimConfig::new(f64::NAN, 1.0),
+            validate(f64::NAN, 1.0),
             Err(ConfigError::NonPositiveDuration(_))
         ));
         assert!(matches!(
-            SimConfig::new(60.0, -1.0),
+            validate(60.0, -1.0),
             Err(ConfigError::NegativeForwardWork(_))
         ));
-        assert!(SimConfig::new(60.0, 0.0).is_ok());
+        assert!(validate(60.0, 0.0).is_ok());
         assert!(SimConfig::default().validate().is_ok());
         // try_run surfaces the error instead of panicking.
         let t = grid_topology(2, 2);

@@ -7,10 +7,16 @@
 //! 0, the first super-peer) is the client gateway: it serializes
 //! `Subscribe`/`Unsubscribe` under a control lock, applies them to its own
 //! replica, and broadcasts sequenced `Deploy`/`Undeploy` records that
-//! every other process replays through the same deterministic planner
-//! (`register_query`). Identical base state + identical log + identical
-//! planner ⇒ identical deployments and sharing decisions everywhere, so
-//! plans and operator graphs never cross the wire — only the query text.
+//! every other process replays through the same deterministic planner.
+//! Identical base state + identical log + identical planner ⇒ identical
+//! deployments and sharing decisions everywhere, so plans and operator
+//! graphs never cross the wire — only the query text.
+//!
+//! One function, `apply`, decides how a logged record changes a
+//! replica. The coordinator calls it before it sequences a record
+//! (`Server::commit`), every other process on receipt
+//! (`Server::on_sequenced`), and a durable restart for each record of its
+//! log (`replay_control`): live apply and replay cannot drift apart.
 //!
 //! ## Connections
 //!
@@ -47,10 +53,10 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dss_core::StreamGlobe;
+use dss_core::{Registration, StreamGlobe};
 use dss_network::{Contiguity, FlowId, Topology};
 use dss_proto::{
     negotiate, read_message, BatchDest, BatchHeader, BatchView, Message, ProtoError, Role,
@@ -137,11 +143,11 @@ struct Server {
     me: usize,
     my_name: String,
     globe: Mutex<StreamGlobe>,
-    /// Serializes registration/run-start so every peer connection sees
-    /// control messages in the same (seq) order.
-    control: Mutex<()>,
+    /// The next control sequence number (coordinator only). Held while a
+    /// control step is sequenced and broadcast, so every peer connection
+    /// sees control messages in seq order.
+    control: Mutex<u64>,
     peer_conns: Mutex<Vec<Option<Arc<Conn>>>>,
-    next_seq: AtomicU64,
     acks: Mutex<BTreeMap<u64, usize>>,
     acks_cv: Condvar,
     clients: Mutex<BTreeMap<u64, Arc<Conn>>>,
@@ -205,38 +211,87 @@ fn recover_from_wal(dir: &PathBuf, peer: &str) -> Recovered {
     }
 }
 
+/// How a logged control record changes a replica — the one place that
+/// decides it. Returns the registration a `Deploy` installed; a record
+/// outside the registration log leaves the replica as it is.
+fn apply(globe: &mut StreamGlobe, record: &WalRecord) -> Result<Option<Registration>, String> {
+    match record {
+        WalRecord::Deploy {
+            id,
+            at_peer,
+            strategy,
+            text,
+            ..
+        } => {
+            let strategy = WireStrategy::from_u8(*strategy).map_err(|e| e.to_string())?;
+            globe
+                .register_query(id.clone(), text, at_peer, to_core_strategy(strategy))
+                .map(Some)
+                .map_err(|e| e.to_string())
+        }
+        WalRecord::Undeploy { id, .. } => globe
+            .unregister_query(id)
+            .map(|()| None)
+            .map_err(|e| e.to_string()),
+        WalRecord::Checkpoint { .. } | WalRecord::RunStart { .. } | WalRecord::RunDone { .. } => {
+            Ok(None)
+        }
+    }
+}
+
+/// The coordinator's sequenced control messages as the log keeps them:
+/// the sequence number the fleet acks and the record every process
+/// writes. `None` for a message outside the log.
+fn sequenced(msg: &Message) -> Option<(u64, WalRecord)> {
+    match msg {
+        Message::Deploy {
+            seq,
+            id,
+            at_peer,
+            strategy,
+            text,
+        } => Some((
+            *seq,
+            WalRecord::Deploy {
+                seq: *seq,
+                id: id.clone(),
+                at_peer: at_peer.clone(),
+                strategy: strategy.to_u8(),
+                text: text.clone(),
+            },
+        )),
+        Message::Undeploy { seq, id } => Some((
+            *seq,
+            WalRecord::Undeploy {
+                seq: *seq,
+                id: id.clone(),
+            },
+        )),
+        Message::StartRun { run } => Some((*run, WalRecord::RunStart { run: *run })),
+        _ => None,
+    }
+}
+
 /// Re-applies the logged control-plane records to a fresh replica, so the
 /// deterministic planner re-derives the exact pre-crash deployment.
 /// Returns how many records could not be re-applied (each is reported).
 fn replay_control(globe: &mut StreamGlobe, records: &[WalRecord]) -> usize {
     let mut diverged = 0;
     for record in records {
-        let applied = match record {
-            WalRecord::Deploy {
-                id,
-                at_peer,
-                strategy,
-                text,
-                ..
-            } => WireStrategy::from_u8(*strategy)
-                .map_err(|e| format!("re-registering {id}: {e}"))
-                .and_then(|s| {
-                    globe
-                        .register_query(id.clone(), text, at_peer, to_core_strategy(s))
-                        .map(drop)
-                        .map_err(|e| format!("re-registering {id}: {e}"))
-                }),
-            WalRecord::Undeploy { id, .. } => globe
-                .unregister_query(id)
-                .map_err(|e| format!("unregistering {id}: {e}")),
-            _ => Ok(()),
-        };
-        if let Err(e) = applied {
-            eprintln!("dss serve: WAL REPLAY DIVERGENCE {e}");
+        if let Err(e) = apply(globe, record) {
+            eprintln!("dss serve: WAL REPLAY DIVERGENCE applying {record:?}: {e}");
             diverged += 1;
         }
     }
     diverged
+}
+
+/// Answers a request with a typed `Fault`.
+fn fault(conn: &Conn, context: &str, message: impl Into<String>) {
+    let _ = conn.send(&Message::Fault {
+        context: context.into(),
+        message: message.into(),
+    });
 }
 
 /// Runs one peer process until a clean shutdown (wire message or signal).
@@ -300,9 +355,8 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
         me,
         my_name: opts.peer.clone(),
         globe: Mutex::new(globe),
-        control: Mutex::new(()),
+        control: Mutex::new(1),
         peer_conns: Mutex::new(vec![None; n]),
-        next_seq: AtomicU64::new(1),
         acks: Mutex::new(BTreeMap::new()),
         acks_cv: Condvar::new(),
         clients: Mutex::new(BTreeMap::new()),
@@ -416,14 +470,11 @@ impl Server {
                 }
             }
             None => {
-                let _ = conn.send(&Message::Fault {
-                    context: "hello".into(),
-                    message: format!(
-                        "no mutual protocol version: you speak [{min_version}, {max_version}], \
-                         this peer speaks [{VERSION_MIN}, {VERSION_MAX}]"
-                    ),
-                });
-                return;
+                let message = format!(
+                    "no mutual protocol version: you speak [{min_version}, {max_version}], \
+                     this peer speaks [{VERSION_MIN}, {VERSION_MAX}]"
+                );
+                return fault(&conn, "hello", message);
             }
         }
         reader.get_ref().set_read_timeout(None).ok();
@@ -495,6 +546,27 @@ impl Server {
         reached
     }
 
+    /// The coordinator's half of a control step, under the control lock:
+    /// log `msg` and advance the sequence if `msg` is sequenced (its seq is
+    /// the lock's), send it to every other process, release the lock and
+    /// wait until each process reached has acked it; false when an ack is
+    /// still missing after `ACK_TIMEOUT`. Logged before the broadcast, so
+    /// a record is durable here before any ack can count.
+    fn commit(self: &Arc<Self>, mut ctl: MutexGuard<'_, u64>, msg: &Message) -> bool {
+        let seq = match sequenced(msg) {
+            Some((seq, record)) => {
+                debug_assert_eq!(seq, *ctl, "a control step carries the next seq");
+                *ctl += 1;
+                self.wal_log(&record);
+                seq
+            }
+            None => SHUTDOWN_SEQ,
+        };
+        let reached = self.broadcast(msg);
+        drop(ctl);
+        self.wait_acks(seq, reached)
+    }
+
     fn wait_acks(&self, seq: u64, n: usize) -> bool {
         let deadline = Instant::now() + ACK_TIMEOUT;
         let mut acks = self.acks.lock().unwrap();
@@ -530,51 +602,13 @@ impl Server {
                 text,
             } => self.on_subscribe(conn, ctx, id, at_peer, strategy, text),
             Message::Unsubscribe { id } => self.on_unsubscribe(conn, id),
-            Message::Deploy {
-                seq,
-                id,
-                at_peer,
-                strategy,
-                text,
-            } => {
-                // Replay the coordinator's registration on this replica.
-                let result = self.globe.lock().unwrap().register_query(
-                    id.clone(),
-                    &text,
-                    &at_peer,
-                    to_core_strategy(strategy),
-                );
-                if let Err(e) = result {
-                    // Should be impossible: same base state, same planner.
-                    eprintln!("dss serve: REPLICA DIVERGENCE applying deploy {seq} ({id}): {e}");
-                }
-                // Durable before acked: an ack promises the registration
-                // survives this process's crashes.
-                self.wal_log(&WalRecord::Deploy {
-                    seq,
-                    id,
-                    at_peer,
-                    strategy: strategy.to_u8(),
-                    text,
-                });
-                let _ = conn.send(&Message::Ack { seq });
-            }
-            Message::Undeploy { seq, id } => {
-                if let Err(e) = self.globe.lock().unwrap().unregister_query(&id) {
-                    eprintln!("dss serve: REPLICA DIVERGENCE applying undeploy {seq} ({id}): {e}");
-                }
-                self.wal_log(&WalRecord::Undeploy { seq, id });
-                let _ = conn.send(&Message::Ack { seq });
+            Message::StartRun { .. } if matches!(ctx, ConnCtx::Client(_)) => {
+                self.on_start_run(conn, ctx)
             }
             Message::Ack { seq } => {
                 *self.acks.lock().unwrap().entry(seq).or_insert(0) += 1;
                 self.acks_cv.notify_all();
             }
-            Message::StartRun { run } => match ctx {
-                ConnCtx::Client(_) => self.on_start_run(conn, ctx),
-                // From the coordinator: build our share of the plane.
-                ConnCtx::Peer => self.on_peer_start_run(conn, run),
-            },
             Message::RunGo { run } => {
                 let plane = self.plane.lock().unwrap().clone();
                 if let Some(p) = plane.filter(|p| p.run == run) {
@@ -619,12 +653,11 @@ impl Server {
                 }
             }
             Message::Goodbye => return false,
-            other => {
-                let _ = conn.send(&Message::Fault {
-                    context: "dispatch".into(),
-                    message: format!("unexpected message {other:?}"),
-                });
-            }
+            other => match sequenced(&other) {
+                // The coordinator's log: `Deploy`, `Undeploy`, a run's phase 1.
+                Some((seq, record)) => self.on_sequenced(conn, seq, record),
+                None => fault(conn, "dispatch", format!("unexpected message {other:?}")),
+            },
         }
         true
     }
@@ -667,58 +700,45 @@ impl Server {
         strategy: dss_proto::WireStrategy,
         text: String,
     ) {
-        let fault = |message: String| {
-            let _ = conn.send(&Message::Fault {
-                context: "subscribe".into(),
-                message,
-            });
-        };
+        let refuse = |message: String| fault(conn, "subscribe", message);
         let ConnCtx::Client(client_id) = *ctx else {
-            return fault("subscribe must come from a client connection".into());
+            return refuse("subscribe must come from a client connection".into());
         };
         if !self.is_coordinator() {
-            return fault(format!(
+            return refuse(format!(
                 "not the coordinator; dial {}",
                 self.map.addr(&self.spec, self.map.coordinator())
             ));
         }
         if self.shutting_down.load(Ordering::SeqCst) {
-            return fault("shutting down".into());
+            return refuse("shutting down".into());
         }
         let ctl = self.control.lock().unwrap();
         if self.run.lock().unwrap().is_some() {
-            return fault("a run is in progress; retry after it completes".into());
+            return refuse("a run is in progress; retry after it completes".into());
         }
         if self.subs.lock().unwrap().contains_key(&id) {
-            return fault(format!("query id {id:?} is already subscribed"));
+            return refuse(format!("query id {id:?} is already subscribed"));
         }
-        let (reg, plan_text) = {
-            let mut globe = self.globe.lock().unwrap();
-            match globe.register_query(id.clone(), &text, &at_peer, to_core_strategy(strategy)) {
-                Ok(reg) => {
-                    let plan_text = reg.plan.describe(globe.state());
-                    (reg, plan_text)
-                }
-                Err(e) => return fault(e.to_string()),
-            }
-        };
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        self.wal_log(&WalRecord::Deploy {
-            seq,
-            id: id.clone(),
-            at_peer: at_peer.clone(),
-            strategy: strategy.to_u8(),
-            text: text.clone(),
-        });
-        let reached = self.broadcast(&Message::Deploy {
+        let seq = *ctl;
+        let deploy = Message::Deploy {
             seq,
             id: id.clone(),
             at_peer,
             strategy,
             text,
-        });
-        drop(ctl);
-        if !self.wait_acks(seq, reached) {
+        };
+        let (_, record) = sequenced(&deploy).expect("a Deploy is sequenced");
+        let (reg, plan_text) = {
+            let mut globe = self.globe.lock().unwrap();
+            let reg = match apply(&mut globe, &record) {
+                Ok(reg) => reg.expect("a Deploy installs a registration"),
+                Err(e) => return refuse(e),
+            };
+            let plan_text = reg.plan.describe(globe.state());
+            (reg, plan_text)
+        };
+        if !self.commit(ctl, &deploy) {
             eprintln!("dss serve: deploy {seq} not fully acked within {ACK_TIMEOUT:?}");
         }
         self.subs.lock().unwrap().insert(id.clone(), client_id);
@@ -732,37 +752,49 @@ impl Server {
     }
 
     fn on_unsubscribe(self: &Arc<Self>, conn: &Arc<Conn>, id: String) {
-        let fault = |message: String| {
-            let _ = conn.send(&Message::Fault {
-                context: "unsubscribe".into(),
-                message,
-            });
-        };
+        let refuse = |message: String| fault(conn, "unsubscribe", message);
         if !self.is_coordinator() {
-            return fault("not the coordinator".into());
+            return refuse("not the coordinator".into());
         }
         let ctl = self.control.lock().unwrap();
         if self.run.lock().unwrap().is_some() {
-            return fault("a run is in progress; retry after it completes".into());
+            return refuse("a run is in progress; retry after it completes".into());
         }
-        if let Err(e) = self.globe.lock().unwrap().unregister_query(&id) {
-            return fault(e.to_string());
+        let seq = *ctl;
+        let undeploy = Message::Undeploy {
+            seq,
+            id: id.clone(),
+        };
+        let (_, record) = sequenced(&undeploy).expect("an Undeploy is sequenced");
+        if let Err(e) = apply(&mut self.globe.lock().unwrap(), &record) {
+            return refuse(e);
         }
         self.subs.lock().unwrap().remove(&id);
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        self.wal_log(&WalRecord::Undeploy {
-            seq,
-            id: id.clone(),
-        });
-        let reached = self.broadcast(&Message::Undeploy {
-            seq,
-            id: id.clone(),
-        });
-        drop(ctl);
-        if !self.wait_acks(seq, reached) {
+        if !self.commit(ctl, &undeploy) {
             eprintln!("dss serve: undeploy {seq} not fully acked within {ACK_TIMEOUT:?}");
         }
         let _ = conn.send(&Message::UnsubscribeOk { id });
+    }
+
+    /// A sequenced control record from the coordinator: apply it to this
+    /// process, make it durable, then ack it — an ack promises the record
+    /// survives this process's crashes.
+    fn on_sequenced(self: &Arc<Self>, conn: &Arc<Conn>, seq: u64, record: WalRecord) {
+        if let WalRecord::RunStart { run } = record {
+            // Phase 1 of a run: instantiate this process's share of the
+            // plane (the coordinator holds `RunGo` until every process has
+            // acked). Tear down any previous plane defensively (normally
+            // `RunDone` already did).
+            if let Some(p) = self.plane.lock().unwrap().take() {
+                p.drain();
+            }
+            *self.plane.lock().unwrap() = Some(self.build_plane(run));
+        } else if let Err(e) = apply(&mut self.globe.lock().unwrap(), &record) {
+            // Should be impossible: same base state, same planner.
+            eprintln!("dss serve: REPLICA DIVERGENCE applying {record:?}: {e}");
+        }
+        self.wal_log(&record);
+        let _ = conn.send(&Message::Ack { seq });
     }
 
     // ---- run lifecycle ---------------------------------------------
@@ -816,23 +848,17 @@ impl Server {
     }
 
     fn on_start_run(self: &Arc<Self>, conn: &Arc<Conn>, ctx: &ConnCtx) {
-        let fault = |message: String| {
-            let _ = conn.send(&Message::Fault {
-                context: "run".into(),
-                message,
-            });
-        };
         if !self.is_coordinator() {
-            return fault("not the coordinator".into());
+            return fault(conn, "run", "not the coordinator");
         }
         if self.shutting_down.load(Ordering::SeqCst) {
-            return fault("shutting down".into());
+            return fault(conn, "run", "shutting down");
         }
         let ctl = self.control.lock().unwrap();
         if self.run.lock().unwrap().is_some() {
-            return fault("a run is already in progress".into());
+            return fault(conn, "run", "a run is already in progress");
         }
-        let run_id = self.next_seq.fetch_add(1, Ordering::SeqCst);
+        let run_id = *ctl;
         let pending: BTreeSet<String> = {
             let globe = self.globe.lock().unwrap();
             let queries = globe.registered_queries();
@@ -840,7 +866,6 @@ impl Server {
         };
         let plane = self.build_plane(run_id);
         *self.plane.lock().unwrap() = Some(Arc::clone(&plane));
-        self.wal_log(&WalRecord::RunStart { run: run_id });
         let no_queries = pending.is_empty();
         let requester = match ctx {
             ConnCtx::Client(id) => Some(*id),
@@ -854,14 +879,9 @@ impl Server {
             recv: BTreeMap::new(),
         });
         // Phase 1: every process instantiates its groups and acks.
-        let reached = self.broadcast(&Message::StartRun { run: run_id });
-        drop(ctl);
-        if !self.wait_acks(run_id, reached) {
+        if !self.commit(ctl, &Message::StartRun { run: run_id }) {
             eprintln!("dss serve: run {run_id} plane not fully acked; aborting run");
-            let _ = conn.send(&Message::Fault {
-                context: "run".into(),
-                message: "fleet did not come up for the run".into(),
-            });
+            fault(conn, "run", "fleet did not come up for the run");
             let srv = Arc::clone(self);
             std::thread::spawn(move || srv.teardown_plane(run_id));
             return;
@@ -873,22 +893,6 @@ impl Server {
         if no_queries {
             self.finish_run(run_id, requester, 0);
         }
-    }
-
-    /// Phase 1 on a non-coordinator: instantiate this process's share of
-    /// the plane for `run` and ack (the coordinator holds `RunGo` until
-    /// every process has acked).
-    fn on_peer_start_run(self: &Arc<Self>, conn: &Arc<Conn>, run: u64) {
-        // Tear down any previous plane defensively (normally RunDone
-        // already did).
-        if let Some(p) = self.plane.lock().unwrap().take() {
-            p.drain();
-        }
-        *self.plane.lock().unwrap() = Some(self.build_plane(run));
-        // Logged before the ack: once the coordinator believes this
-        // process joined the run, a crash must not forget it.
-        self.wal_log(&WalRecord::RunStart { run });
-        let _ = conn.send(&Message::Ack { seq: run });
     }
 
     /// A batch of `query`'s results at the coordinator: admit what the
@@ -1185,10 +1189,7 @@ impl Server {
             guard = g;
         }
         drop(guard);
-        let ctl = self.control.lock().unwrap();
-        let reached = self.broadcast(&Message::Shutdown);
-        drop(ctl);
-        if !self.wait_acks(SHUTDOWN_SEQ, reached) {
+        if !self.commit(self.control.lock().unwrap(), &Message::Shutdown) {
             eprintln!("dss serve: fleet shutdown not fully acked within {ACK_TIMEOUT:?}");
         }
         self.local_shutdown();
@@ -1262,5 +1263,95 @@ mod tests {
         let records = [deploy(0, 1), deploy(1, 2), deploy(2, 2)];
         assert_eq!(replay_control(&mut globe, &records), 0);
         assert_eq!(globe.registered_queries().count(), 3);
+    }
+
+    /// Subscribes and unsubscribes in a seeded random order, one of them a
+    /// deploy the planner rejects, applied as the coordinator applies
+    /// them: what it logged replays into a fresh replica as the very
+    /// deployment it built live.
+    #[test]
+    fn a_logged_control_sequence_replays_to_the_live_replica() {
+        let spec = ServeSpec::new("scenario1").unwrap();
+        let queries = Scenario::scenario1(42).queries;
+        let mut rng = 42u64;
+        let mut next = move |n: usize| {
+            // xorshift64: a reproducible order without another dependency.
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let mut live = spec.build_globe();
+        let (mut log, mut seq, mut rejected) = (Vec::new(), 1, 0);
+        let (mut pending, mut subscribed): (Vec<_>, Vec<_>) = (queries.iter().collect(), vec![]);
+        let reject_at = 10 + next(20);
+        for step in 0..60 {
+            let unsubscribe = !subscribed.is_empty() && (pending.is_empty() || next(3) == 0);
+            let msg = if step == reject_at {
+                Message::Deploy {
+                    seq,
+                    id: "bad".into(),
+                    at_peer: queries[0].peer.clone(),
+                    strategy: WireStrategy::StreamSharing,
+                    text: "for $p in stream(\"no-such-stream\")/photons/photon return $p".into(),
+                }
+            } else if unsubscribe {
+                let q = subscribed.swap_remove(next(subscribed.len()));
+                if next(2) == 0 {
+                    pending.push(q); // subscribed again later
+                }
+                Message::Undeploy {
+                    seq,
+                    id: q.id.clone(),
+                }
+            } else {
+                let q = pending.swap_remove(next(pending.len()));
+                subscribed.push(q);
+                Message::Deploy {
+                    seq,
+                    id: q.id.clone(),
+                    at_peer: q.peer.clone(),
+                    strategy: WireStrategy::StreamSharing,
+                    text: q.text.clone(),
+                }
+            };
+            // As the coordinator does: a refused record is neither
+            // sequenced nor logged.
+            let (_, record) = sequenced(&msg).unwrap();
+            match apply(&mut live, &record) {
+                Ok(_) => {
+                    log.push(record);
+                    seq += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert_eq!(
+            rejected, 1,
+            "only the deploy over an unknown stream is refused"
+        );
+        let undeploys = log
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Undeploy { .. }))
+            .count();
+        assert!(undeploys > 0, "the log replays unsubscribes too");
+
+        let mut replica = spec.build_globe();
+        assert_eq!(replay_control(&mut replica, &log), 0);
+        let registered = |g: &StreamGlobe| -> Vec<(String, FlowId)> {
+            let queries = g.registered_queries();
+            queries.map(|(q, f)| (q.to_string(), f)).collect()
+        };
+        assert!(!registered(&live).is_empty());
+        assert_eq!(registered(&replica), registered(&live));
+        let (live_flows, replayed) = (live.deployment().flows(), replica.deployment().flows());
+        assert_eq!(live_flows.len(), replayed.len());
+        for (flow, (a, b)) in live_flows.iter().zip(replayed).enumerate() {
+            assert_eq!(a.input, b.input, "flow {flow}");
+            assert_eq!(a.processing_node, b.processing_node, "flow {flow}");
+            assert_eq!(a.ops, b.ops, "flow {flow}");
+            assert_eq!(a.route, b.route, "flow {flow}");
+            assert_eq!(a.retired, b.retired, "flow {flow}");
+        }
     }
 }

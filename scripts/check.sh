@@ -78,6 +78,26 @@ if [ -n "$threads_outside_pool" ]; then
     exit 1
 fi
 
+echo "==> dss serve changes a replica through peer.rs's apply only"
+# The coordinator, a peer receiving the broadcast and a durable restart
+# replaying its WAL must derive the same deployment from the same log
+# (DESIGN.md "Control plane: replicated registration"); a second call site
+# of the planner's registration entry points would be a second copy of
+# that rule. Code from the first #[cfg(test)] of a file on is test code.
+apply_bypass=$(
+    find crates/server/src -name '*.rs' | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            f ~ /\/peer\.rs$/ && /^fn apply\(/ { in_apply = 1 }
+            /(register_query|unregister_query)\(/ && !in_apply { print f ":" FNR ": " $0 }
+            in_apply && /^}/ { in_apply = 0 }' "$f"
+    done
+)
+if [ -n "$apply_bypass" ]; then
+    echo "$apply_bypass"
+    echo "FAIL: dss-server registers or unregisters a query outside peer.rs's apply" >&2
+    exit 1
+fi
+
 echo "==> the planner routes through Topology::route"
 # Routes are remembered per topology and forgotten when it changes
 # (DESIGN.md "Catalog indexes & plan-search complexity"); a planner path
