@@ -1,52 +1,33 @@
 //! Minimal JSON emission for experiment results.
 //!
 //! The experiment binaries can dump their series as JSON for external
-//! plotting. The structures are small and flat, so a hand-rolled emitter
-//! keeps the workspace inside its allowed dependency set (no `serde_json`).
+//! plotting. The structures are small and flat; strings and numbers go
+//! through `dss_telemetry::json`, the workspace's one JSON emitter.
 
 use std::fmt::Write;
 
+use dss_telemetry::json::escape as quote;
+pub use dss_telemetry::json::number;
+
 use crate::experiments::{FigureData, RegTimes, SeriesTable};
 
-/// Escapes a string for a JSON string literal.
+/// [`dss_telemetry::json::escape`] without the surrounding quotes, for
+/// callers that write the quotes themselves (the `bench/` harness).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number (finite values only; NaN/∞ become
-/// `null`).
-pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    let quoted = quote(s);
+    quoted[1..quoted.len() - 1].to_string()
 }
 
 impl SeriesTable {
     /// JSON object: `{"title": …, "labels": […], "series": {strategy: […]}}`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"title\":\"{}\",\"labels\":[", escape(&self.title));
+        let _ = write!(out, "{{\"title\":{},\"labels\":[", quote(&self.title));
         for (i, l) in self.labels.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", escape(l));
+            out.push_str(&quote(l));
         }
         out.push_str("],\"series\":{");
         for (i, (strategy, col)) in dss_core::Strategy::ALL
@@ -57,7 +38,7 @@ impl SeriesTable {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":[", escape(&strategy.to_string()));
+            let _ = write!(out, "{}:[", quote(&strategy.to_string()));
             for (j, v) in col.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -92,9 +73,9 @@ pub fn table1_json(data: &[[RegTimes; 2]; 3]) -> String {
         }
         let _ = write!(
             out,
-            "\"{}\":[{{\"avg_us\":{},\"min_us\":{},\"max_us\":{}}},\
+            "{}:[{{\"avg_us\":{},\"min_us\":{},\"max_us\":{}}},\
              {{\"avg_us\":{},\"min_us\":{},\"max_us\":{}}}]",
-            escape(&strategy.to_string()),
+            quote(&strategy.to_string()),
             number(us(row[0].average)),
             number(us(row[0].minimum)),
             number(us(row[0].maximum)),
@@ -116,8 +97,8 @@ pub fn rejections_json(rej: &[(usize, usize); 3]) -> String {
         }
         let _ = write!(
             out,
-            "\"{}\":{{\"accepted\":{acc},\"rejected\":{r}}}",
-            escape(&strategy.to_string())
+            "{}:{{\"accepted\":{acc},\"rejected\":{r}}}",
+            quote(&strategy.to_string())
         );
     }
     out.push('}');
@@ -135,13 +116,6 @@ mod tests {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("line\nbreak"), "line\\nbreak");
         assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn numbers() {
-        assert_eq!(number(1.5), "1.5");
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
     }
 
     #[test]

@@ -50,7 +50,7 @@ use dss_network::runtime::{FaultScript, LiveConfig};
 use dss_network::{PeerKind, Topology};
 use dss_rass::{GeneratorConfig, PhotonGenerator, SkyRegion, XraySource};
 
-use crate::json::number;
+use dss_telemetry::json::number;
 
 /// The stream host all member taps pile onto.
 pub const HUB: &str = "HUB";

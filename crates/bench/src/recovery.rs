@@ -30,7 +30,7 @@ use dss_network::runtime::{FaultScript, LiveConfig, WalConfig};
 use dss_rass::{GeneratorConfig, PhotonGenerator};
 use dss_wxquery::queries;
 
-use crate::json::number;
+use dss_telemetry::json::number;
 
 /// Checkpoint cadences measured (items per window-state checkpoint).
 pub const CADENCES: [u64; 3] = [1, 4, 16];

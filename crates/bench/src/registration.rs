@@ -20,7 +20,7 @@ use dss_network::grid_topology;
 use dss_rass::{default_photons, QueryTemplateGenerator, ValueSets};
 use dss_wxquery::compile_query;
 
-use crate::json::number;
+use dss_telemetry::json::number;
 
 /// Grid dimension for the registration workload: 36 super-peers, large
 /// enough for non-trivial routes, small enough that the population (not

@@ -31,7 +31,7 @@ use dss_properties::{AggOp, AggregationSpec, Operator, ResultFilter, WindowSpec}
 use dss_xml::writer::node_to_string;
 use dss_xml::{Decimal, Node, Path};
 
-use crate::json::number;
+use dss_telemetry::json::number;
 
 /// Sharing fan-outs measured (the ISSUE's 1/4/16-flow shared DAGs).
 pub const FLOW_TIERS: [usize; 3] = [1, 4, 16];

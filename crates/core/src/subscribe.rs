@@ -14,10 +14,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dss_network::{ChainId, FlowId, NodeId};
-use dss_properties::{
-    explain_match_input_properties, match_input_properties, InputProperties, QueryLens,
-};
+use dss_network::{ChainId, FlowId, NodeId, Verdict};
+use dss_properties::{InputProperties, Wanted};
 use dss_telemetry::Value;
 use dss_wxquery::CompiledQuery;
 
@@ -74,7 +72,10 @@ impl std::error::Error for SubscribeError {}
 pub struct SearchStats {
     /// Peers dequeued from `L_V`.
     pub nodes_visited: usize,
-    /// Candidate streams whose properties were matched.
+    /// Candidate streams whose verdict was looked up or judged. Like
+    /// `judged`, it depends on what was planned before: the indexed search
+    /// skips the chains an earlier look (this search's or an earlier one's
+    /// for the same subscription chain) already rejected.
     pub candidates_matched: usize,
     /// Successful matches.
     pub matches: usize,
@@ -179,21 +180,21 @@ pub fn subscribe_full_scan(
 /// How the search enumerates candidate streams at a visited peer.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CandidateSource {
-    /// The deployment's stream catalog: per-peer per-stream buckets with
-    /// signature/bound/window pre-filters (sublinear in installed flows).
+    /// The deployment's stream catalog: per-peer per-stream chain groups,
+    /// less the chains the remembered verdicts already rejected.
     Indexed,
     /// Scan every installed flow (linear in all registrations ever made).
     FullScan,
 }
 
 /// Line 14 (MatchProperties) and the operator half of the cost in one
-/// verdict: `Some(bload)` when a stream carrying `candidate` can serve
+/// verdict: `Ok(bload)` when a stream carrying `candidate` can serve
 /// `wanted`, with `bload` the summed base load of the residual operators it
-/// still needs — all the cost function reads of them; `None` when it
-/// cannot. A pure function of the two property chains.
-fn judge(candidate: &InputProperties, wanted: &InputProperties) -> Option<f64> {
-    match_input_properties(candidate, wanted).then(|| {
-        let ops = residual_flow_ops(candidate, wanted);
+/// still needs — all the cost function reads of them; otherwise the check
+/// that rejected it. A pure function of the two property chains.
+fn judge(candidate: &InputProperties, wanted: &Wanted) -> Verdict {
+    wanted.served_by(candidate).map(|()| {
+        let ops = residual_flow_ops(candidate, wanted.props());
         ops.iter().map(flow_op_base_load).sum()
     })
 }
@@ -283,19 +284,9 @@ fn search(
         // every candidate part transports, whatever it taps.
         let wanted_estimate = best.estimate;
         let rate_kbps = wanted_estimate.kbps();
-        // Pre-digested match pre-filters for the indexed lookup. Widening
-        // must see some *non-matching* variants too — but only the
-        // widenable (selection/projection-only) ones can ever yield a
-        // widening plan, so the indexed path unions the lens-matched
-        // candidates with the catalog's widenable-chain index instead of
-        // enumerating every variant.
-        let lens = match source {
-            CandidateSource::Indexed => Some(QueryLens::of(wanted)),
-            CandidateSource::FullScan => None,
-        };
-        // Per-chain lens verdicts, memoized across every peer this input's
-        // search visits (a chain flowing past many peers is judged once).
-        let mut verdicts = dss_network::LensVerdicts::default();
+        // The subscription side of every match below: its selection
+        // closures are computed once per input, not once per candidate.
+        let matcher = Wanted::new(wanted);
         // `judge` per interned chain: flows with the same chain id carry
         // byte-identical input properties, so the match and the residual
         // operators' load are pure functions of the two chains and need
@@ -337,15 +328,17 @@ fn search(
                 .map(|route| RouteCost::of(state, &route, rate_kbps));
             // Lines 9–11: streams available at v that are variants of the
             // input stream.
-            match source {
-                CandidateSource::Indexed => {
-                    let lens = lens.as_ref().expect("indexed search builds a lens");
+            match &chain_memo {
+                Some(memo) => {
                     state
                         .deployment
-                        .candidates_into(v, stream, lens, &mut verdicts, &mut scratch);
+                        .candidates_into(v, stream, memo, &mut scratch);
                     if widening {
-                        // Sorted-dedup union: a widenable chain may also be
-                        // a lens match (both lists are ascending and short).
+                        // Widening must see *non-matching* variants too,
+                        // but only widenable (selection/projection-only)
+                        // ones can yield a widening plan: put back the
+                        // widenable chains the row rejected. Sorted-dedup
+                        // union (both lists are ascending and short).
                         scratch.extend(state.deployment.widenable_at(v, stream).iter().map(
                             |&id| {
                                 let chain = state.deployment.chain_of(id, stream);
@@ -356,7 +349,7 @@ fn search(
                         scratch.dedup();
                     }
                 }
-                CandidateSource::FullScan => {
+                None => {
                     // The reference judges every candidate directly and
                     // never reads the chain id.
                     scratch.clear();
@@ -387,67 +380,66 @@ fn search(
                             }
                             None => {
                                 stats.judged += 1;
-                                *memo[chain].insert(judge(candidate, wanted))
+                                *memo[chain].insert(judge(candidate, &matcher))
                             }
                         }
                     }
                     None => {
                         stats.judged += 1;
-                        judge(candidate, wanted)
+                        judge(candidate, &matcher)
                     }
                 };
-                let Some(bload) = verdict else {
-                    // The losing check is only diagnosed when someone is
-                    // recording: the hot path keeps the boolean match.
-                    dss_telemetry::event("candidate", || {
-                        let reason = match explain_match_input_properties(candidate, wanted) {
-                            Err(failure) => failure.check_name(),
-                            Ok(()) => "MatchProperties",
-                        };
-                        [
-                            ("flow", Value::from(flow.label.as_str())),
-                            ("peer", state.topo.peer(v).name.as_str().into()),
-                            ("outcome", Value::from("rejected")),
-                            ("reason", reason.into()),
-                        ]
-                    });
-                    // Widening extension: a non-matching stream may still be
-                    // usable after loosening its operators in place. That
-                    // path builds its part eagerly.
-                    if widening {
-                        if let Some(plan) = generate_widening_part(state, wanted, flow_id, v, v_q) {
-                            // A widenable stream can be tapped anywhere on
-                            // its route, so the route's peers join the
-                            // frontier just like a matched stream's.
-                            for &n in &flow.route {
-                                if !marked[n] && !queued[n] {
-                                    frontier.push_back(n);
-                                    queued[n] = true;
+                let bload = match verdict {
+                    Ok(bload) => bload,
+                    Err(failure) => {
+                        dss_telemetry::event("candidate", || {
+                            [
+                                ("flow", Value::from(flow.label.as_str())),
+                                ("peer", state.topo.peer(v).name.as_str().into()),
+                                ("outcome", Value::from("rejected")),
+                                ("reason", failure.check_name().into()),
+                            ]
+                        });
+                        // Widening extension: a non-matching stream may still be
+                        // usable after loosening its operators in place. That
+                        // path builds its part eagerly.
+                        if widening {
+                            if let Some(plan) =
+                                generate_widening_part(state, wanted, flow_id, v, v_q)
+                            {
+                                // A widenable stream can be tapped anywhere on
+                                // its route, so the route's peers join the
+                                // frontier just like a matched stream's.
+                                for &n in &flow.route {
+                                    if !marked[n] && !queued[n] {
+                                        frontier.push_back(n);
+                                        queued[n] = true;
+                                    }
+                                }
+                                stats.plans_generated += 1;
+                                stats.parts_built += 1;
+                                let better = beats(plan.part_cost(), best_cost, require_feasible);
+                                dss_telemetry::event("candidate", || {
+                                    [
+                                        ("flow", Value::from(flow.label.as_str())),
+                                        ("peer", state.topo.peer(v).name.as_str().into()),
+                                        ("outcome", Value::from("widened")),
+                                        ("cost", plan.cost.into()),
+                                        ("traffic", plan.traffic.into()),
+                                        ("load", plan.load.into()),
+                                        ("feasible", plan.feasible.into()),
+                                        ("chosen", better.into()),
+                                    ]
+                                });
+                                if better {
+                                    best_cost = plan.part_cost();
+                                    leader = None;
+                                    best = plan;
                                 }
                             }
-                            stats.plans_generated += 1;
-                            stats.parts_built += 1;
-                            let better = beats(plan.part_cost(), best_cost, require_feasible);
-                            dss_telemetry::event("candidate", || {
-                                [
-                                    ("flow", Value::from(flow.label.as_str())),
-                                    ("peer", state.topo.peer(v).name.as_str().into()),
-                                    ("outcome", Value::from("widened")),
-                                    ("cost", plan.cost.into()),
-                                    ("traffic", plan.traffic.into()),
-                                    ("load", plan.load.into()),
-                                    ("feasible", plan.feasible.into()),
-                                    ("chosen", better.into()),
-                                ]
-                            });
-                            if better {
-                                best_cost = plan.part_cost();
-                                leader = None;
-                                best = plan;
-                            }
                         }
+                        continue;
                     }
-                    continue;
                 };
                 stats.matches += 1;
                 // Lines 15–18 extend the frontier with the matched stream's

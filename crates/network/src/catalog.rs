@@ -12,45 +12,44 @@
 //! * per peer, the sorted list of shareable flows available there
 //!   ([`Catalog::shareable_at`] — the full, unpruned candidate set);
 //! * per (peer, origin stream), the same list restricted to variants of
-//!   that stream ([`Catalog::variants_at`] — what widening enumerates);
-//! * per (peer, origin stream, operator-kind signature), candidate flows
-//!   grouped by their *interned* [`ChainSummary`]: flows carrying the
-//!   identical operator chain are interchangeable for the match
-//!   pre-filters, so the per-subscription lens verdict is computed once
-//!   per distinct chain (cached in [`LensVerdicts`] across every peer the
-//!   search visits) and whole groups are emitted or pruned wholesale.
-//!   Windowed chains are further keyed by their [`WindowKey`] in a sorted
-//!   map so a subscription only probes window sizes that could divide its
-//!   own ([`Catalog::candidates_into`]).
+//!   that stream ([`Catalog::variants_at`]), its widenable part
+//!   ([`Catalog::widenable_at`]), and the same flows grouped by their
+//!   *interned* operator chain ([`ChainId`]).
 //!
-//! The distinction matters for scale: the number of *flows* grows without
-//! bound (every uncovered registration installs another residual chain),
-//! but the number of *distinct chains* saturates with the finite space of
-//! operator combinations actually subscribed to. Grouping makes candidate
-//! lookup proportional to distinct chains plus emitted candidates, not to
-//! installed flows — the difference between near-flat and linearly
-//! degrading registration latency at large subscription counts.
+//! Flows carrying the identical chain are interchangeable for
+//! `MatchProperties`, so the plan search judges a chain once and remembers
+//! the verdict in a row per subscription chain ([`Catalog::verdicts_for`]).
+//! [`Catalog::candidates_into`] emits every chain group except the ones
+//! that row has already rejected. The number of *flows* grows without bound
+//! (every uncovered registration installs another residual chain), but the
+//! number of *distinct chains* saturates with the finite space of operator
+//! combinations actually subscribed to, and so do the rows.
 //!
 //! Lookups return flow ids in ascending order — the same order the full
 //! scan produced — so the plan search's strict `<` cost comparison picks
 //! the identical winner with or without the index.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-use dss_properties::{ChainSummary, InputProperties, QueryLens, Signature, WindowKey};
+use dss_properties::{InputProperties, MatchFailure};
 
 use crate::flow::{FlowId, StreamFlow};
 use crate::memo::Memo;
 use crate::topology::NodeId;
 
-/// Index of an interned operator chain in the catalog's chain table.
-/// Flows share a `ChainId` exactly when their input properties for the
-/// stream are identical — so any pure function of those properties (the
-/// lens pre-filter verdict, the full `match_input_properties` result) may
-/// be memoized per chain id.
+/// Index of an interned operator chain. Flows share a `ChainId` exactly
+/// when their input properties for the stream are identical — so any pure
+/// function of those properties (the `MatchProperties` verdict, the
+/// residual operators' load) may be memoized per chain id.
 pub type ChainId = usize;
+
+/// The plan search's verdict on one (candidate chain, subscription chain)
+/// pair: the summed base load of the residual operators a stream carrying
+/// the candidate still needs to serve the subscription, or the check that
+/// rejected it.
+pub type Verdict = Result<f64, MatchFailure>;
 
 /// Inserts into a sorted id vector (ids re-enter out of order after widen
 /// re-indexing, so plain `push` is not enough).
@@ -66,39 +65,15 @@ fn remove_sorted(ids: &mut Vec<usize>, id: usize) {
     }
 }
 
-/// Interner for operator chains. Chains are keyed by the flow's full
-/// `InputProperties` — *not* by the coarser [`ChainSummary`] — so two
-/// flows share an id exactly when their properties are equal. The table
-/// only ever grows, bounded by the number of distinct operator chains ever
-/// deployed — not by flow count.
-#[derive(Clone, Default)]
-struct ChainInterner {
-    summaries: Vec<ChainSummary>,
-    ids: HashMap<InputProperties, ChainId>,
-}
-
-impl ChainInterner {
-    fn intern(&mut self, chain: &InputProperties, summary: &ChainSummary) -> ChainId {
-        if let Some(&id) = self.ids.get(chain) {
-            return id;
-        }
-        self.summaries.push(summary.clone());
-        self.ids.insert(chain.clone(), self.summaries.len() - 1);
-        self.summaries.len() - 1
-    }
-}
-
-/// One subscription chain's `judge` verdicts, a slot per candidate chain
-/// (see [`VerdictLoan`]).
-type VerdictRow = Vec<Option<Option<f64>>>;
+/// One subscription chain's verdicts, a slot per candidate chain (see
+/// [`VerdictLoan`]).
+type VerdictRow = Vec<Option<Verdict>>;
 
 /// A subscription chain's verdict row, on loan to one input's search
 /// ([`Catalog::verdicts_for`]): per candidate [`ChainId`] interned so far,
-/// `Some(Some(load))` when a stream carrying that chain can serve the
-/// subscription with residual operators of summed base load `load`,
-/// `Some(None)` when it cannot, `None` while no search for this
-/// subscription chain has judged the pair. Dropping the loan hands the row
-/// back with whatever this search added — however the search ends.
+/// `Some(verdict)` once a search for this subscription chain has judged the
+/// pair, `None` before. Dropping the loan hands the row back with whatever
+/// this search added — however the search ends.
 pub struct VerdictLoan<'a> {
     catalog: &'a Catalog,
     /// `None`: the subscription's chain is not interned (yet), so the row
@@ -108,7 +83,7 @@ pub struct VerdictLoan<'a> {
 }
 
 impl Deref for VerdictLoan<'_> {
-    type Target = [Option<Option<f64>>];
+    type Target = [Option<Verdict>];
 
     fn deref(&self) -> &Self::Target {
         &self.row
@@ -129,78 +104,6 @@ impl Drop for VerdictLoan<'_> {
     }
 }
 
-/// Memoized per-subscription lens verdicts, one slot per interned chain
-/// summary. A chain that flows past many peers is judged once per search,
-/// not once per (peer, flow).
-#[derive(Debug, Default)]
-pub struct LensVerdicts(Vec<Option<bool>>);
-
-impl LensVerdicts {
-    fn allows(&mut self, lens: &QueryLens, summaries: &[ChainSummary], sid: ChainId) -> bool {
-        if self.0.len() <= sid {
-            self.0.resize(sid + 1, None);
-        }
-        *self.0[sid].get_or_insert_with(|| lens.may_be_served_by(&summaries[sid]))
-    }
-}
-
-/// One signature bucket of a per-(peer, stream) index: flow groups keyed
-/// by interned chain summary; windowless groups in a flat sorted list,
-/// windowed groups in the window-size lattice.
-#[derive(Clone, Default)]
-struct SigBucket {
-    /// Per distinct chain: the sorted flows carrying it here.
-    groups: HashMap<ChainId, Vec<FlowId>>,
-    /// Groups whose chains carry no window key.
-    plain: Vec<ChainId>,
-    /// Windowed groups, ordered by the factor-multiple window lattice.
-    by_window: BTreeMap<WindowKey, Vec<ChainId>>,
-}
-
-impl SigBucket {
-    fn insert(&mut self, id: FlowId, sid: ChainId, key: Option<&WindowKey>) {
-        let SigBucket {
-            groups,
-            plain,
-            by_window,
-        } = self;
-        let group = groups.entry(sid).or_insert_with(|| {
-            match key {
-                None => insert_sorted(plain, sid),
-                Some(k) => insert_sorted(by_window.entry(k.clone()).or_default(), sid),
-            }
-            Vec::new()
-        });
-        insert_sorted(group, id);
-    }
-
-    fn remove(&mut self, id: FlowId, sid: ChainId, key: Option<&WindowKey>) {
-        let Some(group) = self.groups.get_mut(&sid) else {
-            return;
-        };
-        remove_sorted(group, id);
-        if !group.is_empty() {
-            return;
-        }
-        self.groups.remove(&sid);
-        match key {
-            None => remove_sorted(&mut self.plain, sid),
-            Some(k) => {
-                if let Some(sids) = self.by_window.get_mut(k) {
-                    remove_sorted(sids, sid);
-                    if sids.is_empty() {
-                        self.by_window.remove(k);
-                    }
-                }
-            }
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-}
-
 /// Index over the variants of one origin stream available at one peer.
 #[derive(Clone, Default)]
 struct StreamIndex {
@@ -211,7 +114,8 @@ struct StreamIndex {
     /// ascending — the only flows `widen_input` can loosen, so the
     /// widening search probes this list instead of `all`.
     widenable: Vec<FlowId>,
-    by_sig: HashMap<Signature, SigBucket>,
+    /// Per distinct chain: the sorted flows carrying it here.
+    groups: HashMap<ChainId, Vec<FlowId>>,
 }
 
 /// What was indexed for one flow — kept so retire/widen can unindex the
@@ -225,9 +129,8 @@ struct Membership {
 #[derive(Clone)]
 struct IndexedInput {
     stream: String,
-    signature: Signature,
-    window_key: Option<WindowKey>,
-    summary: ChainId,
+    chain: ChainId,
+    widenable: bool,
 }
 
 /// The per-peer stream-catalog index of a [`crate::flow::Deployment`].
@@ -235,10 +138,14 @@ struct IndexedInput {
 pub struct Catalog {
     /// Per peer: all shareable flows available there, ascending.
     per_node: Vec<Vec<FlowId>>,
-    /// Per origin stream, per peer: the signature-bucketed index.
+    /// Per origin stream, per peer: the variant index.
     streams: HashMap<String, Vec<StreamIndex>>,
     members: HashMap<FlowId, Membership>,
-    interner: ChainInterner,
+    /// Interner for operator chains, keyed by the flow's full
+    /// `InputProperties`: two flows share an id exactly when their
+    /// properties are equal. Only ever grows, bounded by the number of
+    /// distinct operator chains ever deployed — not by flow count.
+    chains: HashMap<InputProperties, ChainId>,
     /// Per interned chain, as a *subscription's* chain: its verdict row,
     /// empty until a search for it ends. Chain ids only grow and a verdict
     /// is a pure function of the two chains, so a row never goes stale —
@@ -248,6 +155,15 @@ pub struct Catalog {
 }
 
 impl Catalog {
+    fn intern(&mut self, chain: &InputProperties) -> ChainId {
+        if let Some(&id) = self.chains.get(chain) {
+            return id;
+        }
+        let id = self.chains.len();
+        self.chains.insert(chain.clone(), id);
+        id
+    }
+
     /// Indexes a flow. Retired flows and flows without shareable properties
     /// (delivery flows) are ignored.
     pub fn insert(&mut self, id: FlowId, flow: &StreamFlow) {
@@ -269,12 +185,10 @@ impl Catalog {
             {
                 continue;
             }
-            let summary = ChainSummary::of(input);
             inputs.push(IndexedInput {
                 stream: input.stream().to_string(),
-                signature: summary.signature().clone(),
-                window_key: summary.window_key(),
-                summary: self.interner.intern(input, &summary),
+                chain: self.intern(input),
+                widenable: input.is_widenable(),
             });
         }
         for &node in &nodes {
@@ -291,13 +205,10 @@ impl Catalog {
                 }
                 let idx = &mut per_node[node];
                 insert_sorted(&mut idx.all, id);
-                if input.signature.is_widenable() {
+                if input.widenable {
                     insert_sorted(&mut idx.widenable, id);
                 }
-                idx.by_sig
-                    .entry(input.signature.clone())
-                    .or_default()
-                    .insert(id, input.summary, input.window_key.as_ref());
+                insert_sorted(idx.groups.entry(input.chain).or_default(), id);
             }
         }
         self.members.insert(id, Membership { nodes, inputs });
@@ -322,13 +233,13 @@ impl Catalog {
                     continue;
                 };
                 remove_sorted(&mut idx.all, id);
-                if input.signature.is_widenable() {
+                if input.widenable {
                     remove_sorted(&mut idx.widenable, id);
                 }
-                if let Some(bucket) = idx.by_sig.get_mut(&input.signature) {
-                    bucket.remove(id, input.summary, input.window_key.as_ref());
-                    if bucket.is_empty() {
-                        idx.by_sig.remove(&input.signature);
+                if let Some(group) = idx.groups.get_mut(&input.chain) {
+                    remove_sorted(group, id);
+                    if group.is_empty() {
+                        idx.groups.remove(&input.chain);
                     }
                 }
             }
@@ -347,74 +258,54 @@ impl Catalog {
         self.per_node.get(node).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    fn index_at(&self, node: NodeId, stream: &str) -> Option<&StreamIndex> {
+        self.streams.get(stream)?.get(node)
+    }
+
     /// All variants of `stream` available at `node`, ascending — the
-    /// unpruned candidate set the widening search enumerates.
+    /// unpruned candidate set.
     pub fn variants_at(&self, node: NodeId, stream: &str) -> &[FlowId] {
-        self.streams
-            .get(stream)
-            .and_then(|per_node| per_node.get(node))
+        self.index_at(node, stream)
             .map(|idx| idx.all.as_slice())
             .unwrap_or(&[])
     }
 
     /// The widenable variants of `stream` at `node`, ascending: flows
     /// whose chain for the stream is selection/projection only. The
-    /// widening search unions this list with the lens-matched candidates
+    /// widening search unions this list with [`Self::candidates_into`]'s
     /// instead of enumerating every variant — a non-widenable chain can
     /// never yield a widening plan ([`dss_properties::widen_input`]
-    /// rejects it), so pruning the rest loses no matches and no plans.
+    /// rejects it), so skipping the rest loses no plans.
     pub fn widenable_at(&self, node: NodeId, stream: &str) -> &[FlowId] {
-        self.streams
-            .get(stream)
-            .and_then(|per_node| per_node.get(node))
+        self.index_at(node, stream)
             .map(|idx| idx.widenable.as_slice())
             .unwrap_or(&[])
     }
 
-    /// Collects into `out` the variants of `stream` at `node` that pass the
-    /// lens's pre-filters, ascending by flow id, each with the interned
-    /// chain id of its input for `stream` (what [`Self::chain_of`] would
-    /// look up — the buckets are keyed by it, so it comes for free). A flow
-    /// is emitted only if a full `match_input_properties` against the
-    /// lens's subscription *could* succeed; every true match is always
-    /// emitted. `verdicts` memoizes per-chain judgements across the calls
-    /// of one search and must not be reused with a different lens.
+    /// Collects into `out` the variants of `stream` at `node`, ascending by
+    /// flow id, each with the interned chain id of its input for `stream`
+    /// (what [`Self::chain_of`] would look up). Whole chain groups are
+    /// left out when `known` — a verdict row lent by
+    /// [`Self::verdicts_for`] — already holds a rejection for the chain:
+    /// such a stream cannot serve the subscription at any peer. Every chain
+    /// the row accepted or has not judged yet is emitted.
     pub fn candidates_into(
         &self,
         node: NodeId,
         stream: &str,
-        lens: &QueryLens,
-        verdicts: &mut LensVerdicts,
+        known: &[Option<Verdict>],
         out: &mut Vec<(FlowId, ChainId)>,
     ) {
         out.clear();
-        let Some(idx) = self
-            .streams
-            .get(stream)
-            .and_then(|per_node| per_node.get(node))
-        else {
+        let Some(idx) = self.index_at(node, stream) else {
             return;
         };
-        let summaries = &self.interner.summaries;
-        for (sig, bucket) in &idx.by_sig {
-            if !sig.is_subset_of(lens.kinds()) {
-                continue;
-            }
-            let mut emit = |sid: ChainId| {
-                if verdicts.allows(lens, summaries, sid) {
-                    out.extend(bucket.groups[&sid].iter().map(|&id| (id, sid)));
-                }
-            };
-            bucket.plain.iter().copied().for_each(&mut emit);
-            if !bucket.by_window.is_empty() {
-                for (lo, hi) in lens.window_ranges() {
-                    for (_, sids) in bucket.by_window.range::<WindowKey, _>(lo..=hi) {
-                        sids.iter().copied().for_each(&mut emit);
-                    }
-                }
+        for (&chain, flows) in &idx.groups {
+            if !matches!(known.get(chain), Some(Some(Err(_)))) {
+                out.extend(flows.iter().map(|&id| (id, chain)));
             }
         }
-        // Bucket iteration order is arbitrary (HashMap); the search's strict
+        // Group iteration order is arbitrary (HashMap); the search's strict
         // `<` tie-break depends on candidate order, so restore id order.
         out.sort_unstable();
     }
@@ -424,8 +315,7 @@ impl Catalog {
     /// one chain each get a valid row — the second an empty one — and the
     /// last to end is the one kept.
     pub fn verdicts_for(&self, wanted: &InputProperties) -> VerdictLoan<'_> {
-        let wanted = self.interner.ids.get(wanted).copied();
-        let chains = self.interner.summaries.len();
+        let wanted = self.chains.get(wanted).copied();
         let mut row = match wanted {
             Some(id) => {
                 let mut rows = self.verdicts.lock();
@@ -436,7 +326,7 @@ impl Catalog {
             }
             None => Vec::new(),
         };
-        row.resize(chains, None);
+        row.resize(self.chains.len(), None);
         VerdictLoan {
             catalog: self,
             wanted,
@@ -459,12 +349,12 @@ impl Catalog {
             .inputs
             .iter()
             .find(|i| i.stream == stream)
-            .map(|i| i.summary)
+            .map(|i| i.chain)
     }
 
-    /// Number of distinct chain summaries ever interned.
+    /// Number of distinct operator chains ever interned.
     pub fn distinct_chains(&self) -> usize {
-        self.interner.summaries.len()
+        self.chains.len()
     }
 }
 
@@ -476,7 +366,7 @@ impl fmt::Debug for Catalog {
             .field("indexed_flows", &self.members.len())
             .field("peers", &self.per_node.len())
             .field("streams", &self.streams.len())
-            .field("distinct_chains", &self.interner.summaries.len())
+            .field("distinct_chains", &self.chains.len())
             .finish()
     }
 }
@@ -515,7 +405,7 @@ mod tests {
     fn judge_all(loan: &mut VerdictLoan<'_>) -> usize {
         let unknown = loan.iter().filter(|slot| slot.is_none()).count();
         for (id, slot) in loan.iter_mut().enumerate() {
-            slot.get_or_insert(Some(id as f64));
+            slot.get_or_insert(Ok(id as f64));
         }
         unknown
     }
@@ -535,7 +425,7 @@ mod tests {
         catalog.insert(1, &flow_carrying(&b));
         {
             let mut loan = catalog.verdicts_for(&a);
-            assert_eq!(&loan[..], &[Some(Some(0.0)), None]);
+            assert_eq!(&loan[..], &[Some(Ok(0.0)), None]);
             assert_eq!(judge_all(&mut loan), 1);
         }
         assert_eq!(judge_all(&mut catalog.verdicts_for(&a)), 0);
@@ -574,11 +464,60 @@ mod tests {
         // input) drops its loan like any other.
         let abandoned = || -> Result<(), ()> {
             let mut loan = catalog.verdicts_for(&a);
-            loan[1] = Some(None);
+            loan[1] = Some(Err(MatchFailure::Origin));
             Err(())
         };
         assert!(abandoned().is_err());
-        assert_eq!(&catalog.verdicts_for(&a)[..], &[None, Some(None)]);
+        assert_eq!(
+            &catalog.verdicts_for(&a)[..],
+            &[None, Some(Err(MatchFailure::Origin))]
+        );
         assert_eq!(&catalog.verdicts_for(&b)[..], &[None, None]);
+    }
+
+    #[test]
+    fn candidates_skip_only_the_chains_the_row_rejected() {
+        let mut catalog = Catalog::default();
+        let (a, b, c) = (chain("a"), chain("b"), chain("c"));
+        // Three chains over two peers; `b` is carried by two flows.
+        let on = |chain: &InputProperties, route: Vec<NodeId>| StreamFlow {
+            route,
+            ..flow_carrying(chain)
+        };
+        catalog.insert(0, &on(&a, vec![0, 1]));
+        catalog.insert(1, &on(&b, vec![0, 1]));
+        catalog.insert(2, &on(&c, vec![0, 1]));
+        catalog.insert(3, &on(&b, vec![1]));
+        let mut out = Vec::new();
+        let ids = |out: &[(FlowId, ChainId)]| out.iter().map(|&(id, _)| id).collect::<Vec<_>>();
+        let mut loan = catalog.verdicts_for(&a);
+        // Nothing judged yet: every variant, ascending, with its chain.
+        catalog.candidates_into(0, "photons", &loan, &mut out);
+        assert_eq!(out, [(0, 0), (1, 1), (2, 2)]);
+        // The search at peer 0 accepts `a`, rejects `b`, leaves `c` unjudged.
+        loan[0] = Some(Ok(1.0));
+        loan[1] = Some(Err(MatchFailure::CheckFailed {
+            kind: "udf",
+            check: "MatchProperties",
+        }));
+        // At a later peer both of `b`'s flows are skipped; `a` and `c` stay.
+        catalog.candidates_into(1, "photons", &loan, &mut out);
+        assert_eq!(ids(&out), [0, 2]);
+        // Another stream's variants and an unknown peer yield nothing.
+        catalog.candidates_into(1, "spectra", &loan, &mut out);
+        assert!(out.is_empty());
+        catalog.candidates_into(7, "photons", &loan, &mut out);
+        assert!(out.is_empty());
+        // The row outlives the search: the next one skips `b` at once.
+        drop(loan);
+        catalog.candidates_into(1, "photons", &catalog.verdicts_for(&a), &mut out);
+        assert_eq!(ids(&out), [0, 2]);
+        // Rows are per subscription chain: `b`'s own row rejects nothing.
+        catalog.candidates_into(1, "photons", &catalog.verdicts_for(&b), &mut out);
+        assert_eq!(ids(&out), [0, 1, 2, 3]);
+        // `all` and `widenable` are never filtered (UDF chains are not
+        // widenable).
+        assert_eq!(catalog.variants_at(1, "photons"), [0, 1, 2, 3]);
+        assert!(catalog.widenable_at(1, "photons").is_empty());
     }
 }

@@ -15,10 +15,10 @@ use std::ops::{Deref, DerefMut};
 
 use dss_engine::Template;
 use dss_properties::{
-    AggOp, AggregationSpec, InputProperties, Operator, Properties, QueryLens, WindowOutputSpec,
+    AggOp, AggregationSpec, InputProperties, Operator, Properties, WindowOutputSpec,
 };
 
-use crate::catalog::{Catalog, LensVerdicts, VerdictLoan};
+use crate::catalog::{Catalog, ChainId, Verdict, VerdictLoan};
 use crate::topology::{NodeId, Topology};
 
 /// Flow identifier (dense index into the deployment).
@@ -213,7 +213,7 @@ impl Deployment {
     /// The interned chain id of `id`'s input for `stream` (see
     /// [`Catalog::chain_of`]): equal ids mean byte-identical input
     /// properties.
-    pub fn chain_of(&self, id: FlowId, stream: &str) -> Option<crate::catalog::ChainId> {
+    pub fn chain_of(&self, id: FlowId, stream: &str) -> Option<ChainId> {
         self.catalog.chain_of(id, stream)
     }
 
@@ -226,23 +226,18 @@ impl Deployment {
         self.catalog.variants_at(node, stream)
     }
 
-    /// Collects into `out` the variants of `stream` at `node` whose chain
-    /// summaries pass `lens`'s pre-filters, ascending, each paired with
-    /// its interned chain id (see [`Self::chain_of`]). Guaranteed to
-    /// contain every flow whose properties `match_input_properties` would
-    /// accept for the lens's subscription input; non-matches may be pruned.
-    /// `verdicts` memoizes per-chain judgements across the peers of one
-    /// search — pass a fresh one per lens.
+    /// Collects into `out` the variants of `stream` at `node`, ascending,
+    /// each paired with its interned chain id (see [`Self::chain_of`]),
+    /// leaving out the chains the verdict row `known` already rejected
+    /// (see [`Catalog::candidates_into`]).
     pub fn candidates_into(
         &self,
         node: NodeId,
         stream: &str,
-        lens: &QueryLens,
-        verdicts: &mut LensVerdicts,
-        out: &mut Vec<(FlowId, crate::catalog::ChainId)>,
+        known: &[Option<Verdict>],
+        out: &mut Vec<(FlowId, ChainId)>,
     ) {
-        self.catalog
-            .candidates_into(node, stream, lens, verdicts, out);
+        self.catalog.candidates_into(node, stream, known, out);
     }
 
     /// What earlier plan searches remembered about the subscription chain
@@ -253,7 +248,7 @@ impl Deployment {
 
     /// Shareable flows at `node` carrying `stream` through a *widenable*
     /// (selection/projection-only) chain, ascending — the extra candidates
-    /// the widening search inspects beyond the lens-matched set, served
+    /// the widening search inspects beyond [`Self::candidates_into`]'s, served
     /// from the maintained index instead of a variant scan.
     pub fn widenable_at(&self, node: NodeId, stream: &str) -> &[FlowId] {
         self.catalog.widenable_at(node, stream)
@@ -511,7 +506,6 @@ mod tests {
 
     #[test]
     fn indexed_candidates_equal_filtered_scan() {
-        use dss_properties::QueryLens;
         let t = grid_topology(2, 2);
         let mut d = Deployment::new();
         let (sp0, sp1, sp3) = (
@@ -534,11 +528,11 @@ mod tests {
             retired: false,
         });
         let wanted = InputProperties::original("photons");
-        let lens = QueryLens::of(&wanted);
-        let mut verdicts = crate::catalog::LensVerdicts::default();
+        let mut known = d.verdicts_for(&wanted);
         let mut got = Vec::new();
         for node in [sp0, sp1, sp3] {
-            d.candidates_into(node, "photons", &lens, &mut verdicts, &mut got);
+            // A row that has judged nothing yet hides nothing.
+            d.candidates_into(node, "photons", &known, &mut got);
             let scan: Vec<FlowId> = (0..d.len())
                 .filter(|&i| {
                     let f = d.flow(i);
@@ -552,6 +546,14 @@ mod tests {
             }
             assert_eq!(d.variants_at(node, "photons"), scan.as_slice());
         }
+        // Both source flows carry one chain: a row that rejected it hides
+        // the whole group.
+        let chain = d.chain_of(0, "photons").expect("indexed");
+        assert_eq!(d.chain_of(1, "photons"), Some(chain));
+        known[chain] = Some(Err(dss_properties::MatchFailure::Origin));
+        d.candidates_into(sp1, "photons", &known, &mut got);
+        assert!(got.is_empty());
+        assert_eq!(d.variants_at(sp1, "photons"), [0, 1]);
     }
 
     #[test]

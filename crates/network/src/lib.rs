@@ -29,7 +29,7 @@ pub mod shared;
 pub mod sim;
 pub mod topology;
 
-pub use catalog::{Catalog, ChainId, LensVerdicts, VerdictLoan};
+pub use catalog::{Catalog, ChainId, Verdict, VerdictLoan};
 pub use flow::{Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
 pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};

@@ -36,4 +36,4 @@ pub use atom::{Atom, CompOp, Term};
 pub use bound::Bound;
 pub use compiled::CompiledPredicate;
 pub use graph::{NodeRef, PredicateGraph};
-pub use matching::{match_predicates, match_predicates_edgewise};
+pub use matching::{implied_by_closure, match_predicates, match_predicates_edgewise};

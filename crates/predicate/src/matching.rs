@@ -29,29 +29,25 @@ use crate::graph::PredicateGraph;
 /// imply those of G, i.e., reusability of the data stream is not prevented
 /// by the predicates."
 pub fn match_predicates(g_stream: &PredicateGraph, g_new: &PredicateGraph) -> bool {
-    if g_stream.is_trivial() {
-        return true;
-    }
-    // The subscription's closure is recomputed per call; the plan search
-    // matches one fixed subscription against many candidate streams, so a
-    // caller-side cache would save work. Deliberate trade-off: predicates
-    // in this domain have ≤ a handful of variables (Floyd–Warshall over
-    // ≤ 6 nodes is sub-microsecond) and registrations measure in the
-    // hundreds of microseconds end to end.
-    let closure = g_new.closure();
+    g_stream.is_trivial() || implied_by_closure(g_stream, &g_new.closure())
+}
+
+/// [`match_predicates`] against `closure`, the subscription graph's
+/// [`PredicateGraph::closure`], computed by the caller: a plan search
+/// matches one subscription against many candidate streams and computes
+/// the closure once.
+pub fn implied_by_closure(g_stream: &PredicateGraph, closure: &PredicateGraph) -> bool {
     // An unsatisfiable subscription implies anything; such subscriptions are
     // rejected earlier, but stay correct here regardless.
     let unsat = closure
         .edges()
         .any(|(u, v, b)| u == v && b.cycle_is_infeasible());
-    if unsat {
-        return true;
-    }
-    g_stream.edges().all(|(u, v, want)| {
-        closure
-            .direct_bound(u, v)
-            .is_some_and(|have| have.implies(want))
-    })
+    unsat
+        || g_stream.edges().all(|(u, v, want)| {
+            closure
+                .direct_bound(u, v)
+                .is_some_and(|have| have.implies(want))
+        })
 }
 
 /// The literal Algorithm 3: node-by-node, edge-by-edge matching.

@@ -16,16 +16,14 @@
 pub mod matching;
 pub mod operator;
 pub mod properties;
-pub mod summary;
 pub mod window;
 
 pub use matching::{
     explain_match_input_properties, match_aggregations, match_input_properties,
-    match_window_output, residual_operators, widen_input, MatchFailure,
+    match_window_output, residual_operators, widen_input, MatchFailure, Wanted,
 };
 pub use operator::{
     AggOp, AggregationSpec, Operator, ProjectionSpec, ResultFilter, WindowOutputSpec,
 };
 pub use properties::{InputProperties, Properties, PropertiesError};
-pub use summary::{ChainSummary, QueryLens, SigAtom, Signature, WindowKey};
 pub use window::{WindowError, WindowKind, WindowSpec};

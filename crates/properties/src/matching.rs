@@ -1,6 +1,8 @@
 //! `MatchProperties` (Algorithm 2) and `MatchAggregations` (Section 3.3).
 
-use dss_predicate::match_predicates;
+use std::cell::OnceCell;
+
+use dss_predicate::{implied_by_closure, match_predicates, PredicateGraph};
 
 use crate::operator::{AggOp, AggregationSpec, Operator, ProjectionSpec, WindowOutputSpec};
 use crate::properties::InputProperties;
@@ -18,6 +20,11 @@ fn projection_covers_reads(r: &ProjectionSpec, new_props: &InputProperties) -> b
         .is_some_and(|reads| reads.iter().all(|p| r.outputs_path(p)))
 }
 
+/// Semantic equality of two selections: each implies the other.
+fn same_selection(a: &PredicateGraph, b: &PredicateGraph) -> bool {
+    match_predicates(a, b) && match_predicates(b, a)
+}
+
 /// Matching for window-contents operators: can the windowed item sequences
 /// described by `reused` be used to produce those described by `new`?
 ///
@@ -27,9 +34,8 @@ fn projection_covers_reads(r: &ProjectionSpec, new_props: &InputProperties) -> b
 /// pre-windowing selections must be semantically identical: an item missing
 /// from a reused window cannot be recovered downstream.
 pub fn match_window_output(reused: &WindowOutputSpec, new: &WindowOutputSpec) -> bool {
-    let same_selection = match_predicates(&reused.pre_selection, &new.pre_selection)
-        && match_predicates(&new.pre_selection, &reused.pre_selection);
-    same_selection && new.window.shareable_from(&reused.window)
+    new.window.shareable_from(&reused.window)
+        && same_selection(&reused.pre_selection, &new.pre_selection)
 }
 
 /// `MatchAggregations`: can the results of the aggregation described by
@@ -43,123 +49,44 @@ pub fn match_window_output(reused: &WindowOutputSpec, new: &WindowOutputSpec) ->
 ///    subscriptions.
 /// 2. Same aggregated element (same input data is checked by the caller at
 ///    the stream level).
-/// 3. Selections applied *before* aggregation must be the same in both —
-///    implication is not enough once values are folded into aggregates.
-/// 4. If the reused aggregation result was filtered, the new subscription
+/// 3. If the reused aggregation result was filtered, the new subscription
 ///    must apply the same or a more restrictive filter (otherwise required
 ///    partials may have been dropped).
-/// 5. Window compatibility: `Δ' mod Δ = 0`, `Δ mod µ = 0`, `µ' mod µ = 0`,
+/// 4. Window compatibility: `Δ' mod Δ = 0`, `Δ mod µ = 0`, `µ' mod µ = 0`,
 ///    with equal ordered reference elements for `diff` windows.
+/// 5. Selections applied *before* aggregation must be the same in both —
+///    implication is not enough once values are folded into aggregates.
+///    Checked last: it is the one condition that computes closures.
 pub fn match_aggregations(reused: &AggregationSpec, new: &AggregationSpec) -> bool {
     let ops_compatible = reused.op == new.op
         || (reused.op == AggOp::Avg && matches!(new.op, AggOp::Sum | AggOp::Count));
-    if !ops_compatible {
+    if !ops_compatible || reused.element != new.element {
         return false;
     }
-    if reused.element != new.element {
-        return false;
-    }
-    // Pre-aggregation selections must be semantically identical.
-    let same_selection = match_predicates(&reused.pre_selection, &new.pre_selection)
-        && match_predicates(&new.pre_selection, &reused.pre_selection);
-    if !same_selection {
-        return false;
-    }
-    if !reused.result_filter.is_trivial() {
+    let windows_compose = if reused.result_filter.is_trivial() {
+        new.window.shareable_from(&reused.window)
+    } else {
         // A filtered aggregate stream is missing the windows its filter
         // dropped. Those windows are unrecoverable, so reuse is only sound
         // when (a) no window composition is needed — the windows are
         // identical — and (b) the new subscription filters at least as
         // restrictively. ("Reusing such aggregate values for computing
         // more coarse-grained window aggregates is not possible in
-        // general", Section 3.3 — here enforced.)
-        if new.window != reused.window {
-            return false;
-        }
-        // Filters on different aggregate operators compare different
-        // quantities (an avg threshold says nothing about a sum), so the
-        // restrictiveness check is only meaningful for equal operators.
-        if reused.op != new.op {
-            return false;
-        }
-        if !new
-            .result_filter
-            .at_least_as_restrictive_as(&reused.result_filter)
-        {
-            return false;
-        }
-        return true;
-    }
-    new.window.shareable_from(&reused.window)
+        // general", Section 3.3 — here enforced.) Filters on different
+        // aggregate operators compare different quantities (an avg
+        // threshold says nothing about a sum), so the restrictiveness
+        // check is only meaningful for equal operators.
+        new.window == reused.window
+            && reused.op == new.op
+            && new
+                .result_filter
+                .at_least_as_restrictive_as(&reused.result_filter)
+    };
+    windows_compose && same_selection(&reused.pre_selection, &new.pre_selection)
 }
 
-/// `MatchProperties` (Algorithm 2) for one input stream: `true` iff the
-/// data stream described by `stream_props` can be shared to answer the
-/// subscription input described by `new_props`.
-///
-/// For every operator applied to the candidate stream there must be a
-/// corresponding operator in the new subscription with compatible
-/// conditions — otherwise the stream is missing data the subscription
-/// needs:
-///
-/// * selection: the new predicates must imply the stream's
-///   (`MatchPredicates`),
-/// * projection: the stream's output elements must cover everything the
-///   subscription references (`R ⊇ R'`),
-/// * aggregation: `MatchAggregations`,
-/// * unknown (user-defined) operators: assumed deterministic, shareable
-///   only with an identical input vector.
-pub fn match_input_properties(stream_props: &InputProperties, new_props: &InputProperties) -> bool {
-    // Lines 1–4: the original input streams must be identical.
-    if !stream_props.same_origin(new_props) {
-        return false;
-    }
-    // Lines 6–36: every operator of the stream needs a compatible partner.
-    for o in stream_props.operators() {
-        let mut matched = false;
-        for o_new in new_props.operators() {
-            if o.kind() != o_new.kind() {
-                continue;
-            }
-            if same_kind_compatible(o, o_new) {
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
-            // A stream projection needs no same-kind partner when the new
-            // chain's finite read set is covered by the projected output.
-            if let Operator::Projection(r) = o {
-                if projection_covers_reads(r, new_props) {
-                    continue;
-                }
-            }
-            return false;
-        }
-    }
-    true
-}
-
-/// The kind-specific compatibility check of Algorithm 2's inner loop.
-/// Callers guarantee `o.kind() == o_new.kind()`.
-fn same_kind_compatible(o: &Operator, o_new: &Operator) -> bool {
-    match (o, o_new) {
-        (Operator::Selection(g), Operator::Selection(g_new)) => match_predicates(g, g_new),
-        (Operator::Projection(r), Operator::Projection(r_new)) => r.covers(r_new),
-        (Operator::Aggregation(c), Operator::Aggregation(c_new)) => match_aggregations(c, c_new),
-        (Operator::WindowOutput(w), Operator::WindowOutput(w_new)) => match_window_output(w, w_new),
-        (
-            Operator::Udf { params, .. },
-            Operator::Udf {
-                params: new_params, ..
-            },
-        ) => params == new_params,
-        _ => unreachable!("kind equality guarantees identical variants"),
-    }
-}
-
-/// Why [`match_input_properties`] rejected a candidate, named after the
-/// paper's check that said no.
+/// Why [`Wanted::served_by`] rejected a candidate, named after the paper's
+/// check that said no.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchFailure {
     /// Algorithm 2 lines 1–4: the original input streams differ.
@@ -218,33 +145,66 @@ fn operator_check_name(o: &Operator) -> &'static str {
     }
 }
 
-/// [`match_input_properties`] with a reason: `Ok(())` when the candidate
-/// stream can serve the new query, otherwise which check rejected it.
-/// Exactly as strict as the boolean form — used by the tracing layer to
-/// explain rejections without burdening the hot path.
-pub fn explain_match_input_properties(
-    stream_props: &InputProperties,
-    new_props: &InputProperties,
-) -> Result<(), MatchFailure> {
-    if !stream_props.same_origin(new_props) {
-        return Err(MatchFailure::Origin);
-    }
-    for o in stream_props.operators() {
-        let mut saw_kind = false;
-        let mut matched = false;
-        for o_new in new_props.operators() {
-            if o.kind() != o_new.kind() {
-                continue;
-            }
-            saw_kind = true;
-            if same_kind_compatible(o, o_new) {
-                matched = true;
-                break;
-            }
+/// A subscription input as `MatchProperties` reads it when it is matched
+/// against many candidate streams, as one plan search does: the transitive
+/// closure of each of its selections is computed on first use and kept.
+pub struct Wanted<'a> {
+    props: &'a InputProperties,
+    /// Per operator of `props`: a selection's closure, once computed.
+    closures: Vec<OnceCell<PredicateGraph>>,
+}
+
+impl<'a> Wanted<'a> {
+    /// Prepares `props` for matching; no closure is computed yet.
+    pub fn new(props: &'a InputProperties) -> Wanted<'a> {
+        Wanted {
+            props,
+            closures: props.operators().iter().map(|_| OnceCell::new()).collect(),
         }
-        if !matched {
+    }
+
+    /// The subscription input's properties.
+    pub fn props(&self) -> &'a InputProperties {
+        self.props
+    }
+
+    /// `MatchProperties` (Algorithm 2) for one input stream: `Ok(())` when
+    /// the data stream described by `stream` can be shared to answer this
+    /// subscription input, otherwise which check rejected it.
+    ///
+    /// For every operator applied to the candidate stream there must be a
+    /// corresponding operator in the new subscription with compatible
+    /// conditions — otherwise the stream is missing data the subscription
+    /// needs:
+    ///
+    /// * selection: the new predicates must imply the stream's
+    ///   (`MatchPredicates`),
+    /// * projection: the stream's output elements must cover everything the
+    ///   subscription references (`R ⊇ R'`),
+    /// * aggregation: `MatchAggregations`,
+    /// * unknown (user-defined) operators: assumed deterministic, shareable
+    ///   only with an identical input vector.
+    pub fn served_by(&self, stream: &InputProperties) -> Result<(), MatchFailure> {
+        // Lines 1–4: the original input streams must be identical.
+        if !stream.same_origin(self.props) {
+            return Err(MatchFailure::Origin);
+        }
+        // Lines 6–36: every operator of the stream needs a compatible partner.
+        'stream_ops: for o in stream.operators() {
+            let mut saw_kind = false;
+            for (i, o_new) in self.props.operators().iter().enumerate() {
+                if o.kind() != o_new.kind() {
+                    continue;
+                }
+                saw_kind = true;
+                if self.same_kind_compatible(o, o_new, i) {
+                    continue 'stream_ops;
+                }
+            }
+            // A stream projection needs no same-kind partner when the new
+            // chain's finite read set is covered by the projected output.
             if let Operator::Projection(r) = o {
-                if projection_covers_reads(r, new_props) {
+                if projection_covers_reads(r, self.props) {
                     continue;
                 }
             }
@@ -258,8 +218,51 @@ pub fn explain_match_input_properties(
                 MatchFailure::MissingPartner { kind }
             });
         }
+        Ok(())
     }
-    Ok(())
+
+    /// The kind-specific compatibility check of Algorithm 2's inner loop,
+    /// against this subscription's `i`-th operator `o_new`. Callers
+    /// guarantee `o.kind() == o_new.kind()`.
+    fn same_kind_compatible(&self, o: &Operator, o_new: &Operator, i: usize) -> bool {
+        match (o, o_new) {
+            (Operator::Selection(g), Operator::Selection(g_new)) => {
+                g.is_trivial()
+                    || implied_by_closure(g, self.closures[i].get_or_init(|| g_new.closure()))
+            }
+            (Operator::Projection(r), Operator::Projection(r_new)) => r.covers(r_new),
+            (Operator::Aggregation(c), Operator::Aggregation(c_new)) => {
+                match_aggregations(c, c_new)
+            }
+            (Operator::WindowOutput(w), Operator::WindowOutput(w_new)) => {
+                match_window_output(w, w_new)
+            }
+            (
+                Operator::Udf { params, .. },
+                Operator::Udf {
+                    params: new_params, ..
+                },
+            ) => params == new_params,
+            _ => unreachable!("kind equality guarantees identical variants"),
+        }
+    }
+}
+
+/// [`Wanted::served_by`] for a one-off pair: `Ok(())` when the stream
+/// described by `stream_props` can serve the subscription input described
+/// by `new_props`, otherwise which check rejected it.
+pub fn explain_match_input_properties(
+    stream_props: &InputProperties,
+    new_props: &InputProperties,
+) -> Result<(), MatchFailure> {
+    Wanted::new(new_props).served_by(stream_props)
+}
+
+/// `MatchProperties` (Algorithm 2) for one input stream: `true` iff the
+/// data stream described by `stream_props` can be shared to answer the
+/// subscription input described by `new_props`.
+pub fn match_input_properties(stream_props: &InputProperties, new_props: &InputProperties) -> bool {
+    explain_match_input_properties(stream_props, new_props).is_ok()
 }
 
 /// Stream *widening* (the paper's ongoing work): computes properties of a
@@ -279,12 +282,7 @@ pub fn widen_input(a: &InputProperties, b: &InputProperties) -> Option<InputProp
     if match_input_properties(a, b) {
         return None; // plain sharing already applies
     }
-    let simple = |p: &InputProperties| {
-        p.operators()
-            .iter()
-            .all(|o| matches!(o, Operator::Selection(_) | Operator::Projection(_)))
-    };
-    if !simple(a) || !simple(b) {
+    if !a.is_widenable() || !b.is_widenable() {
         return None;
     }
     // Widened selection: the hull, dropped entirely when either side is
@@ -491,6 +489,48 @@ mod tests {
         let failure = explain_match_input_properties(&filtered, &unfiltered).unwrap_err();
         assert_eq!(failure, MatchFailure::MissingPartner { kind: "selection" });
         assert_eq!(failure.check_name(), "MatchProperties");
+    }
+
+    /// One `Wanted` judged against many streams keeps each selection's
+    /// closure with its own operator: every verdict equals a fresh one's,
+    /// also for a chain with two selections.
+    #[test]
+    fn a_reused_wanted_judges_like_a_fresh_one() {
+        let two_selections = InputProperties::new(
+            "photons",
+            vec![
+                Operator::Selection(q2_selection()),
+                Operator::Projection(ProjectionSpec::returning([p("en")])),
+                Operator::Selection(q1_selection()),
+            ],
+        )
+        .unwrap();
+        let only =
+            |g: PredicateGraph| InputProperties::new("photons", vec![Operator::Selection(g)]);
+        let chains = [
+            InputProperties::original("photons"),
+            q1_props(),
+            q2_props(),
+            agg_only_query(),
+            two_selections,
+            only(q1_selection()).unwrap(),
+            only(q2_selection()).unwrap(),
+        ];
+        for wanted in &chains {
+            let prepared = Wanted::new(wanted);
+            for _ in 0..2 {
+                for stream in &chains {
+                    assert_eq!(
+                        prepared.served_by(stream),
+                        explain_match_input_properties(stream, wanted),
+                        "{stream} for {wanted}"
+                    );
+                }
+            }
+        }
+        let wanted = &chains[4];
+        assert_eq!(Wanted::new(wanted).served_by(&chains[5]), Ok(()));
+        assert_eq!(Wanted::new(wanted).served_by(&chains[6]), Ok(()));
     }
 
     #[test]

@@ -141,6 +141,16 @@ impl InputProperties {
         })
     }
 
+    /// `true` when the chain is selection/projection only (the original
+    /// stream included): the only shape [`crate::widen_input`] can loosen
+    /// in place — folding values into aggregates or windows loses the items
+    /// a wider stream would need.
+    pub fn is_widenable(&self) -> bool {
+        self.operators
+            .iter()
+            .all(|o| matches!(o, Operator::Selection(_) | Operator::Projection(_)))
+    }
+
     /// `true` if both properties are *variants* of the same original input
     /// stream — the precondition for even attempting a match.
     pub fn same_origin(&self, other: &InputProperties) -> bool {

@@ -1,38 +1,76 @@
 #!/usr/bin/env bash
-# Mutation smoke-check for the differential harness.
+# Mutation smoke-check for the two differential oracles.
 #
-# Deliberately breaks the identical-window rule of operator sharing: the
-# mutant has `dss_network::FlowDag` merge operators through a rule that
-# ignores an aggregation's window — two aggregation instances whose
-# windows differ share one instance as long as everything else matches —
-# and asserts that the differential suite *fails*. If the mutant
-# survives, the harness has lost its teeth and this script exits
-# non-zero. The original file is always restored.
+# Each mutant deliberately breaks one rule and asserts that the suite
+# meant to guard it *fails*. If a mutant survives, that harness has lost
+# its teeth and this script exits non-zero. The original file is always
+# restored.
+#
+# 1. Operator sharing's identical-window rule: the mutant has
+#    `dss_network::FlowDag` merge operators through a rule that ignores an
+#    aggregation's window — two aggregation instances whose windows differ
+#    share one instance as long as everything else matches. The
+#    differential suite (fused deployments against the oracle) must fail.
+# 2. The catalog's candidate skip: the mutant has
+#    `Catalog::candidates_into` also skip the chains the verdict row has
+#    *accepted*, not only the ones it rejected. The full-scan oracle
+#    (`tests/indexed_search.rs`) must fail.
 #
 # Usage: scripts/mutation_smoke.sh
 
 set -u
 cd "$(dirname "$0")/.."
 
-FILE=crates/network/src/shared.rs
-ORIG="$FILE.mutation-smoke.orig"
-
-cp "$FILE" "$ORIG"
+FILE=
+ORIG=
 restore() {
-    mv "$ORIG" "$FILE"
-    # The copy kept its pre-mutation mtime; without this, cargo would
-    # consider the mutant build up to date and keep its stale rlib.
-    touch "$FILE"
+    if [ -n "$ORIG" ] && [ -f "$ORIG" ]; then
+        mv "$ORIG" "$FILE"
+        # The copy kept its pre-mutation mtime; without this, cargo would
+        # consider the mutant build up to date and keep its stale rlib.
+        touch "$FILE"
+    fi
 }
 trap restore EXIT
 
-# Every FlowDag merge goes through `FlowOp::eq`; route them all through the
-# window-blind rule instead.
-sed -i 's/FlowOp::eq\b/window_blind_eq/g' "$FILE"
-if cmp -s "$FILE" "$ORIG"; then
-    echo "mutation_smoke: FAILED to apply the mutation (FlowOp::eq not found)" >&2
-    exit 2
-fi
+# mutate <file> <sed expression> <what>: backs up <file>, applies the
+# expression, and fails if it changed nothing.
+mutate() {
+    FILE=$1
+    ORIG="$FILE.mutation-smoke.orig"
+    cp "$FILE" "$ORIG"
+    sed -i "$2" "$FILE"
+    if cmp -s "$FILE" "$ORIG"; then
+        echo "mutation_smoke: FAILED to apply the $3 mutation" >&2
+        exit 2
+    fi
+    echo "mutation_smoke: applied $3 mutant to $FILE"
+}
+
+# expect_caught <what> <cargo test args...>: the tests must fail, and not
+# because the mutant does not compile.
+expect_caught() {
+    local what=$1
+    shift
+    if cargo test -q "$@" >/tmp/mutation_smoke.log 2>&1; then
+        echo "mutation_smoke: $what MUTANT SURVIVED — the harness did not catch it" >&2
+        tail -20 /tmp/mutation_smoke.log >&2
+        exit 1
+    fi
+    if grep -q 'error\[E' /tmp/mutation_smoke.log; then
+        echo "mutation_smoke: the $what mutant does not compile" >&2
+        grep -m 5 -A 5 'error\[E' /tmp/mutation_smoke.log >&2
+        exit 2
+    fi
+    echo "mutation_smoke: $what mutant caught:"
+    grep -m 3 -E 'counterexample|panicked' /tmp/mutation_smoke.log || tail -5 /tmp/mutation_smoke.log
+    restore
+    ORIG=
+}
+
+# Mutant 1. Every FlowDag merge goes through `FlowOp::eq`; route them all
+# through the window-blind rule instead.
+mutate crates/network/src/shared.rs 's/FlowOp::eq\b/window_blind_eq/g' window-merge
 cat >> "$FILE" <<'EOF'
 
 fn window_blind_eq(a: &FlowOp, b: &FlowOp) -> bool {
@@ -47,21 +85,13 @@ fn window_blind_eq(a: &FlowOp, b: &FlowOp) -> bool {
     }
 }
 EOF
-echo "mutation_smoke: applied window-merge mutant to $FILE"
-
 # The harness's own unit tests would catch this too, but the point is the
 # end-to-end differential: fused deployments against the oracle.
-if cargo test -q --test differential fused_aggregates_with_different_windows_stay_separate \
-    >/tmp/mutation_smoke.log 2>&1; then
-    echo "mutation_smoke: MUTANT SURVIVED — the differential harness did not catch it" >&2
-    tail -20 /tmp/mutation_smoke.log >&2
-    exit 1
-fi
-if grep -q 'error\[E' /tmp/mutation_smoke.log; then
-    echo "mutation_smoke: the mutant does not compile" >&2
-    grep -m 5 -A 5 'error\[E' /tmp/mutation_smoke.log >&2
-    exit 2
-fi
-echo "mutation_smoke: mutant caught by the differential harness:"
-grep -m 3 -E 'counterexample|panicked' /tmp/mutation_smoke.log || tail -5 /tmp/mutation_smoke.log
+expect_caught window-merge --test differential fused_aggregates_with_different_windows_stay_separate
+
+# Mutant 2. The skip test matches rejections only (`Some(Some(Err(_)))`);
+# widen it to every remembered verdict.
+mutate crates/network/src/catalog.rs 's/Some(Some(Err(_)))/Some(Some(_))/' accepted-skip
+expect_caught accepted-skip --test indexed_search
+
 echo "mutation_smoke: OK"

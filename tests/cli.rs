@@ -195,6 +195,51 @@ fn explain_prints_the_figure_2_candidate_table() {
     );
 }
 
+/// `dss explain` lists every chain the search judged, rejected ones
+/// included: Query 4 after Queries 1–3 meets Query 2's stream at SP5 and
+/// prints the check it failed, and the winners still sum to the installed
+/// plan's `C(P)` exactly.
+#[test]
+fn explain_prints_the_rejected_query_2_stream_for_query_4() {
+    let mut child = dss()
+        .args(["explain", "-", "--at", "P4", "--after", "q1,q2,q3"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(dss_wxquery::queries::Q4.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("finishes");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("6 peers visited, 10 candidates"),
+        "{stdout}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.trim_start().starts_with("rejected")
+                && l.contains("q2/photons @ SP5")
+                && l.trim_end().ends_with("failed MatchPredicates")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("best      q3/photons @ SP3"), "{stdout}");
+    assert!(
+        stdout.contains("matches the installed plan's total cost"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn check_reports_compile_errors() {
     let mut child = dss()
