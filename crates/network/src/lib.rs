@@ -32,7 +32,9 @@ pub mod topology;
 pub use catalog::{Catalog, ChainId, Verdict, VerdictLoan};
 pub use flow::{Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
-pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};
+pub use peer::{
+    Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step, TapFilter,
+};
 pub use pool::{max_parallelism, run_forest};
 pub use routing::{distance, path_edges, shortest_path};
 pub use runtime::{

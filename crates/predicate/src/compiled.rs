@@ -95,12 +95,23 @@ impl CompiledPredicate {
     /// resolved variables (overwritten; pass the same `Vec` for every item
     /// and a steady stream allocates nothing).
     pub fn evaluate(&self, item: &Node, values: &mut Vec<Decimal>) -> bool {
+        self.evaluate_with(values, |path| path.decimal(item))
+    }
+
+    /// [`CompiledPredicate::evaluate`] over values `lookup` resolves — what
+    /// `path.decimal(item)` would give, however it is found. `lookup` is
+    /// called once per variable, in order of first use, until one fails.
+    pub fn evaluate_with(
+        &self,
+        values: &mut Vec<Decimal>,
+        mut lookup: impl FnMut(&Path) -> Option<Decimal>,
+    ) -> bool {
         if self.never {
             return false;
         }
         values.clear();
         for var in &self.vars {
-            let Some(x) = var.path.decimal(item) else {
+            let Some(x) = lookup(&var.path) else {
                 return false;
             };
             if var.upper.is_some_and(|b| !within(x, b.weight, b.strict))
@@ -113,6 +124,12 @@ impl CompiledPredicate {
         self.pairs
             .iter()
             .all(|&(i, j, bound)| bound.satisfied_by(values[i], values[j]))
+    }
+
+    /// The variables, in the order [`CompiledPredicate::evaluate_with`]
+    /// looks them up.
+    pub fn paths(&self) -> impl Iterator<Item = &Path> {
+        self.vars.iter().map(|v| &v.path)
     }
 }
 

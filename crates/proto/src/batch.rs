@@ -1,19 +1,19 @@
 //! The two item-carrying messages, `StreamItemBatch` and `Deliver`, as a
 //! relay sees them: a small header in front of a list of encoded items.
 //!
-//! A super-peer mostly passes streams through. [`BatchView::parse`] is one
-//! validating pass over a received payload that builds no tree: it checks
-//! everything [`Message::decode`] checks — in fact it *is* the parser
-//! `Message::decode` runs for these two tags, which then calls
-//! [`BatchView::materialise`] — and yields the header fields plus an
-//! item-boundary index over the untouched bytes. A relay forwards by
-//! writing a fresh [`BatchHeader`] (next `hop`, possibly a trimmed
-//! `offset`) in front of the item bytes it received; only a consumer — a
-//! hosted operator, the client — materialises.
+//! A super-peer mostly passes streams through. [`BatchView::parse`] reads
+//! a received payload's header and its item framing — the count, and each
+//! item's length against the bytes left — and yields the header fields
+//! plus an item-boundary index over the untouched bytes, reading no item.
+//! A relay forwards by writing a fresh [`BatchHeader`] (next `hop`,
+//! possibly a trimmed `offset`) in front of the item bytes it received.
+//! Only a consumer — a hosted operator, the client — reads the items, in
+//! the one checked pass [`ItemsView::materialise`]; `Message::decode` is
+//! `parse` followed by that pass.
 
-use dss_xml::Node;
+use dss_xml::{Decimal, Node, Path};
 
-use crate::wire::{put_bool, put_str, put_u32, put_u64, Reader};
+use crate::wire::{probe_decimals, put_bool, put_str, put_u32, put_u64, Reader, Tree};
 use crate::{DecodeError, Message, TAG_DELIVER, TAG_STREAM_ITEM_BATCH};
 
 /// Where a batch is headed: the fields in which `StreamItemBatch` and
@@ -80,12 +80,13 @@ impl<'a> BatchHeader<'a> {
     }
 }
 
-/// A validated item list, still encoded: the received bytes plus where
-/// each item starts.
+/// A framed item list, still encoded: the received bytes plus where each
+/// item starts. The items themselves are unread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemsView<'a> {
     payload: &'a [u8],
-    /// Item `i` of the received list is `payload[index[i]..index[i + 1]]`.
+    /// Item `i` of the received list (its length, then its node) is
+    /// `payload[index[i]..index[i + 1]]`.
     index: Vec<usize>,
     /// Leading items of the received list this view no longer covers.
     skipped: usize,
@@ -117,18 +118,48 @@ impl<'a> ItemsView<'a> {
         out.extend_from_slice(self.bytes());
     }
 
-    /// Builds the items' trees, without checking the bytes a second time.
-    pub fn materialise(&self) -> Vec<Node> {
-        let mut r = Reader::new(self.bytes());
-        // SAFETY: an `ItemsView` is made only by a successful
-        // `BatchView::parse` (its fields are private), whose
-        // `Reader::skip_nodes` accepted every string in these bytes as
-        // UTF-8 — one by one, or all at once as ASCII.
-        unsafe { r.trusted_items(self.len()) }.expect("the view validated these bytes")
+    /// Reads the items and builds their trees: the one checked pass. Each
+    /// node must fill its item's declared length exactly; the first item
+    /// that does not, or that is malformed, is the error.
+    pub fn materialise(&self) -> Result<Vec<Node>, DecodeError> {
+        self.materialise_where(&[], |_| true)
+    }
+
+    /// [`ItemsView::materialise`], building only the items `keep` accepts.
+    /// Unless `paths` is empty, each item is first walked by
+    /// [`probe_decimals`] over `paths` and handed to `keep` as the values
+    /// found — a walk with every check the build makes, so a skipped item
+    /// has been read in full and a malformed one is the same error.
+    ///
+    /// # Panics
+    ///
+    /// If `paths` holds more than [`crate::wire::MAX_PROBE_PATHS`] paths.
+    pub fn materialise_where(
+        &self,
+        paths: &[Path],
+        mut keep: impl FnMut(&[Option<Decimal>]) -> bool,
+    ) -> Result<Vec<Node>, DecodeError> {
+        let mut list = Reader::new(self.bytes());
+        let mut out = Vec::with_capacity(self.len());
+        let mut tree = Tree::default();
+        let mut values = vec![None; paths.len()];
+        for _ in 0..self.len() {
+            let bytes = list.bytes()?;
+            if !paths.is_empty() {
+                probe_decimals(bytes, paths, &mut values)?;
+                if !keep(&values) {
+                    continue;
+                }
+            }
+            let mut item = Reader::item(bytes);
+            out.push(item.walk(0, (), &mut tree)?);
+            item.finish()?;
+        }
+        Ok(out)
     }
 }
 
-/// A received `StreamItemBatch` or `Deliver`, validated but not decoded.
+/// A received `StreamItemBatch` or `Deliver`, framed but not decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchView<'a> {
     pub header: BatchHeader<'a>,
@@ -145,13 +176,26 @@ impl<'a> BatchView<'a> {
         )
     }
 
-    /// Validates an item-batch payload without building a tree. Accepts
-    /// and rejects exactly what [`Message::decode`] does, with the same
-    /// error; any other message's tag is a [`DecodeError::BadTag`].
+    /// Reads an item-batch payload's header and item framing, and no item:
+    /// O(items). It rejects a header [`Message::decode`] rejects, a count
+    /// the bytes left cannot back (every item takes at least its length
+    /// byte), an item length past the payload and trailing bytes, with
+    /// `decode`'s error; whatever is wrong *inside* an item is left to
+    /// [`ItemsView::materialise`]. Any other message's tag is a
+    /// [`DecodeError::BadTag`].
     pub fn parse(payload: &'a [u8]) -> Result<BatchView<'a>, DecodeError> {
         let mut r = Reader::new(payload);
         let header = BatchHeader::decode(&mut r)?;
-        let index = r.skip_nodes()?;
+        let count = r.u64()?;
+        if count > (payload.len() - r.position()) as u64 {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        let mut index = Vec::with_capacity((count as usize).min(1024) + 1);
+        for _ in 0..count {
+            index.push(r.position());
+            r.bytes()?;
+        }
+        index.push(r.position());
         r.finish()?;
         Ok(BatchView {
             header,
@@ -163,16 +207,17 @@ impl<'a> BatchView<'a> {
         })
     }
 
-    /// The owned message this view stands for.
-    pub fn materialise(&self) -> Message {
+    /// The owned message this view stands for, its items read by
+    /// [`ItemsView::materialise`].
+    pub fn materialise(&self) -> Result<Message, DecodeError> {
         let BatchHeader {
             run,
             dest,
             offset,
             eos,
         } = self.header;
-        let items = self.items.materialise();
-        match dest {
+        let items = self.items.materialise()?;
+        Ok(match dest {
             BatchDest::Hop { flow, hop } => Message::StreamItemBatch {
                 run,
                 flow,
@@ -188,6 +233,6 @@ impl<'a> BatchView<'a> {
                 eos,
                 items,
             },
-        }
+        })
     }
 }

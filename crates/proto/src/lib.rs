@@ -8,10 +8,12 @@
 //!
 //! Two ways to read a payload. [`Message::decode`] yields an owned
 //! [`Message`], trees and all — what a consumer wants. A relay wants less:
-//! for the two item-carrying messages, [`BatchView::parse`] validates the
-//! payload exactly as `decode` would (it is the parser `decode` runs for
-//! them) but builds nothing, and the items can be forwarded as the bytes
-//! they arrived as (see [`batch`]).
+//! for the two item-carrying messages, [`BatchView::parse`] reads the
+//! header and the item framing (every item carries its encoded length)
+//! and no item, and the items can be forwarded as the bytes they arrived
+//! as. The first process that reads an item checks it
+//! ([`ItemsView::materialise`]); `decode` is `parse` followed by that
+//! read (see [`batch`]).
 //!
 //! Versioning: a connection opens with [`Message::Hello`] carrying the
 //! sender's supported `[min_version, max_version]` range; the acceptor
@@ -36,17 +38,20 @@ pub use frame::{
     read_frame, read_frame_into, write_frame, write_frame_in, write_frame_with, MAX_FRAME_LEN,
 };
 
-use wire::{put_bool, put_nodes, put_str, put_u16, put_u32, put_u64, Reader};
+use wire::{put_bool, put_items, put_str, put_u16, put_u32, put_u64, Reader};
 
 /// Lowest protocol version this build can speak.
 ///
 /// Version 2 added per-flow item offsets to `StreamItemBatch` and
 /// `Deliver` (the receiver-side deduplication basis for crash recovery)
-/// plus the `ResumeFrom` resend request; the encodings are not
-/// understood by version-1 peers, so the floor moved with the ceiling.
-pub const VERSION_MIN: u16 = 2;
+/// plus the `ResumeFrom` resend request. Version 3 prefixes each item of
+/// those two messages with its encoded length ([`wire::put_items`]), so a
+/// relay need not read an item to find the next. A fleet runs one build,
+/// so each bump moved the floor with the ceiling: an older peer is refused
+/// at `Hello`.
+pub const VERSION_MIN: u16 = 3;
 /// Highest protocol version this build can speak.
-pub const VERSION_MAX: u16 = 2;
+pub const VERSION_MAX: u16 = 3;
 
 /// Picks the highest version both ranges support, if any.
 pub fn negotiate(a_min: u16, a_max: u16, b_min: u16, b_max: u16) -> Option<u16> {
@@ -258,7 +263,8 @@ pub enum DecodeError {
     VarintOverflow,
     /// A node tree nested deeper than [`wire::MAX_NODE_DEPTH`].
     TooDeep,
-    /// Bytes remained after the message was fully decoded.
+    /// Bytes remained after the message was fully decoded, or after an
+    /// item's node inside the item's declared length.
     TrailingBytes { remaining: usize },
     /// A boolean byte was neither 0 nor 1.
     BadBool(u8),
@@ -449,7 +455,7 @@ impl Message {
                     eos: *eos,
                 }
                 .encode_into(out);
-                put_nodes(out, items);
+                put_items(out, items);
             }
             Message::Deliver {
                 run,
@@ -465,7 +471,7 @@ impl Message {
                     eos: *eos,
                 }
                 .encode_into(out);
-                put_nodes(out, items);
+                put_items(out, items);
             }
             Message::MetricsPull => out.push(TAG_METRICS_PULL),
             Message::MetricsSnapshot { json } => {
@@ -553,7 +559,7 @@ impl Message {
             },
             // The two item-carrying messages have one parser, the view.
             TAG_STREAM_ITEM_BATCH | TAG_DELIVER => {
-                return Ok(BatchView::parse(payload)?.materialise());
+                return BatchView::parse(payload)?.materialise();
             }
             TAG_METRICS_PULL => Message::MetricsPull,
             TAG_METRICS_SNAPSHOT => Message::MetricsSnapshot { json: r.str()? },

@@ -2,12 +2,16 @@
 //! and a lossless binary [`Node`] encoding. Decoding is defensive — every
 //! malformed input maps to a typed [`DecodeError`], never a panic, and
 //! nesting is capped at the same depth bound the XML parser enforces.
-//! Nodes can be decoded into trees ([`Reader::nodes`]) or merely
-//! validated in place ([`Reader::skip_nodes`]); both are one walk. A tree
-//! built over bytes the validating walk accepted does not check them again
-//! ([`crate::ItemsView::materialise`]).
+//!
+//! A batch's item list ([`put_items`]) prefixes every node with its
+//! encoded length, so a relay finds item boundaries without reading a
+//! node ([`crate::BatchView::parse`]). An item is read once, where it is
+//! consumed: built into a tree ([`Reader::item`] then [`Reader::node`]),
+//! or first probed for the decimals a selection reads
+//! ([`probe_decimals`]). Both are the one node walk, [`Reader::walk`], so
+//! both give the same verdict and the same error.
 
-use dss_xml::{Node, Symbol};
+use dss_xml::{Decimal, Node, Path, Symbol};
 
 use crate::DecodeError;
 
@@ -15,6 +19,9 @@ use crate::DecodeError;
 /// — nothing the engine produces can legitimately exceed it, and the cap
 /// keeps untrusted bytes from overflowing the decoder's stack).
 pub const MAX_NODE_DEPTH: usize = dss_xml::tree::MAX_DEPTH;
+
+/// Most paths one [`probe_decimals`] resolves (one bit each).
+pub const MAX_PROBE_PATHS: usize = 64;
 
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -60,6 +67,7 @@ pub fn put_node(out: &mut Vec<u8>, node: &Node) {
     }
 }
 
+/// A node list: the count, then the nodes back to back (WAL records).
 pub fn put_nodes(out: &mut Vec<u8>, nodes: &[Node]) {
     put_u64(out, nodes.len() as u64);
     for n in nodes {
@@ -67,15 +75,59 @@ pub fn put_nodes(out: &mut Vec<u8>, nodes: &[Node]) {
     }
 }
 
+/// A batch's item list: the count, then each node behind its encoded
+/// length. The length is written as a one-byte placeholder and patched;
+/// only an item of 128 bytes or more moves to make room for a longer one.
+pub fn put_items(out: &mut Vec<u8>, nodes: &[Node]) {
+    put_u64(out, nodes.len() as u64);
+    for n in nodes {
+        let at = out.len();
+        out.push(0);
+        put_node(out, n);
+        let len = out.len() - at - 1;
+        if len < 0x80 {
+            out[at] = len as u8;
+        } else {
+            let mut prefix = Vec::with_capacity(10);
+            put_u64(&mut prefix, len as u64);
+            out.splice(at..=at, prefix);
+        }
+    }
+}
+
 /// Cursor over a received payload. All reads are bounds-checked.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// `buf` itself, when it is valid UTF-8 as a whole: a node's strings
+    /// are then cut from it, not checked one by one.
+    text: Option<&'a str>,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            text: None,
+        }
+    }
+
+    /// A reader over one encoded item. One UTF-8 pass over it comes
+    /// first: if the item is valid UTF-8 as a whole, a string in it is
+    /// valid exactly when its bounds fall on character boundaries (a byte
+    /// after a string that continues a character would have left the
+    /// string's last character unfinished), so no string is checked on its
+    /// own — and the verdict and the error are the same either way.
+    pub fn item(buf: &'a [u8]) -> Reader<'a> {
+        Reader {
+            text: std::str::from_utf8(buf).ok(),
+            ..Reader::new(buf)
+        }
+    }
+
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     pub fn is_done(&self) -> bool {
@@ -83,7 +135,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Fails with [`DecodeError::TrailingBytes`] if input remains — a
-    /// well-formed message consumes its payload exactly.
+    /// well-formed message (or item) consumes its payload exactly.
     pub fn finish(&self) -> Result<(), DecodeError> {
         if self.is_done() {
             Ok(())
@@ -150,24 +202,28 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| DecodeError::BadUtf8)
     }
 
-    /// A length-prefixed string's bytes, unchecked.
-    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let len = self.u64()? as usize;
-        if len > self.buf.len() - self.pos {
+    /// A length-prefixed byte string, unchecked: a string's bytes, or an
+    /// item of a batch.
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.u64()?;
+        if len > (self.buf.len() - self.pos) as u64 {
             return Err(DecodeError::UnexpectedEnd);
         }
-        let bytes = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
+        let bytes = &self.buf[self.pos..self.pos + len as usize];
+        self.pos += len as usize;
         Ok(bytes)
     }
 
-    /// A string of a node: its bytes, checked for UTF-8 if `UTF8`.
-    fn node_str<const UTF8: bool>(&mut self) -> Result<&'a [u8], DecodeError> {
+    /// A string of a node: cut from the item's text if it is UTF-8 as a
+    /// whole ([`Reader::item`]), checked on its own otherwise.
+    fn node_str(&mut self) -> Result<&'a str, DecodeError> {
         let bytes = self.bytes()?;
-        if UTF8 && std::str::from_utf8(bytes).is_err() {
-            return Err(DecodeError::BadUtf8);
+        match self.text {
+            Some(text) => text
+                .get(self.pos - bytes.len()..self.pos)
+                .ok_or(DecodeError::BadUtf8),
+            None => std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8),
         }
-        Ok(bytes)
     }
 
     pub fn str(&mut self) -> Result<String, DecodeError> {
@@ -186,145 +242,166 @@ impl<'a> Reader<'a> {
     }
 
     pub fn node(&mut self) -> Result<Node, DecodeError> {
-        self.node_at::<Node, true>(0, &mut Tree::default())
+        self.walk(0, (), &mut Tree::default())
     }
 
-    /// The one node parser. What it builds is the caller's choice — a
-    /// [`Node`] tree or nothing — so validating and materialising cannot
-    /// disagree about which bytes are a node. Finished children wait on
-    /// `stack` until their parent closes over them.
-    ///
-    /// Strings are checked for UTF-8 if `UTF8`. A [`Tree`] takes what it
-    /// is handed for UTF-8, so the one tree walk with `UTF8` false is
-    /// [`Reader::trusted_items`]'s, over bytes a checked walk has accepted.
-    fn node_at<B: Build<'a>, const UTF8: bool>(
+    /// The one node walk: the depth cap, the name, the text, the child
+    /// count, then the children, each check in this order. `visit` acts on
+    /// each node as it is read — builds its tree ([`Tree`]) or resolves
+    /// paths in it ([`Probe`]) — so whatever a walk does, it accepts and
+    /// rejects the same bytes with the same error.
+    pub(crate) fn walk<V: Visit<'a>>(
         &mut self,
         depth: usize,
-        stack: &mut B::Stack,
-    ) -> Result<B, DecodeError> {
+        scope: V::Scope,
+        visit: &mut V,
+    ) -> Result<V::Node, DecodeError> {
         if depth >= MAX_NODE_DEPTH {
             return Err(DecodeError::TooDeep);
         }
-        let name = self.node_str::<UTF8>()?;
+        let name = self.node_str()?;
         let text = if self.bool()? {
-            Some(self.node_str::<UTF8>()?)
+            Some(self.node_str()?)
         } else {
             None
         };
+        let inner = visit.open(scope, name, text);
         let count = self.count()?;
         for _ in 0..count {
-            let child = self.node_at::<B, UTF8>(depth + 1, stack)?;
-            B::push(stack, child);
+            let child = self.walk(depth + 1, inner, visit)?;
+            visit.child(child);
         }
-        Ok(B::close(stack, name, text, count))
+        Ok(visit.close(name, text, count))
     }
 
+    /// A node list without item lengths (WAL records), built over one
+    /// scratch stack.
     pub fn nodes(&mut self) -> Result<Vec<Node>, DecodeError> {
         let count = self.count()?;
-        self.items(count)
-    }
-
-    /// `count` nodes back to back (a node list without its count), built
-    /// over one scratch stack.
-    pub fn items(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
-        self.build_items::<true>(count)
-    }
-
-    /// [`Reader::items`] without the UTF-8 checks.
-    ///
-    /// # Safety
-    ///
-    /// Every string in the next `count` nodes is valid UTF-8: the bytes
-    /// are ones [`Reader::skip_nodes`] accepted.
-    pub(crate) unsafe fn trusted_items(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
-        self.build_items::<false>(count)
-    }
-
-    fn build_items<const UTF8: bool>(&mut self, count: usize) -> Result<Vec<Node>, DecodeError> {
         let mut out = Vec::with_capacity(count.min(1024));
         let mut tree = Tree::default();
         for _ in 0..count {
-            out.push(self.node_at::<Node, UTF8>(0, &mut tree)?);
+            out.push(self.walk(0, (), &mut tree)?);
         }
         Ok(out)
     }
-
-    /// Validates a node list without building it — [`Reader::nodes`]'s
-    /// walk, the same checks in the same order, hence the same verdict and
-    /// the same error — and returns its boundary index: item `i` occupies
-    /// `index[i]..index[i + 1]` of the payload (so the index has one entry
-    /// more than there are items).
-    ///
-    /// One pass over the rest of the payload comes first: if it is all
-    /// ASCII, no string in it can be invalid UTF-8, and the walk does not
-    /// check them one by one.
-    pub fn skip_nodes(&mut self) -> Result<Vec<usize>, DecodeError> {
-        let count = self.count()?;
-        if self.buf[self.pos..].is_ascii() {
-            self.index_items::<false>(count)
-        } else {
-            self.index_items::<true>(count)
-        }
-    }
-
-    fn index_items<const UTF8: bool>(&mut self, count: usize) -> Result<Vec<usize>, DecodeError> {
-        let mut index = Vec::with_capacity(count.min(1024) + 1);
-        for _ in 0..count {
-            index.push(self.pos);
-            self.node_at::<(), UTF8>(0, &mut ())?;
-        }
-        index.push(self.pos);
-        Ok(index)
-    }
 }
 
-/// What [`Reader::node_at`] makes of the node it walks: a node is closed
-/// over its finished children, so a tree moves them into its block once.
-trait Build<'a>: Sized {
-    /// Where finished children wait for their parent. It grows with the
-    /// nodes actually decoded, never with a declared count.
-    type Stack;
-    fn push(stack: &mut Self::Stack, child: Self);
-    /// The node over the last `count` children pushed.
-    fn close(stack: &mut Self::Stack, name: &'a [u8], text: Option<&'a [u8]>, count: usize)
-        -> Self;
+/// What [`Reader::walk`] does with the nodes it reads.
+pub(crate) trait Visit<'a> {
+    /// What a node hands down to its children.
+    type Scope: Copy;
+    /// What a node becomes once read.
+    type Node;
+    /// A node's name and text are read: returns its children's scope.
+    fn open(&mut self, scope: Self::Scope, name: &'a str, text: Option<&'a str>) -> Self::Scope;
+    /// One of its children is read.
+    fn child(&mut self, child: Self::Node);
+    /// All `count` of its children are read.
+    fn close(&mut self, name: &'a str, text: Option<&'a str>, count: usize) -> Self::Node;
+}
+
+/// The paths a probe resolves, what it found so far, and where it puts the
+/// values.
+struct Probe<'p, 'o> {
+    paths: &'p [Path],
+    /// A bit per path already resolved.
+    found: u64,
+    out: &'o mut [Option<Decimal>],
+}
+
+impl<'a> Visit<'a> for Probe<'_, '_> {
+    /// The node's depth, and a bit for each path whose first `depth - 1`
+    /// steps lead to the node's parent (every path, at the root).
+    type Scope = (usize, u64);
+    type Node = ();
+
+    /// Of the paths not yet resolved, those whose next step names this
+    /// node go on to its children, or end here: the first node a path
+    /// reaches decides its value.
+    fn open(
+        &mut self,
+        (depth, on): (usize, u64),
+        name: &'a str,
+        text: Option<&'a str>,
+    ) -> Self::Scope {
+        let (mut deeper, mut todo) = (0, on & !self.found);
+        while todo != 0 {
+            let p = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let steps = self.paths[p].steps();
+            if depth > 0 && steps[depth - 1].as_str() != name {
+                continue;
+            }
+            if steps.len() > depth {
+                deeper |= 1 << p;
+            } else {
+                self.found |= 1 << p;
+                self.out[p] = text.and_then(Decimal::parse);
+            }
+        }
+        (depth + 1, deeper)
+    }
+
+    fn child(&mut self, (): ()) {}
+
+    fn close(&mut self, _: &'a str, _: Option<&'a str>, _: usize) {}
+}
+
+/// Walks one encoded node ([`Reader::walk`]), which must fill `node`
+/// exactly, building no tree, and sets `out[i]` to what [`Path::decimal`]
+/// gives for `paths[i]` on that node's tree: the first node the path
+/// reaches in document order, that node's text as a decimal. Accepts and rejects exactly what
+/// [`Reader::item`] followed by [`Reader::node`] and [`Reader::finish`]
+/// does, with the same error; `out` means nothing then.
+///
+/// # Panics
+///
+/// If `paths` holds more than [`MAX_PROBE_PATHS`] paths, or `out` is
+/// shorter than `paths`.
+pub fn probe_decimals(
+    node: &[u8],
+    paths: &[Path],
+    out: &mut [Option<Decimal>],
+) -> Result<(), DecodeError> {
+    assert!(paths.len() <= MAX_PROBE_PATHS, "one bit per path");
+    out[..paths.len()].fill(None);
+    let mut probe = Probe {
+        paths,
+        found: 0,
+        out,
+    };
+    let mut r = Reader::item(node);
+    // One bit per path: every path starts at the root.
+    r.walk(0, (0, ((1u128 << paths.len()) - 1) as u64), &mut probe)?;
+    r.finish()
 }
 
 /// A tree build's scratch: the finished children, and the element names
-/// resolved so far.
+/// resolved so far. A caller that builds many nodes passes the same
+/// `Tree` for all of them.
 #[derive(Default)]
-struct Tree<'a> {
+pub(crate) struct Tree<'a> {
+    /// Finished children, waiting for their parent to close over them.
     children: Vec<Node>,
     names: Names<'a>,
 }
 
-impl<'a> Build<'a> for Node {
-    type Stack = Tree<'a>;
-    fn push(tree: &mut Tree<'a>, child: Node) {
-        tree.children.push(child);
-    }
-    fn close(tree: &mut Tree<'a>, name: &'a [u8], text: Option<&'a [u8]>, count: usize) -> Node {
-        use std::str::from_utf8_unchecked;
-        // SAFETY: `node_at` hands a tree only strings that are UTF-8 —
-        // checked by this walk, or by the one `trusted_items`'s caller
-        // vouches for.
-        let (name, text) = unsafe {
-            (
-                from_utf8_unchecked(name),
-                text.map(|t| from_utf8_unchecked(t)),
-            )
-        };
-        let children = tree.children.drain(tree.children.len() - count..);
-        // The payload's text is copied straight into the node.
-        Node::new(tree.names.symbol(name), text, children)
-    }
-}
+impl<'a> Visit<'a> for Tree<'a> {
+    type Scope = ();
+    type Node = Node;
 
-/// Validation only.
-impl Build<'_> for () {
-    type Stack = ();
-    fn push(_: &mut (), _: ()) {}
-    fn close(_: &mut (), _: &[u8], _: Option<&[u8]>, _: usize) {}
+    fn open(&mut self, (): (), _: &'a str, _: Option<&'a str>) {}
+
+    fn child(&mut self, child: Node) {
+        self.children.push(child);
+    }
+
+    fn close(&mut self, name: &'a str, text: Option<&'a str>, count: usize) -> Node {
+        let children = self.children.drain(self.children.len() - count..);
+        // The payload's text is copied straight into the node.
+        Node::new(self.names.symbol(name), text, children)
+    }
 }
 
 /// How many distinct names a build remembers ([`Names`]). A photon has 11.

@@ -5,21 +5,25 @@
 //! prefixes, random garbage — is rejected with a typed error, never a
 //! panic.
 //!
-//! The second half is the hostile-bytes suite for [`BatchView`], the
-//! validating pass a relay forwards on: it must accept and reject exactly
-//! the payloads an independent reference decoder does, with the same
-//! error, and whatever it forwards must decode to the items it claims.
+//! The second half is the hostile-bytes suite for the two item-carrying
+//! messages, held to an independent reference decoder. A relay forwards
+//! on [`BatchView::parse`], which reads the header and the item framing
+//! only: it must reject exactly the framing errors the reference does.
+//! The first reader of the items, [`ItemsView::materialise`], must then
+//! reach the reference's verdict on everything else, with the same error;
+//! and [`probe_decimals`], the walk a selection reads an item with, must
+//! find what [`Path::decimal`] finds and fail where the build fails.
 
 use proptest::prelude::*;
 
-use dss_proto::wire::{put_u64, MAX_NODE_DEPTH};
+use dss_proto::wire::{probe_decimals, put_node, put_u64, Reader, MAX_NODE_DEPTH};
 use dss_proto::{
     read_frame, read_message, write_message, BatchDest, BatchHeader, BatchView, DecodeError,
-    Message, ProtoError, Role, WireStrategy, MAX_FRAME_LEN,
+    ItemsView, Message, ProtoError, Role, WireStrategy, MAX_FRAME_LEN,
 };
 use dss_xml::text::escape_text;
 use dss_xml::writer::{node_to_string, serialized_size};
-use dss_xml::Node;
+use dss_xml::{Decimal, Node, Path};
 
 fn arb_text() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -298,15 +302,35 @@ proptest! {
 /// It reads a byte at a time, checks every string as UTF-8 where it
 /// stands, interns every name and builds every tree as it goes — no code
 /// of `dss_proto::wire` and none of its shortcuts (one-byte varints, the
-/// list-wide ASCII pass, the per-build name cache, the unchecked
-/// materialise).
+/// item-wide UTF-8 pass, the per-build name cache).
+///
+/// The format puts framing before items: a payload whose header, item
+/// count, item lengths or end are wrong is that error, whatever its items
+/// hold ([`Reference::frame`]); only a well-framed payload has its items
+/// read, in order, each node filling its declared length exactly.
 struct Reference<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl Reference<'_> {
+impl<'a> Reference<'a> {
     fn decode(payload: &[u8]) -> Result<Message, DecodeError> {
+        let (mut msg, framed) = Reference::frame(payload)?;
+        let decoded = framed
+            .into_iter()
+            .map(Reference::item)
+            .collect::<Result<Vec<_>, _>>()?;
+        match &mut msg {
+            Message::StreamItemBatch { items, .. } | Message::Deliver { items, .. } => {
+                *items = decoded
+            }
+            other => unreachable!("{other:?}"),
+        }
+        Ok(msg)
+    }
+
+    /// The message without its items, and each item's bytes.
+    fn frame(payload: &'a [u8]) -> Result<(Message, Vec<&'a [u8]>), DecodeError> {
         let mut r = Reference {
             buf: payload,
             pos: 0,
@@ -318,20 +342,47 @@ impl Reference<'_> {
                 hop: u32::try_from(r.varint()?).map_err(|_| DecodeError::VarintOverflow)?,
                 offset: r.varint()?,
                 eos: r.flag()?,
-                items: r.items()?,
+                items: Vec::new(),
             },
             14 => Message::Deliver {
                 run: r.varint()?,
                 query: r.string()?,
                 offset: r.varint()?,
                 eos: r.flag()?,
-                items: r.items()?,
+                items: Vec::new(),
             },
             tag => return Err(DecodeError::BadTag(tag)),
         };
-        match r.buf.len() - r.pos {
-            0 => Ok(msg),
-            remaining => Err(DecodeError::TrailingBytes { remaining }),
+        // Every item takes at least the byte of its length.
+        let count = r.varint()?;
+        if count > r.left() {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        let items = (0..count)
+            .map(|_| r.chunk())
+            .collect::<Result<Vec<_>, _>>()?;
+        r.end()?;
+        Ok((msg, items))
+    }
+
+    /// One item: a node that ends exactly where the item does.
+    fn item(bytes: &[u8]) -> Result<Node, DecodeError> {
+        let mut r = Reference { buf: bytes, pos: 0 };
+        let node = r.node(0)?;
+        r.end()?;
+        Ok(node)
+    }
+
+    fn left(&self) -> u64 {
+        (self.buf.len() - self.pos) as u64
+    }
+
+    fn end(&self) -> Result<(), DecodeError> {
+        match self.left() {
+            0 => Ok(()),
+            remaining => Err(DecodeError::TrailingBytes {
+                remaining: remaining as usize,
+            }),
         }
     }
 
@@ -366,31 +417,29 @@ impl Reference<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, DecodeError> {
+    /// A length, then that many bytes.
+    fn chunk(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.varint()?;
-        let left = (self.buf.len() - self.pos) as u64;
-        if len > left {
+        if len > self.left() {
             return Err(DecodeError::UnexpectedEnd);
         }
         let bytes = &self.buf[self.pos..self.pos + len as usize];
         self.pos += len as usize;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        Ok(bytes)
     }
 
-    /// A declared count, which the bytes left must be able to back: every
-    /// node takes at least three.
+    fn string(&mut self) -> Result<String, DecodeError> {
+        String::from_utf8(self.chunk()?.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    /// A declared child count, which the bytes left must be able to back:
+    /// every node takes at least three.
     fn count(&mut self) -> Result<u64, DecodeError> {
         let count = self.varint()?;
-        let left = (self.buf.len() - self.pos) as u64;
-        if count > left / 3 + 1 {
+        if count > self.left() / 3 + 1 {
             return Err(DecodeError::UnexpectedEnd);
         }
         Ok(count)
-    }
-
-    fn items(&mut self) -> Result<Vec<Node>, DecodeError> {
-        let count = self.count()?;
-        (0..count).map(|_| self.node(0)).collect()
     }
 
     fn node(&mut self, depth: usize) -> Result<Node, DecodeError> {
@@ -411,10 +460,18 @@ impl Reference<'_> {
     }
 }
 
-/// The view, the public decoder and the reference reach the same verdict
-/// on `payload` — the same message or the same error.
+/// The relay's view, the first reader and the public decoder against the
+/// reference on `payload`: the view rejects exactly the reference's
+/// framing errors, and `parse` then `materialise` — like `decode` — reaches
+/// the reference's verdict, the same message or the same error.
 fn assert_same_verdict(payload: &[u8]) -> Result<Message, DecodeError> {
-    let viewed = BatchView::parse(payload).map(|v| v.materialise());
+    let framed = BatchView::parse(payload);
+    assert_eq!(
+        framed.as_ref().err(),
+        Reference::frame(payload).err().as_ref(),
+        "view vs reference framing on {payload:02x?}"
+    );
+    let viewed = framed.and_then(|v| v.materialise());
     let reference = Reference::decode(payload);
     assert_eq!(viewed, reference, "view vs reference on {payload:02x?}");
     if BatchView::is_batch(payload) {
@@ -425,6 +482,16 @@ fn assert_same_verdict(payload: &[u8]) -> Result<Message, DecodeError> {
         );
     }
     reference
+}
+
+/// [`assert_same_verdict`] for a payload that is well framed: a relay
+/// forwards it, and its first reader fails with `error`.
+fn assert_framed_but_malformed(payload: &[u8], error: DecodeError) {
+    assert!(
+        BatchView::parse(payload).is_ok(),
+        "the view rejects {payload:02x?}"
+    );
+    assert_eq!(assert_same_verdict(payload), Err(error));
 }
 
 /// A `StreamItemBatch` payload whose item list is the given raw bytes.
@@ -459,10 +526,28 @@ fn raw_node(name: &[u8], text: Option<&[u8]>, declared_children: u64) -> Vec<u8>
     out
 }
 
-fn item_list(declared_items: u64, items: &[Vec<u8>]) -> Vec<u8> {
+/// An item as it stands in a list: a *declared* length, then the node.
+fn framed_item(declared_len: u64, node: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u64(&mut out, declared_len);
+    out.extend_from_slice(node);
+    out
+}
+
+/// A list of `declared_items`, each node behind its true length.
+fn item_list(declared_items: u64, nodes: &[Vec<u8>]) -> Vec<u8> {
+    let framed: Vec<Vec<u8>> = nodes
+        .iter()
+        .map(|n| framed_item(n.len() as u64, n))
+        .collect();
+    framed_list(declared_items, &framed)
+}
+
+/// A list of `declared_items` over items framed by the caller.
+fn framed_list(declared_items: u64, framed: &[Vec<u8>]) -> Vec<u8> {
     let mut list = Vec::new();
     put_u64(&mut list, declared_items);
-    for item in items {
+    for item in framed {
         list.extend_from_slice(item);
     }
     list
@@ -480,7 +565,7 @@ fn view_rejects_a_lying_item_count_like_the_decoder() {
             &[leaf.clone(), leaf.clone()]
         ))),
         Err(DecodeError::TrailingBytes {
-            remaining: leaf.len()
+            remaining: leaf.len() + 1
         })
     );
     // More declared than present, by one or absurdly: the payload ends
@@ -497,35 +582,88 @@ fn view_rejects_a_lying_item_count_like_the_decoder() {
     }
 }
 
+/// An item's declared length against its node: the view checks only that
+/// the length fits the payload; the reader requires the node to fill it.
 #[test]
-fn view_rejects_a_lying_child_count_like_the_decoder() {
+fn item_lengths_are_framing_and_the_node_must_fill_its_length() {
+    let leaf = raw_node(b"e", Some(b"1.5"), 0);
+    let len = leaf.len() as u64;
+    let list = |framed: Vec<u8>| batch_with_item_list(&framed_list(1, &[framed]));
+    // Declared longer than the node: the node ends inside its item.
+    let mut padded = leaf.clone();
+    padded.push(0);
+    assert_framed_but_malformed(
+        &list(framed_item(len + 1, &padded)),
+        DecodeError::TrailingBytes { remaining: 1 },
+    );
+    // Declared shorter than the node: the node runs past its item's end,
+    // into bytes that are framing again.
+    let mut cut = framed_item(len - 1, &leaf);
+    cut.pop();
+    assert_framed_but_malformed(&list(cut), DecodeError::UnexpectedEnd);
+    // A length past the payload is the view's to reject.
+    assert_eq!(
+        assert_same_verdict(&list(framed_item(len + 1, &leaf))),
+        Err(DecodeError::UnexpectedEnd)
+    );
+    assert_eq!(
+        assert_same_verdict(&list(framed_item(u64::MAX, &leaf))),
+        Err(DecodeError::UnexpectedEnd)
+    );
+    // And a payload framed to the byte but for its end.
+    let mut trailing = list(framed_item(len, &leaf));
+    trailing.push(0);
+    assert_eq!(
+        assert_same_verdict(&trailing),
+        Err(DecodeError::TrailingBytes { remaining: 1 })
+    );
+}
+
+/// A malformed item between well-formed ones: the relay forwards the
+/// list, and the first reader fails on that item with the reference's
+/// error — also where a framing error follows it, the framing error wins.
+#[test]
+fn a_malformed_item_inside_a_well_framed_list_fails_at_the_first_reader() {
+    let good = photon(None, None);
+    let mut bad = raw_node(b"e", None, 0);
+    bad[2] = 7; // the has-text byte
+    let list = item_list(3, &[good.clone(), bad.clone(), good.clone()]);
+    assert_framed_but_malformed(&batch_with_item_list(&list), DecodeError::BadBool(7));
+    let mut trailing = batch_with_item_list(&list);
+    trailing.extend_from_slice(&[1, 2]);
+    assert_eq!(
+        assert_same_verdict(&trailing),
+        Err(DecodeError::TrailingBytes { remaining: 2 })
+    );
+}
+
+#[test]
+fn a_lying_child_count_passes_the_view_and_fails_the_reader_like_the_decoder() {
     let leaf = raw_node(b"e", None, 0);
     for lie in [1, 2, 1 << 40, u64::MAX] {
         let mut parent = raw_node(b"photon", None, lie);
         if lie == 2 {
             parent.extend_from_slice(&leaf); // one child short
         }
-        assert_eq!(
-            assert_same_verdict(&batch_with_item_list(&item_list(1, &[parent]))),
-            Err(DecodeError::UnexpectedEnd),
-            "declared {lie}"
+        assert_framed_but_malformed(
+            &batch_with_item_list(&item_list(1, &[parent])),
+            DecodeError::UnexpectedEnd,
         );
     }
-    // Fewer children declared than present: the surplus child is read as
-    // the next item, and then there is nothing left for the count to lie
-    // about — trailing bytes.
+    // Fewer children declared than present: the surplus child is left
+    // over inside the item.
     let mut parent = raw_node(b"photon", None, 0);
     parent.extend_from_slice(&leaf);
-    assert_eq!(
-        assert_same_verdict(&batch_with_item_list(&item_list(1, &[parent]))),
-        Err(DecodeError::TrailingBytes {
-            remaining: leaf.len()
-        })
+    assert_framed_but_malformed(
+        &batch_with_item_list(&item_list(1, &[parent])),
+        DecodeError::TrailingBytes {
+            remaining: leaf.len(),
+        },
     );
 }
 
 #[test]
-fn view_rejects_nesting_beyond_the_depth_cap_like_the_decoder() {
+fn nesting_beyond_the_depth_cap_passes_the_view_and_fails_the_reader_like_the_decoder() {
     let chain = |depth: usize| {
         let mut item = Vec::new();
         for _ in 0..depth - 1 {
@@ -535,10 +673,7 @@ fn view_rejects_nesting_beyond_the_depth_cap_like_the_decoder() {
         batch_with_item_list(&item_list(1, &[item]))
     };
     assert!(assert_same_verdict(&chain(MAX_NODE_DEPTH)).is_ok());
-    assert_eq!(
-        assert_same_verdict(&chain(MAX_NODE_DEPTH + 1)),
-        Err(DecodeError::TooDeep)
-    );
+    assert_framed_but_malformed(&chain(MAX_NODE_DEPTH + 1), DecodeError::TooDeep);
 }
 
 #[test]
@@ -557,19 +692,19 @@ fn view_rejects_an_out_of_range_hop_like_the_decoder() {
 }
 
 #[test]
-fn view_rejects_invalid_utf8_like_the_decoder() {
+fn invalid_utf8_fails_the_view_in_the_header_and_the_reader_in_an_item() {
     let bad = [0xC3, 0x28];
     for item in [raw_node(&bad, None, 0), raw_node(b"e", Some(&bad), 0), {
         let mut parent = raw_node(b"photon", None, 1);
         parent.extend_from_slice(&raw_node(b"e", Some(&bad), 0));
         parent
     }] {
-        assert_eq!(
-            assert_same_verdict(&batch_with_item_list(&item_list(1, &[item]))),
-            Err(DecodeError::BadUtf8)
+        assert_framed_but_malformed(
+            &batch_with_item_list(&item_list(1, &[item])),
+            DecodeError::BadUtf8,
         );
     }
-    // And in the `Deliver` header's query name.
+    // The `Deliver` header's query name is the view's.
     let mut payload = vec![14];
     put_u64(&mut payload, 7);
     put_u64(&mut payload, bad.len() as u64);
@@ -594,10 +729,12 @@ fn photon(bad_name: Option<&[u8]>, bad_text: Option<&[u8]>) -> Vec<u8> {
     item
 }
 
-/// One invalid byte in an otherwise all-ASCII list: the list is no longer
-/// ASCII, so the view checks its strings one by one and fails on that one.
+/// One invalid byte in an otherwise all-ASCII item: the item is no longer
+/// UTF-8 as a whole, so its strings are checked one by one and that one
+/// fails. A string that is valid on its own inside an item that is not
+/// (a multi-byte length behind it) is still valid.
 #[test]
-fn view_rejects_invalid_utf8_inside_an_ascii_batch_like_the_decoder() {
+fn invalid_utf8_inside_an_ascii_batch_fails_the_reader_like_the_decoder() {
     let good = photon(None, None);
     let honest = batch_with_item_list(&item_list(3, &[good.clone(), good.clone(), good.clone()]));
     assert!(assert_same_verdict(&honest).is_ok());
@@ -605,13 +742,18 @@ fn view_rejects_invalid_utf8_inside_an_ascii_batch_like_the_decoder() {
     for bad in [&[b'p', 0x80, b'c'][..], &[0xC0, 0xAF][..]] {
         for item in [photon(Some(bad), None), photon(None, Some(bad))] {
             let list = item_list(3, &[good.clone(), item, good.clone()]);
-            assert_eq!(
-                assert_same_verdict(&batch_with_item_list(&list)),
-                Err(DecodeError::BadUtf8),
-                "{bad:02x?}"
-            );
+            assert_framed_but_malformed(&batch_with_item_list(&list), DecodeError::BadUtf8);
         }
     }
+    let long = Node::leaf("é", "x".repeat(200));
+    let msg = Message::Deliver {
+        run: 1,
+        query: "q".into(),
+        offset: 0,
+        eos: false,
+        items: vec![long],
+    };
+    assert_eq!(assert_same_verdict(&msg.encode()), Ok(msg));
 }
 
 /// More distinct names in one batch than a build remembers, each coming
@@ -640,25 +782,55 @@ fn a_batch_of_many_distinct_names_decodes_like_the_reference() {
 }
 
 #[test]
-fn view_rejects_bad_bools_and_foreign_tags() {
+fn bad_bools_fail_the_reader_and_foreign_tags_the_view() {
     let mut bad_text_flag = raw_node(b"e", None, 0);
     bad_text_flag[2] = 2; // the has-text byte
-    assert_eq!(
-        assert_same_verdict(&batch_with_item_list(&item_list(1, &[bad_text_flag]))),
-        Err(DecodeError::BadBool(2))
+    assert_framed_but_malformed(
+        &batch_with_item_list(&item_list(1, &[bad_text_flag])),
+        DecodeError::BadBool(2),
     );
     // The view is for the two batch tags only.
     let shutdown = Message::Shutdown.encode();
     assert!(!BatchView::is_batch(&shutdown));
     assert_eq!(
-        BatchView::parse(&shutdown).map(|v| v.materialise()),
-        Err(DecodeError::BadTag(shutdown[0]))
+        BatchView::parse(&shutdown).err(),
+        Some(DecodeError::BadTag(shutdown[0]))
     );
     assert!(!BatchView::is_batch(&[]));
     assert_eq!(
-        BatchView::parse(&[]).map(|v| v.materialise()),
-        Err(DecodeError::UnexpectedEnd)
+        BatchView::parse(&[]).err(),
+        Some(DecodeError::UnexpectedEnd)
     );
+}
+
+/// An item of 128 bytes or more has a longer length varint: the writer
+/// makes room for it, and a relay and a reader find the item all the same.
+#[test]
+fn items_on_either_side_of_a_one_byte_length_round_trip() {
+    for text_len in [100, 112, 113, 120, 130, 20_000] {
+        let items = vec![
+            Node::leaf("e", "1"),
+            Node::leaf("e", "x".repeat(text_len)),
+            Node::leaf("e", "2"),
+        ];
+        let msg = Message::StreamItemBatch {
+            run: 1,
+            flow: 2,
+            hop: 3,
+            offset: 4,
+            eos: false,
+            items,
+        };
+        assert_eq!(assert_same_verdict(&msg.encode()), Ok(msg));
+    }
+}
+
+/// The items of `msg`, a batch message.
+fn items_of(msg: &Message) -> &[Node] {
+    match msg {
+        Message::StreamItemBatch { items, .. } | Message::Deliver { items, .. } => items,
+        other => panic!("not a batch: {other:?}"),
+    }
 }
 
 proptest! {
@@ -690,18 +862,15 @@ proptest! {
             n.children().iter().try_for_each(check)
         }
         let payload = msg.encode();
-        let decoded = match Message::decode(&payload).unwrap() {
-            Message::StreamItemBatch { items, .. } | Message::Deliver { items, .. } => items,
-            other => panic!("not a batch: {other:?}"),
-        };
-        let viewed = BatchView::parse(&payload).unwrap().items.materialise();
-        for item in decoded.iter().chain(&viewed) {
+        let decoded = Message::decode(&payload).unwrap();
+        let viewed = BatchView::parse(&payload).unwrap().items.materialise().unwrap();
+        for item in items_of(&decoded).iter().chain(&viewed) {
             check(item)?;
         }
     }
 
     /// Every truncation point of a batch payload: the same typed error
-    /// from the view as from the decoder.
+    /// from the view (or its reader) as from the decoder.
     #[test]
     fn view_agrees_on_every_truncation(msg in arb_batch()) {
         let payload = msg.encode();
@@ -712,7 +881,7 @@ proptest! {
 
     /// Every single-bit flip of a batch payload (what a CRC collision or
     /// a buggy sender could hand the parser): the same verdict from the
-    /// view as from the decoder, whatever it is.
+    /// view and its reader as from the decoder, whatever it is.
     #[test]
     fn view_agrees_on_every_payload_bit_flip(msg in arb_batch()) {
         let mut payload = msg.encode();
@@ -749,18 +918,15 @@ proptest! {
     ) {
         let payload = msg.encode();
         let view = BatchView::parse(&payload).unwrap();
-        let items = match &msg {
-            Message::StreamItemBatch { items, .. } | Message::Deliver { items, .. } => items,
-            other => panic!("not a batch: {other:?}"),
-        };
+        let items = items_of(&msg);
         prop_assert_eq!(view.items.len(), items.len());
         // One boundary past the end too: skipping never overruns.
         for skip in 0..=items.len() + 1 {
-            let mut rest = view.items.clone();
+            let mut rest: ItemsView<'_> = view.items.clone();
             rest.skip(skip);
             let kept = &items[skip.min(items.len())..];
             prop_assert_eq!(rest.len(), kept.len());
-            prop_assert_eq!(&rest.materialise(), kept);
+            prop_assert_eq!(&rest.materialise().unwrap(), kept);
             let header = BatchHeader {
                 run: view.header.run,
                 dest: BatchDest::Hop { flow: 9, hop },
@@ -783,4 +949,118 @@ proptest! {
             );
         }
     }
+}
+
+// ---- the probe ---------------------------------------------------------
+
+/// Names from a three-letter alphabet (and one non-ASCII name), so paths
+/// over the same alphabet reach nodes often — and through repeated
+/// siblings, where the first one reached decides.
+fn arb_probe_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("a".to_string()),
+        Just("b".to_string()),
+        Just("c".to_string()),
+        Just("é".to_string()),
+    ]
+}
+
+/// Decimals (padded, signed, too long to parse narrowly), non-decimals,
+/// empty text and none.
+fn arb_probe_text() -> impl Strategy<Value = Option<String>> {
+    prop_oneof![
+        "[-+]{0,1}[0-9]{1,3}".prop_map(Some),
+        "[-]{0,1}[0-9]{0,2}[.][0-9]{1,2}".prop_map(Some),
+        "[-]{0,1}[0-9]{19,25}".prop_map(Some),
+        " [0-9][.][0-9] ".prop_map(Some),
+        "[a-z.]{1,3}".prop_map(Some),
+        Just(Some(String::new())),
+        Just(None),
+    ]
+}
+
+fn arb_probe_node() -> impl Strategy<Value = Node> {
+    let leaf = (arb_probe_name(), arb_probe_text())
+        .prop_map(|(name, text)| Node::new(name.as_str(), text.as_deref(), std::iter::empty()));
+    leaf.prop_recursive(4, 32, 4, |inner| {
+        (
+            arb_probe_name(),
+            arb_probe_text(),
+            prop::collection::vec(inner, 0..4),
+        )
+            .prop_map(|(name, text, children)| Node::new(name.as_str(), text.as_deref(), children))
+    })
+}
+
+fn arb_paths() -> impl Strategy<Value = Vec<Path>> {
+    let path = prop::collection::vec(arb_probe_name(), 0..4)
+        .prop_map(|steps| Path::from_steps(steps).unwrap());
+    prop::collection::vec(path, 0..8)
+}
+
+/// What the probe says of `bytes`, and what building the node says.
+fn probe_and_build(
+    bytes: &[u8],
+    paths: &[Path],
+) -> (Result<(), DecodeError>, Result<Node, DecodeError>) {
+    let mut out = vec![None; paths.len()];
+    let probed = probe_decimals(bytes, paths, &mut out);
+    let mut r = Reader::item(bytes);
+    let built = r.node().and_then(|n| r.finish().map(|()| n));
+    (probed, built)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The probe finds, for every path, what `Path::decimal` finds on the
+    /// node's tree.
+    #[test]
+    fn probe_finds_what_path_decimal_finds(node in arb_probe_node(), paths in arb_paths()) {
+        let mut bytes = Vec::new();
+        put_node(&mut bytes, &node);
+        let mut out = vec![Some(Decimal::ZERO); paths.len()];
+        prop_assert_eq!(probe_decimals(&bytes, &paths, &mut out), Ok(()));
+        let want: Vec<Option<Decimal>> = paths.iter().map(|p| p.decimal(&node)).collect();
+        prop_assert_eq!(out, want);
+    }
+
+    /// On every truncation and every bit flip of an encoded node, the
+    /// probe fails exactly where the build fails, with the same error.
+    #[test]
+    fn probe_fails_like_the_build(node in arb_probe_node(), paths in arb_paths()) {
+        let mut bytes = Vec::new();
+        put_node(&mut bytes, &node);
+        for cut in 0..bytes.len() {
+            let (probed, built) = probe_and_build(&bytes[..cut], &paths);
+            prop_assert!(probed.is_err(), "cut at {}", cut);
+            prop_assert_eq!(probed.err(), built.err(), "cut at {}", cut);
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                bytes[i] ^= 1 << bit;
+                let (probed, built) = probe_and_build(&bytes, &paths);
+                prop_assert_eq!(probed.err(), built.err(), "bit {} of byte {}", bit, i);
+                bytes[i] ^= 1 << bit;
+            }
+        }
+    }
+}
+
+/// The probe's paths go one per bit: all 64 resolve.
+#[test]
+fn a_probe_resolves_sixty_four_paths() {
+    let node = Node::elem(
+        "item",
+        (0..64)
+            .map(|i| Node::leaf(format!("v{i}").as_str(), i.to_string()))
+            .collect(),
+    );
+    let paths: Vec<Path> = (0..64).map(|i| format!("v{i}").parse().unwrap()).collect();
+    let mut bytes = Vec::new();
+    put_node(&mut bytes, &node);
+    let mut out = vec![None; 64];
+    probe_decimals(&bytes, &paths, &mut out).unwrap();
+    let want: Vec<Option<Decimal>> = (0..64).map(|i| Some(Decimal::from_int(i))).collect();
+    assert_eq!(out, want);
 }

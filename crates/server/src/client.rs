@@ -10,7 +10,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dss_proto::{Message, Role, WireStrategy};
+use dss_proto::{Message, ProtoError, Role, WireStrategy};
 use dss_xml::Node;
 
 use crate::wire::{self, Conn};
@@ -57,7 +57,9 @@ pub struct RunOutput {
 /// A client connection to the coordinator (or, for `metrics`, any peer).
 pub struct Client {
     conn: Arc<Conn>,
-    rx: mpsc::Receiver<Message>,
+    /// What the reader thread read, ending with why it stopped, if it
+    /// failed.
+    rx: mpsc::Receiver<Result<Message, ProtoError>>,
     pending: VecDeque<ClientEvent>,
     /// The remote's announced name (from its `HelloAck`).
     pub peer_name: String,
@@ -70,10 +72,17 @@ impl Client {
         let conn = Arc::new(conn);
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            // The client is the consumer: every batch it receives becomes trees.
-            let _ = wire::read_loop(reader, move |incoming| {
-                tx.send(incoming.into_message()).is_ok()
+            // The client is the consumer: every batch it receives becomes
+            // trees. Why the reader stopped — a bad frame, a malformed
+            // item — is the last thing it sends.
+            let read = wire::read_loop(reader, |incoming| {
+                let msg = incoming.into_message().map_err(ProtoError::Decode);
+                let stop = msg.is_err();
+                tx.send(msg).is_ok() && !stop
             });
+            if let Err(e) = read {
+                let _ = tx.send(Err(e));
+            }
         });
         Ok(Client {
             peer_name: conn.name.clone(),
@@ -91,29 +100,9 @@ impl Client {
             let remaining = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or_else(|| ServerError::Timeout("waiting for a reply".into()))?;
-            match self.rx.recv_timeout(remaining) {
-                Ok(Message::Deliver {
-                    run,
-                    query,
-                    offset: _,
-                    eos,
-                    items,
-                }) => self.pending.push_back(ClientEvent::Deliver {
-                    run,
-                    query,
-                    eos,
-                    items,
-                }),
-                Ok(Message::RunDone { run, delivered }) => self
-                    .pending
-                    .push_back(ClientEvent::RunDone { run, delivered }),
-                Ok(msg) => return Ok(msg),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(ServerError::Timeout("waiting for a reply".into()))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ServerError::Handshake("connection closed".into()))
-                }
+            match event(self.recv(remaining, "a reply")?) {
+                Ok(e) => self.pending.push_back(e),
+                Err(msg) => return Ok(msg),
             }
         }
     }
@@ -123,26 +112,25 @@ impl Client {
         if let Some(e) = self.pending.pop_front() {
             return Ok(e);
         }
-        match self.rx.recv_timeout(timeout) {
-            Ok(Message::Deliver {
-                run,
-                query,
-                offset: _,
-                eos,
-                items,
-            }) => Ok(ClientEvent::Deliver {
-                run,
-                query,
-                eos,
-                items,
-            }),
-            Ok(Message::RunDone { run, delivered }) => Ok(ClientEvent::RunDone { run, delivered }),
-            Ok(Message::Fault { context, message }) => Err(ServerError::Fault { context, message }),
-            Ok(other) => Err(ServerError::Handshake(format!(
+        match event(self.recv(timeout, "stream events")?) {
+            Ok(e) => Ok(e),
+            Err(Message::Fault { context, message }) => {
+                Err(ServerError::Fault { context, message })
+            }
+            Err(other) => Err(ServerError::Handshake(format!(
                 "unexpected message while streaming: {other:?}"
             ))),
+        }
+    }
+
+    /// The next message the reader thread read, or why there is none:
+    /// the reader's error, the timeout waiting for `what`, or the closed
+    /// connection.
+    fn recv(&self, timeout: Duration, what: &str) -> Result<Message, ServerError> {
+        match self.rx.recv_timeout(timeout) {
+            Ok(read) => read.map_err(ServerError::Proto),
             Err(RecvTimeoutError::Timeout) => {
-                Err(ServerError::Timeout("waiting for stream events".into()))
+                Err(ServerError::Timeout(format!("waiting for {what}")))
             }
             Err(RecvTimeoutError::Disconnected) => {
                 Err(ServerError::Handshake("connection closed".into()))
@@ -178,10 +166,7 @@ impl Client {
                 cost: f64::from_bits(cost_bits),
                 plan,
             }),
-            Message::Fault { context, message } => Err(ServerError::Fault { context, message }),
-            other => Err(ServerError::Handshake(format!(
-                "expected SubscribeOk, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "SubscribeOk")),
         }
     }
 
@@ -190,10 +175,7 @@ impl Client {
             .send(&Message::Unsubscribe { id: id.to_string() })?;
         match self.next_reply(RPC_TIMEOUT)? {
             Message::UnsubscribeOk { .. } => Ok(()),
-            Message::Fault { context, message } => Err(ServerError::Fault { context, message }),
-            other => Err(ServerError::Handshake(format!(
-                "expected UnsubscribeOk, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "UnsubscribeOk")),
         }
     }
 
@@ -202,10 +184,7 @@ impl Client {
         self.conn.send(&Message::MetricsPull)?;
         match self.next_reply(RPC_TIMEOUT)? {
             Message::MetricsSnapshot { json } => Ok(json),
-            Message::Fault { context, message } => Err(ServerError::Fault { context, message }),
-            other => Err(ServerError::Handshake(format!(
-                "expected MetricsSnapshot, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "MetricsSnapshot")),
         }
     }
 
@@ -270,10 +249,7 @@ impl Client {
         self.conn.send(&Message::Shutdown)?;
         match self.next_reply(timeout)? {
             Message::Ack { .. } => Ok(()),
-            Message::Fault { context, message } => Err(ServerError::Fault { context, message }),
-            other => Err(ServerError::Handshake(format!(
-                "expected shutdown Ack, got {other:?}"
-            ))),
+            other => Err(unexpected(other, "shutdown Ack")),
         }
     }
 
@@ -281,5 +257,93 @@ impl Client {
     pub fn goodbye(self) {
         let _ = self.conn.send(&Message::Goodbye);
         self.conn.hangup();
+    }
+}
+
+/// Why `reply` is not the `expected` reply: the remote's `Fault`, or a
+/// message out of turn.
+fn unexpected(reply: Message, expected: &str) -> ServerError {
+    match reply {
+        Message::Fault { context, message } => ServerError::Fault { context, message },
+        other => ServerError::Handshake(format!("expected {expected}, got {other:?}")),
+    }
+}
+
+/// The data-plane event `msg` is, or `msg` itself if it is none.
+fn event(msg: Message) -> Result<ClientEvent, Message> {
+    match msg {
+        Message::Deliver {
+            run,
+            query,
+            offset: _,
+            eos,
+            items,
+        } => Ok(ClientEvent::Deliver {
+            run,
+            query,
+            eos,
+            items,
+        }),
+        Message::RunDone { run, delivered } => Ok(ClientEvent::RunDone { run, delivered }),
+        other => Err(other),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufReader;
+    use std::net::TcpListener;
+
+    use dss_proto::wire::put_items;
+    use dss_proto::{read_message, write_frame, write_message, BatchDest, BatchHeader};
+    use dss_proto::{DecodeError, VERSION_MAX};
+
+    /// A server that answers the `Hello`, then sends a `Deliver` whose
+    /// second item is well framed but malformed (its has-text byte is 7):
+    /// the client says so — it does not report a closed connection.
+    #[test]
+    fn a_malformed_delivered_item_is_the_clients_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let hello = read_message(&mut reader).unwrap();
+            assert!(matches!(hello, Some(Message::Hello { .. })), "{hello:?}");
+            let ack = Message::HelloAck {
+                version: VERSION_MAX,
+                peer: "fake".into(),
+            };
+            write_message(&mut stream, &ack).unwrap();
+            let mut payload = Vec::new();
+            BatchHeader {
+                run: 1,
+                dest: BatchDest::Query("q1"),
+                offset: 0,
+                eos: true,
+            }
+            .encode_into(&mut payload);
+            let at = payload.len();
+            let items = [Node::leaf("e", "1"), Node::empty("photon")];
+            put_items(&mut payload, &items);
+            // The count, the first item (its length, then 6 bytes), the
+            // second's length, its name's length, its name.
+            let has_text = at + 1 + 7 + 1 + 1 + "photon".len();
+            assert_eq!(payload[has_text], 0);
+            payload[has_text] = 7;
+            write_frame(&mut stream, &payload).unwrap();
+            // Hold the connection until the client hangs up.
+            let _ = read_message(&mut reader);
+        });
+        let mut client = Client::connect(&addr, "client", Duration::from_secs(10)).unwrap();
+        match client.next_event(Duration::from_secs(10)) {
+            Err(ServerError::Proto(ProtoError::Decode(e))) => {
+                assert_eq!(e, DecodeError::BadBool(7))
+            }
+            other => panic!("expected the decode error, got {other:?}"),
+        }
+        client.goodbye();
+        server.join().unwrap();
     }
 }

@@ -12,12 +12,18 @@
 //! from.
 //!
 //! **Bytes, not trees.** A batch exists here in one of two forms
-//! ([`Items`]): the trees a hosted `FlowDag` emitted, or the validated
-//! bytes of a batch that arrived over the wire. A wire batch stays bytes
-//! for as long as this process only passes it on — trimmed by item
-//! boundary, re-headed, copied into the next frame — and becomes trees in
-//! exactly one place: where a hosted group taps it, straight into that
-//! group's mailbox entries. The sent-log retains what was sent, encoded.
+//! ([`Items`]): the trees a hosted `FlowDag` emitted, or the framed bytes
+//! of a batch that arrived over the wire. A wire batch stays bytes for as
+//! long as this process only passes it on — trimmed by item boundary,
+//! re-headed, copied into the next frame — and is read in exactly one
+//! place: where a hosted group taps it, straight into that group's mailbox
+//! entries. That read checks every item; a malformed one is the batch's
+//! error ([`Plane::advance`]). If every member of the group starts with a
+//! σ ([`TapFilter`]), the read decides those σs on each item's bytes and
+//! builds only the items one of them passes. The sent-log retains what
+//! was sent, encoded. Trees a worker sends down several flows in a row —
+//! a stream's copies to the members without operators — are encoded once
+//! (`LastSent`).
 //!
 //! **Natural batching.** Every hop moves what is already queued, never
 //! one item at a time and never waiting to fill a batch. A worker *pass*
@@ -50,6 +56,7 @@
 //! after exactly the oracle's input — same items, same order, same flush
 //! point ⇒ same bytes per flow.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,10 +66,10 @@ use std::time::Duration;
 use dss_core::StreamGlobe;
 use dss_network::{
     Contiguity, FlowDag, FlowId, FlowOutputs, Group, GroupKey, GroupTable, MailboxEntry, Next,
-    NodeId, SyncMailbox,
+    NodeId, SyncMailbox, TapFilter,
 };
-use dss_proto::wire::put_nodes;
-use dss_proto::{BatchDest, BatchHeader, ItemsView};
+use dss_proto::wire::{put_items, MAX_PROBE_PATHS};
+use dss_proto::{BatchDest, BatchHeader, DecodeError, ItemsView};
 use dss_xml::Node;
 
 use crate::spec::NetMap;
@@ -89,16 +96,18 @@ struct SourceJob {
 /// A batch's items as this process holds them.
 #[derive(Debug)]
 pub enum Items<'a> {
-    /// Out of a hosted `FlowDag`: trees, encoded where they leave.
-    Trees(Vec<Node>),
-    /// Off the wire: validated bytes over the connection's read buffer.
+    /// Out of a hosted `FlowDag`: trees, encoded where they leave. The
+    /// cell, if any, keeps that encoding for every other flow its worker
+    /// sends the same trees down (`LastSent`).
+    Trees(Vec<Node>, Option<&'a OnceCell<Vec<u8>>>),
+    /// Off the wire: framed bytes over the connection's read buffer.
     View(ItemsView<'a>),
 }
 
 impl Items<'_> {
     pub fn len(&self) -> usize {
         match self {
-            Items::Trees(trees) => trees.len(),
+            Items::Trees(trees, _) => trees.len(),
             Items::View(view) => view.len(),
         }
     }
@@ -115,29 +124,50 @@ impl Items<'_> {
     pub fn admit(&mut self, mark: &mut Contiguity, offset: u64, eos: bool) -> Option<(u64, bool)> {
         let admitted = mark.admit(offset, self.len(), eos)?;
         match self {
-            Items::Trees(trees) => drop(trees.drain(..admitted.skip)),
+            Items::Trees(trees, wire) => {
+                trees.drain(..admitted.skip);
+                *wire = None; // it holds the whole list
+            }
             Items::View(view) => view.skip(admitted.skip),
         }
         Some((offset + admitted.skip as u64, admitted.eos))
     }
 
     /// Appends the item list as it goes on the wire (count, then the
-    /// items): encoded now from trees, copied as received from a view.
+    /// items): copied as received from a view; from trees, encoded now —
+    /// or copied, if another flow already encoded the same trees into the
+    /// batch's cell.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Items::Trees(trees) => put_nodes(out, trees),
+            Items::Trees(trees, wire) => match wire.and_then(OnceCell::get) {
+                Some(list) => out.extend_from_slice(list),
+                None => {
+                    let at = out.len();
+                    put_items(out, trees);
+                    // The cell is empty, so `set` cannot fail.
+                    wire.map(|wire| wire.set(out[at..].to_vec()));
+                }
+            },
             Items::View(view) => view.encode_into(out),
         }
     }
 
     /// The items as trees for a consumer on this process. The `last`
-    /// consumer takes the trees there are instead of a copy.
-    fn trees(&mut self, last: bool) -> Vec<Node> {
-        match self {
-            Items::Trees(trees) if last => std::mem::take(trees),
-            Items::Trees(trees) => trees.clone(),
-            Items::View(view) => view.materialise(),
-        }
+    /// consumer takes the trees there are instead of a copy. A view is read
+    /// here, every item checked; with a `filter`, only the items one of
+    /// its σs passes are built.
+    fn trees(&mut self, last: bool, filter: Option<&TapFilter>) -> Result<Vec<Node>, DecodeError> {
+        Ok(match self {
+            Items::Trees(trees, _) if last => std::mem::take(trees),
+            Items::Trees(trees, _) => trees.clone(),
+            Items::View(view) => match filter {
+                Some(f) => {
+                    let mut scratch = Vec::new();
+                    view.materialise_where(f.paths(), |values| f.passes(values, &mut scratch))?
+                }
+                None => view.materialise()?,
+            },
+        })
     }
 }
 
@@ -239,6 +269,9 @@ pub struct Plane {
     /// Every flow's route and delivery, and the groups of the hosted
     /// nodes: fixed for the run's lifetime, read by every thread.
     pub groups: GroupTable,
+    /// Indexed by group: the leading σs a tap reads the group's items by
+    /// (none where they read more paths than one probe resolves).
+    filters: Vec<Option<TapFilter>>,
     /// Indexed by node: whether this process hosts it.
     hosted: Vec<bool>,
     mailboxes: BTreeMap<NodeId, Arc<SyncMailbox>>,
@@ -314,6 +347,9 @@ impl Plane {
         let plane = Arc::new(Plane {
             run,
             peer: peer.to_string(),
+            filters: (0..table.groups().len())
+                .map(|g| table.tap_filter(g, MAX_PROBE_PATHS))
+                .collect(),
             groups: table,
             hosted,
             mailboxes,
@@ -402,8 +438,9 @@ impl Plane {
     /// origin and rides along unchanged — every hop of a flow sees the
     /// identical item sequence, so one numbering fits all of them.
     ///
-    /// This is the one place a wire batch becomes trees: a hosted tap
-    /// consumes items, everything else only moves them.
+    /// This is the one place a wire batch is read: a hosted tap consumes
+    /// items, everything else only moves them. A malformed item is found
+    /// there and is the error; the batch then goes no further.
     pub fn advance(
         &self,
         flow: FlowId,
@@ -412,33 +449,35 @@ impl Plane {
         mut items: Items<'_>,
         eos: bool,
         leave: &impl Fn(&Plane, Exit<'_>, u64, Items<'_>, bool),
-    ) {
+    ) -> Result<(), DecodeError> {
         if items.is_empty() && !eos {
-            return;
+            return Ok(());
         }
         loop {
             let step = self.groups.step(flow, hop);
             debug_assert!(self.hosted[step.node]);
             if let Some(group) = step.tap {
-                if let Items::View(view) = &items {
+                let trees = items.trees(step.next == Next::End, self.filters[group].as_ref())?;
+                if let Items::View(_) = &items {
                     dss_telemetry::counter_add(
                         "server.items_materialised",
                         || vec![("peer", self.peer.clone())],
-                        view.len() as u64,
+                        trees.len() as u64,
                     );
                 }
-                self.feed(group, items.trees(step.next == Next::End), eos);
+                self.feed(group, trees, eos);
             }
-            match step.next {
-                Next::Forward { to, hop: next } if self.hosted[to] => hop = next,
-                Next::Forward { hop, .. } => {
-                    return leave(self, Exit::Hop { flow, hop }, offset, items, eos)
+            let exit = match step.next {
+                Next::Forward { to, hop: next } if self.hosted[to] => {
+                    hop = next;
+                    continue;
                 }
-                Next::Deliver { query } => {
-                    return leave(self, Exit::Deliver { query }, offset, items, eos)
-                }
-                Next::End => return,
-            }
+                Next::Forward { hop, .. } => Exit::Hop { flow, hop },
+                Next::Deliver { query } => Exit::Deliver { query },
+                Next::End => return Ok(()),
+            };
+            leave(self, exit, offset, items, eos);
+            return Ok(());
         }
     }
 
@@ -451,6 +490,9 @@ impl Plane {
     /// chain. The one caller that never blocks is the node's own worker:
     /// it is the only thread that could make room (see [`SyncMailbox`]).
     fn feed(&self, group: usize, items: Vec<Node>, eos: bool) {
+        if items.is_empty() && !eos {
+            return;
+        }
         let mut entries: Vec<MailboxEntry> =
             items.into_iter().map(|n| (group, TAG_ITEM, n)).collect();
         if eos {
@@ -566,6 +608,28 @@ impl NodeWorker {
     }
 }
 
+/// The last batch a worker sent down a flow without operators, and its
+/// wire form once a hop encoded it.
+///
+/// A worker encodes a batch once for every flow it sends the same trees
+/// down in a row. That is a stream's fan-out: the members of a group that
+/// pass its input on as is (every subscriber's raw flow under data
+/// shipping) each emit a copy of the pass's input, one after another. The
+/// trees compare cheaply, since copies share their children.
+#[derive(Default)]
+struct LastSent(Vec<Node>, OnceCell<Vec<u8>>);
+
+impl LastSent {
+    /// `trees` as the worker sends them: with the last batch's cell if
+    /// they are the same trees, with a fresh one otherwise.
+    fn items(&mut self, trees: Vec<Node>) -> Items<'_> {
+        if trees != self.0 {
+            *self = LastSent(trees.clone(), OnceCell::new());
+        }
+        Items::Trees(trees, Some(&self.1))
+    }
+}
+
 /// Drains one hosted node's mailbox, a pass at a time, until it is closed
 /// and empty.
 fn node_worker(
@@ -576,6 +640,7 @@ fn node_worker(
     egress: impl Fn(&Plane, Exit<'_>, u64, Items<'_>, bool),
 ) {
     let mut pass = Vec::with_capacity(BATCH_CAP);
+    let mut last = LastSent::default();
     while mailbox.pop_batch(BATCH_CAP, &mut pass) {
         // Same histogram the discrete-event runtime records at dispatch,
         // sampled once per pass here (not once per entry): the backlog
@@ -586,7 +651,13 @@ fn node_worker(
             mailbox.len() as f64,
         );
         worker.run_pass(&plane.groups, &mut pass, &mut |flow, offset, items, eos| {
-            plane.advance(flow, 0, offset, Items::Trees(items), eos, &egress)
+            // Only a flow without operators sends copies.
+            let items = match plane.groups.flows()[flow].ops.is_empty() {
+                true => last.items(items),
+                false => Items::Trees(items, None),
+            };
+            // Trees are never read, so never malformed.
+            let _ = plane.advance(flow, 0, offset, items, eos, &egress);
         });
     }
 }
@@ -597,7 +668,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     use dss_core::Strategy;
-    use dss_network::{Deployment, FlowInput, StreamFlow};
+    use dss_network::{Deployment, FlowInput, FlowOp, StreamFlow};
     use dss_proto::{BatchView, Message};
     use dss_rass::Scenario;
 
@@ -667,7 +738,7 @@ mod tests {
     fn resend_is_cut_from_the_batch_containing_the_offset_marker_last() {
         let mut entry = SentEntry::default();
         for (at, len) in [(0, 64), (64, 64), (128, 22)] {
-            entry.push(at as u64, &Items::Trees(items(at..at + len)), false);
+            entry.push(at as u64, &Items::Trees(items(at..at + len), None), false);
         }
         let cut = |e: &SentEntry, from: u64| -> Vec<(u64, usize, bool)> {
             let batches = e.batches_from(from);
@@ -678,7 +749,7 @@ mod tests {
             for b in batches {
                 // Every batch holds the items its offset says it does.
                 let (at, mut wire) = (b.offset as usize, Vec::new());
-                Items::Trees(items(at..at + b.len)).encode_into(&mut wire);
+                Items::Trees(items(at..at + b.len), None).encode_into(&mut wire);
                 assert_eq!(b.items, wire);
             }
             batches.iter().map(|b| (b.offset, b.len, b.eos)).collect()
@@ -695,7 +766,7 @@ mod tests {
         assert_eq!(cut(&entry, 149), sent[2..]);
         assert_eq!(cut(&entry, 150), [], "nothing sent past the mark yet");
 
-        entry.push(150, &Items::Trees(Vec::new()), true);
+        entry.push(150, &Items::Trees(Vec::new(), None), true);
         let marker = (150, 0, true);
         assert_eq!(cut(&entry, 0), [sent[0], sent[1], sent[2], marker]);
         assert_eq!(cut(&entry, 128), [sent[2], marker]);
@@ -715,7 +786,7 @@ mod tests {
             let mut received = Items::View(BatchView::parse(&payload).unwrap().items);
             let (at, eos) = received.admit(&mut mark, b.offset, b.eos).unwrap();
             assert_eq!((at as usize, eos), (100 + got.len(), b.eos));
-            got.extend(received.trees(true));
+            got.extend(received.trees(true, None).unwrap());
         }
         assert_eq!(got, items(100..150));
     }
@@ -751,9 +822,9 @@ mod tests {
         assert_eq!(seen.eos, 1);
     }
 
-    /// The scenario-1 deployment under stream sharing, every sharing group
-    /// of every node with its full input (source replay, or the parent
-    /// flow's reference output), and the reference outputs per flow.
+    /// The scenario-1 deployment under `strategy`, every sharing group of
+    /// every node with its full input (source replay, or the parent flow's
+    /// reference output), and the reference outputs per flow.
     struct Reference {
         globe: StreamGlobe,
         /// Indexed by group.
@@ -762,12 +833,12 @@ mod tests {
         outputs: Vec<Vec<Node>>,
     }
 
-    fn scenario1_reference() -> Reference {
+    fn scenario1_reference(strategy: Strategy) -> Reference {
         let scenario = Scenario::scenario1(42);
         let mut globe = scenario.build_system();
         for q in &scenario.queries {
             globe
-                .register_query(q.id.clone(), &q.text, &q.peer, Strategy::StreamSharing)
+                .register_query(q.id.clone(), &q.text, &q.peer, strategy)
                 .unwrap_or_else(|e| panic!("registering {}: {e}", q.id));
         }
         let outputs = globe.run_simulation(Default::default()).flow_outputs;
@@ -820,7 +891,7 @@ mod tests {
     /// never an item.
     #[test]
     fn outputs_do_not_depend_on_how_the_mailbox_splits_into_passes() {
-        let reference = scenario1_reference();
+        let reference = scenario1_reference(Strategy::StreamSharing);
         let mailbox = interleaved_mailbox(&reference);
         assert!(reference.inputs.len() >= 2, "needs interleaved groups");
         let run = |pass_len: &dyn Fn(usize) -> usize| {
@@ -855,6 +926,55 @@ mod tests {
         assert_eq!(run(&|_| BATCH_CAP), one_by_one, "capped passes");
         assert_eq!(run(&|i| [3, 64, 1, 17, 40][i % 5]), one_by_one, "ragged");
         assert_eq!(run(&|_| usize::MAX), one_by_one, "one big pass");
+    }
+
+    /// Every batch a worker sends encodes to its own trees' item list,
+    /// and the fan-out of scenario 1's source stream to the subscribers'
+    /// raw flows under data shipping is encoded once per batch, not once
+    /// per flow.
+    #[test]
+    fn a_batch_sent_down_several_flows_is_encoded_once() {
+        let reference = scenario1_reference(Strategy::DataShipping);
+        let (mut worker, table) = worker_for(&reference.deployment);
+        // The group the raw flows tap: the source flow at its super-peer.
+        let (source, group) = (table.groups().iter().enumerate())
+            .max_by_key(|(_, g)| g.members.len())
+            .expect("scenario 1 has groups");
+        let raw = group.members.len();
+        assert!(raw >= 10, "the fan-out to test: {raw} members");
+        assert!(group
+            .members
+            .iter()
+            .all(|&f| table.flows()[f].ops.is_empty()));
+        let mut mailbox: Vec<MailboxEntry> = reference.inputs[source]
+            .iter()
+            .map(|n| (source, TAG_ITEM, n.clone()))
+            .chain([(source, TAG_EOS, Node::empty("eos"))])
+            .collect();
+        let mut last = LastSent::default();
+        let (mut encoded, mut copied) = (0, 0);
+        while !mailbox.is_empty() {
+            let rest = mailbox.split_off(mailbox.len().min(BATCH_CAP));
+            worker.run_pass(&table, &mut mailbox, &mut |_, _, trees, _| {
+                let mut want = Vec::new();
+                put_items(&mut want, &trees);
+                let items = last.items(trees);
+                let Items::Trees(_, Some(wire)) = &items else {
+                    unreachable!("a worker's batch carries a cell")
+                };
+                match wire.get() {
+                    Some(_) => copied += 1,
+                    None => encoded += 1,
+                }
+                let mut got = Vec::new();
+                items.encode_into(&mut got);
+                assert_eq!(got, want);
+            });
+            mailbox = rest;
+        }
+        // Each pass's batch (and the markers) once, then copied 24 times.
+        assert!(encoded > reference.inputs[source].len() / BATCH_CAP);
+        assert_eq!(copied, (raw - 1) * encoded);
     }
 
     /// The payload a batch leaves under: what `Conn::send_batch` frames.
@@ -927,7 +1047,7 @@ mod tests {
                 };
                 assert_eq!(payload_of(exit, 5, offset, &items, eos), want.encode());
                 // Trees leave as the same bytes the view does.
-                let trees = Items::Trees(items.trees(false));
+                let trees = Items::Trees(items.trees(false, None).unwrap(), None);
                 assert_eq!(payload_of(exit, 5, offset, &trees, eos), want.encode());
             }
         }
@@ -939,7 +1059,7 @@ mod tests {
     /// in the same order — their outputs equal the simulator's.
     #[test]
     fn a_tapped_relay_hop_forwards_the_received_bytes_and_feeds_the_tap_in_order() {
-        let reference = scenario1_reference();
+        let reference = scenario1_reference(Strategy::StreamSharing);
         let topo = reference.globe.topology();
         let map = NetMap::new(topo);
         let all = GroupTable::build(&reference.deployment, |_| true);
@@ -1016,7 +1136,9 @@ mod tests {
             let (offset, eos) = plane
                 .admit(flow, hop, header.offset, &mut items, header.eos)
                 .expect("contiguous arrivals are admitted whole");
-            plane.advance(flow, hop, offset, items, eos, &capture);
+            plane
+                .advance(flow, hop, offset, items, eos, &capture)
+                .unwrap();
         }
         // Teardown must not overtake the markers still cascading through
         // the local taps (the server tears down on the last delivery).
@@ -1075,9 +1197,220 @@ mod tests {
         for f in derived {
             let mut got = Vec::new();
             for (_, payload) in of(f) {
-                got.extend(BatchView::parse(payload).unwrap().items.materialise());
+                got.extend(
+                    BatchView::parse(payload)
+                        .unwrap()
+                        .items
+                        .materialise()
+                        .unwrap(),
+                );
             }
             assert_eq!(got, reference.outputs[f], "flow {f}, downstream of the tap");
+        }
+    }
+
+    /// A tap fed its input as received bytes emits exactly what it emits
+    /// fed the trees, whatever leads its chain: a σ (the group's filter
+    /// then decides on the bytes which items are built), a Π or a Φ. The
+    /// chains are the data-shipping taps of scenarios 1 and 2 — each
+    /// query's operators over raw photons — and each of them without its
+    /// leading σ; the input is scenario 1's photons.
+    #[test]
+    fn a_tap_fed_bytes_emits_what_it_emits_fed_trees() {
+        let mut chains: Vec<Vec<FlowOp>> = Vec::new();
+        for scenario in [Scenario::scenario1(42), Scenario::scenario2(42)] {
+            let mut globe = scenario.build_system();
+            for q in &scenario.queries {
+                globe
+                    .register_query(q.id.clone(), &q.text, &q.peer, Strategy::DataShipping)
+                    .unwrap_or_else(|e| panic!("registering {}: {e}", q.id));
+            }
+            for flow in globe.deployment().flows() {
+                let ops = flow.ops.as_slice();
+                let unled = match ops {
+                    [FlowOp::Standard(sigma), rest @ ..] if sigma.to_string().starts_with('σ') => {
+                        rest
+                    }
+                    _ => &[],
+                };
+                for chain in [ops, unled] {
+                    if !chain.is_empty() && !chains.iter().any(|c| c == chain) {
+                        chains.push(chain.to_vec());
+                    }
+                }
+            }
+        }
+        // One group per chain: each tap sits at a node of its own, on the
+        // route of the photons.
+        let mut deployment = Deployment::new();
+        let flow = |input, node: NodeId, ops, route| StreamFlow {
+            label: format!("at {node}"),
+            input,
+            processing_node: node,
+            ops,
+            route,
+            properties: None,
+            retired: false,
+        };
+        let photons = FlowInput::Source {
+            stream: "photons".into(),
+        };
+        let route = (0..=chains.len()).collect();
+        let parent = deployment.add_flow(flow(photons, 0, Vec::new(), route));
+        for (i, chain) in chains.into_iter().enumerate() {
+            deployment.add_flow(flow(FlowInput::Tap { parent }, i + 1, chain, vec![i + 1]));
+        }
+        let table = GroupTable::build(&deployment, |_| true);
+        let input = &Scenario::scenario1(42).streams[0].items;
+
+        let (mut led_by, mut offered, mut built) = (BTreeSet::new(), 0, 0);
+        for (g, group) in table.groups().iter().enumerate().skip(1) {
+            let filter = table.tap_filter(g, MAX_PROBE_PATHS);
+            let filter = filter.as_ref();
+            let run = |as_bytes: bool| {
+                let (mut dag, mut outputs) = (table.cold_dag(g), FlowOutputs::default());
+                let mut built = 0;
+                for chunk in input.chunks(BATCH_CAP) {
+                    let payload = payload_of(
+                        Exit::Hop { flow: 0, hop: 0 },
+                        1,
+                        0,
+                        &Items::Trees(chunk.to_vec(), None),
+                        false,
+                    );
+                    let mut items = match as_bytes {
+                        true => Items::View(BatchView::parse(&payload).unwrap().items),
+                        false => Items::Trees(chunk.to_vec(), None),
+                    };
+                    let trees = items.trees(true, filter).unwrap();
+                    built += trees.len();
+                    outputs.feed_slice(&mut dag, &trees);
+                }
+                outputs.flush(&mut dag);
+                (outputs.drain().collect::<Vec<_>>(), built)
+            };
+            let (from_trees, _) = run(false);
+            let (from_bytes, n) = run(true);
+            let member = group.members[0];
+            assert_eq!(from_bytes, from_trees, "the tap of flow {member}");
+            let FlowOp::Standard(first) = &table.flows()[member].ops[0] else {
+                continue;
+            };
+            led_by.insert(format!("{:?}", first.kind()));
+            if filter.is_some() {
+                offered += input.len();
+                built += n;
+            } else {
+                assert_eq!(n, input.len(), "without a filter every item is built");
+            }
+        }
+        assert_eq!(
+            led_by.into_iter().collect::<Vec<_>>(),
+            ["Aggregation", "Projection", "Selection"]
+        );
+        assert!(
+            built > 0 && built < offered / 2,
+            "the σs pass {built} of {offered} items"
+        );
+    }
+
+    /// An item list of a good photon, then an item whose has-text byte is
+    /// 7 — well framed, malformed inside — then another good photon.
+    fn list_with_a_malformed_item() -> Vec<u8> {
+        let mut list = Vec::new();
+        put_items(&mut list, &photons(0..3));
+        // The count, the item's length, the name's length, the name.
+        let has_text = 3 + "photon".len();
+        assert_eq!(list[has_text], 0);
+        list[has_text] = 7;
+        list
+    }
+
+    /// The payload of `list` on its way to hop `hop` of `flow`.
+    fn batch_of(flow: FlowId, hop: usize, list: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        Exit::Hop { flow, hop }
+            .header(9, 0, false)
+            .encode_into(&mut payload);
+        payload.extend_from_slice(list);
+        payload
+    }
+
+    /// A malformed item inside a well-framed batch travels as far as its
+    /// first reader: a pure relay hop forwards it byte for byte, and a
+    /// tapped hop — filtered by its σs or not — returns the typed error
+    /// and sends nothing on.
+    #[test]
+    fn a_malformed_item_is_relayed_as_is_and_fails_at_the_first_tap() {
+        let reference = scenario1_reference(Strategy::DataShipping);
+        let topo = reference.globe.topology();
+        let map = NetMap::new(topo);
+        let all = GroupTable::build(&reference.deployment, |_| true);
+        let owner = |f: FlowId, h: usize| map.owner_of(all.flows()[f].route[h]);
+        let hops = (0..all.flows().len())
+            .flat_map(|f| (1..all.flows()[f].route.len()).map(move |h| (f, h)))
+            .filter(|&(f, h)| owner(f, h - 1) != owner(f, h));
+        let mut relay = None;
+        let mut taps = BTreeMap::new();
+        for (f, h) in hops {
+            let step = all.step(f, h);
+            match (step.tap, step.next) {
+                (None, Next::Forward { to, .. }) if map.owner_of(to) != owner(f, h) => {
+                    relay.get_or_insert((f, h));
+                }
+                (Some(g), _) => {
+                    taps.entry(all.tap_filter(g, MAX_PROBE_PATHS).is_some())
+                        .or_insert((f, h));
+                }
+                _ => {}
+            }
+        }
+        let relay = relay.expect("data shipping relays the raw stream across processes");
+        assert_eq!(taps.len(), 2, "taps with and without a filter: {taps:?}");
+
+        type Left = Vec<Vec<u8>>;
+        for (flow, hop) in [relay].into_iter().chain(taps.into_values()) {
+            let left: Arc<Mutex<Left>> = Arc::default();
+            let capture = {
+                let left = Arc::clone(&left);
+                move |plane: &Plane, exit: Exit<'_>, offset: u64, items: Items<'_>, eos: bool| {
+                    let payload = payload_of(exit, plane.run, offset, &items, eos);
+                    left.lock().unwrap().push(payload);
+                }
+            };
+            let peer = &topo.peer(map.sp(owner(flow, hop))).name;
+            let plane = Plane::build(
+                &reference.globe,
+                peer,
+                9,
+                1024,
+                false,
+                Duration::ZERO,
+                capture.clone(),
+            );
+            let list = list_with_a_malformed_item();
+            let payload = batch_of(flow, hop, &list);
+            let BatchView { header, items } = BatchView::parse(&payload).unwrap();
+            let advanced = plane.advance(
+                flow,
+                hop,
+                header.offset,
+                Items::View(items),
+                false,
+                &capture,
+            );
+            plane.drain();
+            if (flow, hop) == relay {
+                assert_eq!(advanced, Ok(()));
+                assert_eq!(*left.lock().unwrap(), [batch_of(flow, hop + 1, &list)]);
+            } else {
+                assert_eq!(
+                    advanced,
+                    Err(DecodeError::BadBool(7)),
+                    "flow {flow} at hop {hop}"
+                );
+                assert!(left.lock().unwrap().is_empty(), "nothing read is sent on");
+            }
         }
     }
 

@@ -59,8 +59,8 @@ use std::time::{Duration, Instant};
 use dss_core::{Registration, StreamGlobe};
 use dss_network::{Contiguity, FlowId, Topology};
 use dss_proto::{
-    negotiate, read_message, BatchDest, BatchHeader, BatchView, Message, ProtoError, Role,
-    WireStrategy, VERSION_MAX, VERSION_MIN,
+    negotiate, read_message, BatchDest, BatchHeader, BatchView, DecodeError, Message, ProtoError,
+    Role, WireStrategy, VERSION_MAX, VERSION_MIN,
 };
 use dss_wal::{WalOptions, WalRecord, WalWriter};
 
@@ -589,8 +589,15 @@ impl Server {
     fn handle(self: &Arc<Self>, incoming: Incoming<'_>, conn: &Arc<Conn>, ctx: &ConnCtx) -> bool {
         let msg = match incoming {
             Incoming::Batch(view) => {
-                self.on_batch(view);
-                return true;
+                let Err(e) = self.on_batch(view) else {
+                    return true;
+                };
+                // A malformed item, read at its first tap: the sender is
+                // at fault, as for a frame that fails to decode.
+                eprintln!("dss serve: malformed item from {}: {e}", conn.name);
+                fault(conn, "stream item batch", format!("malformed item: {e}"));
+                conn.hangup();
+                return false;
             }
             Incoming::Message(msg) => msg,
         };
@@ -663,14 +670,16 @@ impl Server {
     }
 
     /// An item batch off the wire, still bytes: a `StreamItemBatch` takes
-    /// its route step here, a `Deliver` goes to its subscriber.
-    fn on_batch(self: &Arc<Self>, view: BatchView<'_>) {
+    /// its route step here, a `Deliver` goes to its subscriber. Fails if a
+    /// tap here reads a malformed item.
+    fn on_batch(self: &Arc<Self>, view: BatchView<'_>) -> Result<(), DecodeError> {
         let BatchView { header, items } = view;
         let mut items = Items::View(items);
         let (flow, hop) = match header.dest {
             BatchDest::Hop { flow, hop } => (flow as FlowId, hop as usize),
             BatchDest::Query(query) => {
-                return self.deliver_local(header.run, query, header.offset, items, header.eos)
+                self.deliver_local(header.run, query, header.offset, items, header.eos);
+                return Ok(());
             }
         };
         let plane = self.plane.lock().unwrap().clone();
@@ -681,12 +690,13 @@ impl Server {
                 // filter keeps delivery exactly-once.
                 let admitted = p.admit(flow, hop, header.offset, &mut items, header.eos);
                 if let Some((offset, eos)) = admitted {
-                    p.advance(flow, hop, offset, items, eos, &self.egress());
+                    return p.advance(flow, hop, offset, items, eos, &self.egress());
                 }
             }
             Some(p) => p.note_stale(),
             None => {}
         }
+        Ok(())
     }
 
     // ---- control plane ---------------------------------------------

@@ -10,9 +10,9 @@
 //! that is the per-flow FIFO the byte-exactness argument rests on.
 //!
 //! The read loop reads every frame into one buffer it reuses and hands
-//! item batches on as validated [`BatchView`]s over that buffer, not as
-//! trees ([`Incoming`]): whether anything is materialised is up to the
-//! handler. [`Conn::send_batch`] is the matching way out — a header in
+//! item batches on as framed [`BatchView`]s over that buffer, not as
+//! trees ([`Incoming`]): whether anything is read and materialised is up
+//! to the handler. [`Conn::send_batch`] is the matching way out — a header in
 //! front of an item list the caller writes, which for a relayed batch is
 //! a copy of the bytes it received — built in a buffer the connection
 //! reuses too. Neither buffer keeps more than [`FRAME_BUF_KEEP`] bytes of
@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dss_proto::{
-    read_frame_into, read_message, write_frame_in, BatchHeader, BatchView, Message, ProtoError,
-    Role, VERSION_MAX, VERSION_MIN,
+    read_frame_into, read_message, write_frame_in, BatchHeader, BatchView, DecodeError, Message,
+    ProtoError, Role, VERSION_MAX, VERSION_MIN,
 };
 
 use crate::ServerError;
@@ -115,8 +115,8 @@ impl Conn {
 
 /// One received frame, as [`read_loop`] hands it on.
 pub enum Incoming<'a> {
-    /// A `StreamItemBatch` or `Deliver`: validated, its items still the
-    /// bytes in the connection's read buffer.
+    /// A `StreamItemBatch` or `Deliver`: framed, its items still the
+    /// unread bytes in the connection's read buffer.
     Batch(BatchView<'a>),
     /// Any other message, decoded.
     Message(Message),
@@ -124,11 +124,12 @@ pub enum Incoming<'a> {
 
 impl Incoming<'_> {
     /// The owned message, materialising a batch — for a receiver that
-    /// consumes every item it is sent (the client).
-    pub fn into_message(self) -> Message {
+    /// consumes every item it is sent (the client). This is where such a
+    /// receiver finds a malformed item.
+    pub fn into_message(self) -> Result<Message, DecodeError> {
         match self {
             Incoming::Batch(view) => view.materialise(),
-            Incoming::Message(msg) => msg,
+            Incoming::Message(msg) => Ok(msg),
         }
     }
 }
@@ -327,7 +328,7 @@ mod tests {
         let mut payload = Vec::new();
         let mut got = Vec::new();
         read_frames(&mut &wire[..], &mut payload, |incoming| {
-            got.push(incoming.into_message());
+            got.push(incoming.into_message().unwrap());
             true
         })
         .unwrap();

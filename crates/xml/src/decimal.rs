@@ -293,7 +293,7 @@ impl Decimal {
     /// [`FromStr`] without the error value: `None` for anything that is not
     /// a decimal, at no allocation — what per-item reads call, since they
     /// skip unreadable values instead of reporting them.
-    pub(crate) fn parse(s: &str) -> Option<Decimal> {
+    pub fn parse(s: &str) -> Option<Decimal> {
         Decimal::parse_narrow(s.as_bytes()).or_else(|| Decimal::parse_general(s))
     }
 

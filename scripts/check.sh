@@ -118,6 +118,15 @@ if grep -rn --include='*.rs' 'sharers -= 1' crates/*/src src | grep -v '^crates/
     exit 1
 fi
 
+echo "==> dss-proto holds no unsafe code outside crc.rs"
+# Every byte a peer receives is checked where it is read (DESIGN.md "Relay
+# bytes, not trees"); no decoder path may trust a previous pass to skip a
+# check. The CRC's carry-less-multiply kernel is the one unsafe block.
+if grep -rn --include='*.rs' -w 'unsafe' crates/proto/src | grep -v '^crates/proto/src/crc\.rs:'; then
+    echo "FAIL: unsafe in crates/proto/src outside crc.rs" >&2
+    exit 1
+fi
+
 echo "==> trace snapshot conforms to schemas/trace.schema.json"
 cargo build --release -q -p dss-bench --bins
 TRACE_TMP=$(mktemp --suffix .trace.json)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke-check for the two differential oracles.
+# Mutation smoke-check for the differential oracles.
 #
 # Each mutant deliberately breaks one rule and asserts that the suite
 # meant to guard it *fails*. If a mutant survives, that harness has lost
@@ -15,6 +15,10 @@
 #    `Catalog::candidates_into` also skip the chains the verdict row has
 #    *accepted*, not only the ones it rejected. The full-scan oracle
 #    (`tests/indexed_search.rs`) must fail.
+# 3. The probe a σ-led tap reads an item's encoding with: the mutant
+#    resolves every path one step short (at the parent of the node it
+#    names). The data plane's bytes-vs-trees test (`dss_server::data`,
+#    a tap fed bytes emits what it emits fed trees) must fail.
 #
 # Usage: scripts/mutation_smoke.sh
 
@@ -93,5 +97,10 @@ expect_caught window-merge --test differential fused_aggregates_with_different_w
 # widen it to every remembered verdict.
 mutate crates/network/src/catalog.rs 's/Some(Some(Err(_)))/Some(Some(_))/' accepted-skip
 expect_caught accepted-skip --test indexed_search
+
+# Mutant 3. A path resolves at the first node as deep as it has steps;
+# resolve it one level higher.
+mutate crates/proto/src/wire.rs 's/if steps.len() > depth {/if steps.len() > depth + 1 {/' probe-one-step-short
+expect_caught probe-one-step-short -p dss-server --lib data::tests::a_tap_fed_bytes_emits_what_it_emits_fed_trees
 
 echo "mutation_smoke: OK"

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use data_stream_sharing::core::{Strategy, StreamGlobe};
-use data_stream_sharing::network::GroupTable;
+use data_stream_sharing::network::{GroupKey, GroupTable};
 use data_stream_sharing::server::{
     Client, ClientEvent, ClusterOptions, LocalCluster, NetMap, ServeSpec,
 };
@@ -269,6 +269,98 @@ fn scenario1_completes_byte_exact_at_the_default_mailbox_capacity() {
             .any(|m| m.contains("server.items_materialised")),
         "some tap is fed over the wire"
     );
+
+    client.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
+/// Sum of the counter `name` over a telemetry snapshot's label sets.
+fn counter(snapshot: &str, name: &str) -> u64 {
+    let doc = dss_telemetry::json::parse(snapshot).expect("snapshot parses as JSON");
+    let metrics = doc.get("metrics").and_then(|m| m.as_array()).unwrap_or(&[]);
+    metrics
+        .iter()
+        .filter(|m| m.get("name").and_then(|n| n.as_str()) == Some(name))
+        .filter_map(|m| m.get("value").and_then(|v| v.as_f64()))
+        .sum::<f64>() as u64
+}
+
+/// Data shipping over real sockets: each subscriber's raw stream crosses
+/// the fleet as bytes and is read only at the subscriber's super-peer.
+/// The 25 queries of scenario 1 arrive byte-exact, and a peer whose taps
+/// all start with a σ builds trees only for items a σ passes — fewer than
+/// it receives.
+#[test]
+fn scenario1_under_data_shipping_is_byte_exact_and_builds_only_what_a_sigma_passes() {
+    let scenario = dss_rass::Scenario::scenario1(42);
+    let mut spec = ServeSpec::new("scenario1").unwrap();
+    spec.port_base = pick_port_base(8);
+    let mut sys: StreamGlobe = spec.build_globe();
+    let cluster = LocalCluster::spawn(Path::new(env!("CARGO_BIN_EXE_dss")), &spec, None)
+        .expect("fleet spawns");
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+    let mut flows = Vec::new();
+    for q in &scenario.queries {
+        let reg = sys
+            .register_query(q.id.clone(), &q.text, &q.peer, Strategy::DataShipping)
+            .unwrap_or_else(|e| panic!("oracle registration of {} failed: {e}", q.id));
+        flows.push((q.id.clone(), reg.delivery_flow));
+        client
+            .subscribe(&q.id, &q.text, &q.peer, WireStrategy::DataShipping)
+            .unwrap_or_else(|e| panic!("subscribing {} failed: {e}", q.id));
+    }
+    let sim = sys.run_simulation(Default::default());
+    let out = client
+        .run_and_collect(Duration::from_secs(60))
+        .expect("the data-shipping run completes");
+    let mut total = 0;
+    for (id, flow) in &flows {
+        let want: Vec<String> = sim.flow_outputs[*flow].iter().map(node_to_string).collect();
+        let got: Vec<String> = out
+            .results
+            .get(id)
+            .map(|items| items.iter().map(node_to_string).collect())
+            .unwrap_or_default();
+        assert_eq!(got, want, "{id}: delivered bytes differ from the simulator");
+        total += want.len();
+    }
+    assert_eq!(out.delivered as usize, total, "fleet-wide delivered count");
+
+    // The processes whose groups are all σ-led taps fed over the wire: what
+    // they receive is their taps' parents' output.
+    let map = NetMap::new(sys.topology());
+    let mut checked = 0;
+    for i in 0..map.process_count() {
+        let hosted = GroupTable::build(sys.deployment(), |n| map.owner_of(n) == i);
+        let mut received = 0;
+        let all_filtered_over_the_wire = !hosted.groups().is_empty()
+            && hosted.groups().iter().enumerate().all(|(g, group)| {
+                let GroupKey::Tap(parent) = group.key else {
+                    return false;
+                };
+                let route = &hosted.flows()[parent].route;
+                let hop = route.iter().position(|&n| n == group.node).unwrap();
+                received += sim.flow_outputs[parent].len();
+                hosted.tap_filter(g, 64).is_some() && hop > 0 && map.owner_of(route[hop - 1]) != i
+            });
+        if !all_filtered_over_the_wire {
+            continue;
+        }
+        let mut probe = Client::connect(&map.addr(&spec, i), "probe", FLEET_TIMEOUT)
+            .unwrap_or_else(|e| panic!("dialing process {i}: {e}"));
+        let built = counter(
+            &probe.metrics().expect("metrics pull"),
+            "server.items_materialised",
+        );
+        probe.goodbye();
+        assert!(
+            0 < built && built < received as u64,
+            "process {i} built {built} trees of {received} items received"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "some subscriber peer taps only with σs");
 
     client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
