@@ -97,9 +97,7 @@ impl Client {
     fn next_reply(&mut self, timeout: Duration) -> Result<Message, ServerError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| ServerError::Timeout("waiting for a reply".into()))?;
+            let remaining = remaining(deadline, "a reply")?;
             match event(self.recv(remaining, "a reply")?) {
                 Ok(e) => self.pending.push_back(e),
                 Err(msg) => return Ok(msg),
@@ -112,15 +110,7 @@ impl Client {
         if let Some(e) = self.pending.pop_front() {
             return Ok(e);
         }
-        match event(self.recv(timeout, "stream events")?) {
-            Ok(e) => Ok(e),
-            Err(Message::Fault { context, message }) => {
-                Err(ServerError::Fault { context, message })
-            }
-            Err(other) => Err(ServerError::Handshake(format!(
-                "unexpected message while streaming: {other:?}"
-            ))),
-        }
+        event(self.recv(timeout, "stream events")?).map_err(|m| unexpected(m, "a stream event"))
     }
 
     /// The next message the reader thread read, or why there is none:
@@ -132,9 +122,7 @@ impl Client {
             Err(RecvTimeoutError::Timeout) => {
                 Err(ServerError::Timeout(format!("waiting for {what}")))
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(ServerError::Handshake("connection closed".into()))
-            }
+            Err(RecvTimeoutError::Disconnected) => Err(ServerError::Closed),
         }
     }
 
@@ -201,10 +189,7 @@ impl Client {
         let deadline = Instant::now() + timeout;
         let mut out = RunOutput::default();
         loop {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| ServerError::Timeout("waiting for the run to complete".into()))?;
-            match self.next_event(remaining)? {
+            match self.next_event(remaining(deadline, "the run to complete")?)? {
                 ClientEvent::Deliver { query, items, .. } => {
                     out.results.entry(query).or_default().extend(items);
                 }
@@ -227,9 +212,7 @@ impl Client {
         let mut results: BTreeMap<String, Vec<Node>> = BTreeMap::new();
         let deadline = Instant::now() + timeout;
         while !waiting.is_empty() {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or_else(|| ServerError::Timeout("waiting for end-of-stream".into()))?;
+            let remaining = remaining(deadline, "end-of-stream")?;
             if let ClientEvent::Deliver {
                 query, eos, items, ..
             } = self.next_event(remaining)?
@@ -258,6 +241,12 @@ impl Client {
         let _ = self.conn.send(&Message::Goodbye);
         self.conn.hangup();
     }
+}
+
+/// The time left until `deadline`, or the timeout waiting for `what`.
+fn remaining(deadline: Instant, what: &str) -> Result<Duration, ServerError> {
+    let left = deadline.checked_duration_since(Instant::now());
+    left.ok_or_else(|| ServerError::Timeout(format!("waiting for {what}")))
 }
 
 /// Why `reply` is not the `expected` reply: the remote's `Fault`, or a
@@ -345,5 +334,31 @@ mod tests {
         }
         client.goodbye();
         server.join().unwrap();
+    }
+
+    /// A server that acks the `Hello`, then hangs up: the client reports
+    /// the connection closed — not a failed handshake.
+    #[test]
+    fn a_hangup_after_the_handshake_is_a_closed_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let hello = read_message(&mut reader).unwrap();
+            assert!(matches!(hello, Some(Message::Hello { .. })), "{hello:?}");
+            let ack = Message::HelloAck {
+                version: VERSION_MAX,
+                peer: "fake".into(),
+            };
+            write_message(&mut &stream, &ack).unwrap();
+            stream.shutdown(std::net::Shutdown::Both).unwrap();
+        });
+        let mut client = Client::connect(&addr, "client", Duration::from_secs(10)).unwrap();
+        server.join().unwrap();
+        match client.next_event(Duration::from_secs(10)) {
+            Err(ServerError::Closed) => {}
+            other => panic!("expected a closed connection, got {other:?}"),
+        }
     }
 }

@@ -59,7 +59,7 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -257,6 +257,16 @@ impl SentEntry {
     }
 }
 
+/// Where the coordinator hands a run's results: to each query's subscriber
+/// (a client id), or to the run's requester where that client is gone —
+/// past each query's delivery mark, which admits exactly the unseen tail
+/// of a restarted delivery peer's resend.
+pub struct Deliveries {
+    pub subscribers: BTreeMap<String, u64>,
+    pub requester: Option<u64>,
+    pub marks: Mutex<BTreeMap<String, Contiguity>>,
+}
+
 /// Sender-side retention map: one shared [`SentEntry`] per wire-crossing
 /// `(flow, dest hop)`.
 type SentLog = BTreeMap<(FlowId, usize), Arc<Mutex<SentEntry>>>;
@@ -278,7 +288,8 @@ pub struct Plane {
     workers: Mutex<Vec<JoinHandle<()>>>,
     source_jobs: Mutex<Vec<SourceJob>>,
     /// Batches that arrived after teardown began (must all belong to
-    /// side-branches that feed no delivery — see `finish_run`).
+    /// side-branches that feed no delivery — see `Control`'s
+    /// `finish_run`).
     pub stale: AtomicU64,
     /// Retain sent batches for crash-recovery resends (WAL mode only).
     durable: bool,
@@ -291,6 +302,9 @@ pub struct Plane {
     sent: Mutex<SentLog>,
     /// Receiver side: contiguous high-water mark per `(flow, dest hop)`.
     recv: Mutex<BTreeMap<(FlowId, usize), Contiguity>>,
+    /// Where results leave at the coordinator (no subscribers elsewhere),
+    /// set when the plane is built, before its sources start.
+    pub deliveries: OnceLock<Deliveries>,
 }
 
 impl Plane {
@@ -360,6 +374,7 @@ impl Plane {
             source_delay,
             sent: Mutex::new(BTreeMap::new()),
             recv: Mutex::new(BTreeMap::new()),
+            deliveries: OnceLock::new(),
         });
 
         let mut workers = Vec::new();

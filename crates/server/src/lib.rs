@@ -11,6 +11,7 @@
 
 mod client;
 mod cluster;
+pub mod control;
 mod data;
 mod peer;
 mod signal;
@@ -40,6 +41,8 @@ pub enum ServerError {
     },
     /// Bad deployment configuration (unknown topology/peer, ...).
     Config(String),
+    /// The remote closed an established connection.
+    Closed,
 }
 
 impl std::fmt::Display for ServerError {
@@ -53,6 +56,7 @@ impl std::fmt::Display for ServerError {
                 write!(f, "remote fault in {context}: {message}")
             }
             ServerError::Config(m) => write!(f, "configuration error: {m}"),
+            ServerError::Closed => write!(f, "connection closed"),
         }
     }
 }

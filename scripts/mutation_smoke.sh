@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation smoke-check for the differential oracles.
+# Mutation smoke-check for the differential oracles and the control plane.
 #
 # Each mutant deliberately breaks one rule and asserts that the suite
 # meant to guard it *fails*. If a mutant survives, that harness has lost
@@ -19,6 +19,9 @@
 #    resolves every path one step short (at the parent of the node it
 #    names). The data plane's bytes-vs-trees test (`dss_server::data`,
 #    a tap fed bytes emits what it emits fed trees) must fail.
+# 4. The run's two-phase start: the mutant's control machine owes one ack
+#    fewer per step, so it releases `RunGo` after n-1 of the fleet's
+#    `StartRun` acks. The in-memory fleet (`tests/fleet_sim.rs`) must fail.
 #
 # Usage: scripts/mutation_smoke.sh
 
@@ -102,5 +105,9 @@ expect_caught accepted-skip --test indexed_search
 # resolve it one level higher.
 mutate crates/proto/src/wire.rs 's/if steps.len() > depth {/if steps.len() > depth + 1 {/' probe-one-step-short
 expect_caught probe-one-step-short -p dss-server --lib data::tests::a_tap_fed_bytes_emits_what_it_emits_fed_trees
+
+# Mutant 4. Every process owes a step one ack; owe one fewer.
+mutate crates/server/src/control.rs 's/let owed = self.map.process_count();/let owed = self.map.process_count() - 1;/' run-go-one-ack-short
+expect_caught run-go-one-ack-short --test fleet_sim
 
 echo "mutation_smoke: OK"

@@ -259,6 +259,35 @@ fn check_reports_compile_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("syntax error"));
 }
 
+/// A return clause of 50 000 nested element constructors is a syntax
+/// error past the parser's nesting cap, not a stack overflow (SIGABRT).
+#[test]
+fn check_refuses_deep_nesting_with_a_syntax_error() {
+    let levels = 50_000;
+    let text = format!(
+        "for $p in stream(\"photons\")/photons/photon return {}{{$p/en}}{}",
+        "<a>".repeat(levels),
+        "</a>".repeat(levels)
+    );
+    let mut child = dss()
+        .args(["check", "-"])
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(text.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("syntax error"), "{stderr}");
+    assert!(stderr.contains("nested deeper"), "{stderr}");
+}
+
 #[test]
 fn plan_rejects_bad_strategy_and_peer() {
     let out = dss()

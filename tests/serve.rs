@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use data_stream_sharing::core::{Strategy, StreamGlobe};
 use data_stream_sharing::network::{GroupKey, GroupTable};
 use data_stream_sharing::server::{
-    Client, ClientEvent, ClusterOptions, LocalCluster, NetMap, ServeSpec,
+    Client, ClientEvent, ClusterOptions, LocalCluster, NetMap, ServeSpec, ServerError,
 };
 use data_stream_sharing::xml::writer::node_to_string;
 use dss_proto::WireStrategy;
@@ -518,6 +518,35 @@ fn concurrent_clients_share_streams_like_in_process_registration() {
 
     alice.goodbye();
     bob.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
+/// A `Subscribe` whose return clause nests 50 000 element constructors
+/// (350 KB) is refused with a typed `Fault` — the parser's nesting cap,
+/// not a stack overflow that takes the coordinator down — and the next
+/// well-formed `Subscribe` is served.
+#[test]
+fn a_deeply_nested_subscribe_is_refused_and_the_coordinator_stays_up() {
+    let (cluster, _spec) = spawn_example_fleet(None);
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+    let levels = 50_000;
+    let text = format!(
+        "for $p in stream(\"photons\")/photons/photon return {}{{$p/en}}{}",
+        "<a>".repeat(levels),
+        "</a>".repeat(levels)
+    );
+    match client.subscribe("deep", &text, "P1", WireStrategy::StreamSharing) {
+        Err(ServerError::Fault { context, message }) => {
+            assert_eq!(context, "subscribe");
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+        other => panic!("expected a subscribe fault, got {other:?}"),
+    }
+    client
+        .subscribe("q1", query_text("q1"), "P1", WireStrategy::StreamSharing)
+        .expect("the next subscribe is served");
+    client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
 }
 
