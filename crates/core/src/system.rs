@@ -131,7 +131,7 @@ pub(crate) struct Installed {
 }
 
 /// The data-stream-sharing system over one super-peer network.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StreamGlobe {
     pub(crate) state: NetworkState,
     /// Every registered source stream's items, in the shape the

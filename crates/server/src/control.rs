@@ -17,6 +17,10 @@
 //! [`apply`] is the one place a record changes a replica: the coordinator
 //! calls it before it sequences a record, every other process on receipt,
 //! and a durable restart for each record of its log ([`replay_control`]).
+//! A replica applies the coordinator's records in sequence only: it acks a
+//! duplicate without applying it again, and neither applies nor acks a
+//! record that follows a gap. A durable restart that finds a run its log
+//! started and did not finish rejoins it ([`Control::new`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -25,13 +29,16 @@ use dss_core::{Registration, StreamGlobe};
 use dss_proto::{Message, WireStrategy};
 use dss_wal::WalRecord;
 
+use crate::data::Deliveries;
 use crate::spec::{NetMap, ServeSpec};
 use crate::to_core_strategy;
 
 /// How long the coordinator waits for the fleet to ack a broadcast.
 pub const ACK_TIMEOUT: Duration = Duration::from_secs(30);
-/// How long shutdown waits for an in-flight run to drain before warning.
-const RUN_DRAIN_TIMEOUT: Duration = Duration::from_secs(300);
+/// How long a run may take, from its `StartRun` to its last query's end of
+/// stream, before it is aborted: a run whose path lost a process for good
+/// ends in a `Fault`, not a hang (and so does a shutdown waiting for it).
+pub const RUN_TIMEOUT: Duration = Duration::from_secs(300);
 /// `Ack.seq` used for the unsequenced `Shutdown` broadcast.
 const SHUTDOWN_SEQ: u64 = 0;
 
@@ -74,9 +81,12 @@ pub enum Output {
     /// Append a record to the write-ahead log (a durable process only).
     Log(WalRecord),
     /// Build this process's share of the run's data plane from
-    /// [`Control::globe`] and [`Control::subscribers`], replacing any
+    /// [`Control::globe`] and [`Control::deliveries`], replacing any
     /// previous one.
     BuildPlane(u64),
+    /// Send the run's plane's `ResumeFrom` requests
+    /// (`Plane::resume_requests`): this process restarted into the run.
+    Rejoin(u64),
     StartSources(u64),
     /// Drain run `run`'s plane off the control thread, then report
     /// [`Input::TornDown`].
@@ -105,6 +115,8 @@ struct ActiveRun {
     /// Queries whose results have not reached end-of-stream yet.
     pending: BTreeSet<String>,
     delivered: u64,
+    /// When it is aborted if it has not completed ([`RUN_TIMEOUT`]).
+    deadline: Duration,
 }
 
 /// One process's control plane.
@@ -114,7 +126,9 @@ pub struct Control {
     map: NetMap,
     /// Where clients must dial instead, for a peer's refusal.
     coordinator_addr: String,
-    next_seq: u64,
+    /// The last sequenced record this process applied — the coordinator:
+    /// issued — from its log, then as they come.
+    seq: u64,
     /// Broadcasts whose acks the coordinator awaits, by seq: how many are
     /// owed, until when, and what completes the step.
     pending: BTreeMap<u64, (usize, Duration, Then)>,
@@ -123,9 +137,8 @@ pub struct Control {
     run: Option<ActiveRun>,
     /// A shutdown began: new requests are refused.
     shutting_down: bool,
-    /// A shutdown waiting for the active run to drain: whom to ack, and
-    /// until when it waits.
-    draining: Option<(Option<Addr>, Duration)>,
+    /// A shutdown waiting for the active run to end: whom to ack.
+    draining: Option<Option<Addr>>,
 }
 
 /// How a logged control record changes a replica — the one place that
@@ -150,9 +163,10 @@ fn apply(globe: &mut StreamGlobe, record: &WalRecord) -> Result<Option<Registrat
             .unregister_query(id)
             .map(|()| None)
             .map_err(|e| e.to_string()),
-        WalRecord::Checkpoint { .. } | WalRecord::RunStart { .. } | WalRecord::RunDone { .. } => {
-            Ok(None)
-        }
+        WalRecord::Checkpoint { .. }
+        | WalRecord::RunStart { .. }
+        | WalRecord::RunGo { .. }
+        | WalRecord::RunDone { .. } => Ok(None),
     }
 }
 
@@ -218,22 +232,50 @@ fn shutdown_ack(to: Addr) -> Output {
 
 impl Control {
     /// Process `me`'s machine over `globe`, the spec's base system, after
-    /// re-applying its log's `records`.
-    pub fn new(spec: &ServeSpec, mut globe: StreamGlobe, me: usize, records: &[WalRecord]) -> Self {
+    /// re-applying its log's `records`, and its first outputs: if the log
+    /// started a run it did not finish, the process died with that run in
+    /// flight and rejoins it — its plane rebuilt, its upstreams asked for
+    /// what they retained, and its sources replayed if the run had gone
+    /// (otherwise the coordinator's `RunGo` is still to come).
+    pub fn new(
+        spec: &ServeSpec,
+        mut globe: StreamGlobe,
+        me: usize,
+        records: &[WalRecord],
+    ) -> (Self, Vec<Output>) {
         replay_control(&mut globe, records);
+        // The log's last sequenced record, in sequence order — a run's
+        // `RunStart` takes the run's seq — and the run it left open, with
+        // whether that run went.
+        let (mut seq, mut open) = (0, None);
+        for record in records {
+            match *record {
+                WalRecord::Deploy { seq: s, .. } | WalRecord::Undeploy { seq: s, .. } => seq = s,
+                WalRecord::RunStart { run } => (seq, open) = (run, Some((run, false))),
+                WalRecord::RunGo { run } if open == Some((run, false)) => open = Some((run, true)),
+                WalRecord::RunDone { run } if open.is_some_and(|(r, _)| r == run) => open = None,
+                _ => {}
+            }
+        }
+        let mut rejoin = Vec::new();
+        if let Some((run, went)) = open {
+            rejoin.extend([Output::BuildPlane(run), Output::Rejoin(run)]);
+            rejoin.extend(went.then_some(Output::StartSources(run)));
+        }
         let map = NetMap::new(globe.topology());
-        Control {
+        let control = Control {
             coordinator_addr: map.addr(spec, map.coordinator()),
             map,
             globe,
             me,
-            next_seq: 1,
+            seq,
             pending: BTreeMap::new(),
             subs: BTreeMap::new(),
             run: None,
             shutting_down: false,
             draining: None,
-        }
+        };
+        (control, rejoin)
     }
 
     /// This process's registration replica.
@@ -244,8 +286,11 @@ impl Control {
     /// Who gets the active run's results (coordinator only): the client
     /// that subscribed each query, or the run's requester where that
     /// client is gone.
-    pub fn subscribers(&self) -> (&BTreeMap<String, u64>, Option<u64>) {
-        (&self.subs, self.run.as_ref().map(|a| a.requester))
+    pub fn deliveries(&self) -> Deliveries {
+        Deliveries {
+            subscribers: self.subs.clone(),
+            requester: self.run.as_ref().map(|a| a.requester),
+        }
     }
 
     /// Handles one input at time `now` (since the process started).
@@ -292,13 +337,17 @@ impl Control {
                     Message::Unsubscribe { .. } => "unsubscribe",
                     _ => "run",
                 };
-                match self.on_request(client, msg, out) {
+                match self.on_request(now, client, msg, out) {
                     Ok((step, then)) => self.commit(now, step, then, out),
                     Err(message) => out.push(fault(from, context, message)),
                 }
             }
             (_, Message::Ack { seq }) => self.acked(seq, out),
-            (_, Message::RunGo { run }) => out.push(Output::StartSources(run)),
+            // Logged, so a restart knows the sources were released.
+            (_, Message::RunGo { run }) => out.extend([
+                Output::Log(WalRecord::RunGo { run }),
+                Output::StartSources(run),
+            ]),
             // The coordinator says the run is globally complete.
             (_, Message::RunDone { run, .. }) => out.push(Output::Teardown(run)),
             (_, Message::Shutdown) => self.on_shutdown(now, Some(from), out),
@@ -319,6 +368,7 @@ impl Control {
     /// request is answered with a `Fault` and never logged.
     fn on_request(
         &mut self,
+        now: Duration,
         client: u64,
         msg: Message,
         out: &mut Vec<Output>,
@@ -333,7 +383,7 @@ impl Control {
         } else if self.run.is_some() {
             return Err("a run is in progress; retry after it completes".into());
         }
-        let seq = self.next_seq;
+        let seq = self.seq + 1;
         let step = match msg {
             Message::Subscribe { id, .. } if self.subs.contains_key(&id) => {
                 return Err(format!("query id {id:?} is already subscribed"));
@@ -359,6 +409,7 @@ impl Control {
                     requester: client,
                     pending: queries.map(|(q, _)| q.to_string()).collect(),
                     delivered: 0,
+                    deadline: now + RUN_TIMEOUT,
                 });
                 // Phase 1: every process instantiates its groups and acks.
                 return Ok((Message::StartRun { run: seq }, Then::Go(seq)));
@@ -387,17 +438,28 @@ impl Control {
 
     /// A sequenced control record from the coordinator: apply it to this
     /// process, make it durable, then ack it — an ack promises the record
-    /// survives this process's crashes.
+    /// survives this process's crashes. Only the next record in sequence
+    /// is applied: a duplicate is acked again, and a record past a gap (a
+    /// process that lost its log, say) is reported and left unacked, so
+    /// the coordinator's step times out instead of this replica planning
+    /// on a base the fleet does not share.
     fn on_sequenced(&mut self, from: Addr, seq: u64, record: WalRecord, out: &mut Vec<Output>) {
-        if let WalRecord::RunStart { run } = record {
-            // Phase 1 of a run: build this process's share of the plane
-            // (the coordinator holds `RunGo` until every process acked).
-            out.push(Output::BuildPlane(run));
-        } else if let Err(e) = apply(&mut self.globe, &record) {
-            // Should be impossible: same base state, same planner.
-            eprintln!("dss serve: REPLICA DIVERGENCE applying {record:?}: {e}");
+        if seq > self.seq + 1 {
+            let last = self.seq;
+            eprintln!("dss serve: record {seq} follows {last}: one is missing; not applied");
+            return;
+        } else if seq == self.seq + 1 {
+            if let WalRecord::RunStart { run } = record {
+                // Phase 1 of a run: build this process's share of the plane
+                // (the coordinator holds `RunGo` until every process acked).
+                out.push(Output::BuildPlane(run));
+            } else if let Err(e) = apply(&mut self.globe, &record) {
+                // Should be impossible: same base state, same planner.
+                eprintln!("dss serve: REPLICA DIVERGENCE applying {record:?}: {e}");
+            }
+            out.push(Output::Log(record));
+            self.seq = seq;
         }
-        out.push(Output::Log(record));
         let msg = Message::Ack { seq };
         out.push(Output::Send { to: from, msg });
     }
@@ -412,7 +474,7 @@ impl Control {
         } else if self.shutting_down {
             out.extend(from.map(|to| fault(to, "shutdown", "already shutting down")));
         } else if self.run.is_some() {
-            self.draining = Some((from, now + RUN_DRAIN_TIMEOUT));
+            self.draining = Some(from);
         } else {
             self.commit(now, Message::Shutdown, Then::Stop(from), out);
         }
@@ -441,7 +503,7 @@ impl Control {
             out.push(Output::Send { to, msg });
         }
         if self.run.is_none() {
-            if let Some((reply, _)) = self.draining.take() {
+            if let Some(reply) = self.draining.take() {
                 self.commit(now, Message::Shutdown, Then::Stop(reply), out);
             }
         }
@@ -453,7 +515,7 @@ impl Control {
     /// durable here before any ack can count.
     fn commit(&mut self, now: Duration, msg: Message, then: Then, out: &mut Vec<Output>) {
         let seq = sequenced(&msg).map_or(SHUTDOWN_SEQ, |(seq, record)| {
-            self.next_seq += 1;
+            self.seq = seq;
             out.push(Output::Log(record));
             seq
         });
@@ -477,7 +539,7 @@ impl Control {
     }
 
     /// Completes every step past its deadline without its missing acks,
-    /// and starts a shutdown whose run did not drain in time.
+    /// and aborts a run past its own.
     fn expire(&mut self, now: Duration, out: &mut Vec<Output>) {
         let late = self.pending.iter();
         let late = late.filter_map(|(&seq, (_, deadline, _))| (*deadline <= now).then_some(seq));
@@ -487,10 +549,25 @@ impl Control {
             eprintln!("dss serve: step {seq} not fully acked within {ACK_TIMEOUT:?}");
             self.complete(then, false, out);
         }
-        if let Some((reply, _)) = self.draining.take_if(|(_, deadline)| *deadline <= now) {
-            eprintln!("dss serve: shutdown proceeding with run still active (drain timeout)");
-            self.commit(now, Message::Shutdown, Then::Stop(reply), out);
+        if let Some(run) = self
+            .run
+            .as_ref()
+            .filter(|a| a.deadline <= now)
+            .map(|a| a.id)
+        {
+            let why = format!("run did not complete within {RUN_TIMEOUT:?}");
+            self.abort(run, &why, out);
         }
+    }
+
+    /// Ends run `run` without its results: the requester hears why, and
+    /// this process tears its share down (a shutdown waiting for the run
+    /// goes ahead once it has).
+    fn abort(&mut self, run: u64, why: &str, out: &mut Vec<Output>) {
+        eprintln!("dss serve: aborting run {run}: {why}");
+        let requester = self.run.take().map(|a| Addr::Client(a.requester));
+        out.extend(requester.map(|to| fault(to, "run", why)));
+        out.push(Output::Teardown(run));
     }
 
     fn complete(&mut self, then: Then, acked: bool, out: &mut Vec<Output>) {
@@ -499,6 +576,7 @@ impl Control {
             // Phase 2: all planes exist — release the sources.
             Then::Go(run) if acked => {
                 out.extend([
+                    Output::Log(WalRecord::RunGo { run }),
                     Output::Broadcast(Message::RunGo { run }),
                     Output::StartSources(run),
                 ]);
@@ -507,14 +585,7 @@ impl Control {
                     self.finish_run(out);
                 }
             }
-            Then::Go(run) => {
-                eprintln!("dss serve: run {run} plane not fully acked; aborting run");
-                let requester = self.run.take().map(|a| Addr::Client(a.requester));
-                out.extend(
-                    requester.map(|to| fault(to, "run", "fleet did not come up for the run")),
-                );
-                out.push(Output::Teardown(run));
-            }
+            Then::Go(run) => self.abort(run, "fleet did not come up for the run", out),
             Then::Stop(reply) => {
                 out.push(Output::Stop);
                 out.extend(reply.map(shutdown_ack));
@@ -535,7 +606,7 @@ mod tests {
     #[test]
     fn a_step_whose_ack_never_comes_is_answered_at_its_deadline() {
         let spec = ServeSpec::new("scenario1").unwrap();
-        let mut coordinator = Control::new(&spec, spec.build_globe(), 0, &[]);
+        let mut coordinator = Control::new(&spec, spec.build_globe(), 0, &[]).0;
         let n = coordinator.map.process_count();
         let q = &Scenario::scenario1(42).queries[0];
         let client = Addr::Client(1);
@@ -590,7 +661,7 @@ mod tests {
     #[test]
     fn a_shutdown_waiting_on_an_aborted_run_proceeds_once_it_is_torn_down() {
         let spec = ServeSpec::new("scenario1").unwrap();
-        let mut coordinator = Control::new(&spec, spec.build_globe(), 0, &[]);
+        let mut coordinator = Control::new(&spec, spec.build_globe(), 0, &[]).0;
         let from = Addr::Client(1);
         let out = coordinator.handle(
             Duration::ZERO,
@@ -632,6 +703,127 @@ mod tests {
         let out = coordinator.handle(ACK_TIMEOUT, Input::TornDown { run: 1 });
         let shutdown = Output::Broadcast(Message::Shutdown);
         assert_eq!(out, [Output::Log(WalRecord::RunDone { run: 1 }), shutdown]);
+    }
+
+    fn deploy(seq: u64) -> WalRecord {
+        let q = &Scenario::scenario1(42).queries[seq as usize];
+        WalRecord::Deploy {
+            seq,
+            id: q.id.clone(),
+            at_peer: q.peer.clone(),
+            strategy: WireStrategy::StreamSharing.to_u8(),
+            text: q.text.clone(),
+        }
+    }
+
+    /// The coordinator's `Deploy` of `record`, as a peer receives it.
+    fn received(record: &WalRecord) -> Input {
+        let WalRecord::Deploy {
+            seq,
+            id,
+            at_peer,
+            text,
+            ..
+        } = record.clone()
+        else {
+            unreachable!("{record:?} is a deploy")
+        };
+        let (strategy, from) = (WireStrategy::StreamSharing, Addr::Process(0));
+        let msg = Message::Deploy {
+            seq,
+            id,
+            at_peer,
+            strategy,
+            text,
+        };
+        Input::Msg { from, msg }
+    }
+
+    /// A replica applies the coordinator's records in sequence only: a
+    /// duplicate is acked again without being applied or logged twice,
+    /// and a record past a gap is neither applied nor acked — until the
+    /// missing one has come.
+    #[test]
+    fn a_replica_applies_records_in_sequence_only() {
+        let spec = ServeSpec::new("scenario1").unwrap();
+        let (mut peer, rejoin) = Control::new(&spec, spec.build_globe(), 1, &[]);
+        assert_eq!(rejoin, []);
+        let ack = |seq| Output::Send {
+            to: Addr::Process(0),
+            msg: Message::Ack { seq },
+        };
+        let now = Duration::ZERO;
+        let out = peer.handle(now, received(&deploy(1)));
+        assert_eq!(out, [Output::Log(deploy(1)), ack(1)]);
+        assert_eq!(
+            peer.handle(now, received(&deploy(1))),
+            [ack(1)],
+            "a duplicate"
+        );
+        assert_eq!(peer.handle(now, received(&deploy(3))), [], "past a gap");
+        assert_eq!(peer.globe.registered_queries().count(), 1);
+        let out = peer.handle(now, received(&deploy(2)));
+        assert_eq!(out, [Output::Log(deploy(2)), ack(2)]);
+        let out = peer.handle(now, received(&deploy(3)));
+        assert_eq!(out, [Output::Log(deploy(3)), ack(3)]);
+        assert_eq!(peer.globe.registered_queries().count(), 3);
+    }
+
+    /// A durable coordinator restarted on a log of three records issues
+    /// seq 4 next — not seq 1 again, which the log and the fleet already
+    /// hold.
+    #[test]
+    fn a_restarted_coordinator_continues_its_sequence() {
+        let spec = ServeSpec::new("scenario1").unwrap();
+        let undeploy = WalRecord::Undeploy {
+            seq: 3,
+            id: Scenario::scenario1(42).queries[1].id.clone(),
+        };
+        let log = [deploy(1), deploy(2), undeploy];
+        let (mut coordinator, _) = Control::new(&spec, spec.build_globe(), 0, &log);
+        let WalRecord::Deploy {
+            id, at_peer, text, ..
+        } = deploy(4)
+        else {
+            unreachable!()
+        };
+        let strategy = WireStrategy::StreamSharing;
+        let msg = Message::Subscribe {
+            id,
+            at_peer,
+            strategy,
+            text,
+        };
+        let from = Addr::Client(1);
+        let out = coordinator.handle(Duration::ZERO, Input::Msg { from, msg });
+        assert!(
+            matches!(
+                &out[..],
+                [Output::Log(WalRecord::Deploy { seq: 4, .. }), ..]
+            ),
+            "{out:?}"
+        );
+    }
+
+    /// A restart rejoins the run its log started and did not finish: the
+    /// plane, the upstreams' resends, and the sources only if the run had
+    /// gone — otherwise the coordinator's `RunGo` is still to come.
+    #[test]
+    fn a_restart_rejoins_the_run_its_log_left_open() {
+        let spec = ServeSpec::new("scenario1").unwrap();
+        let rejoin = |log: &[WalRecord]| Control::new(&spec, spec.build_globe(), 3, log).1;
+        let (start, go, done) = (
+            WalRecord::RunStart { run: 2 },
+            WalRecord::RunGo { run: 2 },
+            WalRecord::RunDone { run: 2 },
+        );
+        let planned = [Output::BuildPlane(2), Output::Rejoin(2)];
+        assert_eq!(rejoin(&[deploy(1), start.clone()]), planned);
+        let went = rejoin(&[deploy(1), start.clone(), go.clone()]);
+        assert_eq!(went[..2], planned);
+        assert_eq!(went[2..], [Output::StartSources(2)]);
+        assert_eq!(rejoin(&[deploy(1), start, go, done]), []);
+        assert_eq!(rejoin(&[deploy(1)]), []);
     }
 
     /// A logged strategy byte no strategy owns must be reported as a

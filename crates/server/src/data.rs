@@ -1,15 +1,28 @@
-//! The per-run data plane of one peer process — the threads-and-sockets
-//! driver of [`dss_network::peer`].
+//! The per-run data plane of one peer process: [`dss_network::peer`]'s
+//! core, plus everything a process decides around it. It opens no socket,
+//! starts no thread and reads no clock (a paced source replay only sleeps
+//! between items): `serve` runs it on threads over TCP (`crate::peer`),
+//! and `tests/fleet_sim.rs` runs it on one thread over an in-memory
+//! network; every frame leaves through the driver's [`Egress`].
 //!
 //! For each run, every process snapshots its replica's deployment into the
 //! core's [`GroupTable`], restricted to the nodes it hosts. The table
 //! (flows, routes, groups, deliveries) is shared read-only by every thread;
-//! each worker builds and owns the DAGs it runs. What this driver adds: one
-//! bounded [`SyncMailbox`] and one worker thread per hosted node, source
-//! replay threads, the walk of a batch along the hops this process hosts
-//! ([`Plane::advance`]), the per-crossing receive marks ([`Contiguity`])
-//! and — in durable mode — the sent-log recovery resends are replayed
-//! from.
+//! each worker builds and owns the DAGs it runs. What this module adds: one
+//! bounded [`SyncMailbox`] per hosted node and the passes that drain it
+//! ([`Plane::pass`]), source replay ([`Plane::replay`]), the walk of a batch
+//! along the hops this process hosts ([`Plane::advance`]), and the run's
+//! recovery rules, each in one place:
+//!
+//! - which arriving batch is admitted: the per-crossing receive marks
+//!   ([`Contiguity`]), and a refusal for a hop this process does not host
+//!   ([`Plane::receive`]);
+//! - what a crossing retains, in durable mode (`Plane::cross`);
+//! - what a restarted process asks its upstreams for
+//!   ([`Plane::resume_requests`]) and what answers one such request
+//!   ([`Plane::resend`]);
+//! - which delivery the coordinator admits, the client it goes to, and
+//!   the query's end of stream (`Plane::deliver`).
 //!
 //! **Bytes, not trees.** A batch exists here in one of two forms
 //! ([`Items`]): the trees a hosted `FlowDag` emitted, or the framed bytes
@@ -43,11 +56,11 @@
 //! input is a single upstream sequence (one source stream, or one parent
 //! flow), delivered in order: a pass takes mailbox entries in FIFO order
 //! and feeds each group's DAG in that order, a flow's outputs are produced
-//! by one worker thread and appended to the flow's pending batch in
-//! emission order, batches leave in the order they were formed (offsets
-//! are stamped per batch by that worker, `offset + len` contiguous), travel
+//! by one worker and appended to the flow's pending batch in emission
+//! order, batches leave in the order they were formed (offsets are
+//! stamped per batch by that worker, `offset + len` contiguous), travel
 //! the route over per-connection FIFO links, and are appended to each
-//! consumer mailbox by a single reader thread, all-or-nothing per batch.
+//! consumer mailbox by a single reader, all-or-nothing per batch.
 //! How the input happens to be split into passes changes only where the
 //! batch boundaries fall, never the per-flow sequence. The end-of-stream
 //! marker still travels *behind* the last item of its flow: a worker that
@@ -59,8 +72,7 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dss_core::StreamGlobe;
@@ -69,9 +81,10 @@ use dss_network::{
     NodeId, SyncMailbox, TapFilter,
 };
 use dss_proto::wire::{put_items, MAX_PROBE_PATHS};
-use dss_proto::{BatchDest, BatchHeader, DecodeError, ItemsView};
+use dss_proto::{BatchDest, BatchHeader, BatchView, DecodeError, ItemsView, Message};
 use dss_xml::Node;
 
+use crate::control::{Addr, Input};
 use crate::spec::NetMap;
 
 /// Mailbox origin-tag for a payload item.
@@ -91,6 +104,37 @@ struct SourceJob {
     group: usize,
     node: NodeId,
     items: Vec<Node>,
+}
+
+/// How the plane's frames leave, and how it tells the control machine
+/// that a query's stream ended: sockets under `dss serve`, an in-memory
+/// network in tests.
+pub trait Egress {
+    /// Sends `to` one batch frame: `header`, then the item list `items`
+    /// writes. False if it did not go out (a client that is gone, a
+    /// process that cannot be reached).
+    fn send(&self, to: Addr, header: &BatchHeader<'_>, items: impl Fn(&mut Vec<u8>)) -> bool;
+    /// Hands the control machine an input.
+    fn post(&self, input: Input);
+}
+
+/// Why an arriving batch was refused ([`Plane::receive`]): the sender is
+/// at fault.
+#[derive(Debug, PartialEq)]
+pub enum Refused {
+    /// It names a hop, or a delivery, this process does not host.
+    NotHere,
+    /// A tap here read a malformed item.
+    Malformed(DecodeError),
+}
+
+impl std::fmt::Display for Refused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refused::NotHere => write!(f, "no hop of this batch is hosted here"),
+            Refused::Malformed(e) => write!(f, "malformed item: {e}"),
+        }
+    }
 }
 
 /// A batch's items as this process holds them.
@@ -214,10 +258,8 @@ pub struct SentBatch {
 
 /// Everything one wire-crossing `(flow, dest hop)` ever sent, batch by
 /// batch, retained in memory for the run so a restarted receiver can ask
-/// for it again ([`Message::ResumeFrom`]). Only populated when the process
-/// runs with a WAL directory — plain deployments retain nothing.
-///
-/// [`Message::ResumeFrom`]: dss_proto::Message::ResumeFrom
+/// for it again ([`Plane::resend`]). Only populated when the process runs
+/// with a WAL directory — plain deployments retain nothing.
 #[derive(Debug, Default)]
 pub struct SentEntry {
     /// In offset order, contiguous from offset 0.
@@ -253,18 +295,17 @@ impl SentEntry {
             let end = b.offset + b.len as u64;
             end > offset || (b.eos && end == offset)
         };
-        &self.batches[self.batches.partition_point(|b| !needed(b))..]
+        let first = self.batches.partition_point(|b| !needed(b));
+        &self.batches[first..]
     }
 }
 
-/// Where the coordinator hands a run's results: to each query's subscriber
-/// (a client id), or to the run's requester where that client is gone —
-/// past each query's delivery mark, which admits exactly the unseen tail
-/// of a restarted delivery peer's resend.
+/// Who gets a run's results at the coordinator: each query's subscriber
+/// (a client id), or the run's requester where that client is gone.
+#[derive(Debug, Default)]
 pub struct Deliveries {
     pub subscribers: BTreeMap<String, u64>,
     pub requester: Option<u64>,
-    pub marks: Mutex<BTreeMap<String, Contiguity>>,
 }
 
 /// Sender-side retention map: one shared [`SentEntry`] per wire-crossing
@@ -276,182 +317,284 @@ pub struct Plane {
     pub run: u64,
     /// This process's name, the `peer` label of its counters.
     peer: String,
+    map: NetMap,
+    /// This process's index in `map`.
+    me: usize,
     /// Every flow's route and delivery, and the groups of the hosted
     /// nodes: fixed for the run's lifetime, read by every thread.
     pub groups: GroupTable,
     /// Indexed by group: the leading σs a tap reads the group's items by
     /// (none where they read more paths than one probe resolves).
     filters: Vec<Option<TapFilter>>,
-    /// Indexed by node: whether this process hosts it.
-    hosted: Vec<bool>,
-    mailboxes: BTreeMap<NodeId, Arc<SyncMailbox>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    source_jobs: Mutex<Vec<SourceJob>>,
+    /// Per hosted node with groups: its name and its mailbox.
+    mailboxes: BTreeMap<NodeId, (String, SyncMailbox)>,
+    sources: Vec<SourceJob>,
     /// Batches that arrived after teardown began (must all belong to
     /// side-branches that feed no delivery — see `Control`'s
-    /// `finish_run`).
-    pub stale: AtomicU64,
+    /// `finish_run`), or for another run.
+    stale: AtomicU64,
     /// Retain sent batches for crash-recovery resends (WAL mode only).
     durable: bool,
-    /// Pause between source items, for runs that must stay observable
-    /// long enough to inject faults (0 = replay flat out).
-    source_delay: Duration,
     /// Sender side: everything sent per wire-crossing `(flow, dest hop)`.
     /// The per-entry lock serializes the live sender with a recovery
     /// resend *without* coupling unrelated flows.
     sent: Mutex<SentLog>,
     /// Receiver side: contiguous high-water mark per `(flow, dest hop)`.
     recv: Mutex<BTreeMap<(FlowId, usize), Contiguity>>,
-    /// Where results leave at the coordinator (no subscribers elsewhere),
-    /// set when the plane is built, before its sources start.
-    pub deliveries: OnceLock<Deliveries>,
+    /// Where results leave at the coordinator (nobody subscribes
+    /// elsewhere), past each query's delivery mark: the mark admits
+    /// exactly the unseen tail of a restarted delivery peer's output.
+    deliveries: Deliveries,
+    marks: Mutex<BTreeMap<String, Contiguity>>,
+}
+
+/// One hosted node's worker: the node's DAGs and what its passes keep
+/// between them. It belongs to whoever runs its passes ([`Plane::pass`]).
+pub struct Worker {
+    node: NodeId,
+    dags: NodeWorker,
+    last: LastSent,
+    /// The entries of the pass in progress.
+    pass: Vec<MailboxEntry>,
 }
 
 impl Plane {
-    /// Builds the share of the data plane for `run` that the process
-    /// serving super-peer `peer` hosts: the sharing groups of its nodes,
-    /// one mailbox + worker per node that has any. A worker sends each
-    /// batch its flows originate, stamped with its offset in the flow's
-    /// output, down the flow's route ([`Plane::advance`]); where a batch
-    /// leaves the process it is handed to `egress`. Sources don't replay
-    /// until [`start_sources`](Self::start_sources) (the coordinator's
-    /// `RunGo`), by which point every process has acked its plane — so no
-    /// item can arrive anywhere before the receiving group exists.
-    pub fn build<E>(
+    /// Builds the share of the data plane for `run` that process `me`
+    /// hosts: the sharing groups of its nodes and one mailbox per node
+    /// that has any. Nothing runs until the driver runs the node workers'
+    /// passes ([`Plane::pass`]) and, at the coordinator's `RunGo`, the
+    /// source replays ([`Plane::replay`]) — by then every process has
+    /// acked its plane, so no item can arrive anywhere before the
+    /// receiving group exists.
+    pub fn build(
         globe: &StreamGlobe,
-        peer: &str,
+        me: usize,
         run: u64,
         mailbox_capacity: usize,
         durable: bool,
-        source_delay: Duration,
-        egress: E,
-    ) -> Arc<Plane>
-    where
-        E: Fn(&Plane, Exit<'_>, u64, Items<'_>, bool) + Clone + Send + 'static,
-    {
+        deliveries: Deliveries,
+    ) -> Plane {
         let topo = globe.topology();
         let map = NetMap::new(topo);
-        let me = map
-            .index_of_name(topo, peer)
-            .unwrap_or_else(|| panic!("{peer:?} is not a super-peer of the topology"));
-        let hosted: Vec<bool> = (0..topo.peer_count())
-            .map(|node| map.owner_of(node) == me)
-            .collect();
-        let mut table = GroupTable::build(globe.deployment(), |node| hosted[node]);
-        let deliveries = globe.registered_queries();
-        table.set_deliveries(deliveries.map(|(q, f)| (f, q.to_string())).collect());
+        let mut table = GroupTable::build(globe.deployment(), |node| map.owner_of(node) == me);
+        let queries = globe.registered_queries();
+        table.set_deliveries(queries.map(|(q, f)| (f, q.to_string())).collect());
 
         let mut mailboxes = BTreeMap::new();
-        let mut source_jobs = Vec::new();
+        let mut sources = Vec::new();
         for (g, group) in table.groups().iter().enumerate() {
             if let GroupKey::Source(stream) = &group.key {
-                source_jobs.push(SourceJob {
+                let items = globe.source_items(stream).expect("a registered source");
+                let (node, items) = (group.node, items.to_vec());
+                sources.push(SourceJob {
                     group: g,
-                    node: group.node,
-                    items: globe
-                        .source_items(stream)
-                        .unwrap_or_else(|| panic!("group reads unknown source {stream:?}"))
-                        .to_vec(),
+                    node,
+                    items,
                 });
             }
-            mailboxes
-                .entry(group.node)
-                .or_insert_with(|| Arc::new(SyncMailbox::new(mailbox_capacity)));
+            mailboxes.entry(group.node).or_insert_with(|| {
+                let name = topo.peer(group.node).name.clone();
+                (name, SyncMailbox::new(mailbox_capacity))
+            });
         }
-        let plane = Arc::new(Plane {
+        Plane {
             run,
-            peer: peer.to_string(),
+            peer: topo.peer(map.sp(me)).name.clone(),
             filters: (0..table.groups().len())
                 .map(|g| table.tap_filter(g, MAX_PROBE_PATHS))
                 .collect(),
             groups: table,
-            hosted,
+            map,
+            me,
             mailboxes,
-            workers: Mutex::new(Vec::new()),
-            source_jobs: Mutex::new(source_jobs),
+            sources,
             stale: AtomicU64::new(0),
             durable,
-            source_delay,
             sent: Mutex::new(BTreeMap::new()),
             recv: Mutex::new(BTreeMap::new()),
-            deliveries: OnceLock::new(),
-        });
-
-        let mut workers = Vec::new();
-        for (&node, mailbox) in &plane.mailboxes {
-            let mailbox = Arc::clone(mailbox);
-            let peer_name = topo.peer(node).name.clone();
-            let (plane, egress) = (Arc::clone(&plane), egress.clone());
-            workers.push(std::thread::spawn(move || {
-                let worker = NodeWorker::new(&plane.groups, |n| n == node);
-                node_worker(peer_name, mailbox, worker, &plane, egress)
-            }));
+            deliveries,
+            marks: Mutex::new(BTreeMap::new()),
         }
-        *plane.workers.lock().unwrap() = workers;
-        plane
     }
 
-    /// Spawns one replay thread per hosted source group: items in sample
-    /// order, then the end-of-stream marker — the same input sequence and
-    /// flush point as `StreamGlobe::run_simulation`.
-    pub fn start_sources(&self) {
-        let jobs = std::mem::take(&mut *self.source_jobs.lock().unwrap());
-        let delay = self.source_delay;
-        let mut threads = self.workers.lock().unwrap();
-        for job in jobs {
-            let mailbox = Arc::clone(&self.mailboxes[&job.node]);
-            threads.push(std::thread::spawn(move || {
-                let eos = Node::empty("eos");
-                if delay.is_zero() {
-                    let items = job.items.into_iter().map(|n| (job.group, TAG_ITEM, n));
-                    mailbox.push_batch(items.chain([(job.group, TAG_EOS, eos)]).collect());
+    fn hosts(&self, node: NodeId) -> bool {
+        self.map.owner_of(node) == self.me
+    }
+
+    /// The process hosting `route[hop]` of `flow`.
+    fn owner(&self, flow: FlowId, hop: usize) -> Addr {
+        Addr::Process(self.map.owner_of(self.groups.flows()[flow].route[hop]))
+    }
+
+    /// The hosted nodes with a mailbox: one worker each.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.mailboxes.keys().copied()
+    }
+
+    /// Node `node`'s worker, its DAGs built cold on the calling thread —
+    /// the one that will run them.
+    pub fn worker(&self, node: NodeId) -> Worker {
+        Worker {
+            node,
+            dags: NodeWorker::new(&self.groups, |n| n == node),
+            last: LastSent::default(),
+            pass: Vec::with_capacity(BATCH_CAP),
+        }
+    }
+
+    /// How many entries wait in `node`'s mailbox.
+    pub fn queued(&self, node: NodeId) -> usize {
+        self.mailboxes[&node].1.len()
+    }
+
+    /// Runs one pass of `worker`: takes what its mailbox holds — at least
+    /// one entry, waiting while it is empty and open; at most
+    /// [`BATCH_CAP`] — and sends each flow's outputs down its route. False
+    /// once the mailbox is closed and drained.
+    pub fn pass(&self, worker: &mut Worker, out: &impl Egress) -> bool {
+        let (name, mailbox) = &self.mailboxes[&worker.node];
+        if !mailbox.pop_batch(BATCH_CAP, &mut worker.pass) {
+            return false;
+        }
+        // Same histogram the discrete-event runtime records at dispatch,
+        // sampled once per pass here (not once per entry): the backlog
+        // left behind the entries this pass took.
+        dss_telemetry::histogram_record(
+            "runtime.mailbox.depth",
+            || vec![("peer", name.clone())],
+            mailbox.len() as f64,
+        );
+        let (dags, last) = (&mut worker.dags, &mut worker.last);
+        dags.run_pass(
+            &self.groups,
+            &mut worker.pass,
+            &mut |flow, offset, items, eos| {
+                // Only a flow without operators sends copies.
+                let items = match self.groups.flows()[flow].ops.is_empty() {
+                    true => last.items(items),
+                    false => Items::Trees(items, None),
+                };
+                // Trees are never read, so never malformed.
+                let _ = self.advance(flow, 0, offset, items, eos, out);
+            },
+        );
+        true
+    }
+
+    /// Replays every hosted source into its group's mailbox, one after
+    /// the other: its items in sample order, then the end-of-stream
+    /// marker — the input sequence and flush point of
+    /// `StreamGlobe::run_simulation`. With a `delay`, one entry at a time,
+    /// `delay` apart, until a mailbox closes (shutdown).
+    pub fn replay(&self, delay: Duration) {
+        for SourceJob { group, node, items } in &self.sources {
+            let mailbox = &self.mailboxes[node].1;
+            let items = items.iter().map(|n| (*group, TAG_ITEM, n.clone()));
+            let entries = items.chain([(*group, TAG_EOS, Node::empty("eos"))]);
+            if delay.is_zero() {
+                mailbox.push_batch(entries.collect());
+                continue;
+            }
+            for (group, tag, item) in entries {
+                if !mailbox.push(group, tag, item) {
                     return;
                 }
-                for item in job.items {
-                    if !mailbox.push(job.group, TAG_ITEM, item) {
-                        return; // closed mid-replay (shutdown)
-                    }
-                    std::thread::sleep(delay);
-                }
-                mailbox.push(job.group, TAG_EOS, eos);
-            }));
+                std::thread::sleep(delay);
+            }
         }
     }
 
-    /// The sent-log entry for wire-crossing `(flow, dest hop)`, if this
-    /// plane retains batches (WAL mode). Lock it across the append *and*
-    /// the send so live traffic and recovery resends serialize per flow.
-    pub fn sent_entry(&self, flow: FlowId, hop: usize) -> Option<Arc<Mutex<SentEntry>>> {
-        if !self.durable {
-            return None;
-        }
-        Some(Arc::clone(
-            self.sent.lock().unwrap().entry((flow, hop)).or_default(),
-        ))
+    /// The `ResumeFrom` requests of a process that restarted into this
+    /// run, with the process each goes to: every wire-crossing upstream
+    /// of a hop it hosts replays its retained output from offset 0
+    /// ([`Self::resend`]). With its sources replayed too, the process
+    /// re-derives its whole pre-crash output; downstream marks absorb
+    /// what they already saw, so the net effect is exactly the missing
+    /// tail.
+    pub fn resume_requests(&self) -> impl Iterator<Item = (usize, Message)> + '_ {
+        let flows = self.groups.flows().iter().enumerate();
+        flows.filter(|(_, f)| f.active).flat_map(move |(flow, f)| {
+            (1..f.route.len()).filter_map(move |hop| {
+                let upstream = self.map.owner_of(f.route[hop - 1]);
+                let msg = Message::ResumeFrom {
+                    run: self.run,
+                    flow: flow as u64,
+                    hop: hop as u32,
+                    offset: 0,
+                };
+                (self.hosts(f.route[hop]) && upstream != self.me).then_some((upstream, msg))
+            })
+        })
     }
 
-    /// Receive filter for a wire-arrived batch at `(flow, dest hop)`: see
-    /// [`Items::admit`].
-    pub fn admit(
-        &self,
-        flow: FlowId,
-        hop: usize,
-        offset: u64,
-        items: &mut Items<'_>,
-        eos: bool,
-    ) -> Option<(u64, bool)> {
+    /// Answers one `ResumeFrom` of a restarted downstream: the batches
+    /// retained for crossing `(flow, hop)` of `run`, as they were sent,
+    /// from the one containing `offset` on. The entry lock is held across
+    /// all the sends, so live traffic for the same crossing queues behind
+    /// the resend instead of racing it.
+    pub fn resend(&self, run: u64, flow: u64, hop: u32, offset: u64, out: &impl Egress) {
+        let (flow, hop) = (flow as FlowId, hop as usize);
+        let entry = self.sent.lock().unwrap().get(&(flow, hop)).cloned();
+        let Some(entry) = entry.filter(|_| run == self.run) else {
+            return;
+        };
+        // Retained, so sent: the crossing is this plane's.
+        let (to, exit) = (self.owner(flow, hop), Exit::Hop { flow, hop });
+        let entry = entry.lock().unwrap();
+        for batch in entry.batches_from(offset) {
+            self.note_frame(batch.len);
+            let header = exit.header(self.run, batch.offset, batch.eos);
+            if !out.send(to, &header, |buf| buf.extend_from_slice(&batch.items)) {
+                return;
+            }
+        }
+    }
+
+    /// A batch off the wire, still bytes: a `StreamItemBatch` takes its
+    /// route step here, a `Deliver` reaches the coordinator's client.
+    /// Admitted past the receive mark is only what this process has not
+    /// seen: a restarted upstream replays its whole output, and the mark
+    /// keeps delivery exactly-once. A batch of another run is stale.
+    /// Refused — before anything is admitted — is a batch for a hop this
+    /// process does not host (or a delivery anywhere but the
+    /// coordinator), and one a tap here reads a malformed item of.
+    pub fn receive(&self, view: BatchView<'_>, out: &impl Egress) -> Result<(), Refused> {
+        let BatchView { header, items } = view;
+        let (mut items, offset, eos) = (Items::View(items), header.offset, header.eos);
+        if header.run != self.run {
+            self.note_stale();
+            return Ok(());
+        }
+        let (flow, hop) = match header.dest {
+            BatchDest::Query(query) if self.me == self.map.coordinator() => {
+                self.deliver(query, offset, items, eos, out);
+                return Ok(());
+            }
+            BatchDest::Query(_) => return Err(Refused::NotHere),
+            BatchDest::Hop { flow, hop } => (flow as FlowId, hop as usize),
+        };
+        let node = self.groups.flows().get(flow).and_then(|f| f.route.get(hop));
+        if !node.is_some_and(|&n| self.hosts(n)) {
+            return Err(Refused::NotHere);
+        }
         let mut recv = self.recv.lock().unwrap();
-        items.admit(recv.entry((flow, hop)).or_default(), offset, eos)
+        let admitted = items.admit(recv.entry((flow, hop)).or_default(), offset, eos);
+        drop(recv);
+        let Some((offset, eos)) = admitted else {
+            return Ok(());
+        };
+        self.advance(flow, hop, offset, items, eos, out)
+            .map_err(Refused::Malformed)
     }
 
     /// A batch of `flow`'s output (offsets `offset..`) standing at
     /// `route[hop]`, a node of this process: walks it down the route for
     /// as long as this process hosts the next hop — at each hop feeding the
-    /// group that taps the flow there, if any — and hands it to `leave`
-    /// where it crosses to another process or reaches the end of a
-    /// delivery flow's route. The offset is stamped once at the flow's
-    /// origin and rides along unchanged — every hop of a flow sees the
-    /// identical item sequence, so one numbering fits all of them.
+    /// group that taps the flow there, if any — and sends it on where it
+    /// crosses to another process or reaches the end of a delivery flow's
+    /// route. The offset is stamped once at the flow's origin and rides
+    /// along unchanged — every hop of a flow sees the identical item
+    /// sequence, so one numbering fits all of them.
     ///
     /// This is the one place a wire batch is read: a hosted tap consumes
     /// items, everything else only moves them. A malformed item is found
@@ -463,14 +606,14 @@ impl Plane {
         offset: u64,
         mut items: Items<'_>,
         eos: bool,
-        leave: &impl Fn(&Plane, Exit<'_>, u64, Items<'_>, bool),
+        out: &impl Egress,
     ) -> Result<(), DecodeError> {
         if items.is_empty() && !eos {
             return Ok(());
         }
         loop {
             let step = self.groups.step(flow, hop);
-            debug_assert!(self.hosted[step.node]);
+            debug_assert!(self.hosts(step.node));
             if let Some(group) = step.tap {
                 let trees = items.trees(step.next == Next::End, self.filters[group].as_ref())?;
                 if let Items::View(_) = &items {
@@ -483,16 +626,88 @@ impl Plane {
                 self.feed(group, trees, eos);
             }
             let exit = match step.next {
-                Next::Forward { to, hop: next } if self.hosted[to] => {
+                Next::Forward { to, hop: next } if self.hosts(to) => {
                     hop = next;
                     continue;
                 }
                 Next::Forward { hop, .. } => Exit::Hop { flow, hop },
+                Next::Deliver { query } if self.me == self.map.coordinator() => {
+                    self.deliver(query, offset, items, eos, out);
+                    return Ok(());
+                }
                 Next::Deliver { query } => Exit::Deliver { query },
                 Next::End => return Ok(()),
             };
-            leave(self, exit, offset, items, eos);
+            self.cross(exit, offset, items, eos, out);
             return Ok(());
+        }
+    }
+
+    /// Sends a batch across the wire: to the process owning `route[hop]`,
+    /// or — off the end of a delivery flow's route — to the coordinator.
+    /// In durable mode a hop's batch is appended to the `(flow, hop)`
+    /// sent-log first — encoded, as it crosses — under the entry lock held
+    /// across the send: a concurrent resend for the same crossing takes
+    /// the same lock, so the receiver's mark always observes
+    /// resend-then-tail order, never an interleaving. A durable batch that
+    /// does not go out waits in the log for the receiver's `ResumeFrom`;
+    /// without a log it is gone, which is recorded as staleness.
+    fn cross(&self, exit: Exit<'_>, offset: u64, items: Items<'_>, eos: bool, out: &impl Egress) {
+        let header = exit.header(self.run, offset, eos);
+        self.note_batch(&items);
+        let sent = |key| Arc::clone(self.sent.lock().unwrap().entry(key).or_default());
+        let (to, retained) = match exit {
+            Exit::Hop { flow, hop } => (
+                self.owner(flow, hop),
+                self.durable.then(|| sent((flow, hop))),
+            ),
+            Exit::Deliver { .. } => (Addr::Process(self.map.coordinator()), None),
+        };
+        match retained {
+            // What is retained is what is sent: encoded once.
+            Some(entry) => {
+                let mut entry = entry.lock().unwrap();
+                let batch = entry.push(offset, &items, eos);
+                out.send(to, &header, |buf| buf.extend_from_slice(&batch.items));
+            }
+            None if !out.send(to, &header, |buf| items.encode_into(buf)) => self.note_stale(),
+            None => {}
+        }
+    }
+
+    /// A batch of `query`'s results at the coordinator: admits what the
+    /// query's delivery mark has not seen, hands it to the query's
+    /// subscriber — or, where that client is gone (the CLI subscribes and
+    /// disconnects), to the run's requester — and tells the control
+    /// machine when the query's stream has ended.
+    fn deliver(&self, query: &str, offset: u64, mut items: Items, eos: bool, out: &impl Egress) {
+        let mut marks = self.marks.lock().unwrap();
+        let admitted = items.admit(marks.entry(query.to_string()).or_default(), offset, eos);
+        drop(marks);
+        let Some((offset, eos)) = admitted else {
+            return;
+        };
+        if !items.is_empty() {
+            dss_telemetry::counter_add(
+                "runtime.delivered",
+                || vec![("query", query.to_string())],
+                items.len() as u64,
+            );
+        }
+        self.note_batch(&items);
+        let header = Exit::Deliver { query }.header(self.run, offset, eos);
+        let to = &self.deliveries;
+        let mut clients = to.subscribers.get(query).into_iter().chain(&to.requester);
+        clients.any(|&id| out.send(Addr::Client(id), &header, |buf| items.encode_into(buf)));
+        if eos {
+            // Contiguous from 0: the end of the last batch counts them all.
+            let delivered = offset + items.len() as u64;
+            let (run, query) = (self.run, query.to_string());
+            out.post(Input::QueryDone {
+                run,
+                query,
+                delivered,
+            });
         }
     }
 
@@ -514,37 +729,58 @@ impl Plane {
             entries.push((group, TAG_EOS, Node::empty("eos")));
         }
         let node = self.groups.groups()[group].node;
-        if !self.mailboxes[&node].push_batch(entries) {
+        if !self.mailboxes[&node].1.push_batch(entries) {
             self.note_stale();
         }
     }
 
-    pub fn note_stale(&self) {
+    fn note_stale(&self) {
         self.stale.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Closes every mailbox and joins all workers and source threads.
-    /// Items already enqueued are still processed ([`SyncMailbox::pop_batch`]
-    /// drains before reporting closure) — nothing accepted is lost.
-    pub fn drain(&self) {
-        for m in self.mailboxes.values() {
-            m.close();
+    /// Records how many items one outgoing `StreamItemBatch`/`Deliver`
+    /// frame carries — how well natural batching is working on this peer.
+    fn note_frame(&self, items: usize) {
+        dss_telemetry::histogram_record(
+            "server.frame_items",
+            || vec![("peer", self.peer.clone())],
+            items as f64,
+        );
+    }
+
+    /// [`Self::note_frame`] for a live batch, which also counts the items
+    /// that leave as the bytes they arrived as — beside
+    /// `server.items_materialised`, how much of what this peer receives it
+    /// merely passes on.
+    fn note_batch(&self, items: &Items<'_>) {
+        self.note_frame(items.len());
+        if let Items::View(view) = items {
+            dss_telemetry::counter_add(
+                "server.items_relayed",
+                || vec![("peer", self.peer.clone())],
+                view.len() as u64,
+            );
         }
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap());
-        for w in workers {
-            let _ = w.join();
+    }
+
+    /// Closes every mailbox: pushes give up, and a pass returns false once
+    /// its mailbox is drained — items already enqueued are still
+    /// processed ([`SyncMailbox::pop_batch`]), so nothing accepted is lost.
+    pub fn close(&self) {
+        for (_, mailbox) in self.mailboxes.values() {
+            mailbox.close();
         }
     }
 
     /// Publishes end-of-run mailbox accounting through the same metric
     /// names the simulated runtime uses.
-    pub fn publish_mailbox_metrics(&self, topo: &dss_network::Topology) {
-        for (&node, m) in &self.mailboxes {
+    pub fn publish_mailbox_metrics(&self) {
+        for (name, m) in self.mailboxes.values() {
             let high_water = m.high_water();
             if high_water > 0 {
                 dss_telemetry::gauge_set(
                     "runtime.queue_high_water",
-                    || vec![("peer", topo.peer(node).name.clone())],
+                    || vec![("peer", name.clone())],
                     high_water as f64,
                 );
             }
@@ -556,8 +792,8 @@ impl Plane {
     }
 }
 
-/// One hosted node's worker: the node's DAGs, the outputs of the pass in
-/// progress, and the output offsets of the flows it originates.
+/// One hosted node's DAGs, the outputs of the pass in progress, and the
+/// output offsets of the flows it originates.
 struct NodeWorker {
     /// Indexed by group; `None` for the groups of other nodes.
     dags: Vec<Option<FlowDag>>,
@@ -642,38 +878,6 @@ impl LastSent {
             *self = LastSent(trees.clone(), OnceCell::new());
         }
         Items::Trees(trees, Some(&self.1))
-    }
-}
-
-/// Drains one hosted node's mailbox, a pass at a time, until it is closed
-/// and empty.
-fn node_worker(
-    peer_name: String,
-    mailbox: Arc<SyncMailbox>,
-    mut worker: NodeWorker,
-    plane: &Plane,
-    egress: impl Fn(&Plane, Exit<'_>, u64, Items<'_>, bool),
-) {
-    let mut pass = Vec::with_capacity(BATCH_CAP);
-    let mut last = LastSent::default();
-    while mailbox.pop_batch(BATCH_CAP, &mut pass) {
-        // Same histogram the discrete-event runtime records at dispatch,
-        // sampled once per pass here (not once per entry): the backlog
-        // left behind the entries this pass took.
-        dss_telemetry::histogram_record(
-            "runtime.mailbox.depth",
-            || vec![("peer", peer_name.clone())],
-            mailbox.len() as f64,
-        );
-        worker.run_pass(&plane.groups, &mut pass, &mut |flow, offset, items, eos| {
-            // Only a flow without operators sends copies.
-            let items = match plane.groups.flows()[flow].ops.is_empty() {
-                true => last.items(items),
-                false => Items::Trees(items, None),
-            };
-            // Trees are never read, so never malformed.
-            let _ = plane.advance(flow, 0, offset, items, eos, &egress);
-        });
     }
 }
 
@@ -1068,6 +1272,36 @@ mod tests {
         }
     }
 
+    /// An egress that keeps every frame the plane sends, with where it
+    /// goes, and every input the plane posts.
+    #[derive(Default)]
+    struct Capture {
+        frames: Mutex<Vec<(Addr, Vec<u8>)>>,
+        posted: Mutex<Vec<Input>>,
+    }
+
+    impl Egress for Capture {
+        fn send(&self, to: Addr, header: &BatchHeader<'_>, items: impl Fn(&mut Vec<u8>)) -> bool {
+            let mut payload = Vec::new();
+            header.encode_into(&mut payload);
+            items(&mut payload);
+            self.frames.lock().unwrap().push((to, payload));
+            true
+        }
+
+        fn post(&self, input: Input) {
+            self.posted.lock().unwrap().push(input);
+        }
+    }
+
+    /// Runs `workers`' passes on this thread until no mailbox holds
+    /// anything: the markers have cascaded through every local tap.
+    fn run_passes(plane: &Plane, workers: &mut [Worker], out: &Capture) {
+        while let Some(w) = workers.iter_mut().find(|w| plane.queued(w.node) > 0) {
+            assert!(plane.pass(w, out));
+        }
+    }
+
     /// A hop with a tap *and* a forward, on a real plane: the batch that
     /// arrived over the wire is forwarded as the bytes it came as, under
     /// the next hop's header, and the tap's operators see the same items
@@ -1088,40 +1322,25 @@ mod tests {
                 all.step(f, h).tap.is_some() && owner(f, h - 1) != here && owner(f, h + 1) != here
             })
             .expect("scenario 1 shares a stream at a relay hop");
-        let peer = &topo.peer(map.sp(owner(flow, hop))).name;
-
-        // Everything that leaves the process, as the payload it leaves as.
-        let delivered: BTreeMap<String, FlowId> = reference
-            .globe
-            .registered_queries()
-            .map(|(query, f)| (query.to_string(), f))
-            .collect();
-        type Left = Vec<(FlowId, Vec<u8>)>;
-        let left: Arc<Mutex<Left>> = Arc::default();
-        let capture = {
-            let left = Arc::clone(&left);
-            move |plane: &Plane, exit: Exit<'_>, offset: u64, items: Items<'_>, eos: bool| {
-                let flow = match exit {
-                    Exit::Hop { flow, .. } => flow,
-                    Exit::Deliver { query } => delivered[query],
-                };
-                let payload = payload_of(exit, plane.run, offset, &items, eos);
-                left.lock().unwrap().push((flow, payload));
-            }
+        // Results that end here go to a client, and leave the process too.
+        let deliveries = Deliveries {
+            requester: Some(1),
+            ..Deliveries::default()
         };
-        let (capacity, delay) = (1024, Duration::ZERO);
         let plane = Plane::build(
             &reference.globe,
-            peer,
+            owner(flow, hop),
             9,
-            capacity,
+            1024,
             false,
-            delay,
-            capture.clone(),
+            deliveries,
         );
+        let mut workers: Vec<Worker> = plane.nodes().map(|n| plane.worker(n)).collect();
+        let out = Capture::default();
 
         // The flow's reference output arrives in capped batches, then the
-        // marker, each as a frame payload parsed into a view.
+        // marker, each as a frame payload parsed into a view; the workers
+        // run between arrivals.
         let output = &reference.outputs[flow];
         let mut arrivals: Vec<Message> = output
             .chunks(BATCH_CAP)
@@ -1146,46 +1365,26 @@ mod tests {
         assert!(arrivals.len() > 2, "the flow carries more than one batch");
         for arrival in &arrivals {
             let payload = arrival.encode();
-            let BatchView { header, items } = BatchView::parse(&payload).unwrap();
-            let mut items = Items::View(items);
-            let (offset, eos) = plane
-                .admit(flow, hop, header.offset, &mut items, header.eos)
-                .expect("contiguous arrivals are admitted whole");
-            plane
-                .advance(flow, hop, offset, items, eos, &capture)
-                .unwrap();
+            let received = plane.receive(BatchView::parse(&payload).unwrap(), &out);
+            assert_eq!(received, Ok(()));
+            run_passes(&plane, &mut workers, &out);
         }
-        // Teardown must not overtake the markers still cascading through
-        // the local taps (the server tears down on the last delivery).
-        let mut fed = BTreeSet::new();
-        downstream(&plane, flow, hop, &mut fed);
-        let exits = |f: FlowId| {
-            let route = &plane.groups.flows()[f].route;
-            let delivers = matches!(
-                plane.groups.step(f, route.len() - 1).next,
-                Next::Deliver { .. }
-            );
-            delivers || route.iter().any(|&n| !plane.hosted[n])
-        };
-        let awaited: BTreeSet<FlowId> = fed.into_iter().filter(|&f| exits(f)).collect();
-        assert!(!awaited.is_empty(), "the tap's results leave the process");
-        let ended = |f: FlowId| {
-            let left = left.lock().unwrap();
-            let eos = |p: &[u8]| BatchView::parse(p).unwrap().header.eos;
-            left.iter()
-                .any(|(flow, payload)| *flow == f && eos(payload))
-        };
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        while !awaited.iter().all(|&f| ended(f)) {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "markers never arrived"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        plane.drain();
 
-        let left = left.lock().unwrap();
+        // Everything that left the process, by the flow it carries.
+        let delivered: BTreeMap<String, FlowId> = reference
+            .globe
+            .registered_queries()
+            .map(|(query, f)| (query.to_string(), f))
+            .collect();
+        let left: Vec<(FlowId, Vec<u8>)> = (out.frames.into_inner().unwrap().into_iter())
+            .map(|(_, payload)| {
+                let f = match BatchView::parse(&payload).unwrap().header.dest {
+                    BatchDest::Hop { flow, .. } => flow as FlowId,
+                    BatchDest::Query(query) => delivered[query],
+                };
+                (f, payload)
+            })
+            .collect();
         let of = |f: FlowId| left.iter().filter(move |(flow, _)| *flow == f);
         // Forwarded: the arrivals' bytes under the next hop's header.
         let forwarded: Vec<&Vec<u8>> = of(flow).map(|(_, payload)| payload).collect();
@@ -1203,6 +1402,18 @@ mod tests {
         // Fed: nothing else entered this plane, so whatever other flow left
         // it descends from the tap — and is, item for item, what the
         // simulator's run of the same operators emits.
+        let mut fed = BTreeSet::new();
+        downstream(&plane, flow, hop, &mut fed);
+        let exits = |f: FlowId| {
+            let route = &plane.groups.flows()[f].route;
+            let delivers = matches!(
+                plane.groups.step(f, route.len() - 1).next,
+                Next::Deliver { .. }
+            );
+            delivers || route.iter().any(|&n| !plane.hosts(n))
+        };
+        let awaited: BTreeSet<FlowId> = fed.into_iter().filter(|&f| exits(f)).collect();
+        assert!(!awaited.is_empty(), "the tap's results leave the process");
         let derived: BTreeSet<FlowId> = left
             .iter()
             .map(|(f, _)| *f)
@@ -1383,57 +1594,96 @@ mod tests {
         let relay = relay.expect("data shipping relays the raw stream across processes");
         assert_eq!(taps.len(), 2, "taps with and without a filter: {taps:?}");
 
-        type Left = Vec<Vec<u8>>;
         for (flow, hop) in [relay].into_iter().chain(taps.into_values()) {
-            let left: Arc<Mutex<Left>> = Arc::default();
-            let capture = {
-                let left = Arc::clone(&left);
-                move |plane: &Plane, exit: Exit<'_>, offset: u64, items: Items<'_>, eos: bool| {
-                    let payload = payload_of(exit, plane.run, offset, &items, eos);
-                    left.lock().unwrap().push(payload);
-                }
-            };
-            let peer = &topo.peer(map.sp(owner(flow, hop))).name;
-            let plane = Plane::build(
-                &reference.globe,
-                peer,
-                9,
-                1024,
-                false,
-                Duration::ZERO,
-                capture.clone(),
-            );
+            let me = owner(flow, hop);
+            let plane = Plane::build(&reference.globe, me, 9, 1024, false, Deliveries::default());
+            let out = Capture::default();
             let list = list_with_a_malformed_item();
             let payload = batch_of(flow, hop, &list);
-            let BatchView { header, items } = BatchView::parse(&payload).unwrap();
-            let advanced = plane.advance(
-                flow,
-                hop,
-                header.offset,
-                Items::View(items),
-                false,
-                &capture,
-            );
-            plane.drain();
+            let received = plane.receive(BatchView::parse(&payload).unwrap(), &out);
+            let left: Vec<Vec<u8>> = (out.frames.into_inner().unwrap().into_iter())
+                .map(|(_, payload)| payload)
+                .collect();
             if (flow, hop) == relay {
-                assert_eq!(advanced, Ok(()));
-                assert_eq!(*left.lock().unwrap(), [batch_of(flow, hop + 1, &list)]);
+                assert_eq!(received, Ok(()));
+                assert_eq!(left, [batch_of(flow, hop + 1, &list)]);
             } else {
                 assert_eq!(
-                    advanced,
-                    Err(DecodeError::BadBool(7)),
+                    received,
+                    Err(Refused::Malformed(DecodeError::BadBool(7))),
                     "flow {flow} at hop {hop}"
                 );
-                assert!(left.lock().unwrap().is_empty(), "nothing read is sent on");
+                assert!(left.is_empty(), "nothing read is sent on");
             }
         }
+    }
+
+    /// A batch naming a flow the plane does not have, a hop past its
+    /// route, or a hop another process hosts is refused before anything
+    /// is admitted, and so is a delivery anywhere but at the coordinator.
+    /// The refused batches leave no mark: the hosted crossing still takes
+    /// the flow from offset 0.
+    #[test]
+    fn a_batch_for_a_hop_not_hosted_here_is_refused() {
+        let reference = scenario1_reference(Strategy::StreamSharing);
+        let map = NetMap::new(reference.globe.topology());
+        let all = GroupTable::build(&reference.deployment, |_| true);
+        let owner = |f: FlowId, h: usize| map.owner_of(all.flows()[f].route[h]);
+        let crossings = (0..all.flows().len())
+            .flat_map(|f| (1..all.flows()[f].route.len()).map(move |h| (f, h)))
+            .filter(|&(f, h)| owner(f, h - 1) != owner(f, h));
+        let (flow, hop) = crossings
+            .filter(|&(f, h)| owner(f, h) != map.coordinator())
+            .find(|&(f, _)| all.flows()[f].active)
+            .expect("a crossing into a process other than the coordinator");
+        let me = owner(flow, hop);
+        let elsewhere = (0..all.flows().len())
+            .flat_map(|f| (0..all.flows()[f].route.len()).map(move |h| (f, h)))
+            .find(|&(f, h)| owner(f, h) != me)
+            .expect("a hop another process hosts");
+        let plane = Plane::build(&reference.globe, me, 9, 1024, true, Deliveries::default());
+        let out = Capture::default();
+        let mut list = Vec::new();
+        put_items(&mut list, &photons(0..3));
+        let route_len = all.flows()[flow].route.len();
+        for (f, h) in [(all.flows().len(), 1), (flow, route_len), elsewhere] {
+            let payload = batch_of(f, h, &list);
+            let received = plane.receive(BatchView::parse(&payload).unwrap(), &out);
+            assert_eq!(received, Err(Refused::NotHere), "flow {f} hop {h}");
+        }
+        let delivery = payload_of(
+            Exit::Deliver { query: "q1" },
+            9,
+            0,
+            &Items::View(BatchView::parse(&batch_of(flow, hop, &list)).unwrap().items),
+            true,
+        );
+        let received = plane.receive(BatchView::parse(&delivery).unwrap(), &out);
+        assert_eq!(
+            received,
+            Err(Refused::NotHere),
+            "a delivery off the coordinator"
+        );
+        assert!(
+            plane.recv.lock().unwrap().is_empty(),
+            "nothing was admitted"
+        );
+        assert!(out.frames.lock().unwrap().is_empty(), "nothing was sent");
+
+        let received = plane.receive(BatchView::parse(&batch_of(flow, hop, &list)).unwrap(), &out);
+        assert_eq!(received, Ok(()));
+        let mut recv = plane.recv.lock().unwrap();
+        let mark = recv
+            .get_mut(&(flow, hop))
+            .expect("the hosted crossing has a mark");
+        assert!(mark.admit(3, 1, false).is_some(), "admitted from offset 0");
     }
 
     /// The flows fed — directly or through further hosted taps — by
     /// `flow`'s output walking its route on this plane from `hop`.
     fn downstream(plane: &Plane, flow: FlowId, hop: usize, fed: &mut BTreeSet<FlowId>) {
         let route = &plane.groups.flows()[flow].route;
-        for h in (hop..route.len()).take_while(|&h| plane.hosted[route[h]]) {
+        for h in (hop..route.len()).take_while(|&h| plane.hosts(route[h])) {
             let members = plane
                 .groups
                 .step(flow, h)

@@ -12,7 +12,7 @@
 mod client;
 mod cluster;
 pub mod control;
-mod data;
+pub mod data;
 mod peer;
 mod signal;
 pub mod spec;

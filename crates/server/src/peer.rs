@@ -1,6 +1,9 @@
 //! One super-peer server process (`dss serve <topology> --peer <id>`):
 //! the threads and sockets around the control machine ([`Control`]) and
-//! the data plane ([`Plane`]).
+//! the data plane ([`Plane`]). Neither of those does I/O, and nothing
+//! here decides what they decide: this module dials, accepts, reads and
+//! writes, runs the machine's outputs, runs the plane's passes and source
+//! replays on threads, and carries the frames the plane sends ([`Egress`]).
 //!
 //! ## Control plane
 //!
@@ -12,37 +15,37 @@
 //! machine's outputs in order
 //! (`Server::execute`). Executing them in order on one thread is what
 //! orders the control plane: a record is logged before it is broadcast or
-//! acked, and every connection sees control messages in seq order.
+//! acked, and every connection sees control messages in seq order. A
+//! restarted durable process executes the machine's first outputs — the
+//! rejoin of a run it left in flight — before it accepts a connection.
 //!
 //! ## Connections
 //!
 //! One acceptor thread per process blocks in `accept`
 //! ([`wire::accept_loop`]) and hands each connection to a reader thread
-//! (`Server::inbound`: handshake, then [`wire::read_loop`]). A reader serves
-//! item batches, `ResumeFrom` and `MetricsPull` itself and posts every
-//! other message to the control thread. Outbound connections are dialed on
-//! demand by `Server::conn_to`, one per directed pair, and carry everything
-//! this process sends to that process — a reply as well — redialed once if
-//! a send finds the socket dead.
+//! (`Server::inbound`: handshake, then [`wire::read_loop`]). A reader hands
+//! item batches to the plane ([`Plane::receive`]), answers `ResumeFrom`
+//! ([`Plane::resend`], on a thread of its own) and `MetricsPull` itself,
+//! and posts every other message to the control thread. Outbound
+//! connections are dialed on demand by `Server::conn_to`, one per directed
+//! pair, and carry everything this process sends to that process — a
+//! reply as well — redialed once if a send finds the socket dead.
 //!
 //! ## Data plane: batch replay runs
 //!
 //! `StartRun` is two-phase: every process builds its share of the data
 //! plane ([`Plane`]) and acks before `RunGo` releases the sources, so no
-//! item can reach a process whose groups don't exist yet. Items travel as
-//! `StreamItemBatch` frames along each flow's planned route, batched
-//! naturally: a worker sends per flow whatever one pass over its queued
-//! input produced (see [`crate::data`]). Every later hop receives the
-//! batch as a validated view over the frame's bytes and relays those
-//! bytes behind a fresh header — next `hop`, `Deliver` at the end of the
-//! route — never decoding an item it does not itself consume: trees are
-//! built only for a hosted tap ([`Plane::advance`]) and at the client. A
-//! full mailbox blocks the enqueuing reader thread,
-//! which stops reading the connection, fills the kernel receive window,
-//! and stalls the sender — TCP backpressure mapped onto the
-//! bounded-mailbox semantics. The coordinator hands each query's results to
-//! its subscriber on the data path and posts the query's end-of-stream to
-//! the control thread, which completes the run when every query reported.
+//! item can reach a process whose groups don't exist yet. The control
+//! thread starts one worker thread per hosted node when it builds the
+//! plane and one replay thread per hosted source at `RunGo`, and a
+//! teardown joins them. Items travel as `StreamItemBatch` frames along
+//! each flow's planned route (see [`crate::data`]). A full mailbox blocks
+//! the enqueuing reader thread, which stops reading the connection, fills
+//! the kernel receive window, and stalls the sender — TCP backpressure
+//! mapped onto the bounded-mailbox semantics. The coordinator hands each
+//! query's results to its subscriber on the data path and posts the
+//! query's end-of-stream to the control thread, which completes the run
+//! when every query reported.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -51,17 +54,17 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dss_network::{FlowId, Topology};
+use dss_network::Topology;
 use dss_proto::{
-    negotiate, read_message, BatchDest, BatchView, DecodeError, Message, ProtoError, Role,
-    VERSION_MAX, VERSION_MIN,
+    negotiate, read_message, BatchHeader, Message, ProtoError, Role, VERSION_MAX, VERSION_MIN,
 };
 use dss_wal::{WalOptions, WalRecord, WalWriter};
 
 use crate::control::{Addr, Control, Input, Output, ACK_TIMEOUT};
-use crate::data::{Deliveries, Exit, Items, Plane};
+use crate::data::{Egress, Plane};
 use crate::spec::{NetMap, ServeSpec};
 use crate::wire::{self, Conn, Incoming};
 use crate::ServerError;
@@ -118,6 +121,10 @@ struct Server {
     plane: Mutex<Option<Arc<Plane>>>,
 }
 
+/// The current plane's node workers and source replays: the control
+/// thread starts them, and whoever drains the plane joins them.
+type Threads = Vec<JoinHandle<()>>;
+
 /// Replays a peer's WAL directory: the control-plane records to re-apply,
 /// in log order. Corruption beyond a torn tail degrades gracefully: the
 /// process starts from scratch (the coordinator still holds the
@@ -163,21 +170,13 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
     // replica *before* anything can connect, so the deterministic
     // planner re-derives the exact pre-crash deployment (resume, not
     // replan — the coordinator is never asked to re-deploy anything).
-    // A `RunStart` without a matching `RunDone`: the process died with
-    // that run in flight and must rejoin it.
     let wal_dir = opts.wal_dir.as_ref();
     let records = wal_dir.map_or_else(Vec::new, |dir| recover_from_wal(dir, &opts.peer));
-    let active_run = records.iter().fold(None, |active, record| match record {
-        WalRecord::RunStart { run } => Some(*run),
-        WalRecord::RunDone { run } if active == Some(*run) => None,
-        _ => active,
-    });
     if !records.is_empty() {
-        let rejoining = active_run.map_or(String::new(), |run| format!(", rejoining run {run}"));
         let (peer, n) = (&opts.peer, records.len());
-        eprintln!("dss serve: {peer} recovered {n} wal records{rejoining}");
+        eprintln!("dss serve: {peer} recovered {n} wal records");
     }
-    let mut control = Control::new(&opts.spec, globe, me, &records);
+    let (mut control, rejoin) = Control::new(&opts.spec, globe, me, &records);
     // Control records are rare and each one gates an ack: sync every
     // append so a SIGKILL never loses one.
     let options = WalOptions {
@@ -209,14 +208,11 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
     });
     crate::signal::install();
 
-    // Rejoin an in-flight run: rebuild this process's share of the data
-    // plane, ask every upstream for a resend of the inputs we relay or
-    // consume, and re-replay hosted sources. Downstream contiguity
-    // filters absorb everything they already saw.
-    if let Some(run) = active_run {
-        let plane = server.build_plane(&control, run);
-        let srv = Arc::clone(&server);
-        std::thread::spawn(move || srv.rejoin_run(&plane));
+    // Rejoin a run left in flight before accepting anything: the plane
+    // exists before its first batch can arrive.
+    let mut threads = Threads::new();
+    for output in rejoin {
+        server.execute(&control, &mut wal, &mut threads, output);
     }
 
     // The acceptor blocks in `accept` and is never joined: `serve` is only
@@ -239,7 +235,7 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
         let signal = crate::signal::triggered();
         for input in received.into_iter().chain([Input::Tick { signal }]) {
             for output in control.handle(started.elapsed(), input) {
-                stopping |= server.execute(&control, &mut wal, output);
+                stopping |= server.execute(&control, &mut wal, &mut threads, output);
             }
         }
     }
@@ -262,13 +258,16 @@ impl Server {
         self: &Arc<Self>,
         control: &Control,
         wal: &mut Option<WalWriter>,
+        threads: &mut Threads,
         output: Output,
     ) -> bool {
         match output {
-            Output::Send { to, msg } => self.send(to, &msg),
+            Output::Send { to, msg } => {
+                self.frame(to, |c| c.send(&msg));
+            }
             Output::Broadcast(msg) => {
                 for i in (0..self.map.process_count()).filter(|&i| i != self.me) {
-                    self.send(Addr::Process(i), &msg);
+                    self.frame(Addr::Process(i), |c| c.send(&msg));
                 }
             }
             Output::Log(record) => {
@@ -277,28 +276,47 @@ impl Server {
                 }
             }
             Output::BuildPlane(run) => {
-                // Tear down any previous plane defensively (normally
-                // `RunDone` already did).
-                if let Some(p) = self.plane.lock().unwrap().take() {
-                    p.drain();
+                // A plane no teardown drained (an aborted run's) goes now.
+                let _ = self.plane.lock().unwrap().take().inspect(|p| p.close());
+                threads.drain(..).for_each(|t| drop(t.join()));
+                let (cap, durable) = (self.opts.mailbox_capacity, self.opts.wal_dir.is_some());
+                let (globe, deliveries) = (control.globe(), control.deliveries());
+                let plane = Arc::new(Plane::build(globe, self.me, run, cap, durable, deliveries));
+                for node in plane.nodes() {
+                    let (plane, srv) = (Arc::clone(&plane), Arc::clone(self));
+                    threads.push(std::thread::spawn(move || {
+                        let mut worker = plane.worker(node);
+                        while plane.pass(&mut worker, &*srv) {}
+                    }));
                 }
-                self.build_plane(control, run);
+                *self.plane.lock().unwrap() = Some(plane);
+            }
+            Output::Rejoin(run) => {
+                for (to, msg) in self.current(run).iter().flat_map(|p| p.resume_requests()) {
+                    self.frame(Addr::Process(to), |c| c.send(&msg));
+                }
             }
             Output::StartSources(run) => {
-                let plane = self.plane.lock().unwrap().clone();
-                if let Some(p) = plane.filter(|p| p.run == run) {
-                    p.start_sources();
+                if let Some(p) = self.current(run) {
+                    let delay = self.opts.source_delay;
+                    threads.push(std::thread::spawn(move || p.replay(delay)));
                 }
             }
             Output::Teardown(run) => {
-                let srv = Arc::clone(self);
+                // A plane of another run is not drained here, nor its
+                // threads taken from whoever will join them.
+                let (srv, plane) = (Arc::clone(self), self.current(run));
+                let threads = plane
+                    .as_ref()
+                    .map_or(Threads::new(), |_| std::mem::take(threads));
                 std::thread::spawn(move || {
-                    srv.drain_plane(Some(run));
+                    srv.drain(plane, threads);
                     let _ = srv.inbox.send(Input::TornDown { run });
                 });
             }
             Output::Stop => {
-                self.drain_plane(None);
+                let plane = self.plane.lock().unwrap().clone();
+                self.drain(plane, std::mem::take(threads));
                 if let Some(path) = &self.opts.metrics_out {
                     if let Err(e) = std::fs::write(path, dss_telemetry::snapshot_json()) {
                         eprintln!("dss serve: writing metrics snapshot {path:?} failed: {e}");
@@ -310,21 +328,24 @@ impl Server {
         false
     }
 
-    /// Sends a control message. To a process through `send_with` (not a
-    /// bare `conn.send`): a cached connection to a peer that crashed and
-    /// came back is a dead socket, and a restarted durable peer must still
-    /// receive `RunDone` and `Shutdown` broadcasts.
-    fn send(self: &Arc<Self>, to: Addr, msg: &Message) {
+    /// Sends one frame, which `send` writes on the connection to `to`. To
+    /// a process through `send_with`: a cached connection to a peer that
+    /// crashed and came back is a dead socket, and a restarted durable
+    /// peer must still receive its batches and the `RunDone` and
+    /// `Shutdown` broadcasts. To a client only while it is connected.
+    /// False if the frame did not go out.
+    fn frame(&self, to: Addr, send: impl Fn(&Conn) -> Result<(), ProtoError>) -> bool {
         let sent = match to {
-            Addr::Process(i) => self.send_with(i, |conn| conn.send(msg)),
+            Addr::Process(i) => self.send_with(i, send),
             Addr::Client(id) => {
-                let client = self.clients.lock().unwrap().get(&id).cloned();
-                client.map_or(Ok(()), |c| c.send(msg).map_err(ServerError::Proto))
+                let Some(c) = self.clients.lock().unwrap().get(&id).cloned() else {
+                    return false;
+                };
+                send(&c).map_err(ServerError::Proto)
             }
         };
-        if let Err(e) = sent {
-            eprintln!("dss serve: send to {to:?} failed: {e}");
-        }
+        let failed = |e: ServerError| eprintln!("dss serve: send to {to:?} failed: {e}");
+        sent.map_err(failed).is_ok()
     }
 
     // ---- connection management -------------------------------------
@@ -380,7 +401,7 @@ impl Server {
 
     /// The (lazily dialed) outbound connection to process `i`. Nothing
     /// arrives on it: process `i` sends on a connection of its own.
-    fn conn_to(self: &Arc<Self>, i: usize) -> Result<Arc<Conn>, ServerError> {
+    fn conn_to(&self, i: usize) -> Result<Arc<Conn>, ServerError> {
         if let Some(c) = self.peer_conns.lock().unwrap()[i].clone() {
             return Ok(c);
         }
@@ -407,18 +428,19 @@ impl Server {
     // ---- message dispatch ------------------------------------------
 
     /// One frame off connection `conn` to `from`: item batches and the
-    /// data plane's requests are served on this reader thread, every
+    /// data plane's requests go to the plane on this reader thread, every
     /// control message goes to the control thread's inbox.
     fn handle(self: &Arc<Self>, incoming: Incoming<'_>, conn: &Arc<Conn>, from: Addr) -> bool {
+        let plane = || self.plane.lock().unwrap().clone();
         let msg = match incoming {
             Incoming::Batch(view) => {
-                let Err(e) = self.on_batch(view) else {
+                let Some(Err(refused)) = plane().map(|p| p.receive(view, &**self)) else {
                     return true;
                 };
-                // A malformed item, read at its first tap: the sender is
-                // at fault, as for a frame that fails to decode.
-                eprintln!("dss serve: malformed item from {}: {e}", conn.name);
-                fault(conn, "stream item batch", format!("malformed item: {e}"));
+                // The sender is at fault, as for a frame that fails to
+                // decode: this connection ends, the others carry on.
+                eprintln!("dss serve: batch from {} refused: {refused}", conn.name);
+                fault(conn, "stream item batch", refused.to_string());
                 conn.hangup();
                 return false;
             }
@@ -434,12 +456,9 @@ impl Server {
                 // A restarted peer asks for our retained output. Resend on
                 // a dedicated thread: the resend dials the requester and
                 // must not block this connection's reader.
-                let plane = self.plane.lock().unwrap().clone();
-                if let Some(p) = plane.filter(|p| p.run == run) {
+                if let Some(p) = plane() {
                     let srv = Arc::clone(self);
-                    std::thread::spawn(move || {
-                        srv.resend(&p, flow as FlowId, hop as usize, offset)
-                    });
+                    std::thread::spawn(move || p.resend(run, flow, hop, offset, &*srv));
                 }
             }
             Message::MetricsPull => {
@@ -454,219 +473,27 @@ impl Server {
         true
     }
 
-    /// An item batch off the wire, still bytes: a `StreamItemBatch` takes
-    /// its route step here, a `Deliver` goes to its subscriber. Fails if a
-    /// tap here reads a malformed item.
-    fn on_batch(self: &Arc<Self>, view: BatchView<'_>) -> Result<(), DecodeError> {
-        let BatchView { header, items } = view;
-        let mut items = Items::View(items);
-        let plane = self.plane.lock().unwrap().clone();
-        let (flow, hop) = match header.dest {
-            BatchDest::Hop { flow, hop } => (flow as FlowId, hop as usize),
-            BatchDest::Query(query) => {
-                if let Some(p) = plane.filter(|p| p.run == header.run) {
-                    self.deliver_local(&p, query, header.offset, items, header.eos);
-                }
-                return Ok(());
-            }
-        };
-        match plane {
-            Some(p) if p.run == header.run => {
-                // Admit only what this process has not seen: a restarted
-                // upstream replays its whole output and the contiguity
-                // filter keeps delivery exactly-once.
-                let admitted = p.admit(flow, hop, header.offset, &mut items, header.eos);
-                if let Some((offset, eos)) = admitted {
-                    return p.advance(flow, hop, offset, items, eos, &self.egress());
-                }
-            }
-            Some(p) => p.note_stale(),
-            None => {}
-        }
-        Ok(())
-    }
-
     // ---- run lifecycle ---------------------------------------------
 
-    /// Where a batch goes when it leaves this process
-    /// ([`Plane::advance`]): over the wire to the next hop's process, or —
-    /// off the end of a delivery flow's route — to the coordinator, which
-    /// hands it to the subscriber.
-    fn egress(self: &Arc<Self>) -> impl Fn(&Plane, Exit<'_>, u64, Items<'_>, bool) + Clone {
-        let srv = Arc::clone(self);
-        move |plane: &Plane, exit, offset, items, eos| match exit {
-            Exit::Hop { flow, hop } => srv.forward_wire(plane, flow, hop, offset, items, eos),
-            Exit::Deliver { query } if srv.me == srv.map.coordinator() => {
-                srv.deliver_local(plane, query, offset, items, eos)
-            }
-            Exit::Deliver { .. } => {
-                let header = exit.header(plane.run, offset, eos);
-                srv.note_batch(&items);
-                let to = srv.map.coordinator();
-                if let Err(e) =
-                    srv.send_with(to, |c| c.send_batch(&header, |buf| items.encode_into(buf)))
-                {
-                    eprintln!("dss serve: delivery relay failed: {e}");
-                }
-            }
-        }
+    /// The plane in the slot, if it is run `run`'s.
+    fn current(&self, run: u64) -> Option<Arc<Plane>> {
+        self.plane.lock().unwrap().clone().filter(|p| p.run == run)
     }
 
-    /// Builds this process's share of the data plane for `run` from the
-    /// control machine's replica and puts it in the plane slot.
-    fn build_plane(self: &Arc<Self>, control: &Control, run: u64) -> Arc<Plane> {
-        let opts = &self.opts;
-        let durable = opts.wal_dir.is_some();
-        let (mailbox, delay) = (opts.mailbox_capacity, opts.source_delay);
-        let plane = Plane::build(
-            control.globe(),
-            &opts.peer,
-            run,
-            mailbox,
-            durable,
-            delay,
-            self.egress(),
-        );
-        let (subscribers, requester) = control.subscribers();
-        let subscribers = subscribers.clone();
-        let marks = Mutex::default();
-        let _ = plane.deliveries.set(Deliveries {
-            subscribers,
-            requester,
-            marks,
-        });
-        *self.plane.lock().unwrap() = Some(Arc::clone(&plane));
-        plane
-    }
-
-    /// A batch of `query`'s results at the coordinator: admit what the
-    /// query's delivery sequence has not seen, pass it to the subscriber,
-    /// and tell the control thread when the query's stream has ended.
-    fn deliver_local(&self, p: &Plane, query: &str, offset: u64, mut items: Items<'_>, eos: bool) {
-        let Some(to) = p.deliveries.get() else {
+    /// Drains `plane`, if any: closes its mailboxes, joins its `threads`
+    /// (what is queued is still processed) and flushes its mailbox
+    /// metrics. The slot is cleared only if it still holds the drained
+    /// plane: by then the next run's plane may have replaced it.
+    fn drain(&self, plane: Option<Arc<Plane>>, threads: Threads) {
+        let Some(p) = plane else {
             return;
         };
-        let mut marks = to.marks.lock().unwrap();
-        let mark = marks.entry(query.to_string()).or_default();
-        let Some((offset, eos)) = items.admit(mark, offset, eos) else {
-            return;
-        };
-        drop(marks);
-        if !items.is_empty() {
-            dss_telemetry::counter_add(
-                "runtime.delivered",
-                || vec![("query", query.to_string())],
-                items.len() as u64,
-            );
-        }
-        // Results go to the subscriber's connection; if it is gone (the
-        // CLI subscribes and disconnects), the run requester gets them.
-        let client = {
-            let clients = self.clients.lock().unwrap();
-            let mut ids = to.subscribers.get(query).into_iter().chain(&to.requester);
-            ids.find_map(|id| clients.get(id).cloned())
-        };
-        if let Some(c) = client {
-            self.note_batch(&items);
-            let header = Exit::Deliver { query }.header(p.run, offset, eos);
-            let _ = c.send_batch(&header, |buf| items.encode_into(buf));
-        }
-        if eos {
-            // Contiguous from 0: the end of the last batch counts them all.
-            let delivered = offset + items.len() as u64;
-            let (run, query) = (p.run, query.to_string());
-            let _ = self.inbox.send(Input::QueryDone {
-                run,
-                query,
-                delivered,
-            });
-        }
-    }
-
-    /// Drains the current plane — of `run` only, if given — and flushes
-    /// its mailbox metrics. The slot is cleared only if it still holds the
-    /// drained plane: by then the next run's plane may have replaced it.
-    fn drain_plane(&self, run: Option<u64>) {
-        let plane = self.plane.lock().unwrap().clone();
-        let Some(p) = plane.filter(|p| run.is_none_or(|r| p.run == r)) else {
-            return;
-        };
-        p.drain();
-        p.publish_mailbox_metrics(&self.topo);
+        p.close();
+        threads.into_iter().for_each(|t| drop(t.join()));
+        p.publish_mailbox_metrics();
         let mut slot = self.plane.lock().unwrap();
         if slot.as_ref().is_some_and(|c| Arc::ptr_eq(c, &p)) {
             *slot = None;
-        }
-    }
-    // ---- data plane ------------------------------------------------
-
-    /// Sends one batch across the wire to the process owning
-    /// `route[hop]`. In durable mode the batch is appended to the
-    /// `(flow, hop)` sent-log first — encoded, as it crosses — under the
-    /// entry lock held across the send: a concurrent recovery resend for
-    /// the same crossing takes the same lock, so the receiver's
-    /// contiguity filter always observes resend-then-tail order, never an
-    /// interleaving.
-    fn forward_wire(
-        self: &Arc<Self>,
-        plane: &Plane,
-        flow: FlowId,
-        hop: usize,
-        offset: u64,
-        items: Items<'_>,
-        eos: bool,
-    ) {
-        let dest = self.map.owner_of(plane.groups.flows()[flow].route[hop]);
-        let header = Exit::Hop { flow, hop }.header(plane.run, offset, eos);
-        let retained = plane.sent_entry(flow, hop);
-        let mut entry = retained.as_ref().map(|e| e.lock().unwrap());
-        self.note_batch(&items);
-        let result = match entry.as_mut() {
-            // What is retained is what is sent: encoded once.
-            Some(entry) => {
-                let batch = entry.push(offset, &items, eos);
-                self.send_with(dest, |c| {
-                    c.send_batch(&header, |buf| buf.extend_from_slice(&batch.items))
-                })
-            }
-            None => self.send_with(dest, |c| {
-                c.send_batch(&header, |buf| items.encode_into(buf))
-            }),
-        };
-        drop(entry);
-        if let Err(e) = result {
-            eprintln!("dss serve: batch forward to process {dest} failed: {e}");
-            // Durable mode keeps the batch in the sent-log: the receiver
-            // will ask for it again when it comes back. Without a log the
-            // items are gone — record the staleness.
-            if retained.is_none() {
-                plane.note_stale();
-            }
-        }
-    }
-
-    /// Records how many items one outgoing `StreamItemBatch`/`Deliver`
-    /// frame carries — how well natural batching is working on this peer.
-    fn note_frame(&self, items: usize) {
-        dss_telemetry::histogram_record(
-            "server.frame_items",
-            || vec![("peer", self.opts.peer.clone())],
-            items as f64,
-        );
-    }
-
-    /// [`Self::note_frame`] for a live batch, which also counts the items
-    /// that leave as the bytes they arrived as — beside
-    /// `server.items_materialised`, how much of what this peer receives it
-    /// merely passes on.
-    fn note_batch(&self, items: &Items<'_>) {
-        self.note_frame(items.len());
-        if let Items::View(view) = items {
-            dss_telemetry::counter_add(
-                "server.items_relayed",
-                || vec![("peer", self.opts.peer.clone())],
-                view.len() as u64,
-            );
         }
     }
 
@@ -677,7 +504,7 @@ impl Server {
     /// retrying until the restarted process listens again (up to
     /// `ACK_TIMEOUT`).
     fn send_with(
-        self: &Arc<Self>,
+        &self,
         i: usize,
         send: impl Fn(&Conn) -> Result<(), ProtoError>,
     ) -> Result<(), ServerError> {
@@ -699,58 +526,16 @@ impl Server {
             }
         }
     }
+}
 
-    /// Replays this process's retained output for wire-crossing
-    /// `(flow, hop)` to a restarted downstream that asked for it via
-    /// `ResumeFrom`: the batches it sent, as it sent them, from the one
-    /// containing `offset` on. The entry lock is held across all the
-    /// sends so live traffic for the same crossing queues behind the
-    /// resend instead of racing it.
-    fn resend(self: &Arc<Self>, plane: &Plane, flow: FlowId, hop: usize, offset: u64) {
-        let Some(entry) = plane.sent_entry(flow, hop) else {
-            return;
-        };
-        let dest = self.map.owner_of(plane.groups.flows()[flow].route[hop]);
-        let e = entry.lock().unwrap();
-        for batch in e.batches_from(offset) {
-            self.note_frame(batch.len);
-            let header = Exit::Hop { flow, hop }.header(plane.run, batch.offset, batch.eos);
-            let sent = self.send_with(dest, |c| {
-                c.send_batch(&header, |buf| buf.extend_from_slice(&batch.items))
-            });
-            if let Err(err) = sent {
-                eprintln!("dss serve: recovery resend of flow {flow} hop {hop} failed: {err}");
-                return;
-            }
-        }
+/// The plane's frames leave on this process's connections, and a query's
+/// end of stream goes to the control thread.
+impl Egress for Server {
+    fn send(&self, to: Addr, header: &BatchHeader<'_>, items: impl Fn(&mut Vec<u8>)) -> bool {
+        self.frame(to, |c| c.send_batch(header, &items))
     }
 
-    /// After a durable restart with a run still in flight: ask every
-    /// wire-crossing upstream to replay its retained output from zero,
-    /// then re-replay hosted sources. This process re-derives its whole
-    /// pre-crash output; downstream contiguity filters absorb everything
-    /// they already saw, so the net effect is exactly the missing tail.
-    fn rejoin_run(self: &Arc<Self>, p: &Plane) {
-        for (flow, pf) in p.groups.flows().iter().enumerate() {
-            if !pf.active {
-                continue;
-            }
-            for hop in 1..pf.route.len() {
-                let upstream = self.map.owner_of(pf.route[hop - 1]);
-                if self.map.owner_of(pf.route[hop]) != self.me || upstream == self.me {
-                    continue;
-                }
-                let msg = Message::ResumeFrom {
-                    run: p.run,
-                    flow: flow as u64,
-                    hop: hop as u32,
-                    offset: 0,
-                };
-                if let Err(e) = self.send_with(upstream, |conn| conn.send(&msg)) {
-                    eprintln!("dss serve: resume request to process {upstream} failed: {e}");
-                }
-            }
-        }
-        p.start_sources();
+    fn post(&self, input: Input) {
+        let _ = self.inbox.send(input);
     }
 }

@@ -18,7 +18,7 @@
 //!   they are consistent with and the group's per-flow emit counters.
 //!   Restoring the snapshot and re-fetching only the input tail past the
 //!   offset reproduces the exact pre-crash stream, byte for byte.
-//! * **Control-plane records** (`Deploy`/`Undeploy`/`RunStart`/`RunDone`)
+//! * **Control-plane records** (`Deploy`/`Undeploy`/`RunStart`/`RunGo`/`RunDone`)
 //!   — a restarted `dss serve` process replays them through the planner
 //!   to rebuild its deterministic registration replica (admission state
 //!   included: it is a function of the registration sequence) and rejoin

@@ -15,6 +15,7 @@ const TAG_DEPLOY: u8 = 6;
 const TAG_UNDEPLOY: u8 = 7;
 const TAG_RUN_START: u8 = 8;
 const TAG_RUN_DONE: u8 = 9;
+const TAG_RUN_GO: u8 = 10;
 
 /// One durable event in a peer's write-ahead log.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +50,10 @@ pub enum WalRecord {
     },
     /// Control-plane replication: one unregistration.
     Undeploy { seq: u64, id: String },
-    /// A run began replaying sources through the deployed flows.
+    /// A run's plane was built (its first phase).
     RunStart { run: u64 },
+    /// A run's sources were released (its second phase).
+    RunGo { run: u64 },
     /// The run drained; its data-plane records are obsolete.
     RunDone { run: u64 },
 }
@@ -99,12 +102,12 @@ impl WalRecord {
                 put_u64(&mut out, *seq);
                 put_str(&mut out, id);
             }
-            WalRecord::RunStart { run } => {
-                out.push(TAG_RUN_START);
-                put_u64(&mut out, *run);
-            }
-            WalRecord::RunDone { run } => {
-                out.push(TAG_RUN_DONE);
+            WalRecord::RunStart { run } | WalRecord::RunGo { run } | WalRecord::RunDone { run } => {
+                out.push(match self {
+                    WalRecord::RunStart { .. } => TAG_RUN_START,
+                    WalRecord::RunGo { .. } => TAG_RUN_GO,
+                    _ => TAG_RUN_DONE,
+                });
                 put_u64(&mut out, *run);
             }
         }
@@ -151,6 +154,7 @@ impl WalRecord {
             },
             TAG_RUN_START => WalRecord::RunStart { run: r.u64()? },
             TAG_RUN_DONE => WalRecord::RunDone { run: r.u64()? },
+            TAG_RUN_GO => WalRecord::RunGo { run: r.u64()? },
             _ => return Err(RecordError::Invalid("record tag")),
         };
         r.finish()?;
@@ -211,6 +215,7 @@ mod tests {
                 seq: 2,
                 id: "q1".into(),
             },
+            WalRecord::RunGo { run: 1 },
             WalRecord::RunDone { run: 1 },
         ]
     }

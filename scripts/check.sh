@@ -98,18 +98,28 @@ if [ -n "$apply_bypass" ]; then
     exit 1
 fi
 
-echo "==> dss serve's control machine does no I/O"
-# control.rs is the sans-IO machine that both serve's main thread and
-# tests/fleet_sim.rs drive (DESIGN.md "Control plane: replicated
-# registration"): sockets, threads, locks, the clock and the log writer
-# belong to its drivers, or the simulation stops testing what ships. Code
-# from the first #[cfg(test)] on is test code.
+echo "==> dss serve's control machine and data plane do no I/O"
+# control.rs is the sans-IO machine and data.rs the data plane that both
+# serve's threads and tests/fleet_sim.rs drive (DESIGN.md "Peer core and
+# its three drivers"): sockets, the clock and the log writer belong to
+# their drivers, or the simulation stops testing what ships. The machine
+# names no thread or lock either; the plane shares a run's marks and
+# sent-log between serve's threads behind locks of its own. Code from the
+# first #[cfg(test)] of a file on is test code.
 control_io=$(awk '/^#\[cfg\(test\)\]/ { exit }
     /std::net|std::thread|Mutex|Condvar|Instant::now|SystemTime|WalWriter/ { print FNR ": " $0 }' \
     crates/server/src/control.rs)
 if [ -n "$control_io" ]; then
     echo "$control_io"
     echo "FAIL: crates/server/src/control.rs names an I/O, thread, lock or clock primitive" >&2
+    exit 1
+fi
+plane_io=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /std::net|Instant::now|SystemTime|WalWriter/ { print FNR ": " $0 }' \
+    crates/server/src/data.rs)
+if [ -n "$plane_io" ]; then
+    echo "$plane_io"
+    echo "FAIL: crates/server/src/data.rs names a socket, clock or log-writer primitive" >&2
     exit 1
 fi
 

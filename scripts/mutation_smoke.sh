@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Mutation smoke-check for the differential oracles and the control plane.
+# Mutation smoke-check for the differential oracles and dss serve's
+# control and data planes.
 #
 # Each mutant deliberately breaks one rule and asserts that the suite
 # meant to guard it *fails*. If a mutant survives, that harness has lost
@@ -22,6 +23,10 @@
 # 4. The run's two-phase start: the mutant's control machine owes one ack
 #    fewer per step, so it releases `RunGo` after n-1 of the fleet's
 #    `StartRun` acks. The in-memory fleet (`tests/fleet_sim.rs`) must fail.
+# 5. The resend a restarted process's `ResumeFrom` is answered with: the
+#    mutant's sent-log starts one batch after the batch containing the
+#    requested offset, so the rejoined peer never sees that batch. The
+#    in-memory fleet's data sweep (`tests/fleet_sim.rs`) must fail.
 #
 # Usage: scripts/mutation_smoke.sh
 
@@ -109,5 +114,10 @@ expect_caught probe-one-step-short -p dss-server --lib data::tests::a_tap_fed_by
 # Mutant 4. Every process owes a step one ack; owe one fewer.
 mutate crates/server/src/control.rs 's/let owed = self.map.process_count();/let owed = self.map.process_count() - 1;/' run-go-one-ack-short
 expect_caught run-go-one-ack-short --test fleet_sim
+
+# Mutant 5. The resend starts at the batch containing the offset; start
+# one batch later.
+mutate crates/server/src/data.rs 's/&self.batches\[first\.\.\]/\&self.batches[(first + 1).min(self.batches.len())..]/' resend-one-batch-late
+expect_caught resend-one-batch-late --test fleet_sim
 
 echo "mutation_smoke: OK"
