@@ -123,6 +123,25 @@ mod tests {
     }
 
     #[test]
+    fn bad_frequency_is_refused_and_registers_nothing() {
+        let mut sys = StreamGlobe::new(example_topology());
+        for hz in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let err = sys
+                .register_stream("photons", "P0", photons(10), hz)
+                .unwrap_err();
+            assert!(
+                matches!(err, SystemError::BadFrequency(_, _)),
+                "{hz}: {err}"
+            );
+            assert!(sys.deployment().is_empty(), "{hz}: a flow was added");
+            assert!(sys.state().stream_stats.is_empty(), "{hz}: stats were kept");
+        }
+        // The name stays free for a valid registration.
+        sys.register_stream("photons", "P0", photons(10), 5.0)
+            .unwrap();
+    }
+
+    #[test]
     fn empty_stream_registers_and_carries_nothing() {
         // An empty sample is an input, not a bug: the stream registers
         // with zero-traffic statistics, queries plan over it under every

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use dss_predicate::{NodeRef, PredicateGraph};
 use dss_xml::writer::serialized_size;
-use dss_xml::{Decimal, Node, Path};
+use dss_xml::{Decimal, Node, Path, Symbol};
 
 /// Per-element-path statistics.
 #[derive(Debug, Clone, Default)]
@@ -61,42 +61,42 @@ impl StreamStats {
     /// carries nothing: zero item size and no observed paths, so every
     /// traffic estimate derived from it is zero.
     ///
+    /// One pass: every element is filed under its path's `Tally`, found
+    /// from its parent's by name, so a `Path` is built once per distinct
+    /// path rather than once per element.
+    ///
     /// # Panics
     /// Panics if the frequency is not positive.
     pub fn from_sample(sample: &[Node], frequency: f64) -> StreamStats {
         assert!(frequency > 0.0, "stream frequency must be positive");
         // Averages over no items are zero, not NaN.
         let n = sample.len().max(1) as f64;
-        let mut counts: BTreeMap<Path, (u64, u64, usize)> = BTreeMap::new(); // occurrences, bytes, name len
-        let mut values: BTreeMap<Path, Vec<Decimal>> = BTreeMap::new();
+        // Tally 0 is the item root; its name is never read.
+        let mut tallies = Vec::from_iter(sample.first().map(|i| Tally::new(0, i.symbol())));
         let mut total_size = 0u64;
         for item in sample {
             total_size += serialized_size(item) as u64;
-            collect(item, &Path::this(), &mut counts, &mut values);
+            file_children(item, 0, &mut tallies);
         }
-        let mut paths = BTreeMap::new();
-        for (path, (occ, bytes, name_len)) in counts {
-            paths.insert(
-                path,
-                PathStat {
-                    occurrence: occ as f64 / n,
-                    subtree_size: bytes as f64 / occ as f64,
-                    name_len,
-                },
-            );
-        }
-        let mut ranges = BTreeMap::new();
-        let mut increments = BTreeMap::new();
-        for (path, vals) in values {
-            let min = *vals.iter().min().expect("non-empty");
-            let max = *vals.iter().max().expect("non-empty");
-            ranges.insert(path.clone(), (min, max));
-            if vals.len() > 1 {
-                let mut inc_sum = 0.0;
-                for w in vals.windows(2) {
-                    inc_sum += (w[1] - w[0]).to_f64();
-                }
-                increments.insert(path, inc_sum / (vals.len() - 1) as f64);
+        let (mut paths, mut ranges, mut increments) =
+            (BTreeMap::new(), BTreeMap::new(), BTreeMap::new());
+        let mut path_of = vec![Path::this()];
+        for t in tallies.into_iter().skip(1) {
+            let path = path_of[t.parent]
+                .child(t.name.as_str())
+                .expect("parsed names are valid");
+            path_of.push(path.clone());
+            let stat = PathStat {
+                occurrence: t.occurrences as f64 / n,
+                subtree_size: t.bytes as f64 / t.occurrences as f64,
+                name_len: t.name.as_str().len(),
+            };
+            paths.insert(path.clone(), stat);
+            if let Some(range) = t.range {
+                ranges.insert(path.clone(), range);
+            }
+            if t.values > 1 {
+                increments.insert(path, t.inc_sum / (t.values - 1) as f64);
             }
         }
         StreamStats {
@@ -242,23 +242,74 @@ impl StreamStats {
     }
 }
 
-fn collect(
-    node: &Node,
-    path: &Path,
-    counts: &mut BTreeMap<Path, (u64, u64, usize)>,
-    values: &mut BTreeMap<Path, Vec<Decimal>>,
-) {
-    for child in node.children() {
-        let child_path = path.child(child.name()).expect("parsed names are valid");
-        let entry = counts
-            .entry(child_path.clone())
-            .or_insert((0, 0, child.name().len()));
-        entry.0 += 1;
-        entry.1 += serialized_size(child) as u64;
-        if let Some(v) = child.decimal() {
-            values.entry(child_path.clone()).or_default().push(v);
+/// What the elements under one distinct path add up to.
+struct Tally {
+    /// The parent path's tally (the item root is tally 0).
+    parent: usize,
+    name: Symbol,
+    /// Tallies of the child paths seen so far.
+    kids: Vec<usize>,
+    occurrences: u64,
+    bytes: u64,
+    /// The numeric values, folded in item and document order: their
+    /// least and greatest, the last one, how many, and the sum of the
+    /// increments between consecutive ones.
+    range: Option<(Decimal, Decimal)>,
+    last: Decimal,
+    values: u64,
+    inc_sum: f64,
+}
+
+impl Tally {
+    fn new(parent: usize, name: Symbol) -> Tally {
+        Tally {
+            parent,
+            name,
+            kids: Vec::new(),
+            occurrences: 0,
+            bytes: 0,
+            range: None,
+            last: Decimal::default(),
+            values: 0,
+            inc_sum: 0.0,
         }
-        collect(child, &child_path, counts, values);
+    }
+
+    /// Folds in one value the way `Iterator::min`, `Iterator::max` and a
+    /// sum over `windows(2)` would read the list of them.
+    fn observe(&mut self, v: Decimal) {
+        match &mut self.range {
+            None => self.range = Some((v, v)),
+            Some((lo, hi)) => {
+                (*lo, *hi) = ((*lo).min(v), (*hi).max(v));
+                self.inc_sum += (v - self.last).to_f64();
+            }
+        }
+        self.last = v;
+        self.values += 1;
+    }
+}
+
+/// Files every element below `node` (whose tally is `at`) under its
+/// path's tally, in document order.
+fn file_children(node: &Node, at: usize, tallies: &mut Vec<Tally>) {
+    for child in node.children() {
+        let name = child.symbol();
+        let kids = &tallies[at].kids;
+        let known = kids.iter().copied().find(|&k| tallies[k].name == name);
+        let k = known.unwrap_or_else(|| {
+            tallies.push(Tally::new(at, name));
+            let k = tallies.len() - 1;
+            tallies[at].kids.push(k);
+            k
+        });
+        let tally = &mut tallies[k];
+        tally.occurrences += 1;
+        tally.bytes += serialized_size(child) as u64;
+        if let Some(v) = child.decimal() {
+            tally.observe(v);
+        }
+        file_children(child, k, tallies);
     }
 }
 
@@ -274,6 +325,162 @@ mod tests {
 
     fn d(s: &str) -> Decimal {
         s.parse().unwrap()
+    }
+
+    /// The per-node collector `from_sample` replaced: three `Path`s and
+    /// two map searches per element. Kept as the one-pass tally's oracle.
+    fn per_node_from_sample(sample: &[Node], frequency: f64) -> StreamStats {
+        fn collect(
+            node: &Node,
+            path: &Path,
+            counts: &mut BTreeMap<Path, (u64, u64, usize)>,
+            values: &mut BTreeMap<Path, Vec<Decimal>>,
+        ) {
+            for child in node.children() {
+                let child_path = path.child(child.name()).expect("parsed names are valid");
+                let entry = counts
+                    .entry(child_path.clone())
+                    .or_insert((0, 0, child.name().len()));
+                entry.0 += 1;
+                entry.1 += serialized_size(child) as u64;
+                if let Some(v) = child.decimal() {
+                    values.entry(child_path.clone()).or_default().push(v);
+                }
+                collect(child, &child_path, counts, values);
+            }
+        }
+        let n = sample.len().max(1) as f64;
+        let mut counts = BTreeMap::new();
+        let mut values: BTreeMap<Path, Vec<Decimal>> = BTreeMap::new();
+        let mut total_size = 0u64;
+        for item in sample {
+            total_size += serialized_size(item) as u64;
+            collect(item, &Path::this(), &mut counts, &mut values);
+        }
+        let mut paths = BTreeMap::new();
+        for (path, (occ, bytes, name_len)) in counts {
+            paths.insert(
+                path,
+                PathStat {
+                    occurrence: occ as f64 / n,
+                    subtree_size: bytes as f64 / occ as f64,
+                    name_len,
+                },
+            );
+        }
+        let mut ranges = BTreeMap::new();
+        let mut increments = BTreeMap::new();
+        for (path, vals) in values {
+            let min = *vals.iter().min().expect("non-empty");
+            let max = *vals.iter().max().expect("non-empty");
+            ranges.insert(path.clone(), (min, max));
+            if vals.len() > 1 {
+                let mut inc_sum = 0.0;
+                for w in vals.windows(2) {
+                    inc_sum += (w[1] - w[0]).to_f64();
+                }
+                increments.insert(path, inc_sum / (vals.len() - 1) as f64);
+            }
+        }
+        StreamStats {
+            item_size: total_size as f64 / n,
+            frequency,
+            item_name_len: sample.first().map_or(0, |item| item.name().len()),
+            paths,
+            ranges,
+            increments,
+        }
+    }
+
+    /// Every field of `stats`, with each `f64` as its bits.
+    fn bits(stats: &StreamStats) -> String {
+        let mut out = format!(
+            "{:x} {:x} {}\n",
+            stats.item_size.to_bits(),
+            stats.frequency.to_bits(),
+            stats.item_name_len
+        );
+        for (path, st) in &stats.paths {
+            let (occ, size) = (st.occurrence.to_bits(), st.subtree_size.to_bits());
+            out += &format!("{path} {occ:x} {size:x} {}\n", st.name_len);
+        }
+        for (path, (lo, hi)) in &stats.ranges {
+            out += &format!("{path} [{lo:?}, {hi:?}]\n");
+        }
+        for (path, inc) in &stats.increments {
+            out += &format!("{path} +{:x}\n", inc.to_bits());
+        }
+        out
+    }
+
+    mod one_pass {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Few names, so that siblings repeat and one name turns up under
+        /// several parents and at several depths.
+        const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+        fn text() -> BoxedStrategy<Option<String>> {
+            prop::option::of(prop_oneof![
+                (-400i64..400).prop_map(|v| format!("{}", v as f64 / 8.0)),
+                (0i64..1000).prop_map(|v| v.to_string()),
+                Just("x1".to_string()),
+                Just(String::new()),
+            ])
+        }
+
+        /// An element of depth ≤ 4 with text on inner elements too.
+        fn element() -> BoxedStrategy<Node> {
+            let leaf = (0usize..4, text()).prop_map(|(n, t)| Node::new(NAMES[n], t.as_deref(), []));
+            leaf.prop_recursive(3, 0, 0, |inner| {
+                (0usize..4, text(), prop::collection::vec(inner, 0..4))
+                    .prop_map(|(n, t, kids)| Node::new(NAMES[n], t.as_deref(), kids))
+            })
+        }
+
+        fn photon() -> BoxedStrategy<Node> {
+            (0i64..5000, -800i64..800, 0i64..99).prop_map(|(t, ra, en)| {
+                let leaf = |name: &str, v: String| Node::leaf(name, v);
+                Node::elem(
+                    "photon",
+                    vec![
+                        leaf("phc", t.to_string()),
+                        Node::elem(
+                            "coord",
+                            vec![
+                                Node::elem(
+                                    "cel",
+                                    vec![
+                                        leaf("ra", format!("{}", ra as f64 / 4.0)),
+                                        leaf("dec", "-46.5".into()),
+                                    ],
+                                ),
+                                Node::elem(
+                                    "det",
+                                    vec![leaf("dx", "3".into()), leaf("dy", "9".into())],
+                                ),
+                            ],
+                        ),
+                        leaf("en", format!("{}", en as f64 / 10.0)),
+                        leaf("det_time", t.to_string()),
+                    ],
+                )
+            })
+        }
+
+        proptest! {
+            /// The one-pass tally is the per-node collector, bit for bit.
+            #[test]
+            fn one_pass_tally_equals_the_per_node_collector(
+                items in prop::collection::vec(prop_oneof![element(), element(), photon()], 0..61),
+                frequency in 1u64..1000,
+            ) {
+                let frequency = frequency as f64 / 4.0;
+                let want = bits(&per_node_from_sample(&items, frequency));
+                prop_assert_eq!(bits(&StreamStats::from_sample(&items, frequency)), want);
+            }
+        }
     }
 
     fn sample() -> Vec<Node> {

@@ -30,6 +30,9 @@ pub enum SystemError {
     UnknownPeer(String),
     /// A stream with this name is already registered.
     DuplicateStream(String),
+    /// A stream's frequency is not a positive, finite number of items per
+    /// second.
+    BadFrequency(String, f64),
     /// No query with this id is registered.
     UnknownQuery(String),
     /// An invalid simulation/runtime configuration.
@@ -45,6 +48,12 @@ impl std::fmt::Display for SystemError {
             SystemError::Subscribe(e) => write!(f, "{e}"),
             SystemError::UnknownPeer(p) => write!(f, "unknown peer {p:?}"),
             SystemError::DuplicateStream(s) => write!(f, "stream {s:?} already registered"),
+            SystemError::BadFrequency(s, hz) => {
+                write!(
+                    f,
+                    "stream {s:?}: frequency {hz} is not a positive, finite rate"
+                )
+            }
             SystemError::UnknownQuery(q) => write!(f, "no registered query with id {q:?}"),
             SystemError::Config(e) => write!(f, "{e}"),
             SystemError::Unsupported(what) => write!(f, "unsupported: {what}"),
@@ -228,7 +237,8 @@ impl StreamGlobe {
 
     /// Registers a data stream produced by `source_peer`, with `items` as
     /// both the statistics sample and the simulation payload, arriving at
-    /// `frequency` items/second.
+    /// `frequency` items/second. A frequency that is not positive and
+    /// finite is refused before anything is registered.
     pub fn register_stream(
         &mut self,
         name: impl Into<String>,
@@ -239,6 +249,9 @@ impl StreamGlobe {
         let name = name.into();
         if self.sources.contains_key(&name) {
             return Err(SystemError::DuplicateStream(name));
+        }
+        if !(frequency > 0.0 && frequency.is_finite()) {
+            return Err(SystemError::BadFrequency(name, frequency));
         }
         let peer = self.node_by_name(source_peer)?;
         let sp = self.super_peer_of(peer)?;

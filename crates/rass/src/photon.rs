@@ -1,6 +1,8 @@
 //! Photon records and their XML form (the paper's Section-1 DTD).
 
-use dss_xml::{Decimal, Node, XmlError};
+use std::sync::OnceLock;
+
+use dss_xml::{Decimal, Node, Symbol, XmlError};
 
 /// One detected photon.
 ///
@@ -28,35 +30,45 @@ pub struct Photon {
 impl Photon {
     /// Serializes the photon to its stream-item XML form.
     pub fn to_node(&self) -> Node {
+        // Interned once per process, not once per element.
+        static NAMES: OnceLock<[Symbol; 11]> = OnceLock::new();
+        let [photon, phc, coord, cel, ra, dec, det, dx, dy, en, det_time] =
+            *NAMES.get_or_init(|| {
+                [
+                    "photon", "phc", "coord", "cel", "ra", "dec", "det", "dx", "dy", "en",
+                    "det_time",
+                ]
+                .map(Symbol::intern)
+            });
         Node::new(
-            "photon",
+            photon,
             None,
             [
-                Node::display_leaf("phc", self.phc),
+                Node::display_leaf(phc, self.phc),
                 Node::new(
-                    "coord",
+                    coord,
                     None,
                     [
                         Node::new(
-                            "cel",
+                            cel,
                             None,
                             [
-                                Node::decimal_leaf("ra", self.ra),
-                                Node::decimal_leaf("dec", self.dec),
+                                Node::decimal_leaf(ra, self.ra),
+                                Node::decimal_leaf(dec, self.dec),
                             ],
                         ),
                         Node::new(
-                            "det",
+                            det,
                             None,
                             [
-                                Node::display_leaf("dx", self.dx),
-                                Node::display_leaf("dy", self.dy),
+                                Node::display_leaf(dx, self.dx),
+                                Node::display_leaf(dy, self.dy),
                             ],
                         ),
                     ],
                 ),
-                Node::decimal_leaf("en", self.en),
-                Node::decimal_leaf("det_time", self.det_time),
+                Node::decimal_leaf(en, self.en),
+                Node::decimal_leaf(det_time, self.det_time),
             ],
         )
     }
@@ -110,6 +122,56 @@ mod tests {
     fn round_trip() {
         let p = sample();
         assert_eq!(Photon::from_node(&p.to_node()).unwrap(), p);
+    }
+
+    /// The reference tree: every name given as a `&str` and interned
+    /// element by element.
+    fn named_by_str(p: &Photon) -> Node {
+        Node::new(
+            "photon",
+            None,
+            [
+                Node::display_leaf("phc", p.phc),
+                Node::new(
+                    "coord",
+                    None,
+                    [
+                        Node::new(
+                            "cel",
+                            None,
+                            [
+                                Node::decimal_leaf("ra", p.ra),
+                                Node::decimal_leaf("dec", p.dec),
+                            ],
+                        ),
+                        Node::new(
+                            "det",
+                            None,
+                            [
+                                Node::display_leaf("dx", p.dx),
+                                Node::display_leaf("dy", p.dy),
+                            ],
+                        ),
+                    ],
+                ),
+                Node::decimal_leaf("en", p.en),
+                Node::decimal_leaf("det_time", p.det_time),
+            ],
+        )
+    }
+
+    #[test]
+    fn interned_names_build_the_tree_str_names_build() {
+        let mut gen = crate::PhotonGenerator::new(crate::GeneratorConfig::default());
+        for _ in 0..2_000 {
+            let p = gen.next_photon();
+            let (node, want) = (p.to_node(), named_by_str(&p));
+            assert_eq!(node, want);
+            assert_eq!(
+                dss_xml::writer::node_to_string(&node),
+                dss_xml::writer::node_to_string(&want)
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,11 @@
 #    mutant's sent-log starts one batch after the batch containing the
 #    requested offset, so the rejoined peer never sees that batch. The
 #    in-memory fleet's data sweep (`tests/fleet_sim.rs`) must fail.
+# 6. The one-pass statistics collector: the mutant files a child under
+#    the first tally of that name it knows, whatever its parent. The
+#    property test holding `StreamStats::from_sample` to the per-node
+#    collector (`dss_core::stats`) must fail. Photon streams alone would
+#    not catch it: a photon's names are unique per path.
 #
 # Usage: scripts/mutation_smoke.sh
 
@@ -119,5 +124,10 @@ expect_caught run-go-one-ack-short --test fleet_sim
 # one batch later.
 mutate crates/server/src/data.rs 's/&self.batches\[first\.\.\]/\&self.batches[(first + 1).min(self.batches.len())..]/' resend-one-batch-late
 expect_caught resend-one-batch-late --test fleet_sim
+
+# Mutant 6. A child's tally is looked up among its parent's kids; look
+# it up among every tally but the root's.
+mutate crates/core/src/stats.rs 's/let kids = &tallies\[at\]\.kids;/let kids: \&Vec<usize> = \&(1..tallies.len()).collect();/' name-blind-tally
+expect_caught name-blind-tally -p dss-core --lib stats::tests::one_pass
 
 echo "mutation_smoke: OK"

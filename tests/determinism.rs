@@ -158,3 +158,61 @@ fn selectivity_estimates_track_measured_rates() {
         "en cut: estimated {estimated:.4} vs measured {measured:.4}"
     );
 }
+
+/// Every field of a stream's statistics, each `f64` as its bits, folded
+/// into one FNV-1a digest.
+fn stats_digest(stats: &data_stream_sharing::core::StreamStats) -> u64 {
+    let mut text = format!(
+        "{:x} {:x} {}\n",
+        stats.item_size.to_bits(),
+        stats.frequency.to_bits(),
+        stats.item_name_len
+    );
+    for (path, st) in &stats.paths {
+        let (occ, size) = (st.occurrence.to_bits(), st.subtree_size.to_bits());
+        text += &format!("{path} {occ:x} {size:x} {}\n", st.name_len);
+    }
+    for (path, (lo, hi)) in &stats.ranges {
+        text += &format!("{path} [{lo}, {hi}]\n");
+    }
+    for (path, inc) in &stats.increments {
+        text += &format!("{path} +{:x}\n", inc.to_bits());
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn scenario_stream_statistics_are_pinned() {
+    // The statistics every plan and cost is computed from, bit for bit,
+    // for both scenarios' streams at three seeds.
+    use data_stream_sharing::core::StreamStats;
+    let mut got = Vec::new();
+    for seed in [42, 7, 99] {
+        let s1 = Scenario::scenario1(seed);
+        let s2 = Scenario::scenario2(seed);
+        for stream in s1.streams.iter().chain(&s2.streams) {
+            let stats = StreamStats::from_sample(&stream.items, stream.frequency);
+            got.push(format!(
+                "{seed} {}: {:016x}",
+                stream.name,
+                stats_digest(&stats)
+            ));
+        }
+    }
+    // Computed by the per-element collector (the one-pass tally's oracle
+    // in `dss_core::stats`), not by the code under test.
+    let want = [
+        "42 photons: bd234838e70aa09f",
+        "42 photons_a: 3726d8950e4d5ba6",
+        "42 photons_b: 6f0b815b818b1236",
+        "7 photons: d0f787eb280b4806",
+        "7 photons_a: 3139d5c1dbc6b6c3",
+        "7 photons_b: 541deafd86c64968",
+        "99 photons: 2ee0166e8d4765a8",
+        "99 photons_a: 3c8f1d7b81a4f4f6",
+        "99 photons_b: 6e4c580acad87514",
+    ];
+    assert_eq!(got, want);
+}
