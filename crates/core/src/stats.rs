@@ -128,33 +128,32 @@ impl StreamStats {
     /// Estimates the selectivity `sel(σ)` of a conjunctive predicate using
     /// per-variable uniform-range estimation with attribute independence.
     ///
-    /// The predicate is canonicalized (minimized) first so the estimate
-    /// does not depend on the caller's syntactic form: vacuous asserted
-    /// var-to-var atoms and bounds derived purely from per-variable ranges
-    /// (e.g. by `hull`) are dropped before counting join-like factors.
-    /// Equalities pinned by surrounding range atoms can still lose one of
-    /// their two edges to minimization — an accepted wobble of a heuristic
-    /// that only steers plan choice, never result correctness.
+    /// The estimate reads the predicate's closure, not its edges, so it
+    /// does not depend on the caller's syntactic form (raw, minimized or a
+    /// `hull` output): every variable's range is its tightest derived
+    /// bound, and a var-to-var bound counts as a join-like factor only
+    /// when the per-variable ranges alone do not already imply it.
     pub fn selectivity(&self, predicate: &PredicateGraph) -> f64 {
         if predicate.is_trivial() {
             return 1.0;
         }
-        if !predicate.is_satisfiable() {
+        let closure = predicate.closure();
+        if !closure.is_satisfiable() {
             return 0.0;
         }
-        let closure = predicate.closure();
+        let nodes = closure.nodes();
+        // Zero sorts first; it is absent when no atom compares a constant.
+        let zero = (nodes[0] == NodeRef::Zero).then_some(0);
+        // Derived bounds: v ≤ hi (edge v→0), v ≥ lo (edge 0→v with weight
+        // −lo).
+        let hi = |i| zero.and_then(|z| closure.bound(i, z));
+        let lo = |i| zero.and_then(|z| closure.bound(z, i));
         let mut sel = 1.0;
-        for var in predicate.variables() {
-            let node = NodeRef::Var(var.clone());
-            // Derived bounds: v ≤ hi (edge v→0), v ≥ lo (edge 0→v with
-            // weight −lo).
-            let hi = closure
-                .direct_bound(&node, &NodeRef::Zero)
-                .map(|b| b.weight);
-            let lo = closure
-                .direct_bound(&NodeRef::Zero, &node)
-                .map(|b| -b.weight);
-            let Some((obs_min, obs_max)) = self.ranges.get(&var) else {
+        for (i, node) in nodes.iter().enumerate() {
+            let NodeRef::Var(var) = node else { continue };
+            let hi = hi(i).map(|b| b.weight);
+            let lo = lo(i).map(|b| -b.weight);
+            let Some((obs_min, obs_max)) = self.ranges.get(var) else {
                 sel *= DEFAULT_SELECTIVITY;
                 continue;
             };
@@ -173,33 +172,23 @@ impl StreamStats {
             sel *= frac.max(MIN_SELECTIVITY);
         }
         // Variable-to-variable constraints get a fixed factor each — but
-        // only *genuine* join constraints: a var-to-var edge that is
-        // already implied by the per-variable ranges alone (derived through
-        // the zero node, e.g. in hull outputs, or asserted vacuously) adds
-        // no selectivity beyond those ranges and must not masquerade as a
-        // join predicate.
-        // Work on the closure: it contains the complete per-variable range
-        // information regardless of which syntactic form (raw, minimized,
-        // hull output) the caller passed.
-        let mut ranges_only = PredicateGraph::new();
-        for (u, v, b) in closure.edges() {
-            if *u == NodeRef::Zero || *v == NodeRef::Zero {
-                ranges_only.add_edge(u.clone(), v.clone(), b);
+        // only *genuine* join constraints: a var-to-var bound already
+        // implied by the two ranges (u ≤ hi_u and v ≥ lo_v give
+        // u − v ≤ hi_u − lo_v: the only path the ranges alone derive, via
+        // the zero node) adds no selectivity beyond them and must not
+        // masquerade as a join predicate.
+        let vars = zero.map_or(0, |z| z + 1)..nodes.len();
+        let mut var_var_edges = 0;
+        for i in vars.clone() {
+            for j in vars.clone().filter(|&j| j != i) {
+                let Some(b) = closure.bound(i, j) else {
+                    continue;
+                };
+                let via_ranges = hi(i).zip(lo(j)).map(|(hi, lo)| hi.compose(lo));
+                var_var_edges += i32::from(!via_ranges.is_some_and(|have| have.implies(b)));
             }
         }
-        let range_closure = ranges_only.closure();
-        let var_var_edges = closure
-            .edges()
-            .filter(|(u, v, b)| {
-                matches!(u, NodeRef::Var(_))
-                    && matches!(v, NodeRef::Var(_))
-                    && u != v
-                    && !range_closure
-                        .direct_bound(u, v)
-                        .is_some_and(|have| have.implies(*b))
-            })
-            .count();
-        sel *= VAR_VAR_SELECTIVITY.powi(var_var_edges as i32);
+        sel *= VAR_VAR_SELECTIVITY.powi(var_var_edges);
         sel.clamp(0.0, 1.0)
     }
 

@@ -35,5 +35,5 @@ pub mod matching;
 pub use atom::{Atom, CompOp, Term};
 pub use bound::Bound;
 pub use compiled::CompiledPredicate;
-pub use graph::{NodeRef, PredicateGraph};
+pub use graph::{Closure, NodeRef, PredicateGraph};
 pub use matching::{implied_by_closure, match_predicates, match_predicates_edgewise};

@@ -19,7 +19,7 @@
 //!   minimizing predicates at registration time. Exposed for the ablation
 //!   bench and for fidelity tests.
 
-use crate::graph::PredicateGraph;
+use crate::graph::{Closure, PredicateGraph};
 
 /// Sound and complete predicate matching: `true` iff `g_new ⇒ g_stream`,
 /// i.e. every edge constraint of the stream's graph is implied by the
@@ -35,14 +35,10 @@ pub fn match_predicates(g_stream: &PredicateGraph, g_new: &PredicateGraph) -> bo
 /// [`match_predicates`] against `closure`, the subscription graph's
 /// [`PredicateGraph::closure`], computed by the caller: a plan search
 /// matches one subscription against many candidate streams and computes
-/// the closure once.
-pub fn implied_by_closure(g_stream: &PredicateGraph, closure: &PredicateGraph) -> bool {
-    // An unsatisfiable subscription implies anything; such subscriptions are
-    // rejected earlier, but stay correct here regardless.
-    let unsat = closure
-        .edges()
-        .any(|(u, v, b)| u == v && b.cycle_is_infeasible());
-    unsat
+/// the closure once. An unsatisfiable subscription implies anything; such
+/// subscriptions are rejected earlier, but stay correct here regardless.
+pub fn implied_by_closure(g_stream: &PredicateGraph, closure: &Closure) -> bool {
+    !closure.is_satisfiable()
         || g_stream.edges().all(|(u, v, want)| {
             closure
                 .direct_bound(u, v)
@@ -59,13 +55,13 @@ pub fn implied_by_closure(g_stream: &PredicateGraph, closure: &PredicateGraph) -
 pub fn match_predicates_edgewise(g_stream: &PredicateGraph, g_new: &PredicateGraph) -> bool {
     for v in g_stream.nodes() {
         // Line 4: find the equivalent node v' in G'.
-        let vmatch = g_new.nodes().into_iter().any(|n| n == v);
+        let vmatch = g_new.nodes().contains(&v);
         if !vmatch {
             return false;
         }
         // Lines 6–16: every edge connected to v must be edge-implied.
         for (u, w, want) in g_stream.edges() {
-            if *u != v && *w != v {
+            if u != v && w != v {
                 continue;
             }
             let ematch = g_new
@@ -180,7 +176,11 @@ mod tests {
         // …unless the subscription graph is replaced by its closure, which
         // is what predicate construction at registration time effectively
         // provides via minimization in the paper's pipeline.
-        assert!(match_predicates_edgewise(&stream, &sub.closure()));
+        let mut closed = PredicateGraph::new();
+        for (u, v, b) in sub.closure().edges() {
+            closed.add_edge(u.clone(), v.clone(), b);
+        }
+        assert!(match_predicates_edgewise(&stream, &closed));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::cell::OnceCell;
 
-use dss_predicate::{implied_by_closure, match_predicates, PredicateGraph};
+use dss_predicate::{implied_by_closure, match_predicates, Closure, PredicateGraph};
 
 use crate::operator::{AggOp, AggregationSpec, Operator, ProjectionSpec, WindowOutputSpec};
 use crate::properties::InputProperties;
@@ -151,7 +151,7 @@ fn operator_check_name(o: &Operator) -> &'static str {
 pub struct Wanted<'a> {
     props: &'a InputProperties,
     /// Per operator of `props`: a selection's closure, once computed.
-    closures: Vec<OnceCell<PredicateGraph>>,
+    closures: Vec<OnceCell<Closure>>,
 }
 
 impl<'a> Wanted<'a> {

@@ -16,6 +16,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::operator::Operator;
+use dss_predicate::PredicateGraph;
 use dss_xml::Path;
 
 /// Errors constructing properties.
@@ -62,27 +63,27 @@ impl InputProperties {
         operators: Vec<Operator>,
     ) -> Result<InputProperties, PropertiesError> {
         let stream = stream.into();
+        // One closure answers both satisfiability and minimization.
+        let normalize = |g: &PredicateGraph| {
+            let closure = g.closure();
+            if closure.is_satisfiable() {
+                Ok(g.minimize_with(&closure))
+            } else {
+                Err(PropertiesError::UnsatisfiablePredicate {
+                    stream: stream.clone(),
+                })
+            }
+        };
         let mut normalized = Vec::with_capacity(operators.len());
         for op in operators {
             normalized.push(match op {
-                Operator::Selection(g) => {
-                    if !g.is_satisfiable() {
-                        return Err(PropertiesError::UnsatisfiablePredicate { stream });
-                    }
-                    Operator::Selection(g.minimize())
-                }
+                Operator::Selection(g) => Operator::Selection(normalize(&g)?),
                 Operator::Aggregation(mut a) => {
-                    if !a.pre_selection.is_satisfiable() {
-                        return Err(PropertiesError::UnsatisfiablePredicate { stream });
-                    }
-                    a.pre_selection = a.pre_selection.minimize();
+                    a.pre_selection = normalize(&a.pre_selection)?;
                     Operator::Aggregation(a)
                 }
                 Operator::WindowOutput(mut w) => {
-                    if !w.pre_selection.is_satisfiable() {
-                        return Err(PropertiesError::UnsatisfiablePredicate { stream });
-                    }
-                    w.pre_selection = w.pre_selection.minimize();
+                    w.pre_selection = normalize(&w.pre_selection)?;
                     Operator::WindowOutput(w)
                 }
                 other => other,

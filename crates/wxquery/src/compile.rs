@@ -28,7 +28,9 @@ use dss_properties::{
 };
 use dss_xml::Path;
 
-use crate::ast::{Clause, Condition, Content, Expr, Flwr, ForSource, PredTerm, WindowAst};
+use crate::ast::{
+    Clause, Condition, Content, ElementCtor, Expr, Flwr, ForSource, PredAtom, PredTerm, WindowAst,
+};
 use crate::error::QueryError;
 use crate::parse::parse_query;
 
@@ -83,6 +85,100 @@ impl CompiledQuery {
     }
 }
 
+/// The most atomic predicates one condition may hold: a FLWR expression's
+/// for-clause conditions and where clause together, or an `if`'s test.
+pub const MAX_ATOMS: usize = 128;
+/// The most distinct element paths one query may reference (in predicates,
+/// aggregates, windows and its return clause).
+pub const MAX_PATHS: usize = 64;
+/// The most element constructors one query may contain.
+pub const MAX_CONSTRUCTORS: usize = 1_024;
+
+/// Refuses a query past [`MAX_ATOMS`], [`MAX_PATHS`] or
+/// [`MAX_CONSTRUCTORS`] before any predicate work: a predicate's closure
+/// costs the cube of its paths, and a coordinator plans on its control
+/// thread, so an unbounded where clause would stall every registration.
+fn check_size(expr: &Expr) -> Result<(), QueryError> {
+    #[derive(Default)]
+    struct Size<'a> {
+        constructors: usize,
+        atoms: usize,
+        paths: BTreeSet<&'a Path>,
+    }
+    impl<'a> Size<'a> {
+        fn condition(&mut self, atoms: impl IntoIterator<Item = &'a PredAtom>) {
+            let n = atoms
+                .into_iter()
+                .inspect(|atom| {
+                    self.paths.insert(&atom.lhs.path);
+                    if let PredTerm::VarPlus(w, _) = &atom.rhs {
+                        self.paths.insert(&w.path);
+                    }
+                })
+                .count();
+            self.atoms = self.atoms.max(n);
+        }
+        fn expr(&mut self, expr: &'a Expr) {
+            match expr {
+                Expr::Element(el) => self.ctor(el),
+                Expr::Flwr(f) => {
+                    let mut atoms: Vec<&PredAtom> = f.where_.iter().collect();
+                    for clause in &f.clauses {
+                        match clause {
+                            Clause::For {
+                                conditions, window, ..
+                            } => {
+                                atoms.extend(conditions);
+                                if let Some(WindowAst::Diff { reference, .. }) = window {
+                                    self.paths.insert(reference);
+                                }
+                            }
+                            Clause::Let { source, .. } => {
+                                self.paths.insert(&source.path);
+                            }
+                        }
+                    }
+                    self.condition(atoms);
+                    self.expr(&f.ret);
+                }
+                Expr::If { cond, then, els } => {
+                    self.condition(cond);
+                    self.expr(then);
+                    self.expr(els);
+                }
+                Expr::PathOutput(vp) => {
+                    self.paths.insert(&vp.path);
+                }
+                Expr::Sequence(items) => items.iter().for_each(|e| self.expr(e)),
+            }
+        }
+        fn ctor(&mut self, el: &'a ElementCtor) {
+            self.constructors += 1;
+            for c in &el.content {
+                match c {
+                    Content::Element(nested) => self.ctor(nested),
+                    Content::Enclosed(inner) => self.expr(inner),
+                    Content::Text(_) => {}
+                }
+            }
+        }
+    }
+    let mut size = Size::default();
+    size.expr(expr);
+    for (what, count, cap) in [
+        ("atomic predicates in one condition", size.atoms, MAX_ATOMS),
+        ("distinct element paths", size.paths.len(), MAX_PATHS),
+        ("element constructors", size.constructors, MAX_CONSTRUCTORS),
+    ] {
+        if count > cap {
+            return Err(QueryError::TooLarge(format!(
+                "{count} {what}, at most {cap}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Parses and compiles a WXQuery subscription text.
 pub fn compile_query(text: &str) -> Result<CompiledQuery, QueryError> {
     compile_expr(&parse_query(text)?)
@@ -90,6 +186,7 @@ pub fn compile_query(text: &str) -> Result<CompiledQuery, QueryError> {
 
 /// Compiles a parsed WXQuery expression.
 pub fn compile_expr(expr: &Expr) -> Result<CompiledQuery, QueryError> {
+    check_size(expr)?;
     // Unwrap the optional result-root element constructor.
     let (result_root, flwr) = match expr {
         Expr::Element(el) => {

@@ -18,6 +18,10 @@ pub enum QueryError {
     /// implementation executes (the paper defers nested queries to future
     /// work).
     Unsupported(String),
+    /// The query exceeds one of the size caps (`compile::MAX_ATOMS`,
+    /// `MAX_PATHS`, `MAX_CONSTRUCTORS`) and is refused before any
+    /// predicate work.
+    TooLarge(String),
     /// Error constructing the properties (e.g. unsatisfiable predicate —
     /// the paper rejects such subscriptions).
     Properties(PropertiesError),
@@ -35,6 +39,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::Analysis(m) => write!(f, "WXQuery analysis error: {m}"),
             QueryError::Unsupported(m) => write!(f, "unsupported WXQuery feature: {m}"),
+            QueryError::TooLarge(m) => write!(f, "WXQuery too large: {m}"),
             QueryError::Properties(e) => write!(f, "properties error: {e}"),
             QueryError::Window(e) => write!(f, "window error: {e}"),
             QueryError::Xml(e) => write!(f, "XML error: {e}"),

@@ -343,6 +343,51 @@ mod tests {
         ));
     }
 
+    /// A where clause of `n` atoms: `$p/v{i} <= $p/v{i+1} + 1` along a
+    /// chain over `paths` distinct paths, closed by `$p/v0 >= 0`.
+    fn chain_query(n: usize, paths: usize) -> String {
+        let mut atoms = vec!["$p/v0 >= 0".to_string()];
+        atoms.extend((1..n).map(|i| {
+            let (a, b) = ((i - 1) % paths, i % paths);
+            format!("$p/v{a} <= $p/v{b} + {i}")
+        }));
+        format!(
+            "<r>{{ for $p in stream(\"s\")/root/item where {} return <x>{{ $p/v0 }}</x> }}</r>",
+            atoms.join(" and ")
+        )
+    }
+
+    #[test]
+    fn size_caps_refuse_large_queries() {
+        use crate::compile::{MAX_ATOMS, MAX_CONSTRUCTORS, MAX_PATHS};
+        let too_large = |q: &str| match compile_query(q) {
+            Err(QueryError::TooLarge(m)) => m,
+            other => panic!("expected a size error, got {other:?}"),
+        };
+        // At every cap the query compiles.
+        compile_query(&chain_query(MAX_ATOMS, MAX_PATHS)).unwrap();
+        let m = too_large(&chain_query(MAX_ATOMS + 1, 4));
+        assert_eq!(
+            m,
+            format!(
+                "{} atomic predicates in one condition, at most {MAX_ATOMS}",
+                MAX_ATOMS + 1
+            )
+        );
+        let m = too_large(&chain_query(MAX_PATHS + 1, MAX_PATHS + 1));
+        assert!(m.contains("distinct element paths"), "{m}");
+        let siblings = |n: usize| {
+            format!(
+                "<r>{{ for $p in stream(\"s\")/root/item return <x>{}</x> }}</r>",
+                "<y/>".repeat(n)
+            )
+        };
+        // The result root and `x` are constructors too.
+        compile_query(&siblings(MAX_CONSTRUCTORS - 2)).unwrap();
+        let m = too_large(&siblings(MAX_CONSTRUCTORS - 1));
+        assert!(m.contains("element constructors"), "{m}");
+    }
+
     #[test]
     fn analysis_errors_rejected() {
         // Unbound variable in predicate.

@@ -32,6 +32,13 @@
 #    property test holding `StreamStats::from_sample` to the per-node
 #    collector (`dss_core::stats`) must fail. Photon streams alone would
 #    not catch it: a photon's names are unique per path.
+# 7. Predicate minimization: the mutant's `minimize` decides every edge
+#    (u, v) on the full graph's closure D, dropping it when D(u,k)∘D(k,v)
+#    implies it for some k ∉ {u, v}, instead of on what the edges still
+#    in the graph derive. That is wrong when an equality puts u on a
+#    zero-weight cycle: from `x = y ∧ x ≤ 5` it drops `x ≤ 5`. The
+#    property test holding the dense closure and its readers to the
+#    reference implementation (`tests/predicate_oracle.rs`) must fail.
 #
 # Usage: scripts/mutation_smoke.sh
 
@@ -129,5 +136,18 @@ expect_caught resend-one-batch-late --test fleet_sim
 # it up among every tally but the root's.
 mutate crates/core/src/stats.rs 's/let kids = &tallies\[at\]\.kids;/let kids: \&Vec<usize> = \&(1..tallies.len()).collect();/' name-blind-tally
 expect_caught name-blind-tally -p dss-core --lib stats::tests::one_pass
+
+# Mutant 7. Decide each edge on the one closure of the whole graph.
+mutate crates/predicate/src/graph.rs 's/let derived = tightest_path(&edges, &live, u, v, &mut dist);/let derived = one_closure_shortcut(closure, u, v);/' one-closure-minimize
+cat >> "$FILE" <<'EOF'
+
+fn one_closure_shortcut(d: &Closure, u: usize, v: usize) -> Option<Bound> {
+    (0..d.nodes().len())
+        .filter(|&k| k != u && k != v)
+        .filter_map(|k| Some(d.bound(u, k)?.compose(d.bound(k, v)?)))
+        .reduce(Bound::min)
+}
+EOF
+expect_caught one-closure-minimize --test predicate_oracle
 
 echo "mutation_smoke: OK"

@@ -288,6 +288,36 @@ fn check_refuses_deep_nesting_with_a_syntax_error() {
     assert!(stderr.contains("nested deeper"), "{stderr}");
 }
 
+/// A where clause of 1 600 conjuncts on distinct paths is refused by the
+/// size caps before any predicate work, not planned for minutes.
+#[test]
+fn check_refuses_an_oversized_where_clause() {
+    let atoms: Vec<String> = (0..1_600).map(|i| format!("$p/v{i} <= {i}")).collect();
+    let text = format!(
+        "for $p in stream(\"photons\")/photons/photon where {} return <x>{{$p/en}}</x>",
+        atoms.join(" and ")
+    );
+    let mut child = dss()
+        .args(["check", "-"])
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(text.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("1600 atomic predicates in one condition, at most 128"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn plan_rejects_bad_strategy_and_peer() {
     let out = dss()

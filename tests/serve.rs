@@ -550,6 +550,43 @@ fn a_deeply_nested_subscribe_is_refused_and_the_coordinator_stays_up() {
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
 }
 
+/// A subscription whose where clause bounds `conjuncts` distinct paths.
+fn wide_where_clause(conjuncts: usize) -> String {
+    let atoms: Vec<String> = (0..conjuncts).map(|i| format!("$p/v{i} <= {i}")).collect();
+    format!(
+        "for $p in stream(\"photons\")/photons/photon where {} return <x>{{$p/en}}</x>",
+        atoms.join(" and ")
+    )
+}
+
+/// A where clause of 1 600 conjuncts on distinct paths (35 KB). Closing
+/// and minimizing that predicate costs minutes on the coordinator's
+/// control thread. Compile's size caps refuse it before any predicate
+/// work: the `Subscribe` gets a typed `Fault` within a second, and the
+/// next well-formed `Subscribe` is served.
+#[test]
+fn an_oversized_where_clause_is_refused_at_once_and_the_coordinator_stays_up() {
+    let (cluster, _spec) = spawn_example_fleet(None);
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+    let text = wide_where_clause(1_600);
+    let started = Instant::now();
+    match client.subscribe("wide", &text, "P1", WireStrategy::StreamSharing) {
+        Err(ServerError::Fault { context, message }) => {
+            assert_eq!(context, "subscribe");
+            assert!(message.contains("too large"), "{message}");
+        }
+        other => panic!("expected a subscribe fault, got {other:?}"),
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "the fault took {took:?}");
+    client
+        .subscribe("q1", query_text("q1"), "P1", WireStrategy::StreamSharing)
+        .expect("the next subscribe is served");
+    client.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
 /// The tentpole crash-recovery gate for the networked mode: a durable
 /// peer SIGKILLed *mid-run* — no drain, no flush — is respawned with the
 /// same `--wal-dir`, replays its log, rebuilds its share of the plane,
