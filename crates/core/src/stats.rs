@@ -184,7 +184,7 @@ impl StreamStats {
                 let Some(b) = closure.bound(i, j) else {
                     continue;
                 };
-                let via_ranges = hi(i).zip(lo(j)).map(|(hi, lo)| hi.compose(lo));
+                let via_ranges = hi(i).zip(lo(j)).and_then(|(hi, lo)| hi.compose(lo));
                 var_var_edges += i32::from(!via_ranges.is_some_and(|have| have.implies(b)));
             }
         }

@@ -22,6 +22,8 @@
 //!   and where the batch goes next.
 //! * [`TapFilter`] — a tap group's leading selections, for a driver that
 //!   can decide them before it builds an item's tree (serve).
+//! * [`GroupTable::copy_class`] — which item sequence a stream is a copy
+//!   of, for a driver that reads identical copies once (serve).
 //! * [`Contiguity`] — the exactly-once mark of an in-order link (serve).
 //!   The discrete-event runtime's links are in order too, but its mark
 //!   accepts an index past a gap: there a gap is an item lost for good,
@@ -47,6 +49,8 @@ pub struct FlowView {
     /// The processing node.
     pub node: NodeId,
     pub route: Vec<NodeId>,
+    /// What the flow reads.
+    pub input: GroupKey,
     pub ops: Vec<FlowOp>,
     /// The sharing group the flow joined, kept after it retires; `None`
     /// for flows that joined retired or are processed on a node this table
@@ -202,6 +206,7 @@ impl GroupTable {
                 label: flow.label.clone(),
                 node: flow.processing_node,
                 route: flow.route.clone(),
+                input: GroupKey::of(&flow.input),
                 ops: flow.ops.clone(),
                 group,
             });
@@ -267,6 +272,23 @@ impl GroupTable {
         }
         (!selections.is_empty() && paths.len() <= max_paths)
             .then_some(TapFilter { paths, selections })
+    }
+
+    /// The *copy class* of the stream `key` names: the nearest stream up
+    /// its tap chain that some operators produce — `Tap(f)` for the output
+    /// of flow `f`, which has operators — or the source stream it starts
+    /// from. A flow without operators carries its input unchanged, so two
+    /// streams of one class carry the same items in the same order.
+    pub fn copy_class(&self, key: &GroupKey) -> GroupKey {
+        let mut key = key.clone();
+        while let GroupKey::Tap(f) = key {
+            let flow = &self.flows[f];
+            if !flow.ops.is_empty() {
+                break;
+            }
+            key = flow.input.clone();
+        }
+        key
     }
 
     /// The route step for `flow`'s output standing at `route[hop]`.
@@ -709,6 +731,27 @@ mod tests {
         let stats = groups.dag(g).node_stats();
         assert!(stats.iter().all(|n| n.stats.items_in == 0));
         assert!(groups.dag(g).contains(a) && !groups.dag(g).contains(b));
+    }
+
+    /// A flow with operators is a copy class of its own; one without is a
+    /// copy of its input, up the tap chain to the source.
+    #[test]
+    fn copy_class_follows_flows_without_operators_up_to_their_source() {
+        let mut d = Deployment::new();
+        let src = d.add_flow(flow(source("a"), 0, Vec::new(), vec![0, 1]));
+        let copy = d.add_flow(flow(tap(src), 1, Vec::new(), vec![1, 2]));
+        let copy_of_copy = d.add_flow(flow(tap(copy), 2, Vec::new(), vec![2]));
+        let sel = d.add_flow(flow(tap(copy), 2, vec![selection_ge("1.5")], vec![2]));
+        let copy_of_sel = d.add_flow(flow(tap(sel), 2, Vec::new(), vec![2]));
+        let table = GroupTable::build(&d, |_| true);
+        let class = |f| table.copy_class(&GroupKey::Tap(f));
+        for f in [src, copy, copy_of_copy] {
+            assert_eq!(class(f), GroupKey::Source("a".into()), "flow {f}");
+        }
+        assert_eq!(class(sel), GroupKey::Tap(sel));
+        assert_eq!(class(copy_of_sel), GroupKey::Tap(sel));
+        let source_key = GroupKey::Source("a".into());
+        assert_eq!(table.copy_class(&source_key), source_key);
     }
 
     /// A three-hop flow with a tap at the middle hop and a delivery at the

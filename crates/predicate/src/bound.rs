@@ -36,12 +36,14 @@ impl Bound {
     }
 
     /// Bound composition along a path: `v−w ≤ c₁` and `w−x ≤ c₂` give
-    /// `v−x ≤ c₁+c₂`, strict if either part is strict.
-    pub fn compose(self, other: Bound) -> Bound {
-        Bound {
-            weight: self.weight + other.weight,
+    /// `v−x ≤ c₁+c₂`, strict if either part is strict. `None` where
+    /// `c₁+c₂` leaves the decimal range: query text can chain bounds whose
+    /// sum no [`Decimal`] holds.
+    pub fn compose(self, other: Bound) -> Option<Bound> {
+        Some(Bound {
+            weight: self.weight.checked_add(other.weight)?,
             strict: self.strict || other.strict,
-        }
+        })
     }
 
     /// `true` if `self` is at least as tight as `other`: every assignment
@@ -138,11 +140,27 @@ mod tests {
     #[test]
     fn compose_adds_and_propagates_strictness() {
         let c = Bound::le(d("1.5")).compose(Bound::le(d("2")));
-        assert_eq!(c, Bound::le(d("3.5")));
+        assert_eq!(c, Some(Bound::le(d("3.5"))));
         let c = Bound::le(d("1.5")).compose(Bound::lt(d("2")));
-        assert_eq!(c, Bound::lt(d("3.5")));
+        assert_eq!(c, Some(Bound::lt(d("3.5"))));
         let c = Bound::lt(d("-1")).compose(Bound::lt(d("1")));
-        assert_eq!(c, Bound::lt(d("0")));
+        assert_eq!(c, Some(Bound::lt(d("0"))));
+    }
+
+    #[test]
+    fn compose_out_of_the_decimal_range_is_none() {
+        // 10¹⁹ at 18 places takes 37 digits of units; twenty of them do
+        // not fit the 128 bits.
+        let (huge, tiny) = (d("9999999999999999999"), d("0.000000000000000001"));
+        let mut sum = Some(Bound::le(tiny));
+        for _ in 0..20 {
+            sum = sum.and_then(|s| s.compose(Bound::lt(huge)));
+        }
+        assert_eq!(sum, None);
+        assert_eq!(
+            Bound::lt(d("-1")).compose(Bound::le(d("1"))),
+            Some(Bound::lt(d("0")))
+        );
     }
 
     #[test]

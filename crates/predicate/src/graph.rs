@@ -141,12 +141,13 @@ impl PredicateGraph {
         let mut closure = Closure {
             nodes,
             dist: vec![None; n * n],
+            overflowed: false,
         };
         for ((u, v), b) in &self.edges {
             let (i, j) = (closure.index_of(u), closure.index_of(v));
             closure.dist[i * n + j] = Some(*b);
         }
-        let dist = &mut closure.dist;
+        let (dist, overflowed) = (&mut closure.dist, &mut closure.overflowed);
         for k in 0..n {
             for i in 0..n {
                 let Some(ik) = dist[i * n + k] else { continue };
@@ -154,7 +155,10 @@ impl PredicateGraph {
                 // reads only itself, so updating in place changes nothing.
                 for j in 0..n {
                     let Some(kj) = dist[k * n + j] else { continue };
-                    let via = ik.compose(kj);
+                    let Some(via) = ik.compose(kj) else {
+                        *overflowed = true;
+                        continue;
+                    };
                     let cell = &mut dist[i * n + j];
                     *cell = Some(match *cell {
                         Some(existing) => existing.min(via),
@@ -308,7 +312,8 @@ impl PredicateGraph {
 /// index, bound) derive on `from − to`, by Bellman–Ford from `from`; `dist`
 /// is scratch space of one slot per node. The edges must be satisfiable:
 /// no cycle then tightens a bound, so at most one round per node settles
-/// every distance.
+/// every distance. A path whose bound leaves the decimal range is not
+/// followed, which can only make the result looser.
 fn tightest_path(
     edges: &[(usize, usize, Bound)],
     live: &[bool],
@@ -321,8 +326,9 @@ fn tightest_path(
     for _ in 0..dist.len() {
         let mut changed = false;
         for (&(u, v, b), _) in edges.iter().zip(live).filter(|(_, live)| **live) {
-            let Some(du) = dist[u] else { continue };
-            let via = du.compose(b);
+            let Some(via) = dist[u].and_then(|du| du.compose(b)) else {
+                continue;
+            };
             if dist[v].is_none_or(|dv| !dv.implies(via)) {
                 dist[v] = Some(via);
                 changed = true;
@@ -348,6 +354,8 @@ pub struct Closure {
     /// `None` where no path leads. The diagonal holds the tightest cycle
     /// through each node.
     dist: Vec<Option<Bound>>,
+    /// Whether some path's bound left the decimal range and was dropped.
+    overflowed: bool,
 }
 
 impl Closure {
@@ -389,6 +397,14 @@ impl Closure {
             let b = (*b)?;
             (i != j || b.cycle_is_infeasible()).then(|| (&self.nodes[i], &self.nodes[j], b))
         })
+    }
+
+    /// `true` if some path's bound left the decimal range
+    /// ([`Bound::compose`]). Such a path is left out, so the closure may
+    /// derive looser bounds than the graph implies — never tighter ones —
+    /// and miss an infeasible cycle: its answers are then incomplete.
+    pub fn overflowed(&self) -> bool {
+        self.overflowed
     }
 
     /// `true` if no cycle is infeasible: the graph's atoms have a solution.

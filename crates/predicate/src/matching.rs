@@ -37,13 +37,16 @@ pub fn match_predicates(g_stream: &PredicateGraph, g_new: &PredicateGraph) -> bo
 /// matches one subscription against many candidate streams and computes
 /// the closure once. An unsatisfiable subscription implies anything; such
 /// subscriptions are rejected earlier, but stay correct here regardless.
+/// A closure that [`overflowed`](Closure::overflowed) implies nothing:
+/// refusing to reuse a stream is always sound.
 pub fn implied_by_closure(g_stream: &PredicateGraph, closure: &Closure) -> bool {
-    !closure.is_satisfiable()
-        || g_stream.edges().all(|(u, v, want)| {
-            closure
-                .direct_bound(u, v)
-                .is_some_and(|have| have.implies(want))
-        })
+    !closure.overflowed()
+        && (!closure.is_satisfiable()
+            || g_stream.edges().all(|(u, v, want)| {
+                closure
+                    .direct_bound(u, v)
+                    .is_some_and(|have| have.implies(want))
+            }))
 }
 
 /// The literal Algorithm 3: node-by-node, edge-by-edge matching.
@@ -195,6 +198,39 @@ mod tests {
             PredicateGraph::from_atoms(&[Atom::var_var(p("dx"), CompOp::Le, p("dy"), d("9"))]);
         assert!(match_predicates(&stream, &tight));
         assert!(!match_predicates(&stream, &loose));
+    }
+
+    /// A chain of bounds near the top of the decimal range whose sum no
+    /// decimal holds, ending below zero.
+    fn overflowing_chain() -> PredicateGraph {
+        let link = |i: usize| {
+            let (v, w) = (p(&format!("v{i}")), p(&format!("v{}", i + 1)));
+            Atom::var_var(v, CompOp::Le, w, d("9999999999999999999"))
+        };
+        let mut atoms: Vec<Atom> = (1..40).map(link).collect();
+        atoms.push(Atom::var_const(
+            p("v40"),
+            CompOp::Le,
+            d("0.000000000000000001"),
+        ));
+        PredicateGraph::from_atoms(&atoms)
+    }
+
+    #[test]
+    fn a_closure_that_overflows_implies_nothing() {
+        let sub = overflowing_chain();
+        let closure = sub.closure();
+        assert!(closure.overflowed());
+        // The graph implies its own atoms; an incomplete closure is not
+        // trusted with them.
+        let own = PredicateGraph::from_atoms(&[Atom::var_const(p("v40"), CompOp::Le, d("1"))]);
+        assert!(!implied_by_closure(&own, &closure));
+        assert!(!match_predicates(&own, &sub));
+        assert!(
+            match_predicates(&PredicateGraph::new(), &sub),
+            "true is implied"
+        );
+        assert!(!q1().closure().overflowed());
     }
 
     #[test]

@@ -25,6 +25,10 @@ pub enum PropertiesError {
     /// A selection predicate is unsatisfiable; the paper rejects such
     /// subscriptions at registration.
     UnsatisfiablePredicate { stream: String },
+    /// A selection predicate derives a bound beyond the decimal range
+    /// ([`dss_predicate::Closure::overflowed`]): it can be neither decided
+    /// nor matched.
+    BoundOverflow { stream: String },
     /// A subscription referenced no input streams.
     NoInputs,
 }
@@ -38,6 +42,11 @@ impl fmt::Display for PropertiesError {
                     "unsatisfiable selection predicate on input stream {stream:?}"
                 )
             }
+            PropertiesError::BoundOverflow { stream } => write!(
+                f,
+                "selection predicate on input stream {stream:?} derives a bound \
+                 beyond the decimal range"
+            ),
             PropertiesError::NoInputs => write!(f, "subscription references no input streams"),
         }
     }
@@ -66,7 +75,11 @@ impl InputProperties {
         // One closure answers both satisfiability and minimization.
         let normalize = |g: &PredicateGraph| {
             let closure = g.closure();
-            if closure.is_satisfiable() {
+            if closure.overflowed() {
+                Err(PropertiesError::BoundOverflow {
+                    stream: stream.clone(),
+                })
+            } else if closure.is_satisfiable() {
                 Ok(g.minimize_with(&closure))
             } else {
                 Err(PropertiesError::UnsatisfiablePredicate {

@@ -24,19 +24,28 @@
 //! - which delivery the coordinator admits, the client it goes to, and
 //!   the query's end of stream (`Plane::deliver`).
 //!
-//! **Bytes, not trees.** A batch exists here in one of two forms
-//! ([`Items`]): the trees a hosted `FlowDag` emitted, or the framed bytes
-//! of a batch that arrived over the wire. A wire batch stays bytes for as
-//! long as this process only passes it on — trimmed by item boundary,
-//! re-headed, copied into the next frame — and is read in exactly one
-//! place: where a hosted group taps it, straight into that group's mailbox
-//! entries. That read checks every item; a malformed one is the batch's
-//! error ([`Plane::advance`]). If every member of the group starts with a
-//! σ ([`TapFilter`]), the read decides those σs on each item's bytes and
-//! builds only the items one of them passes. The sent-log retains what
-//! was sent, encoded. Trees a worker sends down several flows in a row —
-//! a stream's copies to the members without operators — are encoded once
-//! (`LastSent`).
+//! **Bytes, not trees; read once per process per copy class.** A batch
+//! exists here in one of two forms ([`Items`]): the trees a hosted
+//! `FlowDag` emitted, or the framed bytes of a batch that arrived over the
+//! wire. A wire batch stays bytes for as long as this process only passes
+//! it on — trimmed by item boundary, re-headed, copied into the next frame
+//! — and is read in exactly one place: where a hosted group taps it,
+//! straight into that group's mailbox entries. That read checks every
+//! item; a malformed one is the batch's error ([`Plane::advance`]). If
+//! every member of the group starts with a σ ([`TapFilter`]), the read
+//! decides those σs on each item's bytes and builds only the items one of
+//! them passes. The sent-log retains what was sent, encoded. Trees a
+//! worker sends down several flows in a row — a stream's copies to the
+//! members without operators — are encoded once (`LastSent`).
+//!
+//! A flow without operators carries its input unchanged, so the copies of
+//! a stream form one *copy class* (`GroupTable::copy_class`). Where two
+//! tap groups of this process read one class — under data shipping, one
+//! raw copy per subscriber hosted here, arriving frame after frame on one
+//! connection — both taps are *shared*: their reads go through the
+//! connection's [`LastRead`], which builds every item of a batch once and
+//! hands each shared tap clones of the trees its σs pass, for as long as
+//! the batches that follow carry the same bytes.
 //!
 //! **Natural batching.** Every hop moves what is already queued, never
 //! one item at a time and never waiting to fill a batch. A worker *pass*
@@ -326,6 +335,9 @@ pub struct Plane {
     /// Indexed by group: the leading σs a tap reads the group's items by
     /// (none where they read more paths than one probe resolves).
     filters: Vec<Option<TapFilter>>,
+    /// Indexed by group: whether another tap here reads the same copy
+    /// class, so the tap reads through the connection's [`LastRead`].
+    shared: Vec<bool>,
     /// Per hosted node with groups: its name and its mailbox.
     mailboxes: BTreeMap<NodeId, (String, SyncMailbox)>,
     sources: Vec<SourceJob>,
@@ -403,6 +415,7 @@ impl Plane {
             filters: (0..table.groups().len())
                 .map(|g| table.tap_filter(g, MAX_PROBE_PATHS))
                 .collect(),
+            shared: shared_taps(&table),
             groups: table,
             map,
             me,
@@ -465,6 +478,8 @@ impl Plane {
             mailbox.len() as f64,
         );
         let (dags, last) = (&mut worker.dags, &mut worker.last);
+        // A worker's batches are trees: it reads nothing.
+        let mut unread = LastRead::default();
         dags.run_pass(
             &self.groups,
             &mut worker.pass,
@@ -475,7 +490,7 @@ impl Plane {
                     false => Items::Trees(items, None),
                 };
                 // Trees are never read, so never malformed.
-                let _ = self.advance(flow, 0, offset, items, eos, out);
+                let _ = self.advance(flow, 0, offset, items, eos, &mut unread, out);
             },
         );
         true
@@ -557,8 +572,14 @@ impl Plane {
     /// keeps delivery exactly-once. A batch of another run is stale.
     /// Refused — before anything is admitted — is a batch for a hop this
     /// process does not host (or a delivery anywhere but the
-    /// coordinator), and one a tap here reads a malformed item of.
-    pub fn receive(&self, view: BatchView<'_>, out: &impl Egress) -> Result<(), Refused> {
+    /// coordinator), and one a tap here reads a malformed item of. `read`
+    /// is the last read of the connection the batch came on.
+    pub fn receive(
+        &self,
+        view: BatchView<'_>,
+        read: &mut LastRead,
+        out: &impl Egress,
+    ) -> Result<(), Refused> {
         let BatchView { header, items } = view;
         let (mut items, offset, eos) = (Items::View(items), header.offset, header.eos);
         if header.run != self.run {
@@ -583,7 +604,7 @@ impl Plane {
         let Some((offset, eos)) = admitted else {
             return Ok(());
         };
-        self.advance(flow, hop, offset, items, eos, out)
+        self.advance(flow, hop, offset, items, eos, read, out)
             .map_err(Refused::Malformed)
     }
 
@@ -598,7 +619,9 @@ impl Plane {
     ///
     /// This is the one place a wire batch is read: a hosted tap consumes
     /// items, everything else only moves them. A malformed item is found
-    /// there and is the error; the batch then goes no further.
+    /// there and is the error; the batch then goes no further. A shared
+    /// tap reads through `read` ([`LastRead`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn advance(
         &self,
         flow: FlowId,
@@ -606,6 +629,7 @@ impl Plane {
         offset: u64,
         mut items: Items<'_>,
         eos: bool,
+        read: &mut LastRead,
         out: &impl Egress,
     ) -> Result<(), DecodeError> {
         if items.is_empty() && !eos {
@@ -615,12 +639,21 @@ impl Plane {
             let step = self.groups.step(flow, hop);
             debug_assert!(self.hosts(step.node));
             if let Some(group) = step.tap {
-                let trees = items.trees(step.next == Next::End, self.filters[group].as_ref())?;
+                let filter = self.filters[group].as_ref();
+                let (trees, built) = match &items {
+                    Items::View(view) if self.shared[group] => read.trees(view, filter)?,
+                    Items::View(_) => {
+                        let trees = items.trees(false, filter)?;
+                        let built = trees.len();
+                        (trees, built)
+                    }
+                    Items::Trees(..) => (items.trees(step.next == Next::End, None)?, 0),
+                };
                 if let Items::View(_) = &items {
                     dss_telemetry::counter_add(
                         "server.items_materialised",
                         || vec![("peer", self.peer.clone())],
-                        trees.len() as u64,
+                        built as u64,
                     );
                 }
                 self.feed(group, trees, eos);
@@ -792,6 +825,22 @@ impl Plane {
     }
 }
 
+/// Indexed by `table`'s groups: the tap groups that read a copy class
+/// another tap group of the table reads too.
+fn shared_taps(table: &GroupTable) -> Vec<bool> {
+    let classes: Vec<Option<GroupKey>> = (table.groups().iter())
+        .map(|group| match &group.key {
+            GroupKey::Tap(_) if !group.members.is_empty() => Some(table.copy_class(&group.key)),
+            _ => None,
+        })
+        .collect();
+    let readers = |class: &GroupKey| classes.iter().flatten().filter(|c| *c == class).count();
+    classes
+        .iter()
+        .map(|class| class.as_ref().is_some_and(|c| readers(c) > 1))
+        .collect()
+}
+
 /// One hosted node's DAGs, the outputs of the pass in progress, and the
 /// output offsets of the flows it originates.
 struct NodeWorker {
@@ -878,6 +927,57 @@ impl LastSent {
             *self = LastSent(trees.clone(), OnceCell::new());
         }
         Items::Trees(trees, Some(&self.1))
+    }
+}
+
+/// The read side of [`LastSent`]: the item bytes of the last batch a
+/// connection's reader read for a shared tap ([`shared_taps`]), and that
+/// batch's trees. The driver owns one per connection and hands it to
+/// [`Plane::receive`].
+///
+/// A process receives a stream's copies one frame after another on one
+/// connection, each under its own flow's header but with the same item
+/// bytes. The first shared tap to read a batch builds all of it; the taps
+/// of the same bytes that follow take clones of those trees, which share
+/// their children.
+#[derive(Debug, Default)]
+pub struct LastRead {
+    bytes: Vec<u8>,
+    trees: Vec<Node>,
+}
+
+impl LastRead {
+    /// A shared tap's trees out of `view` — the items `filter`'s σs pass,
+    /// every item without a filter — and how many trees were built for
+    /// them. Unless this holds exactly `view`'s bytes, the view is read
+    /// first: one checked walk that builds every item, kept for the next
+    /// tap. The σs are decided on the trees with `Path::decimal`, which
+    /// answers what an unshared tap's byte probe answers.
+    fn trees(
+        &mut self,
+        view: &ItemsView<'_>,
+        filter: Option<&TapFilter>,
+    ) -> Result<(Vec<Node>, usize), DecodeError> {
+        let mut built = 0;
+        if self.bytes != view.bytes() {
+            self.trees = view.materialise()?;
+            self.bytes.clear();
+            self.bytes.extend_from_slice(view.bytes());
+            built = self.trees.len();
+        }
+        let Some(filter) = filter else {
+            return Ok((self.trees.clone(), built));
+        };
+        let (mut values, mut scratch) = (Vec::new(), Vec::new());
+        let mut passes = |tree: &&Node| {
+            values.clear();
+            values.extend(filter.paths().iter().map(|path| path.decimal(tree)));
+            filter.passes(&values, &mut scratch)
+        };
+        Ok((
+            self.trees.iter().filter(&mut passes).cloned().collect(),
+            built,
+        ))
     }
 }
 
@@ -1365,7 +1465,11 @@ mod tests {
         assert!(arrivals.len() > 2, "the flow carries more than one batch");
         for arrival in &arrivals {
             let payload = arrival.encode();
-            let received = plane.receive(BatchView::parse(&payload).unwrap(), &out);
+            let received = plane.receive(
+                BatchView::parse(&payload).unwrap(),
+                &mut LastRead::default(),
+                &out,
+            );
             assert_eq!(received, Ok(()));
             run_passes(&plane, &mut workers, &out);
         }
@@ -1540,6 +1644,102 @@ mod tests {
         );
     }
 
+    /// Two taps of one copy class read through one connection's
+    /// [`LastRead`], in turn, batch after batch: each batch is as long as
+    /// the one before but holds other items. Each tap emits exactly what it
+    /// emits fed the trees, and every item is built once for both.
+    #[test]
+    fn shared_taps_fed_equal_length_batches_emit_what_they_emit_fed_trees() {
+        // Two distinct σ-led chains of scenario 1's data-shipping queries.
+        let scenario = Scenario::scenario1(42);
+        let mut globe = scenario.build_system();
+        for q in &scenario.queries {
+            globe
+                .register_query(q.id.clone(), &q.text, &q.peer, Strategy::DataShipping)
+                .unwrap_or_else(|e| panic!("registering {}: {e}", q.id));
+        }
+        let mut chains: Vec<Vec<FlowOp>> = Vec::new();
+        for flow in globe.deployment().flows() {
+            let sigma_led = matches!(flow.ops.first(), Some(FlowOp::Standard(op)) if op.to_string().starts_with('σ'));
+            if sigma_led && !chains.contains(&flow.ops) {
+                chains.push(flow.ops.clone());
+            }
+        }
+        assert!(chains.len() >= 2, "scenario 1 has σ-led queries");
+        // The photons at node 0, two copies of them without operators on to
+        // node 1, and a tap of each copy there.
+        let mut deployment = Deployment::new();
+        let flow = |input, node: NodeId, ops, route| StreamFlow {
+            label: format!("at {node}"),
+            input,
+            processing_node: node,
+            ops,
+            route,
+            properties: None,
+            retired: false,
+        };
+        let photons = FlowInput::Source {
+            stream: "photons".into(),
+        };
+        let source = deployment.add_flow(flow(photons, 0, Vec::new(), vec![0]));
+        let mut taps = Vec::new();
+        for chain in &chains[..2] {
+            let copy = FlowInput::Tap { parent: source };
+            let copy = deployment.add_flow(flow(copy, 0, Vec::new(), vec![0, 1]));
+            let tap = FlowInput::Tap { parent: copy };
+            taps.push(deployment.add_flow(flow(tap, 1, chain.clone(), vec![1])));
+        }
+        let table = GroupTable::build(&deployment, |_| true);
+        let shared = shared_taps(&table);
+        let taps: Vec<usize> = taps
+            .iter()
+            .map(|&f| table.flows()[f].group.unwrap())
+            .collect();
+        assert!(taps.iter().all(|&g| shared[g]), "one copy class, two taps");
+        let filters: Vec<Option<TapFilter>> = (taps.iter())
+            .map(|&g| table.tap_filter(g, MAX_PROBE_PATHS))
+            .collect();
+        assert!(filters.iter().all(Option::is_some));
+
+        let input = &scenario.streams[0].items;
+        let run = |as_bytes: bool| {
+            let mut read = LastRead::default();
+            let mut dags: Vec<(FlowDag, FlowOutputs)> = (taps.iter())
+                .map(|&g| (table.cold_dag(g), FlowOutputs::default()))
+                .collect();
+            let mut built = 0;
+            for chunk in input.chunks(BATCH_CAP) {
+                let batch = Items::Trees(chunk.to_vec(), None);
+                let payload = payload_of(Exit::Hop { flow: 0, hop: 0 }, 1, 0, &batch, false);
+                let view = BatchView::parse(&payload).unwrap().items;
+                for ((dag, outputs), filter) in dags.iter_mut().zip(&filters) {
+                    let trees = match as_bytes {
+                        true => {
+                            let (trees, n) = read.trees(&view, filter.as_ref()).unwrap();
+                            built += n;
+                            trees
+                        }
+                        false => chunk.to_vec(),
+                    };
+                    outputs.feed_slice(dag, &trees);
+                }
+            }
+            let outputs = dags.iter_mut().map(|(dag, outputs)| {
+                outputs.flush(dag);
+                outputs.drain().collect::<Vec<_>>()
+            });
+            (outputs.collect::<Vec<_>>(), built)
+        };
+        let (from_trees, _) = run(false);
+        let (from_bytes, built) = run(true);
+        assert!(
+            from_trees.iter().all(|out| !out.is_empty()),
+            "both σs pass items"
+        );
+        assert_eq!(from_bytes, from_trees);
+        assert_eq!(built, input.len(), "each batch built once for both taps");
+    }
+
     /// An item list of a good photon, then an item whose has-text byte is
     /// 7 — well framed, malformed inside — then another good photon.
     fn list_with_a_malformed_item() -> Vec<u8> {
@@ -1600,7 +1800,11 @@ mod tests {
             let out = Capture::default();
             let list = list_with_a_malformed_item();
             let payload = batch_of(flow, hop, &list);
-            let received = plane.receive(BatchView::parse(&payload).unwrap(), &out);
+            let received = plane.receive(
+                BatchView::parse(&payload).unwrap(),
+                &mut LastRead::default(),
+                &out,
+            );
             let left: Vec<Vec<u8>> = (out.frames.into_inner().unwrap().into_iter())
                 .map(|(_, payload)| payload)
                 .collect();
@@ -1648,7 +1852,11 @@ mod tests {
         let route_len = all.flows()[flow].route.len();
         for (f, h) in [(all.flows().len(), 1), (flow, route_len), elsewhere] {
             let payload = batch_of(f, h, &list);
-            let received = plane.receive(BatchView::parse(&payload).unwrap(), &out);
+            let received = plane.receive(
+                BatchView::parse(&payload).unwrap(),
+                &mut LastRead::default(),
+                &out,
+            );
             assert_eq!(received, Err(Refused::NotHere), "flow {f} hop {h}");
         }
         let delivery = payload_of(
@@ -1658,7 +1866,11 @@ mod tests {
             &Items::View(BatchView::parse(&batch_of(flow, hop, &list)).unwrap().items),
             true,
         );
-        let received = plane.receive(BatchView::parse(&delivery).unwrap(), &out);
+        let received = plane.receive(
+            BatchView::parse(&delivery).unwrap(),
+            &mut LastRead::default(),
+            &out,
+        );
         assert_eq!(
             received,
             Err(Refused::NotHere),
@@ -1670,7 +1882,11 @@ mod tests {
         );
         assert!(out.frames.lock().unwrap().is_empty(), "nothing was sent");
 
-        let received = plane.receive(BatchView::parse(&batch_of(flow, hop, &list)).unwrap(), &out);
+        let received = plane.receive(
+            BatchView::parse(&batch_of(flow, hop, &list)).unwrap(),
+            &mut LastRead::default(),
+            &out,
+        );
         assert_eq!(received, Ok(()));
         let mut recv = plane.recv.lock().unwrap();
         let mark = recv

@@ -14,6 +14,7 @@ mod cluster;
 pub mod control;
 pub mod data;
 mod peer;
+mod profile;
 mod signal;
 pub mod spec;
 mod wire;

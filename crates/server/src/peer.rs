@@ -64,7 +64,8 @@ use dss_proto::{
 use dss_wal::{WalOptions, WalRecord, WalWriter};
 
 use crate::control::{Addr, Control, Input, Output, ACK_TIMEOUT};
-use crate::data::{Egress, Plane};
+use crate::data::{Egress, LastRead, Plane};
+use crate::profile::Thread;
 use crate::spec::{NetMap, ServeSpec};
 use crate::wire::{self, Conn, Incoming};
 use crate::ServerError;
@@ -207,6 +208,7 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
         plane: Mutex::new(None),
     });
     crate::signal::install();
+    crate::profile::arm_from_env();
 
     // Rejoin a run left in flight before accepting anything: the plane
     // exists before its first batch can arrive.
@@ -285,6 +287,7 @@ impl Server {
                 for node in plane.nodes() {
                     let (plane, srv) = (Arc::clone(&plane), Arc::clone(self));
                     threads.push(std::thread::spawn(move || {
+                        crate::profile::label(Thread::Worker);
                         let mut worker = plane.worker(node);
                         while plane.pass(&mut worker, &*srv) {}
                     }));
@@ -297,12 +300,17 @@ impl Server {
                 }
             }
             Output::StartSources(run) => {
+                crate::profile::window(true);
                 if let Some(p) = self.current(run) {
                     let delay = self.opts.source_delay;
-                    threads.push(std::thread::spawn(move || p.replay(delay)));
+                    threads.push(std::thread::spawn(move || {
+                        crate::profile::label(Thread::Source);
+                        p.replay(delay)
+                    }));
                 }
             }
             Output::Teardown(run) => {
+                crate::profile::window(false);
                 // A plane of another run is not drained here, nor its
                 // threads taken from whoever will join them.
                 let (srv, plane) = (Arc::clone(self), self.current(run));
@@ -317,6 +325,7 @@ impl Server {
             Output::Stop => {
                 let plane = self.plane.lock().unwrap().clone();
                 self.drain(plane, std::mem::take(threads));
+                crate::profile::dump(&self.opts.peer);
                 if let Some(path) = &self.opts.metrics_out {
                     if let Err(e) = std::fs::write(path, dss_telemetry::snapshot_json()) {
                         eprintln!("dss serve: writing metrics snapshot {path:?} failed: {e}");
@@ -391,9 +400,12 @@ impl Server {
         if let Addr::Client(id) = from {
             self.clients.lock().unwrap().insert(id, Arc::clone(&conn));
         }
+        crate::profile::label(Thread::Reader);
         let srv = Arc::clone(&self);
         let c = Arc::clone(&conn);
-        let _ = wire::read_loop(reader, move |msg| srv.handle(msg, &c, from));
+        // What this connection's reader last read for a shared tap.
+        let mut read = LastRead::default();
+        let _ = wire::read_loop(reader, move |msg| srv.handle(msg, &c, from, &mut read));
         if let Addr::Client(id) = from {
             self.clients.lock().unwrap().remove(&id);
         }
@@ -429,12 +441,19 @@ impl Server {
 
     /// One frame off connection `conn` to `from`: item batches and the
     /// data plane's requests go to the plane on this reader thread, every
-    /// control message goes to the control thread's inbox.
-    fn handle(self: &Arc<Self>, incoming: Incoming<'_>, conn: &Arc<Conn>, from: Addr) -> bool {
+    /// control message goes to the control thread's inbox. `read` is the
+    /// connection's last read ([`LastRead`]).
+    fn handle(
+        self: &Arc<Self>,
+        incoming: Incoming<'_>,
+        conn: &Arc<Conn>,
+        from: Addr,
+        read: &mut LastRead,
+    ) -> bool {
         let plane = || self.plane.lock().unwrap().clone();
         let msg = match incoming {
             Incoming::Batch(view) => {
-                let Some(Err(refused)) = plane().map(|p| p.receive(view, &**self)) else {
+                let Some(Err(refused)) = plane().map(|p| p.receive(view, read, &**self)) else {
                     return true;
                 };
                 // The sender is at fault, as for a frame that fails to

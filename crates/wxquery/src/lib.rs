@@ -32,7 +32,7 @@ mod tests {
     use crate::ast::{self, Clause, Content, Expr, ForSource, WindowAst};
     use dss_engine::Template;
     use dss_predicate::{Atom, CompOp, PredicateGraph};
-    use dss_properties::{match_input_properties, AggOp};
+    use dss_properties::{match_input_properties, AggOp, PropertiesError};
     use dss_xml::{Decimal, Path};
 
     fn p(s: &str) -> Path {
@@ -355,6 +355,27 @@ mod tests {
             "<r>{{ for $p in stream(\"s\")/root/item where {} return <x>{{ $p/v0 }}</x> }}</r>",
             atoms.join(" and ")
         )
+    }
+
+    /// 39 chained bounds near the top of the decimal range and one at its
+    /// finest scale: inside the size caps, but the closure's sums leave the
+    /// decimal range. Compile refuses the query with a typed error.
+    #[test]
+    fn a_where_clause_whose_bounds_overflow_is_refused() {
+        let mut atoms: Vec<String> = (1..40)
+            .map(|i| format!("$p/v{i} <= $p/v{} + 9999999999999999999", i + 1))
+            .collect();
+        atoms.push("$p/v40 <= 0.000000000000000001".into());
+        let q = format!(
+            "for $p in stream(\"s\")/root/item where {} return <x>{{$p/v1}}</x>",
+            atoms.join(" and ")
+        );
+        match compile_query(&q) {
+            Err(QueryError::Properties(PropertiesError::BoundOverflow { stream })) => {
+                assert_eq!(stream, "s")
+            }
+            other => panic!("expected a bound overflow, got {other:?}"),
+        }
     }
 
     #[test]

@@ -104,10 +104,12 @@ echo "==> dss serve's control machine and data plane do no I/O"
 # its three drivers"): sockets, the clock and the log writer belong to
 # their drivers, or the simulation stops testing what ships. The machine
 # names no thread or lock either; the plane shares a run's marks and
-# sent-log between serve's threads behind locks of its own. Code from the
-# first #[cfg(test)] of a file on is test code.
+# sent-log between serve's threads behind locks of its own. Neither keeps
+# state per thread (thread_local!): what a connection's reader remembers
+# (the plane's LastRead) is handed in by its driver. Code from the first
+# #[cfg(test)] of a file on is test code.
 control_io=$(awk '/^#\[cfg\(test\)\]/ { exit }
-    /std::net|std::thread|Mutex|Condvar|Instant::now|SystemTime|WalWriter/ { print FNR ": " $0 }' \
+    /std::net|std::thread|Mutex|Condvar|Instant::now|SystemTime|WalWriter|thread_local!/ { print FNR ": " $0 }' \
     crates/server/src/control.rs)
 if [ -n "$control_io" ]; then
     echo "$control_io"
@@ -115,11 +117,11 @@ if [ -n "$control_io" ]; then
     exit 1
 fi
 plane_io=$(awk '/^#\[cfg\(test\)\]/ { exit }
-    /std::net|Instant::now|SystemTime|WalWriter/ { print FNR ": " $0 }' \
+    /std::net|Instant::now|SystemTime|WalWriter|thread_local!/ { print FNR ": " $0 }' \
     crates/server/src/data.rs)
 if [ -n "$plane_io" ]; then
     echo "$plane_io"
-    echo "FAIL: crates/server/src/data.rs names a socket, clock or log-writer primitive" >&2
+    echo "FAIL: crates/server/src/data.rs names a socket, clock, log-writer or thread-local primitive" >&2
     exit 1
 fi
 
@@ -191,6 +193,20 @@ echo "==> flash-crowd rebalance smoke (migrations are loss-free and cut steady p
 # frozen-plan run, nothing lost or duplicated, and the worst steady-state
 # p99 no worse than the frozen plan's. DSS_BENCH_FULL=1 runs 32 queries.
 ./target/release/rebalance_smoke
+
+echo "==> fleet CPU sampler smoke (DSS_PROFILE_DIR: samples > 0, buckets sum to the total)"
+# A 3-second fleet_s1_ship run with every dss serve child sampling its CPU;
+# bench/run.sh re-resolves bench/Cargo.lock in place, so the committed file
+# goes back afterwards, as above.
+bench_lock=$(mktemp)
+cp bench/Cargo.lock "$bench_lock"
+profile_dir=$(mktemp -d)
+profile_ok=0
+./scripts/profile_fleet.sh --workload fleet_s1_ship --seed 42 --seconds 3 \
+    --out "$profile_dir" --check || profile_ok=$?
+cp "$bench_lock" bench/Cargo.lock
+rm -rf "$bench_lock" "$profile_dir"
+[ "$profile_ok" -eq 0 ] || exit "$profile_ok"
 
 echo "==> loopback Figure-2 smoke (dss serve fleet, byte-exact vs simulator)"
 # Spawns a real 8-process loopback fleet per test; a wedged fleet must not

@@ -39,6 +39,15 @@
 #    zero-weight cycle: from `x = y ∧ x ≤ 5` it drops `x ≤ 5`. The
 #    property test holding the dense closure and its readers to the
 #    reference implementation (`tests/predicate_oracle.rs`) must fail.
+# 8. The shared read of a stream's copies: the mutant's `LastRead` reuses
+#    the trees it holds whenever the next batch has as many items, without
+#    comparing the bytes. The data plane's shared-taps test
+#    (`dss_server::data`, two taps of one copy class fed equal-length
+#    batches of different items) must fail.
+#
+# A mutant counts as caught only when a test fails: a file that is not
+# there, an edit that does not apply or a cargo error is this script's
+# failure, never a catch.
 #
 # Usage: scripts/mutation_smoke.sh
 
@@ -58,12 +67,15 @@ restore() {
 trap restore EXIT
 
 # mutate <file> <sed expression> <what>: backs up <file>, applies the
-# expression, and fails if it changed nothing.
+# expression, and fails if the file is missing, the backup or the edit
+# fails, or the edit changed nothing.
 mutate() {
     FILE=$1
     ORIG="$FILE.mutation-smoke.orig"
-    cp "$FILE" "$ORIG"
-    sed -i "$2" "$FILE"
+    if [ ! -f "$FILE" ] || ! cp "$FILE" "$ORIG" || ! sed -i "$2" "$FILE"; then
+        echo "mutation_smoke: FAILED to apply the $3 mutation to $FILE" >&2
+        exit 2
+    fi
     if cmp -s "$FILE" "$ORIG"; then
         echo "mutation_smoke: FAILED to apply the $3 mutation" >&2
         exit 2
@@ -71,8 +83,8 @@ mutate() {
     echo "mutation_smoke: applied $3 mutant to $FILE"
 }
 
-# expect_caught <what> <cargo test args...>: the tests must fail, and not
-# because the mutant does not compile.
+# expect_caught <what> <cargo test args...>: a test must fail — not the
+# build, not cargo.
 expect_caught() {
     local what=$1
     shift
@@ -84,6 +96,11 @@ expect_caught() {
     if grep -q 'error\[E' /tmp/mutation_smoke.log; then
         echo "mutation_smoke: the $what mutant does not compile" >&2
         grep -m 5 -A 5 'error\[E' /tmp/mutation_smoke.log >&2
+        exit 2
+    fi
+    if ! grep -q '^test result: FAILED' /tmp/mutation_smoke.log; then
+        echo "mutation_smoke: cargo failed on the $what mutant, but no test did" >&2
+        tail -20 /tmp/mutation_smoke.log >&2
         exit 2
     fi
     echo "mutation_smoke: $what mutant caught:"
@@ -144,10 +161,15 @@ cat >> "$FILE" <<'EOF'
 fn one_closure_shortcut(d: &Closure, u: usize, v: usize) -> Option<Bound> {
     (0..d.nodes().len())
         .filter(|&k| k != u && k != v)
-        .filter_map(|k| Some(d.bound(u, k)?.compose(d.bound(k, v)?)))
+        .filter_map(|k| d.bound(u, k)?.compose(d.bound(k, v)?))
         .reduce(Bound::min)
 }
 EOF
 expect_caught one-closure-minimize --test predicate_oracle
+
+# Mutant 8. The memo is reused when its bytes are the batch's; reuse it
+# when only the item count is.
+mutate crates/server/src/data.rs 's/if self\.bytes != view\.bytes() {/if self.trees.len() != view.len() {/' count-only-memo
+expect_caught count-only-memo -p dss-server --lib data::tests::shared_taps_fed_equal_length_batches_emit_what_they_emit_fed_trees
 
 echo "mutation_smoke: OK"

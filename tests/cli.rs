@@ -318,6 +318,39 @@ fn check_refuses_an_oversized_where_clause() {
     );
 }
 
+/// A where clause whose closure sums bounds beyond the decimal range is
+/// refused with a typed error, not a panic.
+#[test]
+fn check_refuses_a_where_clause_whose_bounds_overflow() {
+    let mut atoms: Vec<String> = (1..40)
+        .map(|i| format!("$p/v{i} <= $p/v{} + 9999999999999999999", i + 1))
+        .collect();
+    atoms.push("$p/v40 <= 0.000000000000000001".into());
+    let text = format!(
+        "for $p in stream(\"photons\")/photons/photon where {} return <x>{{$p/en}}</x>",
+        atoms.join(" and ")
+    );
+    let mut child = dss()
+        .args(["check", "-"])
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(text.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("derives a bound beyond the decimal range"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn plan_rejects_bad_strategy_and_peer() {
     let out = dss()

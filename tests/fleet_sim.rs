@@ -23,11 +23,13 @@
 //! (two of the paper's four queries, picked by the seed), or — the data
 //! sweep — Subscribe Q1 → Subscribe Q2 → StartRun → Shutdown over a stream
 //! long enough that each query's results cross the wire in several
-//! batches. Every process is durable. Each seed runs a script fault-free,
-//! with a peer that never acks, with a forged batch, with a peer restarted
-//! without its log, and with a non-coordinator process killed after each
-//! message it handles — left dead, or restarted at once from the records
-//! it logged. A dead process loses what was in flight to it; a restarted
+//! batches, or the shipping sweep: the same under data shipping with both
+//! queries at P1, whose process then taps two copies of the stream that
+//! arrive on one connection. Every process is durable. Each seed runs a
+//! script fault-free, with a peer that never acks, with a forged batch,
+//! with a peer restarted without its log, and with a non-coordinator
+//! process killed after each message it handles — left dead, or restarted
+//! at once from the records it logged. A dead process loses what was in flight to it; a restarted
 //! one loses the batches in flight to it (they die in its sockets) and is
 //! reached by the sender's redial for everything else (a control record
 //! lost in a dead peer's socket buffer is not modelled: the control plane
@@ -46,11 +48,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
 
 use data_stream_sharing::core::StreamGlobe;
-use data_stream_sharing::network::{example_topology, NodeId};
+use data_stream_sharing::network::{example_topology, GroupKey, GroupTable, NodeId};
 use data_stream_sharing::server::control::{
     Addr, Control, Input, Output, ACK_TIMEOUT, RUN_TIMEOUT,
 };
-use data_stream_sharing::server::data::{Egress, Plane, Worker, BATCH_CAP};
+use data_stream_sharing::server::data::{Egress, LastRead, Plane, Worker, BATCH_CAP};
 use data_stream_sharing::server::{NetMap, ServeSpec};
 use data_stream_sharing::xml::Node;
 use dss_proto::{BatchDest, BatchHeader, BatchView, Message, WireStrategy};
@@ -66,6 +68,12 @@ const DATA_SEEDS: u64 = 5;
 /// The data sweep's stream: Q2, the smaller of its two results, crosses
 /// the wire in three batches.
 const DATA_PHOTONS: usize = 1_400;
+/// Seeds of the shipping sweep, which kills every non-coordinator at every
+/// message of the run.
+const SHIP_SEEDS: u64 = 3;
+/// The shipping sweep's stream: each raw copy crosses the wire in ten
+/// batches.
+const SHIP_PHOTONS: usize = 600;
 const COORDINATOR: usize = 0;
 const CLIENT: Addr = Addr::Client(1);
 /// A connection that sends a batch no process hosts ([`Fault::Forge`]).
@@ -110,6 +118,9 @@ enum Script {
     Control,
     /// Q1 and Q2 over [`DATA_PHOTONS`] photons.
     Data,
+    /// Q1 and Q2, both at P1, under data shipping over [`SHIP_PHOTONS`]
+    /// photons.
+    Shipping,
 }
 
 impl Script {
@@ -123,6 +134,7 @@ impl Script {
         let n = match self {
             Script::Control => 10,
             Script::Data => DATA_PHOTONS,
+            Script::Shipping => SHIP_PHOTONS,
         };
         let mut globe = StreamGlobe::new(example_topology());
         let cfg = GeneratorConfig {
@@ -197,6 +209,9 @@ struct Sim<'a> {
     map: NetMap,
     procs: Vec<Process>,
     links: BTreeMap<(Addr, Addr), VecDeque<Vec<u8>>>,
+    /// Per link, what its receiver last read for a shared tap: one per
+    /// connection, as `serve`'s reader threads keep it.
+    reads: BTreeMap<(Addr, Addr), LastRead>,
     now: Duration,
     rng: Rng,
     fault: Fault,
@@ -230,6 +245,7 @@ impl<'a> Sim<'a> {
             map,
             procs: procs.collect(),
             links: BTreeMap::new(),
+            reads: BTreeMap::new(),
             now: Duration::ZERO,
             rng: Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
             fault,
@@ -411,6 +427,7 @@ impl<'a> Sim<'a> {
         p.local.clear(); // its threads die with it
         p.plane = None;
         let to = Addr::Process(victim);
+        self.reads.retain(|&(_, dest), _| dest != to); // its readers die too
         if restart == Restart::No {
             p.dead = true;
             self.links.retain(|&(_, dest), _| dest != to);
@@ -437,7 +454,8 @@ impl<'a> Sim<'a> {
         let plane = self.procs[j].plane.as_ref().map(|(plane, _)| plane);
         if BatchView::is_batch(&frame) {
             let view = BatchView::parse(&frame).expect("a plane frames what it sends");
-            if let Some(Err(refused)) = plane.map(|p| p.receive(view, &out)) {
+            let read = self.reads.entry((from, Addr::Process(j))).or_default();
+            if let Some(Err(refused)) = plane.map(|p| p.receive(view, read, &out)) {
                 // As `serve`: the sender is faulted and its connection
                 // hung up.
                 let context = "stream item batch".into();
@@ -448,6 +466,7 @@ impl<'a> Sim<'a> {
                     Message::Fault { context, message }.encode(),
                 );
                 self.links.remove(&(from, Addr::Process(j)));
+                self.reads.remove(&(from, Addr::Process(j)));
             }
         } else {
             match Message::decode(&frame).expect("a control frame decodes") {
@@ -669,9 +688,17 @@ fn run_script(
         sim.kill(victim, restart);
     }
     let mut subs = [("q1", "P1"), ("q2", "P2"), ("q3", "P3"), ("q4", "P4")];
-    if let Script::Control = script {
-        for k in (1..subs.len()).rev() {
-            subs.swap(k, sim.rng.below(k + 1));
+    let mut strategy = WireStrategy::StreamSharing;
+    match script {
+        Script::Control => {
+            for k in (1..subs.len()).rev() {
+                subs.swap(k, sim.rng.below(k + 1));
+            }
+        }
+        Script::Data => {}
+        Script::Shipping => {
+            subs[1].1 = "P1";
+            strategy = WireStrategy::DataShipping;
         }
     }
     for &(id, peer) in &subs[..2] {
@@ -684,13 +711,24 @@ fn run_script(
         let reply = sim.request(Message::Subscribe {
             id: id.into(),
             at_peer: peer.into(),
-            strategy: WireStrategy::StreamSharing,
+            strategy,
             text: text.into(),
         });
         assert!(
             matches!(&reply, Message::SubscribeOk { id: got, .. } if got == id),
             "{reply:?}"
         );
+    }
+    if let Script::Shipping = script {
+        // P1's process taps a raw copy per query: two taps, one copy class.
+        let globe = sim.procs[COORDINATOR].control.globe();
+        let p1 = sim.map.owner_of(globe.topology().expect_node("P1"));
+        let hosted = GroupTable::build(globe.deployment(), |n| sim.map.owner_of(n) == p1);
+        let classes: Vec<GroupKey> = (hosted.groups().iter())
+            .filter(|group| matches!(group.key, GroupKey::Tap(_)))
+            .map(|group| hosted.copy_class(&group.key))
+            .collect();
+        assert_eq!(classes, vec![GroupKey::Source("photons".into()); 2]);
     }
     if let Script::Control = script {
         let id = subs[sim.rng.below(2)].0.to_string();
@@ -746,7 +784,7 @@ fn run_script(
     // (b) One reply per request: none came late.
     let requests = match script {
         Script::Control => 5,
-        Script::Data => 4,
+        Script::Data | Script::Shipping => 4,
     };
     assert_eq!(sim.replies.len(), requests, "{:?}", sim.replies);
     if let Fault::Forge(_) = fault {
@@ -870,23 +908,39 @@ fn a_peer_restarted_without_its_log_faults_the_run_instead_of_diverging() {
     });
 }
 
+/// Every non-coordinator, killed after each frame it handles during the
+/// run, and restarted from its log.
+fn run_kills(handled: &Handled) -> Vec<Fault> {
+    let n = handled.before_run.len();
+    let kills = (1..n).flat_map(|victim| {
+        let during = handled.before_run[victim] + 1..=handled.by_run_end[victim];
+        during.map(move |after| Fault::Kill {
+            victim,
+            after,
+            restart: Restart::FromLog,
+        })
+    });
+    kills.collect()
+}
+
 /// Every non-coordinator, killed after each frame it handles during a run
 /// over a stream long enough that every query's results cross the wire
 /// in several batches, and restarted from its log: the run resumes and
 /// delivers every result exactly once, byte for byte.
 #[test]
 fn a_durable_peer_killed_at_any_message_of_a_run_rejoins_and_the_results_stay_exact() {
-    sweep(Script::Data, DATA_SEEDS, |handled, _| {
-        let n = handled.before_run.len();
-        let kills = (1..n).flat_map(|victim| {
-            let during = handled.before_run[victim] + 1..=handled.by_run_end[victim];
-            during.map(move |after| Fault::Kill {
-                victim,
-                after,
-                restart: Restart::FromLog,
-            })
-        });
-        kills.collect()
+    sweep(Script::Data, DATA_SEEDS, |handled, _| run_kills(handled));
+}
+
+/// Under data shipping, P1's process taps two copies of the stream, which
+/// it reads through one connection's `LastRead`. Every non-coordinator,
+/// killed after each frame it handles during the run and restarted from
+/// its log, leaves the results exact: a restarted reader starts with no
+/// last read, and a resend's batches are read again from their bytes.
+#[test]
+fn two_copies_tapped_at_one_process_stay_exact_when_a_peer_is_killed_at_any_message_of_a_run() {
+    sweep(Script::Shipping, SHIP_SEEDS, |handled, _| {
+        run_kills(handled)
     });
 }
 

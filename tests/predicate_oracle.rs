@@ -40,7 +40,7 @@ fn oracle_closure(g: &PredicateGraph) -> PredicateGraph {
             let row_k = dist[k].clone();
             for (j, cell) in dist[i].iter_mut().enumerate() {
                 let Some(kj) = row_k[j] else { continue };
-                let via = ik.compose(kj);
+                let via = ik.compose(kj).expect("small weights stay in range");
                 *cell = Some(match *cell {
                     Some(existing) => existing.min(via),
                     None => via,

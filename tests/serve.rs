@@ -6,7 +6,7 @@
 //! (`StreamGlobe::run_simulation`) is the oracle throughout: the deployed
 //! fleet must reproduce its per-query delivered outputs *byte for byte*.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -287,11 +287,13 @@ fn counter(snapshot: &str, name: &str) -> u64 {
 
 /// Data shipping over real sockets: each subscriber's raw stream crosses
 /// the fleet as bytes and is read only at the subscriber's super-peer.
-/// The 25 queries of scenario 1 arrive byte-exact, and a peer whose taps
-/// all start with a σ builds trees only for items a σ passes — fewer than
-/// it receives.
+/// The 25 queries of scenario 1 arrive byte-exact. A peer whose taps all
+/// start with a σ builds fewer trees than it receives items, and one whose
+/// taps all read one copy class — a raw copy of the photons per query it
+/// hosts — builds at most the distinct items it receives: each copied
+/// batch is read once per process, however many copies arrive.
 #[test]
-fn scenario1_under_data_shipping_is_byte_exact_and_builds_only_what_a_sigma_passes() {
+fn scenario1_under_data_shipping_is_byte_exact_and_reads_each_copied_batch_once_per_process() {
     let scenario = dss_rass::Scenario::scenario1(42);
     let mut spec = ServeSpec::new("scenario1").unwrap();
     spec.port_base = pick_port_base(8);
@@ -330,7 +332,7 @@ fn scenario1_under_data_shipping_is_byte_exact_and_builds_only_what_a_sigma_pass
     // The processes whose groups are all σ-led taps fed over the wire: what
     // they receive is their taps' parents' output.
     let map = NetMap::new(sys.topology());
-    let mut checked = 0;
+    let (mut checked, mut one_class) = (0, 0);
     for i in 0..map.process_count() {
         let hosted = GroupTable::build(sys.deployment(), |n| map.owner_of(n) == i);
         let mut received = 0;
@@ -359,8 +361,29 @@ fn scenario1_under_data_shipping_is_byte_exact_and_builds_only_what_a_sigma_pass
             "process {i} built {built} trees of {received} items received"
         );
         checked += 1;
+        let classes: BTreeSet<GroupKey> = (hosted.groups().iter())
+            .map(|group| hosted.copy_class(&group.key))
+            .collect();
+        if hosted.groups().len() > 1 && classes.len() == 1 {
+            // Every parent carries the same items: the class's.
+            let GroupKey::Tap(parent) = hosted.groups()[0].key else {
+                unreachable!("a tap group")
+            };
+            let distinct = sim.flow_outputs[parent].len();
+            assert!(
+                built <= distinct as u64 && distinct <= 2_000,
+                "process {i} built {built} trees of {distinct} distinct items \
+                 ({received} received in {} copies)",
+                hosted.groups().len()
+            );
+            one_class += 1;
+        }
     }
     assert!(checked > 0, "some subscriber peer taps only with σs");
+    assert!(
+        one_class > 0,
+        "some subscriber peer taps copies of one stream only"
+    );
 
     client.goodbye();
     cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
@@ -580,6 +603,37 @@ fn an_oversized_where_clause_is_refused_at_once_and_the_coordinator_stays_up() {
     }
     let took = started.elapsed();
     assert!(took < Duration::from_secs(1), "the fault took {took:?}");
+    client
+        .subscribe("q1", query_text("q1"), "P1", WireStrategy::StreamSharing)
+        .expect("the next subscribe is served");
+    client.goodbye();
+    cluster.shutdown(FLEET_TIMEOUT).expect("clean shutdown");
+}
+
+/// A `Subscribe` whose where clause chains bounds the predicate closure
+/// cannot sum inside the decimal range gets a typed `Fault` — composition
+/// is checked, so the coordinator's control thread does not panic — and
+/// the next well-formed `Subscribe` is served.
+#[test]
+fn a_where_clause_whose_bounds_overflow_is_refused_and_the_coordinator_stays_up() {
+    let (cluster, _spec) = spawn_example_fleet(None);
+    let mut client =
+        Client::connect(cluster.coordinator_addr(), "tester", FLEET_TIMEOUT).expect("connects");
+    let mut atoms: Vec<String> = (1..40)
+        .map(|i| format!("$p/v{i} <= $p/v{} + 9999999999999999999", i + 1))
+        .collect();
+    atoms.push("$p/v40 <= 0.000000000000000001".into());
+    let text = format!(
+        "for $p in stream(\"photons\")/photons/photon where {} return <x>{{$p/en}}</x>",
+        atoms.join(" and ")
+    );
+    match client.subscribe("overflow", &text, "P1", WireStrategy::StreamSharing) {
+        Err(ServerError::Fault { context, message }) => {
+            assert_eq!(context, "subscribe");
+            assert!(message.contains("beyond the decimal range"), "{message}");
+        }
+        other => panic!("expected a subscribe fault, got {other:?}"),
+    }
     client
         .subscribe("q1", query_text("q1"), "P1", WireStrategy::StreamSharing)
         .expect("the next subscribe is served");
