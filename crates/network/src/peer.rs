@@ -21,7 +21,7 @@
 //! * [`GroupTable::step`] — the route step: the tap group at `route[hop]`
 //!   and where the batch goes next.
 //! * [`TapFilter`] — a tap group's leading selections, for a driver that
-//!   can decide them before it builds an item's tree (serve).
+//!   feeds the group only the items one of them passes (serve).
 //! * [`GroupTable::copy_class`] — which item sequence a stream is a copy
 //!   of, for a driver that reads identical copies once (serve).
 //! * [`Contiguity`] — the exactly-once mark of an in-order link (serve).
@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use dss_engine::{MigrationReport, SinkBatch};
 use dss_predicate::CompiledPredicate;
 use dss_properties::Operator;
-use dss_xml::{Decimal, Node, Path};
+use dss_xml::{Decimal, Node};
 
 use crate::flow::{Deployment, FlowId, FlowOp};
 use crate::shared::{FlowDag, GroupKey};
@@ -69,32 +69,17 @@ pub struct Group {
 
 /// The selections that lead every member of a tap group. They are the
 /// roots of the group's DAG, so an item none of them passes produces
-/// nothing there: a driver holding the item's encoding may skip building
-/// its tree. The DAG still runs its own σ on every item it is fed, so the
-/// filter can only skip items that σ would drop.
+/// nothing there: a driver may leave it out of what it feeds the group.
+/// The DAG still runs its own σ on every item it is fed, so the filter can
+/// only drop items that σ would drop.
 #[derive(Debug, Clone)]
-pub struct TapFilter {
-    /// Every variable the selections read, once each.
-    paths: Vec<Path>,
-    /// The distinct selections, each with where its variables stand in
-    /// `paths`, in the order it looks them up.
-    selections: Vec<(CompiledPredicate, Vec<usize>)>,
-}
+pub struct TapFilter(Vec<CompiledPredicate>);
 
 impl TapFilter {
-    /// The paths an item is read at, each once.
-    pub fn paths(&self) -> &[Path] {
-        &self.paths
-    }
-
-    /// Whether any selection passes an item whose [`TapFilter::paths`]
-    /// resolve to `values` (`Path::decimal`'s answers). `scratch` is the
-    /// selections' working space.
-    pub fn passes(&self, values: &[Option<Decimal>], scratch: &mut Vec<Decimal>) -> bool {
-        self.selections.iter().any(|(selection, index)| {
-            let mut index = index.iter();
-            selection.evaluate_with(scratch, |_| values[*index.next()?])
-        })
+    /// Whether any of the group's distinct leading σs passes `item`.
+    /// `scratch` is the selections' working space.
+    pub fn passes(&self, item: &Node, scratch: &mut Vec<Decimal>) -> bool {
+        self.0.iter().any(|sigma| sigma.evaluate(item, scratch))
     }
 }
 
@@ -244,34 +229,22 @@ impl GroupTable {
     }
 
     /// The leading selections of tap group `group` ([`TapFilter`]):
-    /// `None` unless every member starts with a σ and the σs read at most
-    /// `max_paths` paths.
-    pub fn tap_filter(&self, group: usize, max_paths: usize) -> Option<TapFilter> {
+    /// `None` unless every member starts with a σ.
+    pub fn tap_filter(&self, group: usize) -> Option<TapFilter> {
         let group = &self.groups[group];
         if !matches!(group.key, GroupKey::Tap(_)) {
             return None;
         }
-        let (mut paths, mut selections, mut graphs) = (Vec::<Path>::new(), Vec::new(), Vec::new());
+        let mut graphs = Vec::new();
         for &f in &group.members {
             let Some(FlowOp::Standard(Operator::Selection(g))) = self.flows[f].ops.first() else {
                 return None;
             };
-            if graphs.contains(&g) {
-                continue;
+            if !graphs.contains(&g) {
+                graphs.push(g);
             }
-            graphs.push(g);
-            let compiled = g.compile();
-            let index = compiled.paths().map(|path| {
-                paths.iter().position(|p| p == path).unwrap_or_else(|| {
-                    paths.push(path.clone());
-                    paths.len() - 1
-                })
-            });
-            let index = index.collect();
-            selections.push((compiled, index));
         }
-        (!selections.is_empty() && paths.len() <= max_paths)
-            .then_some(TapFilter { paths, selections })
+        (!graphs.is_empty()).then(|| TapFilter(graphs.iter().map(|g| g.compile()).collect()))
     }
 
     /// The *copy class* of the stream `key` names: the nearest stream up

@@ -99,9 +99,9 @@ impl CompiledPredicate {
     }
 
     /// [`CompiledPredicate::evaluate`] over values `lookup` resolves — what
-    /// `path.decimal(item)` would give, however it is found. `lookup` is
-    /// called once per variable, in order of first use, until one fails.
-    pub fn evaluate_with(
+    /// `path.decimal(item)` gives. `lookup` is called once per variable, in
+    /// order of first use, until one fails.
+    fn evaluate_with(
         &self,
         values: &mut Vec<Decimal>,
         mut lookup: impl FnMut(&Path) -> Option<Decimal>,
@@ -124,12 +124,6 @@ impl CompiledPredicate {
         self.pairs
             .iter()
             .all(|&(i, j, bound)| bound.satisfied_by(values[i], values[j]))
-    }
-
-    /// The variables, in the order [`CompiledPredicate::evaluate_with`]
-    /// looks them up.
-    pub fn paths(&self) -> impl Iterator<Item = &Path> {
-        self.vars.iter().map(|v| &v.path)
     }
 }
 

@@ -11,9 +11,9 @@
 //! the one checked pass [`ItemsView::materialise`]; `Message::decode` is
 //! `parse` followed by that pass.
 
-use dss_xml::{Decimal, Node, Path};
+use dss_xml::Node;
 
-use crate::wire::{probe_decimals, put_bool, put_str, put_u32, put_u64, Reader, Tree};
+use crate::wire::{put_bool, put_str, put_u32, put_u64, Reader, Tree};
 use crate::{DecodeError, Message, TAG_DELIVER, TAG_STREAM_ITEM_BATCH};
 
 /// Where a batch is headed: the fields in which `StreamItemBatch` and
@@ -122,37 +122,12 @@ impl<'a> ItemsView<'a> {
     /// node must fill its item's declared length exactly; the first item
     /// that does not, or that is malformed, is the error.
     pub fn materialise(&self) -> Result<Vec<Node>, DecodeError> {
-        self.materialise_where(&[], |_| true)
-    }
-
-    /// [`ItemsView::materialise`], building only the items `keep` accepts.
-    /// Unless `paths` is empty, each item is first walked by
-    /// [`probe_decimals`] over `paths` and handed to `keep` as the values
-    /// found — a walk with every check the build makes, so a skipped item
-    /// has been read in full and a malformed one is the same error.
-    ///
-    /// # Panics
-    ///
-    /// If `paths` holds more than [`crate::wire::MAX_PROBE_PATHS`] paths.
-    pub fn materialise_where(
-        &self,
-        paths: &[Path],
-        mut keep: impl FnMut(&[Option<Decimal>]) -> bool,
-    ) -> Result<Vec<Node>, DecodeError> {
         let mut list = Reader::new(self.bytes());
         let mut out = Vec::with_capacity(self.len());
         let mut tree = Tree::default();
-        let mut values = vec![None; paths.len()];
         for _ in 0..self.len() {
-            let bytes = list.bytes()?;
-            if !paths.is_empty() {
-                probe_decimals(bytes, paths, &mut values)?;
-                if !keep(&values) {
-                    continue;
-                }
-            }
-            let mut item = Reader::item(bytes);
-            out.push(item.walk(0, (), &mut tree)?);
+            let mut item = Reader::item(list.bytes()?);
+            out.push(item.walk(0, &mut tree)?);
             item.finish()?;
         }
         Ok(out)

@@ -6,12 +6,10 @@
 //! A batch's item list ([`put_items`]) prefixes every node with its
 //! encoded length, so a relay finds item boundaries without reading a
 //! node ([`crate::BatchView::parse`]). An item is read once, where it is
-//! consumed: built into a tree ([`Reader::item`] then [`Reader::node`]),
-//! or first probed for the decimals a selection reads
-//! ([`probe_decimals`]). Both are the one node walk, [`Reader::walk`], so
-//! both give the same verdict and the same error.
+//! consumed, by the one node walk ([`Reader::item`] then [`Reader::node`]):
+//! it checks every byte and builds the tree as it goes.
 
-use dss_xml::{Decimal, Node, Path, Symbol};
+use dss_xml::{Node, Symbol};
 
 use crate::DecodeError;
 
@@ -19,9 +17,6 @@ use crate::DecodeError;
 /// — nothing the engine produces can legitimately exceed it, and the cap
 /// keeps untrusted bytes from overflowing the decoder's stack).
 pub const MAX_NODE_DEPTH: usize = dss_xml::tree::MAX_DEPTH;
-
-/// Most paths one [`probe_decimals`] resolves (one bit each).
-pub const MAX_PROBE_PATHS: usize = 64;
 
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -242,20 +237,13 @@ impl<'a> Reader<'a> {
     }
 
     pub fn node(&mut self) -> Result<Node, DecodeError> {
-        self.walk(0, (), &mut Tree::default())
+        self.walk(0, &mut Tree::default())
     }
 
     /// The one node walk: the depth cap, the name, the text, the child
-    /// count, then the children, each check in this order. `visit` acts on
-    /// each node as it is read — builds its tree ([`Tree`]) or resolves
-    /// paths in it ([`Probe`]) — so whatever a walk does, it accepts and
-    /// rejects the same bytes with the same error.
-    pub(crate) fn walk<V: Visit<'a>>(
-        &mut self,
-        depth: usize,
-        scope: V::Scope,
-        visit: &mut V,
-    ) -> Result<V::Node, DecodeError> {
+    /// count, then the children, each check in this order, building the
+    /// node's tree over `tree`'s scratch.
+    pub(crate) fn walk(&mut self, depth: usize, tree: &mut Tree<'a>) -> Result<Node, DecodeError> {
         if depth >= MAX_NODE_DEPTH {
             return Err(DecodeError::TooDeep);
         }
@@ -265,13 +253,14 @@ impl<'a> Reader<'a> {
         } else {
             None
         };
-        let inner = visit.open(scope, name, text);
         let count = self.count()?;
         for _ in 0..count {
-            let child = self.walk(depth + 1, inner, visit)?;
-            visit.child(child);
+            let child = self.walk(depth + 1, tree)?;
+            tree.children.push(child);
         }
-        Ok(visit.close(name, text, count))
+        let children = tree.children.drain(tree.children.len() - count..);
+        // The payload's text is copied straight into the node.
+        Ok(Node::new(tree.names.symbol(name), text, children))
     }
 
     /// A node list without item lengths (WAL records), built over one
@@ -281,100 +270,10 @@ impl<'a> Reader<'a> {
         let mut out = Vec::with_capacity(count.min(1024));
         let mut tree = Tree::default();
         for _ in 0..count {
-            out.push(self.walk(0, (), &mut tree)?);
+            out.push(self.walk(0, &mut tree)?);
         }
         Ok(out)
     }
-}
-
-/// What [`Reader::walk`] does with the nodes it reads.
-pub(crate) trait Visit<'a> {
-    /// What a node hands down to its children.
-    type Scope: Copy;
-    /// What a node becomes once read.
-    type Node;
-    /// A node's name and text are read: returns its children's scope.
-    fn open(&mut self, scope: Self::Scope, name: &'a str, text: Option<&'a str>) -> Self::Scope;
-    /// One of its children is read.
-    fn child(&mut self, child: Self::Node);
-    /// All `count` of its children are read.
-    fn close(&mut self, name: &'a str, text: Option<&'a str>, count: usize) -> Self::Node;
-}
-
-/// The paths a probe resolves, what it found so far, and where it puts the
-/// values.
-struct Probe<'p, 'o> {
-    paths: &'p [Path],
-    /// A bit per path already resolved.
-    found: u64,
-    out: &'o mut [Option<Decimal>],
-}
-
-impl<'a> Visit<'a> for Probe<'_, '_> {
-    /// The node's depth, and a bit for each path whose first `depth - 1`
-    /// steps lead to the node's parent (every path, at the root).
-    type Scope = (usize, u64);
-    type Node = ();
-
-    /// Of the paths not yet resolved, those whose next step names this
-    /// node go on to its children, or end here: the first node a path
-    /// reaches decides its value.
-    fn open(
-        &mut self,
-        (depth, on): (usize, u64),
-        name: &'a str,
-        text: Option<&'a str>,
-    ) -> Self::Scope {
-        let (mut deeper, mut todo) = (0, on & !self.found);
-        while todo != 0 {
-            let p = todo.trailing_zeros() as usize;
-            todo &= todo - 1;
-            let steps = self.paths[p].steps();
-            if depth > 0 && steps[depth - 1].as_str() != name {
-                continue;
-            }
-            if steps.len() > depth {
-                deeper |= 1 << p;
-            } else {
-                self.found |= 1 << p;
-                self.out[p] = text.and_then(Decimal::parse);
-            }
-        }
-        (depth + 1, deeper)
-    }
-
-    fn child(&mut self, (): ()) {}
-
-    fn close(&mut self, _: &'a str, _: Option<&'a str>, _: usize) {}
-}
-
-/// Walks one encoded node ([`Reader::walk`]), which must fill `node`
-/// exactly, building no tree, and sets `out[i]` to what [`Path::decimal`]
-/// gives for `paths[i]` on that node's tree: the first node the path
-/// reaches in document order, that node's text as a decimal. Accepts and rejects exactly what
-/// [`Reader::item`] followed by [`Reader::node`] and [`Reader::finish`]
-/// does, with the same error; `out` means nothing then.
-///
-/// # Panics
-///
-/// If `paths` holds more than [`MAX_PROBE_PATHS`] paths, or `out` is
-/// shorter than `paths`.
-pub fn probe_decimals(
-    node: &[u8],
-    paths: &[Path],
-    out: &mut [Option<Decimal>],
-) -> Result<(), DecodeError> {
-    assert!(paths.len() <= MAX_PROBE_PATHS, "one bit per path");
-    out[..paths.len()].fill(None);
-    let mut probe = Probe {
-        paths,
-        found: 0,
-        out,
-    };
-    let mut r = Reader::item(node);
-    // One bit per path: every path starts at the root.
-    r.walk(0, (0, ((1u128 << paths.len()) - 1) as u64), &mut probe)?;
-    r.finish()
 }
 
 /// A tree build's scratch: the finished children, and the element names
@@ -385,23 +284,6 @@ pub(crate) struct Tree<'a> {
     /// Finished children, waiting for their parent to close over them.
     children: Vec<Node>,
     names: Names<'a>,
-}
-
-impl<'a> Visit<'a> for Tree<'a> {
-    type Scope = ();
-    type Node = Node;
-
-    fn open(&mut self, (): (), _: &'a str, _: Option<&'a str>) {}
-
-    fn child(&mut self, child: Node) {
-        self.children.push(child);
-    }
-
-    fn close(&mut self, name: &'a str, text: Option<&'a str>, count: usize) -> Node {
-        let children = self.children.drain(self.children.len() - count..);
-        // The payload's text is copied straight into the node.
-        Node::new(self.names.symbol(name), text, children)
-    }
 }
 
 /// How many distinct names a build remembers ([`Names`]). A photon has 11.

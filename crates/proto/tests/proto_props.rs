@@ -10,20 +10,18 @@
 //! on [`BatchView::parse`], which reads the header and the item framing
 //! only: it must reject exactly the framing errors the reference does.
 //! The first reader of the items, [`ItemsView::materialise`], must then
-//! reach the reference's verdict on everything else, with the same error;
-//! and [`probe_decimals`], the walk a selection reads an item with, must
-//! find what [`Path::decimal`] finds and fail where the build fails.
+//! reach the reference's verdict on everything else, with the same error.
 
 use proptest::prelude::*;
 
-use dss_proto::wire::{probe_decimals, put_node, put_u64, Reader, MAX_NODE_DEPTH};
+use dss_proto::wire::{put_u64, MAX_NODE_DEPTH};
 use dss_proto::{
     read_frame, read_message, write_message, BatchDest, BatchHeader, BatchView, DecodeError,
     ItemsView, Message, ProtoError, Role, WireStrategy, MAX_FRAME_LEN,
 };
 use dss_xml::text::escape_text;
 use dss_xml::writer::{node_to_string, serialized_size};
-use dss_xml::{Decimal, Node, Path};
+use dss_xml::Node;
 
 fn arb_text() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -949,118 +947,4 @@ proptest! {
             );
         }
     }
-}
-
-// ---- the probe ---------------------------------------------------------
-
-/// Names from a three-letter alphabet (and one non-ASCII name), so paths
-/// over the same alphabet reach nodes often — and through repeated
-/// siblings, where the first one reached decides.
-fn arb_probe_name() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("a".to_string()),
-        Just("b".to_string()),
-        Just("c".to_string()),
-        Just("é".to_string()),
-    ]
-}
-
-/// Decimals (padded, signed, too long to parse narrowly), non-decimals,
-/// empty text and none.
-fn arb_probe_text() -> impl Strategy<Value = Option<String>> {
-    prop_oneof![
-        "[-+]{0,1}[0-9]{1,3}".prop_map(Some),
-        "[-]{0,1}[0-9]{0,2}[.][0-9]{1,2}".prop_map(Some),
-        "[-]{0,1}[0-9]{19,25}".prop_map(Some),
-        " [0-9][.][0-9] ".prop_map(Some),
-        "[a-z.]{1,3}".prop_map(Some),
-        Just(Some(String::new())),
-        Just(None),
-    ]
-}
-
-fn arb_probe_node() -> impl Strategy<Value = Node> {
-    let leaf = (arb_probe_name(), arb_probe_text())
-        .prop_map(|(name, text)| Node::new(name.as_str(), text.as_deref(), std::iter::empty()));
-    leaf.prop_recursive(4, 32, 4, |inner| {
-        (
-            arb_probe_name(),
-            arb_probe_text(),
-            prop::collection::vec(inner, 0..4),
-        )
-            .prop_map(|(name, text, children)| Node::new(name.as_str(), text.as_deref(), children))
-    })
-}
-
-fn arb_paths() -> impl Strategy<Value = Vec<Path>> {
-    let path = prop::collection::vec(arb_probe_name(), 0..4)
-        .prop_map(|steps| Path::from_steps(steps).unwrap());
-    prop::collection::vec(path, 0..8)
-}
-
-/// What the probe says of `bytes`, and what building the node says.
-fn probe_and_build(
-    bytes: &[u8],
-    paths: &[Path],
-) -> (Result<(), DecodeError>, Result<Node, DecodeError>) {
-    let mut out = vec![None; paths.len()];
-    let probed = probe_decimals(bytes, paths, &mut out);
-    let mut r = Reader::item(bytes);
-    let built = r.node().and_then(|n| r.finish().map(|()| n));
-    (probed, built)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// The probe finds, for every path, what `Path::decimal` finds on the
-    /// node's tree.
-    #[test]
-    fn probe_finds_what_path_decimal_finds(node in arb_probe_node(), paths in arb_paths()) {
-        let mut bytes = Vec::new();
-        put_node(&mut bytes, &node);
-        let mut out = vec![Some(Decimal::ZERO); paths.len()];
-        prop_assert_eq!(probe_decimals(&bytes, &paths, &mut out), Ok(()));
-        let want: Vec<Option<Decimal>> = paths.iter().map(|p| p.decimal(&node)).collect();
-        prop_assert_eq!(out, want);
-    }
-
-    /// On every truncation and every bit flip of an encoded node, the
-    /// probe fails exactly where the build fails, with the same error.
-    #[test]
-    fn probe_fails_like_the_build(node in arb_probe_node(), paths in arb_paths()) {
-        let mut bytes = Vec::new();
-        put_node(&mut bytes, &node);
-        for cut in 0..bytes.len() {
-            let (probed, built) = probe_and_build(&bytes[..cut], &paths);
-            prop_assert!(probed.is_err(), "cut at {}", cut);
-            prop_assert_eq!(probed.err(), built.err(), "cut at {}", cut);
-        }
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                bytes[i] ^= 1 << bit;
-                let (probed, built) = probe_and_build(&bytes, &paths);
-                prop_assert_eq!(probed.err(), built.err(), "bit {} of byte {}", bit, i);
-                bytes[i] ^= 1 << bit;
-            }
-        }
-    }
-}
-
-/// The probe's paths go one per bit: all 64 resolve.
-#[test]
-fn a_probe_resolves_sixty_four_paths() {
-    let node = Node::elem(
-        "item",
-        (0..64)
-            .map(|i| Node::leaf(format!("v{i}").as_str(), i.to_string()))
-            .collect(),
-    );
-    let paths: Vec<Path> = (0..64).map(|i| format!("v{i}").parse().unwrap()).collect();
-    let mut bytes = Vec::new();
-    put_node(&mut bytes, &node);
-    let mut out = vec![None; 64];
-    probe_decimals(&bytes, &paths, &mut out).unwrap();
-    let want: Vec<Option<Decimal>> = (0..64).map(|i| Some(Decimal::from_int(i))).collect();
-    assert_eq!(out, want);
 }

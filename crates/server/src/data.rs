@@ -31,10 +31,10 @@
 //! it on — trimmed by item boundary, re-headed, copied into the next frame
 //! — and is read in exactly one place: where a hosted group taps it,
 //! straight into that group's mailbox entries. That read checks every
-//! item; a malformed one is the batch's error ([`Plane::advance`]). If
-//! every member of the group starts with a σ ([`TapFilter`]), the read
-//! decides those σs on each item's bytes and builds only the items one of
-//! them passes. The sent-log retains what was sent, encoded. Trees a
+//! item and builds its tree; a malformed one is the batch's error
+//! ([`Plane::advance`]). If every member of the group starts with a σ
+//! ([`TapFilter`]), the tap keeps only the trees one of those σs passes.
+//! The sent-log retains what was sent, encoded. Trees a
 //! worker sends down several flows in a row — a stream's copies to the
 //! members without operators — are encoded once (`LastSent`).
 //!
@@ -45,7 +45,8 @@
 //! connection — both taps are *shared*: their reads go through the
 //! connection's [`LastRead`], which builds every item of a batch once and
 //! hands each shared tap clones of the trees its σs pass, for as long as
-//! the batches that follow carry the same bytes.
+//! the batches that follow carry the same bytes. Shared or not, a tap
+//! decides its σs on the built trees, with the same [`TapFilter::passes`].
 //!
 //! **Natural batching.** Every hop moves what is already queued, never
 //! one item at a time and never waiting to fill a batch. A worker *pass*
@@ -89,7 +90,7 @@ use dss_network::{
     Contiguity, FlowDag, FlowId, FlowOutputs, Group, GroupKey, GroupTable, MailboxEntry, Next,
     NodeId, SyncMailbox, TapFilter,
 };
-use dss_proto::wire::{put_items, MAX_PROBE_PATHS};
+use dss_proto::wire::put_items;
 use dss_proto::{BatchDest, BatchHeader, BatchView, DecodeError, ItemsView, Message};
 use dss_xml::Node;
 
@@ -207,19 +208,20 @@ impl Items<'_> {
 
     /// The items as trees for a consumer on this process. The `last`
     /// consumer takes the trees there are instead of a copy. A view is read
-    /// here, every item checked; with a `filter`, only the items one of
-    /// its σs passes are built.
+    /// here, every item checked and built; with a `filter`, only the trees
+    /// one of its σs passes are kept.
     fn trees(&mut self, last: bool, filter: Option<&TapFilter>) -> Result<Vec<Node>, DecodeError> {
         Ok(match self {
             Items::Trees(trees, _) if last => std::mem::take(trees),
             Items::Trees(trees, _) => trees.clone(),
-            Items::View(view) => match filter {
-                Some(f) => {
+            Items::View(view) => {
+                let mut trees = view.materialise()?;
+                if let Some(filter) = filter {
                     let mut scratch = Vec::new();
-                    view.materialise_where(f.paths(), |values| f.passes(values, &mut scratch))?
+                    trees.retain(|tree| filter.passes(tree, &mut scratch));
                 }
-                None => view.materialise()?,
-            },
+                trees
+            }
         })
     }
 }
@@ -332,8 +334,7 @@ pub struct Plane {
     /// Every flow's route and delivery, and the groups of the hosted
     /// nodes: fixed for the run's lifetime, read by every thread.
     pub groups: GroupTable,
-    /// Indexed by group: the leading σs a tap reads the group's items by
-    /// (none where they read more paths than one probe resolves).
+    /// Indexed by group: the leading σs a tap keeps the group's items by.
     filters: Vec<Option<TapFilter>>,
     /// Indexed by group: whether another tap here reads the same copy
     /// class, so the tap reads through the connection's [`LastRead`].
@@ -413,7 +414,7 @@ impl Plane {
             run,
             peer: topo.peer(map.sp(me)).name.clone(),
             filters: (0..table.groups().len())
-                .map(|g| table.tap_filter(g, MAX_PROBE_PATHS))
+                .map(|g| table.tap_filter(g))
                 .collect(),
             shared: shared_taps(&table),
             groups: table,
@@ -642,10 +643,9 @@ impl Plane {
                 let filter = self.filters[group].as_ref();
                 let (trees, built) = match &items {
                     Items::View(view) if self.shared[group] => read.trees(view, filter)?,
-                    Items::View(_) => {
-                        let trees = items.trees(false, filter)?;
-                        let built = trees.len();
-                        (trees, built)
+                    Items::View(view) => {
+                        let built = view.len();
+                        (items.trees(false, filter)?, built)
                     }
                     Items::Trees(..) => (items.trees(step.next == Next::End, None)?, 0),
                 };
@@ -951,8 +951,8 @@ impl LastRead {
     /// every item without a filter — and how many trees were built for
     /// them. Unless this holds exactly `view`'s bytes, the view is read
     /// first: one checked walk that builds every item, kept for the next
-    /// tap. The σs are decided on the trees with `Path::decimal`, which
-    /// answers what an unshared tap's byte probe answers.
+    /// tap. The σs are decided on the trees, as an unshared tap decides
+    /// them ([`Items`]'s read).
     fn trees(
         &mut self,
         view: &ItemsView<'_>,
@@ -968,16 +968,12 @@ impl LastRead {
         let Some(filter) = filter else {
             return Ok((self.trees.clone(), built));
         };
-        let (mut values, mut scratch) = (Vec::new(), Vec::new());
-        let mut passes = |tree: &&Node| {
-            values.clear();
-            values.extend(filter.paths().iter().map(|path| path.decimal(tree)));
-            filter.passes(&values, &mut scratch)
-        };
-        Ok((
-            self.trees.iter().filter(&mut passes).cloned().collect(),
-            built,
-        ))
+        let mut scratch = Vec::new();
+        let trees = self
+            .trees
+            .iter()
+            .filter(|tree| filter.passes(tree, &mut scratch));
+        Ok((trees.cloned().collect(), built))
     }
 }
 
@@ -1541,10 +1537,13 @@ mod tests {
 
     /// A tap fed its input as received bytes emits exactly what it emits
     /// fed the trees, whatever leads its chain: a σ (the group's filter
-    /// then decides on the bytes which items are built), a Π or a Φ. The
+    /// then keeps only the trees one of its σs passes), a Π or a Φ. The
     /// chains are the data-shipping taps of scenarios 1 and 2 — each
     /// query's operators over raw photons — and each of them without its
-    /// leading σ; the input is scenario 1's photons.
+    /// leading σ, plus one group whose two members lead with different σs;
+    /// the input is scenario 1's photons. Every batch is read both ways a
+    /// tap reads bytes — on its own, and through a [`LastRead`] — and both
+    /// give the DAG the same trees.
     #[test]
     fn a_tap_fed_bytes_emits_what_it_emits_fed_trees() {
         let mut chains: Vec<Vec<FlowOp>> = Vec::new();
@@ -1570,8 +1569,15 @@ mod tests {
                 }
             }
         }
+        // Two chains of scenario 1 that lead with different σs.
+        let sigma_led = (chains.iter())
+            .filter(|c| matches!(&c[0], FlowOp::Standard(op) if op.to_string().starts_with('σ')));
+        let first = sigma_led.clone().next().expect("σ-led chains").clone();
+        let second = (sigma_led.clone().find(|c| c[0] != first[0]))
+            .expect("two distinct leading σs")
+            .clone();
         // One group per chain: each tap sits at a node of its own, on the
-        // route of the photons.
+        // route of the photons; the two-σ group at the last node.
         let mut deployment = Deployment::new();
         let flow = |input, node: NodeId, ops, route| StreamFlow {
             label: format!("at {node}"),
@@ -1585,53 +1591,77 @@ mod tests {
         let photons = FlowInput::Source {
             stream: "photons".into(),
         };
-        let route = (0..=chains.len()).collect();
+        let both = chains.len() + 1;
+        let route = (0..=both).collect();
         let parent = deployment.add_flow(flow(photons, 0, Vec::new(), route));
+        let tap = || FlowInput::Tap { parent };
         for (i, chain) in chains.into_iter().enumerate() {
-            deployment.add_flow(flow(FlowInput::Tap { parent }, i + 1, chain, vec![i + 1]));
+            deployment.add_flow(flow(tap(), i + 1, chain, vec![i + 1]));
+        }
+        for chain in [first, second] {
+            deployment.add_flow(flow(tap(), both, chain, vec![both]));
         }
         let table = GroupTable::build(&deployment, |_| true);
+        let pairs = table.groups().iter().filter(|g| g.members.len() == 2);
+        assert_eq!(pairs.count(), 1, "one group of two members");
         let input = &Scenario::scenario1(42).streams[0].items;
 
-        let (mut led_by, mut offered, mut built) = (BTreeSet::new(), 0, 0);
+        let (mut led_by, mut offered, mut kept) = (BTreeSet::new(), 0, 0);
         for (g, group) in table.groups().iter().enumerate().skip(1) {
-            let filter = table.tap_filter(g, MAX_PROBE_PATHS);
+            let filter = table.tap_filter(g);
             let filter = filter.as_ref();
             let run = |as_bytes: bool| {
                 let (mut dag, mut outputs) = (table.cold_dag(g), FlowOutputs::default());
-                let mut built = 0;
+                let (mut read, mut kept) = (LastRead::default(), 0);
                 for chunk in input.chunks(BATCH_CAP) {
-                    let payload = payload_of(
-                        Exit::Hop { flow: 0, hop: 0 },
-                        1,
-                        0,
-                        &Items::Trees(chunk.to_vec(), None),
-                        false,
-                    );
-                    let mut items = match as_bytes {
-                        true => Items::View(BatchView::parse(&payload).unwrap().items),
-                        false => Items::Trees(chunk.to_vec(), None),
+                    let trees = match as_bytes {
+                        true => {
+                            let batch = Items::Trees(chunk.to_vec(), None);
+                            let payload =
+                                payload_of(Exit::Hop { flow: 0, hop: 0 }, 1, 0, &batch, false);
+                            let view = BatchView::parse(&payload).unwrap().items;
+                            let (shared, built) = read.trees(&view, filter).unwrap();
+                            assert_eq!(built, chunk.len(), "a new batch is built in full");
+                            let trees = Items::View(view).trees(true, filter).unwrap();
+                            assert_eq!(shared, trees, "the shared read and the unshared one");
+                            trees
+                        }
+                        false => chunk.to_vec(),
                     };
-                    let trees = items.trees(true, filter).unwrap();
-                    built += trees.len();
+                    kept += trees.len();
                     outputs.feed_slice(&mut dag, &trees);
                 }
                 outputs.flush(&mut dag);
-                (outputs.drain().collect::<Vec<_>>(), built)
+                (outputs.drain().collect::<Vec<_>>(), kept)
             };
             let (from_trees, _) = run(false);
             let (from_bytes, n) = run(true);
-            let member = group.members[0];
-            assert_eq!(from_bytes, from_trees, "the tap of flow {member}");
-            let FlowOp::Standard(first) = &table.flows()[member].ops[0] else {
+            assert_eq!(
+                from_bytes, from_trees,
+                "the tap of flows {:?}",
+                group.members
+            );
+            if group.members.len() == 2 {
+                assert!(filter.is_some(), "both members lead with a σ");
+                let emitted = |f: FlowId| {
+                    from_trees
+                        .iter()
+                        .any(|(flow, out)| *flow == f && !out.is_empty())
+                };
+                assert!(
+                    group.members.iter().all(|&f| emitted(f)),
+                    "both σs pass items"
+                );
+            }
+            let FlowOp::Standard(first) = &table.flows()[group.members[0]].ops[0] else {
                 continue;
             };
             led_by.insert(format!("{:?}", first.kind()));
             if filter.is_some() {
                 offered += input.len();
-                built += n;
+                kept += n;
             } else {
-                assert_eq!(n, input.len(), "without a filter every item is built");
+                assert_eq!(n, input.len(), "without a filter every item is kept");
             }
         }
         assert_eq!(
@@ -1639,8 +1669,8 @@ mod tests {
             ["Aggregation", "Projection", "Selection"]
         );
         assert!(
-            built > 0 && built < offered / 2,
-            "the σs pass {built} of {offered} items"
+            kept > 0 && kept < offered / 2,
+            "the σs pass {kept} of {offered} items"
         );
     }
 
@@ -1696,9 +1726,7 @@ mod tests {
             .map(|&f| table.flows()[f].group.unwrap())
             .collect();
         assert!(taps.iter().all(|&g| shared[g]), "one copy class, two taps");
-        let filters: Vec<Option<TapFilter>> = (taps.iter())
-            .map(|&g| table.tap_filter(g, MAX_PROBE_PATHS))
-            .collect();
+        let filters: Vec<Option<TapFilter>> = taps.iter().map(|&g| table.tap_filter(g)).collect();
         assert!(filters.iter().all(Option::is_some));
 
         let input = &scenario.streams[0].items;
@@ -1785,8 +1813,7 @@ mod tests {
                     relay.get_or_insert((f, h));
                 }
                 (Some(g), _) => {
-                    taps.entry(all.tap_filter(g, MAX_PROBE_PATHS).is_some())
-                        .or_insert((f, h));
+                    taps.entry(all.tap_filter(g).is_some()).or_insert((f, h));
                 }
                 _ => {}
             }

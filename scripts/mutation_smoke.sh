@@ -16,10 +16,11 @@
 #    `Catalog::candidates_into` also skip the chains the verdict row has
 #    *accepted*, not only the ones it rejected. The full-scan oracle
 #    (`tests/indexed_search.rs`) must fail.
-# 3. The probe a σ-led tap reads an item's encoding with: the mutant
-#    resolves every path one step short (at the parent of the node it
-#    names). The data plane's bytes-vs-trees test (`dss_server::data`,
-#    a tap fed bytes emits what it emits fed trees) must fail.
+# 3. The filter a σ-led tap keeps an item's tree by: the mutant's
+#    `TapFilter::passes` asks *every* distinct leading σ of the group to
+#    pass the item, not *any* of them. The data plane's bytes-vs-trees
+#    test (`dss_server::data`, a tap fed bytes emits what it emits fed
+#    trees, with one group led by two different σs) must fail.
 # 4. The run's two-phase start: the mutant's control machine owes one ack
 #    fewer per step, so it releases `RunGo` after n-1 of the fleet's
 #    `StartRun` acks. The in-memory fleet (`tests/fleet_sim.rs`) must fail.
@@ -135,10 +136,10 @@ expect_caught window-merge --test differential fused_aggregates_with_different_w
 mutate crates/network/src/catalog.rs 's/Some(Some(Err(_)))/Some(Some(_))/' accepted-skip
 expect_caught accepted-skip --test indexed_search
 
-# Mutant 3. A path resolves at the first node as deep as it has steps;
-# resolve it one level higher.
-mutate crates/proto/src/wire.rs 's/if steps.len() > depth {/if steps.len() > depth + 1 {/' probe-one-step-short
-expect_caught probe-one-step-short -p dss-server --lib data::tests::a_tap_fed_bytes_emits_what_it_emits_fed_trees
+# Mutant 3. An item passes the filter when any leading σ passes it;
+# demand that all of them do.
+mutate crates/network/src/peer.rs 's/self\.0\.iter()\.any(|sigma|/self.0.iter().all(|sigma|/' filter-all-sigmas
+expect_caught filter-all-sigmas -p dss-server --lib data::tests::a_tap_fed_bytes_emits_what_it_emits_fed_trees
 
 # Mutant 4. Every process owes a step one ack; owe one fewer.
 mutate crates/server/src/control.rs 's/let owed = self.map.process_count();/let owed = self.map.process_count() - 1;/' run-go-one-ack-short

@@ -69,7 +69,6 @@ binary_copy = os.path.join(run_dir, "dss")
 # matches its interrupted frame (every inlined level) or one of its first
 # three callers. A sample interrupted in libc goes by its callers alone.
 BUCKETS = [
-    ("read: probe (σ on bytes)", r"probe_decimals|wire::Probe"),
     ("read: tree build", r"materialise|wire::Tree|LastRead|Reader::walk|Reader::node|Names::symbol"),
     ("encode", r"put_items|put_node|put_str|encode_into|LastSent"),
     ("operators and DAGs", r"dss_engine|FlowDag|FlowOutputs|dss_network::shared|dss_predicate|CompiledPredicate"),

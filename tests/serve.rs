@@ -344,7 +344,7 @@ fn scenario1_under_data_shipping_is_byte_exact_and_reads_each_copied_batch_once_
                 let route = &hosted.flows()[parent].route;
                 let hop = route.iter().position(|&n| n == group.node).unwrap();
                 received += sim.flow_outputs[parent].len();
-                hosted.tap_filter(g, 64).is_some() && hop > 0 && map.owner_of(route[hop - 1]) != i
+                hosted.tap_filter(g).is_some() && hop > 0 && map.owner_of(route[hop - 1]) != i
             });
         if !all_filtered_over_the_wire {
             continue;
