@@ -19,11 +19,8 @@
 //! * [`FlowOutputs`] — the per-flow output collector of a DAG pass, fed
 //!   an item or a whole slice at a time.
 //! * [`GroupTable::step`] — the route step: the tap group at `route[hop]`
-//!   and where the batch goes next.
-//! * [`TapFilter`] — a tap group's leading selections, for a driver that
-//!   feeds the group only the items one of them passes (serve).
-//! * [`GroupTable::copy_class`] — which item sequence a stream is a copy
-//!   of, for a driver that reads identical copies once (serve).
+//!   and where the batch goes next. Every driver feeds a tap group every
+//!   item of the flow it taps; the group's DAG decides its own σs.
 //! * [`Contiguity`] — the exactly-once mark of an in-order link (serve).
 //!   The discrete-event runtime's links are in order too, but its mark
 //!   accepts an index past a gap: there a gap is an item lost for good,
@@ -32,9 +29,7 @@
 use std::collections::BTreeMap;
 
 use dss_engine::{MigrationReport, SinkBatch};
-use dss_predicate::CompiledPredicate;
-use dss_properties::Operator;
-use dss_xml::{Decimal, Node};
+use dss_xml::Node;
 
 use crate::flow::{Deployment, FlowId, FlowOp};
 use crate::shared::{FlowDag, GroupKey};
@@ -65,22 +60,6 @@ pub struct Group {
     pub key: GroupKey,
     /// Active members, ascending — the DAG's registration order.
     pub members: Vec<FlowId>,
-}
-
-/// The selections that lead every member of a tap group. They are the
-/// roots of the group's DAG, so an item none of them passes produces
-/// nothing there: a driver may leave it out of what it feeds the group.
-/// The DAG still runs its own σ on every item it is fed, so the filter can
-/// only drop items that σ would drop.
-#[derive(Debug, Clone)]
-pub struct TapFilter(Vec<CompiledPredicate>);
-
-impl TapFilter {
-    /// Whether any of the group's distinct leading σs passes `item`.
-    /// `scratch` is the selections' working space.
-    pub fn passes(&self, item: &Node, scratch: &mut Vec<Decimal>) -> bool {
-        self.0.iter().any(|sigma| sigma.evaluate(item, scratch))
-    }
 }
 
 /// Where a flow's output goes after `route[hop]`.
@@ -226,42 +205,6 @@ impl GroupTable {
             dag.register(f, &self.flows[f].ops);
         }
         dag
-    }
-
-    /// The leading selections of tap group `group` ([`TapFilter`]):
-    /// `None` unless every member starts with a σ.
-    pub fn tap_filter(&self, group: usize) -> Option<TapFilter> {
-        let group = &self.groups[group];
-        if !matches!(group.key, GroupKey::Tap(_)) {
-            return None;
-        }
-        let mut graphs = Vec::new();
-        for &f in &group.members {
-            let Some(FlowOp::Standard(Operator::Selection(g))) = self.flows[f].ops.first() else {
-                return None;
-            };
-            if !graphs.contains(&g) {
-                graphs.push(g);
-            }
-        }
-        (!graphs.is_empty()).then(|| TapFilter(graphs.iter().map(|g| g.compile()).collect()))
-    }
-
-    /// The *copy class* of the stream `key` names: the nearest stream up
-    /// its tap chain that some operators produce — `Tap(f)` for the output
-    /// of flow `f`, which has operators — or the source stream it starts
-    /// from. A flow without operators carries its input unchanged, so two
-    /// streams of one class carry the same items in the same order.
-    pub fn copy_class(&self, key: &GroupKey) -> GroupKey {
-        let mut key = key.clone();
-        while let GroupKey::Tap(f) = key {
-            let flow = &self.flows[f];
-            if !flow.ops.is_empty() {
-                break;
-            }
-            key = flow.input.clone();
-        }
-        key
     }
 
     /// The route step for `flow`'s output standing at `route[hop]`.
@@ -704,27 +647,6 @@ mod tests {
         let stats = groups.dag(g).node_stats();
         assert!(stats.iter().all(|n| n.stats.items_in == 0));
         assert!(groups.dag(g).contains(a) && !groups.dag(g).contains(b));
-    }
-
-    /// A flow with operators is a copy class of its own; one without is a
-    /// copy of its input, up the tap chain to the source.
-    #[test]
-    fn copy_class_follows_flows_without_operators_up_to_their_source() {
-        let mut d = Deployment::new();
-        let src = d.add_flow(flow(source("a"), 0, Vec::new(), vec![0, 1]));
-        let copy = d.add_flow(flow(tap(src), 1, Vec::new(), vec![1, 2]));
-        let copy_of_copy = d.add_flow(flow(tap(copy), 2, Vec::new(), vec![2]));
-        let sel = d.add_flow(flow(tap(copy), 2, vec![selection_ge("1.5")], vec![2]));
-        let copy_of_sel = d.add_flow(flow(tap(sel), 2, Vec::new(), vec![2]));
-        let table = GroupTable::build(&d, |_| true);
-        let class = |f| table.copy_class(&GroupKey::Tap(f));
-        for f in [src, copy, copy_of_copy] {
-            assert_eq!(class(f), GroupKey::Source("a".into()), "flow {f}");
-        }
-        assert_eq!(class(sel), GroupKey::Tap(sel));
-        assert_eq!(class(copy_of_sel), GroupKey::Tap(sel));
-        let source_key = GroupKey::Source("a".into());
-        assert_eq!(table.copy_class(&source_key), source_key);
     }
 
     /// A three-hop flow with a tap at the middle hop and a delivery at the

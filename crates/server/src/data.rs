@@ -24,29 +24,26 @@
 //! - which delivery the coordinator admits, the client it goes to, and
 //!   the query's end of stream (`Plane::deliver`).
 //!
-//! **Bytes, not trees; read once per process per copy class.** A batch
-//! exists here in one of two forms ([`Items`]): the trees a hosted
+//! **Bytes, not trees; read once per connection per distinct batch.** A
+//! batch exists here in one of two forms ([`Items`]): the trees a hosted
 //! `FlowDag` emitted, or the framed bytes of a batch that arrived over the
 //! wire. A wire batch stays bytes for as long as this process only passes
 //! it on — trimmed by item boundary, re-headed, copied into the next frame
 //! — and is read in exactly one place: where a hosted group taps it,
-//! straight into that group's mailbox entries. That read checks every
-//! item and builds its tree; a malformed one is the batch's error
-//! ([`Plane::advance`]). If every member of the group starts with a σ
-//! ([`TapFilter`]), the tap keeps only the trees one of those σs passes.
-//! The sent-log retains what was sent, encoded. Trees a
-//! worker sends down several flows in a row — a stream's copies to the
-//! members without operators — are encoded once (`LastSent`).
+//! through the connection's [`LastRead`], straight into that group's
+//! mailbox entries. That read checks every item and builds its tree; a
+//! malformed one is the batch's error ([`Plane::advance`]). The tap feeds
+//! its group every tree: the group's DAG decides its own σs. The sent-log
+//! retains what was sent, encoded. Trees a worker sends down several flows
+//! in a row — a stream's copies to the members without operators — are
+//! encoded once (`LastSent`).
 //!
-//! A flow without operators carries its input unchanged, so the copies of
-//! a stream form one *copy class* (`GroupTable::copy_class`). Where two
-//! tap groups of this process read one class — under data shipping, one
-//! raw copy per subscriber hosted here, arriving frame after frame on one
-//! connection — both taps are *shared*: their reads go through the
-//! connection's [`LastRead`], which builds every item of a batch once and
-//! hands each shared tap clones of the trees its σs pass, for as long as
-//! the batches that follow carry the same bytes. Shared or not, a tap
-//! decides its σs on the built trees, with the same [`TapFilter::passes`].
+//! A flow without operators carries its input unchanged, so a stream's
+//! copies — under data shipping, one raw copy per subscriber hosted here —
+//! arrive frame after frame on one connection, each under its own flow's
+//! header but with the same item bytes. The [`LastRead`] builds every item
+//! of such a batch once and hands each tap that follows clones of the
+//! trees; a batch of other bytes is read anew.
 //!
 //! **Natural batching.** Every hop moves what is already queued, never
 //! one item at a time and never waiting to fill a batch. A worker *pass*
@@ -88,7 +85,7 @@ use std::time::Duration;
 use dss_core::StreamGlobe;
 use dss_network::{
     Contiguity, FlowDag, FlowId, FlowOutputs, Group, GroupKey, GroupTable, MailboxEntry, Next,
-    NodeId, SyncMailbox, TapFilter,
+    NodeId, SyncMailbox,
 };
 use dss_proto::wire::put_items;
 use dss_proto::{BatchDest, BatchHeader, BatchView, DecodeError, ItemsView, Message};
@@ -154,15 +151,16 @@ pub enum Items<'a> {
     /// cell, if any, keeps that encoding for every other flow its worker
     /// sends the same trees down (`LastSent`).
     Trees(Vec<Node>, Option<&'a OnceCell<Vec<u8>>>),
-    /// Off the wire: framed bytes over the connection's read buffer.
-    View(ItemsView<'a>),
+    /// Off the wire: framed bytes over the connection's read buffer, and
+    /// that connection's last read, which a tap here reads them through.
+    View(ItemsView<'a>, &'a mut LastRead),
 }
 
 impl Items<'_> {
     pub fn len(&self) -> usize {
         match self {
             Items::Trees(trees, _) => trees.len(),
-            Items::View(view) => view.len(),
+            Items::View(view, _) => view.len(),
         }
     }
 
@@ -182,7 +180,7 @@ impl Items<'_> {
                 trees.drain(..admitted.skip);
                 *wire = None; // it holds the whole list
             }
-            Items::View(view) => view.skip(admitted.skip),
+            Items::View(view, _) => view.skip(admitted.skip),
         }
         Some((offset + admitted.skip as u64, admitted.eos))
     }
@@ -202,26 +200,19 @@ impl Items<'_> {
                     wire.map(|wire| wire.set(out[at..].to_vec()));
                 }
             },
-            Items::View(view) => view.encode_into(out),
+            Items::View(view, _) => view.encode_into(out),
         }
     }
 
-    /// The items as trees for a consumer on this process. The `last`
-    /// consumer takes the trees there are instead of a copy. A view is read
-    /// here, every item checked and built; with a `filter`, only the trees
-    /// one of its σs passes are kept.
-    fn trees(&mut self, last: bool, filter: Option<&TapFilter>) -> Result<Vec<Node>, DecodeError> {
+    /// The items as trees for a consumer on this process, and how many
+    /// trees were built for them. The `last` consumer takes the trees there
+    /// are instead of a copy. A view is read through its connection's
+    /// [`LastRead`].
+    fn trees(&mut self, last: bool) -> Result<(Vec<Node>, usize), DecodeError> {
         Ok(match self {
-            Items::Trees(trees, _) if last => std::mem::take(trees),
-            Items::Trees(trees, _) => trees.clone(),
-            Items::View(view) => {
-                let mut trees = view.materialise()?;
-                if let Some(filter) = filter {
-                    let mut scratch = Vec::new();
-                    trees.retain(|tree| filter.passes(tree, &mut scratch));
-                }
-                trees
-            }
+            Items::Trees(trees, _) if last => (std::mem::take(trees), 0),
+            Items::Trees(trees, _) => (trees.clone(), 0),
+            Items::View(view, read) => read.trees(view)?,
         })
     }
 }
@@ -334,11 +325,6 @@ pub struct Plane {
     /// Every flow's route and delivery, and the groups of the hosted
     /// nodes: fixed for the run's lifetime, read by every thread.
     pub groups: GroupTable,
-    /// Indexed by group: the leading σs a tap keeps the group's items by.
-    filters: Vec<Option<TapFilter>>,
-    /// Indexed by group: whether another tap here reads the same copy
-    /// class, so the tap reads through the connection's [`LastRead`].
-    shared: Vec<bool>,
     /// Per hosted node with groups: its name and its mailbox.
     mailboxes: BTreeMap<NodeId, (String, SyncMailbox)>,
     sources: Vec<SourceJob>,
@@ -413,10 +399,6 @@ impl Plane {
         Plane {
             run,
             peer: topo.peer(map.sp(me)).name.clone(),
-            filters: (0..table.groups().len())
-                .map(|g| table.tap_filter(g))
-                .collect(),
-            shared: shared_taps(&table),
             groups: table,
             map,
             me,
@@ -479,8 +461,6 @@ impl Plane {
             mailbox.len() as f64,
         );
         let (dags, last) = (&mut worker.dags, &mut worker.last);
-        // A worker's batches are trees: it reads nothing.
-        let mut unread = LastRead::default();
         dags.run_pass(
             &self.groups,
             &mut worker.pass,
@@ -491,7 +471,7 @@ impl Plane {
                     false => Items::Trees(items, None),
                 };
                 // Trees are never read, so never malformed.
-                let _ = self.advance(flow, 0, offset, items, eos, &mut unread, out);
+                let _ = self.advance(flow, 0, offset, items, eos, out);
             },
         );
         true
@@ -574,7 +554,8 @@ impl Plane {
     /// Refused — before anything is admitted — is a batch for a hop this
     /// process does not host (or a delivery anywhere but the
     /// coordinator), and one a tap here reads a malformed item of. `read`
-    /// is the last read of the connection the batch came on.
+    /// is the last read of the connection the batch came on: a tap here
+    /// reads the batch through it.
     pub fn receive(
         &self,
         view: BatchView<'_>,
@@ -582,7 +563,7 @@ impl Plane {
         out: &impl Egress,
     ) -> Result<(), Refused> {
         let BatchView { header, items } = view;
-        let (mut items, offset, eos) = (Items::View(items), header.offset, header.eos);
+        let (mut items, offset, eos) = (Items::View(items, read), header.offset, header.eos);
         if header.run != self.run {
             self.note_stale();
             return Ok(());
@@ -605,7 +586,7 @@ impl Plane {
         let Some((offset, eos)) = admitted else {
             return Ok(());
         };
-        self.advance(flow, hop, offset, items, eos, read, out)
+        self.advance(flow, hop, offset, items, eos, out)
             .map_err(Refused::Malformed)
     }
 
@@ -619,10 +600,10 @@ impl Plane {
     /// sequence, so one numbering fits all of them.
     ///
     /// This is the one place a wire batch is read: a hosted tap consumes
-    /// items, everything else only moves them. A malformed item is found
-    /// there and is the error; the batch then goes no further. A shared
-    /// tap reads through `read` ([`LastRead`]).
-    #[allow(clippy::too_many_arguments)]
+    /// items, everything else only moves them. A tap reads a view through
+    /// its connection's [`LastRead`] and feeds its group every tree; the
+    /// group's DAG decides its σs itself. A malformed item is found there
+    /// and is the error; the batch then goes no further.
     pub fn advance(
         &self,
         flow: FlowId,
@@ -630,7 +611,6 @@ impl Plane {
         offset: u64,
         mut items: Items<'_>,
         eos: bool,
-        read: &mut LastRead,
         out: &impl Egress,
     ) -> Result<(), DecodeError> {
         if items.is_empty() && !eos {
@@ -640,16 +620,8 @@ impl Plane {
             let step = self.groups.step(flow, hop);
             debug_assert!(self.hosts(step.node));
             if let Some(group) = step.tap {
-                let filter = self.filters[group].as_ref();
-                let (trees, built) = match &items {
-                    Items::View(view) if self.shared[group] => read.trees(view, filter)?,
-                    Items::View(view) => {
-                        let built = view.len();
-                        (items.trees(false, filter)?, built)
-                    }
-                    Items::Trees(..) => (items.trees(step.next == Next::End, None)?, 0),
-                };
-                if let Items::View(_) = &items {
+                let (trees, built) = items.trees(step.next == Next::End)?;
+                if let Items::View(..) = &items {
                     dss_telemetry::counter_add(
                         "server.items_materialised",
                         || vec![("peer", self.peer.clone())],
@@ -787,7 +759,7 @@ impl Plane {
     /// merely passes on.
     fn note_batch(&self, items: &Items<'_>) {
         self.note_frame(items.len());
-        if let Items::View(view) = items {
+        if let Items::View(view, _) = items {
             dss_telemetry::counter_add(
                 "server.items_relayed",
                 || vec![("peer", self.peer.clone())],
@@ -823,22 +795,6 @@ impl Plane {
             dss_telemetry::counter_add("server.stale_batches", Vec::new, stale);
         }
     }
-}
-
-/// Indexed by `table`'s groups: the tap groups that read a copy class
-/// another tap group of the table reads too.
-fn shared_taps(table: &GroupTable) -> Vec<bool> {
-    let classes: Vec<Option<GroupKey>> = (table.groups().iter())
-        .map(|group| match &group.key {
-            GroupKey::Tap(_) if !group.members.is_empty() => Some(table.copy_class(&group.key)),
-            _ => None,
-        })
-        .collect();
-    let readers = |class: &GroupKey| classes.iter().flatten().filter(|c| *c == class).count();
-    classes
-        .iter()
-        .map(|class| class.as_ref().is_some_and(|c| readers(c) > 1))
-        .collect()
 }
 
 /// One hosted node's DAGs, the outputs of the pass in progress, and the
@@ -930,16 +886,16 @@ impl LastSent {
     }
 }
 
-/// The read side of [`LastSent`]: the item bytes of the last batch a
-/// connection's reader read for a shared tap ([`shared_taps`]), and that
-/// batch's trees. The driver owns one per connection and hands it to
+/// The read side of [`LastSent`], and the one read of a wire batch: the
+/// item bytes of the last batch a connection's reader read for a tap, and
+/// that batch's trees. The driver owns one per connection and hands it to
 /// [`Plane::receive`].
 ///
 /// A process receives a stream's copies one frame after another on one
 /// connection, each under its own flow's header but with the same item
-/// bytes. The first shared tap to read a batch builds all of it; the taps
-/// of the same bytes that follow take clones of those trees, which share
-/// their children.
+/// bytes. The first tap to read a batch builds all of it; the taps of the
+/// same bytes that follow take clones of those trees, which share their
+/// children.
 #[derive(Debug, Default)]
 pub struct LastRead {
     bytes: Vec<u8>,
@@ -947,17 +903,11 @@ pub struct LastRead {
 }
 
 impl LastRead {
-    /// A shared tap's trees out of `view` — the items `filter`'s σs pass,
-    /// every item without a filter — and how many trees were built for
-    /// them. Unless this holds exactly `view`'s bytes, the view is read
-    /// first: one checked walk that builds every item, kept for the next
-    /// tap. The σs are decided on the trees, as an unshared tap decides
-    /// them ([`Items`]'s read).
-    fn trees(
-        &mut self,
-        view: &ItemsView<'_>,
-        filter: Option<&TapFilter>,
-    ) -> Result<(Vec<Node>, usize), DecodeError> {
+    /// A tap's trees out of `view`, every item, and how many trees were
+    /// built for them. Unless this holds exactly `view`'s bytes, the view
+    /// is read first: one checked walk that builds every item, kept for
+    /// the next tap.
+    fn trees(&mut self, view: &ItemsView<'_>) -> Result<(Vec<Node>, usize), DecodeError> {
         let mut built = 0;
         if self.bytes != view.bytes() {
             self.trees = view.materialise()?;
@@ -965,15 +915,7 @@ impl LastRead {
             self.bytes.extend_from_slice(view.bytes());
             built = self.trees.len();
         }
-        let Some(filter) = filter else {
-            return Ok((self.trees.clone(), built));
-        };
-        let mut scratch = Vec::new();
-        let trees = self
-            .trees
-            .iter()
-            .filter(|tree| filter.passes(tree, &mut scratch));
-        Ok((trees.cloned().collect(), built))
+        Ok((self.trees.clone(), built))
     }
 }
 
@@ -1098,10 +1040,12 @@ mod tests {
             let mut payload = Vec::new();
             exit.header(1, b.offset, b.eos).encode_into(&mut payload);
             payload.extend_from_slice(&b.items);
-            let mut received = Items::View(BatchView::parse(&payload).unwrap().items);
+            let mut read = LastRead::default();
+            let view = BatchView::parse(&payload).unwrap().items;
+            let mut received = Items::View(view, &mut read);
             let (at, eos) = received.admit(&mut mark, b.offset, b.eos).unwrap();
             assert_eq!((at as usize, eos), (100 + got.len(), b.eos));
-            got.extend(received.trees(true, None).unwrap());
+            got.extend(received.trees(true).unwrap().0);
         }
         assert_eq!(got, items(100..150));
     }
@@ -1333,7 +1277,8 @@ mod tests {
             for seen in [64, 70, 89, 90] {
                 let mut mark = Contiguity::default();
                 mark.admit(0, seen, false).unwrap();
-                let mut items = Items::View(view.items.clone());
+                let mut read = LastRead::default();
+                let mut items = Items::View(view.items.clone(), &mut read);
                 let Some((offset, eos)) = items.admit(&mut mark, 64, eos) else {
                     assert!(
                         seen == 90 && !eos,
@@ -1362,7 +1307,7 @@ mod tests {
                 };
                 assert_eq!(payload_of(exit, 5, offset, &items, eos), want.encode());
                 // Trees leave as the same bytes the view does.
-                let trees = Items::Trees(items.trees(false, None).unwrap(), None);
+                let trees = Items::Trees(items.trees(false).unwrap().0, None);
                 assert_eq!(payload_of(exit, 5, offset, &trees, eos), want.encode());
             }
         }
@@ -1536,14 +1481,13 @@ mod tests {
     }
 
     /// A tap fed its input as received bytes emits exactly what it emits
-    /// fed the trees, whatever leads its chain: a σ (the group's filter
-    /// then keeps only the trees one of its σs passes), a Π or a Φ. The
-    /// chains are the data-shipping taps of scenarios 1 and 2 — each
-    /// query's operators over raw photons — and each of them without its
-    /// leading σ, plus one group whose two members lead with different σs;
-    /// the input is scenario 1's photons. Every batch is read both ways a
-    /// tap reads bytes — on its own, and through a [`LastRead`] — and both
-    /// give the DAG the same trees.
+    /// fed the trees, whatever leads its chain: a σ, a Π or a Φ. The chains
+    /// are the data-shipping taps of scenarios 1 and 2 — each query's
+    /// operators over raw photons — and each of them without its leading
+    /// σ, plus one group whose two members lead with different σs; the
+    /// input is scenario 1's photons. Every batch is read through one
+    /// [`LastRead`], which builds it in full and hands the group every
+    /// tree: the group's DAG decides its σs itself.
     #[test]
     fn a_tap_fed_bytes_emits_what_it_emits_fed_trees() {
         let mut chains: Vec<Vec<FlowOp>> = Vec::new();
@@ -1606,13 +1550,11 @@ mod tests {
         assert_eq!(pairs.count(), 1, "one group of two members");
         let input = &Scenario::scenario1(42).streams[0].items;
 
-        let (mut led_by, mut offered, mut kept) = (BTreeSet::new(), 0, 0);
+        let mut led_by = BTreeSet::new();
         for (g, group) in table.groups().iter().enumerate().skip(1) {
-            let filter = table.tap_filter(g);
-            let filter = filter.as_ref();
             let run = |as_bytes: bool| {
                 let (mut dag, mut outputs) = (table.cold_dag(g), FlowOutputs::default());
-                let (mut read, mut kept) = (LastRead::default(), 0);
+                let mut read = LastRead::default();
                 for chunk in input.chunks(BATCH_CAP) {
                     let trees = match as_bytes {
                         true => {
@@ -1620,29 +1562,26 @@ mod tests {
                             let payload =
                                 payload_of(Exit::Hop { flow: 0, hop: 0 }, 1, 0, &batch, false);
                             let view = BatchView::parse(&payload).unwrap().items;
-                            let (shared, built) = read.trees(&view, filter).unwrap();
+                            let (trees, built) = Items::View(view, &mut read).trees(true).unwrap();
                             assert_eq!(built, chunk.len(), "a new batch is built in full");
-                            let trees = Items::View(view).trees(true, filter).unwrap();
-                            assert_eq!(shared, trees, "the shared read and the unshared one");
+                            assert_eq!(trees, chunk, "the group is fed every tree");
                             trees
                         }
                         false => chunk.to_vec(),
                     };
-                    kept += trees.len();
                     outputs.feed_slice(&mut dag, &trees);
                 }
                 outputs.flush(&mut dag);
-                (outputs.drain().collect::<Vec<_>>(), kept)
+                outputs.drain().collect::<Vec<_>>()
             };
-            let (from_trees, _) = run(false);
-            let (from_bytes, n) = run(true);
+            let from_trees = run(false);
             assert_eq!(
-                from_bytes, from_trees,
+                run(true),
+                from_trees,
                 "the tap of flows {:?}",
                 group.members
             );
             if group.members.len() == 2 {
-                assert!(filter.is_some(), "both members lead with a σ");
                 let emitted = |f: FlowId| {
                     from_trees
                         .iter()
@@ -1653,119 +1592,64 @@ mod tests {
                     "both σs pass items"
                 );
             }
-            let FlowOp::Standard(first) = &table.flows()[group.members[0]].ops[0] else {
-                continue;
-            };
-            led_by.insert(format!("{:?}", first.kind()));
-            if filter.is_some() {
-                offered += input.len();
-                kept += n;
-            } else {
-                assert_eq!(n, input.len(), "without a filter every item is kept");
+            if let FlowOp::Standard(first) = &table.flows()[group.members[0]].ops[0] {
+                led_by.insert(format!("{:?}", first.kind()));
             }
         }
         assert_eq!(
             led_by.into_iter().collect::<Vec<_>>(),
             ["Aggregation", "Projection", "Selection"]
         );
-        assert!(
-            kept > 0 && kept < offered / 2,
-            "the σs pass {kept} of {offered} items"
-        );
     }
 
-    /// Two taps of one copy class read through one connection's
-    /// [`LastRead`], in turn, batch after batch: each batch is as long as
-    /// the one before but holds other items. Each tap emits exactly what it
-    /// emits fed the trees, and every item is built once for both.
+    /// Taps that read through one connection's [`LastRead`] in turn, batch
+    /// after batch, each get exactly the trees of the batch they read, and
+    /// every item is built once per batch. Under data shipping the
+    /// connection carries two copies of one stream: each batch arrives
+    /// twice, and each is as long as the one before but holds other items.
+    /// Under stream sharing it alternates batches of two different flows,
+    /// so every read misses.
     #[test]
-    fn shared_taps_fed_equal_length_batches_emit_what_they_emit_fed_trees() {
-        // Two distinct σ-led chains of scenario 1's data-shipping queries.
-        let scenario = Scenario::scenario1(42);
-        let mut globe = scenario.build_system();
-        for q in &scenario.queries {
-            globe
-                .register_query(q.id.clone(), &q.text, &q.peer, Strategy::DataShipping)
-                .unwrap_or_else(|e| panic!("registering {}: {e}", q.id));
-        }
-        let mut chains: Vec<Vec<FlowOp>> = Vec::new();
-        for flow in globe.deployment().flows() {
-            let sigma_led = matches!(flow.ops.first(), Some(FlowOp::Standard(op)) if op.to_string().starts_with('σ'));
-            if sigma_led && !chains.contains(&flow.ops) {
-                chains.push(flow.ops.clone());
-            }
-        }
-        assert!(chains.len() >= 2, "scenario 1 has σ-led queries");
-        // The photons at node 0, two copies of them without operators on to
-        // node 1, and a tap of each copy there.
-        let mut deployment = Deployment::new();
-        let flow = |input, node: NodeId, ops, route| StreamFlow {
-            label: format!("at {node}"),
-            input,
-            processing_node: node,
-            ops,
-            route,
-            properties: None,
-            retired: false,
-        };
-        let photons = FlowInput::Source {
-            stream: "photons".into(),
-        };
-        let source = deployment.add_flow(flow(photons, 0, Vec::new(), vec![0]));
-        let mut taps = Vec::new();
-        for chain in &chains[..2] {
-            let copy = FlowInput::Tap { parent: source };
-            let copy = deployment.add_flow(flow(copy, 0, Vec::new(), vec![0, 1]));
-            let tap = FlowInput::Tap { parent: copy };
-            taps.push(deployment.add_flow(flow(tap, 1, chain.clone(), vec![1])));
-        }
-        let table = GroupTable::build(&deployment, |_| true);
-        let shared = shared_taps(&table);
-        let taps: Vec<usize> = taps
-            .iter()
-            .map(|&f| table.flows()[f].group.unwrap())
+    fn taps_on_one_connection_get_their_own_trees_and_each_batch_is_built_once() {
+        let photons = &Scenario::scenario1(42).streams[0].items;
+        let others = &Scenario::scenario2(42).streams[0].items;
+        // What the connection carries, in order: per turn, one batch per tap.
+        let copies: Vec<&[Node]> = (photons.chunks(BATCH_CAP))
+            .flat_map(|batch| [batch, batch])
             .collect();
-        assert!(taps.iter().all(|&g| shared[g]), "one copy class, two taps");
-        let filters: Vec<Option<TapFilter>> = taps.iter().map(|&g| table.tap_filter(g)).collect();
-        assert!(filters.iter().all(Option::is_some));
-
-        let input = &scenario.streams[0].items;
-        let run = |as_bytes: bool| {
-            let mut read = LastRead::default();
-            let mut dags: Vec<(FlowDag, FlowOutputs)> = (taps.iter())
-                .map(|&g| (table.cold_dag(g), FlowOutputs::default()))
-                .collect();
-            let mut built = 0;
-            for chunk in input.chunks(BATCH_CAP) {
-                let batch = Items::Trees(chunk.to_vec(), None);
-                let payload = payload_of(Exit::Hop { flow: 0, hop: 0 }, 1, 0, &batch, false);
-                let view = BatchView::parse(&payload).unwrap().items;
-                for ((dag, outputs), filter) in dags.iter_mut().zip(&filters) {
-                    let trees = match as_bytes {
-                        true => {
-                            let (trees, n) = read.trees(&view, filter.as_ref()).unwrap();
-                            built += n;
-                            trees
-                        }
-                        false => chunk.to_vec(),
-                    };
-                    outputs.feed_slice(dag, &trees);
-                }
-            }
-            let outputs = dags.iter_mut().map(|(dag, outputs)| {
-                outputs.flush(dag);
-                outputs.drain().collect::<Vec<_>>()
-            });
-            (outputs.collect::<Vec<_>>(), built)
-        };
-        let (from_trees, _) = run(false);
-        let (from_bytes, built) = run(true);
+        let flows: Vec<&[Node]> = (photons.chunks(BATCH_CAP))
+            .zip(others.chunks(BATCH_CAP))
+            .flat_map(|(a, b)| [a, b])
+            .collect();
         assert!(
-            from_trees.iter().all(|out| !out.is_empty()),
-            "both σs pass items"
+            flows.windows(2).all(|pair| pair[0] != pair[1]),
+            "two flows: every batch holds other items than the one before"
         );
-        assert_eq!(from_bytes, from_trees);
-        assert_eq!(built, input.len(), "each batch built once for both taps");
+        let read_in_turns = |batches: &[&[Node]]| {
+            let mut read = LastRead::default();
+            let mut built = 0;
+            for (i, &batch) in batches.iter().enumerate() {
+                let (tap, items) = (i % 2, Items::Trees(batch.to_vec(), None));
+                let exit = Exit::Hop { flow: tap, hop: 1 };
+                let payload = payload_of(exit, 1, 0, &items, false);
+                let view = BatchView::parse(&payload).unwrap().items;
+                let (trees, n) = Items::View(view, &mut read).trees(false).unwrap();
+                assert_eq!(trees, batch, "batch {i}: tap {tap} got other trees");
+                built += n;
+            }
+            built
+        };
+        assert_eq!(
+            read_in_turns(&copies),
+            photons.len(),
+            "two copies: each batch built once for both taps"
+        );
+        let read: usize = flows.iter().map(|batch| batch.len()).sum();
+        assert_eq!(
+            read_in_turns(&flows),
+            read,
+            "two flows: every item built once"
+        );
     }
 
     /// An item list of a good photon, then an item whose has-text byte is
@@ -1792,8 +1676,7 @@ mod tests {
 
     /// A malformed item inside a well-framed batch travels as far as its
     /// first reader: a pure relay hop forwards it byte for byte, and a
-    /// tapped hop — filtered by its σs or not — returns the typed error
-    /// and sends nothing on.
+    /// tapped hop returns the typed error and sends nothing on.
     #[test]
     fn a_malformed_item_is_relayed_as_is_and_fails_at_the_first_tap() {
         let reference = scenario1_reference(Strategy::DataShipping);
@@ -1804,24 +1687,23 @@ mod tests {
         let hops = (0..all.flows().len())
             .flat_map(|f| (1..all.flows()[f].route.len()).map(move |h| (f, h)))
             .filter(|&(f, h)| owner(f, h - 1) != owner(f, h));
-        let mut relay = None;
-        let mut taps = BTreeMap::new();
+        let (mut relay, mut tap) = (None, None);
         for (f, h) in hops {
             let step = all.step(f, h);
             match (step.tap, step.next) {
                 (None, Next::Forward { to, .. }) if map.owner_of(to) != owner(f, h) => {
                     relay.get_or_insert((f, h));
                 }
-                (Some(g), _) => {
-                    taps.entry(all.tap_filter(g).is_some()).or_insert((f, h));
+                (Some(_), _) => {
+                    tap.get_or_insert((f, h));
                 }
                 _ => {}
             }
         }
         let relay = relay.expect("data shipping relays the raw stream across processes");
-        assert_eq!(taps.len(), 2, "taps with and without a filter: {taps:?}");
+        let tap = tap.expect("data shipping taps a raw copy over the wire");
 
-        for (flow, hop) in [relay].into_iter().chain(taps.into_values()) {
+        for (flow, hop) in [relay, tap] {
             let me = owner(flow, hop);
             let plane = Plane::build(&reference.globe, me, 9, 1024, false, Deliveries::default());
             let out = Capture::default();
@@ -1886,11 +1768,13 @@ mod tests {
             );
             assert_eq!(received, Err(Refused::NotHere), "flow {f} hop {h}");
         }
+        let hosted = batch_of(flow, hop, &list);
+        let mut read = LastRead::default();
         let delivery = payload_of(
             Exit::Deliver { query: "q1" },
             9,
             0,
-            &Items::View(BatchView::parse(&batch_of(flow, hop, &list)).unwrap().items),
+            &Items::View(BatchView::parse(&hosted).unwrap().items, &mut read),
             true,
         );
         let received = plane.receive(

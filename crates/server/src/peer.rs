@@ -403,7 +403,7 @@ impl Server {
         crate::profile::label(Thread::Reader);
         let srv = Arc::clone(&self);
         let c = Arc::clone(&conn);
-        // What this connection's reader last read for a shared tap.
+        // What this connection's reader last read for a tap.
         let mut read = LastRead::default();
         let _ = wire::read_loop(reader, move |msg| srv.handle(msg, &c, from, &mut read));
         if let Addr::Client(id) = from {

@@ -145,6 +145,22 @@ if grep -rn --include='*.rs' 'sharers -= 1' crates/*/src src | grep -v '^crates/
     exit 1
 fi
 
+echo "==> a wire tap reads through LastRead only"
+# A wire batch is read in one place: the connection's LastRead, which
+# every hosted tap reads through (DESIGN.md "Relay bytes, not trees"). A
+# second call of ItemsView::materialise in the plane would be a second
+# read path, free to disagree with the first about what a tap is fed.
+# Code from the first #[cfg(test)] of the file on is test code.
+tap_reads=$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^impl LastRead \{/ { in_read = 1 }
+    /materialise\(/ { print (in_read ? "in" : "out") ":" FNR ": " $0 }
+    in_read && /^}/ { in_read = 0 }' crates/server/src/data.rs)
+if [ "$(printf '%s\n' "$tap_reads" | grep -c '^in:')" != 1 ] || printf '%s\n' "$tap_reads" | grep -q '^out:'; then
+    printf '%s\n' "$tap_reads"
+    echo "FAIL: crates/server/src/data.rs must call materialise( exactly once, inside impl LastRead" >&2
+    exit 1
+fi
+
 echo "==> dss-proto holds no unsafe code outside crc.rs"
 # Every byte a peer receives is checked where it is read (DESIGN.md "Relay
 # bytes, not trees"); no decoder path may trust a previous pass to skip a

@@ -209,7 +209,7 @@ struct Sim<'a> {
     map: NetMap,
     procs: Vec<Process>,
     links: BTreeMap<(Addr, Addr), VecDeque<Vec<u8>>>,
-    /// Per link, what its receiver last read for a shared tap: one per
+    /// Per link, what its receiver last read for a tap: one per
     /// connection, as `serve`'s reader threads keep it.
     reads: BTreeMap<(Addr, Addr), LastRead>,
     now: Duration,
@@ -644,20 +644,24 @@ fn deployment(globe: &StreamGlobe) -> String {
     format!("{queries:?} {flows:?}")
 }
 
-/// Each registered query's results as `run_simulation` computes them,
-/// remembered per deployment.
-type References = BTreeMap<String, BTreeMap<String, Vec<Node>>>;
+/// What `run_simulation` computes for one deployment.
+struct Reference {
+    /// Every flow's output.
+    flows: Vec<Vec<Node>>,
+    /// Each registered query's results.
+    queries: BTreeMap<String, Vec<Node>>,
+}
 
-fn reference<'r>(
-    cache: &'r mut References,
-    globe: &StreamGlobe,
-) -> &'r BTreeMap<String, Vec<Node>> {
+/// [`Reference`]s, remembered per deployment.
+type References = BTreeMap<String, Reference>;
+
+fn reference<'r>(cache: &'r mut References, globe: &StreamGlobe) -> &'r Reference {
     cache.entry(deployment(globe)).or_insert_with(|| {
-        let outputs = globe.run_simulation(Default::default()).flow_outputs;
-        let queries = globe.registered_queries();
-        queries
-            .map(|(q, f)| (q.to_string(), outputs[f].clone()))
-            .collect()
+        let flows = globe.run_simulation(Default::default()).flow_outputs;
+        let queries = (globe.registered_queries())
+            .map(|(q, f)| (q.to_string(), flows[f].clone()))
+            .collect();
+        Reference { flows, queries }
     })
 }
 
@@ -720,15 +724,29 @@ fn run_script(
         );
     }
     if let Script::Shipping = script {
-        // P1's process taps a raw copy per query: two taps, one copy class.
+        // P1's process taps a raw copy per query: two taps fed over the
+        // wire by parents whose simulated outputs are the photons.
         let globe = sim.procs[COORDINATOR].control.globe();
         let p1 = sim.map.owner_of(globe.topology().expect_node("P1"));
         let hosted = GroupTable::build(globe.deployment(), |n| sim.map.owner_of(n) == p1);
-        let classes: Vec<GroupKey> = (hosted.groups().iter())
-            .filter(|group| matches!(group.key, GroupKey::Tap(_)))
-            .map(|group| hosted.copy_class(&group.key))
+        let parents: Vec<usize> = (hosted.groups().iter())
+            .filter_map(|group| match group.key {
+                GroupKey::Tap(parent) => {
+                    let route = &hosted.flows()[parent].route;
+                    let hop = route.iter().position(|&n| n == group.node).unwrap();
+                    let wire = hop > 0 && sim.map.owner_of(route[hop - 1]) != p1;
+                    assert!(wire, "flow {parent} reaches P1 over the wire");
+                    Some(parent)
+                }
+                GroupKey::Source(_) => None,
+            })
             .collect();
-        assert_eq!(classes, vec![GroupKey::Source("photons".into()); 2]);
+        let outputs = &reference(references, globe).flows;
+        let photons = globe.source_items("photons").expect("the photons");
+        assert_eq!(parents.len(), 2, "P1's taps: {parents:?}");
+        for parent in parents {
+            assert_eq!(outputs[parent], photons, "flow {parent} copies the photons");
+        }
     }
     if let Script::Control = script {
         let id = subs[sim.rng.below(2)].0.to_string();
@@ -738,7 +756,7 @@ fn run_script(
     let before_run = sim.handled();
     let reply = sim.request(Message::StartRun { run: 0 });
     let by_run_end = sim.handled();
-    let want = reference(references, sim.procs[COORDINATOR].control.globe());
+    let want = &reference(references, sim.procs[COORDINATOR].control.globe()).queries;
     for (query, got) in &sim.results {
         // Whatever the client got is what the simulator computes.
         let want = &want[query];
@@ -958,7 +976,9 @@ fn the_data_sweep_sends_each_result_in_several_batches() {
         1,
         Fault::Reorder,
     );
-    let results = references.into_values().next().expect("one deployment ran");
+    let results = (references.into_values().next())
+        .expect("one deployment ran")
+        .queries;
     assert_eq!(results.len(), 2);
     for (query, items) in results {
         assert!(

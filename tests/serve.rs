@@ -6,7 +6,7 @@
 //! (`StreamGlobe::run_simulation`) is the oracle throughout: the deployed
 //! fleet must reproduce its per-query delivered outputs *byte for byte*.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -287,11 +287,12 @@ fn counter(snapshot: &str, name: &str) -> u64 {
 
 /// Data shipping over real sockets: each subscriber's raw stream crosses
 /// the fleet as bytes and is read only at the subscriber's super-peer.
-/// The 25 queries of scenario 1 arrive byte-exact. A peer whose taps all
-/// start with a σ builds fewer trees than it receives items, and one whose
-/// taps all read one copy class — a raw copy of the photons per query it
-/// hosts — builds at most the distinct items it receives: each copied
-/// batch is read once per process, however many copies arrive.
+/// The 25 queries of scenario 1 arrive byte-exact. A peer whose taps are
+/// all fed over the wire by parents whose outputs are identical — a raw
+/// copy of the photons per query it hosts — builds fewer trees than it
+/// receives items, and at most the distinct items it receives: the copies
+/// arrive one after another on one connection, whose one read builds each
+/// copied batch once per process, however many copies arrive.
 #[test]
 fn scenario1_under_data_shipping_is_byte_exact_and_reads_each_copied_batch_once_per_process() {
     let scenario = dss_rass::Scenario::scenario1(42);
@@ -329,26 +330,29 @@ fn scenario1_under_data_shipping_is_byte_exact_and_reads_each_copied_batch_once_
     }
     assert_eq!(out.delivered as usize, total, "fleet-wide delivered count");
 
-    // The processes whose groups are all σ-led taps fed over the wire: what
-    // they receive is their taps' parents' output.
+    // The processes whose groups, more than one, all tap copies of one
+    // stream fed over the wire: parents whose simulated outputs are
+    // identical. What they receive is those parents' output.
     let map = NetMap::new(sys.topology());
-    let (mut checked, mut one_class) = (0, 0);
+    let mut one_class = 0;
     for i in 0..map.process_count() {
         let hosted = GroupTable::build(sys.deployment(), |n| map.owner_of(n) == i);
-        let mut received = 0;
-        let all_filtered_over_the_wire = !hosted.groups().is_empty()
-            && hosted.groups().iter().enumerate().all(|(g, group)| {
-                let GroupKey::Tap(parent) = group.key else {
-                    return false;
-                };
-                let route = &hosted.flows()[parent].route;
-                let hop = route.iter().position(|&n| n == group.node).unwrap();
-                received += sim.flow_outputs[parent].len();
-                hosted.tap_filter(g).is_some() && hop > 0 && map.owner_of(route[hop - 1]) != i
-            });
-        if !all_filtered_over_the_wire {
+        let mut parents = Vec::new();
+        let all_over_the_wire = hosted.groups().iter().all(|group| {
+            let GroupKey::Tap(parent) = group.key else {
+                return false;
+            };
+            let route = &hosted.flows()[parent].route;
+            let hop = route.iter().position(|&n| n == group.node).unwrap();
+            parents.push(parent);
+            hop > 0 && map.owner_of(route[hop - 1]) != i
+        });
+        let copies = (parents.iter())
+            .all(|&parent| sim.flow_outputs[parent] == sim.flow_outputs[parents[0]]);
+        if !all_over_the_wire || parents.len() < 2 || !copies {
             continue;
         }
+        let received: usize = parents.iter().map(|&p| sim.flow_outputs[p].len()).sum();
         let mut probe = Client::connect(&map.addr(&spec, i), "probe", FLEET_TIMEOUT)
             .unwrap_or_else(|e| panic!("dialing process {i}: {e}"));
         let built = counter(
@@ -360,26 +364,16 @@ fn scenario1_under_data_shipping_is_byte_exact_and_reads_each_copied_batch_once_
             0 < built && built < received as u64,
             "process {i} built {built} trees of {received} items received"
         );
-        checked += 1;
-        let classes: BTreeSet<GroupKey> = (hosted.groups().iter())
-            .map(|group| hosted.copy_class(&group.key))
-            .collect();
-        if hosted.groups().len() > 1 && classes.len() == 1 {
-            // Every parent carries the same items: the class's.
-            let GroupKey::Tap(parent) = hosted.groups()[0].key else {
-                unreachable!("a tap group")
-            };
-            let distinct = sim.flow_outputs[parent].len();
-            assert!(
-                built <= distinct as u64 && distinct <= 2_000,
-                "process {i} built {built} trees of {distinct} distinct items \
-                 ({received} received in {} copies)",
-                hosted.groups().len()
-            );
-            one_class += 1;
-        }
+        // Every parent carries the same items.
+        let distinct = sim.flow_outputs[parents[0]].len();
+        assert!(
+            built <= distinct as u64 && distinct <= 2_000,
+            "process {i} built {built} trees of {distinct} distinct items \
+             ({received} received in {} copies)",
+            parents.len()
+        );
+        one_class += 1;
     }
-    assert!(checked > 0, "some subscriber peer taps only with σs");
     assert!(
         one_class > 0,
         "some subscriber peer taps copies of one stream only"
