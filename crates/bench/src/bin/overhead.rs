@@ -1,9 +1,14 @@
-//! Times the telemetry-overhead guard workload (the 16-flow fused
-//! `shared_prefix` simulation) and prints the median wall time.
+//! Times the telemetry-overhead guard workload (16 identical flows fused
+//! at one peer, [`dss_bench::overhead`]) and prints the median wall time
+//! of a sample.
 //!
 //! ```text
-//! overhead [iterations]        default 30, plus 3 warm-up runs
+//! overhead [samples]        default 30, plus 3 warm-up runs
 //! ```
+//!
+//! A sample is [`CALLS_PER_SAMPLE`] runs of the workload. One run takes
+//! ≈ 0.5–1 ms and starts the simulator's worker threads, so a sample of
+//! one run scattered with the scheduler by more than the guard's bound.
 //!
 //! `scripts/telemetry_overhead.sh` runs this binary from two builds — one
 //! with the telemetry layer compiled in (the default; recording stays
@@ -13,8 +18,11 @@
 
 use std::time::Instant;
 
+/// Workload runs timed as one sample: ≥ 20 ms on a 2-vCPU host.
+const CALLS_PER_SAMPLE: usize = 40;
+
 fn main() {
-    let iterations: usize = std::env::args()
+    let samples: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
@@ -35,20 +43,22 @@ fn main() {
         );
     }
 
-    let mut samples: Vec<u128> = (0..iterations)
+    let mut times: Vec<u128> = (0..samples)
         .map(|_| {
             let start = Instant::now();
-            let work = workload.run_once();
-            let elapsed = start.elapsed().as_nanos();
-            assert_eq!(work, reference, "workload must be deterministic");
-            elapsed
+            for _ in 0..CALLS_PER_SAMPLE {
+                let work = workload.run_once();
+                assert_eq!(work, reference, "workload must be deterministic");
+            }
+            start.elapsed().as_nanos()
         })
         .collect();
-    samples.sort_unstable();
-    let median = samples[samples.len() / 2];
+    times.sort_unstable();
+    let median = times[times.len() / 2];
 
     println!(
-        "shared_prefix fused x16: {iterations} iterations, telemetry compiled {} (recording off)",
+        "16 fused flows: {samples} samples of {CALLS_PER_SAMPLE} runs, telemetry compiled {} \
+         (recording off)",
         if compiled_in { "in" } else { "out" },
     );
     println!("median_ns {median}");

@@ -1,8 +1,9 @@
-//! The telemetry-overhead guard's workload: the 16-flow fused
-//! `shared_prefix` simulation (see `benches/shared_prefix.rs`), packaged as
-//! a library function so `scripts/telemetry_overhead.sh` can time the
-//! identical work with the telemetry layer compiled in (but disabled) and
-//! compiled out, and fail on regression.
+//! The telemetry-overhead guard's workload: sixteen flows running the
+//! identical σ → Φ chain over one stream at one peer, which the batch
+//! simulator fuses into one path, packaged as a library function so
+//! `scripts/telemetry_overhead.sh` can time the identical work with the
+//! telemetry layer compiled in (but disabled) and compiled out, and fail
+//! on regression.
 
 use std::collections::BTreeMap;
 
@@ -114,7 +115,6 @@ impl Workload {
     pub fn run_once(&self) -> f64 {
         let cfg = SimConfig {
             forward_work_per_kb: 0.0,
-            shared_ops: true,
             ..SimConfig::default()
         };
         let outcome = run(&self.topo, &self.deployment, &self.sources, cfg);

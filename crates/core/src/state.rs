@@ -296,7 +296,7 @@ impl NetworkState {
     /// Charges `flow`'s operator chain at peer `v` through the sharing
     /// book: only operators not already run by a sharing sibling (same
     /// peer, same input `key`, mergeable prefix) add to `node_used_work`.
-    pub fn charge_shared_ops_for(
+    pub fn charge_chain_for(
         &mut self,
         flow: FlowId,
         v: NodeId,
@@ -436,11 +436,11 @@ mod tests {
         })];
         st.flow_charges.push(FlowCharge::default());
         st.flow_charges.push(FlowCharge::default());
-        st.charge_shared_ops_for(0, 1, GroupKey::Source("s".into()), &ops, 100.0);
+        st.charge_chain_for(0, 1, GroupKey::Source("s".into()), &ops, 100.0);
         let one_flow = st.node_used_work[1];
         assert!(one_flow > 0.0);
         // A second identical flow shares the whole chain: no extra charge.
-        st.charge_shared_ops_for(1, 1, GroupKey::Source("s".into()), &ops, 100.0);
+        st.charge_chain_for(1, 1, GroupKey::Source("s".into()), &ops, 100.0);
         assert_eq!(st.node_used_work[1], one_flow);
         st.uncharge_flow(0);
         assert_eq!(st.node_used_work[1], one_flow, "flow 1 still pays");
@@ -492,7 +492,7 @@ mod tests {
             st.flow_charges.push(FlowCharge::default());
             let route = st.deployment.flow(f).route.clone();
             st.charge_route_for(f, &route, est);
-            st.charge_shared_ops_for(f, 1, GroupKey::Tap(f0), &ops, 5.0);
+            st.charge_chain_for(f, 1, GroupKey::Tap(f0), &ops, 5.0);
             f
         };
         let f1 = tap(vec![udf("a"), udf("b")], vec![1, 3]);
@@ -526,7 +526,7 @@ mod tests {
         assert!(st.node_used_work.iter().all(|x| x.abs() < 1e-12));
         // The cycle can re-register under the same id afterwards.
         st.flow_charges[f2] = FlowCharge::default();
-        st.charge_shared_ops_for(f2, 2, GroupKey::Tap(0), &[udf("a")], 5.0);
+        st.charge_chain_for(f2, 2, GroupKey::Tap(0), &[udf("a")], 5.0);
         assert!(st.shared_attributed_work(f2) > 0.0);
     }
 
@@ -573,7 +573,7 @@ mod tests {
                     } else if let Some(chain) = chain {
                         let chain: Vec<FlowOp> = chain.iter().map(|&i| ops[i].clone()).collect();
                         dag.register(flow, &chain);
-                        st.charge_shared_ops_for(flow, group.0, group.1.clone(), &chain, 5.0);
+                        st.charge_chain_for(flow, group.0, group.1.clone(), &chain, 5.0);
                     }
                     let live: Vec<(usize, usize)> =
                         dag.node_stats().iter().map(|n| (n.depth, n.sharers)).collect();

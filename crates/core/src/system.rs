@@ -480,7 +480,7 @@ impl StreamGlobe {
                 // Route through the sharing book: operators an earlier flow
                 // already runs at this tap (same input, mergeable prefix)
                 // are not charged again — the fused executor runs them once.
-                self.state.charge_shared_ops_for(
+                self.state.charge_chain_for(
                     flow,
                     part.tap_node,
                     GroupKey::Tap(parent),
@@ -509,7 +509,7 @@ impl StreamGlobe {
         self.state
             .charge_route_for(delivery_flow, &plan.deliver_route, plan.result_estimate);
         let input_freq = self.state.flow_estimate(parent).frequency;
-        self.state.charge_shared_ops_for(
+        self.state.charge_chain_for(
             delivery_flow,
             plan.post_node,
             GroupKey::Tap(parent),

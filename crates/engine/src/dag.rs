@@ -18,8 +18,9 @@
 //! caller's operator keys (`K`) accepts them. Every product caller that
 //! shares passes `==`: a `FlowOp` key includes its window spec, so equal
 //! keys are the paper's `MatchAggregations` rule. The predicate stays a
-//! parameter only for the benchmark's unfused ablation, which refuses every
-//! merge ([`OpDag::chain`] has a single sink and nothing to merge).
+//! parameter only for `bench/`'s unfused ablation
+//! (`engine.opdag_work_ratio_f16`), which refuses every merge
+//! ([`OpDag::chain`] has a single sink and nothing to merge).
 //!
 //! Chains register and retire dynamically. [`OpDag::reregister`] replaces
 //! a sink's chain while keeping the nodes of the unchanged leading prefix

@@ -25,11 +25,11 @@ use std::collections::BTreeMap;
 use dss_xml::writer::serialized_size;
 use dss_xml::Node;
 
-use crate::flow::{Deployment, FlowId, FlowInput};
+use crate::flow::{Deployment, FlowId};
 use crate::metrics::NetworkMetrics;
 use crate::peer::{FlowOutputs, GroupTable, Next};
 use crate::pool::{max_parallelism, run_forest};
-use crate::shared::{FlowDag, GroupKey};
+use crate::shared::GroupKey;
 use crate::topology::{NodeId, Topology};
 
 /// An invalid simulation or runtime configuration value.
@@ -74,12 +74,6 @@ pub struct SimConfig {
     /// peer (before scaling with its performance index). Must be
     /// non-negative.
     pub forward_work_per_kb: f64,
-    /// Fuse the flows sharing an input stream at a peer into one operator
-    /// DAG (shared prefixes execute once) and run independent peers'
-    /// DAGs in parallel. `false` runs each flow alone, as a one-flow DAG —
-    /// per-flow outputs are byte-identical either way, only the work
-    /// accounting of shared prefixes differs.
-    pub shared_ops: bool,
 }
 
 impl Default for SimConfig {
@@ -87,7 +81,6 @@ impl Default for SimConfig {
         SimConfig {
             duration_s: 60.0,
             forward_work_per_kb: 1.0,
-            shared_ops: true,
         }
     }
 }
@@ -129,11 +122,10 @@ pub fn run(
 ///
 /// `sources` maps stream names to their item sequences. Taps read the
 /// parent's full output (tapping never costs extra transmission — the
-/// parent stream already flows past the tap). With `cfg.shared_ops`, the
-/// flows consuming one input stream at one peer are fused into a shared
-/// operator DAG and each DAG runs as soon as the one it taps has finished,
-/// in parallel with the others; per-flow outputs are identical to unfused
-/// execution either way.
+/// parent stream already flows past the tap). The flows consuming one
+/// input stream at one peer are fused into a shared operator DAG, and each
+/// DAG runs as soon as the one it taps has finished, in parallel with the
+/// others; a flow's output is what it would deliver alone.
 pub fn try_run(
     topo: &Topology,
     deployment: &Deployment,
@@ -159,22 +151,15 @@ fn run_on(
     let mut flow_bytes = vec![0u64; deployment.len()];
 
     let table = GroupTable::build(deployment, |_| true);
-    if cfg.shared_ops {
-        run_shared(
-            threads,
-            topo,
-            &table,
-            sources,
-            &mut metrics,
-            &mut flow_outputs,
-            &mut flow_bytes,
-        );
-    } else {
-        run_unfused(topo, deployment, sources, &mut metrics, &mut flow_outputs);
-        for (id, flow) in deployment.flows().iter().enumerate() {
-            flow_bytes[id] = route_bytes(&flow.route, &flow_outputs[id]);
-        }
-    }
+    run_shared(
+        threads,
+        topo,
+        &table,
+        sources,
+        &mut metrics,
+        &mut flow_outputs,
+        &mut flow_bytes,
+    );
 
     // Transmit every flow's outputs along its route, charging edges and
     // forwarding work, in flow id order.
@@ -211,43 +196,6 @@ fn route_bytes(route: &[NodeId], items: &[Node]) -> u64 {
         return 0;
     }
     items.iter().map(|n| serialized_size(n) as u64).sum()
-}
-
-/// Runs `dag` over its whole input, then flushes it.
-fn run_dag(dag: &mut FlowDag, inputs: &[Node]) -> FlowOutputs {
-    let mut outputs = FlowOutputs::default();
-    outputs.feed_slice(dag, inputs);
-    outputs.flush(dag);
-    outputs
-}
-
-/// Unfused execution: every flow runs alone, as a one-flow DAG, in id
-/// order.
-fn run_unfused(
-    topo: &Topology,
-    deployment: &Deployment,
-    sources: &BTreeMap<String, Vec<Node>>,
-    metrics: &mut NetworkMetrics,
-    flow_outputs: &mut [Vec<Node>],
-) {
-    for (id, flow) in deployment.flows().iter().enumerate() {
-        if flow.retired {
-            continue;
-        }
-        let inputs: &[Node] = match &flow.input {
-            FlowInput::Source { stream } => sources
-                .get(stream)
-                .unwrap_or_else(|| panic!("flow {} reads unknown source {stream:?}", flow.label))
-                .as_slice(),
-            FlowInput::Tap { parent } => flow_outputs[*parent].as_slice(),
-        };
-        let mut dag = FlowDag::new();
-        dag.register(id, &flow.ops);
-        let output = run_dag(&mut dag, inputs).drain().next();
-        let pindex = topo.peer(flow.processing_node).pindex;
-        metrics.record_work(flow.processing_node, dag.total_work() * pindex);
-        flow_outputs[id] = output.map_or_else(Vec::new, |(_, items)| items);
-    }
 }
 
 /// A sharing group to run, with its stream if it reads a source.
@@ -309,7 +257,10 @@ fn run_shared(
             _ => source,
         };
         let mut dag = table.cold_dag(g);
-        let outputs = run_dag(&mut dag, inputs)
+        let mut outputs = FlowOutputs::default();
+        outputs.feed_slice(&mut dag, inputs);
+        outputs.flush(&mut dag);
+        let outputs = outputs
             .drain()
             .map(|(flow, items)| {
                 let bytes = route_bytes(&table.flows()[flow].route, &items);
@@ -344,7 +295,7 @@ fn run_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{FlowOp, StreamFlow};
+    use crate::flow::{FlowInput, FlowOp, StreamFlow};
     use crate::routing::shortest_path;
     use crate::topology::{example_topology, grid_topology};
     use dss_predicate::{Atom, CompOp, PredicateGraph};
@@ -512,7 +463,6 @@ mod tests {
             let cfg = SimConfig {
                 duration_s,
                 forward_work_per_kb,
-                ..SimConfig::default()
             };
             cfg.validate()
         };
@@ -576,11 +526,58 @@ mod tests {
         run(&t, &d, &BTreeMap::new(), SimConfig::default());
     }
 
+    /// Every flow of `d` run alone, each in a deployment of its own that
+    /// holds the flow and its chain of parents: per flow its output, and
+    /// per edge and peer the bytes and work it adds to its parent chain's
+    /// run.
+    fn run_alone(
+        t: &Topology,
+        d: &Deployment,
+        sources: &BTreeMap<String, Vec<Node>>,
+        cfg: SimConfig,
+    ) -> SimOutcome {
+        let mut alone = SimOutcome {
+            metrics: NetworkMetrics::new(t, cfg.duration_s),
+            flow_outputs: Vec::new(),
+        };
+        // The metrics of each flow's own run, by flow id.
+        let mut runs: Vec<NetworkMetrics> = Vec::new();
+        for id in 0..d.len() {
+            let mut chain = vec![id];
+            while let FlowInput::Tap { parent } = d.flow(chain[chain.len() - 1]).input {
+                chain.push(parent);
+            }
+            let mut solo = Deployment::new();
+            for &f in chain.iter().rev() {
+                let mut flow = d.flow(f).clone();
+                if let FlowInput::Tap { parent } = &mut flow.input {
+                    *parent = solo.len() - 1;
+                }
+                solo.add_flow(flow);
+            }
+            let mut own = run(t, &solo, sources, cfg);
+            let base = match d.flow(id).input {
+                FlowInput::Tap { parent } => Some(&runs[parent]),
+                FlowInput::Source { .. } => None,
+            };
+            let m = &mut alone.metrics;
+            for (e, bytes) in own.metrics.edge_bytes.iter().enumerate() {
+                m.edge_bytes[e] += bytes - base.map_or(0, |b| b.edge_bytes[e]);
+            }
+            for (n, work) in own.metrics.node_work.iter().enumerate() {
+                m.node_work[n] += work - base.map_or(0.0, |b| b.node_work[n]);
+            }
+            alone.flow_outputs.push(own.flow_outputs.pop().unwrap());
+            runs.push(own.metrics);
+        }
+        alone
+    }
+
     #[test]
     fn fused_matches_unfused_and_shares_work() {
         // Four flows tap the same source at SP1: two share the σ≥1.5 chain
-        // exactly, the others differ. Outputs must match the unfused run
-        // byte-for-byte; the shared prefix must be charged once.
+        // exactly, the others differ. Outputs must match every flow run
+        // alone byte-for-byte; the shared prefix must be charged once.
         let t = grid_topology(2, 2);
         let (sp0, sp1) = (t.expect_node("SP0"), t.expect_node("SP1"));
         let mut d = Deployment::new();
@@ -609,23 +606,15 @@ mod tests {
         let mut sources = BTreeMap::new();
         sources.insert("photons".to_string(), items(100));
         let fused = run(&t, &d, &sources, SimConfig::default());
-        let unfused = run(
-            &t,
-            &d,
-            &sources,
-            SimConfig {
-                shared_ops: false,
-                ..SimConfig::default()
-            },
-        );
-        assert_eq!(fused.flow_outputs, unfused.flow_outputs);
+        let alone = run_alone(&t, &d, &sources, SimConfig::default());
+        assert_eq!(fused.flow_outputs, alone.flow_outputs);
         assert_eq!(
             fused.metrics.total_edge_bytes(),
-            unfused.metrics.total_edge_bytes()
+            alone.metrics.total_edge_bytes()
         );
         // The duplicate σ≥1.5 ran once when fused: SP1's work drops by
         // exactly one selection pass over the 100 tapped items.
-        assert!(fused.metrics.node_work[sp1] < unfused.metrics.node_work[sp1]);
+        assert!(fused.metrics.node_work[sp1] < alone.metrics.node_work[sp1]);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   ≡ the naive [`Oracle`], split into streamed and flushed results;
 //! - [`check_network`] (equivalences 2 and 3) — the planned deployment
 //!   delivers the oracle's results under **every** planning strategy
-//!   (stream sharing, query shipping, data shipping), with fused
-//!   FlowDags on *and* off;
+//!   (stream sharing, query shipping, data shipping), its fused
+//!   FlowDags held to the oracle's query-alone results;
 //! - [`check_live`] (equivalence 4) — the discrete-event live runtime
 //!   with an injected peer crash delivers exactly the oracle's results:
 //!   re-planned queries deliver `oracle(prefix)` before the crash and
@@ -236,8 +236,7 @@ pub fn check_pipeline(case: &Case) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Equivalences 2 + 3: planned deployments ≡ oracle, fused and unfused,
-// under every strategy
+// Equivalences 2 + 3: planned deployments ≡ oracle under every strategy
 // ---------------------------------------------------------------------
 
 /// Peer the `i`-th query subscribes at. Alternating far/near subscribers
@@ -276,10 +275,11 @@ fn build_system(
     Ok((sys, regs))
 }
 
-/// Equivalences 2 and 3: under every planning strategy, with operator
-/// fusion on and off, every query's delivery flow carries exactly the
-/// oracle's results (streamed plus end-of-stream flushes — the batch
-/// simulator drains and flushes all pipelines).
+/// Equivalences 2 and 3: under every planning strategy, every query's
+/// delivery flow carries exactly the oracle's results (streamed plus
+/// end-of-stream flushes — the batch simulator drains and flushes all
+/// pipelines). The oracle runs each query alone, so it is also the
+/// reference for the simulator's fused operator DAGs.
 pub fn check_network(case: &Case) -> Result<(), String> {
     let expected: Vec<Vec<String>> = case
         .queries
@@ -288,22 +288,15 @@ pub fn check_network(case: &Case) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     for strategy in PlanStrategy::ALL {
         let (sys, regs) = build_system(case, strategy, 10.0, false)?;
-        for shared_ops in [true, false] {
-            let cfg = SimConfig {
-                shared_ops,
-                ..SimConfig::default()
-            };
-            let out = sys.run_simulation(cfg);
-            for (i, reg) in regs.iter().enumerate() {
-                let got = serialize(&out.flow_outputs[reg.delivery_flow]);
-                if got != expected[i] {
-                    return Err(format!(
-                        "{strategy:?} (fused={shared_ops}) ≠ oracle for q{i} `{}`:\n \
-                         delivered: {got:?}\n oracle: {:?}",
-                        case.queries[i].to_text(),
-                        expected[i]
-                    ));
-                }
+        let out = sys.run_simulation(SimConfig::default());
+        for (i, reg) in regs.iter().enumerate() {
+            let got = serialize(&out.flow_outputs[reg.delivery_flow]);
+            if got != expected[i] {
+                return Err(format!(
+                    "{strategy:?} ≠ oracle for q{i} `{}`:\n delivered: {got:?}\n oracle: {:?}",
+                    case.queries[i].to_text(),
+                    expected[i]
+                ));
             }
         }
     }

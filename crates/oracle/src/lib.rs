@@ -15,8 +15,8 @@
 //!   and the oracle both get wrong must be wrong *independently*.
 //! - [`harness`] is the differential test harness: random streams,
 //!   queries, topologies, and fault scripts, plus the four end-to-end
-//!   equivalences (pipeline ≡ oracle, fused ≡ unfused, all strategies
-//!   agree, live post-recovery ≡ oracle on the suffix) and the
+//!   equivalences (pipeline ≡ oracle, fused DAGs ≡ each query alone, all
+//!   strategies agree, live post-recovery ≡ oracle on the suffix) and the
 //!   metamorphic checks of the matching layer. Failing cases shrink to
 //!   minimal readable queries before they are reported.
 

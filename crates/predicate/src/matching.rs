@@ -16,8 +16,8 @@
 //!   compares edge against edge (`ζ(x) ⇐ ζ(y)` for some single edge `y`
 //!   connected to the equivalent node). It is sound but may miss matches
 //!   that need a derivation chain; the paper sidesteps the difference by
-//!   minimizing predicates at registration time. Exposed for the ablation
-//!   bench and for fidelity tests.
+//!   minimizing predicates at registration time. Nothing in the system
+//!   calls it: it is kept for the fidelity tests only.
 
 use crate::graph::{Closure, PredicateGraph};
 

@@ -28,7 +28,23 @@ pub struct Tokenizer {
     base: usize,
     /// Synthesized end event for a self-closing tag, delivered next.
     pending: Option<XmlEvent>,
+    /// Where the scan of the construct at `pos` stopped for want of input.
+    resume: Resume,
     eof: bool,
+}
+
+/// How far the construct at the read position was scanned without finding
+/// its end, and the scanner's state there. Input fed later resumes the
+/// scan instead of repeating it, so a construct that arrives in `k` pieces
+/// is scanned once, not `k` times.
+#[derive(Debug, Default, Clone, Copy)]
+struct Resume {
+    /// Bytes past the read position already scanned.
+    at: usize,
+    /// The quote a start tag's scan is inside.
+    quote: Option<u8>,
+    /// A DOCTYPE's open `[` brackets.
+    depth: usize,
 }
 
 /// Outcome of scanning for one construct.
@@ -39,8 +55,8 @@ enum Scan {
     Pair(XmlEvent, XmlEvent, usize),
     /// A complete construct that produces no event (comment, PI, …).
     Skip(usize),
-    /// Not enough buffered input to finish the construct.
-    NeedMore,
+    /// Not enough buffered input to finish the construct; where to resume.
+    NeedMore(Resume),
 }
 
 impl Tokenizer {
@@ -124,7 +140,9 @@ impl Tokenizer {
             return Ok(Some(ev));
         }
         loop {
-            match self.scan()? {
+            let scan = self.scan()?;
+            self.resume = Resume::default();
+            match scan {
                 Scan::Event(ev, end) => {
                     self.pos += end;
                     return Ok(Some(ev));
@@ -137,8 +155,9 @@ impl Tokenizer {
                 Scan::Skip(end) => {
                     self.pos += end;
                 }
-                Scan::NeedMore => {
+                Scan::NeedMore(resume) => {
                     if !self.eof {
+                        self.resume = resume;
                         return Ok(None);
                     }
                     let rem = self.remaining();
@@ -165,11 +184,11 @@ impl Tokenizer {
     fn scan(&self) -> Result<Scan, XmlError> {
         let rem = self.remaining();
         if rem.is_empty() {
-            return Ok(Scan::NeedMore);
+            return Ok(Scan::NeedMore(Resume::default()));
         }
         if rem[0] == b'<' {
             if rem.len() < 2 {
-                return Ok(Scan::NeedMore);
+                return Ok(Scan::NeedMore(Resume::default()));
             }
             match rem[1] {
                 b'/' => self.scan_end_tag(rem),
@@ -182,10 +201,24 @@ impl Tokenizer {
         }
     }
 
+    /// The first `byte` in `rem` from where the last scan stopped, or where
+    /// to resume.
+    fn find_byte(&self, rem: &[u8], byte: u8) -> Result<usize, Resume> {
+        let from = self.resume.at;
+        match rem[from..].iter().position(|&b| b == byte) {
+            Some(i) => Ok(from + i),
+            None => Err(Resume {
+                at: rem.len(),
+                ..Resume::default()
+            }),
+        }
+    }
+
     /// Text up to the next `<`. Whitespace-only runs are skipped.
     fn scan_text(&self, rem: &[u8]) -> Result<Scan, XmlError> {
-        let Some(end) = rem.iter().position(|&b| b == b'<') else {
-            return Ok(Scan::NeedMore);
+        let end = match self.find_byte(rem, b'<') {
+            Ok(end) => end,
+            Err(resume) => return Ok(Scan::NeedMore(resume)),
         };
         let raw = std::str::from_utf8(&rem[..end])
             .map_err(|_| self.syntax(0, "invalid UTF-8 in text"))?;
@@ -204,21 +237,19 @@ impl Tokenizer {
     fn scan_bang(&self, rem: &[u8]) -> Result<Scan, XmlError> {
         const CDATA: &[u8] = b"<![CDATA[";
         if rem.len() < 4 && (b"<!--".starts_with(rem) || CDATA.starts_with(rem)) {
-            return Ok(Scan::NeedMore);
+            return Ok(Scan::NeedMore(Resume::default()));
         }
         if rem.starts_with(b"<!--") {
             return Ok(self.scan_until(rem, 4, b"-->"));
         }
         if rem.starts_with(CDATA) || (rem.len() < CDATA.len() && CDATA.starts_with(rem)) {
-            if rem.len() < CDATA.len() {
-                return Ok(Scan::NeedMore);
-            }
-            let Some(close) = find(&rem[CDATA.len()..], b"]]>") else {
-                return Ok(Scan::NeedMore);
+            let close = match self.scan_until(rem, CDATA.len(), b"]]>") {
+                Scan::Skip(consumed) => consumed - 3,
+                need_more => return Ok(need_more),
             };
-            let raw = std::str::from_utf8(&rem[CDATA.len()..CDATA.len() + close])
+            let raw = std::str::from_utf8(&rem[CDATA.len()..close])
                 .map_err(|_| self.syntax(CDATA.len(), "invalid UTF-8 in CDATA"))?;
-            let consumed = CDATA.len() + close + 3;
+            let consumed = close + 3;
             if raw.trim().is_empty() {
                 return Ok(Scan::Skip(consumed));
             }
@@ -226,8 +257,8 @@ impl Tokenizer {
         }
         // DOCTYPE (or any other <!…>): skip to the matching '>', honouring a
         // bracketed internal subset.
-        let mut depth = 0usize;
-        for (i, &b) in rem.iter().enumerate().skip(2) {
+        let mut depth = self.resume.depth;
+        for (i, &b) in rem.iter().enumerate().skip(self.resume.at.max(2)) {
             match b {
                 b'[' => depth += 1,
                 b']' => depth = depth.saturating_sub(1),
@@ -235,23 +266,34 @@ impl Tokenizer {
                 _ => {}
             }
         }
-        Ok(Scan::NeedMore)
+        Ok(Scan::NeedMore(Resume {
+            at: rem.len(),
+            depth,
+            ..Resume::default()
+        }))
     }
 
-    /// Generic "skip to closing delimiter" used for comments and PIs.
+    /// Generic "skip to closing delimiter" used for comments, PIs and
+    /// CDATA: the construct's body starts at `from`.
     fn scan_until(&self, rem: &[u8], from: usize, close: &[u8]) -> Scan {
+        // A delimiter may straddle where the last scan stopped.
+        let from = from.max((self.resume.at + 1).saturating_sub(close.len()));
         if rem.len() <= from {
-            return Scan::NeedMore;
+            return Scan::NeedMore(self.resume);
         }
         match find(&rem[from..], close) {
             Some(i) => Scan::Skip(from + i + close.len()),
-            None => Scan::NeedMore,
+            None => Scan::NeedMore(Resume {
+                at: rem.len(),
+                ..Resume::default()
+            }),
         }
     }
 
     fn scan_end_tag(&self, rem: &[u8]) -> Result<Scan, XmlError> {
-        let Some(gt) = rem.iter().position(|&b| b == b'>') else {
-            return Ok(Scan::NeedMore);
+        let gt = match self.find_byte(rem, b'>') {
+            Ok(gt) => gt,
+            Err(resume) => return Ok(Scan::NeedMore(resume)),
         };
         let inner = std::str::from_utf8(&rem[2..gt])
             .map_err(|_| self.syntax(2, "invalid UTF-8 in end tag"))?;
@@ -267,9 +309,9 @@ impl Tokenizer {
 
     fn scan_start_tag(&self, rem: &[u8]) -> Result<Scan, XmlError> {
         // The whole tag must be buffered: find '>' outside quotes.
-        let mut quote: Option<u8> = None;
+        let mut quote = self.resume.quote;
         let mut gt = None;
-        for (i, &b) in rem.iter().enumerate().skip(1) {
+        for (i, &b) in rem.iter().enumerate().skip(self.resume.at.max(1)) {
             match (quote, b) {
                 (Some(q), _) if b == q => quote = None,
                 (Some(_), _) => {}
@@ -282,7 +324,11 @@ impl Tokenizer {
             }
         }
         let Some(gt) = gt else {
-            return Ok(Scan::NeedMore);
+            return Ok(Scan::NeedMore(Resume {
+                at: rem.len(),
+                quote,
+                ..Resume::default()
+            }));
         };
         let self_closing = gt >= 2 && rem[gt - 1] == b'/';
         let body_end = if self_closing { gt - 1 } else { gt };

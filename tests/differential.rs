@@ -3,8 +3,9 @@
 //! `dss_oracle::interpreter` re-derives WXQuery semantics from the paper
 //! with zero shared execution code; `dss_oracle::harness` generates random
 //! streams and subscriptions and asserts byte-exact agreement across the
-//! engine pipeline, all three planning strategies with operator fusion on
-//! and off, and the live runtime under an injected peer crash.
+//! engine pipeline, all three planning strategies (whose fused operator
+//! DAGs the oracle, running each query alone, checks) and the live runtime
+//! under an injected peer crash.
 //!
 //! The metamorphic groups below target the *matching* layer, where no
 //! second implementation exists to diff against: predicate matching must
@@ -52,7 +53,7 @@ proptest! {
     }
 
     /// Equivalences 2 + 3: every planning strategy delivers the oracle's
-    /// results, with fused operator DAGs on and off.
+    /// results through fused operator DAGs.
     #[test]
     fn network_deployments_match_oracle(case in arb_case()) {
         if let Err(e) = check_shrinking(&case, &check_network) {

@@ -1,8 +1,9 @@
 //! Intra-peer operator sharing must be an invisible optimization: fusing
 //! the flows that consume one stream at a peer into a prefix-sharing
 //! operator DAG may only change the *work accounting* (shared prefixes
-//! execute once), never any flow's output bytes — with sharing on or off,
-//! with flows retiring mid-stream, and across widening re-subscriptions.
+//! execute once), never any flow's output bytes — against every flow run
+//! alone, with flows retiring mid-stream, and across widening
+//! re-subscriptions.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use data_stream_sharing::engine::{DagNodeStats, Template};
 use data_stream_sharing::network::{
     grid_topology, run, Deployment, FlowDag, FlowId, FlowInput, FlowOp, FlowOutputs, LiveConfig,
-    LiveRuntime, RuntimeMetrics, SimConfig, SourceModel, StreamFlow,
+    LiveRuntime, NetworkMetrics, RuntimeMetrics, SimConfig, SimOutcome, SourceModel, StreamFlow,
 };
 use data_stream_sharing::predicate::{Atom, CompOp, PredicateGraph};
 use data_stream_sharing::properties::{
@@ -97,11 +98,9 @@ fn tapped_deployment(chains: &[Vec<FlowOp>]) -> (Deployment, FlowId, Vec<FlowId>
     (d, src, taps)
 }
 
-fn batch(
-    d: &Deployment,
-    n_items: usize,
-    shared_ops: bool,
-) -> data_stream_sharing::network::SimOutcome {
+/// What the batch simulator makes of `d` over `n_items` photons, with
+/// forwarding work zeroed out so only operator work is charged.
+fn batch(d: &Deployment, n_items: usize) -> SimOutcome {
     let t = grid_topology(2, 2);
     let mut sources = BTreeMap::new();
     sources.insert("photons".to_string(), items(n_items));
@@ -111,10 +110,52 @@ fn batch(
         &sources,
         SimConfig {
             forward_work_per_kb: 0.0,
-            shared_ops,
             ..SimConfig::default()
         },
     )
+}
+
+/// Every flow of `d` run alone through [`batch`], each in a deployment of
+/// its own that holds the flow and its chain of parents: per flow its
+/// output, and per edge and peer the bytes and work it adds to its parent
+/// chain's run.
+fn batch_alone(d: &Deployment, n_items: usize) -> SimOutcome {
+    let t = grid_topology(2, 2);
+    let mut alone = SimOutcome {
+        metrics: NetworkMetrics::new(&t, SimConfig::default().duration_s),
+        flow_outputs: Vec::new(),
+    };
+    // The metrics of each flow's own run, by flow id.
+    let mut runs: Vec<NetworkMetrics> = Vec::new();
+    for id in 0..d.len() {
+        let mut chain = vec![id];
+        while let FlowInput::Tap { parent } = d.flow(chain[chain.len() - 1]).input {
+            chain.push(parent);
+        }
+        let mut solo = Deployment::new();
+        for &f in chain.iter().rev() {
+            let mut flow = d.flow(f).clone();
+            if let FlowInput::Tap { parent } = &mut flow.input {
+                *parent = solo.len() - 1;
+            }
+            solo.add_flow(flow);
+        }
+        let mut own = batch(&solo, n_items);
+        let base = match d.flow(id).input {
+            FlowInput::Tap { parent } => Some(&runs[parent]),
+            FlowInput::Source { .. } => None,
+        };
+        let m = &mut alone.metrics;
+        for (e, bytes) in own.metrics.edge_bytes.iter().enumerate() {
+            m.edge_bytes[e] += bytes - base.map_or(0, |b| b.edge_bytes[e]);
+        }
+        for (n, work) in own.metrics.node_work.iter().enumerate() {
+            m.node_work[n] += work - base.map_or(0.0, |b| b.node_work[n]);
+        }
+        alone.flow_outputs.push(own.flow_outputs.pop().unwrap());
+        runs.push(own.metrics);
+    }
+    alone
 }
 
 // ---------- batch simulator ---------------------------------------------
@@ -127,18 +168,18 @@ fn sixteen_identical_chains_share_at_least_3x_work() {
     let chain = vec![selection_ge("1.5"), udf("calib")];
     let chains: Vec<Vec<FlowOp>> = (0..16).map(|_| chain.clone()).collect();
     let (d, _, taps) = tapped_deployment(&chains);
-    let fused = batch(&d, 100, true);
-    let unfused = batch(&d, 100, false);
-    assert_eq!(fused.flow_outputs, unfused.flow_outputs);
+    let fused = batch(&d, 100);
+    let alone = batch_alone(&d, 100);
+    assert_eq!(fused.flow_outputs, alone.flow_outputs);
     for &f in &taps {
         assert_eq!(fused.flow_outputs[f].len(), 50, "σ≥1.5 passes half");
     }
     let sp1 = grid_topology(2, 2).expect_node("SP1");
     assert!(
-        unfused.metrics.node_work[sp1] >= 3.0 * fused.metrics.node_work[sp1],
-        "16 identical chains must share ≥3x: fused {} vs unfused {}",
+        alone.metrics.node_work[sp1] >= 3.0 * fused.metrics.node_work[sp1],
+        "16 identical chains must share ≥3x: fused {} vs alone {}",
         fused.metrics.node_work[sp1],
-        unfused.metrics.node_work[sp1]
+        alone.metrics.node_work[sp1]
     );
 }
 
@@ -161,19 +202,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any set of flows over one stream produces byte-identical per-flow
-    /// outputs whether the peer fuses them into a shared DAG or runs each
-    /// as its own pipeline.
+    /// outputs whether the peer fuses them into a shared DAG or each flow
+    /// runs alone.
     #[test]
     fn sharing_never_changes_outputs(chains in prop::collection::vec(arb_chain(), 1..6)) {
         let (d, _, _) = tapped_deployment(&chains);
-        let fused = batch(&d, 60, true);
-        let unfused = batch(&d, 60, false);
-        prop_assert_eq!(&fused.flow_outputs, &unfused.flow_outputs);
-        prop_assert_eq!(&fused.metrics.edge_bytes, &unfused.metrics.edge_bytes);
+        let fused = batch(&d, 60);
+        let alone = batch_alone(&d, 60);
+        prop_assert_eq!(&fused.flow_outputs, &alone.flow_outputs);
+        prop_assert_eq!(&fused.metrics.edge_bytes, &alone.metrics.edge_bytes);
         // Fusing can only remove duplicated work, never add any.
         let eps = 1e-9;
-        for (f, u) in fused.metrics.node_work.iter().zip(&unfused.metrics.node_work) {
-            prop_assert!(f <= &(u + eps), "fused {f} > unfused {u}");
+        for (f, a) in fused.metrics.node_work.iter().zip(&alone.metrics.node_work) {
+            prop_assert!(f <= &(a + eps), "fused {f} > alone {a}");
         }
     }
 }
