@@ -53,10 +53,10 @@ use dss_rass::{GeneratorConfig, PhotonGenerator, SkyRegion, XraySource};
 use dss_telemetry::json::number;
 
 /// The stream host all member taps pile onto.
-pub const HUB: &str = "HUB";
+const HUB: &str = "HUB";
 /// Spare super-peers around the hub. The anchor subscribes from `S1`, so
 /// its shared stream is routed hub → S1 — the corridor migrations re-tap.
-pub const SPARES: [&str; 4] = ["S1", "S2", "S3", "S4"];
+const SPARES: [&str; 4] = ["S1", "S2", "S3", "S4"];
 
 /// Stream rate (items/s).
 const FREQ_HZ: f64 = 10.0;
@@ -259,7 +259,7 @@ fn live_config(params: FlashParams) -> LiveConfig {
 
 /// The re-balancer's knobs for this scenario. No observation override: the
 /// measured busy fractions alone must find the hot hub.
-pub fn flash_policy() -> RebalancePolicy {
+fn flash_policy() -> RebalancePolicy {
     RebalancePolicy {
         every_s: EVERY_S,
         utilization_bound: BOUND,

@@ -33,7 +33,7 @@ use dss_wxquery::queries;
 use dss_telemetry::json::number;
 
 /// Checkpoint cadences measured (items per window-state checkpoint).
-pub const CADENCES: [u64; 3] = [1, 4, 16];
+const CADENCES: [u64; 3] = [1, 4, 16];
 
 const N_ITEMS: usize = 25;
 const DURATION_S: f64 = 40.0;
@@ -169,7 +169,7 @@ pub struct RecoveryRecord {
 /// Crash points measured at one cadence: the whole log survives (`None`)
 /// and every record boundary of the victim's log, from "all of it lost"
 /// (`Some(0)`) up to its length as probed from a lossless crash run.
-pub fn crash_points(cadence: u64) -> Vec<Option<u64>> {
+fn crash_points(cadence: u64) -> Vec<Option<u64>> {
     let (_, dir) = run_once("probe", cadence, true, None, true);
     let n = dss_wal::replay(dir.join(VICTIM))
         .expect("probe log replays clean")

@@ -10,7 +10,7 @@
 //! indexed search and `subscribe_full_scan` — asserting byte-identical
 //! winning plans and recording how many candidates the index pruned.
 //!
-//! Tiers: 1k/10k/100k by default; the 1M tier is gated behind
+//! `registration_smoke` runs one 100k tier and adds the 1M tier under
 //! `DSS_BENCH_FULL=1` (it takes minutes, not seconds).
 
 use std::time::Instant;
@@ -26,19 +26,6 @@ use dss_telemetry::json::number;
 /// enough for non-trivial routes, small enough that the population (not
 /// the network) dominates.
 pub const GRID_DIM: usize = 6;
-
-/// Default tier sizes; `full_tiers` appends the 1M tier.
-pub const DEFAULT_TIERS: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// Tier list honoring `DSS_BENCH_FULL=1` (adds the million-subscription
-/// tier).
-pub fn full_tiers() -> Vec<usize> {
-    let mut tiers = DEFAULT_TIERS.to_vec();
-    if std::env::var("DSS_BENCH_FULL").is_ok_and(|v| v == "1") {
-        tiers.push(1_000_000);
-    }
-    tiers
-}
 
 /// Value sets for the registration workload: a trimmed-down version of
 /// the defaults. Section 4's premise is that many subscribers draw their

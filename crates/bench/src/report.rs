@@ -36,11 +36,6 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a float with 2 decimal places.
-pub fn f2(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 /// Formats a float with 3 decimal places.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
@@ -75,7 +70,6 @@ mod tests {
 
     #[test]
     fn float_formatting() {
-        assert_eq!(f2(1.005), "1.00");
         assert_eq!(f3(0.1), "0.100");
     }
 }

@@ -34,16 +34,16 @@ use dss_xml::{Decimal, Node, Path};
 use dss_telemetry::json::number;
 
 /// Sharing fan-outs measured (the ISSUE's 1/4/16-flow shared DAGs).
-pub const FLOW_TIERS: [usize; 3] = [1, 4, 16];
+const FLOW_TIERS: [usize; 3] = [1, 4, 16];
 
 /// Count-window sizes measured; the rebuild extent grows with these
 /// while the migrated delta must not.
-pub const WINDOW_SIZES: [i64; 3] = [16, 64, 256];
+const WINDOW_SIZES: [i64; 3] = [16, 64, 256];
 
 /// Open positions per chain: sliding count windows with
 /// `step = size / POSITIONS`, so every config keeps the same number of
 /// concurrently open windows regardless of window size.
-pub const POSITIONS: i64 = 4;
+const POSITIONS: i64 = 4;
 
 fn item(i: usize) -> Node {
     Node::elem(
@@ -101,7 +101,7 @@ fn warmed(flows: usize, size: i64, warm: usize) -> FlowDag {
 /// open windows after `warm` items: for every open window start `s`
 /// (grid multiples of `size / POSITIONS` with `s + size > warm - 1`),
 /// the items `[s, warm)` already consumed into it.
-pub fn rebuild_extent(size: i64, warm: usize) -> u64 {
+fn rebuild_extent(size: i64, warm: usize) -> u64 {
     let mu = size / POSITIONS;
     let last = warm as i64 - 1;
     if last < 0 {
@@ -147,7 +147,7 @@ pub struct HandoffRecord {
 
 /// Runs one config: warm, widen via both paths, verify byte-exactness of
 /// the delta path against a continuous reference.
-pub fn run_handoff(flows: usize, size: i64) -> HandoffRecord {
+fn run_handoff(flows: usize, size: i64) -> HandoffRecord {
     let warm = (2 * size + 5) as usize;
     let tail = size as usize;
     let new: Vec<FlowOp> = vec![restore(), agg(size)];

@@ -54,7 +54,7 @@ impl StreamEstimate {
 
 /// Rough serialized size of one window-aggregate partial (`<agg>` item with
 /// start/size/count plus the operator's value fields).
-pub fn agg_item_size_estimate(op: AggOp) -> f64 {
+fn agg_item_size_estimate(op: AggOp) -> f64 {
     // <agg></agg> + <start>…</start> + <size>…</size> + <count>…</count>
     let base = 11.0 + 3.0 * 20.0;
     match op {
@@ -151,11 +151,7 @@ pub fn estimate_chain(stats: &StreamStats, chain: &[Operator]) -> StreamEstimate
 ///   `µ / avg-increment(reference)`, and the update rate is the raw
 ///   frequency divided by that. A pre-selection thins window contents but
 ///   does not slow the reference clock.
-pub fn window_output_frequency(
-    stats: &StreamStats,
-    window: &WindowSpec,
-    input_frequency: f64,
-) -> f64 {
+fn window_output_frequency(stats: &StreamStats, window: &WindowSpec, input_frequency: f64) -> f64 {
     match window.kind() {
         WindowKind::Count => input_frequency / window.step().to_f64(),
         WindowKind::Diff => {

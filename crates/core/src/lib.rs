@@ -40,7 +40,7 @@ pub use plan::{Plan, PlanPart, WidenDelta};
 pub use rebalance::{MigratedQuery, MigrationDecision, RebalanceCycle, RebalancePolicy};
 pub use state::NetworkState;
 pub use stats::StreamStats;
-pub use strategy::{plan_query, Strategy};
+pub use strategy::Strategy;
 pub use subscribe::{
     subscribe, subscribe_full_scan, subscribe_with, SearchOrder, SearchStats, SubscribeError,
 };

@@ -220,7 +220,7 @@ fn open_window_positions(window: &WindowSpec) -> f64 {
 /// Estimates the state-handoff cost split for one widening-patched child:
 /// sums, over the stateful operators of its current chain, the items a
 /// delta migration would move vs. the items a full rebuild would replay.
-pub fn widen_delta(state: &NetworkState, stats: &StreamStats, child: FlowId) -> WidenDelta {
+fn widen_delta(state: &NetworkState, stats: &StreamStats, child: FlowId) -> WidenDelta {
     let mut migrate_items = 0.0;
     let mut rebuild_items = 0.0;
     for op in &state.deployment.flow(child).ops {
@@ -693,7 +693,7 @@ pub fn full_chain_ops(query: &CompiledQuery) -> Vec<FlowOp> {
 }
 
 /// Convenience: the restructure op spec of a query as a `FlowOp`.
-pub fn restructure_flow_op(query: &CompiledQuery) -> FlowOp {
+fn restructure_flow_op(query: &CompiledQuery) -> FlowOp {
     FlowOp::Restructure {
         template: query.template.clone(),
         agg: query.aggregation.as_ref().map(|a| a.op),

@@ -109,11 +109,6 @@ impl StreamStats {
         }
     }
 
-    /// Statistic for one path, if observed.
-    pub fn path_stat(&self, path: &Path) -> Option<&PathStat> {
-        self.paths.get(path)
-    }
-
     /// Average increment of an ordered reference element between
     /// consecutive items. Falls back to 1.0 when unobserved (count-like
     /// references).
@@ -501,7 +496,7 @@ mod tests {
         let s = StreamStats::from_sample(&sample(), 50.0);
         assert_eq!(s.frequency, 50.0);
         assert!(s.item_size > 50.0);
-        let en = s.path_stat(&p("en")).unwrap();
+        let en = s.paths.get(&p("en")).unwrap();
         assert_eq!(en.occurrence, 1.0);
         assert!(en.subtree_size > 10.0);
         let (lo, hi) = s.ranges[&p("en")];
@@ -631,7 +626,7 @@ mod tests {
         // Projecting a nested leaf keeps ancestor structure.
         let nested: BTreeSet<Path> = [p("coord/cel/ra")].into_iter().collect();
         let nested_size = s.projected_size(&nested);
-        let ra = s.path_stat(&p("coord/cel/ra")).unwrap();
+        let ra = s.paths.get(&p("coord/cel/ra")).unwrap();
         assert!(nested_size > ra.subtree_size);
     }
 
@@ -678,7 +673,7 @@ mod tests {
             "no numeric leaf, no range: {:?}",
             s.ranges
         );
-        assert!(s.path_stat(&p("text")).is_some());
+        assert!(s.paths.contains_key(&p("text")));
         assert_eq!(s.avg_increment(&p("text")), 1.0);
         // Selectivity over a range-less variable uses the default factor.
         let g = PredicateGraph::from_atoms(&[Atom::var_const(p("text"), CompOp::Ge, d("1"))]);

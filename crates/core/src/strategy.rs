@@ -49,27 +49,8 @@ impl fmt::Display for Strategy {
 }
 
 /// Plans a query under the chosen strategy. `v_q` is the subscriber's
-/// super-peer, `subscriber` the registering peer itself.
-pub fn plan_query(
-    state: &NetworkState,
-    query: &CompiledQuery,
-    v_q: NodeId,
-    subscriber: NodeId,
-    strategy: Strategy,
-    require_feasible: bool,
-) -> Result<Plan, SubscribeError> {
-    plan_query_with(
-        state,
-        query,
-        v_q,
-        subscriber,
-        strategy,
-        require_feasible,
-        false,
-    )
-}
-
-/// [`plan_query`] with stream widening enabled for the sharing strategy.
+/// super-peer, `subscriber` the registering peer itself; `widening`
+/// enables stream widening for the sharing strategy.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_query_with(
     state: &NetworkState,

@@ -219,11 +219,6 @@ impl AggItem {
             max: opt("max")?,
         })
     }
-
-    /// `true` if `node` looks like an aggregate item.
-    pub fn is_agg_node(node: &Node) -> bool {
-        node.name() == "agg" && node.child("start").is_some()
-    }
 }
 
 #[cfg(test)]
@@ -358,7 +353,6 @@ mod tests {
         a.add_value(d("1.3"));
         a.add_value(d("2.1"));
         let n = a.to_node();
-        assert!(AggItem::is_agg_node(&n));
         assert_eq!(AggItem::from_node(&n).unwrap(), a);
     }
 

@@ -59,7 +59,7 @@ impl WindowItem {
 
     /// Serializes the window, consuming it — the contained items move into
     /// the produced node instead of being cloned.
-    pub fn into_node(self) -> Node {
+    fn into_node(self) -> Node {
         WindowItem::node(self.start, self.size, self.items)
     }
 
@@ -102,11 +102,6 @@ impl WindowItem {
             size: field("size")?,
             items,
         })
-    }
-
-    /// `true` if `node` looks like a window item.
-    pub fn is_window_node(node: &Node) -> bool {
-        node.name() == "window" && node.child("start").is_some() && node.child("items").is_some()
     }
 }
 
@@ -329,7 +324,6 @@ mod tests {
             items: vec![item(41, 1), item(55, 2)],
         };
         let n = w.to_node();
-        assert!(WindowItem::is_window_node(&n));
         assert_eq!(WindowItem::from_node(&n).unwrap(), w);
         assert!(WindowItem::from_node(&Node::empty("window")).is_err());
     }

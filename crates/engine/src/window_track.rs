@@ -59,7 +59,7 @@ impl<T: Default> WindowTracker<T> {
     /// Reference value of an item: arrival index for `count` windows, the
     /// reference element's value for `diff` windows. `None` when a `diff`
     /// item has no readable reference value.
-    pub fn reference_value(&self, item: &Node) -> Option<Decimal> {
+    fn reference_value(&self, item: &Node) -> Option<Decimal> {
         match self.window.kind() {
             WindowKind::Count => Some(Decimal::from_int(self.items_seen as i64)),
             WindowKind::Diff => {

@@ -34,13 +34,13 @@ pub use flow::{Deployment, FlowId, FlowInput, FlowMut, FlowOp, StreamFlow};
 pub use metrics::NetworkMetrics;
 pub use peer::{Accepted, Contiguity, FlowOutputs, Group, GroupTable, Next, SharingGroups, Step};
 pub use pool::{max_parallelism, run_forest};
-pub use routing::{distance, path_edges, shortest_path};
+pub use routing::shortest_path;
 pub use runtime::{
     FaultEvent, FaultKind, FaultScript, LiveConfig, LiveRuntime, LoadObservation, MailboxEntry,
     MigrationOutcome, QueryMetrics, RuntimeMetrics, SourceModel, SyncMailbox, WalConfig,
 };
-pub use shared::{build_flow_op, op_is_stateful, FlowDag, GroupKey};
-pub use sim::{run, try_run, ConfigError, SimConfig, SimOutcome};
+pub use shared::{build_flow_op, FlowDag, GroupKey};
+pub use sim::{run, ConfigError, SimConfig, SimOutcome};
 pub use topology::{
     example_topology, grid_topology, hierarchical_topology, Edge, EdgeId, NodeId, Peer, PeerKind,
     Topology,

@@ -47,21 +47,6 @@ pub fn shortest_path(topo: &Topology, from: NodeId, to: NodeId) -> Option<Vec<No
     None
 }
 
-/// Hop distance between two peers.
-pub fn distance(topo: &Topology, from: NodeId, to: NodeId) -> Option<usize> {
-    shortest_path(topo, from, to).map(|p| p.len() - 1)
-}
-
-/// The edge ids along a node path.
-pub fn path_edges(topo: &Topology, path: &[NodeId]) -> Vec<crate::topology::EdgeId> {
-    path.windows(2)
-        .map(|w| {
-            topo.edge_between(w[0], w[1])
-                .unwrap_or_else(|| panic!("path uses non-existent connection {}–{}", w[0], w[1]))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +59,6 @@ mod tests {
         let b = t.expect_node("SP1");
         assert_eq!(shortest_path(&t, a, a), Some(vec![a]));
         assert_eq!(shortest_path(&t, a, b), Some(vec![a, b]));
-        assert_eq!(distance(&t, a, b), Some(1));
     }
 
     #[test]
@@ -90,14 +74,9 @@ mod tests {
     #[test]
     fn grid_distances() {
         let t = grid_topology(4, 4);
-        assert_eq!(
-            distance(&t, t.expect_node("SP0"), t.expect_node("SP15")),
-            Some(6)
-        );
-        assert_eq!(
-            distance(&t, t.expect_node("SP0"), t.expect_node("SP5")),
-            Some(2)
-        );
+        let hops = |to| shortest_path(&t, t.expect_node("SP0"), t.expect_node(to)).unwrap();
+        assert_eq!(hops("SP15").len() - 1, 6);
+        assert_eq!(hops("SP5").len() - 1, 2);
     }
 
     #[test]
@@ -105,7 +84,7 @@ mod tests {
         let mut t = grid_topology(2, 2);
         let lonely = t.add_super_peer("SPX");
         assert_eq!(shortest_path(&t, t.expect_node("SP0"), lonely), None);
-        assert_eq!(distance(&t, lonely, t.expect_node("SP3")), None);
+        assert_eq!(shortest_path(&t, lonely, t.expect_node("SP3")), None);
     }
 
     #[test]
@@ -131,19 +110,13 @@ mod tests {
         t.set_edge_up(e, false);
         let path = shortest_path(&t, sp4, p1).unwrap();
         assert_eq!(path.len(), 7);
-        assert!(!path_edges(&t, &path).contains(&e));
+        assert!(!path
+            .windows(2)
+            .any(|w| t.edge_between(w[0], w[1]) == Some(e)));
         // Cutting every link of a peer makes it unreachable.
         for e in t.incident(sp5).to_vec() {
             t.set_edge_up(e, false);
         }
         assert_eq!(shortest_path(&t, sp4, sp5), None);
-    }
-
-    #[test]
-    fn path_edges_resolves_connections() {
-        let t = grid_topology(2, 2);
-        let path = shortest_path(&t, t.expect_node("SP0"), t.expect_node("SP3")).unwrap();
-        let edges = path_edges(&t, &path);
-        assert_eq!(edges.len(), 2);
     }
 }

@@ -19,7 +19,6 @@ use dss_engine::{
     build_operator, DagNodeStats, OpDag, ReAggregateOp, ReWindowOp, RestructureOp, SinkBatch,
     StreamOperator,
 };
-use dss_properties::Operator;
 use dss_xml::Node;
 
 use crate::flow::{FlowId, FlowInput, FlowOp};
@@ -63,17 +62,6 @@ pub fn build_flow_op(op: &FlowOp) -> Box<dyn StreamOperator + Send> {
             (None, false) => Box::new(RestructureOp::new(template.clone())),
         },
     }
-}
-
-/// `true` when `op` buffers window state across items.
-pub fn op_is_stateful(op: &FlowOp) -> bool {
-    matches!(
-        op,
-        FlowOp::Standard(Operator::Aggregation(_))
-            | FlowOp::Standard(Operator::WindowOutput(_))
-            | FlowOp::ReAggregate { .. }
-            | FlowOp::ReWindow { .. }
-    )
 }
 
 /// One peer's fused operator DAG for one input stream: the flows of a
@@ -207,7 +195,7 @@ impl FlowDag {
 mod tests {
     use super::*;
     use dss_predicate::{Atom, CompOp, PredicateGraph};
-    use dss_properties::{AggOp, AggregationSpec, ResultFilter, WindowSpec};
+    use dss_properties::{AggOp, AggregationSpec, Operator, ResultFilter, WindowSpec};
     use dss_xml::{Decimal, Path};
 
     fn p(s: &str) -> Path {
@@ -242,8 +230,6 @@ mod tests {
         dag.register(2, &[agg("20")]);
         let sharers: Vec<usize> = dag.node_stats().iter().map(|s| s.sharers).collect();
         assert_eq!(sharers, vec![2, 1], "one Φ per distinct window");
-        assert!(op_is_stateful(&agg("10")));
-        assert!(!op_is_stateful(&select("1.0")));
     }
 
     #[test]

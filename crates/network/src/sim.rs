@@ -108,17 +108,7 @@ pub struct SimOutcome {
 }
 
 /// Runs the deployment over the given source streams, panicking on an
-/// invalid configuration. See [`try_run`] for the fallible variant.
-pub fn run(
-    topo: &Topology,
-    deployment: &Deployment,
-    sources: &BTreeMap<String, Vec<Node>>,
-    cfg: SimConfig,
-) -> SimOutcome {
-    try_run(topo, deployment, sources, cfg).unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
-}
-
-/// Runs the deployment over the given source streams.
+/// invalid configuration.
 ///
 /// `sources` maps stream names to their item sequences. Taps read the
 /// parent's full output (tapping never costs extra transmission — the
@@ -126,16 +116,18 @@ pub fn run(
 /// input stream at one peer are fused into a shared operator DAG, and each
 /// DAG runs as soon as the one it taps has finished, in parallel with the
 /// others; a flow's output is what it would deliver alone.
-pub fn try_run(
+pub fn run(
     topo: &Topology,
     deployment: &Deployment,
     sources: &BTreeMap<String, Vec<Node>>,
     cfg: SimConfig,
-) -> Result<SimOutcome, ConfigError> {
+) -> SimOutcome {
     run_on(max_parallelism(), topo, deployment, sources, cfg)
+        .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"))
 }
 
-/// [`try_run`] with the sharing groups on `threads` workers.
+/// [`run`] with the sharing groups on `threads` workers, an invalid
+/// configuration returned as an error.
 fn run_on(
     threads: usize,
     topo: &Topology,
@@ -481,7 +473,7 @@ mod tests {
         ));
         assert!(validate(60.0, 0.0).is_ok());
         assert!(SimConfig::default().validate().is_ok());
-        // try_run surfaces the error instead of panicking.
+        // run_on surfaces the error instead of panicking.
         let t = grid_topology(2, 2);
         let d = Deployment::new();
         let bad = SimConfig {
@@ -489,7 +481,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(
-            try_run(&t, &d, &BTreeMap::new(), bad).err(),
+            run_on(1, &t, &d, &BTreeMap::new(), bad).err(),
             Some(ConfigError::NonPositiveDuration(-3.0))
         );
     }

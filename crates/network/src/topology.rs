@@ -97,11 +97,11 @@ impl fmt::Debug for Topology {
 }
 
 /// Default super-peer capacity (work units per second).
-pub const DEFAULT_SP_CAPACITY: f64 = 100_000.0;
+const DEFAULT_SP_CAPACITY: f64 = 100_000.0;
 /// Default thin-peer capacity.
-pub const DEFAULT_TP_CAPACITY: f64 = 10_000.0;
+const DEFAULT_TP_CAPACITY: f64 = 10_000.0;
 /// Default backbone bandwidth: 100 Mbit/s LAN, as in the paper's testbed.
-pub const DEFAULT_BANDWIDTH_KBPS: f64 = 100_000.0;
+const DEFAULT_BANDWIDTH_KBPS: f64 = 100_000.0;
 
 impl Topology {
     /// An empty topology.
@@ -143,7 +143,7 @@ impl Topology {
     }
 
     /// Adds a thin-peer with default parameters.
-    pub fn add_thin_peer(&mut self, name: impl Into<String>) -> NodeId {
+    fn add_thin_peer(&mut self, name: impl Into<String>) -> NodeId {
         self.add_peer_with(name, PeerKind::ThinPeer, DEFAULT_TP_CAPACITY, 2.0)
     }
 

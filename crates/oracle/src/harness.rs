@@ -159,7 +159,7 @@ fn build_items(sketches: Vec<ItemSketch>) -> Vec<Node> {
 
 /// A materialized stream: either adversarial synthetic items or a
 /// schema-conforming RASS photon stream from `dss_rass::generator`.
-pub fn arb_items() -> BoxedStrategy<Vec<Node>> {
+fn arb_items() -> BoxedStrategy<Vec<Node>> {
     let synthetic = prop::collection::vec(arb_sketch(), 0..=36)
         .prop_map(build_items)
         .boxed();
@@ -754,17 +754,6 @@ pub fn check_live_migration(case: &Case) -> Result<(), String> {
     Ok(())
 }
 
-/// All six equivalences on one case, plus the widening variant of the
-/// live check.
-pub fn check_all(case: &Case) -> Result<(), String> {
-    check_pipeline(case)?;
-    check_network(case)?;
-    check_live(case)?;
-    check_live_widening(case)?;
-    check_live_migration(case)?;
-    check_live_resumed(case)
-}
-
 // ---------------------------------------------------------------------
 // Shrinking
 // ---------------------------------------------------------------------
@@ -853,6 +842,17 @@ mod tests {
     fn sample_case(seed: u64) -> Case {
         let mut rng = TestRng::from_seed(seed);
         arb_case().sample(&mut rng)
+    }
+
+    /// All six equivalences on one case, plus the widening variant of the
+    /// live check.
+    fn check_all(case: &Case) -> Result<(), String> {
+        check_pipeline(case)?;
+        check_network(case)?;
+        check_live(case)?;
+        check_live_widening(case)?;
+        check_live_migration(case)?;
+        check_live_resumed(case)
     }
 
     #[test]

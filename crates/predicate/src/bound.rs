@@ -59,11 +59,6 @@ impl Bound {
         }
     }
 
-    /// Strictly tighter: implies but is not implied.
-    pub fn strictly_tighter_than(self, other: Bound) -> bool {
-        self.implies(other) && !other.implies(self)
-    }
-
     /// The tighter of the two bounds (used when merging parallel edges and
     /// relaxing in shortest-path computations).
     pub fn min(self, other: Bound) -> Bound {
@@ -185,12 +180,5 @@ mod tests {
         assert!(Bound::le(d("3")).satisfied_by(d("5"), d("2")));
         assert!(!Bound::lt(d("3")).satisfied_by(d("5"), d("2")));
         assert!(Bound::lt(d("3")).satisfied_by(d("4.9"), d("2")));
-    }
-
-    #[test]
-    fn strictly_tighter() {
-        assert!(Bound::lt(d("1")).strictly_tighter_than(Bound::le(d("1"))));
-        assert!(!Bound::le(d("1")).strictly_tighter_than(Bound::le(d("1"))));
-        assert!(Bound::le(d("0")).strictly_tighter_than(Bound::lt(d("1"))));
     }
 }

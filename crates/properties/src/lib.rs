@@ -18,10 +18,7 @@ pub mod operator;
 pub mod properties;
 pub mod window;
 
-pub use matching::{
-    explain_match_input_properties, match_aggregations, match_input_properties,
-    match_window_output, residual_operators, widen_input, MatchFailure, Wanted,
-};
+pub use matching::{match_input_properties, residual_operators, widen_input, MatchFailure, Wanted};
 pub use operator::{
     AggOp, AggregationSpec, Operator, ProjectionSpec, ResultFilter, WindowOutputSpec,
 };

@@ -33,7 +33,7 @@ fn same_selection(a: &PredicateGraph, b: &PredicateGraph) -> bool {
 /// so the same three modulo conditions apply, plus (as with aggregates) the
 /// pre-windowing selections must be semantically identical: an item missing
 /// from a reused window cannot be recovered downstream.
-pub fn match_window_output(reused: &WindowOutputSpec, new: &WindowOutputSpec) -> bool {
+fn match_window_output(reused: &WindowOutputSpec, new: &WindowOutputSpec) -> bool {
     new.window.shareable_from(&reused.window)
         && same_selection(&reused.pre_selection, &new.pre_selection)
 }
@@ -57,7 +57,7 @@ pub fn match_window_output(reused: &WindowOutputSpec, new: &WindowOutputSpec) ->
 /// 5. Selections applied *before* aggregation must be the same in both —
 ///    implication is not enough once values are folded into aggregates.
 ///    Checked last: it is the one condition that computes closures.
-pub fn match_aggregations(reused: &AggregationSpec, new: &AggregationSpec) -> bool {
+fn match_aggregations(reused: &AggregationSpec, new: &AggregationSpec) -> bool {
     let ops_compatible = reused.op == new.op
         || (reused.op == AggOp::Avg && matches!(new.op, AggOp::Sum | AggOp::Count));
     if !ops_compatible || reused.element != new.element {
@@ -109,17 +109,6 @@ impl MatchFailure {
         match self {
             MatchFailure::Origin | MatchFailure::MissingPartner { .. } => "MatchProperties",
             MatchFailure::CheckFailed { check, .. } => check,
-        }
-    }
-
-    /// The kind of the unmatched stream operator, if the failure is
-    /// operator-level.
-    pub fn operator_kind(&self) -> Option<&'static str> {
-        match self {
-            MatchFailure::Origin => None,
-            MatchFailure::MissingPartner { kind } | MatchFailure::CheckFailed { kind, .. } => {
-                Some(kind)
-            }
         }
     }
 }
@@ -251,7 +240,7 @@ impl<'a> Wanted<'a> {
 /// [`Wanted::served_by`] for a one-off pair: `Ok(())` when the stream
 /// described by `stream_props` can serve the subscription input described
 /// by `new_props`, otherwise which check rejected it.
-pub fn explain_match_input_properties(
+fn explain_match_input_properties(
     stream_props: &InputProperties,
     new_props: &InputProperties,
 ) -> Result<(), MatchFailure> {
@@ -475,7 +464,6 @@ mod tests {
             }
         );
         assert_eq!(failure.check_name(), "MatchPredicates");
-        assert_eq!(failure.operator_kind(), Some("selection"));
 
         // A filtered stream offered to an unfiltered subscription: the
         // stream's selection has no partner at all.

@@ -20,13 +20,6 @@ pub enum AggOp {
 }
 
 impl AggOp {
-    /// Classification per the paper: distributive aggregates can be merged
-    /// from partials directly; algebraic ones (avg) via a fixed-size
-    /// intermediate (sum, count).
-    pub fn is_distributive(self) -> bool {
-        !matches!(self, AggOp::Avg)
-    }
-
     /// Parses the WXQuery spelling.
     pub fn parse(s: &str) -> Option<AggOp> {
         match s {
@@ -322,8 +315,6 @@ mod tests {
             assert_eq!(op.to_string(), s);
         }
         assert_eq!(AggOp::parse("median"), None);
-        assert!(AggOp::Sum.is_distributive());
-        assert!(!AggOp::Avg.is_distributive());
     }
 
     #[test]

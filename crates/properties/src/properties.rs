@@ -252,14 +252,6 @@ impl Properties {
         &self.inputs
     }
 
-    /// The single input, if there is exactly one.
-    pub fn as_single(&self) -> Option<&InputProperties> {
-        match self.inputs.as_slice() {
-            [one] => Some(one),
-            _ => None,
-        }
-    }
-
     /// The input entry for a given original stream name.
     pub fn input_for(&self, stream: &str) -> Option<&InputProperties> {
         self.inputs.iter().find(|i| i.stream() == stream)
@@ -361,7 +353,6 @@ mod tests {
     fn properties_container() {
         let props = Properties::original("photons");
         assert!(props.is_original());
-        assert!(props.as_single().is_some());
         assert!(props.input_for("photons").is_some());
         assert!(props.input_for("other").is_none());
         assert!(Properties::new(vec![]).is_err());

@@ -144,7 +144,7 @@ impl WindowSpec {
     }
 
     /// Tumbling window (step equals size)?
-    pub fn is_tumbling(&self) -> bool {
+    fn is_tumbling(&self) -> bool {
         self.size == self.step
     }
 

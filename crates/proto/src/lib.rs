@@ -272,6 +272,9 @@ pub enum DecodeError {
     BadRole(u8),
     /// Unknown strategy discriminant.
     BadStrategy(u8),
+    /// A node carried a new element name and the process's name table
+    /// already holds [`dss_xml::name::MAX_NAMES`] names.
+    TooManyNames,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -288,6 +291,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadBool(b) => write!(f, "invalid boolean byte {b}"),
             DecodeError::BadRole(b) => write!(f, "unknown role {b}"),
             DecodeError::BadStrategy(b) => write!(f, "unknown strategy {b}"),
+            DecodeError::TooManyNames => write!(f, "name table full: new element name refused"),
         }
     }
 }

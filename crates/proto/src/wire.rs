@@ -47,7 +47,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-pub fn put_node(out: &mut Vec<u8>, node: &Node) {
+fn put_node(out: &mut Vec<u8>, node: &Node) {
     put_str(out, node.name());
     match node.text() {
         Some(t) => {
@@ -260,7 +260,7 @@ impl<'a> Reader<'a> {
         }
         let children = tree.children.drain(tree.children.len() - count..);
         // The payload's text is copied straight into the node.
-        Ok(Node::new(tree.names.symbol(name), text, children))
+        Ok(Node::new(tree.names.symbol(name)?, text, children))
     }
 
     /// A node list without item lengths (WAL records), built over one
@@ -298,15 +298,15 @@ const NAME_CACHE: usize = 32;
 struct Names<'a>(Vec<(&'a str, Symbol)>);
 
 impl<'a> Names<'a> {
-    fn symbol(&mut self, name: &'a str) -> Symbol {
+    fn symbol(&mut self, name: &'a str) -> Result<Symbol, DecodeError> {
         if let Some(&(_, sym)) = self.0.iter().find(|(known, _)| *known == name) {
-            return sym;
+            return Ok(sym);
         }
-        let sym = Symbol::intern(name);
+        let sym = Symbol::try_intern(name).ok_or(DecodeError::TooManyNames)?;
         if self.0.len() < NAME_CACHE {
             self.0.push((name, sym));
         }
-        sym
+        Ok(sym)
     }
 }
 

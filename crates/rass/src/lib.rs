@@ -13,10 +13,7 @@ pub mod photon;
 pub mod scenario;
 pub mod templates;
 
-pub use generator::{
-    default_photons, GeneratorConfig, PhotonGenerator, SkyRegion, XraySource, RXJ0852,
-    SURVEY_FIELD, VELA,
-};
+pub use generator::{default_photons, GeneratorConfig, PhotonGenerator, SkyRegion, XraySource};
 pub use photon::Photon;
 pub use scenario::{example_network, QueryDef, Scenario, ScenarioOutcome, StreamDef};
 pub use templates::{QueryTemplateGenerator, TemplateKind, ValueSets};

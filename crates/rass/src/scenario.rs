@@ -181,10 +181,10 @@ impl Scenario {
 /// that the paper's admission caps (10 % CPU, 1 Mbit/s) bind comparably:
 /// the raw stream is a noticeable fraction of a capped connection and a
 /// capped super-peer sustains a few dozen per-query operator chains.
-pub const STREAM_FREQUENCY: f64 = 60.0;
+const STREAM_FREQUENCY: f64 = 60.0;
 
 /// Super-peer capacity used by the scenarios (work units per second).
-pub const SCENARIO_SP_CAPACITY: f64 = 40_000.0;
+const SCENARIO_SP_CAPACITY: f64 = 40_000.0;
 
 fn calibrate_capacities(topology: &mut Topology) {
     for sp in topology.super_peers() {

@@ -17,7 +17,7 @@ use crate::wire::{self, Conn};
 use crate::ServerError;
 
 /// Default patience for a single control-plane round trip.
-pub const RPC_TIMEOUT: Duration = Duration::from_secs(30);
+const RPC_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A data-plane event observed by this client.
 #[derive(Debug, Clone)]
@@ -155,15 +155,6 @@ impl Client {
                 plan,
             }),
             other => Err(unexpected(other, "SubscribeOk")),
-        }
-    }
-
-    pub fn unsubscribe(&mut self, id: &str) -> Result<(), ServerError> {
-        self.conn
-            .send(&Message::Unsubscribe { id: id.to_string() })?;
-        match self.next_reply(RPC_TIMEOUT)? {
-            Message::UnsubscribeOk { .. } => Ok(()),
-            other => Err(unexpected(other, "UnsubscribeOk")),
         }
     }
 

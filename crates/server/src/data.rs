@@ -95,9 +95,9 @@ use crate::control::{Addr, Input};
 use crate::spec::NetMap;
 
 /// Mailbox origin-tag for a payload item.
-pub const TAG_ITEM: u64 = 0;
+const TAG_ITEM: u64 = 0;
 /// Mailbox origin-tag for a group's end-of-stream marker.
-pub const TAG_EOS: u64 = 1;
+const TAG_EOS: u64 = 1;
 
 /// Most entries one worker pass takes from its mailbox, and most items one
 /// forwarded batch (live, end-of-stream flush or recovery resend) carries.
@@ -292,7 +292,7 @@ impl SentEntry {
     /// receiver's [`Contiguity`] mark trims the overlap), or just the
     /// end-of-stream marker if that is all it lacks. Nothing for an
     /// offset beyond what was ever sent.
-    pub fn batches_from(&self, offset: u64) -> &[SentBatch] {
+    fn batches_from(&self, offset: u64) -> &[SentBatch] {
         let needed = |b: &SentBatch| {
             let end = b.offset + b.len as u64;
             end > offset || (b.eos && end == offset)

@@ -22,7 +22,7 @@ mod wire;
 pub use client::{Client, ClientEvent, RunOutput, SubscribeReply};
 pub use cluster::{ClusterOptions, LocalCluster};
 pub use peer::{serve, PeerOptions};
-pub use spec::{NetMap, ServeSpec, DEFAULT_PORT_BASE};
+pub use spec::{NetMap, ServeSpec};
 pub use wire::Conn;
 
 use dss_proto::{ProtoError, WireStrategy};

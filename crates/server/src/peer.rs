@@ -160,12 +160,9 @@ pub fn serve(opts: PeerOptions) -> Result<(), ServerError> {
     let globe = opts.spec.build_globe();
     let topo = globe.topology().clone();
     let map = NetMap::new(&topo);
-    let me = map.index_of_name(&topo, &opts.peer).ok_or_else(|| {
-        ServerError::Config(format!(
-            "{:?} is not a super-peer of topology {:?}",
-            opts.peer, opts.spec.topology
-        ))
-    })?;
+    let me = map
+        .process_of(&topo, &opts.spec, &opts.peer)
+        .map_err(ServerError::Config)?;
 
     // Durable restart: replay the log and rebuild the registration
     // replica *before* anything can connect, so the deterministic

@@ -46,7 +46,7 @@ pub fn label(thread: Thread) {
 
 /// The environment variable that arms the sampler: the directory the
 /// samples are written to.
-pub const ENV: &str = "DSS_PROFILE_DIR";
+const ENV: &str = "DSS_PROFILE_DIR";
 
 /// Arms the sampler if [`ENV`] is set; a sampler that cannot be armed is
 /// reported and left off.

@@ -13,7 +13,7 @@ use dss_network::{NodeId, PeerKind, Topology};
 
 /// Default first listen port; super-peer `i` (in [`Topology::super_peers`]
 /// order) listens on `port_base + i`.
-pub const DEFAULT_PORT_BASE: u16 = 7400;
+const DEFAULT_PORT_BASE: u16 = 7400;
 
 /// Which network to deploy and where its processes listen.
 #[derive(Debug, Clone)]
@@ -122,6 +122,28 @@ impl NetMap {
     /// Process index of the super-peer named `name`, if any.
     pub fn index_of_name(&self, topo: &Topology, name: &str) -> Option<usize> {
         topo.node(name).and_then(|n| self.index_of.get(&n).copied())
+    }
+
+    /// The process that serves super-peer `peer` under `spec`. Refuses a
+    /// name that is no super-peer of the topology, and a port base that
+    /// would put a process past port 65 535.
+    pub fn process_of(
+        &self,
+        topo: &Topology,
+        spec: &ServeSpec,
+        peer: &str,
+    ) -> Result<usize, String> {
+        let last = usize::from(spec.port_base) + self.process_count() - 1;
+        if last > usize::from(u16::MAX) {
+            let base = spec.port_base;
+            return Err(format!("port base {base} puts a process on port {last}"));
+        }
+        self.index_of_name(topo, peer).ok_or_else(|| {
+            format!(
+                "{peer:?} is not a super-peer of topology {:?}",
+                spec.topology
+            )
+        })
     }
 
     /// Listen address of process `i`.

@@ -22,14 +22,14 @@ const STATE_WINDOW: u8 = 2;
 const STATE_REAGG: u8 = 3;
 const STATE_REWINDOW: u8 = 4;
 
-pub fn put_decimal(out: &mut Vec<u8>, d: Decimal) {
+fn put_decimal(out: &mut Vec<u8>, d: Decimal) {
     let bits = d.units() as u128;
     put_u64(out, bits as u64);
     put_u64(out, (bits >> 64) as u64);
     put_u32(out, d.scale());
 }
 
-pub fn get_decimal(r: &mut Reader<'_>) -> Result<Decimal, RecordError> {
+fn get_decimal(r: &mut Reader<'_>) -> Result<Decimal, RecordError> {
     let lo = r.u64()? as u128;
     let hi = r.u64()? as u128;
     let units = ((hi << 64) | lo) as i128;
@@ -40,7 +40,7 @@ pub fn get_decimal(r: &mut Reader<'_>) -> Result<Decimal, RecordError> {
     Ok(Decimal::new(units, scale))
 }
 
-pub fn put_opt_decimal(out: &mut Vec<u8>, d: Option<Decimal>) {
+fn put_opt_decimal(out: &mut Vec<u8>, d: Option<Decimal>) {
     match d {
         Some(d) => {
             put_bool(out, true);
@@ -50,7 +50,7 @@ pub fn put_opt_decimal(out: &mut Vec<u8>, d: Option<Decimal>) {
     }
 }
 
-pub fn get_opt_decimal(r: &mut Reader<'_>) -> Result<Option<Decimal>, RecordError> {
+fn get_opt_decimal(r: &mut Reader<'_>) -> Result<Option<Decimal>, RecordError> {
     if r.bool()? {
         Ok(Some(get_decimal(r)?))
     } else {
@@ -58,14 +58,14 @@ pub fn get_opt_decimal(r: &mut Reader<'_>) -> Result<Option<Decimal>, RecordErro
     }
 }
 
-pub fn put_path(out: &mut Vec<u8>, p: &Path) {
+fn put_path(out: &mut Vec<u8>, p: &Path) {
     put_u64(out, p.steps().len() as u64);
     for step in p.steps() {
         put_str(out, step.as_str());
     }
 }
 
-pub fn get_path(r: &mut Reader<'_>) -> Result<Path, RecordError> {
+fn get_path(r: &mut Reader<'_>) -> Result<Path, RecordError> {
     let n = r.u64()?;
     let mut steps = Vec::new();
     for _ in 0..n {
@@ -74,7 +74,7 @@ pub fn get_path(r: &mut Reader<'_>) -> Result<Path, RecordError> {
     Path::from_steps(steps).map_err(|_| RecordError::Invalid("path step"))
 }
 
-pub fn put_window(out: &mut Vec<u8>, w: &WindowSpec) {
+fn put_window(out: &mut Vec<u8>, w: &WindowSpec) {
     match w.reference() {
         None => put_bool(out, false),
         Some(p) => {
@@ -86,7 +86,7 @@ pub fn put_window(out: &mut Vec<u8>, w: &WindowSpec) {
     put_decimal(out, w.step());
 }
 
-pub fn get_window(r: &mut Reader<'_>) -> Result<WindowSpec, RecordError> {
+fn get_window(r: &mut Reader<'_>) -> Result<WindowSpec, RecordError> {
     let reference = if r.bool()? { Some(get_path(r)?) } else { None };
     let size = get_decimal(r)?;
     let step = Some(get_decimal(r)?);
@@ -115,7 +115,7 @@ fn get_node_ref(r: &mut Reader<'_>) -> Result<NodeRef, RecordError> {
     }
 }
 
-pub fn put_predicate(out: &mut Vec<u8>, g: &PredicateGraph) {
+fn put_predicate(out: &mut Vec<u8>, g: &PredicateGraph) {
     put_u64(out, g.edge_count() as u64);
     for (u, v, b) in g.edges() {
         put_node_ref(out, u);
@@ -125,7 +125,7 @@ pub fn put_predicate(out: &mut Vec<u8>, g: &PredicateGraph) {
     }
 }
 
-pub fn get_predicate(r: &mut Reader<'_>) -> Result<PredicateGraph, RecordError> {
+fn get_predicate(r: &mut Reader<'_>) -> Result<PredicateGraph, RecordError> {
     let n = r.u64()?;
     let mut g = PredicateGraph::new();
     for _ in 0..n {
@@ -159,7 +159,7 @@ fn comp_op_from(tag: u8) -> Result<CompOp, RecordError> {
     })
 }
 
-pub fn put_result_filter(out: &mut Vec<u8>, f: &ResultFilter) {
+fn put_result_filter(out: &mut Vec<u8>, f: &ResultFilter) {
     put_u64(out, f.conditions.len() as u64);
     for (op, c) in &f.conditions {
         out.push(comp_op_tag(*op));
@@ -167,7 +167,7 @@ pub fn put_result_filter(out: &mut Vec<u8>, f: &ResultFilter) {
     }
 }
 
-pub fn get_result_filter(r: &mut Reader<'_>) -> Result<ResultFilter, RecordError> {
+fn get_result_filter(r: &mut Reader<'_>) -> Result<ResultFilter, RecordError> {
     let n = r.u64()?;
     let mut conditions = Vec::new();
     for _ in 0..n {
@@ -198,7 +198,7 @@ fn agg_op_from(tag: u8) -> Result<AggOp, RecordError> {
     })
 }
 
-pub fn put_agg_spec(out: &mut Vec<u8>, s: &AggregationSpec) {
+fn put_agg_spec(out: &mut Vec<u8>, s: &AggregationSpec) {
     out.push(agg_op_tag(s.op));
     put_path(out, &s.element);
     put_window(out, &s.window);
@@ -206,7 +206,7 @@ pub fn put_agg_spec(out: &mut Vec<u8>, s: &AggregationSpec) {
     put_result_filter(out, &s.result_filter);
 }
 
-pub fn get_agg_spec(r: &mut Reader<'_>) -> Result<AggregationSpec, RecordError> {
+fn get_agg_spec(r: &mut Reader<'_>) -> Result<AggregationSpec, RecordError> {
     Ok(AggregationSpec {
         op: agg_op_from(r.u8()?)?,
         element: get_path(r)?,
@@ -216,19 +216,19 @@ pub fn get_agg_spec(r: &mut Reader<'_>) -> Result<AggregationSpec, RecordError> 
     })
 }
 
-pub fn put_window_output_spec(out: &mut Vec<u8>, s: &WindowOutputSpec) {
+fn put_window_output_spec(out: &mut Vec<u8>, s: &WindowOutputSpec) {
     put_window(out, &s.window);
     put_predicate(out, &s.pre_selection);
 }
 
-pub fn get_window_output_spec(r: &mut Reader<'_>) -> Result<WindowOutputSpec, RecordError> {
+fn get_window_output_spec(r: &mut Reader<'_>) -> Result<WindowOutputSpec, RecordError> {
     Ok(WindowOutputSpec {
         window: get_window(r)?,
         pre_selection: get_predicate(r)?,
     })
 }
 
-pub fn put_agg_item(out: &mut Vec<u8>, item: &AggItem) {
+fn put_agg_item(out: &mut Vec<u8>, item: &AggItem) {
     put_decimal(out, item.start);
     put_decimal(out, item.size);
     put_u64(out, item.count);
@@ -237,7 +237,7 @@ pub fn put_agg_item(out: &mut Vec<u8>, item: &AggItem) {
     put_opt_decimal(out, item.max);
 }
 
-pub fn get_agg_item(r: &mut Reader<'_>) -> Result<AggItem, RecordError> {
+fn get_agg_item(r: &mut Reader<'_>) -> Result<AggItem, RecordError> {
     Ok(AggItem {
         start: get_decimal(r)?,
         size: get_decimal(r)?,
@@ -248,13 +248,13 @@ pub fn get_agg_item(r: &mut Reader<'_>) -> Result<AggItem, RecordError> {
     })
 }
 
-pub fn put_window_item(out: &mut Vec<u8>, item: &WindowItem) {
+fn put_window_item(out: &mut Vec<u8>, item: &WindowItem) {
     put_decimal(out, item.start);
     put_decimal(out, item.size);
     put_nodes(out, &item.items);
 }
 
-pub fn get_window_item(r: &mut Reader<'_>) -> Result<WindowItem, RecordError> {
+fn get_window_item(r: &mut Reader<'_>) -> Result<WindowItem, RecordError> {
     Ok(WindowItem {
         start: get_decimal(r)?,
         size: get_decimal(r)?,

@@ -22,7 +22,7 @@ use crate::error::QueryError;
 /// overflow. One level costs about 510 bytes of parser stack (x86-64,
 /// measured: release build; 4.4 KiB unoptimised), so the cap stays inside
 /// a spawned thread's 2 MiB either way.
-pub const MAX_NESTING: usize = 256;
+const MAX_NESTING: usize = 256;
 
 /// Parses a complete WXQuery subscription.
 pub fn parse_query(input: &str) -> Result<Expr, QueryError> {

@@ -28,10 +28,10 @@ use crate::compile_query;
 
 /// Numeric leaf paths of the photon schema, usable in predicates,
 /// projections, and aggregations.
-pub const SCHEMA_PATHS: &[&str] = &["en", "det_time", "phc", "coord/cel/ra", "coord/cel/dec"];
+const SCHEMA_PATHS: &[&str] = &["en", "det_time", "phc", "coord/cel/ra", "coord/cel/dec"];
 
 /// The ordered reference element for `diff` windows.
-pub const REFERENCE_PATH: &str = "det_time";
+const REFERENCE_PATH: &str = "det_time";
 
 /// One selection conjunct `item/path θ rhs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +105,7 @@ impl QuerySpec {
     }
 
     /// Builds the AST; infallible by construction.
-    pub fn to_ast(&self) -> Expr {
+    fn to_ast(&self) -> Expr {
         let var = self.var().to_string();
         let vp = |path: &str| VarPath {
             var: var.clone(),
@@ -212,7 +212,7 @@ impl QuerySpec {
     /// `true` when the rendered text compiles into an executable plan
     /// (conflicting random bounds are unsatisfiable and rejected by the
     /// compiler; strategies filter on this).
-    pub fn compiles(&self) -> bool {
+    fn compiles(&self) -> bool {
         compile_query(&self.to_text()).is_ok()
     }
 
@@ -357,7 +357,7 @@ fn decimal_in(lo: i64, hi: i64, scale: u32) -> BoxedStrategy<Decimal> {
 
 /// A plausible predicate constant for the schema path, inside (or near)
 /// the value range `dss_rass::generator` produces.
-pub fn arb_constant_for(path: &'static str) -> BoxedStrategy<Decimal> {
+fn arb_constant_for(path: &'static str) -> BoxedStrategy<Decimal> {
     match path {
         "en" => decimal_in(100, 3000, 3),
         "det_time" => decimal_in(0, 600, 1),

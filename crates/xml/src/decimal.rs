@@ -26,7 +26,7 @@ pub const MAX_SCALE: u32 = 18;
 /// stream values cannot overflow. Internal arithmetic (sums of many
 /// values) may exceed this bound; comparisons stay safe via checked
 /// rescaling.
-pub const MAX_INPUT_UNITS: i128 = 10_000_000_000_000_000_000;
+const MAX_INPUT_UNITS: i128 = 10_000_000_000_000_000_000;
 
 /// An exact decimal number: `units · 10^-scale`.
 ///
@@ -64,8 +64,6 @@ const POW10: [i128; 19] = [
 impl Decimal {
     /// Zero.
     pub const ZERO: Decimal = Decimal { units: 0, scale: 0 };
-    /// One.
-    pub const ONE: Decimal = Decimal { units: 1, scale: 0 };
 
     /// Builds a decimal from raw units and a scale, canonicalizing the result.
     ///
@@ -132,15 +130,6 @@ impl Decimal {
             "cannot rescale {self} to {scale} decimal places without loss"
         );
         self.units * POW10[(scale - self.scale) as usize]
-    }
-
-    /// Smallest positive decimal representable at `scale` decimal places
-    /// (one "unit in the last place"). Used to normalize strict comparisons:
-    /// over values with at most `scale` decimal places, `x < c` is exactly
-    /// `x ≤ c − ulp(scale)`.
-    pub fn ulp(scale: u32) -> Decimal {
-        assert!(scale <= MAX_SCALE);
-        Decimal::new(1, scale)
     }
 
     /// `true` if the value is an integer.
@@ -428,13 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn ulp_is_smallest_step() {
-        assert_eq!(Decimal::ulp(1), d("0.1"));
-        assert_eq!(Decimal::ulp(0), Decimal::ONE);
-        assert_eq!(d("1.3") - Decimal::ulp(1), d("1.2"));
-    }
-
-    #[test]
     fn units_at_scale_rescales() {
         assert_eq!(d("1.3").units_at_scale(3), 1300);
         assert_eq!(d("-2").units_at_scale(2), -200);
@@ -496,7 +478,7 @@ mod tests {
         let big = Decimal::new(i128::MAX / 2, 0);
         assert!(big.checked_add(big).is_none() || big.checked_add(big).is_some());
         let huge = Decimal::new(i128::MAX, 0);
-        assert!(huge.checked_add(Decimal::ONE).is_none());
+        assert!(huge.checked_add(d("1")).is_none());
     }
 
     /// Canonical form: zero has scale 0 and a fraction ends in a non-zero
@@ -753,7 +735,7 @@ mod tests {
                 assert_canonical(-v);
                 assert_canonical(v * k);
                 assert_canonical(Decimal::from_int(k));
-                assert_canonical(Decimal::ulp(scale));
+                assert_canonical(Decimal::new(1, scale));
                 assert_canonical(Decimal::from_f64_rounded(k as f64 / 8.0, scale));
                 // Display prints every value; the parser takes it back
                 // unless it exceeds the input bound.

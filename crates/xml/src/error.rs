@@ -25,8 +25,9 @@ pub enum XmlError {
     ValueParse { value: String, wanted: &'static str },
     /// A path expression was syntactically invalid.
     InvalidPath { path: String, message: String },
-    /// A document node did not conform to the schema it was validated against.
-    SchemaViolation { message: String },
+    /// A new name was refused: the process's name table already holds
+    /// [`crate::name::MAX_NAMES`] names.
+    TooManyNames { name: String },
 }
 
 impl fmt::Display for XmlError {
@@ -54,7 +55,9 @@ impl fmt::Display for XmlError {
             XmlError::InvalidPath { path, message } => {
                 write!(f, "invalid path {path:?}: {message}")
             }
-            XmlError::SchemaViolation { message } => write!(f, "schema violation: {message}"),
+            XmlError::TooManyNames { name } => {
+                write!(f, "name table full: {name:?} would be a new name")
+            }
         }
     }
 }

@@ -16,9 +16,7 @@
 //!   the input are converted into child elements,
 //! * child-axis-only path expressions π ([`path::Path`]) as used throughout
 //!   the paper,
-//! * a serializer ([`writer`]) whose byte counts feed the cost model,
-//! * a DTD-like schema description ([`schema::Schema`]) used for statistics
-//!   and validation, and
+//! * a serializer ([`writer`]) whose byte counts feed the cost model, and
 //! * a fixed-point [`decimal::Decimal`] type, because the paper's predicate
 //!   constants are "integer values or decimal values with a finite number of
 //!   decimal places" — binary floats would break predicate-graph reasoning.
@@ -29,7 +27,6 @@ pub mod event;
 pub mod name;
 pub mod path;
 pub mod reader;
-pub mod schema;
 pub mod text;
 pub mod tokenizer;
 pub mod tree;
@@ -41,6 +38,5 @@ pub use event::XmlEvent;
 pub use name::{NameTable, Symbol};
 pub use path::Path;
 pub use reader::XmlReader;
-pub use schema::Schema;
 pub use tokenizer::Tokenizer;
 pub use tree::Node;

@@ -8,14 +8,20 @@
 //!
 //! Interned strings are leaked to obtain `&'static str` resolution without
 //! lifetime plumbing. The leak is bounded by the number of *distinct* names
-//! ever seen (element vocabularies are small and schema-bound), not by
-//! stream length.
+//! ever seen, not by stream length. Names from outside the process (wire
+//! frames, XML text, query text) go through [`Symbol::try_intern`], which
+//! refuses a new name once the table holds [`MAX_NAMES`]: a peer sending
+//! ever new names cannot grow the table without bound.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{OnceLock, RwLock};
+
+/// How many names [`Symbol::try_intern`] lets the table grow to. Far above
+/// any schema's vocabulary (a photon has 11 names).
+pub const MAX_NAMES: usize = 65_536;
 
 /// An interned name: cheap to copy, O(1) to compare and hash.
 ///
@@ -144,6 +150,20 @@ impl Symbol {
             return sym;
         }
         table.write().expect("name table poisoned").insert(name)
+    }
+
+    /// [`Symbol::intern`] for a name from outside the process: `None` if
+    /// `name` is new and the table already holds [`MAX_NAMES`] names.
+    pub fn try_intern(name: &str) -> Option<Symbol> {
+        let table = NameTable::global();
+        if let Some(sym) = table.read().expect("name table poisoned").lookup(name) {
+            return Some(sym);
+        }
+        let mut table = table.write().expect("name table poisoned");
+        if table.names.len() >= MAX_NAMES && table.lookup(name).is_none() {
+            return None;
+        }
+        Some(table.insert(name))
     }
 
     /// Looks up `name` without interning. `None` means no node anywhere can

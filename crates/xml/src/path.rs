@@ -89,9 +89,8 @@ impl Path {
 
     /// Appends one step.
     pub fn child(&self, step: &str) -> Result<Path, XmlError> {
-        text::validate_name(step)?;
         let mut steps = self.steps.clone();
-        steps.push(Symbol::intern(step));
+        steps.push(text::name_symbol(step)?);
         Ok(Path { steps })
     }
 
@@ -226,8 +225,7 @@ impl FromStr for Path {
         }
         let mut steps = Vec::new();
         for step in s.split('/') {
-            text::validate_name(step)?;
-            steps.push(Symbol::intern(step));
+            steps.push(text::name_symbol(step)?);
         }
         Ok(Path { steps })
     }

@@ -182,11 +182,6 @@ impl StreamReader {
         self.items_read
     }
 
-    /// `true` once the stream's root element has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Returns the next complete stream item, or `Ok(None)` if more input is
     /// needed (or the stream has ended).
     pub fn next_item(&mut self) -> Result<Option<Node>, XmlError> {
@@ -332,7 +327,7 @@ mod tests {
         assert_eq!(b.child("en").unwrap().text(), Some("2.5"));
         assert!(r.next_item().unwrap().is_none());
         assert_eq!(r.items_read(), 2);
-        assert!(!r.is_closed());
+        assert!(!r.closed);
     }
 
     #[test]
@@ -368,7 +363,7 @@ mod tests {
             }
         }
         assert_eq!(items.len(), 3);
-        assert!(r.is_closed());
+        assert!(r.closed);
         let vals: Vec<_> = items
             .iter()
             .map(|i| i.child("v").unwrap().text().unwrap().to_string())
@@ -383,7 +378,7 @@ mod tests {
         r.finish();
         assert!(r.next_item().unwrap().is_some());
         assert!(r.next_item().unwrap().is_none());
-        assert!(r.is_closed());
+        assert!(r.closed);
         // After close, further calls keep returning None.
         assert!(r.next_item().unwrap().is_none());
     }
@@ -402,7 +397,7 @@ mod tests {
         r.feed(b"<s><!-- hello --><i><v>1</v></i><!-- bye --></s>");
         assert!(r.next_item().unwrap().is_some());
         assert!(r.next_item().unwrap().is_none());
-        assert!(r.is_closed());
+        assert!(r.closed);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Text handling: XML name validation, escaping, and entity resolution.
 
 use crate::error::XmlError;
+use crate::name::Symbol;
 
 /// Returns `true` if `c` may start an XML name.
 ///
@@ -34,6 +35,15 @@ pub fn validate_name(name: &str) -> Result<(), XmlError> {
             name: name.to_string(),
         })
     }
+}
+
+/// Validates `name` (from input outside the process) and interns it
+/// through [`Symbol::try_intern`].
+pub(crate) fn name_symbol(name: &str) -> Result<Symbol, XmlError> {
+    validate_name(name)?;
+    Symbol::try_intern(name).ok_or_else(|| XmlError::TooManyNames {
+        name: name.to_string(),
+    })
 }
 
 /// Escapes text content for inclusion between tags.
@@ -76,7 +86,7 @@ pub fn escaped_len(s: &str) -> usize {
 }
 
 /// Resolves a single entity body (the part between `&` and `;`).
-pub fn resolve_entity(entity: &str) -> Result<char, XmlError> {
+fn resolve_entity(entity: &str) -> Result<char, XmlError> {
     match entity {
         "lt" => Ok('<'),
         "gt" => Ok('>'),

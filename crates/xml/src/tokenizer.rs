@@ -297,14 +297,8 @@ impl Tokenizer {
         };
         let inner = std::str::from_utf8(&rem[2..gt])
             .map_err(|_| self.syntax(2, "invalid UTF-8 in end tag"))?;
-        let name = inner.trim();
-        text::validate_name(name)?;
-        Ok(Scan::Event(
-            XmlEvent::EndElement {
-                name: Symbol::intern(name),
-            },
-            gt + 1,
-        ))
+        let name = text::name_symbol(inner.trim())?;
+        Ok(Scan::Event(XmlEvent::EndElement { name }, gt + 1))
     }
 
     fn scan_start_tag(&self, rem: &[u8]) -> Result<Scan, XmlError> {
@@ -346,16 +340,14 @@ impl Tokenizer {
     /// Parses `name attr="v" …` (the inside of a start tag).
     fn parse_tag_body(&self, body: &str) -> Result<(Symbol, Vec<(Symbol, String)>), XmlError> {
         let name_end = body.find(char::is_whitespace).unwrap_or(body.len());
-        let name = &body[..name_end];
-        text::validate_name(name)?;
+        let name = text::name_symbol(&body[..name_end])?;
         let mut attributes = Vec::new();
         let mut s = body[name_end..].trim_start();
         while !s.is_empty() {
             let eq = s
                 .find('=')
                 .ok_or_else(|| self.syntax(0, "attribute without value"))?;
-            let attr_name = s[..eq].trim();
-            text::validate_name(attr_name)?;
+            let attr_name = text::name_symbol(s[..eq].trim())?;
             let after = s[eq + 1..].trim_start();
             let quote = after
                 .chars()
@@ -366,13 +358,10 @@ impl Tokenizer {
             let close = after
                 .find(quote)
                 .ok_or_else(|| self.syntax(0, "unterminated attribute value"))?;
-            attributes.push((
-                Symbol::intern(attr_name),
-                text::unescape_text(&after[..close])?,
-            ));
+            attributes.push((attr_name, text::unescape_text(&after[..close])?));
             s = after[close + 1..].trim_start();
         }
-        Ok((Symbol::intern(name), attributes))
+        Ok((name, attributes))
     }
 }
 

@@ -291,7 +291,7 @@ impl Node {
     /// `attributes`) has already been consumed. Iterative (explicit stack)
     /// with a [`MAX_DEPTH`] cap, so untrusted nesting cannot overflow the
     /// call stack.
-    pub fn from_events_after_start<F>(
+    fn from_events_after_start<F>(
         name: Symbol,
         attributes: Vec<(Symbol, String)>,
         next: &mut F,

@@ -92,58 +92,10 @@ fn usage() {
 
 /// `dss serve <topology> --peer <SPn> [options]`.
 fn serve(args: &[String]) -> ExitCode {
-    let Some(topology) = args.first() else {
-        return usage_error("serve requires a topology (\"example\" or \"scenario1\")");
-    };
-    let mut spec = match ServeSpec::new(topology) {
-        Ok(s) => s,
+    let opts = match parse_serve(args) {
+        Ok(opts) => opts,
         Err(e) => return usage_error(&e),
     };
-    let mut peer: Option<String> = None;
-    let mut opts_tail = PeerTail::default();
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--peer" => match it.next() {
-                Some(p) => peer = Some(p.clone()),
-                None => return usage_error("--peer requires a super-peer name"),
-            },
-            "--host" => match it.next() {
-                Some(h) => spec.host = h.clone(),
-                None => return usage_error("--host requires an address"),
-            },
-            "--port-base" => match it.next().map(|v| v.parse::<u16>()) {
-                Some(Ok(p)) => spec.port_base = p,
-                Some(Err(_)) => return usage_error("--port-base requires a port number"),
-                None => return usage_error("--port-base requires a port number"),
-            },
-            "--mailbox-capacity" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts_tail.mailbox_capacity = n,
-                _ => return usage_error("--mailbox-capacity requires a positive integer"),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => opts_tail.metrics_out = Some(p.into()),
-                None => return usage_error("--metrics-out requires a path"),
-            },
-            "--wal-dir" => match it.next() {
-                Some(p) => opts_tail.wal_dir = Some(p.into()),
-                None => return usage_error("--wal-dir requires a path"),
-            },
-            "--source-delay-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(ms)) => opts_tail.source_delay = Duration::from_millis(ms),
-                _ => return usage_error("--source-delay-ms requires a number of milliseconds"),
-            },
-            other => return usage_error(&format!("unexpected serve argument {other:?}")),
-        }
-    }
-    let Some(peer) = peer else {
-        return usage_error("serve requires --peer <SPn>");
-    };
-    let mut opts = PeerOptions::new(spec, peer);
-    opts.mailbox_capacity = opts_tail.mailbox_capacity;
-    opts.metrics_out = opts_tail.metrics_out;
-    opts.wal_dir = opts_tail.wal_dir;
-    opts.source_delay = opts_tail.source_delay;
     match server::serve(opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -153,138 +105,158 @@ fn serve(args: &[String]) -> ExitCode {
     }
 }
 
-struct PeerTail {
-    mailbox_capacity: usize,
-    metrics_out: Option<std::path::PathBuf>,
-    wal_dir: Option<std::path::PathBuf>,
-    source_delay: Duration,
-}
-
-impl Default for PeerTail {
-    fn default() -> PeerTail {
-        PeerTail {
-            mailbox_capacity: 1024,
-            metrics_out: None,
-            wal_dir: None,
-            source_delay: Duration::ZERO,
+/// The options of `dss serve`, or the usage error to print.
+fn parse_serve(args: &[String]) -> Result<PeerOptions, String> {
+    let topology = args
+        .first()
+        .ok_or("serve requires a topology (\"example\" or \"scenario1\")")?;
+    let mut opts = PeerOptions::new(ServeSpec::new(topology)?, "");
+    let mut peer = None;
+    let mut it = args[1..].iter();
+    while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().ok_or(format!("{a} requires {what}"));
+        match a.as_str() {
+            "--peer" => peer = Some(value("a super-peer name")?.clone()),
+            "--host" => opts.spec.host = value("an address")?.clone(),
+            "--port-base" => {
+                let port = value("a port number")?.parse().ok();
+                opts.spec.port_base = port.ok_or("--port-base requires a port number")?;
+            }
+            "--mailbox-capacity" => {
+                let n = value("a positive integer")?.parse().ok().filter(|&n| n > 0);
+                opts.mailbox_capacity =
+                    n.ok_or("--mailbox-capacity requires a positive integer")?;
+            }
+            "--metrics-out" => opts.metrics_out = Some(value("a path")?.into()),
+            "--wal-dir" => opts.wal_dir = Some(value("a path")?.into()),
+            "--source-delay-ms" => {
+                let ms = value("a number of milliseconds")?.parse().ok();
+                let ms = ms.ok_or("--source-delay-ms requires a number of milliseconds")?;
+                opts.source_delay = Duration::from_millis(ms);
+            }
+            other => return Err(format!("unexpected serve argument {other:?}")),
         }
     }
+    opts.peer = peer.ok_or("serve requires --peer <SPn>")?;
+    Ok(opts)
 }
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// One `dss client` verb with its arguments.
+#[derive(Debug)]
+enum ClientCmd {
+    /// `query` is the file to read the query from (`-`: stdin).
+    Subscribe {
+        id: String,
+        query: String,
+        at: String,
+        strategy: Strategy,
+    },
+    Run,
+    Metrics,
+    Shutdown,
+}
+
 /// `dss client <verb> <addr> ...`.
 fn client(args: &[String]) -> ExitCode {
-    let Some(verb) = args.first() else {
-        return usage_error("client requires a verb (subscribe, run, metrics, shutdown)");
+    let (addr, cmd) = match parse_client(args) {
+        Ok(parsed) => parsed,
+        Err(e) => return usage_error(&e),
     };
-    let Some(addr) = args.get(1) else {
-        return usage_error("client requires a server address (host:port)");
+    let text = match &cmd {
+        ClientCmd::Subscribe { query, .. } => read_query_arg(Some(query)),
+        _ => Ok(String::new()),
     };
-    let connect = || Client::connect(addr, "dss-cli", CLIENT_TIMEOUT);
-    match verb.as_str() {
+    let text = match text {
+        Ok(t) => t,
+        Err(e) => return usage_error(&e),
+    };
+    let mut c = match Client::connect(&addr, "dss-cli", CLIENT_TIMEOUT) {
+        Ok(c) => c,
+        Err(e) => return client_error(e),
+    };
+    let done = match cmd {
+        ClientCmd::Subscribe {
+            id, at, strategy, ..
+        } => c
+            .subscribe(&id, &text, &at, server::to_wire_strategy(strategy))
+            .map(|reply| {
+                let shares = if reply.reused {
+                    ", shares an existing stream"
+                } else {
+                    ""
+                };
+                println!(
+                    "subscribed {} at {at} (delivery flow {}{shares})",
+                    reply.id, reply.delivery_flow
+                );
+                print!("{}", reply.plan);
+            }),
+        ClientCmd::Run => c.run_and_collect(Duration::from_secs(600)).map(|out| {
+            for (query, items) in &out.results {
+                for item in items {
+                    println!(
+                        "{query}\t{}",
+                        data_stream_sharing::xml::writer::node_to_string(item)
+                    );
+                }
+            }
+            eprintln!("run complete: {} items delivered", out.delivered);
+        }),
+        ClientCmd::Metrics => c.metrics().map(|json| println!("{json}")),
+        ClientCmd::Shutdown => c
+            .shutdown_fleet(Duration::from_secs(600))
+            .map(|()| eprintln!("fleet stopped")),
+    };
+    match done {
+        Ok(()) => {
+            c.goodbye();
+            ExitCode::SUCCESS
+        }
+        Err(e) => client_error(e),
+    }
+}
+
+/// The server address and verb of `dss client`, or the usage error to
+/// print. Nothing is read or dialled here.
+fn parse_client(args: &[String]) -> Result<(String, ClientCmd), String> {
+    let verb = args
+        .first()
+        .ok_or("client requires a verb (subscribe, run, metrics, shutdown)")?;
+    let addr = args
+        .get(1)
+        .ok_or("client requires a server address (host:port)")?;
+    let cmd = match verb.as_str() {
         "subscribe" => {
-            let Some(id) = args.get(2) else {
-                return usage_error("client subscribe requires a query id");
-            };
-            let text = match read_query_arg(args.get(3)) {
-                Ok(t) => t,
-                Err(e) => return usage_error(&e),
-            };
-            let mut at = "P1".to_string();
-            let mut strategy = Strategy::StreamSharing;
+            let id = args.get(2).ok_or("client subscribe requires a query id")?;
+            let query = args
+                .get(3)
+                .ok_or("missing query file argument (use '-' for stdin)")?;
+            let (mut at, mut strategy) = ("P1".to_string(), Strategy::StreamSharing);
             let mut it = args[4..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--at" => match it.next() {
-                        Some(p) => at = p.clone(),
-                        None => return usage_error("--at requires a peer name"),
-                    },
-                    "--strategy" => match it.next().map(|s| parse_strategy(s)) {
-                        Some(Ok(s)) => strategy = s,
-                        Some(Err(e)) => return usage_error(&e),
-                        None => return usage_error("--strategy requires a value"),
-                    },
-                    other => {
-                        return usage_error(&format!("unexpected subscribe argument {other:?}"))
+                    "--at" => at = it.next().ok_or("--at requires a peer name")?.clone(),
+                    "--strategy" => {
+                        strategy = parse_strategy(it.next().ok_or("--strategy requires a value")?)?
                     }
+                    other => return Err(format!("unexpected subscribe argument {other:?}")),
                 }
             }
-            let mut c = match connect() {
-                Ok(c) => c,
-                Err(e) => return client_error(e),
-            };
-            match c.subscribe(id, &text, &at, server::to_wire_strategy(strategy)) {
-                Ok(reply) => {
-                    println!(
-                        "subscribed {} at {at} (delivery flow {}{})",
-                        reply.id,
-                        reply.delivery_flow,
-                        if reply.reused {
-                            ", shares an existing stream"
-                        } else {
-                            ""
-                        }
-                    );
-                    print!("{}", reply.plan);
-                    c.goodbye();
-                    ExitCode::SUCCESS
-                }
-                Err(e) => client_error(e),
+            ClientCmd::Subscribe {
+                id: id.clone(),
+                query: query.clone(),
+                at,
+                strategy,
             }
         }
-        "run" => {
-            let mut c = match connect() {
-                Ok(c) => c,
-                Err(e) => return client_error(e),
-            };
-            match c.run_and_collect(Duration::from_secs(600)) {
-                Ok(out) => {
-                    for (query, items) in &out.results {
-                        for item in items {
-                            println!(
-                                "{query}\t{}",
-                                data_stream_sharing::xml::writer::node_to_string(item)
-                            );
-                        }
-                    }
-                    eprintln!("run complete: {} items delivered", out.delivered);
-                    c.goodbye();
-                    ExitCode::SUCCESS
-                }
-                Err(e) => client_error(e),
-            }
-        }
-        "metrics" => {
-            let mut c = match connect() {
-                Ok(c) => c,
-                Err(e) => return client_error(e),
-            };
-            match c.metrics() {
-                Ok(json) => {
-                    println!("{json}");
-                    c.goodbye();
-                    ExitCode::SUCCESS
-                }
-                Err(e) => client_error(e),
-            }
-        }
-        "shutdown" => {
-            let mut c = match connect() {
-                Ok(c) => c,
-                Err(e) => return client_error(e),
-            };
-            match c.shutdown_fleet(Duration::from_secs(600)) {
-                Ok(()) => {
-                    eprintln!("fleet stopped");
-                    c.goodbye();
-                    ExitCode::SUCCESS
-                }
-                Err(e) => client_error(e),
-            }
-        }
-        other => usage_error(&format!("unknown client verb {other:?}")),
-    }
+        "run" => ClientCmd::Run,
+        "metrics" => ClientCmd::Metrics,
+        "shutdown" => ClientCmd::Shutdown,
+        other => return Err(format!("unknown client verb {other:?}")),
+    };
+    Ok((addr.clone(), cmd))
 }
 
 fn client_error(e: data_stream_sharing::server::ServerError) -> ExitCode {
@@ -627,4 +599,205 @@ fn check(args: &[String]) -> ExitCode {
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     ExitCode::from(2)
+}
+
+/// Hostile input for `dss serve` and `dss client`: whatever words are
+/// typed, parsing ends in options or a usage error, and the lookups
+/// `dss serve` makes next (topology, `--peer`, every process's port) end
+/// in a process index or an error; never a panic, and within a second.
+/// Nothing here binds, dials or reads a file.
+#[cfg(test)]
+mod tests {
+    use std::panic;
+    use std::sync::OnceLock;
+    use std::time::{Duration, Instant};
+
+    use proptest::prelude::*;
+
+    use super::{parse_client, parse_serve};
+    use data_stream_sharing::network::Topology;
+    use data_stream_sharing::server::{NetMap, PeerOptions, ServeSpec};
+
+    /// The most one input may take.
+    const BUDGET: Duration = Duration::from_secs(1);
+
+    /// Words the parsers and lookups know, and their edges.
+    const WORDS: [&str; 34] = [
+        "example",
+        "scenario1",
+        "--peer",
+        "SP0",
+        "SP7",
+        "SP99",
+        "P0",
+        "--host",
+        "127.0.0.1",
+        "--port-base",
+        "0",
+        "65528",
+        "65529",
+        "65535",
+        "65536",
+        "-1",
+        "--mailbox-capacity",
+        "18446744073709551615",
+        "18446744073709551616",
+        "--metrics-out",
+        "--wal-dir",
+        "--source-delay-ms",
+        "subscribe",
+        "run",
+        "metrics",
+        "shutdown",
+        "--at",
+        "--strategy",
+        "ss",
+        "-",
+        "",
+        " ",
+        "--",
+        "é",
+    ];
+
+    /// A known word or an arbitrary one.
+    fn arb_word() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+            "[ -~]{0,12}".prop_map(|s| s),
+            "[α-ω✓\u{1F300}-\u{1F320}]{0,4}".prop_map(|s| s),
+        ]
+    }
+
+    fn arb_args() -> impl Strategy<Value = Vec<String>> {
+        prop::collection::vec(arb_word(), 0..12)
+    }
+
+    /// A `dss serve` line shaped to parse: a topology, `--peer` and a
+    /// name, then serve options with known or arbitrary values.
+    fn arb_serve_line() -> impl Strategy<Value = Vec<String>> {
+        const FLAGS: [&str; 6] = [
+            "--host",
+            "--port-base",
+            "--mailbox-capacity",
+            "--metrics-out",
+            "--wal-dir",
+            "--source-delay-ms",
+        ];
+        let peer = prop_oneof![(0u32..10).prop_map(|i| format!("SP{i}")), arb_word()];
+        let value = prop_oneof![
+            arb_word(),
+            (0u32..70_000).prop_map(|n| n.to_string()),
+            (65_500u32..65_540).prop_map(|n| n.to_string()),
+        ];
+        let options = prop::collection::vec((0..FLAGS.len(), value), 0..4);
+        (0usize..2, peer, options).prop_map(|(topology, peer, options)| {
+            let mut line = vec![WORDS[topology].to_string(), "--peer".to_string(), peer];
+            for (flag, value) in options {
+                line.extend([FLAGS[flag].to_string(), value]);
+            }
+            line
+        })
+    }
+
+    /// Each topology `ServeSpec::new` admits, with its placement map.
+    fn topologies() -> &'static [(String, Topology, NetMap)] {
+        static BUILT: OnceLock<Vec<(String, Topology, NetMap)>> = OnceLock::new();
+        BUILT.get_or_init(|| {
+            ["example", "scenario1"]
+                .map(|name| {
+                    let topo = ServeSpec::new(name)
+                        .unwrap()
+                        .build_globe()
+                        .topology()
+                        .clone();
+                    let map = NetMap::new(&topo);
+                    (name.to_string(), topo, map)
+                })
+                .to_vec()
+        })
+    }
+
+    /// What `dss serve` decides before it binds: its process, and every
+    /// process's address.
+    fn lookup(opts: &PeerOptions) -> Result<usize, String> {
+        let (_, topo, map) = topologies()
+            .iter()
+            .find(|(name, ..)| *name == opts.spec.topology)
+            .expect("ServeSpec::new admits only these");
+        let me = map.process_of(topo, &opts.spec, &opts.peer)?;
+        for i in 0..map.process_count() {
+            map.addr(&opts.spec, i);
+        }
+        Ok(me)
+    }
+
+    /// Runs `f` on `input`: no panic, and in time.
+    fn hostile<T>(input: &[String], f: impl FnOnce() -> T) -> Result<(), TestCaseError> {
+        let start = Instant::now();
+        let outcome = panic::catch_unwind(panic::AssertUnwindSafe(f));
+        let took = start.elapsed();
+        prop_assert!(outcome.is_ok(), "panicked on {:?}", input);
+        prop_assert!(took < BUDGET, "{:?} took {:?}", input, took);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn serve_arguments(args in arb_args()) {
+            hostile(&args, || parse_serve(&args).map(|opts| lookup(&opts)))?;
+        }
+
+        #[test]
+        fn client_arguments(args in arb_args()) {
+            hostile(&args, || parse_client(&args))?;
+        }
+
+        #[test]
+        fn topology_and_peer_names(name in arb_word()) {
+            hostile(std::slice::from_ref(&name), || {
+                let _ = ServeSpec::new(&name);
+                for (_, topo, map) in topologies() {
+                    map.index_of_name(topo, &name);
+                }
+            })?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn serve_lines(args in arb_serve_line()) {
+            hostile(&args, || parse_serve(&args).map(|opts| lookup(&opts)))?;
+        }
+    }
+
+    fn words(line: &str) -> Vec<String> {
+        line.split(' ').map(str::to_string).collect()
+    }
+
+    /// Every process of the example network listens on `port_base + i`,
+    /// i < 8: a base above 65 528 once overflowed the `u16` add when
+    /// `dss serve` dialled the last processes.
+    #[test]
+    fn a_port_base_past_the_last_port_is_refused() {
+        let opts = parse_serve(&words("example --peer SP0 --port-base 65529")).unwrap();
+        let refused = lookup(&opts).unwrap_err();
+        assert!(refused.contains("port 65536"), "{refused}");
+        let opts = parse_serve(&words("example --peer SP7 --port-base 65528")).unwrap();
+        assert_eq!(lookup(&opts), Ok(7));
+    }
+
+    #[test]
+    fn known_usage_errors_keep_their_text() {
+        let refused = |line| parse_serve(&words(line)).unwrap_err();
+        assert!(refused("example --peer SP0 --mailbox-capacity 0").contains("positive"));
+        assert!(refused("example --peer").contains("--peer requires"));
+        assert!(refused("example --port-base 65536").contains("--port-base"));
+        let refused = |line| parse_client(&words(line)).unwrap_err();
+        assert!(refused("subscribe 127.0.0.1:1 q1 q.xq --strategy x").contains("unknown strategy"));
+        assert!(refused("subscribe 127.0.0.1:1 q1").contains("query file"));
+    }
 }
