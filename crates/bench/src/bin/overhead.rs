@@ -1,14 +1,14 @@
-//! Times the telemetry-overhead guard workload (16 identical flows fused
-//! at one peer, [`dss_bench::overhead`]) and prints the median wall time
-//! of a sample.
+//! Times the telemetry-overhead guard workload (scenario 2's 100 queries
+//! registered under stream sharing, [`dss_bench::overhead`]) and prints
+//! the median wall time of a sample.
 //!
 //! ```text
 //! overhead [samples]        default 30, plus 3 warm-up runs
 //! ```
 //!
 //! A sample is [`CALLS_PER_SAMPLE`] runs of the workload. One run takes
-//! ≈ 0.5–1 ms and starts the simulator's worker threads, so a sample of
-//! one run scattered with the scheduler by more than the guard's bound.
+//! ≈ 8 ms on a 2-vCPU host; a sample of one run scattered with the
+//! scheduler by more than the guard's bound.
 //!
 //! `scripts/telemetry_overhead.sh` runs this binary from two builds — one
 //! with the telemetry layer compiled in (the default; recording stays
@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 /// Workload runs timed as one sample: ≥ 20 ms on a 2-vCPU host.
-const CALLS_PER_SAMPLE: usize = 40;
+const CALLS_PER_SAMPLE: usize = 3;
 
 fn main() {
     let samples: usize = std::env::args()
@@ -47,8 +47,8 @@ fn main() {
         .map(|_| {
             let start = Instant::now();
             for _ in 0..CALLS_PER_SAMPLE {
-                let work = workload.run_once();
-                assert_eq!(work, reference, "workload must be deterministic");
+                let cost = workload.run_once();
+                assert_eq!(cost, reference, "workload must be deterministic");
             }
             start.elapsed().as_nanos()
         })
@@ -57,7 +57,7 @@ fn main() {
     let median = times[times.len() / 2];
 
     println!(
-        "16 fused flows: {samples} samples of {CALLS_PER_SAMPLE} runs, telemetry compiled {} \
+        "100 registrations: {samples} samples of {CALLS_PER_SAMPLE} runs, telemetry compiled {} \
          (recording off)",
         if compiled_in { "in" } else { "out" },
     );

@@ -391,7 +391,7 @@ pub struct ScalabilityRow {
 /// size, 24 template queries each; measures how the *pruned* breadth-first
 /// search (it only follows connections carrying matching streams) scales
 /// with the network, the paper's stated scalability concern ("one
-/// [opportunity] is to address the issue of scalability…").
+/// \[opportunity\] is to address the issue of scalability…").
 pub fn scalability(seed: u64) -> Vec<ScalabilityRow> {
     use dss_core::{subscribe, SearchOrder, StreamGlobe};
     use dss_network::grid_topology;

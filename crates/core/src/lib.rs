@@ -9,8 +9,8 @@
 //! * [`cost`] — the cost model: `size(p)`, `freq(p)`, `u_b(e)`, `u_l(v)`,
 //!   and the γ-weighted, exponentially-penalized plan cost `C(P)`,
 //! * [`plan`] — evaluation plans and `generatePlan`,
-//! * [`subscribe`] — Algorithm 1, the pruned breadth-first search for
-//!   shareable streams,
+//! * [`subscribe`](mod@subscribe) — Algorithm 1, the pruned breadth-first
+//!   search for shareable streams,
 //! * [`strategy`] — data shipping, query shipping, and stream sharing,
 //! * [`admission`] — capacity-capped registration (the paper's rejection
 //!   experiment),

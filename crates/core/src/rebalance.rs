@@ -15,19 +15,18 @@
 //!   predict ([`crate::cost::utilization_overlay`]): if the model already
 //!   explains the load, moving queries would only shuffle it. For each hot
 //!   peer it picks the costliest *movable* queries — those whose exclusive
-//!   flow chain ([`solo retire set`](StreamGlobe::solo_retire_set)) has
-//!   attributed work there — until the projected utilization drops under
-//!   the bound.
+//!   flow chain (`StreamGlobe::solo_retire_set`) has attributed work
+//!   there — until the projected utilization drops under the bound.
 //! * [`StreamGlobe::rebalance_live`] executes the decisions against a
 //!   running [`LiveRuntime`] as a *planned failover*: it waits for the
 //!   victims to be quiescent, exports their open window state, retires and
 //!   re-registers them through the normal `Subscribe` machinery (with the
 //!   measured overload folded into placement via
-//!   [`NetworkState::set_load_feedback`]), and adopts the exported state
-//!   into the successor flows — the windows move, nothing replays.
+//!   [`crate::NetworkState::set_load_feedback`]), and adopts the exported
+//!   state into the successor flows — the windows move, nothing replays.
 //!
 //! Stability: every migrated query is *pinned* to its former peer
-//! ([`StreamGlobe::rebalance_pins`]) and never selected for migration off
+//! (`StreamGlobe::rebalance_pins`) and never selected for migration off
 //! that peer again; combined with the overlay gate (a balanced network has
 //! zero overlay) consecutive passes reach a fixpoint instead of
 //! oscillating. See the property tests at the bottom.
@@ -252,9 +251,6 @@ impl StreamGlobe {
             Some(o) => o.clone(),
             None => runtime.observe_load().iter().map(|l| l.busy_frac).collect(),
         };
-        let _span = dss_telemetry::span("rebalance", || {
-            [("at_us", dss_telemetry::Value::from(at_us))]
-        });
         let decisions = self.plan_rebalance(&observed, policy);
         let mut cycle = RebalanceCycle {
             at_us,
@@ -263,7 +259,6 @@ impl StreamGlobe {
             ..RebalanceCycle::default()
         };
         if decisions.is_empty() {
-            dss_telemetry::add_field("outcome", || "balanced".into());
             return cycle;
         }
         let decided: BTreeMap<&str, NodeId> = decisions
@@ -284,7 +279,6 @@ impl StreamGlobe {
         if !runtime.flows_quiescent(&affected) {
             runtime.note_rebalance_deferred();
             cycle.deferred = true;
-            dss_telemetry::add_field("outcome", || "deferred".into());
             return cycle;
         }
         // Snapshot open windows and labels before the retire prunes them.
@@ -391,17 +385,6 @@ impl StreamGlobe {
                 loss_free,
             });
         }
-        dss_telemetry::add_field("outcome", || "migrated".into());
-        dss_telemetry::event("rebalance_cycle", || {
-            [
-                ("at_us", dss_telemetry::Value::from(at_us)),
-                ("moves", (cycle.migrated.len() as u64).into()),
-                ("failed", (cycle.failed.len() as u64).into()),
-                ("windows_moved", cycle.windows_moved.into()),
-                ("windows_dropped", cycle.windows_dropped.into()),
-                ("items_moved", cycle.items_moved.into()),
-            ]
-        });
         cycle
     }
 }

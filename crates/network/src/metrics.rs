@@ -80,46 +80,6 @@ impl NetworkMetrics {
     pub fn record_work(&mut self, v: NodeId, work: f64) {
         self.node_work[v] += work;
     }
-
-    /// Pushes the run's aggregates into the telemetry registry: per-peer
-    /// load/traffic gauges and per-edge traffic gauges, labelled by peer
-    /// name. No-op while recording is disabled.
-    pub fn publish(&self, topo: &Topology) {
-        if !dss_telemetry::enabled() {
-            return;
-        }
-        for v in 0..topo.peer_count() {
-            if self.node_work[v] > 0.0 {
-                dss_telemetry::gauge_set(
-                    "sim.node_load_pct",
-                    || vec![("peer", topo.peer(v).name.clone())],
-                    self.node_load_pct(topo, v),
-                );
-            }
-            if self.node_bytes_in[v] + self.node_bytes_out[v] > 0 {
-                dss_telemetry::gauge_set(
-                    "sim.node_acc_traffic_mbit",
-                    || vec![("peer", topo.peer(v).name.clone())],
-                    self.node_acc_traffic_mbit(v),
-                );
-            }
-        }
-        for e in 0..topo.edge_count() {
-            if self.edge_bytes[e] > 0 {
-                let edge = topo.edge(e);
-                dss_telemetry::gauge_set(
-                    "sim.edge_kbps",
-                    || {
-                        vec![
-                            ("from", topo.peer(edge.a).name.clone()),
-                            ("to", topo.peer(edge.b).name.clone()),
-                        ]
-                    },
-                    self.edge_kbps(e),
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -225,15 +225,6 @@ impl GroupTable {
     }
 }
 
-/// What one batched window handoff of [`SharingGroups::sync`] moved.
-#[derive(Debug)]
-pub struct Handoff {
-    pub group: usize,
-    /// How many flows were rebuilt in the batch.
-    pub flows: usize,
-    pub report: MigrationReport,
-}
-
 /// A [`GroupTable`] with each group's fused operator DAG, for a driver
 /// whose deployment changes while it runs.
 #[derive(Debug, Default)]
@@ -256,12 +247,12 @@ impl SharingGroups {
     /// state across the rebuild. Handoffs are applied *per sharing group
     /// as one batch*: sibling consumers patched by the same widening share
     /// stateful DAG nodes, whose state only exports once the last sharer
-    /// releases it.
+    /// releases it. Returns what each batch moved, in group order.
     pub fn sync(
         &mut self,
         deployment: &Deployment,
         hosted: impl Fn(NodeId) -> bool,
-    ) -> Vec<Handoff> {
+    ) -> Vec<MigrationReport> {
         let changes = self.table.sync(deployment, hosted);
         self.dags.resize_with(self.table.groups.len(), FlowDag::new);
         // Handoffs, collected per group (BTreeMap + id order:
@@ -283,11 +274,7 @@ impl SharingGroups {
                     .iter()
                     .map(|&id| (id, self.table.flows[id].ops.as_slice()))
                     .collect();
-                Handoff {
-                    group,
-                    flows: ids.len(),
-                    report: self.dags[group].reregister_migrating_batch(&batch),
-                }
+                self.dags[group].reregister_migrating_batch(&batch)
             })
             .collect()
     }
@@ -632,11 +619,9 @@ mod tests {
         let patched = [selection_ge("0.5"), count_agg(4), udf("post")];
         d.flow_mut(a).ops.insert(0, patched[0].clone());
         d.set_handoff(a, true);
-        let handoffs = groups.sync(&d, |_| true);
+        let reports = groups.sync(&d, |_| true);
         let want = reference.reregister_migrating_batch(&[(a, &patched)]);
-        assert_eq!(handoffs.len(), 1);
-        assert_eq!((handoffs[0].group, handoffs[0].flows), (g, 1));
-        assert_eq!(handoffs[0].report, want);
+        assert_eq!(reports, [want]);
         assert_eq!((want.ops_migrated, want.ops_dropped), (1, 0));
         assert!(want.items_moved > 0, "the partial window held items");
         let out = both(&mut groups, &mut reference, items(11..13));

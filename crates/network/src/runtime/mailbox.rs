@@ -79,7 +79,7 @@ pub type MailboxEntry = (usize, u64, Node);
 
 /// Thread-safe bounded mailbox for *networked* deployments (`dss serve`).
 ///
-/// Wraps the simulator's [`Mailbox`] in a mutex + condvars so a real
+/// Wraps the simulator's `Mailbox` in a mutex + condvars so a real
 /// TCP-fed peer process gets the very same bounded-queue semantics with a
 /// different overload response: where the discrete-event runtime models a
 /// saturated peer by dropping the newest item, a server thread **blocks**

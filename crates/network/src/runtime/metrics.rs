@@ -3,8 +3,7 @@
 //! Where the batch simulator's [`crate::metrics::NetworkMetrics`] reports
 //! one aggregate number per edge/peer (Figures 6/7), the live runtime adds
 //! the time axis: queue depths, per-query end-to-end latency percentiles,
-//! bytes per edge bucketed over time, and the cost of failures (items
-//! lost, duplicates, recovery times).
+//! and the cost of failures (items lost, duplicates, recovery times).
 
 use std::collections::BTreeMap;
 
@@ -67,13 +66,11 @@ pub struct OpWork {
 }
 
 /// The live runtime's report: per-peer queueing behaviour, per-edge traffic
-/// over time, and per-query delivery quality.
+/// and per-query delivery quality.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeMetrics {
     /// Simulated horizon in microseconds.
     pub horizon_us: u64,
-    /// Width of one `edge_bytes_buckets` interval in microseconds.
-    pub bucket_us: u64,
     /// Per-peer mailbox depth high-water marks.
     pub queue_high_water: Vec<usize>,
     /// Per-peer items dropped at a full mailbox.
@@ -133,9 +130,6 @@ pub struct RuntimeMetrics {
     pub node_work: Vec<f64>,
     /// Per-edge total bytes carried.
     pub edge_bytes: Vec<u64>,
-    /// Per-edge bytes per time bucket (the Figure 6/7 traffic numbers as a
-    /// time series).
-    pub edge_bytes_buckets: Vec<Vec<u64>>,
     /// Per-query delivery statistics, keyed by query id.
     pub queries: BTreeMap<String, QueryMetrics>,
     /// Per-peer operator counters of the shared DAGs (one entry per DAG
@@ -165,130 +159,6 @@ impl RuntimeMetrics {
             .filter(|o| o.sharers > 1)
             .map(|o| o.work * (o.sharers - 1) as f64)
             .fold(0.0, |a, b| a + b)
-    }
-
-    /// Pushes the report into the telemetry registry: per-peer queue/work
-    /// gauges, per-(peer, flow) drop counters, and per-query delivery
-    /// counters and latency/recovery values. No-op while recording is
-    /// disabled (the caller typically guards on [`dss_telemetry::enabled`]
-    /// anyway to skip the iteration).
-    pub fn publish(&self, topo: &Topology) {
-        for (id, &hw) in self.queue_high_water.iter().enumerate() {
-            if hw > 0 {
-                dss_telemetry::gauge_set(
-                    "runtime.queue_high_water",
-                    || vec![("peer", topo.peer(id).name.clone())],
-                    hw as f64,
-                );
-            }
-        }
-        for (id, &work) in self.node_work.iter().enumerate() {
-            if work > 0.0 {
-                dss_telemetry::gauge_set(
-                    "runtime.node_work",
-                    || vec![("peer", topo.peer(id).name.clone())],
-                    work,
-                );
-            }
-        }
-        for ((peer, flow), &n) in &self.mailbox_dropped_flows {
-            dss_telemetry::counter_add(
-                "runtime.mailbox.dropped_flow",
-                || {
-                    vec![
-                        ("peer", topo.peer(*peer).name.clone()),
-                        ("flow", flow.clone()),
-                    ]
-                },
-                n,
-            );
-        }
-        dss_telemetry::counter_add("runtime.items_lost", Vec::new, self.items_lost);
-        dss_telemetry::counter_add(
-            "runtime.widen_delta_items",
-            Vec::new,
-            self.widen_delta_items,
-        );
-        dss_telemetry::counter_add("runtime.windows_migrated", Vec::new, self.windows_migrated);
-        dss_telemetry::counter_add("runtime.windows_dropped", Vec::new, self.windows_dropped);
-        dss_telemetry::counter_add("runtime.wal.checkpoints", Vec::new, self.wal_checkpoints);
-        dss_telemetry::counter_add(
-            "runtime.wal.replayed_items",
-            Vec::new,
-            self.wal_replayed_items,
-        );
-        dss_telemetry::counter_add("runtime.wal.deferred", Vec::new, self.wal_deferred);
-        dss_telemetry::counter_add("runtime.wal.suppressed", Vec::new, self.wal_suppressed);
-        dss_telemetry::counter_add("runtime.wal.fallbacks", Vec::new, self.wal_fallbacks);
-        dss_telemetry::counter_add(
-            "runtime.planned_migrations",
-            Vec::new,
-            self.planned_migrations,
-        );
-        dss_telemetry::counter_add(
-            "runtime.migration_windows_moved",
-            Vec::new,
-            self.migration_windows_moved,
-        );
-        dss_telemetry::counter_add(
-            "runtime.migration_windows_dropped",
-            Vec::new,
-            self.migration_windows_dropped,
-        );
-        dss_telemetry::counter_add(
-            "runtime.rebalance_deferred",
-            Vec::new,
-            self.rebalance_deferred,
-        );
-        for (q, m) in &self.queries {
-            dss_telemetry::counter_add(
-                "runtime.delivered",
-                || vec![("query", q.clone())],
-                m.delivered,
-            );
-            dss_telemetry::counter_add(
-                "runtime.duplicates",
-                || vec![("query", q.clone())],
-                m.duplicates,
-            );
-            if let Some(mean) = m.latency_mean_us {
-                dss_telemetry::gauge_set(
-                    "runtime.latency_mean_us",
-                    || vec![("query", q.clone())],
-                    mean as f64,
-                );
-            }
-            for &r in &m.recoveries_us {
-                dss_telemetry::histogram_record(
-                    "runtime.recovery_us",
-                    || vec![("query", q.clone())],
-                    r as f64,
-                );
-            }
-            for &g in &m.migrations_us {
-                dss_telemetry::histogram_record(
-                    "runtime.migration_us",
-                    || vec![("query", q.clone())],
-                    g as f64,
-                );
-            }
-        }
-        for (id, ops) in self.node_ops.iter().enumerate() {
-            for op in ops {
-                if op.sharers > 1 {
-                    dss_telemetry::counter_add(
-                        "runtime.shared_op_executions",
-                        || {
-                            vec![
-                                ("peer", topo.peer(id).name.clone()),
-                                ("op", op.name.to_string()),
-                            ]
-                        },
-                        op.items_in,
-                    );
-                }
-            }
-        }
     }
 
     /// Human-readable report (the `peer_failure` example prints this).

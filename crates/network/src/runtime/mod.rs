@@ -77,9 +77,6 @@ const LINK_LATENCY_US: u64 = 200;
 /// Fixed per-item service overhead (scheduling, parsing, framing) on top
 /// of the measured operator work, microseconds.
 const PER_ITEM_OVERHEAD_US: u64 = 50;
-/// Width of the per-edge traffic time buckets
-/// ([`RuntimeMetrics::bucket_us`]), microseconds.
-const BUCKET_US: u64 = 1_000_000;
 /// Fsync batching of a peer's WAL ([`WalOptions::fsync_every`]).
 const WAL_FSYNC_EVERY: u64 = 16;
 
@@ -356,16 +353,13 @@ impl LiveRuntime {
         cfg.validate()?;
         deployment.validate(&topo);
         let horizon_us = fault::secs_to_us(cfg.duration_s);
-        let n_buckets = (horizon_us / BUCKET_US + 1) as usize;
         let n_peers = topo.peer_count();
         let n_edges = topo.edge_count();
         let mailbox_capacity = cfg.mailbox_capacity;
         let metrics = RuntimeMetrics {
             horizon_us,
-            bucket_us: BUCKET_US,
             node_work: vec![0.0; n_peers],
             edge_bytes: vec![0; n_edges],
-            edge_bytes_buckets: vec![vec![0; n_buckets]; n_edges],
             ..RuntimeMetrics::default()
         };
         let mut rt = LiveRuntime {
@@ -428,21 +422,10 @@ impl LiveRuntime {
         deployment: &Deployment,
         deliveries: BTreeMap<FlowId, String>,
     ) {
-        for handoff in self.groups.sync(deployment, |_| true) {
-            let report = handoff.report;
+        for report in self.groups.sync(deployment, |_| true) {
             self.metrics.widen_delta_items += report.items_moved;
             self.metrics.windows_migrated += report.ops_migrated;
             self.metrics.windows_dropped += report.ops_dropped;
-            dss_telemetry::event("widen_handoff", || {
-                let peer = self.topo.peer(self.group(handoff.group).node).name.as_str();
-                [
-                    ("peer", dss_telemetry::Value::from(peer)),
-                    ("flows", (handoff.flows as u64).into()),
-                    ("items_moved", report.items_moved.into()),
-                    ("ops_migrated", report.ops_migrated.into()),
-                    ("ops_dropped", report.ops_dropped.into()),
-                ]
-            });
         }
         // New groups and flows start with empty WAL-mode and link state.
         let (n_groups, n_flows) = {
@@ -501,14 +484,6 @@ impl LiveRuntime {
                     self.wal_crash(peer);
                 }
                 self.trace_line(|topo| format!("fault crash {} lost={lost}", topo.peer(peer).name));
-                dss_telemetry::event("fault", || {
-                    [
-                        ("kind", dss_telemetry::Value::from("peer-crash")),
-                        ("peer", self.topo.peer(peer).name.as_str().into()),
-                        ("at_us", self.now.into()),
-                        ("items_lost", lost.into()),
-                    ]
-                });
             }
             FaultKind::PeerRecover(peer) => {
                 self.topo.set_peer_up(peer, true);
@@ -538,35 +513,14 @@ impl LiveRuntime {
                     }
                 }
                 self.trace_line(|topo| format!("fault recover {}", topo.peer(peer).name));
-                dss_telemetry::event("fault", || {
-                    [
-                        ("kind", dss_telemetry::Value::from("peer-recover")),
-                        ("peer", self.topo.peer(peer).name.as_str().into()),
-                        ("at_us", self.now.into()),
-                    ]
-                });
             }
             FaultKind::LinkDown(edge) => {
                 self.topo.set_edge_up(edge, false);
                 self.trace_line(|_| format!("fault link-down e{edge}"));
-                dss_telemetry::event("fault", || {
-                    [
-                        ("kind", dss_telemetry::Value::from("link-down")),
-                        ("edge", edge.into()),
-                        ("at_us", self.now.into()),
-                    ]
-                });
             }
             FaultKind::LinkUp(edge) => {
                 self.topo.set_edge_up(edge, true);
                 self.trace_line(|_| format!("fault link-up e{edge}"));
-                dss_telemetry::event("fault", || {
-                    [
-                        ("kind", dss_telemetry::Value::from("link-up")),
-                        ("edge", edge.into()),
-                        ("at_us", self.now.into()),
-                    ]
-                });
             }
         }
     }
@@ -707,9 +661,6 @@ impl LiveRuntime {
         metrics.mailbox_dropped = self.mailboxes.iter().map(|m| m.dropped).collect();
         metrics.queries = queries;
         metrics.node_ops = node_ops;
-        if dss_telemetry::enabled() {
-            metrics.publish(&self.topo);
-        }
         (metrics, self.trace)
     }
 
@@ -846,16 +797,6 @@ impl LiveRuntime {
                 .mailbox_dropped_flows
                 .entry((node, label.clone()))
                 .or_insert(0) += 1;
-            dss_telemetry::counter_add(
-                "runtime.mailbox.dropped",
-                || {
-                    vec![
-                        ("peer", self.topo.peer(node).name.clone()),
-                        ("flow", label.clone()),
-                    ]
-                },
-                1,
-            );
         }
     }
 
@@ -909,16 +850,6 @@ impl LiveRuntime {
             self.busy_until[node] = done_at;
             let n_out: usize = outputs.iter().map(|(_, v)| v.len()).sum();
             self.trace_line(|_| format!("svc n{node} g{group} outs={n_out} busy={service_us}"));
-            dss_telemetry::histogram_record(
-                "runtime.service_us",
-                || vec![("peer", self.topo.peer(node).name.clone())],
-                service_us as f64,
-            );
-            dss_telemetry::histogram_record(
-                "runtime.mailbox.depth",
-                || vec![("peer", self.topo.peer(node).name.clone())],
-                self.mailboxes[node].len() as f64,
-            );
             done_at
         };
         let wal = self.cfg.wal.is_some();
@@ -1007,9 +938,6 @@ impl LiveRuntime {
             let bytes = serialized_size(&item) as u64;
             let tx_us = ((bytes as f64) * 8000.0 / edge.bandwidth_kbps).round() as u64;
             self.metrics.edge_bytes[edge_id] += bytes;
-            let bucket = ((self.now / BUCKET_US) as usize)
-                .min(self.metrics.edge_bytes_buckets[edge_id].len() - 1);
-            self.metrics.edge_bytes_buckets[edge_id][bucket] += bytes;
             // FIFO per flow: not before the flow's previous item at `hop`;
             // a tie keeps its order through the heap's sequence number.
             let last = &mut self.last_arrival[flow];
@@ -1302,10 +1230,6 @@ mod tests {
         // Both edges on the route carried every item's bytes.
         let positive = m.edge_bytes.iter().filter(|&&b| b > 0).count();
         assert_eq!(positive, 2);
-        // The time buckets sum to the per-edge totals.
-        for (e, total) in m.edge_bytes.iter().enumerate() {
-            assert_eq!(m.edge_bytes_buckets[e].iter().sum::<u64>(), *total);
-        }
         assert!(m.node_work.iter().all(|&w| w >= 0.0));
         assert!(m.queue_high_water.iter().any(|&h| h > 0));
     }

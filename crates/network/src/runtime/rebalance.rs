@@ -186,15 +186,6 @@ impl LiveRuntime {
                 outcome.windows_dropped
             )
         });
-        dss_telemetry::event("flow_migration", || {
-            [
-                ("flows", dss_telemetry::Value::from(mapping.len() as u64)),
-                ("windows_moved", outcome.windows_moved.into()),
-                ("windows_dropped", outcome.windows_dropped.into()),
-                ("items_moved", outcome.items_moved.into()),
-                ("at_us", self.now.into()),
-            ]
-        });
         outcome
     }
 

@@ -173,8 +173,6 @@ fn run_on(
         }
     }
 
-    metrics.publish(topo);
-
     Ok(SimOutcome {
         metrics,
         flow_outputs,

@@ -4,7 +4,7 @@
 //! plane moves. One function, two ways to compute it:
 //!
 //! - **Folding** (x86-64 with carry-less multiply, detected at run time;
-//!   inputs of [`FOLD_MIN`] bytes or more): four 128-bit lanes take in 64
+//!   inputs of `FOLD_MIN` bytes or more): four 128-bit lanes take in 64
 //!   bytes per step with `PCLMULQDQ`, are folded into one, and a Barrett
 //!   reduction turns that into the 32-bit remainder (Gopal et al., "Fast
 //!   CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction",

@@ -14,9 +14,9 @@
 //! through the same deterministic planner, logs it, and acks. Identical
 //! base state + identical log + identical planner ⇒ identical deployments
 //! everywhere, so plans never cross the wire — only query text does.
-//! [`apply`] is the one place a record changes a replica: the coordinator
+//! `apply` is the one place a record changes a replica: the coordinator
 //! calls it before it sequences a record, every other process on receipt,
-//! and a durable restart for each record of its log ([`replay_control`]).
+//! and a durable restart for each record of its log (`replay_control`).
 //! A replica applies the coordinator's records in sequence only: it acks a
 //! duplicate without applying it again, and neither applies nor acks a
 //! record that follows a gap. A durable restart that finds a run its log

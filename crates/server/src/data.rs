@@ -452,9 +452,8 @@ impl Plane {
         if !mailbox.pop_batch(BATCH_CAP, &mut worker.pass) {
             return false;
         }
-        // Same histogram the discrete-event runtime records at dispatch,
-        // sampled once per pass here (not once per entry): the backlog
-        // left behind the entries this pass took.
+        // Sampled once per pass (not once per entry): the backlog left
+        // behind the entries this pass took.
         dss_telemetry::histogram_record(
             "runtime.mailbox.depth",
             || vec![("peer", name.clone())],
@@ -777,8 +776,8 @@ impl Plane {
         }
     }
 
-    /// Publishes end-of-run mailbox accounting through the same metric
-    /// names the simulated runtime uses.
+    /// Publishes end-of-run mailbox accounting: each peer's queue
+    /// high-water mark and the stale batches the plane dropped.
     pub fn publish_mailbox_metrics(&self) {
         for (name, m) in self.mailboxes.values() {
             let high_water = m.high_water();
@@ -886,7 +885,7 @@ impl LastSent {
     }
 }
 
-/// The read side of [`LastSent`], and the one read of a wire batch: the
+/// The read side of `LastSent`, and the one read of a wire batch: the
 /// item bytes of the last batch a connection's reader read for a tap, and
 /// that batch's trees. The driver owns one per connection and hands it to
 /// [`Plane::receive`].

@@ -31,7 +31,7 @@ use dss_proto::{
 use crate::ServerError;
 
 /// A connected endpoint: shared, thread-safe framed writer. The read half
-/// is owned by exactly one reader thread (see [`read_loop`]).
+/// is owned by exactly one reader thread (see `read_loop`).
 #[derive(Debug)]
 pub struct Conn {
     /// Remote display name (from its Hello / HelloAck).

@@ -11,7 +11,7 @@
 //!   collector, no mutex, not even the atomic flag survive in the binary.
 //!   The overhead guard in `scripts/telemetry_overhead.sh` builds the
 //!   bench workload both ways and fails on regression.
-//! * **Run time** — a global [`AtomicBool`], off by default. Every
+//! * **Run time** — a global [`AtomicBool`](std::sync::atomic::AtomicBool), off by default. Every
 //!   recording function starts with one relaxed load and returns before
 //!   touching its arguments. All payloads (field values, label vectors)
 //!   are built by *closures* the disabled path never calls, so call sites
@@ -31,7 +31,8 @@
 //! shared, mutex-guarded collector. So a tree is always the work of one
 //! thread, and concurrent recorders (`dss serve`'s worker, reader and
 //! control threads; sibling tests) contend only when a root closes.
-//! The batch simulator's scoped worker closures carry no recording calls.
+//! Neither the batch simulator nor the discrete-event runtime records:
+//! both report through the metrics structs they return.
 //!
 //! # Metrics
 //!

@@ -26,7 +26,7 @@ use dss_properties::{
     AggregationSpec, InputProperties, Operator, ProjectionSpec, Properties, ResultFilter,
     WindowOutputSpec, WindowSpec,
 };
-use dss_xml::Path;
+use dss_xml::{Path, Symbol, XmlError};
 
 use crate::ast::{
     Clause, Condition, Content, ElementCtor, Expr, Flwr, ForSource, PredAtom, PredTerm, WindowAst,
@@ -474,10 +474,14 @@ fn build_template(
                     Content::Text(t) => children.push(Template::Text(t.clone())),
                 }
             }
-            Ok(Template::Element {
-                tag: (&el.tag).into(),
-                children,
-            })
+            // Query text comes from outside the process: a new tag is
+            // refused once the name table is full, like any other name.
+            let tag = Symbol::try_intern(&el.tag).ok_or_else(|| {
+                QueryError::Xml(XmlError::TooManyNames {
+                    name: el.tag.clone(),
+                })
+            })?;
+            Ok(Template::Element { tag, children })
         }
         Expr::PathOutput(vp) => {
             if vp.var == for_var {

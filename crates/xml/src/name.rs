@@ -34,7 +34,7 @@ pub struct Symbol(u32);
 
 /// The shared intern table mapping names to [`Symbol`]s.
 ///
-/// A process has exactly one (behind [`NameTable::global`]); it is only ever
+/// A process has exactly one (behind `NameTable::global`); it is only ever
 /// appended to.
 #[derive(Debug, Default)]
 pub struct NameTable {

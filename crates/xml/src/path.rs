@@ -1,7 +1,7 @@
 //! Child-axis-only path expressions (the paper's `π`).
 //!
 //! Definition 2.1 restricts paths to relative paths that "only employ the
-//! child axis ('/'); no wildcards ('*'), conditions ('[p]'), or other axes
+//! child axis ('/'); no wildcards ('*'), conditions ('\[p\]'), or other axes
 //! (e.g. '//')". Paths with embedded conditions (`π̄`) are represented in
 //! the WXQuery AST as a plain [`Path`] plus a separate condition list.
 

@@ -134,7 +134,7 @@ impl Tokenizer {
     }
 
     /// Returns the next event; `Ok(None)` means "need more input" before
-    /// [`finish`], and "cleanly exhausted" after it.
+    /// [`finish`](Self::finish), and "cleanly exhausted" after it.
     pub fn next_event(&mut self) -> Result<Option<XmlEvent>, XmlError> {
         if let Some(ev) = self.pending.take() {
             return Ok(Some(ev));

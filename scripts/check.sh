@@ -49,6 +49,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# A broken or private intra-doc link is an error, not a warning.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> product code size equals the committed LOC.txt (non-test, non-comment Rust lines per crate)"
 # The table is committed so that every PR shows its per-crate delta in its
 # own diff; after a change that moves it: ./scripts/loc.sh > LOC.txt
@@ -73,6 +77,18 @@ threads_outside_pool=$(
 if [ -n "$threads_outside_pool" ]; then
     echo "$threads_outside_pool"
     echo "FAIL: a dss-network module other than pool.rs names a threading primitive" >&2
+    exit 1
+fi
+
+echo "==> the simulators record nothing"
+# The batch simulator and the discrete-event runtime report through what
+# they return (NetworkMetrics, RuntimeMetrics, the LiveConfig::trace
+# lines); no process reads a copy of those numbers in the telemetry
+# registry (DESIGN.md "Observability"), so neither simulator, nor the
+# planner's live driver and re-balancer, names the recording layer.
+if grep -n 'dss-telemetry' crates/network/Cargo.toml ||
+    grep -rn 'dss_telemetry' crates/network/src crates/core/src/live.rs crates/core/src/rebalance.rs; then
+    echo "FAIL: a simulator path names dss-telemetry" >&2
     exit 1
 fi
 

@@ -18,9 +18,12 @@
 //! ```
 //!
 //! Options for `plan` and `explain`:
-//!   --at <peer>          registering peer (default P1)
-//!   --strategy <s>       data-shipping | query-shipping | stream-sharing
-//!   --after <q1,q3,...>  pre-register paper queries first (enables sharing)
+//!
+//! ```text
+//! --at <peer>          registering peer (default P1)
+//! --strategy <s>       data-shipping | query-shipping | stream-sharing
+//! --after <q1,q3,...>  pre-register paper queries first (enables sharing)
+//! ```
 
 use std::io::Read;
 use std::process::ExitCode;
