@@ -1,7 +1,8 @@
 //! The `StreamGlobe` façade: stream registration, query registration under
 //! a strategy, plan installation, and simulation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dss_network::{
@@ -79,6 +80,68 @@ impl From<ConfigError> for SystemError {
     fn from(e: ConfigError) -> SystemError {
         SystemError::Config(e)
     }
+}
+
+/// Text bytes the memo of compiled subscriptions holds at most.
+const COMPILED_MEMO_BYTES: usize = 64 * 1024;
+
+/// Compiled subscriptions by their exact text. Compiling is a pure
+/// function of the text, so a subscription asked for again — the paper's
+/// premise — is planned from the compile of its first ask. Only successes
+/// are kept; a text longer than `COMPILED_MEMO_BYTES` is compiled and not
+/// kept, and a text that would take the memo past that bound clears it
+/// first.
+#[derive(Default)]
+struct CompiledMemo {
+    by_text: HashMap<String, Arc<CompiledQuery>>,
+    /// Sum of the kept texts' lengths.
+    bytes: usize,
+}
+
+impl CompiledMemo {
+    /// The kept compile of `text`, if any.
+    fn get(&self, text: &str) -> Option<Arc<CompiledQuery>> {
+        self.by_text.get(text).cloned()
+    }
+
+    /// Keeps `compiled` as the compile of `text`, or returns the one
+    /// another caller kept first.
+    fn keep(&mut self, text: &str, compiled: Arc<CompiledQuery>) -> Arc<CompiledQuery> {
+        if text.len() > COMPILED_MEMO_BYTES {
+            return compiled;
+        }
+        if let Some(kept) = self.get(text) {
+            return kept;
+        }
+        if self.bytes + text.len() > COMPILED_MEMO_BYTES {
+            self.by_text.clear();
+            self.bytes = 0;
+        }
+        self.bytes += text.len();
+        self.by_text.insert(text.to_owned(), compiled.clone());
+        compiled
+    }
+}
+
+/// The process's one memo of compiled subscriptions, shared by every
+/// system of the process. Every registration — the coordinator's, a
+/// replica's `Deploy`, a WAL replay, a failover or rebalance re-plan —
+/// plans from it.
+static COMPILED: LazyLock<Mutex<CompiledMemo>> = LazyLock::new(Mutex::default);
+
+/// `text` compiled, through `memo`. The lock is not held while compiling;
+/// the memo is never left half-changed, so a poisoned lock is taken as it
+/// stands.
+fn compiled_through(
+    memo: &Mutex<CompiledMemo>,
+    text: &str,
+) -> Result<Arc<CompiledQuery>, QueryError> {
+    let memo = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = memo().get(text) {
+        return Ok(hit);
+    }
+    let fresh = Arc::new(compile_query(text)?);
+    Ok(memo().keep(text, fresh))
 }
 
 /// Result of registering a continuous query.
@@ -322,7 +385,7 @@ impl StreamGlobe {
                 ("peer", at_peer.into()),
             ]
         });
-        let compiled = compile_query(text)?;
+        let compiled = compiled_through(&COMPILED, text)?;
         let subscriber = self.node_by_name(at_peer)?;
         let v_q = self.super_peer_of(subscriber)?;
         let planned = plan_query_with(
@@ -682,5 +745,83 @@ impl StreamGlobe {
                 self.state.topo.peer(n).kind == PeerKind::SuperPeer && self.state.topo.peer(n).up
             })
             .ok_or_else(|| SystemError::UnknownPeer(self.state.topo.peer(peer).name.clone()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A valid subscription, distinct for every `i`.
+    fn text(i: usize) -> String {
+        format!(
+            r#"<r>{{ for $p in stream("photons")/photons/photon
+                where $p/en >= {i} return <out>{{ $p/en }}</out> }}</r>"#
+        )
+    }
+
+    /// The kept texts and the memo's byte count.
+    fn contents(memo: &Mutex<CompiledMemo>) -> (Vec<String>, usize) {
+        let memo = memo.lock().unwrap();
+        let mut texts: Vec<String> = memo.by_text.keys().cloned().collect();
+        texts.sort();
+        (texts, memo.bytes)
+    }
+
+    #[test]
+    fn a_repeated_text_is_compiled_once() {
+        let memo = Mutex::default();
+        let first = compiled_through(&memo, &text(1)).unwrap();
+        let again = compiled_through(&memo, &text(1)).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(contents(&memo), (vec![text(1)], text(1).len()));
+    }
+
+    #[test]
+    fn a_text_that_fails_to_compile_leaves_the_memo_unchanged() {
+        let memo = Mutex::default();
+        for i in 0..3 {
+            compiled_through(&memo, &text(i)).unwrap();
+        }
+        let before = contents(&memo);
+        for bad in ["", "<r>{ for $p in", &text(0).replace("photons\")", "")] {
+            assert!(compiled_through(&memo, bad).is_err(), "{bad:?} compiles");
+            assert_eq!(contents(&memo), before, "after {bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_text_longer_than_the_bound_is_compiled_and_not_kept() {
+        let memo = Mutex::default();
+        compiled_through(&memo, &text(0)).unwrap();
+        let before = contents(&memo);
+        let padding = " ".repeat(COMPILED_MEMO_BYTES);
+        let long = text(1).replacen(" return", &format!("{padding} return"), 1);
+        assert!(long.len() > COMPILED_MEMO_BYTES);
+        let first = compiled_through(&memo, &long).unwrap();
+        let again = compiled_through(&memo, &long).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again), "compiled afresh each time");
+        assert_eq!(contents(&memo), before);
+    }
+
+    #[test]
+    fn distinct_texts_never_push_the_memo_past_its_bound() {
+        let memo = Mutex::default();
+        let mut cleared = 0;
+        let mut last_bytes = 0;
+        for i in 0..100_000 {
+            let t = text(i);
+            compiled_through(&memo, &t).unwrap();
+            let guard = memo.lock().unwrap();
+            assert!(guard.bytes <= COMPILED_MEMO_BYTES, "{} bytes", guard.bytes);
+            assert_eq!(
+                guard.bytes,
+                guard.by_text.keys().map(String::len).sum::<usize>()
+            );
+            assert!(guard.by_text.contains_key(&t), "text {i} kept");
+            cleared += usize::from(guard.bytes < last_bytes);
+            last_bytes = guard.bytes;
+        }
+        assert!(cleared > 0, "the bound was reached");
     }
 }

@@ -2,11 +2,11 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-/// A table of derived facts — [`crate::Topology`]'s routes, the
-/// [`crate::Catalog`]'s `judge` verdicts — that its owner fills through
-/// `&self`. Behind a lock, so the owner stays `Sync`; a `clone()` of the
-/// owner starts with an empty table and re-derives what it needs, so no
-/// copy ever carries facts it did not compute itself.
+/// A table of derived facts — the [`crate::Catalog`]'s `judge` verdicts —
+/// that its owner fills through `&self`. Behind a lock, so the owner stays
+/// `Sync`; a `clone()` of the owner starts with an empty table and
+/// re-derives what it needs, so no copy ever carries facts it did not
+/// compute itself.
 #[derive(Default)]
 pub(crate) struct Memo<T>(Mutex<T>);
 
@@ -16,13 +16,6 @@ impl<T> Memo<T> {
     pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         self.0
             .lock()
-            .expect("nothing panics while a memo is locked")
-    }
-
-    /// The table of an exclusively borrowed owner: no lock needed.
-    pub(crate) fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
             .expect("nothing panics while a memo is locked")
     }
 }

@@ -6,11 +6,10 @@
 //! a performance index `pindex(v)`; network connections have a maximum
 //! bandwidth `b(e)`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::memo::Memo;
 use crate::routing::shortest_path;
 
 /// Peer identifier (dense index into the topology).
@@ -66,8 +65,21 @@ pub struct Peer {
     pub up: bool,
 }
 
-/// Answered route queries by `(from, to)`; `None` = unreachable.
-type RouteTable = HashMap<(NodeId, NodeId), Option<Arc<[NodeId]>>>;
+/// One answered route query; `None` = unreachable.
+type RouteCell = OnceLock<Option<Arc<[NodeId]>>>;
+
+/// [`Topology::route`]'s answers: a dense `peers × peers` table of cells,
+/// cell `from · peers + to`, built on the first route asked and each cell
+/// filled on its first ask. A `clone()` starts without a table and fills
+/// its own.
+#[derive(Default)]
+struct RouteTable(OnceLock<Box<[RouteCell]>>);
+
+impl Clone for RouteTable {
+    fn clone(&self) -> Self {
+        RouteTable::default()
+    }
+}
 
 /// An undirected super-peer network topology.
 #[derive(Clone, Default)]
@@ -77,10 +89,10 @@ pub struct Topology {
     edges: Vec<Edge>,
     adj: Vec<Vec<EdgeId>>,
     /// Every [`Self::route`] answered since the topology last changed.
-    /// Every `&mut self` accessor empties it: while such a borrow lasts
-    /// nobody can ask for a route, so no entry outlives the graph it was
+    /// Every `&mut self` accessor drops it: while such a borrow lasts
+    /// nobody can ask for a route, so no cell outlives the graph it was
     /// computed on.
-    routes: Memo<RouteTable>,
+    routes: RouteTable,
 }
 
 impl fmt::Debug for Topology {
@@ -122,7 +134,7 @@ impl Topology {
             !self.by_name.contains_key(&name),
             "duplicate peer name {name:?}"
         );
-        self.routes.get_mut().clear();
+        self.routes.0.take();
 
         let id = self.peers.len();
         self.by_name.insert(name.clone(), id);
@@ -156,7 +168,7 @@ impl Topology {
             self.peers[a].name,
             self.peers[b].name
         );
-        self.routes.get_mut().clear();
+        self.routes.0.take();
 
         let id = self.edges.len();
         self.edges.push(Edge {
@@ -198,7 +210,7 @@ impl Topology {
     /// Mutable peer metadata (used by the admission-control experiment to
     /// cap capacities).
     pub fn peer_mut(&mut self, id: NodeId) -> &mut Peer {
-        self.routes.get_mut().clear();
+        self.routes.0.take();
 
         &mut self.peers[id]
     }
@@ -215,7 +227,7 @@ impl Topology {
 
     /// Mutable edge metadata.
     pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
-        self.routes.get_mut().clear();
+        self.routes.0.take();
 
         &mut self.edges[id]
     }
@@ -253,14 +265,14 @@ impl Topology {
     /// Marks a peer as up (alive) or down (crashed). Routing skips down
     /// peers; the live runtime loses traffic addressed to them.
     pub fn set_peer_up(&mut self, id: NodeId, up: bool) {
-        self.routes.get_mut().clear();
+        self.routes.0.take();
 
         self.peers[id].up = up;
     }
 
     /// Marks a connection as up or down.
     pub fn set_edge_up(&mut self, id: EdgeId, up: bool) {
-        self.routes.get_mut().clear();
+        self.routes.0.take();
         self.edges[id].up = up;
     }
 
@@ -268,12 +280,15 @@ impl Topology {
     /// next changes: the same search with the same tie-breaking, run once
     /// per pair. What every planner path routes by.
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<Arc<[NodeId]>> {
-        if let Some(known) = self.routes.lock().get(&(from, to)) {
-            return known.clone();
-        }
-        let route = shortest_path(self, from, to).map(Arc::from);
-        self.routes.lock().insert((from, to), route.clone());
-        route
+        let n = self.peers.len();
+        assert!(from < n && to < n, "route {from} -> {to} among {n} peers");
+        let table = self
+            .routes
+            .0
+            .get_or_init(|| (0..n * n).map(|_| RouteCell::new()).collect());
+        table[from * n + to]
+            .get_or_init(|| shortest_path(self, from, to).map(Arc::from))
+            .clone()
     }
 
     /// Ids of all super-peers.
@@ -479,9 +494,18 @@ mod tests {
         assert!(path.contains(&g0) && path.contains(&g1));
     }
 
-    /// `route` with everything asked so far still remembered must equal a
-    /// search of the graph as it is now, for every pair.
-    fn assert_routes_current(t: &Topology, after: &str) {
+    /// Cells of the route table filled so far (none without a table).
+    fn filled(t: &Topology) -> usize {
+        t.routes.0.get().map_or(0, |table| {
+            table.iter().filter(|c| c.get().is_some()).count()
+        })
+    }
+
+    /// The table must have forgotten every route, and `route` must then
+    /// equal a search of the graph as it is now, for every pair — which
+    /// fills every cell.
+    fn assert_forgotten_then_current(t: &Topology, after: &str) {
+        assert_eq!(filled(t), 0, "cells still filled after {after}");
         for a in 0..t.peer_count() {
             for b in 0..t.peer_count() {
                 assert_eq!(
@@ -491,6 +515,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(filled(t), t.peer_count() * t.peer_count(), "after {after}");
     }
 
     #[test]
@@ -503,52 +528,77 @@ mod tests {
             t.expect_node("P1"),
         );
         // Every check asks for every pair, so every later step starts
-        // from a full memo.
-        assert_routes_current(&t, "construction");
+        // from a full table.
+        assert_forgotten_then_current(&t, "construction");
         let via_sp5 = t.route(sp4, p1).expect("connected");
         assert!(via_sp5.contains(&sp5));
 
         let e = t.edge_between(sp0, sp5).unwrap();
         t.set_edge_up(e, false);
-        assert_routes_current(&t, "set_edge_up(false)");
+        assert_forgotten_then_current(&t, "set_edge_up(false)");
         let detour = t.route(sp4, p1).expect("still connected");
         assert_ne!(detour, via_sp5, "the route around the down link differs");
         t.set_edge_up(e, true);
-        assert_routes_current(&t, "set_edge_up(true)");
+        assert_forgotten_then_current(&t, "set_edge_up(true)");
         assert_eq!(t.route(sp4, p1), Some(via_sp5.clone()), "and comes back");
 
         t.set_peer_up(sp5, false);
-        assert_routes_current(&t, "set_peer_up(false)");
+        assert_forgotten_then_current(&t, "set_peer_up(false)");
         assert_eq!(t.route(sp4, sp5), None);
         t.set_peer_up(sp5, true);
-        assert_routes_current(&t, "set_peer_up(true)");
+        assert_forgotten_then_current(&t, "set_peer_up(true)");
 
         t.edge_mut(e).up = false;
-        assert_routes_current(&t, "edge_mut");
+        assert_forgotten_then_current(&t, "edge_mut");
         t.edge_mut(e).up = true;
-        assert_routes_current(&t, "edge_mut, back");
+        assert_forgotten_then_current(&t, "edge_mut, back");
         t.peer_mut(sp0).up = false;
-        assert_routes_current(&t, "peer_mut");
+        assert_forgotten_then_current(&t, "peer_mut");
         t.peer_mut(sp0).up = true;
-        assert_routes_current(&t, "peer_mut, back");
+        assert_forgotten_then_current(&t, "peer_mut, back");
 
         let lonely = t.add_peer_with("SPX", PeerKind::SuperPeer, 1.0, 1.0);
-        assert_routes_current(&t, "add_peer_with");
+        assert_forgotten_then_current(&t, "add_peer_with");
         assert_eq!(t.route(sp4, lonely), None);
         t.connect_with(lonely, sp4, 1.0);
-        assert_routes_current(&t, "connect_with");
+        assert_forgotten_then_current(&t, "connect_with");
         assert_eq!(t.route(sp4, lonely).as_deref(), Some(&[sp4, lonely][..]));
+    }
+
+    /// Cell `from · peers + to` holds the route from `from` to `to`: after
+    /// every pair has been asked, each cell, read by its position, equals
+    /// the search for its own pair.
+    #[test]
+    fn every_cell_holds_the_shortest_path_of_its_pair() {
+        for t in [grid_topology(4, 4), hierarchical_topology(3, 2)] {
+            let n = t.peer_count();
+            for a in 0..n {
+                for b in 0..n {
+                    t.route(a, b);
+                }
+            }
+            let table = t.routes.0.get().expect("routes were asked");
+            assert_eq!(table.len(), n * n);
+            for (i, cell) in table.iter().enumerate() {
+                let (a, b) = (i / n, i % n);
+                assert_eq!(
+                    cell.get().expect("every pair was asked").as_deref(),
+                    shortest_path(&t, a, b).as_deref(),
+                    "cell {i}: {a} -> {b}"
+                );
+            }
+        }
     }
 
     #[test]
     fn a_clone_remembers_nothing_and_prints_the_same() {
         let t = grid_topology(3, 3);
         let before = format!("{t:?}");
-        assert_routes_current(&t, "construction");
+        assert_forgotten_then_current(&t, "construction");
         assert_eq!(format!("{t:?}"), before, "remembered routes never print");
         let copy = t.clone();
-        assert!(copy.routes.lock().is_empty());
-        assert_eq!(t.routes.lock().len(), 81);
+        assert_eq!(filled(&copy), 0);
+        assert_eq!(filled(&t), 81);
         assert_eq!(format!("{copy:?}"), before);
     }
 

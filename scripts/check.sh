@@ -175,6 +175,27 @@ if [ "$(printf '%s\n' "$tap_reads" | grep -c '^in:')" != 1 ] || printf '%s\n' "$
     exit 1
 fi
 
+echo "==> dss_core compiles a subscription in the memo only"
+# Every registration plans from the process's memo of compiled
+# subscriptions, keyed by the exact text (DESIGN.md "Three facts a
+# registration no longer re-derives"). A second compile_query( call in the
+# planner would be a second compile path, free to skip the memo or to keep
+# what the memo refuses. Code from the first #[cfg(test)] of a file on is
+# test code.
+compiles=$(
+    find crates/core/src -name '*.rs' | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            f ~ /\/system\.rs$/ && /^fn compiled_through\(/ { in_memo = 1 }
+            /compile_query\(/ { print (in_memo ? "in" : "out") ":" f ":" FNR ": " $0 }
+            in_memo && /^}/ { in_memo = 0 }' "$f"
+    done
+)
+if [ "$(printf '%s\n' "$compiles" | grep -c '^in:')" != 1 ] || printf '%s\n' "$compiles" | grep -q '^out:'; then
+    printf '%s\n' "$compiles"
+    echo "FAIL: crates/core/src must call compile_query( exactly once, in system.rs's compiled_through" >&2
+    exit 1
+fi
+
 echo "==> dss-proto holds no unsafe code outside crc.rs"
 # Every byte a peer receives is checked where it is read (DESIGN.md "Relay
 # bytes, not trees"); no decoder path may trust a previous pass to skip a
